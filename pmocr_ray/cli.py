@@ -61,11 +61,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="after a batch run, fold terminal rows into the "
                         "done manifest (the reference's mark-as-done rename)")
     p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--concurrency", dest="concurrency", type=int)
-    p.add_argument("--exec-mode", dest="exec_mode",
-                   choices=("tasks", "actors"),
-                   help="physical extract stage: read-fused task fn "
-                        "(default) or explicit actor pool")
     p.add_argument("--interval", dest="poll_interval_s", type=float)
     p.add_argument("--rounds", type=int, default=None,
                    help="service mode: stop after N poll rounds")
@@ -89,6 +84,21 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _engine_kwargs(cfg: PipelineConfig) -> dict:
+    """The engine settings of ``cfg`` as ``run_extraction`` keywords —
+    the one place batch runs and every service directory get them."""
+    return {
+        "num_blocks": cfg.num_blocks,
+        "batch_size": cfg.batch_size,
+        "check_existing_text": cfg.check_existing_text,
+        "max_attempts": cfg.max_attempts,
+        "max_payload_bytes": cfg.max_payload_bytes,
+        "retry_failed": cfg.retry_failed,
+        "max_total_attempts": cfg.max_total_attempts,
+        "preprocessors": cfg.preprocessor_list() or None,
+    }
+
+
 def run_batch(pages: str, cfg: PipelineConfig, update_done: bool = False) -> dict:
     """One conversion pass.  ``cfg.out_dir`` is owned by the run and is
     REPLACED: Ray's write_parquet appends uuid-named files, so writing
@@ -104,17 +114,7 @@ def run_batch(pages: str, cfg: PipelineConfig, update_done: bool = False) -> dic
         pages,
         cfg.done_manifest,
         processed_at=datetime.datetime.now(datetime.timezone.utc).replace(tzinfo=None),
-        num_blocks=cfg.num_blocks,
-        repartition_blocks=cfg.repartition_blocks,
-        concurrency=cfg.concurrency,
-        batch_size=cfg.batch_size,
-        check_existing_text=cfg.check_existing_text,
-        max_attempts=cfg.max_attempts,
-        max_payload_bytes=cfg.max_payload_bytes,
-        retry_failed=cfg.retry_failed,
-        max_total_attempts=cfg.max_total_attempts,
-        preprocessors=cfg.preprocessor_list() or None,
-        mode=cfg.exec_mode,
+        **_engine_kwargs(cfg),
     )
     import ray.data as rd
 
@@ -162,10 +162,7 @@ def _alert_hook_from_cfg(cfg: PipelineConfig):
 def run_service(pages: str | list[str], cfg: PipelineConfig,
                 rounds: int | None, push: bool = False,
                 max_wait_s: float = 86400.0) -> dict:
-    from pmocr_ray.state.manifest import (LineageManifest, ServiceDirSpec,
-                                          serve, serve_push, serve_multi)
-
-    alert_hook = _alert_hook_from_cfg(cfg)
+    from pmocr_ray.state.manifest import ServiceDirSpec, serve_multi
 
     entries = [pages] if isinstance(pages, str) else list(pages)
     if entries == ["auto"]:
@@ -176,45 +173,31 @@ def run_service(pages: str | list[str], cfg: PipelineConfig,
             raise SystemExit(
                 "--service auto: the config file defines no service_dirs")
     parsed = [_parse_service_entry(e) for e in entries]
+    # one plain directory keeps the configured out/manifest/done paths;
+    # several (or one with a target bundle) get per-dir subdirs, named
+    # by position so equal basenames never collide (pmocr.sh:2519-2537)
+    nested = len(parsed) > 1 or parsed[0][1] is not None
 
-    if len(parsed) > 1 or parsed[0][1] is not None:
-        # one service process, N watched dirs (pmocr.sh:2519-2537):
-        # per-dir output subdir + lineage manifest + target bundle,
-        # names disambiguated by position so equal basenames never
-        # collide
-        specs = []
-        for i, (pages_dir, targets) in enumerate(parsed):
-            name = f"{os.path.basename(os.path.normpath(pages_dir))}-{i}"
-            specs.append(ServiceDirSpec(
-                pages_dir=pages_dir,
-                out_dir=os.path.join(cfg.out_dir, name),
-                manifest_dir=os.path.join(cfg.resolved_manifest_dir(), name),
-                done_manifest_path=(os.path.join(cfg.done_manifest, name)
-                                    if cfg.done_manifest else None),
-                targets=targets or (tuple(cfg.target_list()) or None),
-                alert_hook=alert_hook,
-            ))
-        out = serve_multi(specs, push=push, max_wait_s=max_wait_s,
-                          poll_interval_s=cfg.poll_interval_s,
-                          max_rounds=rounds)
-        out["partitions"] = sum(d["partitions"]
-                                for d in out["per_dir"].values())
-        return out
+    def _sub(root: str | None, name: str) -> str | None:
+        return os.path.join(root, name) if root and nested else root
 
-    pages_dir = parsed[0][0]
-    out = {}
-    if push:
-        out = serve_push(pages_dir, cfg.out_dir, cfg.resolved_manifest_dir(),
-                         cfg.done_manifest, max_wait_s=max_wait_s,
-                         poll_interval_s=cfg.poll_interval_s,
-                         max_rounds=rounds, on_complete=alert_hook)
-    else:
-        serve(pages_dir, cfg.out_dir, cfg.resolved_manifest_dir(),
-              cfg.done_manifest, interval_s=cfg.poll_interval_s,
-              max_rounds=rounds, on_complete=alert_hook)
-
-    entries_committed = LineageManifest(cfg.resolved_manifest_dir()).committed()
-    out["partitions"] = len(entries_committed)
+    alert_hook = _alert_hook_from_cfg(cfg)
+    specs = []
+    for i, (pages_dir, targets) in enumerate(parsed):
+        name = f"{os.path.basename(os.path.normpath(pages_dir))}-{i}"
+        specs.append(ServiceDirSpec(
+            pages_dir=pages_dir,
+            out_dir=_sub(cfg.out_dir, name),
+            manifest_dir=_sub(cfg.resolved_manifest_dir(), name),
+            done_manifest_path=_sub(cfg.done_manifest, name),
+            targets=targets or (tuple(cfg.target_list()) or None),
+            extract_kwargs=_engine_kwargs(cfg),
+            alert_hook=alert_hook,
+        ))
+    out = serve_multi(specs, push=push, max_wait_s=max_wait_s,
+                      poll_interval_s=cfg.poll_interval_s,
+                      max_rounds=rounds)
+    out["partitions"] = sum(d["partitions"] for d in out["per_dir"].values())
     return out
 
 
@@ -232,8 +215,6 @@ def main(argv: list[str] | None = None) -> int:
         retry_failed=args.retry_failed,
         max_total_attempts=args.max_total_attempts,
         batch_size=args.batch_size,
-        concurrency=args.concurrency,
-        exec_mode=args.exec_mode,
         poll_interval_s=args.poll_interval_s,
         alert_spool=args.alert_spool,
     )

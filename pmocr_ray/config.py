@@ -53,12 +53,10 @@ class PipelineConfig:
                                          # pmocr.sh:816-817)
     preprocessors: str = ""              # comma-separated registry names
                                          # (OCR_PREPROCESSOR_*, default.conf:92-99)
-    # execution (NUMBER_OF_PROCESSES default.conf:16-17)
-    concurrency: int | None = None       # None -> auto from cluster CPUs
+    # execution (NUMBER_OF_PROCESSES default.conf:16-17: Ray sizes the
+    # worker pool from the cluster's CPUs)
     batch_size: int = 256
-    exec_mode: str = "tasks"             # "tasks" (read-fused) | "actors"
-    num_blocks: int | None = None
-    repartition_blocks: int | None = None
+    num_blocks: int | None = None        # None -> auto from cluster CPUs
     # service mode (INOTIFY_POLLER_INTERVAL default.conf:33)
     poll_interval_s: float = 30.0
     # sinks

@@ -11,7 +11,10 @@ over real LZW-coded bytes.  Scope:
   the canvas, disposal methods 0/1 (leave) and 2 (restore to
   background) are honored; 3 (restore previous) is refused loudly
   (rare, and silently approximating it would break the exactness
-  contract).
+  contract).  The background is transparent: the canvas starts as
+  zeros and disposal 2 clears its frame rect to zeros, the common
+  browser convention; the logical-screen background color index is
+  not used.
 * encode: single- or multi-frame, one global 256-color palette, no
   interlace, literal-code LZW (a CLEAR is emitted whenever the next
   code width would grow past the literal range — valid LZW any
@@ -120,7 +123,7 @@ def decode_gif(payload: bytes):
     no graphic-control extension preceded the frame)."""
     if payload[:6] not in (b"GIF87a", b"GIF89a"):
         raise ValueError("media: not a GIF payload")
-    w, h, flags, bg, _ = struct.unpack_from("<HHBBB", payload, 6)
+    w, h, flags = struct.unpack_from("<HHB2x", payload, 6)
     pos = 13
     gct = None
     if flags & 0x80:
@@ -190,7 +193,7 @@ def decode_gif(payload: bytes):
         region[opaque] = rgba[opaque]
         frames.append(canvas.copy())
         delays.append(delay)
-        if disposal == 2:                      # restore to background
+        if disposal == 2:                      # restore to background (zeros)
             canvas[iy:iy + ih, ix:ix + iw] = 0
         transparent = None
         disposal = 0

@@ -35,19 +35,6 @@ def broadcast_semi_join(ds: rd.Dataset, key: str, keys: Iterable) -> rd.Dataset:
     return ds.map_batches(fn, batch_format="pyarrow")
 
 
-def broadcast_anti_join(ds: rd.Dataset, key: str, keys: Iterable) -> rd.Dataset:
-    """Drop rows whose ``key`` is in the broadcast key set (the
-    done-manifest exclusion shape)."""
-    ref = ray.put(_key_array(keys))
-
-    def fn(t: pa.Table) -> pa.Table:
-        value_set = ray.get(ref)
-        mask = pc.is_in(t[key], value_set=value_set)
-        return t.filter(pc.invert(mask))
-
-    return ds.map_batches(fn, batch_format="pyarrow")
-
-
 #: one hash-join partition per this many rows of the smaller join
 #: operand; each partition costs a HashShuffleAggregator actor
 #: (~0.3 s spin-up measured), so partitions scale WITH the data

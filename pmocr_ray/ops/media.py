@@ -799,7 +799,3 @@ def decode_y4m(payload: bytes) -> tuple[np.ndarray, tuple[int, int]]:
         pos = start + fsize
     return (np.stack(frames) if frames
             else np.zeros((0, h, w), np.uint8)), fps
-
-
-def is_y4m(payload: bytes) -> bool:
-    return payload[:9] == b"YUV4MPEG2"

@@ -68,13 +68,6 @@ def normalize_url(url: str) -> str:
     return urlunsplit((scheme, host, path, parts.query, ""))
 
 
-def normalize_url_batch(batch: pa.Table, column: str = "url",
-                        out_column: str = "url_norm") -> pa.Table:
-    out = pa.array([normalize_url(u) for u in batch[column].to_pylist()],
-                   pa.string())
-    return batch.append_column(out_column, out)
-
-
 # --------------------------------------------------------- quality scoring
 
 _STOPWORDS = frozenset(
@@ -1519,11 +1512,12 @@ def strip_tracking_params(url: str) -> str:
 # key=value (bare keys re-encode as 'key='), tracking params with any
 # '&'-free value (they are removed wholesale).  Anything else — '%'
 # escapes (re-encoded), ';'/'=' in values (quoted), bare non-tracking
-# keys, non-ASCII, schemeless urls — takes the per-row Python fallback.
+# keys, non-ASCII, schemeless or empty-authority urls (urlsplit
+# collapses their '//') — takes the per-row Python fallback.
 _TRACK_RE = r"(?:utm_[^=&]*|gclid|fbclid|ref)"
 _SAFE_PARAM_RE = (r"(?:[A-Za-z0-9_.~\-]+=[A-Za-z0-9_.~+\-]*|"
                   + _TRACK_RE + r"(?:=[^&]*)?)")
-_URL_PARTS_RE = (r"^(?P<sh>[A-Za-z][A-Za-z0-9+.\-]*://[^/?#]*)"
+_URL_PARTS_RE = (r"^(?P<sh>[A-Za-z][A-Za-z0-9+.\-]*://[^/?#]+)"
                  r"(?P<path>[^?#]*)(?:\?(?P<q>[^#]*))?(?:#.*)?$")
 _SAFE_QUERY_RE = rf"^(?:{_SAFE_PARAM_RE}(?:&{_SAFE_PARAM_RE})*)?$"
 

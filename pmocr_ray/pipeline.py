@@ -3,15 +3,15 @@
 Batch mode mirrors ``pmocr.sh --batch`` (/root/reference/pmocr.sh:
 2321-2496 → OCR_Dispatch :2111-2192 → ExecTasks :795-1237): discover →
 filter already-processed → route → convert → mark done / quarantine.
-Here discovery is ``read_parquet``, the filter is a broadcast anti-join
-against the done manifest, routing is content sniffing, conversion is
-the actor-pool extract stage, and done/quarantine are status columns in
-partitioned Parquet output.
+Here discovery is ``read_parquet``, the filter is a broadcast done-url
+set, routing is content sniffing, conversion is the extract stage
+(cached once per worker process), and done/quarantine are status
+columns in partitioned Parquet output.
 
 Scale notes (the 100 TB story):
 
-* The done-url anti-join is a **broadcast** (``ray.put`` once, read
-  once per actor) — correct while the done set of *row-level* urls for
+* The done-url set is a **broadcast** (``ray.put`` once, read once per
+  worker process) — correct while the done set of *row-level* urls for
   the partitions in flight fits in memory.  At 10^12 documents the
   row-level manifest is partition-pruned first: a partition committed
   in the lineage manifest is never even read (metadata-only skip, see
@@ -19,16 +19,15 @@ Scale notes (the 100 TB story):
   covers rows of partially-processed partitions.
 * No shuffle anywhere in the hot path: sniff and extract are
   map-only; the only ``groupby`` is the tiny per-run metrics rollup.
-* Skew: ``override_num_blocks`` at the read plus an optional explicit
-  ``repartition`` spread giant-payload rows across blocks before the
-  heavy parse stage (north-star mandate; the reference has no
+* Skew: ``override_num_blocks`` at the read splits the input into
+  many small blocks, spreading giant-payload rows across tasks before
+  the heavy parse stage (north-star mandate; the reference has no
   equivalent — a giant PDF just occupies a slot, SURVEY §4).
 """
 
 from __future__ import annotations
 
 import datetime
-import os
 import uuid
 
 import pyarrow.parquet as pq
@@ -37,7 +36,7 @@ import ray
 import ray.data as rd
 
 from pmocr_ray import schema as S
-from pmocr_ray.stages import ExtractStage
+from pmocr_ray.stages import make_task_extract_fn
 
 
 def _cluster_cpus() -> int:
@@ -96,19 +95,15 @@ def run_extraction(
     run_id: str | None = None,
     processed_at: datetime.datetime | None = None,
     num_blocks: int | None = None,
-    repartition_blocks: int | None = None,
-    concurrency: int | None = None,
     batch_size: int = 256,
     check_existing_text: bool = True,
     max_attempts: int = S.MAX_ATTEMPTS,
     max_payload_bytes: int | None = None,
-    actor_num_cpus: float = 0.75,
     retry_failed: bool = False,
     max_total_attempts: int = S.MAX_TOTAL_ATTEMPTS,
     preprocessors: list | None = None,
-    mode: str = "tasks",
 ) -> rd.Dataset:
-    """The flagship pipeline: read → sniff → (rebalance) → extract.
+    """The flagship pipeline: read → sniff → extract.
 
     Returns a lazy Dataset with :data:`pmocr_ray.schema.OUTPUT_SCHEMA`;
     consume with ``write_parquet`` / ``iter_batches`` — nothing here
@@ -122,43 +117,26 @@ def run_extraction(
     or callables applied to each payload before the engine
     (OCR_PREPROCESSOR_*, default.conf:92-99).
 
-    ``mode`` selects the physical execution of the extract stage:
-
-    * ``"tasks"`` (default): a plain task ``map_batches`` whose fn
-      lazily constructs the warm :class:`ExtractStage` once per worker
-      process (module-level cache) — measured 15-20% faster end-to-end
-      than the actor pool at both 8 and 32 CPUs (interleaved A/B, 1.8M
-      pages: 84.3s vs 99.6s at 8 cpus; ~26s vs ~33s at 32).  Read-fusion
-      note: Ray fuses the Parquet read INTO this operator (payload never
-      enters the object store) only when ``batch_size is None`` AND the
-      input file count equals ``num_blocks`` — any read split breaks
-      fusion.  Interleaved A/Bs at 1.8M pages measured the fused and
-      unfused plans equal single-node (the streaming executor overlaps
-      the read with the parse, hiding the extra plasma hop), so the
-      default keeps the finer-waves split; on a multi-node cluster
-      prefer input layouts with ≥ ``5 × cluster_cpus`` files and pass
-      ``batch_size=None`` so the payload column also never crosses the
-      NETWORK between read and parse.
-    * ``"actors"``: the explicit actor pool
-      (``concurrency``/``actor_num_cpus`` apply) — use when the stage
-      must hold per-actor resources (GPU slots, model handles with
-      bounded multiplicity) rather than per-process caches.
+    The extract stage is a plain task ``map_batches`` whose fn lazily
+    constructs the warm :class:`~pmocr_ray.stages.ExtractStage` once
+    per worker process (module-level cache).  Read-fusion note: Ray
+    fuses the Parquet read INTO this operator (payload never enters the
+    object store) only when ``batch_size is None`` AND the input file
+    count equals ``num_blocks`` — any read split breaks fusion.
+    Interleaved A/Bs at 1.8M pages measured the fused and unfused plans
+    equal single-node (the streaming executor overlaps the read with
+    the parse, hiding the extra plasma hop), so the default keeps the
+    finer-waves split; on a multi-node cluster prefer input layouts
+    with ≥ ``5 × cluster_cpus`` files and pass ``batch_size=None`` so
+    the payload column also never crosses the NETWORK between read and
+    parse.
     """
-    cpus = _cluster_cpus()
     if num_blocks is None:
         # Finer read splits pipeline better: ~5 waves per slot keeps the
-        # actor pool fed while reads/writes interleave (paired A/B at
+        # extract tasks fed while reads/writes interleave (paired A/B at
         # 1.8M pages, 32 cpus: 64 blocks 98-135s vs 160 blocks 66-74s).
         # At production scale the input block count is naturally ≫ this.
-        num_blocks = max(5 * cpus, 16)
-    if concurrency is None:
-        # Slightly oversubscribed pool at fractional num_cpus: the pool
-        # nominally reserves ~concurrency×actor_num_cpus CPUs, leaving a
-        # float share for the read/write task stages, and the OS
-        # time-slices the rest.  A pool that pins every CPU starves its
-        # own feeder and sink (measured: 600k pages, 32 cpus — 31
-        # pinned actors 53-60s vs balanced splits 18-26s).
-        concurrency = max(1, cpus - max(1, cpus // 8))
+        num_blocks = max(5 * _cluster_cpus(), 16)
 
     retry_ref = None
     if retry_failed and done_manifest_path:
@@ -171,50 +149,26 @@ def run_extraction(
     else:
         done_ref = load_done_urls_ref(done_manifest_path)
 
-    ds = read_pages(pages_path, num_blocks=num_blocks)
     # NOTE: no separate sniff pass here — ExtractStage sniffs each row
     # exactly once in-row (process_row), so the payload column crosses
     # the object store once (read → extract), not twice.  The standalone
     # sniff_stage remains for routing-only pipelines (see
-    # __ray_entry__._q_sniff_route) and is reused automatically when a
-    # ``content_type`` column is already present.
-    if repartition_blocks:
-        # Explicit skew rebalance before the heavy parse stage: spreads
-        # giant-payload rows across blocks.  Off by default — at scale,
-        # block splitting at the read (override_num_blocks /
-        # target_max_block_size) achieves the same without an exchange.
-        ds = ds.repartition(repartition_blocks)
-    stage_kwargs = {
-        "done_urls_ref": done_ref,
-        "retry_attempts_ref": retry_ref,
-        "run_id": run_id or f"run-{uuid.uuid4().hex[:8]}",
-        "processed_at": processed_at,
-        "check_existing_text": check_existing_text,
-        "max_attempts": max_attempts,
-        "max_total_attempts": max_total_attempts,
-        "max_payload_bytes": max_payload_bytes,
-        "preprocessors": preprocessors,
-    }
-    if mode == "tasks":
-        from pmocr_ray.stages import make_task_extract_fn
-
-        ds = ds.map_batches(
-            make_task_extract_fn(**stage_kwargs),
-            batch_format="pyarrow",
-            batch_size=batch_size,
-        )
-    elif mode == "actors":
-        ds = ds.map_batches(
-            ExtractStage,
-            batch_format="pyarrow",
-            batch_size=batch_size,
-            concurrency=concurrency,
-            num_cpus=actor_num_cpus,
-            fn_constructor_kwargs=stage_kwargs,
-        )
-    else:
-        raise ValueError(f"unknown extraction mode: {mode!r}")
-    return ds
+    # __ray_entry__._q_sniff_route).
+    return read_pages(pages_path, num_blocks=num_blocks).map_batches(
+        make_task_extract_fn(
+            done_urls_ref=done_ref,
+            retry_attempts_ref=retry_ref,
+            run_id=run_id or f"run-{uuid.uuid4().hex[:8]}",
+            processed_at=processed_at,
+            check_existing_text=check_existing_text,
+            max_attempts=max_attempts,
+            max_total_attempts=max_total_attempts,
+            max_payload_bytes=max_payload_bytes,
+            preprocessors=preprocessors,
+        ),
+        batch_format="pyarrow",
+        batch_size=batch_size,
+    )
 
 
 def status_counts(result_ds: rd.Dataset) -> dict[str, int]:
@@ -240,45 +194,3 @@ def write_output(result_ds: rd.Dataset, out_dir: str,
         result_ds.write_parquet(out_dir, partition_cols=["status"])
     else:
         result_ds.write_parquet(out_dir)
-
-
-def run_extraction_bloom_skip(
-    pages_path: str | list[str] | rd.Dataset,
-    done_manifest_path: str,
-    **kwargs,
-) -> rd.Dataset:
-    """Flagship variant for done sets too large to broadcast: the
-    done-url skip becomes a :func:`pmocr_ray.ops.joins.bloom_anti_join`
-    of pages against the manifest BEFORE extraction.
-
-    The broadcast done-set in :func:`run_extraction` is O(done urls);
-    the Bloom bitmap is fixed-size, and exactness is preserved by the
-    verify join inside the operator (a false positive costs a shuffled
-    row, never a wrongly skipped url).  Semantics differ in ONE way,
-    deliberate: previously-done urls are DROPPED from the output
-    instead of carried as ``status="skipped_suffix"`` rows — at 10^12
-    done urls you do not re-emit a skip row per done url every run.
-    Non-done rows produce byte-identical output to the broadcast path
-    (tested).
-
-    ``retry_failed`` is rejected loudly: the anti-join drops EVERY
-    manifest url (done and quarantined alike) before extraction, so a
-    silently-forwarded retry flag could never re-drive anything — use
-    :func:`run_extraction` (broadcast path) for retry runs, whose
-    retry map is |failed|-sized, not |done|-sized.
-    """
-    if kwargs.get("retry_failed"):
-        raise ValueError(
-            "run_extraction_bloom_skip cannot honor retry_failed: the "
-            "bloom anti-join drops every manifest url (done AND "
-            "quarantined) before extraction; re-drive quarantined urls "
-            "via run_extraction(..., retry_failed=True)")
-    from pmocr_ray.ops.joins import bloom_anti_join
-    from pmocr_ray.state.manifest import _manifest_shard_files
-
-    files = _manifest_shard_files(done_manifest_path)
-    pages = read_pages(pages_path)
-    if files:
-        done = rd.read_parquet(files, columns=["url"])
-        pages = bloom_anti_join(pages, done, on="url")
-    return run_extraction(pages, None, **kwargs)

@@ -4,9 +4,9 @@ Stage kinds mirror the reference's execution split (SURVEY §2.7/§4):
 
 * cheap, pure, vectorizable steps (sniffing, projections, status
   predicates) are **stateless task** ``map_batches`` functions;
-* the extraction engines are a **callable class** run as an actor pool
-  (``map_batches(ExtractStage, concurrency=N)``) — registry/config
-  resolved once per actor in ``__init__``, amortized across batches,
+* the extraction engines are a **callable class** cached once per
+  worker process (:func:`make_task_extract_fn`) — registry/config
+  resolved once in ``__init__``, amortized across batches and tasks,
   mirroring the reference's long-lived OCR service processes
   (/root/reference/pmocr.sh:1825-1852 resolves the engine once at
   startup; pmocr-srv keeps it warm).
@@ -44,14 +44,14 @@ def sniff_stage(batch: pa.Table) -> pa.Table:
 
 
 class ExtractStage:
-    """Actor-pool extraction engine stage.
+    """Extraction engine stage.
 
-    One instance per actor; ``__init__`` resolves the extractor
-    registry, materializes the broadcast done-url set (``ray.put`` once
-    on the driver, ``ray.get`` once per actor — never re-shipped per
-    batch), and pins the run metadata.  ``__call__`` runs each row of a
-    batch through the shared state machine
-    (:func:`pmocr_ray.state_machine.process_row`).
+    One instance per worker process (see :func:`make_task_extract_fn`);
+    ``__init__`` resolves the extractor registry, materializes the
+    broadcast done-url set (``ray.put`` once on the driver, ``ray.get``
+    once per process — never re-shipped per batch), and pins the run
+    metadata.  ``__call__`` runs each row of a batch through the shared
+    state machine (:func:`pmocr_ray.state_machine.process_row`).
 
     Per-row Python here is the engine invocation itself (the reference
     execs one OCR process per file, /root/reference/pmocr.sh:1923-1963);
@@ -83,7 +83,7 @@ class ExtractStage:
         # (--retry-failed); broadcast once like the done set
         self.retry_attempts: dict = (dict(_get(retry_attempts_ref))
                                      if retry_attempts_ref is not None else {})
-        self.extractors = dict(EXTRACTORS)  # resolved once per actor
+        self.extractors = dict(EXTRACTORS)  # resolved once per process
         from pmocr_ray.extract.registry import resolve_preprocessors
 
         self.preprocessors = resolve_preprocessors(preprocessors) or None
@@ -114,18 +114,12 @@ class ExtractStage:
         data = (memoryview(html.buffers()[2])
                 if html.buffers()[2] is not None else memoryview(b""))
 
-        # content_type may already exist (an upstream sniff stage ran) —
-        # reuse it so sniffing isn't paid twice; otherwise process_row
-        # sniffs once in-row.
-        have_ct = "content_type" in batch.column_names
-
         cts: list[str] = [None] * n  # type: ignore[list-item]
         statuses: list[str] = [None] * n  # type: ignore[list-item]
         attempts = [0] * n
         errors: list[str | None] = [None] * n
         extracted: list[str | None] = [None] * n
 
-        pre_ct = batch["content_type"].to_pylist() if have_ct else None
         done = self.done_urls
         retry = self.retry_attempts
         for i in range(n):
@@ -139,7 +133,6 @@ class ExtractStage:
                               else self.max_attempts),
                 check_existing_text=self.check_existing_text,
                 max_payload_bytes=self.max_payload_bytes,
-                content_type=pre_ct[i] if pre_ct is not None else None,
                 prior_attempts=prior,
                 preprocessors=self.preprocessors,
             )
@@ -171,22 +164,21 @@ class ExtractStage:
         )
 
 
-# Per-worker-process cache for task-mode extraction stages.  Ray worker
-# processes persist across tasks, so a plain task `map_batches(fn)` with
-# a module-level cache gets the same warm-engine amortization as an
-# actor pool — and, when the read is not split (file count == requested
-# blocks, batch_size=None), lets Ray fuse read→extract→write into ONE
-# task operator so the payload column never leaves the read task (see
-# run_extraction's mode docstring for the measured tradeoff).  Keyed by
-# a token
-# minted once per pipeline construction; bounded (a worker that serves
-# many runs keeps only the most recent stages).
+# Per-worker-process cache of extraction stages.  Ray worker processes
+# persist across tasks, so a plain task `map_batches(fn)` with a
+# module-level cache keeps the engine warm across batches — and, when
+# the read is not split (file count == requested blocks,
+# batch_size=None), lets Ray fuse read→extract→write into ONE task
+# operator so the payload column never leaves the read task (see
+# run_extraction's docstring for the measured tradeoff).  Keyed by a
+# token minted once per pipeline construction; bounded (a worker that
+# serves many runs keeps only the most recent stages).
 _TASK_STAGE_CACHE: dict = {}
 _TASK_STAGE_CACHE_MAX = 4
 
 
 def make_task_extract_fn(**ctor_kwargs):
-    """Build a task-mode extract fn closing over the stage config.
+    """Build the extract fn closing over the stage config.
 
     The closure (incl. broadcast ObjectRefs) ships to each worker once
     per task-spec; the ``ExtractStage`` itself — registry resolution,

@@ -7,7 +7,7 @@ falls back to a snapshot-diff poller on filesystems without inotify
 split for partitioned-Parquet ingestion: :class:`DirWatcher` binds the
 raw Linux syscalls (``inotify_init1`` / ``inotify_add_watch`` / fd
 reads) through ``ctypes`` — no third-party package — and
-:func:`pmocr_ray.state.manifest.serve_push` blocks on it between
+:func:`pmocr_ray.state.manifest.serve_multi` blocks on it between
 rounds, waking the moment a new partition file lands instead of
 sleeping a poll interval.
 
@@ -72,7 +72,7 @@ class DirWatcher:
     still runs a round.
 
     Raises ``OSError`` at construction on platforms without inotify —
-    callers degrade to the poller (see ``serve_push``).
+    callers degrade to the poller (see ``serve_multi``).
     """
 
     def __init__(self, path: str, mask: int = DEFAULT_MASK,

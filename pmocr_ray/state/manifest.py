@@ -15,12 +15,14 @@ which is discarded and rewritten.  Output is therefore exactly-once
 per url across crashes/restarts.
 
 Service mode (pmocr.sh:2226-2281 — inotify / poller + debounced
-dispatch) becomes :func:`poll_once`: snapshot-diff the partition
-listing against the manifest, process what's new.  A loop around it
-with an interval is the poller (`_InotifyWaitPoller`,
-pmocr.sh:1567-1670); bursts coalesce for free because each round
-processes *all* pending partitions (DispatchRunner's DISPATCH_NEEDED
-cap, pmocr.sh:2195-2224).
+dispatch) is one round function, :func:`run_incremental` (also
+exposed as :func:`poll_once`): snapshot-diff the partition listing
+against the manifest, process what's new.  :func:`serve_multi` is the
+one service loop around it, for one or many watched directories: it
+blocks on inotify between rounds, or sleeps a fixed interval where
+inotify is unavailable (`_InotifyWaitPoller`, pmocr.sh:1567-1670);
+bursts coalesce for free because each round processes *all* pending
+partitions (DispatchRunner's DISPATCH_NEEDED cap, pmocr.sh:2195-2224).
 
 Scale note: at 10^12 documents this manifest is metadata-only — one
 entry per multi-GB partition, listed and diffed on the driver without
@@ -94,8 +96,6 @@ def run_incremental(
     done_manifest_path: str | None = None,
     *,
     run_id: str | None = None,
-    batch_size: int = 256,
-    concurrency: int | None = None,
     on_complete=None,
     update_row_manifest: bool = False,
     extract_kwargs: dict | None = None,
@@ -115,7 +115,7 @@ def run_incremental(
     Requires ``done_manifest_path``.
 
     ``extract_kwargs`` forwards engine configuration (preprocessors,
-    retry policy, batch sizing overrides …) to ``run_extraction`` —
+    retry policy, batch size …) to ``run_extraction`` —
     the reference re-reads its engine config each service round
     (SetOCREngineOptions at startup of each dispatch), so a config
     change (or a broken engine) takes effect at the next poll, never
@@ -150,14 +150,8 @@ def run_incremental(
         shutil.rmtree(part_out, ignore_errors=True)
 
         t0 = time.perf_counter()
-        ds = run_extraction(
-            path,
-            done_manifest_path,
-            run_id=run_id,
-            batch_size=batch_size,
-            concurrency=concurrency,
-            **(extract_kwargs or {}),
-        )
+        ds = run_extraction(path, done_manifest_path, run_id=run_id,
+                            **(extract_kwargs or {}))
         if targets:
             from pmocr_ray.targets import write_targets
 
@@ -385,79 +379,9 @@ def poll_once(pages_dir: str, out_dir: str, manifest_dir: str,
                            on_complete=on_complete)
 
 
-def serve(pages_dir: str, out_dir: str, manifest_dir: str,
-          done_manifest_path: str | None = None,
-          interval_s: float = 30.0, max_rounds: int | None = None,
-          on_complete=None) -> None:
-    """Poller service loop (reference: INOTIFY_POLLER_INTERVAL=30,
-    /root/reference/default.conf:33; forced-run period pmocr.sh:24-26).
-    ``max_rounds`` bounds the loop for tests; ``on_complete`` fires
-    per round (alert hook)."""
-    rounds = 0
-    while max_rounds is None or rounds < max_rounds:
-        poll_once(pages_dir, out_dir, manifest_dir, done_manifest_path,
-                  on_complete=on_complete)
-        rounds += 1
-        if max_rounds is None or rounds < max_rounds:
-            time.sleep(interval_s)
-
-
-def serve_push(pages_dir: str, out_dir: str, manifest_dir: str,
-               done_manifest_path: str | None = None,
-               max_wait_s: float = 86400.0,
-               poll_interval_s: float = 30.0,
-               max_rounds: int | None = None,
-               extract_kwargs: dict | None = None,
-               on_complete=None) -> dict:
-    """Push-based service loop: block on **inotify** events for
-    ``pages_dir`` between rounds, waking the instant a new partition
-    file lands — the reference's primary service mode (``inotifywait -e
-    create -e moved_to --timeout $MAX_WAIT``, pmocr.sh:2268-2270) —
-    with ``max_wait_s`` forcing a periodic round regardless
-    (``MAX_WAIT``, pmocr.sh:24-26).
-
-    Events are only the wake signal; every round is the same manifest
-    snapshot-diff (:func:`poll_once`), so overflowed/dropped events
-    cost latency, never correctness.  On platforms without inotify the
-    loop degrades to :func:`serve`'s fixed-interval poller (the
-    reference's ``_InotifyWaitPoller`` fallback, pmocr.sh:2272-2275).
-
-    The first round runs immediately (the reference's first-run kick,
-    pmocr.sh:2262-2265).  ``max_rounds`` bounds the loop for tests.
-    Returns a summary: rounds run, mode, last wake's event names.
-    """
-    from pmocr_ray.state.inotify import DirWatcher
-
-    watcher = None
-    try:
-        watcher = DirWatcher(pages_dir, suffix=".parquet")
-    except OSError:
-        pass  # degrade to the poller below
-
-    rounds, last_events = 0, []
-    try:
-        while max_rounds is None or rounds < max_rounds:
-            poll_once(pages_dir, out_dir, manifest_dir, done_manifest_path,
-                      extract_kwargs=extract_kwargs,
-                      on_complete=on_complete)
-            rounds += 1
-            if max_rounds is not None and rounds >= max_rounds:
-                break
-            if watcher is not None:
-                last_events = watcher.wait(max_wait_s)
-            else:
-                time.sleep(poll_interval_s)
-    finally:
-        if watcher is not None:
-            watcher.close()
-    return {"rounds": rounds,
-            "mode": "inotify" if watcher is not None else "poller",
-            "last_events": last_events}
-
-
 @dataclasses.dataclass(frozen=True)
 class ServiceDirSpec:
-    """One watched directory of a multi-directory service process —
+    """One watched directory of the service process —
     the analogue of the reference's per-monitor-dir config bundle
     (MONITOR_DIR_1..5 + per-dir format lists, default.conf:116-126):
     its own pages source, output root, lineage manifest, optional done
@@ -480,17 +404,21 @@ class ServiceDirSpec:
 def serve_multi(specs, *, push: bool = True, max_wait_s: float = 86400.0,
                 poll_interval_s: float = 30.0,
                 max_rounds: int | None = None) -> dict:
-    """One service process watching N directories — the reference
-    daemon spawns up to 5 per-dir monitors inside one process
-    (pmocr.sh:2519-2537); this is the same shape for partitioned
+    """The service loop: one process watching N >= 1 directories —
+    the reference daemon spawns up to 5 per-dir monitors inside one
+    process (pmocr.sh:2519-2537); this is the same shape for partitioned
     Parquet: one round = a manifest snapshot-diff poll of EVERY spec
     (each with its own manifest/out/targets — isolation is per spec),
     then one blocking :func:`pmocr_ray.state.inotify.wait_any` across
     all the dirs' inotify fds (``push=True``), so a partition landing
     in any one directory wakes the whole loop.  Degrades to the
     fixed-interval poller where inotify is unavailable.  As in the
-    single-dir loops, events are only the wake signal — correctness
-    comes from the per-round snapshot diff.
+    reference's watcher, events are only the wake signal — correctness
+    comes from the per-round snapshot diff, so overflowed/dropped
+    events cost latency, never correctness.  The first round runs
+    immediately (the reference's first-run kick, pmocr.sh:2262-2265);
+    ``max_wait_s`` forces a round without events (``MAX_WAIT``,
+    pmocr.sh:24-26).
 
     ``max_rounds`` bounds the loop for tests.  Returns a summary with
     per-directory processed/partition counts.

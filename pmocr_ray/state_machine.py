@@ -12,7 +12,7 @@ predicates (pmocr.sh:2126-2180) as one pure function over a row:
                              _OCR_ERR quarantine pmocr.sh:1999-2011;
                              16 KiB error truncation pmocr.sh:1054,1983)
 
-Both the single-process golden oracle and the distributed actor-pool
+Both the single-process golden oracle and the distributed extract
 stage call exactly this function, so distribution can only change
 scheduling, never results.
 """
@@ -39,7 +39,6 @@ def process_row(
     max_attempts: int = S.MAX_ATTEMPTS,
     check_existing_text: bool = True,
     max_payload_bytes: int | None = None,
-    content_type: str | None = None,
     prior_attempts: int = 0,
     preprocessors: list | None = None,
 ) -> tuple[str, str, int, str | None, str | None]:
@@ -55,9 +54,6 @@ def process_row(
     /root/reference/pmocr.sh:1004-1038): a wall-clock kill would be
     nondeterministic under distribution, so the guard is a deterministic
     size cap — an oversize payload quarantines without being parsed.
-
-    ``content_type`` may be passed pre-computed (a prior sniff stage) so
-    sniffing is never paid twice for the same row.
 
     ``prior_attempts`` carries a quarantined row's attempt count into a
     ``--retry-failed`` re-drive: the engine loop resumes at
@@ -79,13 +75,10 @@ def process_row(
             for pp in preprocessors:
                 payload = pp(payload)
         except Exception as exc:
-            ct = (content_type if content_type is not None
-                  else sniff_content_type(payload))
-            return (ct, S.STATUS_FAILED, 0,
+            return (sniff_content_type(payload), S.STATUS_FAILED, 0,
                     truncate_error(f"preprocessor: {type(exc).__name__}: {exc}"),
                     None)
-    if content_type is None:
-        content_type = sniff_content_type(payload)
+    content_type = sniff_content_type(payload)
 
     if is_done:
         # Previously processed -> never reprocessed (idempotent restart).

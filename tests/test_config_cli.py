@@ -76,17 +76,6 @@ class TestCli:
                           "skipped_existing_text": 400, "skipped_suffix": 400}
         assert glob.glob(os.path.join(out_dir, "*.parquet"))
 
-    def test_batch_mode_actors_same_counts(self, pages_fixture, tmp_path, capsys):
-        pages, done = pages_fixture
-        out_dir = str(tmp_path / "out_actors")
-        rc, counts = self._run(
-            ["--batch", pages, "--out", out_dir, "--done-manifest", done,
-             "--exec-mode", "actors", "--concurrency", "2"], capsys
-        )
-        assert rc == 0
-        assert counts == {"done": 3000, "failed": 200,
-                          "skipped_existing_text": 400, "skipped_suffix": 400}
-
     def test_no_skip_txt_pdf_flag_flips_behavior(self, pages_fixture, tmp_path, capsys):
         """--no-skip-txt-pdf: searchable PDFs go through the engine
         (CHECK_PDF=no semantics) instead of being skipped."""
@@ -119,6 +108,24 @@ class TestCli:
         assert rc == 0 and out["partitions"] == len(
             glob.glob(os.path.join(pages, "*.parquet"))
         )
+
+    def test_service_mode_honors_engine_config(self, pages_fixture,
+                                               tmp_path, capsys):
+        """--service runs with the same engine settings as --batch:
+        --no-skip-txt-pdf sends searchable PDFs through the engine."""
+        pages, done = pages_fixture
+        out_dir = str(tmp_path / "o8")
+        rc, _ = self._run(
+            ["--service", pages, "--out", out_dir, "--done-manifest", done,
+             "--rounds", "1", "--no-skip-txt-pdf"],
+            capsys,
+        )
+        assert rc == 0
+        statuses = []
+        for f in glob.glob(os.path.join(out_dir, "part-*", "*.parquet")):
+            statuses += pq.read_table(f, columns=["status"])["status"].to_pylist()
+        assert "skipped_existing_text" not in statuses
+        assert statuses.count("done") == 3400
 
     def test_service_mode_multi_dir_cli(self, pages_fixture, tmp_path,
                                         capsys):

@@ -489,7 +489,7 @@ def test_canonicalize_urls_differential_vs_scalar():
     scalar strip_tracking_params on every input — common shapes
     (Arrow fast path) AND anomalous rows (Python fallback): percent
     escapes, bare keys, semicolons, '=' in values, non-ASCII,
-    schemeless, junk."""
+    schemeless, empty authority, junk."""
     from pmocr_ray.ops.text import canonicalize_urls, strip_tracking_params
 
     urls = [
@@ -523,6 +523,12 @@ def test_canonicalize_urls_differential_vs_scalar():
         "https://a.x/p?a=b;c",          # ';' gets quoted
         "https://a.x/p?a=é",       # non-ASCII
         "//schemeless.example/x?utm_source=1",
+        # empty authority: urlsplit/urlunsplit collapse the '//' that a
+        # fast path matching an empty host would keep
+        "http:///x/y.z?utm_a=1",
+        "http:////d",
+        "http://?ref=1",
+        "https:///p?a=1&ref=2",
         "mailto:someone@example.com",
         "not a url at all",
         "",

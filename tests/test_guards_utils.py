@@ -8,7 +8,7 @@ import pytest
 
 from pmocr_ray.config import parse_size
 from pmocr_ray.fixtures import build_html_page
-from pmocr_ray.ops.text import normalize_url, normalize_url_batch
+from pmocr_ray.ops.text import normalize_url
 from pmocr_ray.state_machine import process_row
 
 TEXT = "guard test words one two three four five six seven eight nine ten"
@@ -54,11 +54,6 @@ class TestNormalizeUrl:
     ])
     def test_cases(self, raw, norm):
         assert normalize_url(raw) == norm
-
-    def test_batch_kernel(self):
-        t = pa.table({"url": ["HTTP://A/x/", "https://b/"]})
-        out = normalize_url_batch(t)["url_norm"].to_pylist()
-        assert out == ["http://a/x", "https://b/"]
 
 
 def test_run_logger_writes_file(tmp_path):

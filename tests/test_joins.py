@@ -4,11 +4,7 @@ import pyarrow as pa
 
 import ray.data as rd
 
-from pmocr_ray.ops.joins import (
-    broadcast_anti_join,
-    broadcast_lookup,
-    broadcast_semi_join,
-)
+from pmocr_ray.ops.joins import broadcast_lookup, broadcast_semi_join
 
 
 def _ds(ray_session):
@@ -21,16 +17,6 @@ def _ds(ray_session):
 def test_semi_join(ray_session):
     out = broadcast_semi_join(_ds(ray_session), "k", [2, 4, 9]).take_all()
     assert sorted(r["k"] for r in out) == [2, 4]
-
-
-def test_anti_join(ray_session):
-    out = broadcast_anti_join(_ds(ray_session), "k", [2, 4, 9]).take_all()
-    assert sorted(r["k"] for r in out) == [1, 3, 5]
-
-
-def test_anti_join_empty_keyset_keeps_all(ray_session):
-    out = broadcast_anti_join(_ds(ray_session), "k", []).take_all()
-    assert len(out) == 5
 
 
 def test_lookup(ray_session):

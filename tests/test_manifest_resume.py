@@ -103,14 +103,14 @@ def test_dirwatcher_push_events(tmp_path):
 
 
 def test_serve_push_wakes_on_new_partition(tmp_env):
-    """serve_push: first round immediate, second round woken by the
-    partition file landing (push, not poll) — and the woken round
-    processes exactly the new partition."""
+    """serve_multi push mode on one directory: first round immediate,
+    second round woken by the partition file landing (push, not poll)
+    — and the woken round processes exactly the new partition."""
     import threading
     import time as _t
 
     from pmocr_ray.state.inotify import inotify_available
-    from pmocr_ray.state.manifest import serve_push
+    from pmocr_ray.state.manifest import ServiceDirSpec, serve_multi
 
     new = tmp_env["remaining"][0]
 
@@ -124,15 +124,18 @@ def test_serve_push_wakes_on_new_partition(tmp_env):
     # max_wait_s far above the arrival delay: only the push event can
     # wake round 2 quickly; the poller fallback (non-Linux) still
     # terminates via poll_interval_s
-    summary = serve_push(tmp_env["monitored"], tmp_env["out"],
-                         tmp_env["manifest"], tmp_env["done"],
-                         max_wait_s=30.0, poll_interval_s=1.0,
-                         max_rounds=2)
+    spec = ServiceDirSpec(pages_dir=tmp_env["monitored"],
+                          out_dir=tmp_env["out"],
+                          manifest_dir=tmp_env["manifest"],
+                          done_manifest_path=tmp_env["done"])
+    summary = serve_multi([spec], push=True, max_wait_s=30.0,
+                          poll_interval_s=1.0, max_rounds=2)
     t.join()
     assert summary["rounds"] == 2
     if inotify_available():
         assert summary["mode"] == "inotify"
-        assert summary["last_events"] == [os.path.basename(new)]
+        assert summary["last_events"] == {
+            tmp_env["monitored"]: [os.path.basename(new)]}
     manifest = LineageManifest(tmp_env["manifest"])
     assert len(manifest.committed()) == 3  # 2 initial + the pushed one
 
@@ -481,28 +484,6 @@ def test_alert_hook_fires_on_failures(tmp_env, tmp_path):
     run_incremental(tmp_env["monitored"], tmp_env["out"],
                     tmp_env["manifest"], tmp_env["done"], on_complete=hook)
     assert len(open(alerts).readlines()) == 1
-
-
-def test_bloom_skip_matches_broadcast_path(ray_session, tmp_path):
-    """run_extraction_bloom_skip: non-done rows byte-identical to the
-    broadcast done-set path; done rows dropped (not skip-marked)."""
-    from pmocr_ray.fixtures import ensure_pages_fixture
-    from pmocr_ray.pipeline import run_extraction, run_extraction_bloom_skip
-
-    pages, manifest = ensure_pages_fixture("/root/testdata/sf0.001")
-    broadcast = {
-        r["url"]: (r["status"], r["extracted_text"])
-        for r in run_extraction(pages, manifest, run_id="x")
-        .select_columns(["url", "status", "extracted_text"]).take_all()}
-    bloom = {
-        r["url"]: (r["status"], r["extracted_text"])
-        for r in run_extraction_bloom_skip(pages, manifest, run_id="x")
-        .select_columns(["url", "status", "extracted_text"]).take_all()}
-    done_urls = {u for u, (s, _) in broadcast.items() if s == "skipped_suffix"}
-    assert done_urls and done_urls.isdisjoint(bloom)  # dropped, not marked
-    for u, v in bloom.items():
-        assert broadcast[u] == v
-    assert set(bloom) == set(broadcast) - done_urls
 
 
 def test_service_mode_engine_failure_drill(tmp_env, tmp_path):

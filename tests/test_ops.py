@@ -1768,12 +1768,6 @@ def test_review_fix_edge_cases(ray_session):
     assert dict(zip(out["doc_id"], out["contaminated"])) == {1: True,
                                                              2: False}
 
-    from pmocr_ray.pipeline import run_extraction_bloom_skip
-
-    with pytest.raises(ValueError, match="retry_failed"):
-        run_extraction_bloom_skip("/nonexistent", "/nonexistent",
-                                  retry_failed=True)
-
     import tempfile
 
     from pmocr_ray.ops.pack import bucketed_join

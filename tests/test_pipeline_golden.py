@@ -43,24 +43,10 @@ def test_byte_identical_default(pages_fixture, golden):
 
 
 def test_byte_identical_other_partitioning(pages_fixture, golden):
-    """Different block count, batch size and concurrency must not change
-    a single byte (determinism under distribution, SURVEY §7.4)."""
+    """Different block count and batch size must not change a single
+    byte (determinism under distribution, SURVEY §7.4)."""
     pages, manifest = pages_fixture
-    out = _run(pages, manifest, num_blocks=3, batch_size=17, concurrency=2)
-    _assert_identical(out, golden)
-
-
-def test_explicit_repartition_same_result(pages_fixture, golden):
-    pages, manifest = pages_fixture
-    out = _run(pages, manifest, repartition_blocks=8)
-    _assert_identical(out, golden)
-
-
-def test_actor_mode_byte_identical(pages_fixture, golden):
-    """Both physical executions of the extract stage — fused task fn
-    (default) and explicit actor pool — must produce identical bytes."""
-    pages, manifest = pages_fixture
-    out = _run(pages, manifest, mode="actors", concurrency=2)
+    out = _run(pages, manifest, num_blocks=3, batch_size=17)
     _assert_identical(out, golden)
 
 

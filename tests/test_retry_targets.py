@@ -126,13 +126,13 @@ def _bom_pages(tmp_path) -> str:
 def test_preprocessor_fixes_bom_payload(tmp_path):
     src = _bom_pages(tmp_path)
     # without the preprocessor the BOM row quarantines (strict decode)
-    t = (run_extraction(src, None, run_id="pp0", num_blocks=1, concurrency=1)
+    t = (run_extraction(src, None, run_id="pp0", num_blocks=1)
          .to_pandas().set_index("url"))
     assert t.loc["https://a.example/bom", "status"] == "failed"
     assert t.loc["https://a.example/ok", "status"] == "done"
 
     # with strip_bom both extract, byte-identically
-    t2 = (run_extraction(src, None, run_id="pp1", num_blocks=1, concurrency=1,
+    t2 = (run_extraction(src, None, run_id="pp1", num_blocks=1,
                          preprocessors=["strip_bom"])
           .to_pandas().set_index("url"))
     assert t2.loc["https://a.example/bom", "status"] == "done"
@@ -151,7 +151,7 @@ def test_preprocessor_oracle_conformance_and_registry(tmp_path):
     src = _bom_pages(tmp_path)
     gold = run_oracle(src, None, preprocessors=["strip_bom"]).to_pandas()
     dist = (run_extraction(src, None, run_id="pp2", num_blocks=1,
-                           concurrency=1, preprocessors=["strip_bom"])
+                           preprocessors=["strip_bom"])
             .to_pandas().sort_values("url").reset_index(drop=True))
     assert dist["extracted_text"].tolist() == gold["extracted_text"].tolist()
     assert dist["status"].tolist() == gold["status"].tolist()
