@@ -90,7 +90,7 @@ def _extraction_output_dir(sf_dir: str) -> str:
     pages_dir, manifest = _pages(sf_dir)
     out_dir = os.path.join(fixture_dir(sf_dir, REPS), "extract_out")
     if not os.path.exists(os.path.join(out_dir, "_DONE")):
-        ds = run_extraction(pages_dir, manifest, run_id="driver-run")
+        ds = run_extraction(pages_dir, manifest)
         tmp = out_dir + ".tmp"
         import shutil
 
@@ -139,7 +139,7 @@ def entry() -> Any:
     pages_dir, manifest = _pages("/root/testdata/sf0.001")
     from pmocr_ray.pipeline import run_extraction
 
-    return run_extraction(pages_dir, manifest, run_id="entry-run")
+    return run_extraction(pages_dir, manifest)
 
 
 # --------------------------------------------------------------- queries
@@ -1789,10 +1789,9 @@ def _q_retry_redrive(sf_dir: str):
         done = os.path.join(root, "done.parquet")
         shutil.copy(seed_manifest, done)
         out1 = os.path.join(root, "run1")
-        run_extraction(pages_dir, done, run_id="rr1").write_parquet(out1)
+        run_extraction(pages_dir, done).write_parquet(out1)
         update_done_manifest(out1, done, run_id="rr1")
-        run_extraction(pages_dir, done, run_id="rr2",
-                       retry_failed=True).write_parquet(out2)
+        run_extraction(pages_dir, done, retry_failed=True).write_parquet(out2)
         with open(os.path.join(root, "_DONE"), "w") as f:
             f.write("ok")
     return rd.read_parquet(out2).select_columns(["url", "status", "attempts"])

@@ -101,7 +101,7 @@ def run_bench() -> dict:
     warm_shard = sorted(_glob.glob(os.path.join(pages_dir, "*.parquet")))[0]
     warm_dir = out_dir + ".warm"
     shutil.rmtree(warm_dir, ignore_errors=True)
-    run_extraction(warm_shard, manifest, run_id="warmup").write_parquet(warm_dir)
+    run_extraction(warm_shard, manifest).write_parquet(warm_dir)
     shutil.rmtree(warm_dir, ignore_errors=True)
 
     # ---- headline: full extraction pipeline incl. parquet sink ----
@@ -112,7 +112,7 @@ def run_bench() -> dict:
     for rep in range(HEADLINE_RUNS):
         shutil.rmtree(out_dir, ignore_errors=True)
         t0 = time.perf_counter()
-        ds = run_extraction(pages_dir, manifest, run_id=f"bench-c{NUM_CPUS}-{rep}")
+        ds = run_extraction(pages_dir, manifest)
         ds.write_parquet(out_dir)
         times.append(time.perf_counter() - t0)
     headline = min(times)

@@ -5,8 +5,8 @@ conversion pass, /root/reference/pmocr.sh:2546-2593); ``--service``
 mirrors the monitor daemon (pmocr.sh:2498-2544) as a poller loop over
 newly arrived Parquet partitions.  Flags override config
 (pmocr.sh:2462-2494): ``-k/--skip-txt-pdf`` toggles the
-already-has-text skip (pmocr.sh:2378-2380), ``--csv`` emits the
-CSV-hack derived format.
+already-has-text skip (pmocr.sh:2378-2380), ``--targets`` picks the
+output formats (``csv`` is the CSV-hack derived format).
 
 Usage:
     python -m pmocr_ray.cli --batch PAGES_DIR [--out DIR] [--config F] ...
@@ -44,7 +44,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="skip PDFs that already carry a text layer")
     p.add_argument("--no-skip-txt-pdf", dest="check_existing_text",
                    action="store_const", const=False)
-    p.add_argument("--csv", dest="emit_csv", action="store_const", const=True)
     p.add_argument("--targets", dest="targets",
                    help="comma list of output formats "
                         "(text,pdf,csv,jsonl) — one extraction pass, "
@@ -56,7 +55,6 @@ def build_parser() -> argparse.ArgumentParser:
                    action="store_const", const=True,
                    help="re-drive quarantined urls whose lifetime attempt "
                         "budget is not exhausted (carries attempts forward)")
-    p.add_argument("--max-total-attempts", dest="max_total_attempts", type=int)
     p.add_argument("--update-done", action="store_true",
                    help="after a batch run, fold terminal rows into the "
                         "done manifest (the reference's mark-as-done rename)")
@@ -91,10 +89,8 @@ def _engine_kwargs(cfg: PipelineConfig) -> dict:
         "num_blocks": cfg.num_blocks,
         "batch_size": cfg.batch_size,
         "check_existing_text": cfg.check_existing_text,
-        "max_attempts": cfg.max_attempts,
         "max_payload_bytes": cfg.max_payload_bytes,
         "retry_failed": cfg.retry_failed,
-        "max_total_attempts": cfg.max_total_attempts,
         "preprocessors": cfg.preprocessor_list() or None,
     }
 
@@ -107,7 +103,6 @@ def run_batch(pages: str, cfg: PipelineConfig, update_done: bool = False) -> dic
     import shutil
 
     from pmocr_ray.pipeline import run_extraction, status_counts
-    from pmocr_ray.stages import csv_hack
 
     shutil.rmtree(cfg.out_dir, ignore_errors=True)
     ds = run_extraction(
@@ -127,8 +122,6 @@ def run_batch(pages: str, cfg: PipelineConfig, update_done: bool = False) -> dic
         write_targets(ds, cfg.out_dir, targets)
         status_dir = os.path.join(cfg.out_dir, "text")
     else:
-        if cfg.emit_csv:
-            ds = ds.map_batches(csv_hack, batch_format="pyarrow")
         ds.write_parquet(cfg.out_dir)
         status_dir = cfg.out_dir
     if update_done and cfg.done_manifest:
@@ -209,11 +202,9 @@ def main(argv: list[str] | None = None) -> int:
         out_dir=args.out_dir,
         done_manifest=args.done_manifest,
         check_existing_text=args.check_existing_text,
-        emit_csv=args.emit_csv,
         targets=args.targets,
         preprocessors=args.preprocessors,
         retry_failed=args.retry_failed,
-        max_total_attempts=args.max_total_attempts,
         batch_size=args.batch_size,
         poll_interval_s=args.poll_interval_s,
         alert_spool=args.alert_spool,

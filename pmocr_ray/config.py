@@ -45,12 +45,9 @@ class PipelineConfig:
 
     # routing / engines (OCR_ENGINE + FILES_TO_PROCESS analogues)
     check_existing_text: bool = True     # CHECK_PDF (default.conf:146)
-    max_attempts: int = 2                # retry-once then quarantine
     max_payload_bytes: int | None = None  # per-row guard (ExecTasks-timeout
                                           # analogue; accepts 64K/2M/1G)
     retry_failed: bool = False           # re-drive quarantined urls
-    max_total_attempts: int = 3          # lifetime budget (maxPostponeRetries=3,
-                                         # pmocr.sh:816-817)
     preprocessors: str = ""              # comma-separated registry names
                                          # (OCR_PREPROCESSOR_*, default.conf:92-99)
     # execution (NUMBER_OF_PROCESSES default.conf:16-17: Ray sizes the
@@ -63,9 +60,8 @@ class PipelineConfig:
     out_dir: str = "/tmp/pmocr_ray_out"
     manifest_dir: str | None = None      # None -> <out_dir>/_manifest
     done_manifest: str | None = None
-    # derived formats (csv hack, pmocr.sh:2013-2043); multi-target
-    # fan-out (per-target dispatch loop, pmocr.sh:2546-2593)
-    emit_csv: bool = False
+    # derived formats, e.g. csv = the csv hack (pmocr.sh:2013-2043), by
+    # multi-target fan-out (per-target dispatch loop, pmocr.sh:2546-2593)
     targets: str = ""                    # e.g. "text,csv,jsonl"; empty = single sink
     # multi-directory service (MONITOR_DIR_1..5 + per-dir format lists,
     # pmocr.sh:2519-2537 / default.conf:116-126): comma-separated

@@ -16,7 +16,7 @@ import os
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-from pmocr_ray import schema as S
+from pmocr_ray.state.manifest import load_done_urls, load_retry_state
 from pmocr_ray.state_machine import process_row
 
 
@@ -27,21 +27,8 @@ def _read_pages(pages_path: str) -> pa.Table:
     return pq.read_table(pages_path)
 
 
-def load_done_urls(done_manifest_path: str | None) -> frozenset[str]:
-    """Reads a legacy single-file manifest or a sharded directory."""
-    from pmocr_ray.state.manifest import _manifest_shard_files
-
-    if not done_manifest_path:
-        return frozenset()
-    urls: set[str] = set()
-    for f in _manifest_shard_files(done_manifest_path):
-        urls.update(pq.read_table(f, columns=["url"])["url"].to_pylist())
-    return frozenset(urls)
-
-
 def run_oracle(pages_path: str, done_manifest_path: str | None = None,
                *, retry_failed: bool = False,
-               max_total_attempts: int = S.MAX_TOTAL_ATTEMPTS,
                preprocessors: list | None = None) -> pa.Table:
     """Sequential golden run -> table sorted by url.
 
@@ -59,9 +46,7 @@ def run_oracle(pages_path: str, done_manifest_path: str | None = None,
     pages = _read_pages(pages_path).sort_by("url")
     retry: dict = {}
     if retry_failed and done_manifest_path:
-        from pmocr_ray.state.manifest import load_retry_state
-
-        done, retry = load_retry_state(done_manifest_path, max_total_attempts)
+        done, retry = load_retry_state(done_manifest_path)
     else:
         done = load_done_urls(done_manifest_path)
     pp = resolve_preprocessors(preprocessors) or None
@@ -72,11 +57,9 @@ def run_oracle(pages_path: str, done_manifest_path: str | None = None,
     payloads = pages["html"].to_pylist()
     pre_texts = pages["text"].to_pylist()
     for url, payload, pre_text in zip(urls, payloads, pre_texts):
-        prior = retry.get(url, 0)
         ct, status, attempts, error, extracted = process_row(
             payload, pre_text, url in done,
-            max_attempts=(max_total_attempts if prior else S.MAX_ATTEMPTS),
-            prior_attempts=prior,
+            prior_attempts=retry.get(url, 0),
             preprocessors=pp,
         )
         out["content_type"].append(ct)

@@ -28,15 +28,12 @@ Scale notes (the 100 TB story):
 from __future__ import annotations
 
 import datetime
-import uuid
-
-import pyarrow.parquet as pq
 
 import ray
 import ray.data as rd
 
-from pmocr_ray import schema as S
 from pmocr_ray.stages import make_task_extract_fn
+from pmocr_ray.state.manifest import load_done_urls, load_retry_state
 
 
 def _cluster_cpus() -> int:
@@ -71,36 +68,23 @@ def read_pages(pages_path: str | list[str] | rd.Dataset,
 def load_done_urls_ref(done_manifest_path: str | None):
     """Broadcast the done-url set once (ray.put) — never per batch.
 
-    Accepts a legacy single parquet file or a sharded manifest
-    directory (see :func:`pmocr_ray.state.manifest.update_done_manifest`
-    — shards are appended per partition, so this read is the only place
-    the union is ever formed)."""
-    from pmocr_ray.state.manifest import _manifest_shard_files
-
-    if not done_manifest_path:
-        return None
-    files = _manifest_shard_files(done_manifest_path)
-    if not files:
-        return None
-    urls: set[str] = set()
-    for f in files:
-        urls.update(pq.read_table(f, columns=["url"])["url"].to_pylist())
-    return ray.put(frozenset(urls))
+    The set is :func:`pmocr_ray.state.manifest.load_done_urls`, the one
+    reader that unions the done manifest's shards.  Returns ``None``
+    when there is nothing to skip."""
+    urls = load_done_urls(done_manifest_path)
+    return ray.put(urls) if urls else None
 
 
 def run_extraction(
     pages_path: str | list[str] | rd.Dataset,
     done_manifest_path: str | None = None,
     *,
-    run_id: str | None = None,
     processed_at: datetime.datetime | None = None,
     num_blocks: int | None = None,
     batch_size: int = 256,
     check_existing_text: bool = True,
-    max_attempts: int = S.MAX_ATTEMPTS,
     max_payload_bytes: int | None = None,
     retry_failed: bool = False,
-    max_total_attempts: int = S.MAX_TOTAL_ATTEMPTS,
     preprocessors: list | None = None,
 ) -> rd.Dataset:
     """The flagship pipeline: read → sniff → extract.
@@ -109,11 +93,15 @@ def run_extraction(
     consume with ``write_parquet`` / ``iter_batches`` — nothing here
     materializes the input.
 
+    ``processed_at`` stamps every output row (default ``S.EPOCH``; the
+    CLI batch run and each service round pass the current UTC time).
+
     ``retry_failed=True`` re-admits quarantined urls from the done
-    manifest whose lifetime attempt budget (``max_total_attempts``) is
+    manifest whose lifetime attempt budget (``S.MAX_TOTAL_ATTEMPTS``) is
     not exhausted, carrying their attempt counter forward — the
     reference's postpone-retry (/root/reference/pmocr.sh:814-818,
-    1133-1193).  ``preprocessors`` is an ordered list of registry names
+    1133-1193); :func:`~pmocr_ray.state_machine.process_row` picks the
+    budget per row.  ``preprocessors`` is an ordered list of registry names
     or callables applied to each payload before the engine
     (OCR_PREPROCESSOR_*, default.conf:92-99).
 
@@ -140,10 +128,7 @@ def run_extraction(
 
     retry_ref = None
     if retry_failed and done_manifest_path:
-        from pmocr_ray.state.manifest import load_retry_state
-
-        skip_urls, retry_map = load_retry_state(done_manifest_path,
-                                                max_total_attempts)
+        skip_urls, retry_map = load_retry_state(done_manifest_path)
         done_ref = ray.put(skip_urls)
         retry_ref = ray.put(retry_map) if retry_map else None
     else:
@@ -158,11 +143,8 @@ def run_extraction(
         make_task_extract_fn(
             done_urls_ref=done_ref,
             retry_attempts_ref=retry_ref,
-            run_id=run_id or f"run-{uuid.uuid4().hex[:8]}",
             processed_at=processed_at,
             check_existing_text=check_existing_text,
-            max_attempts=max_attempts,
-            max_total_attempts=max_total_attempts,
             max_payload_bytes=max_payload_bytes,
             preprocessors=preprocessors,
         ),

@@ -78,50 +78,6 @@ def file_transport(spool_dir: str):
     return send
 
 
-def command_transport(argv: list[str], *, timeout: float = 30.0):
-    """Concrete alert transport: pipe the JSON record to a configured
-    command's stdin — the engine-side analogue of the reference's
-    mail-command dispatch (``sendmail -t`` / ``mail -s`` / ...,
-    /root/reference/pmocr.sh:497-673: which binary is deployment
-    policy, the pipe contract is the engine's).  Non-zero exit raises
-    so a fallback chain can try the next transport."""
-    import json as _json
-    import subprocess
-
-    def send(record: dict) -> None:
-        blob = _json.dumps(record, sort_keys=True).encode() + b"\n"
-        proc = subprocess.run(argv, input=blob, timeout=timeout,
-                              capture_output=True)
-        if proc.returncode != 0:
-            raise RuntimeError(
-                f"alert command {argv[0]!r} exited "
-                f"{proc.returncode}: {proc.stderr[:512]!r}")
-
-    return send
-
-
-def fallback_transport(*transports):
-    """Try each transport in order, first success wins — the
-    reference's mail fallback chain (mutt → mail → sendmail → ...,
-    /root/reference/pmocr.sh:497-673) as a combinator.  Raises
-    ``RuntimeError`` carrying every failure only when ALL transports
-    fail (an alert that cannot be delivered anywhere must not vanish
-    silently)."""
-
-    def send(record: dict) -> None:
-        failures = []
-        for t in transports:
-            try:
-                t(record)
-                return
-            except Exception as e:  # noqa: BLE001 - chain policy
-                failures.append(f"{getattr(t, '__name__', t)!s}: {e}")
-        raise RuntimeError("all alert transports failed: "
-                           + "; ".join(failures))
-
-    return send
-
-
 def get_run_logger(run_id: str, log_dir: str | None = None) -> logging.Logger:
     """Per-run logger (stream + optional file sink).  Each REQUESTED
     sink is checked independently: an early stream-only call must not

@@ -49,9 +49,10 @@ class ExtractStage:
     One instance per worker process (see :func:`make_task_extract_fn`);
     ``__init__`` resolves the extractor registry, materializes the
     broadcast done-url set (``ray.put`` once on the driver, ``ray.get``
-    once per process — never re-shipped per batch), and pins the run
-    metadata.  ``__call__`` runs each row of a batch through the shared
-    state machine (:func:`pmocr_ray.state_machine.process_row`).
+    once per process — never re-shipped per batch), and pins the
+    ``processed_at`` stamp of its rows.  ``__call__`` runs each row of
+    a batch through the shared state machine
+    (:func:`pmocr_ray.state_machine.process_row`).
 
     Per-row Python here is the engine invocation itself (the reference
     execs one OCR process per file, /root/reference/pmocr.sh:1923-1963);
@@ -63,13 +64,10 @@ class ExtractStage:
     def __init__(
         self,
         done_urls_ref=None,
-        run_id: str = "run-0",
         processed_at: datetime.datetime | None = None,
-        max_attempts: int = S.MAX_ATTEMPTS,
         check_existing_text: bool = True,
         max_payload_bytes: int | None = None,
         retry_attempts_ref=None,
-        max_total_attempts: int = S.MAX_TOTAL_ATTEMPTS,
         preprocessors=None,
     ) -> None:
         import ray
@@ -87,10 +85,7 @@ class ExtractStage:
         from pmocr_ray.extract.registry import resolve_preprocessors
 
         self.preprocessors = resolve_preprocessors(preprocessors) or None
-        self.run_id = run_id
         self.processed_at = processed_at or S.EPOCH
-        self.max_attempts = max_attempts
-        self.max_total_attempts = max_total_attempts
         self.check_existing_text = check_existing_text
         self.max_payload_bytes = max_payload_bytes
 
@@ -123,17 +118,14 @@ class ExtractStage:
         done = self.done_urls
         retry = self.retry_attempts
         for i in range(n):
-            prior = retry.get(urls[i], 0) if retry else 0
             ct, status, att, err, text = process_row(
                 data[offs[i]:offs[i + 1]],
                 pre_texts[i],
                 urls[i] in done,
                 extractors=self.extractors,
-                max_attempts=(self.max_total_attempts if prior
-                              else self.max_attempts),
                 check_existing_text=self.check_existing_text,
                 max_payload_bytes=self.max_payload_bytes,
-                prior_attempts=prior,
+                prior_attempts=retry.get(urls[i], 0) if retry else 0,
                 preprocessors=self.preprocessors,
             )
             cts[i] = ct
@@ -144,15 +136,9 @@ class ExtractStage:
 
         return pa.Table.from_arrays(
             [
-                batch["url"].combine_chunks()
-                if isinstance(batch["url"], pa.ChunkedArray)
-                else batch["url"],
-                batch["warc_ts"].combine_chunks()
-                if isinstance(batch["warc_ts"], pa.ChunkedArray)
-                else batch["warc_ts"],
-                batch["lang"].combine_chunks()
-                if isinstance(batch["lang"], pa.ChunkedArray)
-                else batch["lang"],
+                batch["url"].combine_chunks(),
+                batch["warc_ts"].combine_chunks(),
+                batch["lang"].combine_chunks(),
                 pa.array(cts, pa.string()),
                 pa.array(statuses, pa.string()),
                 pa.array(attempts, pa.int32()),

@@ -1,1 +1,1 @@
-from pmocr_ray.state.manifest import LineageManifest, run_incremental, poll_once  # noqa: F401
+from pmocr_ray.state.manifest import LineageManifest, run_incremental  # noqa: F401

@@ -13,7 +13,7 @@ sleeping a poll interval.
 
 Design note (matches the reference): events are a **wake signal, never
 the source of truth**.  Every wake runs the same manifest snapshot-diff
-round (:func:`pmocr_ray.state.manifest.poll_once`), so a dropped or
+round (:func:`pmocr_ray.state.manifest.run_incremental`), so a dropped or
 overflowed event queue (``IN_Q_OVERFLOW``) costs at most latency up to
 ``max_wait`` — exactly the reference's forced-run period semantics
 (``MAX_WAIT``, pmocr.sh:24-26) — never a missed partition.

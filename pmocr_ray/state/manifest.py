@@ -15,14 +15,20 @@ which is discarded and rewritten.  Output is therefore exactly-once
 per url across crashes/restarts.
 
 Service mode (pmocr.sh:2226-2281 — inotify / poller + debounced
-dispatch) is one round function, :func:`run_incremental` (also
-exposed as :func:`poll_once`): snapshot-diff the partition listing
-against the manifest, process what's new.  :func:`serve_multi` is the
-one service loop around it, for one or many watched directories: it
-blocks on inotify between rounds, or sleeps a fixed interval where
-inotify is unavailable (`_InotifyWaitPoller`, pmocr.sh:1567-1670);
+dispatch) is one round function, :func:`run_incremental`:
+snapshot-diff the partition listing against the manifest, process
+what's new.  :func:`serve_multi` is the one service loop around it,
+for one or many watched directories: it blocks on inotify between
+rounds, or sleeps a fixed interval where inotify is unavailable
+(`_InotifyWaitPoller`, pmocr.sh:1567-1670);
 bursts coalesce for free because each round processes *all* pending
 partitions (DispatchRunner's DISPATCH_NEEDED cap, pmocr.sh:2195-2224).
+
+The row-level **done manifest** (a directory of parquet shards, one
+per folded output, :func:`update_done_manifest`) is read here too, and
+only here: :func:`load_done_urls` is the one reader that unions its
+urls (the batch skip set and the oracle's), :func:`load_retry_state`
+the one that splits it for ``--retry-failed``.
 
 Scale note: at 10^12 documents this manifest is metadata-only — one
 entry per multi-GB partition, listed and diffed on the driver without
@@ -41,7 +47,11 @@ import os
 import shutil
 import time
 
+import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
+
+from pmocr_ray import schema as S
 
 
 def _partition_key(path: str) -> str:
@@ -114,8 +124,12 @@ def run_incremental(
     url appearing in a *later* partition of the same run is skipped.
     Requires ``done_manifest_path``.
 
+    Every row of one round is stamped with the same naive-UTC
+    ``processed_at`` (the round's start), as a CLI batch run stamps its
+    rows.
+
     ``extract_kwargs`` forwards engine configuration (preprocessors,
-    retry policy, batch size …) to ``run_extraction`` —
+    ``retry_failed``, batch size …) to ``run_extraction`` —
     the reference re-reads its engine config each service round
     (SetOCREngineOptions at startup of each dispatch), so a config
     change (or a broken engine) takes effect at the next poll, never
@@ -134,6 +148,7 @@ def run_incremental(
     manifest = LineageManifest(manifest_dir)
     manifest.heartbeat()
     run_id = run_id or f"run-{int(time.time())}"
+    processed_at = datetime.datetime.now(datetime.timezone.utc).replace(tzinfo=None)
     from pmocr_ray.runlog import get_run_logger
 
     log = get_run_logger(run_id, log_dir=manifest_dir)
@@ -150,7 +165,8 @@ def run_incremental(
         shutil.rmtree(part_out, ignore_errors=True)
 
         t0 = time.perf_counter()
-        ds = run_extraction(path, done_manifest_path, run_id=run_id,
+        ds = run_extraction(path, done_manifest_path,
+                            processed_at=processed_at,
                             **(extract_kwargs or {}))
         if targets:
             from pmocr_ray.targets import write_targets
@@ -165,11 +181,9 @@ def run_incremental(
 
         # per-partition metrics from the written output (columnar read
         # of one small column, not a second pipeline run; vectorized)
-        import pyarrow.compute as _pc
-
         counts: dict[str, int] = {}
         for f in glob.glob(os.path.join(status_root, "*.parquet")):
-            for s in _pc.value_counts(
+            for s in pc.value_counts(
                     pq.read_table(f, columns=["status"])["status"]).to_pylist():
                 counts[s["values"]] = counts.get(s["values"], 0) + s["counts"]
         entry = {
@@ -217,8 +231,6 @@ def _read_terminal_rows(output_path: str):
     materialized by ``pyarrow.dataset`` with hive inference)."""
     import pyarrow.dataset as pads
 
-    from pmocr_ray import schema as S
-
     dset = pads.dataset(output_path, format="parquet",
                         partitioning="hive")
     cols = ["url", "status", "attempts", "processed_at"]
@@ -228,8 +240,6 @@ def _read_terminal_rows(output_path: str):
     # hive partition columns materialize as dictionary — decode for a
     # stable manifest schema
     if hasattr(t["status"].type, "value_type"):
-        import pyarrow as pa
-
         t = t.set_column(t.column_names.index("status"), "status",
                          t["status"].cast(pa.string()))
     return t
@@ -243,15 +253,25 @@ def _manifest_shard_files(done_manifest_path: str) -> list[str]:
     return []
 
 
-def load_retry_state(done_manifest_path: str | None,
-                     max_total_attempts: int) -> tuple[frozenset, dict]:
+def load_done_urls(done_manifest_path: str | None) -> frozenset[str]:
+    """The union of the done manifest's urls (the ``url`` column of each
+    shard; a legacy single-file manifest is one shard) — the skip set
+    of every non-retry run."""
+    urls: set[str] = set()
+    for f in _manifest_shard_files(done_manifest_path or ""):
+        urls.update(pq.read_table(f, columns=["url"])["url"].to_pylist())
+    return frozenset(urls)
+
+
+def load_retry_state(done_manifest_path: str | None) -> tuple[frozenset, dict]:
     """Split the done manifest for a ``--retry-failed`` run.
 
     Returns ``(skip_urls, retry_attempts)``:
 
     * ``skip_urls`` — urls never re-driven: any non-failed terminal
-      record, or failed with the lifetime attempt budget exhausted
-      (the reference stops postponing after ``maxPostponeRetries``,
+      record, or failed with the lifetime attempt budget
+      ``S.MAX_TOTAL_ATTEMPTS`` exhausted (the reference stops
+      postponing after ``maxPostponeRetries``,
       /root/reference/pmocr.sh:814-818).
     * ``retry_attempts`` — ``{url: prior_attempts}`` for quarantined
       urls still under budget; the pipeline re-drives them with the
@@ -262,8 +282,6 @@ def load_retry_state(done_manifest_path: str | None,
     retry run folded beside the original) takes the max attempts and
     any non-failed status wins.
     """
-    from pmocr_ray import schema as S
-
     skip: set = set()
     failed_attempts: dict = {}
     for f in _manifest_shard_files(done_manifest_path or ""):
@@ -281,7 +299,7 @@ def load_retry_state(done_manifest_path: str | None,
     for u, a in failed_attempts.items():
         if u in skip:
             continue
-        if a >= max_total_attempts:
+        if a >= S.MAX_TOTAL_ATTEMPTS:
             skip.add(u)
         else:
             retry[u] = a
@@ -289,7 +307,7 @@ def load_retry_state(done_manifest_path: str | None,
 
 
 def update_done_manifest(output_path: str, done_manifest_path: str,
-                         run_id: str = "update") -> int:
+                         run_id: str = "update") -> None:
     """Fold a run's output into the row-level done manifest — the
     reference's mark-as-done/mark-as-failed renames (``_OCR`` /
     ``_OCR_ERR`` suffixes, /root/reference/pmocr.sh:2088-2096,
@@ -307,17 +325,7 @@ def update_done_manifest(output_path: str, done_manifest_path: str,
     rows all skip cannot erase earlier records).  Atomic per shard
     (tmp + rename).  A legacy single-file manifest at this path is
     migrated into a directory in place.
-
-    Returns the distinct-url count across the manifest (reporting only
-    — reads one column; the commit itself never touches other shards).
     """
-    import hashlib as _hl
-
-    import pyarrow as pa
-    import pyarrow.compute as pc
-
-    from pmocr_ray import schema as S
-
     # -- legacy migration: single parquet file -> directory of shards
     if os.path.isfile(done_manifest_path):
         tmp_dir = done_manifest_path + ".migrate.tmp"
@@ -327,7 +335,7 @@ def update_done_manifest(output_path: str, done_manifest_path: str,
         os.replace(tmp_dir, done_manifest_path)
     os.makedirs(done_manifest_path, exist_ok=True)
 
-    shard_key = _hl.md5(os.path.abspath(output_path).encode()).hexdigest()[:16]
+    shard_key = hashlib.md5(os.path.abspath(output_path).encode()).hexdigest()[:16]
     shard_path = os.path.join(done_manifest_path, f"shard-{shard_key}.parquet")
 
     t = _read_terminal_rows(output_path)
@@ -355,28 +363,6 @@ def update_done_manifest(output_path: str, done_manifest_path: str,
     tmp = shard_path + ".tmp"
     pq.write_table(table, tmp)
     os.replace(tmp, shard_path)
-
-    distinct: set = set()
-    for f in _manifest_shard_files(done_manifest_path):
-        distinct.update(pq.read_table(f, columns=["url"])["url"].to_pylist())
-    return len(distinct)
-
-
-def poll_once(pages_dir: str, out_dir: str, manifest_dir: str,
-              done_manifest_path: str | None = None,
-              extract_kwargs: dict | None = None,
-              on_complete=None) -> dict:
-    """One service-mode round: diff listing vs manifest, process the new.
-
-    Equivalent of one wake of the reference's watcher → DispatchRunner
-    chain (pmocr.sh:2268-2277 → 2195-2224).  ``extract_kwargs`` is the
-    per-round engine configuration (see :func:`run_incremental`);
-    ``on_complete`` is the per-round alert hook (the reference alerts
-    on every failed dispatch, pmocr.sh:428-480 — see
-    :func:`pmocr_ray.runlog.make_alert_hook`)."""
-    return run_incremental(pages_dir, out_dir, manifest_dir,
-                           done_manifest_path, extract_kwargs=extract_kwargs,
-                           on_complete=on_complete)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -12,6 +12,11 @@ predicates (pmocr.sh:2126-2180) as one pure function over a row:
                              _OCR_ERR quarantine pmocr.sh:1999-2011;
                              16 KiB error truncation pmocr.sh:1054,1983)
 
+The attempt budget is decided here and nowhere else: a fresh row gets
+``S.MAX_ATTEMPTS`` (retry once), a ``--retry-failed`` re-drive resumes
+its carried counter up to the lifetime ``S.MAX_TOTAL_ATTEMPTS``
+(maxPostponeRetries=3, pmocr.sh:814-818).
+
 Both the single-process golden oracle and the distributed extract
 stage call exactly this function, so distribution can only change
 scheduling, never results.
@@ -36,7 +41,6 @@ def process_row(
     pre_text: str | None,
     is_done: bool,
     extractors: dict | None = None,
-    max_attempts: int = S.MAX_ATTEMPTS,
     check_existing_text: bool = True,
     max_payload_bytes: int | None = None,
     prior_attempts: int = 0,
@@ -57,8 +61,9 @@ def process_row(
 
     ``prior_attempts`` carries a quarantined row's attempt count into a
     ``--retry-failed`` re-drive: the engine loop resumes at
-    ``prior_attempts + 1`` and still honors the (total) ``max_attempts``
-    budget — the reference's postpone-retry counter
+    ``prior_attempts + 1`` and runs up to the lifetime budget
+    ``S.MAX_TOTAL_ATTEMPTS`` instead of ``S.MAX_ATTEMPTS`` — the
+    reference's postpone-retry counter
     (/root/reference/pmocr.sh:814-818,1133-1193).
 
     ``preprocessors`` is an ordered list of ``bytes-like -> bytes-like``
@@ -114,6 +119,7 @@ def process_row(
             None,
         )
 
+    max_attempts = S.MAX_TOTAL_ATTEMPTS if prior_attempts else S.MAX_ATTEMPTS
     error: str | None = None
     for attempt in range(prior_attempts + 1, max_attempts + 1):
         try:

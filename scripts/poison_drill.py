@@ -55,7 +55,8 @@ def main() -> int:
     from pmocr_ray.fixtures import ensure_pages_fixture
     from pmocr_ray.pipeline import run_extraction
     from pmocr_ray.state.manifest import (LineageManifest, _partition_key,
-                                          poll_once, update_done_manifest)
+                                          run_incremental,
+                                          update_done_manifest)
 
     def boom(payload):  # the broken engine (pickled by value)
         raise RuntimeError("engine broken mid-service (drill)")
@@ -91,8 +92,8 @@ def main() -> int:
     # round 1: healthy over all but the last two partitions
     for f in parts[:-2]:
         shutil.copy(f, monitored)
-    s1 = poll_once(monitored, out_dir, mani_dir, done,
-                   on_complete=alert_hook)
+    s1 = run_incremental(monitored, out_dir, mani_dir, done,
+                         on_complete=alert_hook)
     result["round1"] = {"processed": len(s1["processed"]),
                         "counts": s1["counts"]}
     manifest = LineageManifest(mani_dir)
@@ -104,9 +105,9 @@ def main() -> int:
     shutil.copy(drill_src, drill_path)
     n_drill = pq.read_metadata(drill_src).num_rows
     n_alerts_before = len(_alert_records())
-    s2 = poll_once(monitored, out_dir, mani_dir, done,
-                   extract_kwargs={"preprocessors": [boom]},
-                   on_complete=alert_hook)
+    s2 = run_incremental(monitored, out_dir, mani_dir, done,
+                         extract_kwargs={"preprocessors": [boom]},
+                         on_complete=alert_hook)
     key = _partition_key(drill_path)
     entry = manifest.committed()[key]
     ok_quarantine = (s2["counts"] == {"failed": n_drill}
@@ -141,8 +142,8 @@ def main() -> int:
 
     # round 3: engine fixed — new arrival processes, drill not re-run
     shutil.copy(parts[-1], monitored)
-    s3 = poll_once(monitored, out_dir, mani_dir, done,
-                   on_complete=alert_hook)
+    s3 = run_incremental(monitored, out_dir, mani_dir, done,
+                         on_complete=alert_hook)
     ok_resume = (len(s3["processed"]) == 1
                  and len(s3["skipped"]) == len(parts) - 1
                  and s3["counts"].get("done", 0) > 0
@@ -166,8 +167,7 @@ def main() -> int:
     drill_urls = set(pq.read_table(drill_src, columns=["url"])
                      ["url"].to_pylist())
     n_seeded = len(drill_urls & seed_urls)
-    redrive = run_extraction(drill_path, done, run_id="redrive",
-                             retry_failed=True)
+    redrive = run_extraction(drill_path, done, retry_failed=True)
     rt = redrive.select_columns(["url", "status", "attempts"]).to_pandas()
     redriven = rt[rt["status"] != "skipped_suffix"]
     attempted = redriven[redriven["status"].isin(("done", "failed"))]

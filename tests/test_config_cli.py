@@ -22,7 +22,7 @@ from pmocr_ray.config import (
 class TestConfig:
     def test_defaults(self):
         cfg = PipelineConfig()
-        assert cfg.check_existing_text is True and cfg.max_attempts == 2
+        assert cfg.check_existing_text is True
 
     def test_coerce_bool_legacy(self):
         assert coerce_bool("yes") is True and coerce_bool("No") is False
@@ -51,10 +51,14 @@ class TestConfig:
             load_config(str(p))
 
     def test_unknown_key_rejected(self, tmp_path):
-        p = tmp_path / "bad.conf"
-        p.write_text("no_such_knob=1\n")
-        with pytest.raises(ValueError, match="unknown key"):
-            load_config(str(p))
+        # retired settings included: a config still setting one must
+        # fail, not be silently ignored
+        for key in ("no_such_knob", "max_attempts", "max_total_attempts",
+                    "emit_csv"):
+            p = tmp_path / "bad.conf"
+            p.write_text(f"{key}=1\n")
+            with pytest.raises(ValueError, match="unknown key"):
+                load_config(str(p))
 
 
 class TestCli:
@@ -88,15 +92,30 @@ class TestCli:
         assert "skipped_existing_text" not in counts
         assert counts["done"] == 3400  # searchable PDFs extracted instead
 
-    def test_csv_flag_adds_derived_column(self, pages_fixture, tmp_path, capsys):
+    def test_batch_targets_text_csv(self, pages_fixture, tmp_path, capsys):
+        """--targets text,csv in batch mode: the csv sink carries the
+        CSV-hack column, and the printed counts are the text sink's."""
+        import collections
+
+        import pyarrow.csv as pa_csv
+
         pages, done = pages_fixture
         out_dir = str(tmp_path / "o3")
-        rc, _ = self._run(
+        rc, counts = self._run(
             ["--batch", pages, "--out", out_dir, "--done-manifest", done,
-             "--csv"], capsys
+             "--targets", "text,csv"], capsys
         )
-        f = glob.glob(os.path.join(out_dir, "*.parquet"))[0]
-        assert "csv_text" in pq.read_schema(f).names
+        assert rc == 0
+        csv_files = glob.glob(os.path.join(out_dir, "csv", "*.csv"))
+        assert csv_files
+        for f in csv_files:
+            assert "csv_text" in pa_csv.read_csv(f).column_names
+        statuses = []
+        for f in glob.glob(os.path.join(out_dir, "text", "*.parquet")):
+            statuses += pq.read_table(f, columns=["status"])["status"].to_pylist()
+        assert counts == dict(collections.Counter(statuses))
+        assert counts == {"done": 3000, "failed": 200,
+                          "skipped_existing_text": 400, "skipped_suffix": 400}
 
     def test_service_mode_rounds(self, pages_fixture, tmp_path, capsys):
         pages, done = pages_fixture

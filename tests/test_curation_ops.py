@@ -290,9 +290,8 @@ def test_jsonl_source_roundtrip_extraction(ray_session, tmp_path):
     jdir = str(tmp_path / "pages_jsonl")
     pages_to_jsonl(pages, jdir)
 
-    via_jsonl = run_extraction(read_pages_jsonl(jdir), manifest,
-                               run_id="jsonl")
-    via_parquet = run_extraction(pages, manifest, run_id="parquet")
+    via_jsonl = run_extraction(read_pages_jsonl(jdir), manifest)
+    via_parquet = run_extraction(pages, manifest)
     a = {r["url"]: (r["status"], r["extracted_text"])
          for r in via_jsonl.select_columns(
              ["url", "status", "extracted_text"]).take_all()}

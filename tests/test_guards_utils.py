@@ -133,8 +133,8 @@ class TestListMatrix:
 
 
 class TestAlertTransports:
-    """Concrete transports behind make_alert_hook's seam (reference's
-    mail fallback chain, pmocr.sh:497-673)."""
+    """The concrete transport behind make_alert_hook's seam (a spool
+    directory a deployment's mail/pager integration tails)."""
 
     RECORD = {"alert": "run_completed_with_failures", "failed_rows": 3}
 
@@ -152,61 +152,6 @@ class TestAlertTransports:
         for f in files:
             with open(tmp_path / "spool" / f) as fh:
                 assert json.load(fh) == self.RECORD
-
-    def test_command_transport_pipes_json_and_raises_on_failure(
-            self, tmp_path):
-        import json
-
-        from pmocr_ray.runlog import command_transport
-
-        out = tmp_path / "mail.txt"
-        send = command_transport(["/bin/sh", "-c", f"cat > {out}"])
-        send(self.RECORD)
-        assert json.loads(out.read_text()) == self.RECORD
-        import pytest
-
-        bad = command_transport(["/bin/sh", "-c", "exit 7"])
-        with pytest.raises(RuntimeError, match="exited 7"):
-            bad(self.RECORD)
-
-    def test_fallback_chain_first_success_wins_and_total_failure_raises(
-            self, tmp_path):
-        import pytest
-
-        from pmocr_ray.runlog import (command_transport, fallback_transport,
-                                      file_transport)
-
-        spool = tmp_path / "spool"
-        chain = fallback_transport(
-            command_transport(["/bin/sh", "-c", "exit 1"]),  # mutt missing
-            file_transport(str(spool)),                      # next hop works
-        )
-        chain(self.RECORD)
-        import os
-        assert len(os.listdir(spool)) == 1
-
-        dead = fallback_transport(
-            command_transport(["/bin/sh", "-c", "exit 1"]),
-            command_transport(["/bin/sh", "-c", "exit 2"]),
-        )
-        with pytest.raises(RuntimeError, match="all alert transports"):
-            dead(self.RECORD)
-
-    def test_hook_delivers_through_fallback_chain(self, tmp_path):
-        import os
-
-        from pmocr_ray.runlog import (fallback_transport, file_transport,
-                                      make_alert_hook)
-
-        spool = tmp_path / "spool"
-        hook = make_alert_hook(
-            str(tmp_path / "alerts.jsonl"),
-            transport=fallback_transport(file_transport(str(spool))))
-        hook({"counts": {"failed": 2, "done": 10}, "processed": ["p=1"]})
-        assert (tmp_path / "alerts.jsonl").exists()
-        assert len(os.listdir(spool)) == 1
-        hook({"counts": {"failed": 0, "done": 5}})  # below min: no alert
-        assert len(os.listdir(spool)) == 1
 
 
 def test_run_logger_late_log_dir_attaches_file_sink(tmp_path):

@@ -17,7 +17,6 @@ from pmocr_ray.state.manifest import (
     LineageManifest,
     _partition_key,
     list_partitions,
-    poll_once,
     run_incremental,
 )
 
@@ -67,8 +66,8 @@ def test_new_partition_picked_up_by_poll(tmp_env):
     # a new partition "arrives" (service-mode event)
     new = tmp_env["remaining"][0]
     shutil.copy(new, os.path.join(tmp_env["monitored"], os.path.basename(new)))
-    s = poll_once(tmp_env["monitored"], tmp_env["out"], tmp_env["manifest"],
-                  tmp_env["done"])
+    s = run_incremental(tmp_env["monitored"], tmp_env["out"], tmp_env["manifest"],
+                        tmp_env["done"])
     assert len(s["processed"]) == 1 and len(s["skipped"]) == 2
 
 
@@ -224,8 +223,8 @@ def test_service_alerting_on_poisoned_partition(tmp_env, tmp_path):
 
     # round 1: healthy service round (fixture partitions may carry
     # their own failed-class rows — count whatever alerts they raise)
-    s1 = poll_once(tmp_env["monitored"], tmp_env["out"], tmp_env["manifest"],
-                   tmp_env["done"], on_complete=hook)
+    s1 = run_incremental(tmp_env["monitored"], tmp_env["out"], tmp_env["manifest"],
+                         tmp_env["done"], on_complete=hook)
     n1 = len(records())
     assert n1 == (1 if s1["counts"].get("failed", 0) >= 1 else 0)
 
@@ -233,10 +232,10 @@ def test_service_alerting_on_poisoned_partition(tmp_env, tmp_path):
     src = pq.read_table(tmp_env["remaining"][0])
     drill_path = os.path.join(tmp_env["monitored"], "part-drill.parquet")
     pq.write_table(src.slice(0, 3), drill_path)
-    s2 = poll_once(tmp_env["monitored"], tmp_env["out"], tmp_env["manifest"],
-                   tmp_env["done"],
-                   extract_kwargs={"preprocessors": [_boom_preprocessor]},
-                   on_complete=hook)
+    s2 = run_incremental(tmp_env["monitored"], tmp_env["out"], tmp_env["manifest"],
+                         tmp_env["done"],
+                         extract_kwargs={"preprocessors": [_boom_preprocessor]},
+                         on_complete=hook)
     assert s2["counts"] == {"failed": 3}
     recs = records()
     assert len(recs) == n1 + 1
@@ -249,8 +248,8 @@ def test_service_alerting_on_poisoned_partition(tmp_env, tmp_path):
     assert len(spool_files) == len(recs)
 
     # an idle round (nothing new) must NOT alert
-    s3 = poll_once(tmp_env["monitored"], tmp_env["out"], tmp_env["manifest"],
-                   tmp_env["done"], on_complete=hook)
+    s3 = run_incremental(tmp_env["monitored"], tmp_env["out"], tmp_env["manifest"],
+                         tmp_env["done"], on_complete=hook)
     assert not s3["processed"] and len(records()) == n1 + 1
 
 
@@ -431,25 +430,50 @@ def test_update_done_manifest_round_trip(tmp_path, pages_fixture):
     done manifest, a full rerun skips every terminal row (the
     reference's idempotent-restart property, pmocr.sh:2126-2144)."""
     from pmocr_ray.pipeline import run_extraction, status_counts, write_output
-    from pmocr_ray.state.manifest import update_done_manifest
+    from pmocr_ray.state.manifest import load_done_urls, update_done_manifest
 
     pages, seed_manifest = pages_fixture
     out1 = str(tmp_path / "run1")
-    write_output(run_extraction(pages, seed_manifest, run_id="r1"), out1)
+    write_output(run_extraction(pages, seed_manifest), out1)
 
     new_manifest = str(tmp_path / "done.parquet")
     import shutil
 
     shutil.copy(seed_manifest, new_manifest)
-    n = update_done_manifest(out1, new_manifest, run_id="r1")
+    update_done_manifest(out1, new_manifest, run_id="r1")
     # 400 seeded + 3000 done + 400 skipped_existing + 200 failed
-    assert n == 4000
+    assert len(load_done_urls(new_manifest)) == 4000
 
-    counts = status_counts(run_extraction(pages, new_manifest, run_id="r2"))
+    counts = status_counts(run_extraction(pages, new_manifest))
     assert counts == {"skipped_suffix": 4000}  # nothing reprocessed
 
     # idempotent: folding the same output again changes nothing
-    assert update_done_manifest(out1, new_manifest, run_id="r3") == 4000
+    update_done_manifest(out1, new_manifest, run_id="r3")
+    assert len(load_done_urls(new_manifest)) == 4000
+
+
+def test_service_round_stamps_processed_at(tmp_env):
+    """A service round stamps its rows with the round's UTC time, as a
+    CLI batch run does — never the ``S.EPOCH`` placeholder — and the
+    done-manifest fold records that stamp."""
+    import datetime
+
+    from pmocr_ray import schema as S
+
+    os.remove(list_partitions(tmp_env["monitored"])[1])  # one partition
+    done = os.path.join(os.path.dirname(tmp_env["out"]), "done")
+    t0 = datetime.datetime.now(datetime.timezone.utc).replace(tzinfo=None)
+    s = run_incremental(tmp_env["monitored"], tmp_env["out"],
+                        tmp_env["manifest"], done, update_row_manifest=True)
+    assert len(s["processed"]) == 1
+    stamps = []
+    for f in glob.glob(os.path.join(tmp_env["out"], "part-*", "*.parquet")):
+        stamps += pq.read_table(f, columns=["processed_at"])[
+            "processed_at"].to_pylist()
+    assert stamps and S.EPOCH not in stamps
+    assert len(set(stamps)) == 1 and stamps[0] >= t0  # one stamp per round
+    folded = pq.read_table(done, columns=["processed_at"])["processed_at"]
+    assert set(folded.to_pylist()) == set(stamps)
 
 
 def test_heartbeat_written(tmp_env):
@@ -503,8 +527,8 @@ def test_service_mode_engine_failure_drill(tmp_env, tmp_path):
         raise RuntimeError("engine broken mid-service (drill)")
 
     # round 1: healthy service round over the initial partitions
-    s1 = poll_once(tmp_env["monitored"], tmp_env["out"], tmp_env["manifest"],
-                   tmp_env["done"])
+    s1 = run_incremental(tmp_env["monitored"], tmp_env["out"], tmp_env["manifest"],
+                         tmp_env["done"])
     assert len(s1["processed"]) == 2
     manifest = LineageManifest(tmp_env["manifest"])
     committed_before = manifest.committed()
@@ -515,9 +539,9 @@ def test_service_mode_engine_failure_drill(tmp_env, tmp_path):
     drill_path = os.path.join(tmp_env["monitored"], "part-drill.parquet")
     pq.write_table(drill, drill_path)
 
-    s2 = poll_once(tmp_env["monitored"], tmp_env["out"], tmp_env["manifest"],
-                   tmp_env["done"],
-                   extract_kwargs={"preprocessors": [_boom_preprocessor]})
+    s2 = run_incremental(tmp_env["monitored"], tmp_env["out"], tmp_env["manifest"],
+                         tmp_env["done"],
+                         extract_kwargs={"preprocessors": [_boom_preprocessor]})
     # exactly the 3 originals quarantined, nothing else touched
     assert s2["counts"] == {"failed": 3}
     assert len(s2["processed"]) == 1 and len(s2["skipped"]) == 2
@@ -538,8 +562,8 @@ def test_service_mode_engine_failure_drill(tmp_env, tmp_path):
     # does NOT reprocess the quarantined partition
     new = tmp_env["remaining"][1]
     shutil.copy(new, os.path.join(tmp_env["monitored"], os.path.basename(new)))
-    s3 = poll_once(tmp_env["monitored"], tmp_env["out"], tmp_env["manifest"],
-                   tmp_env["done"])
+    s3 = run_incremental(tmp_env["monitored"], tmp_env["out"], tmp_env["manifest"],
+                         tmp_env["done"])
     assert len(s3["processed"]) == 1 and len(s3["skipped"]) == 3
     assert s3["counts"].get("done", 0) > 0
     assert manifest.committed()[key] == entry  # drill entry untouched

@@ -50,7 +50,7 @@ def test_retry_failed_redrive_carries_attempts(tmp_path, pages_fixture):
     src, done = _one_shard(pages_fixture, tmp_path)
 
     out1 = str(tmp_path / "run1")
-    run_extraction(src, done, run_id="r1").write_parquet(out1)
+    run_extraction(src, done).write_parquet(out1)
     t1 = _read(out1)
     failed1 = t1.filter(pc.equal(t1["status"], "failed"))
     assert failed1.num_rows > 0
@@ -58,13 +58,13 @@ def test_retry_failed_redrive_carries_attempts(tmp_path, pages_fixture):
     update_done_manifest(out1, done, run_id="r1")
 
     # retry state: exactly the quarantined urls, attempts carried
-    skip, retry = load_retry_state(done, S.MAX_TOTAL_ATTEMPTS)
+    skip, retry = load_retry_state(done)
     assert set(retry) == set(failed1["url"].to_pylist())
     assert set(retry.values()) == {S.MAX_ATTEMPTS}
 
     # run 2: re-drive once -> re-quarantined with attempts=3
     out2 = str(tmp_path / "run2")
-    run_extraction(src, done, run_id="r2", retry_failed=True).write_parquet(out2)
+    run_extraction(src, done, retry_failed=True).write_parquet(out2)
     t2 = _read(out2)
     redriven = t2.filter(pc.equal(t2["status"], "failed"))
     assert set(redriven["url"].to_pylist()) == set(retry)
@@ -77,7 +77,7 @@ def test_retry_failed_redrive_carries_attempts(tmp_path, pages_fixture):
     # run 3: budget exhausted -> never re-driven again
     out3 = str(tmp_path / "run3")
     counts = status_counts(
-        run_extraction(src, done, run_id="r3", retry_failed=True))
+        run_extraction(src, done, retry_failed=True))
     assert counts == {"skipped_suffix": t1.num_rows}
     assert not os.path.exists(out3)
 
@@ -90,10 +90,10 @@ def test_retry_oracle_conformance(tmp_path, pages_fixture):
 
     src, done = _one_shard(pages_fixture, tmp_path)
     out1 = str(tmp_path / "run1")
-    run_extraction(src, done, run_id="r1").write_parquet(out1)
+    run_extraction(src, done).write_parquet(out1)
     update_done_manifest(out1, done, run_id="r1")
 
-    dist = (run_extraction(src, done, run_id="r2", retry_failed=True)
+    dist = (run_extraction(src, done, retry_failed=True)
             .to_pandas().sort_values("url").reset_index(drop=True))
     gold = run_oracle(src, done, retry_failed=True).to_pandas()
     for col in ("url", "content_type", "status", "attempts", "extracted_text"):
@@ -126,13 +126,13 @@ def _bom_pages(tmp_path) -> str:
 def test_preprocessor_fixes_bom_payload(tmp_path):
     src = _bom_pages(tmp_path)
     # without the preprocessor the BOM row quarantines (strict decode)
-    t = (run_extraction(src, None, run_id="pp0", num_blocks=1)
+    t = (run_extraction(src, None, num_blocks=1)
          .to_pandas().set_index("url"))
     assert t.loc["https://a.example/bom", "status"] == "failed"
     assert t.loc["https://a.example/ok", "status"] == "done"
 
     # with strip_bom both extract, byte-identically
-    t2 = (run_extraction(src, None, run_id="pp1", num_blocks=1,
+    t2 = (run_extraction(src, None, num_blocks=1,
                          preprocessors=["strip_bom"])
           .to_pandas().set_index("url"))
     assert t2.loc["https://a.example/bom", "status"] == "done"
@@ -150,7 +150,7 @@ def test_preprocessor_oracle_conformance_and_registry(tmp_path):
 
     src = _bom_pages(tmp_path)
     gold = run_oracle(src, None, preprocessors=["strip_bom"]).to_pandas()
-    dist = (run_extraction(src, None, run_id="pp2", num_blocks=1,
+    dist = (run_extraction(src, None, num_blocks=1,
                            preprocessors=["strip_bom"])
             .to_pandas().sort_values("url").reset_index(drop=True))
     assert dist["extracted_text"].tolist() == gold["extracted_text"].tolist()
@@ -180,7 +180,7 @@ def test_write_targets_fan_out(tmp_path, pages_fixture):
 
     src, done = _one_shard(pages_fixture, tmp_path)
     out = str(tmp_path / "multi")
-    ds = run_extraction(src, done, run_id="tgt")
+    ds = run_extraction(src, done)
     paths = write_targets(ds, out, ["text", "csv", "jsonl"])
     assert set(paths) == {"text", "csv", "jsonl"}
 
@@ -198,7 +198,7 @@ def test_write_targets_fan_out(tmp_path, pages_fixture):
 
     # unknown target fails fast
     try:
-        write_targets(run_extraction(src, done, run_id="tgt2"), out, ["nope"])
+        write_targets(run_extraction(src, done), out, ["nope"])
         raise AssertionError("expected KeyError")
     except KeyError:
         pass
@@ -213,7 +213,7 @@ def test_write_targets_column_pruned_read(tmp_path, pages_fixture):
     from pmocr_ray.targets import write_targets
 
     src, done = _one_shard(pages_fixture, tmp_path)
-    ds = run_extraction(src, done, run_id="prune")
+    ds = run_extraction(src, done)
     text_cols = set(ds.schema().names)
     assert len(text_cols) > 3  # the prune must be observable
 
@@ -230,7 +230,7 @@ def test_write_targets_column_pruned_read(tmp_path, pages_fixture):
         columns=("url", "status"),
         input_columns=("url", "status", "extracted_text")))
     try:
-        paths = write_targets(run_extraction(src, done, run_id="prune2"),
+        paths = write_targets(run_extraction(src, done),
                               str(tmp_path / "pruned"), ["text", "_probe"])
     finally:
         TARGETS.pop("_probe", None)
@@ -281,7 +281,7 @@ def test_pdf_target_roundtrips_byte_identical(tmp_path, pages_fixture):
 
     src, done = _one_shard(pages_fixture, tmp_path)
     out = str(tmp_path / "pdftgt")
-    ds = run_extraction(src, done, run_id="pdft")
+    ds = run_extraction(src, done)
     paths = write_targets(ds, out, ["text", "pdf"])
     text = _read(paths["text"]).to_pandas().set_index("url")
     pdf = _read(paths["pdf"]).to_pandas().set_index("url")
@@ -311,7 +311,7 @@ def test_docx_target_roundtrips_byte_identical(tmp_path, pages_fixture):
 
     src, done = _one_shard(pages_fixture, tmp_path)
     out = str(tmp_path / "docxtgt")
-    ds = run_extraction(src, done, run_id="docxt")
+    ds = run_extraction(src, done)
     paths = write_targets(ds, out, ["text", "docx"])
     text = _read(paths["text"]).to_pandas().set_index("url")
     docx = _read(paths["docx"]).to_pandas().set_index("url")
@@ -354,7 +354,7 @@ def test_xlsx_target_roundtrips_byte_identical(tmp_path, pages_fixture):
 
     src, done = _one_shard(pages_fixture, tmp_path)
     out = str(tmp_path / "xlsxtgt")
-    ds = run_extraction(src, done, run_id="xlsxt")
+    ds = run_extraction(src, done)
     paths = write_targets(ds, out, ["text", "xlsx"])
     text = _read(paths["text"]).to_pandas().set_index("url")
     xlsx = _read(paths["xlsx"]).to_pandas().set_index("url")
