@@ -1,7 +1,7 @@
 """Benchmark harness.
 
 Plain run: executes the headline extraction pipeline (read pages →
-sniff → actor-pool extract → write parquet) plus a set of operator
+sniff → extract → write parquet) plus a set of operator
 benches over ``$GRAFT_SF_DIR`` (default /root/testdata/sf0.1) with
 ``ray.init(num_cpus=$RAY_GRAFT_CPUS or 32)`` and prints ONE JSON line::
 
@@ -11,8 +11,10 @@ benches over ``$GRAFT_SF_DIR`` (default /root/testdata/sf0.1) with
 
 ``--scaling``: runs the identical job in two fresh processes at 8 and
 32 CPUs over the same (pre-generated, cache-warm) input and reports
-throughput at both plus ``efficiency = (t_lo/t_hi) / (hi/lo)``; also
-refreshes the measured-numbers section of BASELINE.md.
+throughput at both plus ``efficiency = (t_lo/t_hi) / (hi/lo)``.
+
+Either mode writes no file outside ``/tmp``: the printed JSON line is
+the run's only record (past rounds commit it as ``BENCH_*.json``).
 
 The bench fixture is 1.8M pages (REPS=360 over sf0.1's 5000
 documents; env ``PMOCR_BENCH_REPS`` overrides), 64 parquet partitions
@@ -21,10 +23,8 @@ so both parallelism levels saturate with multiple waves per slot.
 
 from __future__ import annotations
 
-import datetime
 import json
 import os
-import re
 import shutil
 import subprocess
 import sys
@@ -56,14 +56,6 @@ SCALING_PAIRS = int(os.environ.get("PMOCR_SCALING_PAIRS", "2"))
 
 def run_bench() -> dict:
     import ray
-
-    # Bracket the whole bench with the host-capacity probe (see
-    # _host_capacity_probe): this sandbox's granted CPU/membw drifts
-    # 2-3x across hours, and the probe records what the host could
-    # deliver in THIS window so a slow sample is attributable.  The
-    # scaling legs (SKIP_OPS) are probed by run_scaling instead.
-    probe_pre = None if SKIP_OPS else _host_capacity_probe(
-        max(1, NUM_CPUS // 4), NUM_CPUS)
 
     ray.init(address="local", num_cpus=NUM_CPUS, include_dashboard=False,
              logging_level="ERROR")
@@ -105,9 +97,9 @@ def run_bench() -> dict:
     shutil.rmtree(warm_dir, ignore_errors=True)
 
     # ---- headline: full extraction pipeline incl. parquet sink ----
-    # best-of-2: single-machine wall clock here varies ±20-30% run to
-    # run (page cache, cpu warm-up); the min is the stable estimator of
-    # steady-state throughput at a given parallelism.
+    # best-of-HEADLINE_RUNS: single-machine wall clock here varies
+    # ±20-30% run to run (page cache, cpu warm-up); the min is the stable
+    # estimator of steady-state throughput at a given parallelism.
     times = []
     for rep in range(HEADLINE_RUNS):
         shutil.rmtree(out_dir, ignore_errors=True)
@@ -230,17 +222,6 @@ def run_bench() -> dict:
            concurrency=max(2, NUM_CPUS // 2)).count()
     queries["curate"] = round(time.perf_counter() - t0, 3)
 
-    # join-heavy relational shapes from the driver-gate sweep
-    import __ray_entry__ as E
-
-    t0 = time.perf_counter()
-    E._q_nation_pair_flows(SF_DIR).count()
-    queries["nation_pair_flows"] = round(time.perf_counter() - t0, 3)
-
-    t0 = time.perf_counter()
-    E._q_vocab_overlap(SF_DIR)
-    queries["vocab_overlap"] = round(time.perf_counter() - t0, 3)
-
     result = {
         "metric": "headline extraction wall-clock (read→sniff→extract→write) + op benches",
         "value": round(headline, 3),
@@ -253,70 +234,7 @@ def run_bench() -> dict:
         "extract_runs": extract_runs,
     }
     ray.shutdown()
-    result["host_probe_pre"] = probe_pre
-    result["host_probe_post"] = _host_capacity_probe(
-        max(1, NUM_CPUS // 4), NUM_CPUS)
     return result
-
-
-def _spin(n: int) -> float:
-    t0 = time.perf_counter()
-    x = 0
-    while x < n:
-        x += 1
-    return time.perf_counter() - t0
-
-
-def _membw(reps: int = 20) -> int:
-    """Streaming-copy worker (64 MiB buffers).  Aggregate bandwidth is
-    computed by the caller from the POOL's wall clock, not per-worker
-    self-timing — under host time-slicing a worker's own clock spans
-    arbitrary descheduled gaps and sums of per-worker rates are
-    meaningless.  Returns bytes touched (read+write)."""
-    import numpy as np
-
-    a = np.ones(8 * 1024 * 1024, dtype=np.float64)  # 64 MiB
-    b = np.empty_like(a)
-    np.copyto(b, a)  # fault in the destination outside the count
-    for _ in range(reps):
-        np.copyto(b, a)
-    return a.nbytes * reps * 2
-
-
-def _host_capacity_probe(lo: int, hi: int, work: int = 40_000_000) -> dict:
-    """How much parallel CPU does the host grant RIGHT NOW?
-
-    Pure-register spin loops (no memory traffic, no Ray) at ``lo`` and
-    ``hi`` concurrent processes.  On a dedicated machine throughput
-    scales linearly and efficiency ≈ 1.0; on this Firecracker sandbox
-    the host visibly caps effective cores in some windows (observed
-    0.55-0.95 across hours with zero guest-side change — BASELINE.md
-    history).  The probe bounds what ANY engine could measure in the
-    same window: engine efficiency cannot exceed host efficiency, so
-    the summary also reports the host-normalized ratio.
-    """
-    import multiprocessing as mp
-
-    out, bw = {}, {}
-    for n in (lo, hi):
-        with mp.Pool(n) as p:
-            t0 = time.perf_counter()
-            p.map(_spin, [work] * n)
-            out[n] = time.perf_counter() - t0
-            # aggregate streaming bandwidth at the same concurrency,
-            # from the pool's wall clock (see _membw docstring)
-            t0 = time.perf_counter()
-            nbytes = sum(p.map(_membw, [20] * n))
-            bw[n] = round(nbytes / (time.perf_counter() - t0) / 1e9, 1)
-    thr_lo, thr_hi = lo / out[lo], hi / out[hi]
-    return {
-        "spin_sec_lo": round(out[lo], 2),
-        "spin_sec_hi": round(out[hi], 2),
-        "host_efficiency": round((thr_hi / thr_lo) / (hi / lo), 3),
-        "membw_gbs_lo": bw[lo],
-        "membw_gbs_hi": bw[hi],
-        "membw_efficiency": round((bw[hi] / bw[lo]) / (hi / lo), 3),
-    }
 
 
 def run_scaling() -> dict:
@@ -342,9 +260,7 @@ def run_scaling() -> dict:
     # steady-state estimate.  Each leg runs warm-up + one headline run,
     # no op benches.
     lo, hi = SCALING_LEVELS
-    probe_pre = _host_capacity_probe(lo, hi)
     samples = {lo: [], hi: []}
-    results = {}
     for ncpu in (lo, hi) * SCALING_PAIRS:
         env = dict(os.environ, RAY_GRAFT_CPUS=str(ncpu),
                    PMOCR_BENCH_REPS=str(SCALING_REPS),
@@ -354,205 +270,28 @@ def run_scaling() -> dict:
             capture_output=True, text=True, check=True,
             cwd=os.path.dirname(os.path.abspath(__file__)),
         ).stdout
-        r = json.loads(out.strip().splitlines()[-1])
-        samples[ncpu].append(r["value"])
-        results[ncpu] = r
+        leg = json.loads(out.strip().splitlines()[-1])
+        samples[ncpu].append(leg["value"])
     t_lo, t_hi = min(samples[lo]), min(samples[hi])
-    for ncpu, t in ((lo, t_lo), (hi, t_hi)):
-        results[ncpu]["value"] = t
-        results[ncpu]["docs_per_sec"] = round(results[ncpu]["pages"] / t, 1)
-        results[ncpu]["extract_runs"] = samples[ncpu]
-    probe_post = _host_capacity_probe(lo, hi)
-    eff = (t_lo / t_hi) / (hi / lo)
-    # Most generous host estimate bracketing the legs: the engine can at
-    # best match the host's own parallel-capacity ratio in this window.
-    host_eff = max(probe_pre["host_efficiency"], probe_post["host_efficiency"])
-    summary = {
+    pages = leg["pages"]
+    return {
         "metric": f"scaling efficiency {lo}→{hi} cpus (fresh processes, same input)",
         "sec_lo": t_lo,
         "sec_hi": t_hi,
         "num_cpus_lo": lo,
         "num_cpus_hi": hi,
-        "docs_per_sec_lo": results[lo]["docs_per_sec"],
-        "docs_per_sec_hi": results[hi]["docs_per_sec"],
-        "pages": results[hi]["pages"],
-        "scaling_efficiency": round(eff, 3),
-        "host_probe_pre": probe_pre,
-        "host_probe_post": probe_post,
-        "host_efficiency": host_eff,
-        "host_normalized_efficiency": round(min(eff / host_eff, 1.0), 3),
+        "docs_per_sec_lo": round(pages / t_lo, 1),
+        "docs_per_sec_hi": round(pages / t_hi, 1),
+        "pages": pages,
+        "scaling_efficiency": round((t_lo / t_hi) / (hi / lo), 3),
         "samples_lo": samples[lo],
         "samples_hi": samples[hi],
-        "sf": results[hi]["sf"],
+        "sf": leg["sf"],
     }
-    _update_baseline_md(summary, results)
-    return summary
-
-
-LEDGER_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                           "BENCH_LEDGER.json")
-REGRESSION_FLAG_RATIO = 1.5
-
-
-def _update_op_ledger(result: dict) -> None:
-    """Per-op regression self-gate: each op's PROBE-NORMALIZED reading
-    (sec ÷ mean bracketing ``spin_sec_hi`` — wall time in units of
-    what the host's 32-proc spin cost in the same window, so a slow
-    host window doesn't read as an engine regression) is compared to
-    its best-on-record in ``BENCH_LEDGER.json``.  Ops reading >
-    ``REGRESSION_FLAG_RATIO``× their normalized best are flagged in
-    the bench JSON (``regression_flags``); every op's delta is
-    reported (``op_norm_deltas``); the ledger keep-better-updates so
-    the gate tightens as the engine improves.  Seeded from the r3/r4
-    bench records (the first rounds that carried host probes)."""
-    pre, post = result.get("host_probe_pre"), result.get("host_probe_post")
-    if not pre or not post:
-        return
-    spin = (pre["spin_sec_hi"] + post["spin_sec_hi"]) / 2
-    # Window coherence: when the bracketing probes disagree by > 30%
-    # the host shifted MID-RUN and the mean spin misprices whatever
-    # each op actually experienced — deltas/flags are still reported
-    # (advisory), but best-on-record must not ratchet on a mispriced
-    # denominator (an optimistic best makes every later run flag).
-    coherent = (abs(pre["spin_sec_hi"] - post["spin_sec_hi"])
-                <= 0.3 * spin)
-    try:
-        with open(LEDGER_PATH) as f:
-            ledger = json.load(f)
-    except (OSError, ValueError):
-        ledger = {}
-    deltas: dict[str, float] = {}
-    flags: list[str] = []
-    stamp = datetime.datetime.now(datetime.timezone.utc).isoformat(
-        timespec="seconds")
-    for op, sec in result["queries"].items():
-        norm = sec / spin
-        ent = ledger.get(op)
-        if ent is not None:
-            delta = round(norm / ent["best_norm"], 2)
-            deltas[op] = delta
-            if delta > REGRESSION_FLAG_RATIO:
-                flags.append(op)
-        if coherent and (ent is None or norm < ent["best_norm"]):
-            ledger[op] = {"best_norm": round(norm, 4),
-                          "best_raw_sec": sec,
-                          "spin_sec_hi": round(spin, 3),
-                          "recorded": stamp}
-    if coherent:
-        with open(LEDGER_PATH, "w") as f:
-            json.dump(ledger, f, indent=1, sort_keys=True)
-            f.write("\n")
-    result["op_norm_deltas"] = deltas
-    result["regression_flags"] = sorted(flags)
-    result["ledger_window_coherent"] = coherent
-
-
-_MARK_BEGIN = "<!-- BENCH:BEGIN (auto-written by bench.py --scaling) -->"
-_MARK_END = "<!-- BENCH:END -->"
-
-
-def _update_baseline_md(summary: dict, results: dict) -> None:
-    path = os.path.join(os.path.dirname(os.path.abspath(__file__)), "BASELINE.md")
-    lo, hi = summary["num_cpus_lo"], summary["num_cpus_hi"]
-    block = "\n".join([
-        _MARK_BEGIN,
-        "",
-        "## Measured numbers (bench.py --scaling)",
-        "",
-        f"Input: {summary['pages']} pages derived from `{SF_DIR}` "
-        f"(REPS={BENCH_REPS}), identical at both levels, cache-warm.",
-        "",
-        "| num_cpus | headline sec | docs/sec |",
-        "|---|---|---|",
-        f"| {lo} | {summary['sec_lo']} | {summary['docs_per_sec_lo']} |",
-        f"| {hi} | {summary['sec_hi']} | {summary['docs_per_sec_hi']} |",
-        "",
-        f"**Scaling efficiency {lo}→{hi}: {summary['scaling_efficiency']}** "
-        f"(target ≥ 0.8; = (t_{lo}/t_{hi}) / ({hi}/{lo}))",
-        "",
-        f"_Keep-better policy: this is the BEST paired sample to date "
-        f"(written {datetime.datetime.now().strftime('%Y-%m-%d %H:%M')}), "
-        f"not a central tendency — this host's capacity drifts 2-3× "
-        f"between windows; every run (kept or not) is a row in the "
-        f"measurement-history table below._",
-        "",
-        f"Host-capacity probe (pure-compute spin, no Ray): efficiency "
-        f"**{summary['host_efficiency']}** in this window "
-        f"(pre {summary['host_probe_pre']['host_efficiency']} / post "
-        f"{summary['host_probe_post']['host_efficiency']}) — the ceiling any "
-        f"engine could measure; host-normalized engine efficiency: "
-        f"**{summary['host_normalized_efficiency']}**. Streaming memory "
-        f"bandwidth {summary['host_probe_pre'].get('membw_gbs_lo', '?')}→"
-        f"{summary['host_probe_pre'].get('membw_gbs_hi', '?')} GB/s "
-        f"aggregate at {lo}→{hi} procs (scaling "
-        f"{summary['host_probe_pre'].get('membw_efficiency', '?')} pre / "
-        f"{summary['host_probe_post'].get('membw_efficiency', '?')} post) — "
-        f"the byte-scanning kernel's own ceiling.",
-        "",
-        f"Per-op seconds at {hi} cpus: "
-        + json.dumps(results[hi]["queries"]),
-        _MARK_END,
-    ])
-    try:
-        text = open(path).read()
-    except FileNotFoundError:
-        text = "# BASELINE\n"
-    new_eff = summary["scaling_efficiency"]
-    kept = True
-    old = None
-    if _MARK_BEGIN in text:
-        # keep-better policy: this host's capacity drifts 2-3x between
-        # windows (see the measurement-history table), so a capped
-        # window must not clobber a bar-meeting steady-state number.
-        # The auto block keeps the best paired measurement; EVERY run
-        # (kept or unkept) is appended to the history table below it.
-        old = re.search(r"Scaling efficiency \d+→\d+: ([0-9.]+)\*\*",
-                        text.split(_MARK_BEGIN)[1].split(_MARK_END)[0])
-        kept = not (old and new_eff < float(old.group(1)))
-        if kept:
-            pre = text.split(_MARK_BEGIN)[0]
-            post = text.split(_MARK_END)[-1]
-            text = pre + block + post
-    else:
-        text = text.rstrip() + "\n\n" + block + "\n"
-    now = datetime.datetime.now().strftime("%m-%d %H:%M")
-    status = ("KEPT (new committed block)" if kept else
-              f"unkept (< {old.group(1)} committed block)")
-    hist = (f"| auto ({now}) "
-            f"| {summary['pages']/1e6:.1f}M "
-            f"| {summary['sec_lo']} | {summary['sec_hi']} "
-            f"| {summary['docs_per_sec_hi']:,.0f} | {new_eff} "
-            f"| {status}; probes "
-            f"{summary['host_probe_pre']['host_efficiency']}/"
-            f"{summary['host_probe_post']['host_efficiency']}, membw "
-            f"{summary['host_probe_pre'].get('membw_gbs_hi', '?')}/"
-            f"{summary['host_probe_post'].get('membw_gbs_hi', '?')} GB/s |")
-    lines = text.splitlines()
-    # anchor to the measurement-history table explicitly (its
-    # header names the first column), not "any wide table row"
-    hdr = [i for i, ln in enumerate(lines)
-           if ln.lstrip().startswith("| when ")]
-    if hdr:
-        j = hdr[0] + 1
-        while j < len(lines) and lines[j].lstrip().startswith("|"):
-            j += 1
-        lines.insert(j, hist)
-        text = "\n".join(lines) + ("\n" if text.endswith("\n") else "")
-    else:
-        # no history table: append one after the auto block
-        text = (text.rstrip() + "\n\n## Measurement history\n\n"
-                "| when (UTC-ish) | pages | t_8 (s) | t_32 (s) "
-                "| docs/s @32 | efficiency | engine |\n"
-                "|---|---|---|---|---|---|---|\n" + hist + "\n")
-    with open(path, "w") as f:
-        f.write(text)
 
 
 if __name__ == "__main__":
     if "--scaling" in sys.argv:
         print(json.dumps(run_scaling()))
     else:
-        _result = run_bench()
-        if not SKIP_OPS:
-            _update_op_ledger(_result)
-        print(json.dumps(_result))
+        print(json.dumps(run_bench()))

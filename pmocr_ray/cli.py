@@ -99,10 +99,11 @@ def run_batch(pages: str, cfg: PipelineConfig, update_done: bool = False) -> dic
     """One conversion pass.  ``cfg.out_dir`` is owned by the run and is
     REPLACED: Ray's write_parquet appends uuid-named files, so writing
     beside a previous run's output would double-count rows in
-    status_counts and fold stale rows into the done manifest."""
+    its status counts and fold stale rows into the done manifest."""
     import shutil
 
-    from pmocr_ray.pipeline import run_extraction, status_counts
+    from pmocr_ray.pipeline import run_extraction
+    from pmocr_ray.state.manifest import count_statuses, update_done_manifest
 
     shutil.rmtree(cfg.out_dir, ignore_errors=True)
     ds = run_extraction(
@@ -111,8 +112,6 @@ def run_batch(pages: str, cfg: PipelineConfig, update_done: bool = False) -> dic
         processed_at=datetime.datetime.now(datetime.timezone.utc).replace(tzinfo=None),
         **_engine_kwargs(cfg),
     )
-    import ray.data as rd
-
     targets = cfg.target_list()
     if targets:
         # multi-format fan-out: one extraction pass, per-target sinks
@@ -125,10 +124,8 @@ def run_batch(pages: str, cfg: PipelineConfig, update_done: bool = False) -> dic
         ds.write_parquet(cfg.out_dir)
         status_dir = cfg.out_dir
     if update_done and cfg.done_manifest:
-        from pmocr_ray.state.manifest import update_done_manifest
-
         update_done_manifest(status_dir, cfg.done_manifest)
-    return status_counts(rd.read_parquet(status_dir, columns=["status"]))
+    return count_statuses(status_dir)
 
 
 def _parse_service_entry(entry: str) -> tuple[str, tuple[str, ...] | None]:
@@ -166,9 +163,11 @@ def run_service(pages: str | list[str], cfg: PipelineConfig,
             raise SystemExit(
                 "--service auto: the config file defines no service_dirs")
     parsed = [_parse_service_entry(e) for e in entries]
-    # one plain directory keeps the configured out/manifest/done paths;
+    # one plain directory keeps the configured out/manifest paths;
     # several (or one with a target bundle) get per-dir subdirs, named
-    # by position so equal basenames never collide (pmocr.sh:2519-2537)
+    # by position so equal basenames never collide (pmocr.sh:2519-2537).
+    # Every dir reads the one configured done manifest: service rounds
+    # never write it, so sharing it is safe.
     nested = len(parsed) > 1 or parsed[0][1] is not None
 
     def _sub(root: str | None, name: str) -> str | None:
@@ -182,7 +181,7 @@ def run_service(pages: str | list[str], cfg: PipelineConfig,
             pages_dir=pages_dir,
             out_dir=_sub(cfg.out_dir, name),
             manifest_dir=_sub(cfg.resolved_manifest_dir(), name),
-            done_manifest_path=_sub(cfg.done_manifest, name),
+            done_manifest_path=cfg.done_manifest,
             targets=targets or (tuple(cfg.target_list()) or None),
             extract_kwargs=_engine_kwargs(cfg),
             alert_hook=alert_hook,

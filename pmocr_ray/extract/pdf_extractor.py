@@ -9,8 +9,9 @@ environment, so the *engine internals* operate on the deterministic
 synthetic PDF layout produced by :mod:`pmocr_ray.fixtures` (text shown
 via ``(...) Tj`` operators inside a content stream — the real PDF text
 operator).  The *plumbing* — binary column in, routed by sniffing,
-actor-pool stage, text-layer fast path, failure quarantine — is the
-real engine-agnostic machinery; a production deployment swaps
+an extraction stage built once per worker process, text-layer fast
+path, failure quarantine — is the real engine-agnostic machinery; a
+production deployment swaps
 ``extract_pdf`` for e.g. pdfminer via the extractor registry
 (:mod:`pmocr_ray.extract.registry`), exactly as the reference swaps OCR
 engines via config (``OCR_ENGINE``, /root/reference/default.conf:24-87,

@@ -102,3 +102,12 @@ def get_run_logger(run_id: str, log_dir: str | None = None) -> logging.Logger:
             fh.setFormatter(logging.Formatter(_FMT))
             logger.addHandler(fh)
     return logger
+
+
+def close_file_sinks(logger: logging.Logger) -> None:
+    """Detach and close ``logger``'s file sinks (its stream sink stays):
+    the end of a run whose logger is never used again."""
+    for h in [h for h in logger.handlers
+              if isinstance(h, logging.FileHandler)]:
+        logger.removeHandler(h)
+        h.close()

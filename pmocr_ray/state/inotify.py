@@ -27,6 +27,7 @@ import errno
 import os
 import select
 import struct
+import time
 
 #: inotify event mask bits (linux/inotify.h)
 IN_CREATE = 0x00000100
@@ -62,14 +63,11 @@ def inotify_available() -> bool:
 
 
 class DirWatcher:
-    """Blocking push watcher on one directory (non-recursive, like the
-    reference's per-monitor-dir inotifywait).
-
-    ``wait(timeout_s)`` blocks until at least one matching filesystem
-    event arrives (returning the affected file names, deduplicated,
-    sorted) or the timeout elapses (returning ``[]`` — the forced-run
-    wake).  A queue overflow returns ``["<overflow>"]`` so the caller
-    still runs a round.
+    """Push watcher on one directory (non-recursive, like the
+    reference's per-monitor-dir inotifywait); block on one or more of
+    them with :func:`wait_any`.  Only file names ending in ``suffix``
+    (when given) count as events; a queue overflow reports the name
+    ``"<overflow>"`` so the caller still runs a round.
 
     Raises ``OSError`` at construction on platforms without inotify —
     callers degrade to the poller (see ``serve_multi``).
@@ -92,32 +90,6 @@ class DirWatcher:
             raise OSError(e, f"inotify_add_watch({path}) failed: "
                              f"{errno.errorcode.get(e, e)}")
         self._wd = wd
-
-    def wait(self, timeout_s: float | None) -> list[str]:
-        if self._fd < 0:
-            raise OSError("watcher is closed")
-        import time
-
-        deadline = None if timeout_s is None else time.monotonic() + timeout_s
-        names: set[str] = set()
-        # block until a MATCHING event (suffix-filtered) or the
-        # deadline: a wake caused only by filtered-out noise (temp
-        # files, unrelated writes) must not end the wait early
-        while not names:
-            remaining = (None if deadline is None
-                         else max(0.0, deadline - time.monotonic()))
-            r, _, _ = select.select([self._fd], [], [], remaining)
-            if not r:
-                return []  # timeout -> the forced-run wake
-            names = self._drain()
-            if deadline is not None and time.monotonic() >= deadline:
-                break
-        # coalesce the burst: keep draining while more events are
-        # immediately pending (the reference's DISPATCH_NEEDED debounce,
-        # pmocr.sh:2195-2224 — a storm of events still yields one round)
-        while select.select([self._fd], [], [], 0)[0]:
-            names.update(self._drain())
-        return sorted(names)
 
     def _drain(self) -> set[str]:
         try:
@@ -154,16 +126,14 @@ class DirWatcher:
 
 def wait_any(watchers: list["DirWatcher"],
              timeout_s: float | None) -> dict[str, list[str]]:
-    """Block until at least one of ``watchers`` has a matching event —
-    the multi-directory analogue of :meth:`DirWatcher.wait` (the
-    reference daemon selects over up to 5 per-dir inotifywait children,
-    pmocr.sh:2519-2537).  Returns ``{watched_path: [names]}`` for every
-    directory that fired, or ``{}`` on timeout (the forced-run wake).
-    Filtered-out noise (temp files) does not end the wait early; a
-    burst is coalesced into one wake, same as the single-dir path.
+    """Block until at least one of ``watchers`` has a matching event
+    (the reference daemon selects over up to 5 per-dir inotifywait
+    children, pmocr.sh:2519-2537).  Returns ``{watched_path: [names]}``
+    for every directory that fired, names deduplicated and sorted, or
+    ``{}`` on timeout (the forced-run wake).  Filtered-out noise (temp
+    files) does not end the wait early; a burst is coalesced into one
+    wake (the reference's DISPATCH_NEEDED debounce, pmocr.sh:2195-2224).
     """
-    import time
-
     deadline = None if timeout_s is None else time.monotonic() + timeout_s
     by_fd = {w._fd: w for w in watchers}
     hits: dict[str, set] = {}

@@ -149,79 +149,91 @@ def run_incremental(
     manifest.heartbeat()
     run_id = run_id or f"run-{int(time.time())}"
     processed_at = datetime.datetime.now(datetime.timezone.utc).replace(tzinfo=None)
-    from pmocr_ray.runlog import get_run_logger
+    from pmocr_ray.runlog import close_file_sinks, get_run_logger
 
     log = get_run_logger(run_id, log_dir=manifest_dir)
-    summary = {"processed": [], "skipped": [], "counts": {}}
+    try:
+        summary = {"processed": [], "skipped": [], "counts": {}}
+        for path in list_partitions(pages_dir):
+            key = _partition_key(path)
+            if manifest.is_committed(key):
+                summary["skipped"].append(key)
+                continue
+            part_out = os.path.join(out_dir, f"part-{key}")
+            tmp_out = part_out + ".tmp"
+            shutil.rmtree(tmp_out, ignore_errors=True)   # discard a torn run
+            shutil.rmtree(part_out, ignore_errors=True)
 
-    for path in list_partitions(pages_dir):
-        key = _partition_key(path)
-        if manifest.is_committed(key):
-            summary["skipped"].append(key)
-            continue
-        part_out = os.path.join(out_dir, f"part-{key}")
-        tmp_out = part_out + ".tmp"
-        shutil.rmtree(tmp_out, ignore_errors=True)   # discard a torn run
-        shutil.rmtree(part_out, ignore_errors=True)
+            t0 = time.perf_counter()
+            ds = run_extraction(path, done_manifest_path,
+                                processed_at=processed_at,
+                                **(extract_kwargs or {}))
+            if targets:
+                from pmocr_ray.targets import write_targets
 
-        t0 = time.perf_counter()
-        ds = run_extraction(path, done_manifest_path,
-                            processed_at=processed_at,
-                            **(extract_kwargs or {}))
-        if targets:
-            from pmocr_ray.targets import write_targets
+                write_targets(ds, tmp_out, targets)
+            else:
+                ds.write_parquet(tmp_out)
+            os.replace(tmp_out, part_out)
+            # the canonical text output (counts + done-manifest fold read it)
+            status_root = os.path.join(part_out, "text") if targets else part_out
+            wall_s = round(time.perf_counter() - t0, 3)
 
-            write_targets(ds, tmp_out, targets)
-        else:
-            ds.write_parquet(tmp_out)
-        os.replace(tmp_out, part_out)
-        # the canonical text output (counts + done-manifest fold read it)
-        status_root = os.path.join(part_out, "text") if targets else part_out
-        wall_s = round(time.perf_counter() - t0, 3)
+            counts = count_statuses(status_root)
+            entry = {
+                "partition": os.path.basename(path),
+                "key": key,
+                "run_id": run_id,
+                "completed_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+                "num_rows": sum(counts.values()),
+                "counts": counts,
+                # per-partition throughput metrics (north-rule "lineage +
+                # metrics"): wall time covers extract + write of this
+                # partition's own pipeline run
+                "wall_s": wall_s,
+                "rows_per_sec": round(sum(counts.values()) / wall_s, 1)
+                if wall_s > 0 else 0.0,
+            }
+            # Fold the partition's terminal rows into the done manifest
+            # BEFORE committing its lineage entry: a crash between the two
+            # leaves an uncommitted partition that a rerun reprocesses, and
+            # the fold's idempotent shard union absorbs the rerun — the
+            # reverse order could commit a partition whose urls were never
+            # recorded (exactly-once-per-url would then be violated by a
+            # duplicate url in a later partition).
+            if update_row_manifest and done_manifest_path:
+                update_done_manifest(status_root, done_manifest_path,
+                                     run_id=run_id)
+            manifest.commit(key, entry)
+            manifest.heartbeat()
+            log.info("partition %s committed: %s", key, counts)
+            summary["processed"].append(key)
+            for s, c in counts.items():
+                summary["counts"][s] = summary["counts"].get(s, 0) + c
+        if on_complete is not None:
+            # Alert hook (reference: SendAlert on run outcome,
+            # /root/reference/pmocr.sh:428-480) — driver-side callback, not
+            # a dataflow operator.
+            on_complete(summary)
+        return summary
+    finally:
+        # a daemon mints a run id per round: release this round's log
+        # file, or every round would leave one descriptor open
+        close_file_sinks(log)
 
-        # per-partition metrics from the written output (columnar read
-        # of one small column, not a second pipeline run; vectorized)
-        counts: dict[str, int] = {}
-        for f in glob.glob(os.path.join(status_root, "*.parquet")):
-            for s in pc.value_counts(
-                    pq.read_table(f, columns=["status"])["status"]).to_pylist():
-                counts[s["values"]] = counts.get(s["values"], 0) + s["counts"]
-        entry = {
-            "partition": os.path.basename(path),
-            "key": key,
-            "run_id": run_id,
-            "completed_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-            "num_rows": sum(counts.values()),
-            "counts": counts,
-            # per-partition throughput metrics (north-rule "lineage +
-            # metrics"): wall time covers extract + write of this
-            # partition's own pipeline run
-            "wall_s": wall_s,
-            "rows_per_sec": round(sum(counts.values()) / wall_s, 1)
-            if wall_s > 0 else 0.0,
-        }
-        # Fold the partition's terminal rows into the done manifest
-        # BEFORE committing its lineage entry: a crash between the two
-        # leaves an uncommitted partition that a rerun reprocesses, and
-        # the fold's idempotent shard union absorbs the rerun — the
-        # reverse order could commit a partition whose urls were never
-        # recorded (exactly-once-per-url would then be violated by a
-        # duplicate url in a later partition).
-        if update_row_manifest and done_manifest_path:
-            update_done_manifest(status_root, done_manifest_path,
-                                 run_id=run_id)
-        manifest.commit(key, entry)
-        manifest.heartbeat()
-        log.info("partition %s committed: %s", key, counts)
-        summary["processed"].append(key)
-        for s, c in counts.items():
-            summary["counts"][s] = summary["counts"].get(s, 0) + c
-    if on_complete is not None:
-        # Alert hook (reference: SendAlert on run outcome,
-        # /root/reference/pmocr.sh:428-480) — driver-side callback, not
-        # a dataflow operator.
-        on_complete(summary)
-    return summary
+
+def count_statuses(output_dir: str) -> dict[str, int]:
+    """Rows per status of one written run output, by key (reference:
+    errorcount/failedPidsList tallies, pmocr.sh:1047-1063) — a
+    columnar read of the ``status`` column of each parquet file, not a
+    second pipeline run.  The tally of a CLI batch run and of each
+    service partition's lineage entry."""
+    counts: dict[str, int] = {}
+    for f in glob.glob(os.path.join(output_dir, "*.parquet")):
+        for s in pc.value_counts(
+                pq.read_table(f, columns=["status"])["status"]).to_pylist():
+            counts[s["values"]] = counts.get(s["values"], 0) + s["counts"]
+    return dict(sorted(counts.items()))
 
 
 def _read_terminal_rows(output_path: str):

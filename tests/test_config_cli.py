@@ -173,6 +173,16 @@ class TestCli:
         p1 = glob.glob(os.path.join(out_dir, "in1-1", "part-*"))[0]
         assert sorted(os.listdir(p0)) == ["csv", "text"]
         assert sorted(os.listdir(p1)) == ["jsonl", "text"]
+        # each nested dir still skips the urls of the one --done-manifest
+        from pmocr_ray.state.manifest import load_done_urls
+
+        in_done = load_done_urls(done).intersection(
+            pq.read_table(src[0], columns=["url"])["url"].to_pylist())
+        statuses = []
+        for f in glob.glob(os.path.join(p0, "text", "*.parquet")):
+            statuses += pq.read_table(f, columns=["status"])[
+                "status"].to_pylist()
+        assert in_done and statuses.count("skipped_suffix") == len(in_done)
 
     def test_service_mode_auto_from_config(self, pages_fixture, tmp_path,
                                            capsys):

@@ -173,54 +173,3 @@ def test_run_logger_late_log_dir_attaches_file_sink(tmp_path):
     get_run_logger("latefile", log_dir=str(tmp_path))
     assert sum(isinstance(h, logging.FileHandler)
                for h in lg1.handlers) == 1
-
-
-def test_bench_op_ledger_flags_and_keep_better(tmp_path, monkeypatch):
-    """bench.py's per-op regression self-gate: probe-normalized deltas
-    vs the ledger best, >1.5x flags, keep-better updates, new ops
-    recorded, and a better reading tightens the gate."""
-    import importlib.util
-    import json
-    import os
-    import sys
-
-    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    spec = importlib.util.spec_from_file_location(
-        "bench_mod", os.path.join(repo, "bench.py"))
-    bench = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench)
-
-    ledger_path = str(tmp_path / "ledger.json")
-    monkeypatch.setattr(bench, "LEDGER_PATH", ledger_path)
-    with open(ledger_path, "w") as f:
-        json.dump({"opA": {"best_norm": 1.0, "best_raw_sec": 1.8,
-                           "spin_sec_hi": 1.8, "recorded": "seed"}}, f)
-
-    res = {"queries": {"opA": 3.3, "opB": 0.9},
-           "host_probe_pre": {"spin_sec_hi": 2.0},
-           "host_probe_post": {"spin_sec_hi": 2.0}}
-    bench._update_op_ledger(res)
-    assert res["regression_flags"] == ["opA"]      # 3.3/2.0 = 1.65x best
-    assert abs(res["op_norm_deltas"]["opA"] - 1.65) < 0.01
-    led = json.load(open(ledger_path))
-    assert led["opA"]["best_norm"] == 1.0          # worse reading kept out
-    assert led["opB"]["best_norm"] == 0.45         # new op recorded
-
-    # a better window updates the best and clears the flag
-    res2 = {"queries": {"opA": 1.6},
-            "host_probe_pre": {"spin_sec_hi": 2.0},
-            "host_probe_post": {"spin_sec_hi": 2.0}}
-    bench._update_op_ledger(res2)
-    assert res2["regression_flags"] == []
-    assert res2["ledger_window_coherent"] is True
-    assert json.load(open(ledger_path))["opA"]["best_norm"] == 0.8
-
-    # INCOHERENT window (probes disagree > 30%): deltas/flags still
-    # reported, but the best must NOT ratchet on a mispriced mean
-    res3 = {"queries": {"opA": 0.8},  # would be norm 0.27 vs best 0.8
-            "host_probe_pre": {"spin_sec_hi": 2.0},
-            "host_probe_post": {"spin_sec_hi": 4.0}}
-    bench._update_op_ledger(res3)
-    assert res3["ledger_window_coherent"] is False
-    assert "opA" in res3["op_norm_deltas"]
-    assert json.load(open(ledger_path))["opA"]["best_norm"] == 0.8

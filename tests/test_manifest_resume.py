@@ -78,14 +78,14 @@ def test_dirwatcher_push_events(tmp_path):
     import threading
     import time as _t
 
-    from pmocr_ray.state.inotify import DirWatcher, inotify_available
+    from pmocr_ray.state.inotify import DirWatcher, inotify_available, wait_any
 
     if not inotify_available():  # pragma: no cover - non-Linux
         pytest.skip("platform lacks inotify")
     d = tmp_path / "watched"
     d.mkdir()
     with DirWatcher(str(d), suffix=".parquet") as w:
-        assert w.wait(0.05) == []  # timeout -> forced-run wake
+        assert wait_any([w], 0.05) == {}  # timeout -> forced-run wake
 
         def arrive():
             _t.sleep(0.1)
@@ -96,9 +96,9 @@ def test_dirwatcher_push_events(tmp_path):
 
         t = threading.Thread(target=arrive)
         t.start()
-        events = w.wait(5.0)
+        events = wait_any([w], 5.0)
         t.join()
-        assert events == ["part-0.parquet"]
+        assert events == {str(d): ["part-0.parquet"]}
 
 
 def test_serve_push_wakes_on_new_partition(tmp_env):
@@ -474,6 +474,28 @@ def test_service_round_stamps_processed_at(tmp_env):
     assert len(set(stamps)) == 1 and stamps[0] >= t0  # one stamp per round
     folded = pq.read_table(done, columns=["processed_at"])["processed_at"]
     assert set(folded.to_pylist()) == set(stamps)
+
+
+def test_service_rounds_release_their_log_files(tmp_path):
+    """Each round logs to ``<manifest_dir>/<run_id>.log`` and closes
+    that file when it returns: a daemon minting a run id per round must
+    not leak one descriptor per round."""
+    pages = tmp_path / "incoming"
+    pages.mkdir()  # nothing new: a round does no Ray work
+    manifest_dir = str(tmp_path / "manifest")
+
+    def open_fds():
+        return len(os.listdir("/proc/self/fd"))
+
+    run_incremental(str(pages), str(tmp_path / "out"), manifest_dir,
+                    run_id="warm")  # pays one-time imports
+    before = open_fds()
+    for i in range(50):
+        run_incremental(str(pages), str(tmp_path / "out"), manifest_dir,
+                        run_id=f"run-{i}")
+    assert open_fds() <= before
+    for i in range(50):
+        assert os.path.exists(os.path.join(manifest_dir, f"run-{i}.log"))
 
 
 def test_heartbeat_written(tmp_env):
