@@ -18,6 +18,7 @@ zero-copy from the object store).
 from __future__ import annotations
 
 import datetime
+import functools
 
 import numpy as np
 import pyarrow as pa
@@ -150,41 +151,44 @@ class ExtractStage:
         )
 
 
-# Per-worker-process cache of extraction stages.  Ray worker processes
-# persist across tasks, so a plain task `map_batches(fn)` with a
-# module-level cache keeps the engine warm across batches — and, when
-# the read is not split (file count == requested blocks,
-# batch_size=None), lets Ray fuse read→extract→write into ONE task
-# operator so the payload column never leaves the read task (see
-# run_extraction's docstring for the measured tradeoff).  Keyed by a
-# token minted once per pipeline construction; bounded (a worker that
-# serves many runs keeps only the most recent stages).
-_TASK_STAGE_CACHE: dict = {}
-_TASK_STAGE_CACHE_MAX = 4
+# The extraction stage of the current run in this worker process, as
+# ``(token, ExtractStage)``.  Ray worker processes persist across tasks,
+# so a plain task ``map_batches(fn)`` with a module-level slot keeps the
+# engine warm across batches and tasks — and, when the read is not split
+# (file count == requested blocks, batch_size=None), lets Ray fuse
+# read→extract→write into ONE task operator so the payload column never
+# leaves the read task (see run_extraction's docstring for the measured
+# tradeoff).  The token is minted once per pipeline construction.  One
+# slot, not an LRU: a stage pins its run's whole done set, so a worker
+# that serves many runs keeps only the latest.
+_TASK_STAGE: tuple | None = None
+
+
+def _extract_cached(token: str, ctor_kwargs: dict, batch: pa.Table) -> pa.Table:
+    global _TASK_STAGE
+    if _TASK_STAGE is None or _TASK_STAGE[0] != token:
+        _TASK_STAGE = None  # release the previous run's done set first
+        _TASK_STAGE = (token, ExtractStage(**ctor_kwargs))
+    return _TASK_STAGE[1](batch)
 
 
 def make_task_extract_fn(**ctor_kwargs):
-    """Build the extract fn closing over the stage config.
+    """Build the extract fn for one run's stage config.
 
-    The closure (incl. broadcast ObjectRefs) ships to each worker once
-    per task-spec; the ``ExtractStage`` itself — registry resolution,
+    The fn (incl. broadcast ObjectRefs) ships to each worker once per
+    task-spec; the ``ExtractStage`` itself — registry resolution,
     ``ray.get`` of the done-url broadcast — is constructed once per
     worker *process* and reused for every subsequent batch/task.
+
+    The lookup must live in a module-level function: cloudpickle ships
+    a nested closure by value together with a private copy of every
+    global it reads, so a closure's cache would be a fresh, empty dict
+    in every task.  A ``partial`` over a module-level function pickles
+    by reference and reads this module's real ``_TASK_STAGE``.
     """
     import uuid as _uuid
 
-    token = _uuid.uuid4().hex
-
-    def extract_fused(batch: pa.Table) -> pa.Table:
-        st = _TASK_STAGE_CACHE.get(token)
-        if st is None:
-            if len(_TASK_STAGE_CACHE) >= _TASK_STAGE_CACHE_MAX:
-                _TASK_STAGE_CACHE.pop(next(iter(_TASK_STAGE_CACHE)))
-            st = ExtractStage(**ctor_kwargs)
-            _TASK_STAGE_CACHE[token] = st
-        return st(batch)
-
-    return extract_fused
+    return functools.partial(_extract_cached, _uuid.uuid4().hex, ctor_kwargs)
 
 
 def csv_hack(batch: pa.Table, column: str = "extracted_text",

@@ -589,3 +589,113 @@ def test_service_mode_engine_failure_drill(tmp_env, tmp_path):
     assert len(s3["processed"]) == 1 and len(s3["skipped"]) == 3
     assert s3["counts"].get("done", 0) > 0
     assert manifest.committed()[key] == entry  # drill entry untouched
+
+
+# -- done-manifest readers: Arrow loads vs pure-Python references -------
+
+def _ref_done_urls(path):
+    """The union as a Python-list read builds it."""
+    from pmocr_ray.state.manifest import _manifest_shard_files
+
+    urls = set()
+    for f in _manifest_shard_files(path or ""):
+        urls.update(pq.read_table(f, columns=["url"])["url"].to_pylist())
+    return frozenset(urls)
+
+
+def _ref_retry_state(path):
+    """Row-by-row split: max attempts per failed url (``attempts or 1``,
+    1 for a pre-``attempts`` shard), any non-failed record wins."""
+    from pmocr_ray import schema as S
+    from pmocr_ray.state.manifest import _manifest_shard_files
+
+    skip, failed = set(), {}
+    for f in _manifest_shard_files(path or ""):
+        t = pq.read_table(f).to_pylist()
+        for r in t:
+            if r["status"] == S.STATUS_FAILED:
+                failed[r["url"]] = max(failed.get(r["url"], 0),
+                                       r.get("attempts") or 1)
+            else:
+                skip.add(r["url"])
+    retry = {}
+    for u, a in failed.items():
+        if u in skip:
+            continue
+        if a >= S.MAX_TOTAL_ATTEMPTS:
+            skip.add(u)
+        else:
+            retry[u] = a
+    return frozenset(skip), retry
+
+
+def _write_shard(path, urls, statuses, attempts=None):
+    import pyarrow as pa
+
+    cols = {"url": pa.array(urls, pa.string()),
+            "status": pa.array(statuses, pa.string())}
+    if attempts is not None:
+        cols["attempts"] = pa.array(attempts, pa.int32())
+    pq.write_table(pa.table(cols), path)
+
+
+@pytest.fixture()
+def mixed_done_manifest(tmp_path):
+    """Three shards: a url failed in one shard and done in another, a
+    pre-``attempts`` shard, a url at the attempt budget, urls repeated
+    across shards."""
+    from pmocr_ray import schema as S
+
+    d = tmp_path / "done"
+    d.mkdir()
+    F, D, T = S.STATUS_FAILED, S.STATUS_DONE, S.STATUS_SKIPPED_TEXT
+    _write_shard(d / "shard-a.parquet",
+                 ["u/both", "u/retry", "u/budget", "u/done", "u/zero"],
+                 [F, F, F, D, F],
+                 [1, 1, S.MAX_TOTAL_ATTEMPTS, 1, 0])
+    _write_shard(d / "shard-b.parquet",
+                 ["u/both", "u/retry", "u/done", "u/text"],
+                 [D, F, D, T],
+                 [1, 2, 1, 1])
+    _write_shard(d / "shard-legacy.parquet",       # pre-attempts shard
+                 ["u/legacy-failed", "u/legacy-done", "u/retry"],
+                 [F, D, F])
+    return str(d)
+
+
+def test_load_done_urls_matches_list_union(tmp_path, mixed_done_manifest):
+    from pmocr_ray.state.manifest import load_done_urls
+
+    legacy = tmp_path / "legacy.parquet"
+    _write_shard(legacy, ["a", "b", "a"], ["done", "failed", "done"])
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    cases = {
+        "multi-shard": mixed_done_manifest,
+        "legacy file": str(legacy),
+        "missing": str(tmp_path / "nope"),
+        "empty dir": str(empty),
+        "none": None,
+    }
+    for name, path in cases.items():
+        got = load_done_urls(path)
+        assert isinstance(got, frozenset), name
+        assert got == _ref_done_urls(path), name
+        assert all(type(u) is str for u in got), name
+    assert len(load_done_urls(mixed_done_manifest)) == 8
+
+
+def test_load_retry_state_matches_reference(tmp_path, mixed_done_manifest):
+    from pmocr_ray.state.manifest import load_retry_state
+
+    skip, retry = load_retry_state(mixed_done_manifest)
+    assert (skip, retry) == _ref_retry_state(mixed_done_manifest)
+    assert retry == {"u/retry": 2, "u/zero": 1, "u/legacy-failed": 1}
+    assert {"u/both", "u/budget", "u/done", "u/text",
+            "u/legacy-done"} == skip
+
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    for path in (str(empty), str(tmp_path / "nope"), None):
+        assert (load_retry_state(path) == _ref_retry_state(path)
+                == (frozenset(), {}))
