@@ -16,7 +16,8 @@ import os
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-from pmocr_ray.state.manifest import load_done_urls, load_retry_state
+from pmocr_ray.state.manifest import (_manifest_shard_files, _read_urls,
+                                     load_retry_state)
 from pmocr_ray.state_machine import process_row
 
 
@@ -48,7 +49,9 @@ def run_oracle(pages_path: str, done_manifest_path: str | None = None,
     if retry_failed and done_manifest_path:
         done, retry = load_retry_state(done_manifest_path)
     else:
-        done = load_done_urls(done_manifest_path)
+        # read afresh, not through load_done_urls' cache: the reference
+        # must not share the optimisation it checks
+        done = _read_urls(_manifest_shard_files(done_manifest_path or ""))
     pp = resolve_preprocessors(preprocessors) or None
 
     out = {k: [] for k in

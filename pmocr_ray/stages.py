@@ -5,7 +5,8 @@ Stage kinds mirror the reference's execution split (SURVEY §2.7/§4):
 * cheap, pure, vectorizable steps (sniffing, projections, status
   predicates) are **stateless task** ``map_batches`` functions;
 * the extraction engines are a **callable class** cached once per
-  worker process (:func:`make_task_extract_fn`) — registry/config
+  worker process per run (:func:`make_task_extract_fn`), over a done
+  set fetched once per process per broadcast set — registry/config
   resolved once in ``__init__``, amortized across batches and tasks,
   mirroring the reference's long-lived OCR service processes
   (/root/reference/pmocr.sh:1825-1852 resolves the engine once at
@@ -47,10 +48,12 @@ def sniff_stage(batch: pa.Table) -> pa.Table:
 class ExtractStage:
     """Extraction engine stage.
 
-    One instance per worker process (see :func:`make_task_extract_fn`);
-    ``__init__`` resolves the extractor registry, materializes the
-    broadcast done-url set (``ray.put`` once on the driver, ``ray.get``
-    once per process — never re-shipped per batch), and pins the
+    One instance per worker process per run (see
+    :func:`make_task_extract_fn`); ``__init__`` resolves the extractor
+    registry, materializes the broadcast done-url set (``ray.put`` once
+    per set on the driver, ``ray.get`` once per process per broadcast
+    set — never re-shipped per batch, and not again for a later run
+    over the same set, :func:`_done_set`), and pins the
     ``processed_at`` stamp of its rows.  ``__call__`` runs each row of
     a batch through the shared state machine
     (:func:`pmocr_ray.state_machine.process_row`).
@@ -76,8 +79,7 @@ class ExtractStage:
         def _get(ref):
             return ray.get(ref) if isinstance(ref, ray.ObjectRef) else ref
 
-        self.done_urls = (frozenset(_get(done_urls_ref))
-                          if done_urls_ref is not None else frozenset())
+        self.done_urls = _done_set(done_urls_ref)
         # {url: prior_attempts} for quarantined urls being re-driven
         # (--retry-failed); broadcast once like the done set
         self.retry_attempts: dict = (dict(_get(retry_attempts_ref))
@@ -151,6 +153,43 @@ class ExtractStage:
         )
 
 
+def _session_key() -> tuple[str, str]:
+    """The Ray session this process is in, as ``(node id, job id)``: the
+    scope in which an ObjectRef stays valid.  The node id alone misses a
+    second connection to a running cluster (same head node, new job,
+    whose predecessor's objects are freed with its driver); the job id
+    alone misses a local ``ray.shutdown()``/``ray.init()``, which starts
+    the job counter again."""
+    import ray
+
+    ctx = ray.get_runtime_context()
+    return ctx.get_node_id(), ctx.get_job_id()
+
+
+# The broadcast done set this process holds, as ``((ref id, session
+# key), frozenset)``.  The driver hands every run over an unchanged
+# manifest the same ObjectRef (pipeline.load_done_urls_ref), so the set
+# is fetched and unpickled once per process per set, not once per run.
+# A ref id is unique within a session (:func:`_session_key`).  One
+# slot: a new set replaces the old, which is released first, so a
+# worker pins at most one set.
+_DONE_SET: tuple | None = None
+
+
+def _done_set(done_urls_ref) -> frozenset:
+    global _DONE_SET
+    import ray
+
+    if not isinstance(done_urls_ref, ray.ObjectRef):
+        return (frozenset(done_urls_ref) if done_urls_ref is not None
+                else frozenset())
+    key = (done_urls_ref.hex(), _session_key())
+    if _DONE_SET is None or _DONE_SET[0] != key:
+        _DONE_SET = None  # release the previous set before the fetch
+        _DONE_SET = (key, frozenset(ray.get(done_urls_ref)))
+    return _DONE_SET[1]
+
+
 # The extraction stage of the current run in this worker process, as
 # ``(token, ExtractStage)``.  Ray worker processes persist across tasks,
 # so a plain task ``map_batches(fn)`` with a module-level slot keeps the
@@ -167,7 +206,7 @@ _TASK_STAGE: tuple | None = None
 def _extract_cached(token: str, ctor_kwargs: dict, batch: pa.Table) -> pa.Table:
     global _TASK_STAGE
     if _TASK_STAGE is None or _TASK_STAGE[0] != token:
-        _TASK_STAGE = None  # release the previous run's done set first
+        _TASK_STAGE = None  # release the previous run's stage first
         _TASK_STAGE = (token, ExtractStage(**ctor_kwargs))
     return _TASK_STAGE[1](batch)
 
@@ -177,8 +216,9 @@ def make_task_extract_fn(**ctor_kwargs):
 
     The fn (incl. broadcast ObjectRefs) ships to each worker once per
     task-spec; the ``ExtractStage`` itself — registry resolution,
-    ``ray.get`` of the done-url broadcast — is constructed once per
-    worker *process* and reused for every subsequent batch/task.
+    config — is constructed once per worker *process* per run and
+    reused for every subsequent batch/task, and its ``ray.get`` of the
+    done-url broadcast happens once per process per broadcast set.
 
     The lookup must live in a module-level function: cloudpickle ships
     a nested closure by value together with a private copy of every

@@ -27,8 +27,11 @@ partitions (DispatchRunner's DISPATCH_NEEDED cap, pmocr.sh:2195-2224).
 The row-level **done manifest** (a directory of parquet shards, one
 per folded output, :func:`update_done_manifest`) is read here too, and
 only here: :func:`load_done_urls` is the one reader that unions its
-urls (the batch skip set and the oracle's), :func:`load_retry_state`
-the one that splits it for ``--retry-failed``.
+urls (the batch skip set; the oracle reads the same union uncached),
+:func:`load_retry_state` the one that splits it for
+``--retry-failed``.  The union is kept between calls and extended with
+new shards only, so each partition of a service round reads the one
+shard the previous partition's fold wrote, not the whole history.
 
 Scale note: at 10^12 documents this manifest is metadata-only — one
 entry per multi-GB partition, listed and diffed on the driver without
@@ -265,14 +268,57 @@ def _manifest_shard_files(done_manifest_path: str) -> list[str]:
     return []
 
 
+# The last set :func:`load_done_urls` returned, as ``(abspath,
+# {shard: (st_ino, st_size, st_mtime_ns)}, frozenset)``.  One slot: a
+# process reads one done manifest at a time (a service round, a batch
+# rerun), and each set it keeps is the whole history.
+_DONE_URLS: tuple | None = None
+
+
 def load_done_urls(done_manifest_path: str | None) -> frozenset[str]:
     """The union of the done manifest's urls (the ``url`` column of each
     shard; a legacy single-file manifest is one shard) — the skip set
     of every non-retry run.  Read through Arrow: ``to_numpy`` yields
     the same ``str`` objects as ``to_pylist`` at a fraction of the
-    cost."""
+    cost.
+
+    Append-only across calls in one process: when every shard of the
+    previous call's manifest still has its ``(inode, size, mtime)``, only
+    the shards added since are read and unioned onto the previous set —
+    with none added, the previous set object itself is returned.  Any
+    other change (a shard removed or rewritten, a legacy file migrated,
+    another path) reads every shard again.  This relies on the one rule
+    of :func:`update_done_manifest`: a shard is only ever written to a
+    tmp file and renamed into place, so a rewritten shard has a new
+    inode.  A cold read is the same extension, from the empty set, so a
+    one-shot ``cli --batch`` run reads the whole manifest as before; a
+    long-lived driver (``serve_multi``, repeated pipeline runs) pays for
+    history once and afterwards only for new shards.
+    """
+    global _DONE_URLS
+    path = done_manifest_path or ""
+    stats = {}
+    for f in _manifest_shard_files(path):
+        st = os.stat(f)
+        stats[f] = (st.st_ino, st.st_size, st.st_mtime_ns)
+    root = os.path.abspath(path)
+    base, known = frozenset(), {}
+    if _DONE_URLS is not None and _DONE_URLS[0] == root and all(
+            stats.get(f) == st for f, st in _DONE_URLS[1].items()):
+        _, known, base = _DONE_URLS
+    new = [f for f in stats if f not in known]
+    urls = base | _read_urls(new) if new else base
+    _DONE_URLS = (root, stats, urls)
+    return urls
+
+
+def _read_urls(files: list[str]) -> frozenset[str]:
+    """The union of the ``url`` column of the given shard files, read
+    with no cache: :func:`load_done_urls` extends its set with it, and
+    the single-process oracle reads the whole manifest through it, so
+    the oracle's skip set never depends on that cache."""
     urls: set[str] = set()
-    for f in _manifest_shard_files(done_manifest_path or ""):
+    for f in files:
         urls.update(pq.read_table(f, columns=["url"])["url"]
                     .to_numpy(zero_copy_only=False))
     return frozenset(urls)
@@ -382,6 +428,9 @@ def update_done_manifest(output_path: str, done_manifest_path: str,
         mask = pc.invert(pc.is_in(prev["url"], value_set=table["url"]))
         table = pa.concat_tables([table, prev.filter(mask)])
     table = table.sort_by("url")
+    # Shards are written only as tmp + os.replace, never in place: a
+    # rewritten shard then has a new inode, which is how load_done_urls
+    # tells it from a shard it has already read.
     tmp = shard_path + ".tmp"
     pq.write_table(table, tmp)
     os.replace(tmp, shard_path)

@@ -663,26 +663,151 @@ def mixed_done_manifest(tmp_path):
     return str(d)
 
 
-def test_load_done_urls_matches_list_union(tmp_path, mixed_done_manifest):
-    from pmocr_ray.state.manifest import load_done_urls
+def _write_output(out_dir, urls):
+    """A run output directory with ``urls`` all done, as a fold reads it."""
+    import datetime
+
+    import pyarrow as pa
+
+    from pmocr_ray import schema as S
+
+    os.makedirs(out_dir, exist_ok=True)
+    n = len(urls)
+    pq.write_table(pa.table({
+        "url": pa.array(urls, pa.string()),
+        "status": pa.array([S.STATUS_DONE] * n, pa.string()),
+        "attempts": pa.array([1] * n, pa.int32()),
+        "processed_at": pa.array([datetime.datetime(2024, 1, 1)] * n,
+                                 pa.timestamp("us")),
+    }), os.path.join(out_dir, "part-0.parquet"))
+
+
+@pytest.fixture()
+def shard_reads(monkeypatch):
+    """Counts ``pq.read_table`` calls made inside ``load_done_urls``."""
+    from pmocr_ray import pipeline
+    from pmocr_ray.state import manifest
+
+    reads, inside = [], []
+    read_table, load = pq.read_table, manifest.load_done_urls
+
+    def counting_read(path, *args, **kwargs):
+        if inside:
+            reads.append(path)
+        return read_table(path, *args, **kwargs)
+
+    def flagged_load(path):
+        inside.append(True)
+        try:
+            return load(path)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(pq, "read_table", counting_read)
+    monkeypatch.setattr(manifest, "load_done_urls", flagged_load)
+    monkeypatch.setattr(pipeline, "load_done_urls", flagged_load)
+    return reads
+
+
+def test_load_done_urls_matches_list_union(tmp_path, mixed_done_manifest,
+                                           shard_reads):
+    """After every event, the kept-between-calls union equals a cold
+    ``to_pylist`` union of the manifest as it now is on disk."""
+    from pmocr_ray.state import manifest
+    from pmocr_ray.state.manifest import update_done_manifest
 
     legacy = tmp_path / "legacy.parquet"
     _write_shard(legacy, ["a", "b", "a"], ["done", "failed", "done"])
     empty = tmp_path / "empty"
     empty.mkdir()
-    cases = {
-        "multi-shard": mixed_done_manifest,
-        "legacy file": str(legacy),
-        "missing": str(tmp_path / "nope"),
-        "empty dir": str(empty),
-        "none": None,
-    }
-    for name, path in cases.items():
-        got = load_done_urls(path)
+    out1, out2 = str(tmp_path / "out1"), str(tmp_path / "out2")
+
+    def fold(out, urls, path):
+        _write_output(out, urls)
+        update_done_manifest(out, path)
+
+    steps = [
+        ("multi-shard", mixed_done_manifest, None),
+        ("unchanged", mixed_done_manifest, None),
+        ("fold adds a shard", mixed_done_manifest,
+         lambda: fold(out1, ["u/new1", "u/done"], mixed_done_manifest)),
+        ("re-fold rewrites a shard", mixed_done_manifest,
+         lambda: fold(out1, ["u/new2"], mixed_done_manifest)),
+        ("shard deleted", mixed_done_manifest,
+         lambda: os.remove(os.path.join(mixed_done_manifest, "shard-b.parquet"))),
+        ("legacy file", str(legacy), None),
+        ("legacy migrated", str(legacy), lambda: fold(out2, ["c"], str(legacy))),
+        ("missing", str(tmp_path / "nope"), None),
+        ("empty dir", str(empty), None),
+        ("none", None, None),
+        ("back to multi-shard", mixed_done_manifest, None),
+    ]
+    prev = None
+    for name, path, event in steps:
+        if event is not None:
+            event()
+        del shard_reads[:]
+        got = manifest.load_done_urls(path)
         assert isinstance(got, frozenset), name
         assert got == _ref_done_urls(path), name
         assert all(type(u) is str for u in got), name
-    assert len(load_done_urls(mixed_done_manifest)) == 8
+        if name == "unchanged":
+            assert got is prev and not shard_reads, name
+        if name == "fold adds a shard":
+            assert len(shard_reads) == 1, name
+        prev = got
+    assert os.path.isdir(legacy)
+    assert {"u/new1", "u/new2"} <= prev and "u/text" not in prev
+    assert len(manifest.load_done_urls(mixed_done_manifest)) == 9
+
+
+def test_oracle_reads_the_done_manifest_uncached(pages_fixture, monkeypatch):
+    """The oracle's skip set is the manifest on disk, never the kept
+    union: with that union made stale, the oracle still skips exactly
+    the partition's urls of an independent cold union."""
+    from pmocr_ray import schema as S
+    from pmocr_ray.oracle import run_oracle
+    from pmocr_ray.state import manifest
+
+    pages, done = pages_fixture
+    part = sorted(glob.glob(os.path.join(pages, "*.parquet")))[0]
+    manifest.load_done_urls(done)
+    root, stats, _ = manifest._DONE_URLS
+    monkeypatch.setattr(manifest, "_DONE_URLS", (root, stats, frozenset()))
+    assert manifest.load_done_urls(done) == frozenset()  # the cache is stale
+
+    out = run_oracle(part, done)
+    skipped = {u for u, st in zip(out["url"].to_pylist(),
+                                  out["status"].to_pylist())
+               if st == S.STATUS_SKIPPED_SUFFIX}
+    expected = set(pq.read_table(part, columns=["url"])["url"].to_pylist())
+    assert skipped and skipped == expected & _ref_done_urls(done)
+
+
+def test_service_round_reads_each_shard_once(tmp_path, pages_fixture,
+                                             shard_reads):
+    """One round over P partitions against an H-shard manifest reads
+    the H shards once, then only the shard each fold adds: H + P - 1
+    shard reads, not P x H."""
+    pages, _ = pages_fixture
+    src = sorted(glob.glob(os.path.join(pages, "*.parquet")))[:3]
+    monitored = tmp_path / "in"
+    monitored.mkdir()
+    for f in src:
+        shutil.copy(f, monitored / os.path.basename(f))
+    done = tmp_path / "done"
+    done.mkdir()
+    for h in range(4):
+        _write_shard(done / f"hist-{h}.parquet", [f"h/{h}/{i}" for i in range(5)],
+                     ["done"] * 5)
+
+    s = run_incremental(str(monitored), str(tmp_path / "out"),
+                        str(tmp_path / "mani"), str(done),
+                        update_row_manifest=True)
+
+    assert len(s["processed"]) == 3
+    assert len(shard_reads) == 4 + 3 - 1
+    assert len(set(shard_reads)) == len(shard_reads)
 
 
 def test_load_retry_state_matches_reference(tmp_path, mixed_done_manifest):
