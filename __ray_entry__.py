@@ -104,6 +104,23 @@ def _extraction_output_dir(sf_dir: str) -> str:
     return out_dir
 
 
+def _clear_run_outputs(sf_dir: str) -> None:
+    """Delete the run outputs cached beside the pages fixture — the
+    flagship's ``extract_out`` and ``_q_retry_redrive``'s
+    ``retry_demo`` — so the next query recomputes them with the code
+    now loaded.  Both are cached across processes and never rebuilt
+    otherwise, so a checker that skips this checks whatever code
+    version wrote them."""
+    import shutil
+
+    from pmocr_ray.fixtures import fixture_dir
+
+    root = fixture_dir(sf_dir, REPS)
+    for name in ("extract_out", "retry_demo"):
+        shutil.rmtree(os.path.join(root, name), ignore_errors=True)
+    _extract_cache.pop(sf_dir, None)
+
+
 def _read_output(sf_dir: str):
     import ray.data as rd
 

@@ -9,7 +9,7 @@ environment, so the *engine internals* operate on the deterministic
 synthetic PDF layout produced by :mod:`pmocr_ray.fixtures` (text shown
 via ``(...) Tj`` operators inside a content stream — the real PDF text
 operator).  The *plumbing* — binary column in, routed by sniffing,
-an extraction stage built once per worker process, text-layer fast
+an extraction stage over a per-process done set, text-layer fast
 path, failure quarantine — is the real engine-agnostic machinery; a
 production deployment swaps
 ``extract_pdf`` for e.g. pdfminer via the extractor registry

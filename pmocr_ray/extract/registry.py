@@ -5,9 +5,10 @@ Reference parity: pmOCR supports any OCR engine via configuration
 /root/reference/pmocr.sh:1825-1852, default.conf:24-87); the engine is
 resolved once at startup (``SetOCREngineOptions``).  Here an extractor
 is a pure function ``bytes -> str`` registered under a content type;
-the extraction stage (:class:`pmocr_ray.stages.ExtractStage`) is built
-once per worker process and resolves the registry in its ``__init__``
-(amortized, mirroring the long-lived engine processes).
+the extraction stage (:class:`pmocr_ray.stages.ExtractStage`) resolves
+the registry in its ``__init__``, a dict copy per batch; the state kept
+warm per worker process is the broadcast done set, mirroring the
+long-lived engine processes.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ def get_extractor(content_type: str) -> Callable[[bytes], str]:
 # _ARGS, /root/reference/default.conf:92-99, applied per conversion at
 # pmocr.sh:1906-1921) as a registry of named bytes-like -> bytes-like
 # transforms.  Config selects them by name (``preprocessors=a,b``); the
-# extraction stage resolves names once per worker process in ``__init__``.
+# extraction stage resolves names in ``__init__``, once per batch.
 
 
 def strip_bom(payload):

@@ -45,13 +45,10 @@ def run_oracle(pages_path: str, done_manifest_path: str | None = None,
     from pmocr_ray.extract.registry import resolve_preprocessors
 
     pages = _read_pages(pages_path).sort_by("url")
-    retry: dict = {}
-    if retry_failed and done_manifest_path:
-        done, retry = load_retry_state(done_manifest_path)
-    else:
-        # read afresh, not through load_done_urls' cache: the reference
-        # must not share the optimisation it checks
-        done = _read_urls(_manifest_shard_files(done_manifest_path or ""))
+    # read afresh, not through load_done_urls' cache: the reference
+    # must not share the optimisation it checks
+    done = _read_urls(_manifest_shard_files(done_manifest_path or ""))
+    retry = load_retry_state(done_manifest_path) if retry_failed else {}
     pp = resolve_preprocessors(preprocessors) or None
 
     out = {k: [] for k in

@@ -4,9 +4,9 @@ Batch mode mirrors ``pmocr.sh --batch`` (/root/reference/pmocr.sh:
 2321-2496 → OCR_Dispatch :2111-2192 → ExecTasks :795-1237): discover →
 filter already-processed → route → convert → mark done / quarantine.
 Here discovery is ``read_parquet``, the filter is a broadcast done-url
-set, routing is content sniffing, conversion is the extract stage
-(cached once per worker process), and done/quarantine are status
-columns in partitioned Parquet output.
+set, routing is content sniffing, conversion is the extract stage (over
+a done set kept once per worker process), and done/quarantine are
+status columns in partitioned Parquet output.
 
 Scale notes (the 100 TB story):
 
@@ -16,8 +16,9 @@ Scale notes (the 100 TB story):
   only, so a rerun against an unchanged manifest loads, puts and
   unpickles nothing again, and each partition of a service round reads
   only the shard the previous partition's fold wrote (a one-shot batch
-  run pays one full load).  Correct while the done set of *row-level*
-  urls for the partitions in flight fits in memory.  At 10^12
+  run pays one full load).  A ``--retry-failed`` run shares that set
+  and puts only its small retry map.  Correct while the done set of
+  *row-level* urls for the partitions in flight fits in memory.  At 10^12
   documents the row-level manifest is partition-pruned first: a
   partition committed in the lineage manifest is never even read
   (metadata-only skip, see :mod:`pmocr_ray.state.manifest`), so the
@@ -132,24 +133,26 @@ def run_extraction(
     manifest whose lifetime attempt budget (``S.MAX_TOTAL_ATTEMPTS``) is
     not exhausted, carrying their attempt counter forward — the
     reference's postpone-retry (/root/reference/pmocr.sh:814-818,
-    1133-1193); :func:`~pmocr_ray.state_machine.process_row` picks the
-    budget per row.  ``preprocessors`` is an ordered list of registry names
-    or callables applied to each payload before the engine
-    (OCR_PREPROCESSOR_*, default.conf:92-99).
+    1133-1193).  The done set is the same broadcast as a plain run's;
+    only the ``{url: prior_attempts}`` map is put besides it, and
+    :func:`~pmocr_ray.state_machine.process_row` re-drives a done url
+    that carries a counter and picks its budget.  ``preprocessors`` is
+    an ordered list of registry names or callables applied to each
+    payload before the engine (OCR_PREPROCESSOR_*, default.conf:92-99).
 
-    The extract stage is a plain task ``map_batches`` whose fn lazily
-    constructs the warm :class:`~pmocr_ray.stages.ExtractStage` once
-    per worker process per run (module-level cache).  Read-fusion note:
-    Ray fuses the Parquet read INTO this operator (payload never enters
-    the object store) only when ``batch_size is None`` AND the input
-    file count equals ``num_blocks`` — any read split breaks fusion.
-    Interleaved A/Bs at 1.8M pages measured the fused and unfused plans
-    equal single-node (the streaming executor overlaps the read with
-    the parse, hiding the extra plasma hop), so the default keeps the
-    finer-waves split; on a multi-node cluster prefer input layouts
-    with ≥ ``5 × cluster_cpus`` files and pass ``batch_size=None`` so
-    the payload column also never crosses the NETWORK between read and
-    parse.
+    The extract stage is a plain task ``map_batches`` whose fn builds
+    an :class:`~pmocr_ray.stages.ExtractStage` per batch over the
+    broadcasts each worker process keeps (module-level cache).
+    Read-fusion note: Ray fuses the Parquet read INTO this operator
+    (payload never enters the object store) only when ``batch_size is
+    None`` AND the input file count equals ``num_blocks`` — any read
+    split breaks fusion.  Interleaved A/Bs at 1.8M pages measured the
+    fused and unfused plans equal single-node (the streaming executor
+    overlaps the read with the parse, hiding the extra plasma hop), so
+    the default keeps the finer-waves split; on a multi-node cluster
+    prefer input layouts with ≥ ``5 × cluster_cpus`` files and pass
+    ``batch_size=None`` so the payload column also never crosses the
+    NETWORK between read and parse.
     """
     if num_blocks is None:
         # Finer read splits pipeline better: ~5 waves per slot keeps the
@@ -158,13 +161,8 @@ def run_extraction(
         # At production scale the input block count is naturally ≫ this.
         num_blocks = max(5 * _cluster_cpus(), 16)
 
-    retry_ref = None
-    if retry_failed and done_manifest_path:
-        skip_urls, retry_map = load_retry_state(done_manifest_path)
-        done_ref = ray.put(skip_urls)
-        retry_ref = ray.put(retry_map) if retry_map else None
-    else:
-        done_ref = load_done_urls_ref(done_manifest_path)
+    done_ref = load_done_urls_ref(done_manifest_path)
+    retry = load_retry_state(done_manifest_path) if retry_failed else None
 
     # NOTE: no separate sniff pass here — ExtractStage sniffs each row
     # exactly once in-row (process_row), so the payload column crosses
@@ -174,7 +172,7 @@ def run_extraction(
     return read_pages(pages_path, num_blocks=num_blocks).map_batches(
         make_task_extract_fn(
             done_urls_ref=done_ref,
-            retry_attempts_ref=retry_ref,
+            retry_attempts_ref=ray.put(retry) if retry else None,
             processed_at=processed_at,
             check_existing_text=check_existing_text,
             max_payload_bytes=max_payload_bytes,

@@ -4,11 +4,11 @@ Stage kinds mirror the reference's execution split (SURVEY §2.7/§4):
 
 * cheap, pure, vectorizable steps (sniffing, projections, status
   predicates) are **stateless task** ``map_batches`` functions;
-* the extraction engines are a **callable class** cached once per
-  worker process per run (:func:`make_task_extract_fn`), over a done
-  set fetched once per process per broadcast set — registry/config
-  resolved once in ``__init__``, amortized across batches and tasks,
-  mirroring the reference's long-lived OCR service processes
+* the extraction engines are a **callable class** built for each
+  batch (:func:`make_task_extract_fn`) over broadcasts fetched once
+  per worker process per broadcast set (:func:`_broadcasts`) — the
+  one warm state, kept across batches, tasks and runs, mirroring the
+  reference's long-lived OCR service processes
   (/root/reference/pmocr.sh:1825-1852 resolves the engine once at
   startup; pmocr-srv keeps it warm).
 
@@ -26,7 +26,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from pmocr_ray import schema as S
-from pmocr_ray.extract.registry import EXTRACTORS
+from pmocr_ray.extract.registry import EXTRACTORS, resolve_preprocessors
 from pmocr_ray.extract.sniff import sniff_batch
 from pmocr_ray.state_machine import process_row
 
@@ -48,15 +48,14 @@ def sniff_stage(batch: pa.Table) -> pa.Table:
 class ExtractStage:
     """Extraction engine stage.
 
-    One instance per worker process per run (see
-    :func:`make_task_extract_fn`); ``__init__`` resolves the extractor
-    registry, materializes the broadcast done-url set (``ray.put`` once
-    per set on the driver, ``ray.get`` once per process per broadcast
-    set — never re-shipped per batch, and not again for a later run
-    over the same set, :func:`_done_set`), and pins the
-    ``processed_at`` stamp of its rows.  ``__call__`` runs each row of
-    a batch through the shared state machine
-    (:func:`pmocr_ray.state_machine.process_row`).
+    Built for each batch (see :func:`make_task_extract_fn`);
+    ``__init__`` resolves the extractor registry, takes the broadcast
+    done-url set and retry map (``ray.put`` once per set on the driver,
+    ``ray.get`` once per process per broadcast pair — never re-shipped
+    per batch, and not again for a later run over the same set,
+    :func:`_broadcasts`), and pins the ``processed_at`` stamp of its
+    rows.  ``__call__`` runs each row of a batch through the shared
+    state machine (:func:`pmocr_ray.state_machine.process_row`).
 
     Per-row Python here is the engine invocation itself (the reference
     execs one OCR process per file, /root/reference/pmocr.sh:1923-1963);
@@ -74,19 +73,11 @@ class ExtractStage:
         retry_attempts_ref=None,
         preprocessors=None,
     ) -> None:
-        import ray
-
-        def _get(ref):
-            return ray.get(ref) if isinstance(ref, ray.ObjectRef) else ref
-
-        self.done_urls = _done_set(done_urls_ref)
-        # {url: prior_attempts} for quarantined urls being re-driven
-        # (--retry-failed); broadcast once like the done set
-        self.retry_attempts: dict = (dict(_get(retry_attempts_ref))
-                                     if retry_attempts_ref is not None else {})
-        self.extractors = dict(EXTRACTORS)  # resolved once per process
-        from pmocr_ray.extract.registry import resolve_preprocessors
-
+        # retry_attempts: {url: prior_attempts} for quarantined urls
+        # being re-driven (--retry-failed); broadcast like the done set
+        self.done_urls, self.retry_attempts = _broadcasts(
+            done_urls_ref, retry_attempts_ref)
+        self.extractors = dict(EXTRACTORS)
         self.preprocessors = resolve_preprocessors(preprocessors) or None
         self.processed_at = processed_at or S.EPOCH
         self.check_existing_text = check_existing_text
@@ -166,69 +157,59 @@ def _session_key() -> tuple[str, str]:
     return ctx.get_node_id(), ctx.get_job_id()
 
 
-# The broadcast done set this process holds, as ``((ref id, session
-# key), frozenset)``.  The driver hands every run over an unchanged
-# manifest the same ObjectRef (pipeline.load_done_urls_ref), so the set
-# is fetched and unpickled once per process per set, not once per run.
-# A ref id is unique within a session (:func:`_session_key`).  One
-# slot: a new set replaces the old, which is released first, so a
-# worker pins at most one set.
-_DONE_SET: tuple | None = None
+# The broadcasts this process holds, as ``(key, (done frozenset, retry
+# dict))`` — the only state a worker keeps between batches.  The driver
+# hands every run over an unchanged manifest the same done ObjectRef
+# (pipeline.load_done_urls_ref), so the set is fetched and unpickled
+# once per process per set, not once per run or per batch.  The key is
+# both refs' ids and the session (:func:`_session_key`), in which a ref
+# id is unique.  One slot: a new pair replaces the old, which is
+# released first, so a worker pins at most one set.
+_BROADCASTS: tuple | None = None
 
 
-def _done_set(done_urls_ref) -> frozenset:
-    global _DONE_SET
+def _broadcasts(done_urls_ref, retry_attempts_ref) -> tuple[frozenset, dict]:
+    """``(done urls, {url: prior_attempts})``; plain values (a set, a
+    dict, ``None``) are used as given."""
+    global _BROADCASTS
     import ray
 
-    if not isinstance(done_urls_ref, ray.ObjectRef):
-        return (frozenset(done_urls_ref) if done_urls_ref is not None
-                else frozenset())
-    key = (done_urls_ref.hex(), _session_key())
-    if _DONE_SET is None or _DONE_SET[0] != key:
-        _DONE_SET = None  # release the previous set before the fetch
-        _DONE_SET = (key, frozenset(ray.get(done_urls_ref)))
-    return _DONE_SET[1]
+    pair = (done_urls_ref, retry_attempts_ref)
+    refs = [r for r in pair if isinstance(r, ray.ObjectRef)]
+    if not refs:
+        return frozenset(done_urls_ref or ()), dict(retry_attempts_ref or {})
+    key = (tuple(r.hex() if isinstance(r, ray.ObjectRef) else r for r in pair),
+           _session_key())
+    if _BROADCASTS is None or _BROADCASTS[0] != key:
+        _BROADCASTS = None  # release the previous pair before the fetch
+        fetched = iter(ray.get(refs))
+        done, retry = (next(fetched) if isinstance(r, ray.ObjectRef) else r
+                       for r in pair)
+        _BROADCASTS = (key, (frozenset(done or ()), dict(retry or {})))
+    return _BROADCASTS[1]
 
 
-# The extraction stage of the current run in this worker process, as
-# ``(token, ExtractStage)``.  Ray worker processes persist across tasks,
-# so a plain task ``map_batches(fn)`` with a module-level slot keeps the
-# engine warm across batches and tasks — and, when the read is not split
-# (file count == requested blocks, batch_size=None), lets Ray fuse
-# read→extract→write into ONE task operator so the payload column never
-# leaves the read task (see run_extraction's docstring for the measured
-# tradeoff).  The token is minted once per pipeline construction.  One
-# slot, not an LRU: a stage pins its run's whole done set, so a worker
-# that serves many runs keeps only the latest.
-_TASK_STAGE: tuple | None = None
-
-
-def _extract_cached(token: str, ctor_kwargs: dict, batch: pa.Table) -> pa.Table:
-    global _TASK_STAGE
-    if _TASK_STAGE is None or _TASK_STAGE[0] != token:
-        _TASK_STAGE = None  # release the previous run's stage first
-        _TASK_STAGE = (token, ExtractStage(**ctor_kwargs))
-    return _TASK_STAGE[1](batch)
+def _extract(ctor_kwargs: dict, batch: pa.Table) -> pa.Table:
+    return ExtractStage(**ctor_kwargs)(batch)
 
 
 def make_task_extract_fn(**ctor_kwargs):
     """Build the extract fn for one run's stage config.
 
     The fn (incl. broadcast ObjectRefs) ships to each worker once per
-    task-spec; the ``ExtractStage`` itself — registry resolution,
-    config — is constructed once per worker *process* per run and
-    reused for every subsequent batch/task, and its ``ray.get`` of the
-    done-url broadcast happens once per process per broadcast set.
+    task-spec and builds an ``ExtractStage`` per batch, a few
+    microseconds: its costly part, the broadcasts, is kept by the
+    persistent worker process across batches, tasks and runs
+    (:func:`_broadcasts`).  A plain task ``map_batches(fn)`` also lets
+    Ray fuse read→extract→write into ONE task operator when the read is
+    not split (see run_extraction's docstring).
 
-    The lookup must live in a module-level function: cloudpickle ships
-    a nested closure by value together with a private copy of every
-    global it reads, so a closure's cache would be a fresh, empty dict
-    in every task.  A ``partial`` over a module-level function pickles
-    by reference and reads this module's real ``_TASK_STAGE``.
+    The fn is a ``partial`` over a module-level function, which
+    cloudpickle ships by reference, so it reads this module's real
+    ``_BROADCASTS``; a nested closure would ship by value with a
+    private, empty copy of every global it reads.
     """
-    import uuid as _uuid
-
-    return functools.partial(_extract_cached, _uuid.uuid4().hex, ctor_kwargs)
+    return functools.partial(_extract, ctor_kwargs)
 
 
 def csv_hack(batch: pa.Table, column: str = "extracted_text",

@@ -27,11 +27,12 @@ partitions (DispatchRunner's DISPATCH_NEEDED cap, pmocr.sh:2195-2224).
 The row-level **done manifest** (a directory of parquet shards, one
 per folded output, :func:`update_done_manifest`) is read here too, and
 only here: :func:`load_done_urls` is the one reader that unions its
-urls (the batch skip set; the oracle reads the same union uncached),
-:func:`load_retry_state` the one that splits it for
-``--retry-failed``.  The union is kept between calls and extended with
-new shards only, so each partition of a service round reads the one
-shard the previous partition's fold wrote, not the whole history.
+urls (the skip set of every run; the oracle reads the same union
+uncached), :func:`load_retry_state` the one that picks the urls a
+``--retry-failed`` run re-drives from it.  The union is kept between
+calls and extended with new shards only, so each partition of a
+service round reads the one shard the previous partition's fold
+wrote, not the whole history.
 
 Scale note: at 10^12 documents this manifest is metadata-only — one
 entry per multi-GB partition, listed and diffed on the driver without
@@ -277,10 +278,10 @@ _DONE_URLS: tuple | None = None
 
 def load_done_urls(done_manifest_path: str | None) -> frozenset[str]:
     """The union of the done manifest's urls (the ``url`` column of each
-    shard; a legacy single-file manifest is one shard) — the skip set
-    of every non-retry run.  Read through Arrow: ``to_numpy`` yields
-    the same ``str`` objects as ``to_pylist`` at a fraction of the
-    cost.
+    shard; a legacy single-file manifest is one shard) — the done set
+    of every run, retry runs included.  Read through Arrow:
+    ``to_numpy`` yields the same ``str`` objects as ``to_pylist`` at a
+    fraction of the cost.
 
     Append-only across calls in one process: when every shard of the
     previous call's manifest still has its ``(inode, size, mtime)``, only
@@ -324,30 +325,28 @@ def _read_urls(files: list[str]) -> frozenset[str]:
     return frozenset(urls)
 
 
-def load_retry_state(done_manifest_path: str | None) -> tuple[frozenset, dict]:
-    """Split the done manifest for a ``--retry-failed`` run.
-
-    Returns ``(skip_urls, retry_attempts)``:
-
-    * ``skip_urls`` — urls never re-driven: any non-failed terminal
-      record, or failed with the lifetime attempt budget
-      ``S.MAX_TOTAL_ATTEMPTS`` exhausted (the reference stops
-      postponing after ``maxPostponeRetries``,
-      /root/reference/pmocr.sh:814-818).
-    * ``retry_attempts`` — ``{url: prior_attempts}`` for quarantined
-      urls still under budget; the pipeline re-drives them with the
-      counter carried forward.
+def load_retry_state(done_manifest_path: str | None) -> dict[str, int]:
+    """``{url: prior_attempts}`` for the quarantined urls a
+    ``--retry-failed`` run re-drives: those still under the lifetime
+    attempt budget ``S.MAX_TOTAL_ATTEMPTS`` (the reference stops
+    postponing after ``maxPostponeRetries``, pmocr.sh:814-818).  Every
+    other url of the manifest stays skipped through the run's ordinary
+    done set.
 
     Shards written before the ``attempts`` column existed default to 1
     (one full prior run), as does a missing or zero count.  A url
     recorded in several shards (e.g. a retry run folded beside the
     original) takes the max attempts and any non-failed status wins —
-    one Arrow ``group_by("url")`` over all shards.
+    one Arrow ``group_by("url")`` over the ``url``, ``status`` and
+    ``attempts`` columns of all shards.
     """
     parts = []
     for f in _manifest_shard_files(done_manifest_path or ""):
-        t = pq.read_table(f)
-        att = (t["attempts"].cast(pa.int64()) if "attempts" in t.column_names
+        with pq.ParquetFile(f) as pf:
+            has_att = "attempts" in pf.schema_arrow.names
+            t = pf.read(columns=["url", "status"]
+                        + (["attempts"] if has_att else []))
+        att = (t["attempts"].cast(pa.int64()) if has_att
                else pa.nulls(t.num_rows, pa.int64()))
         failed = pc.fill_null(pc.equal(t["status"], S.STATUS_FAILED), False)
         parts.append(pa.table({
@@ -361,17 +360,14 @@ def load_retry_state(done_manifest_path: str | None) -> tuple[frozenset, dict]:
             "not_failed": pc.invert(failed),
         }))
     if not parts:
-        return frozenset(), {}
+        return {}
     g = pa.concat_tables(parts).group_by("url").aggregate(
         [("failed_attempts", "max"), ("not_failed", "any")])
     budget_left = pc.fill_null(
         pc.less(g["failed_attempts_max"], S.MAX_TOTAL_ATTEMPTS), False)
-    is_retry = pc.and_(pc.invert(g["not_failed_any"]), budget_left)
-    skip = g["url"].filter(pc.invert(is_retry))
-    retry = g.filter(is_retry)
-    return (frozenset(skip.to_numpy(zero_copy_only=False)),
-            dict(zip(retry["url"].to_pylist(),
-                     retry["failed_attempts_max"].to_pylist())))
+    retry = g.filter(pc.and_(pc.invert(g["not_failed_any"]), budget_left))
+    return dict(zip(retry["url"].to_pylist(),
+                    retry["failed_attempts_max"].to_pylist()))
 
 
 def update_done_manifest(output_path: str, done_manifest_path: str,

@@ -15,7 +15,8 @@ predicates (pmocr.sh:2126-2180) as one pure function over a row:
 The attempt budget is decided here and nowhere else: a fresh row gets
 ``S.MAX_ATTEMPTS`` (retry once), a ``--retry-failed`` re-drive resumes
 its carried counter up to the lifetime ``S.MAX_TOTAL_ATTEMPTS``
-(maxPostponeRetries=3, pmocr.sh:814-818).
+(maxPostponeRetries=3, pmocr.sh:814-818), and a carried counter
+outranks the done-skip.
 
 Both the single-process golden oracle and the distributed extract
 stage call exactly this function, so distribution can only change
@@ -67,13 +68,21 @@ def process_row(
     (/root/reference/pmocr.sh:814-818,1133-1193).
 
     ``preprocessors`` is an ordered list of ``bytes-like -> bytes-like``
-    transforms applied to the payload BEFORE routing and extraction (the
-    reference pipes the intermediary through ``OCR_PREPROCESSOR_EXEC``
-    per conversion, pmocr.sh:1906-1921, default.conf:92-99; our router
-    is content-based rather than extension-based, so normalization must
-    precede the sniff).  A preprocessor exception is a data failure ->
+    transforms applied to a row that is not done-skipped, BEFORE
+    routing and extraction (the reference pipes the intermediary
+    through ``OCR_PREPROCESSOR_EXEC`` per conversion,
+    pmocr.sh:1906-1921, default.conf:92-99; our router is content-based
+    rather than extension-based, so normalization must precede the
+    sniff).  A preprocessor exception is a data failure ->
     quarantine (deterministic, so it is not retried).
     """
+    if is_done and not prior_attempts:
+        # Previously processed -> never reprocessed, nor preprocessed
+        # (idempotent restart; the reference never opens a done file).
+        # A --retry-failed re-drive is in the done manifest too, as
+        # failed: its carried counter marks it for the engine.
+        return sniff_content_type(payload), S.STATUS_SKIPPED_SUFFIX, 0, None, None
+
     extractors = extractors if extractors is not None else EXTRACTORS
     if preprocessors:
         try:
@@ -84,10 +93,6 @@ def process_row(
                     truncate_error(f"preprocessor: {type(exc).__name__}: {exc}"),
                     None)
     content_type = sniff_content_type(payload)
-
-    if is_done:
-        # Previously processed -> never reprocessed (idempotent restart).
-        return content_type, S.STATUS_SKIPPED_SUFFIX, 0, None, None
 
     if check_existing_text and content_type == S.CT_PDF and (
         (pre_text is not None and pre_text != "") or pdf_has_text_layer(payload)

@@ -10,8 +10,10 @@ path:
 
   round 1  healthy service round over the initial partitions
   round 2  a full partition arrives while the engine is poisoned (a
-           raising preprocessor — per-round engine config): EVERY row
-           of that partition must be quarantined, the partition still
+           raising preprocessor — per-round engine config): every row
+           of that partition must be quarantined except the urls the
+           seed done manifest holds, which skip untouched (the
+           reference never opens a done file), the partition still
            commits with its failure counts, prior lineage entries stay
            byte-identical
   round 3  engine fixed: the next arrival processes normally, the
@@ -104,28 +106,40 @@ def main() -> int:
     drill_path = os.path.join(monitored, os.path.basename(drill_src))
     shutil.copy(drill_src, drill_path)
     n_drill = pq.read_metadata(drill_src).num_rows
+    seed_urls = set(pq.read_table(seed_manifest, columns=["url"])
+                    ["url"].to_pylist())
+    drill_urls = set(pq.read_table(drill_src, columns=["url"])
+                     ["url"].to_pylist())
+    n_seeded = len(drill_urls & seed_urls)
+    expected = {k: v for k, v in (("failed", n_drill - n_seeded),
+                                  ("skipped_suffix", n_seeded)) if v}
     n_alerts_before = len(_alert_records())
     s2 = run_incremental(monitored, out_dir, mani_dir, done,
                          extract_kwargs={"preprocessors": [boom]},
                          on_complete=alert_hook)
     key = _partition_key(drill_path)
     entry = manifest.committed()[key]
-    ok_quarantine = (s2["counts"] == {"failed": n_drill}
-                     and entry["counts"] == {"failed": n_drill}
+    ok_quarantine = (s2["counts"] == expected
+                     and entry["counts"] == expected
                      and entry["num_rows"] == n_drill)
     # prior lineage entries byte-identical
     after = manifest.committed()
     ok_integrity = all(after[k] == v for k, v in committed_before.items())
-    # quarantined rows are real output rows carrying the engine error
+    # quarantined rows are real output rows carrying the engine error;
+    # the skipped rows are exactly the seeded urls
     part_files = glob.glob(os.path.join(out_dir, f"part-{key}", "*.parquet"))
-    t = pq.read_table(part_files, columns=["status", "error"])
+    t = pq.read_table(part_files, columns=["url", "status", "error"])
+    failed = t.filter(pc.equal(t["status"], "failed"))
+    skipped = t.filter(pc.equal(t["status"], "skipped_suffix"))
     ok_rows = (t.num_rows == n_drill
-               and set(t["status"].to_pylist()) == {"failed"}
+               and failed.num_rows + skipped.num_rows == n_drill
+               and set(skipped["url"].to_pylist()) == drill_urls & seed_urls
                and bool(pc.all(pc.match_substring(
-                   t["error"], "engine broken mid-service")).as_py()))
+                   failed["error"], "engine broken mid-service")).as_py()))
     result["round2_poisoned"] = {
         "partition_rows": n_drill, "quarantined": s2["counts"].get("failed", 0),
-        "all_quarantined": ok_quarantine, "prior_entries_untouched":
+        "seeded_skipped": s2["counts"].get("skipped_suffix", 0),
+        "non_seeded_quarantined": ok_quarantine, "prior_entries_untouched":
         ok_integrity, "error_rows_verified": ok_rows}
     recs = _alert_records()
     result["alerts"] = {
@@ -136,7 +150,7 @@ def main() -> int:
                                                   "alert-*.json"))),
         "poisoned_round_alerted": (
             len(recs) == n_alerts_before + 1
-            and recs[-1]["failed_rows"] == n_drill
+            and recs[-1]["failed_rows"] == n_drill - n_seeded
             and recs[-1]["partitions"] == [key]),
     }
 
@@ -156,17 +170,12 @@ def main() -> int:
     # redrive: fold the quarantined output into the done manifest, then
     # a --retry-failed batch pass over the drill partition.  Expected
     # contract: urls the SEED manifest already recorded as terminal
-    # stay skipped_suffix (their earlier success outranks the drill
-    # failure); every other quarantined row is re-driven — engine-
+    # skipped the drill and stay skipped_suffix; every quarantined row
+    # is re-driven — engine-
     # attempted rows (done / intrinsically-poison failed) carry the
     # attempt counter forward (>= 2), skip classes record attempts=0.
     update_done_manifest(os.path.join(out_dir, f"part-{key}"), done,
                          run_id="drill")
-    seed_urls = set(pq.read_table(os.path.join(done, "seed.parquet"),
-                                  columns=["url"])["url"].to_pylist())
-    drill_urls = set(pq.read_table(drill_src, columns=["url"])
-                     ["url"].to_pylist())
-    n_seeded = len(drill_urls & seed_urls)
     redrive = run_extraction(drill_path, done, retry_failed=True)
     rt = redrive.select_columns(["url", "status", "attempts"]).to_pandas()
     redriven = rt[rt["status"] != "skipped_suffix"]

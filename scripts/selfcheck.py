@@ -3,6 +3,8 @@
 Runs every ``queries()[name](sf_dir)`` and compares against
 ``oracle_sql()[name]`` via DuckDB: row count, column names, and an
 order-insensitive value hash (columns sorted by name, rows sorted).
+The run outputs cached beside the sf dir's pages fixture are cleared
+first, so the extraction queries check the code as it is now.
 
 Usage: python scripts/selfcheck.py [sf_dir] [query ...]
 """
@@ -62,6 +64,7 @@ def main() -> int:
 
     import __ray_entry__ as E
 
+    E._clear_run_outputs(sf_dir)  # check this code's output, not a cached one
     con = duckdb.connect()
     for t in ("region nation customer supplier part orders lineitem events "
               "documents embeddings").split():

@@ -604,8 +604,9 @@ def _ref_done_urls(path):
 
 
 def _ref_retry_state(path):
-    """Row-by-row split: max attempts per failed url (``attempts or 1``,
-    1 for a pre-``attempts`` shard), any non-failed record wins."""
+    """Row-by-row split into ``(skip, retry)``: max attempts per failed
+    url (``attempts or 1``, 1 for a pre-``attempts`` shard), any
+    non-failed record wins."""
     from pmocr_ray import schema as S
     from pmocr_ray.state.manifest import _manifest_shard_files
 
@@ -813,14 +814,59 @@ def test_service_round_reads_each_shard_once(tmp_path, pages_fixture,
 def test_load_retry_state_matches_reference(tmp_path, mixed_done_manifest):
     from pmocr_ray.state.manifest import load_retry_state
 
-    skip, retry = load_retry_state(mixed_done_manifest)
-    assert (skip, retry) == _ref_retry_state(mixed_done_manifest)
+    retry = load_retry_state(mixed_done_manifest)
+    skip, ref_retry = _ref_retry_state(mixed_done_manifest)
+    assert retry == ref_retry
     assert retry == {"u/retry": 2, "u/zero": 1, "u/legacy-failed": 1}
     assert {"u/both", "u/budget", "u/done", "u/text",
             "u/legacy-done"} == skip
+    # a retry run skips the done set less the re-driven urls: exactly
+    # the reference split's skip set
+    assert _ref_done_urls(mixed_done_manifest) - retry.keys() == skip
 
     empty = tmp_path / "empty"
     empty.mkdir()
     for path in (str(empty), str(tmp_path / "nope"), None):
-        assert (load_retry_state(path) == _ref_retry_state(path)
-                == (frozenset(), {}))
+        assert load_retry_state(path) == {}
+        assert _ref_retry_state(path) == (frozenset(), {})
+
+
+def _shard_rows():
+    from hypothesis import strategies as st
+
+    from pmocr_ray import schema as S
+
+    row = st.tuples(st.sampled_from([f"u/{i}" for i in range(6)]),
+                    st.sampled_from([S.STATUS_FAILED, S.STATUS_DONE,
+                                     S.STATUS_SKIPPED_TEXT]),
+                    st.one_of(st.none(), st.integers(0, S.MAX_TOTAL_ATTEMPTS)))
+    shard = st.tuples(st.booleans(), st.lists(row, min_size=1, max_size=6))
+    return st.lists(shard, min_size=1, max_size=4)
+
+
+def test_retry_skip_set_is_done_set_less_redrives():
+    """On random manifests (legacy shards without ``attempts``, null and
+    zero counts, urls repeated across shards), a retry run's skip set —
+    the done set less the re-drive map — is the reference split's."""
+    import tempfile
+
+    import pyarrow as pa
+    from hypothesis import given, settings
+
+    from pmocr_ray.state.manifest import load_retry_state
+
+    @settings(max_examples=60, deadline=None)
+    @given(_shard_rows())
+    def check(shards):
+        with tempfile.TemporaryDirectory() as d:
+            for i, (legacy, rows) in enumerate(shards):
+                urls, statuses, attempts = map(list, zip(*rows))
+                cols = {"url": urls, "status": statuses}
+                if not legacy:
+                    cols["attempts"] = pa.array(attempts, pa.int32())
+                pq.write_table(pa.table(cols), os.path.join(d, f"s{i}.parquet"))
+            skip, retry = _ref_retry_state(d)
+            assert load_retry_state(d) == retry
+            assert _ref_done_urls(d) - retry.keys() == skip
+
+    check()

@@ -4,6 +4,8 @@ The driver compares every ``queries()[k]`` against ``oracle_sql()[k]``
 at sf=0.01; this test runs the same comparison for a representative
 subset at sf=0.001 so `python -m pytest -x -q` itself proves the
 contract (row count + column names + order-insensitive value hash).
+The cached run outputs are cleared once per session, so the extraction
+queries check this code's output, not an older version's.
 """
 
 import os
@@ -16,6 +18,8 @@ sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 KEYS = [
     "extract_flagship",
     "status_counts",
+    "done_skip",
+    "retry_redrive",
     "sniff_route",
     "csv_hack",
     "text_stats",
@@ -66,6 +70,45 @@ KEYS = [
 ]
 
 
+# The correctness window the catalog is sampled by: the first 50
+# entries of queries(), in order.
+CORRECTNESS_WINDOW = [
+    "pages_gen", "pages_lang_en", "distinct_langs", "sniff_route",
+    "extract_flagship", "extract_html", "extract_pdf", "skip_existing",
+    "quarantine", "done_skip", "status_counts", "csv_hack", "jsonl_format",
+    "retry_redrive", "text_stats", "len_histogram", "doc_fingerprint",
+    "lang_id", "quality_score", "dedup_exact", "dedup_pairs_exact",
+    "dedup_minhash", "dedup_ngram", "dedup_simhash", "dedup_embedding",
+    "semdedup", "dedup_embedding_lsh", "knn_cosine", "knn_multi", "knn_ivf",
+    "knn_ivf_indexed", "curate", "corpus_build", "pagerank",
+    "pack_sequences", "bucketed_join", "line_dedup", "decontaminate",
+    "stream_sessions", "media_resize_real", "media_jpeg_real",
+    "media_gif_real", "audio_resample_real", "frame_sample_real",
+    "url_canon_dedup", "rare_term_pairs", "token_budget", "events_window",
+    "top_users", "sessionize",
+]
+
+# Rows-only queries: iterative/model paths whose oracle-checkable halves
+# are kmeans_assign1 and lm_bigram_counts.
+NO_ORACLE = {"kmeans_cells", "lm_score"}
+
+
+def test_correctness_window_and_oracles_are_pinned():
+    import __ray_entry__ as E
+
+    qs, oracles = E.queries(), E.oracle_sql()
+    assert list(qs)[:50] == CORRECTNESS_WINDOW
+    assert {k for k in qs if k not in oracles} == NO_ORACLE
+    assert set(oracles) <= set(qs)
+
+
+@pytest.fixture(scope="session")
+def fresh_outputs(sf_small):
+    import __ray_entry__ as E
+
+    E._clear_run_outputs(sf_small)
+
+
 @pytest.fixture(scope="module")
 def duck(sf_small):
     import duckdb
@@ -80,7 +123,7 @@ def duck(sf_small):
 
 
 @pytest.mark.parametrize("key", KEYS)
-def test_query_matches_oracle(key, duck, sf_small, ray_session):
+def test_query_matches_oracle(key, duck, sf_small, ray_session, fresh_outputs):
     import __ray_entry__ as E
     from scripts.selfcheck import to_pandas, value_hash
 

@@ -58,7 +58,7 @@ def test_retry_failed_redrive_carries_attempts(tmp_path, pages_fixture):
     update_done_manifest(out1, done, run_id="r1")
 
     # retry state: exactly the quarantined urls, attempts carried
-    skip, retry = load_retry_state(done)
+    retry = load_retry_state(done)
     assert set(retry) == set(failed1["url"].to_pylist())
     assert set(retry.values()) == {S.MAX_ATTEMPTS}
 

@@ -1,10 +1,10 @@
-"""The per-process caches of the extraction stage and the done set.
+"""The per-process broadcast cache of the extraction stage.
 
 Ray ships the fn from :func:`pmocr_ray.stages.make_task_extract_fn` to
 every task with cloudpickle.  These tests round-trip it the same way,
-in-process: every copy of one run's fn must reuse the one stage of
-this process, a new run's fn must replace it, and runs over one
-broadcast done set must fetch it once.
+in-process: every copy of one run's fn, and of a later run's over the
+same broadcasts, must fetch the (done set, retry map) pair once per
+process, and a new pair must release the old one before its fetch.
 """
 
 import datetime
@@ -14,6 +14,7 @@ import sys
 import textwrap
 
 import pyarrow as pa
+import pyarrow.parquet as pq
 import pytest
 from ray import cloudpickle
 
@@ -46,85 +47,144 @@ def built(monkeypatch):
         stages_built.append(self)
 
     monkeypatch.setattr(stages.ExtractStage, "__init__", counting_init)
-    monkeypatch.setattr(stages, "_TASK_STAGE", None, raising=False)
-    monkeypatch.setattr(stages, "_DONE_SET", None)
+    monkeypatch.setattr(stages, "_BROADCASTS", None)
     return stages_built
+
+
+@pytest.fixture()
+def fetches(monkeypatch):
+    """Every ``ray.get`` made while the test runs, with the slot it found."""
+    import ray
+
+    seen = []
+    get = ray.get
+
+    def spy(refs, *args, **kwargs):
+        seen.append((refs, stages._BROADCASTS))
+        return get(refs, *args, **kwargs)
+
+    monkeypatch.setattr(ray, "get", spy)
+    return seen
 
 
 def _shipped(fn):
     return cloudpickle.loads(cloudpickle.dumps(fn))
 
 
-def test_shipped_copies_share_one_stage_per_process(built):
+def test_plain_values_are_used_as_given(built, fetches):
     batch = _batch(256)
     done = frozenset(batch["url"].to_pylist()[::2])
     fn = stages.make_task_extract_fn(done_urls_ref=done)
-    a, b = _shipped(fn), _shipped(fn)
 
-    out_a, out_b = a(batch), b(batch)
+    out_a, out_b = _shipped(fn)(batch), _shipped(fn)(batch)
 
-    assert len(built) == 1, "each shipped copy built its own stage"
-    assert stages._TASK_STAGE[1] is built[0]
-    assert built[0].done_urls == done
+    assert len(built) == 2 and not fetches and stages._BROADCASTS is None
+    assert built[0].done_urls == done and built[0].retry_attempts == {}
     assert out_a.equals(out_b)
     assert out_a["status"].to_pylist().count(S.STATUS_SKIPPED_SUFFIX) == 128
 
 
-def test_new_run_replaces_the_previous_stage(built):
+def test_runs_over_one_broadcast_fetch_it_once(built, fetches):
+    """One ``ray.get`` per process per broadcast pair: every shipped copy
+    of a run's fn, and a later run's fn over the same refs, build their
+    own stage over the one kept pair."""
+    import ray
+
     batch = _batch(8)
-    first = _shipped(stages.make_task_extract_fn())
-    second = _shipped(stages.make_task_extract_fn(
-        done_urls_ref=frozenset(batch["url"].to_pylist())))
+    urls = batch["url"].to_pylist()
+    done_ref = ray.put(frozenset(urls[:4]))
+    retry_ref = ray.put({urls[0]: S.MAX_ATTEMPTS})
+    fn = stages.make_task_extract_fn(done_urls_ref=done_ref,
+                                     retry_attempts_ref=retry_ref)
+    later = stages.make_task_extract_fn(done_urls_ref=done_ref,
+                                        retry_attempts_ref=retry_ref)
+    outs = [_shipped(f)(batch) for f in (fn, fn, later)]
 
-    first(batch)
-    out = second(batch)
-    first_stage = built[0]
-
-    assert len(built) == 2
-    assert stages._TASK_STAGE[1] is built[1]  # one slot: the latest run
-    assert set(out["status"].to_pylist()) == {S.STATUS_SKIPPED_SUFFIX}
-
-    second(batch)
-    assert len(built) == 2
-    # the previous run's fn rebuilds rather than finding a retired stage
-    first(batch)
-    assert len(built) == 3 and stages._TASK_STAGE[1] is not first_stage
+    assert len(built) == 3 and len(fetches) == 1
+    assert fetches[0][0] == [done_ref, retry_ref]
+    assert all(b.done_urls is built[0].done_urls for b in built)
+    assert all(b.retry_attempts is built[0].retry_attempts for b in built)
+    assert outs[0].equals(outs[1]) and outs[0].equals(outs[2])
+    status = outs[0]["status"].to_pylist()
+    # the re-driven url wins over its done record: one more attempt
+    assert status[0] == S.STATUS_DONE
+    assert outs[0]["attempts"][0].as_py() == S.MAX_TOTAL_ATTEMPTS
+    assert status[1:4] == [S.STATUS_SKIPPED_SUFFIX] * 3
+    assert status[4:] == [S.STATUS_DONE] * 4
 
 
-def test_runs_over_one_broadcast_fetch_it_once(built, monkeypatch):
-    """One ``ray.get`` per process per broadcast set: a later run over
-    the same ref reuses the set; a new ref replaces it, and the old set
-    and the stage holding it are released before the new one is
-    fetched."""
+def test_new_pair_releases_the_old_one_first(built, fetches):
+    """A new pair replaces the kept one, which is released before the
+    new one is fetched; a changed retry ref alone is a new pair too."""
     import ray
 
     batch = _batch(8)
     urls = batch["url"].to_pylist()
     old_ref, new_ref = ray.put(frozenset(urls[:4])), ray.put(frozenset(urls))
-    fetches = []
-    get = ray.get
+    retry_ref = ray.put({urls[0]: S.MAX_ATTEMPTS})
 
-    def spy(ref, *args, **kwargs):
-        fetches.append((ref, stages._DONE_SET, stages._TASK_STAGE))
-        return get(ref, *args, **kwargs)
+    out1 = _shipped(stages.make_task_extract_fn(done_urls_ref=old_ref))(batch)
+    out2 = _shipped(stages.make_task_extract_fn(done_urls_ref=new_ref))(batch)
 
-    monkeypatch.setattr(ray, "get", spy)
-    run1 = _shipped(stages.make_task_extract_fn(done_urls_ref=old_ref))
-    run2 = _shipped(stages.make_task_extract_fn(done_urls_ref=old_ref))
-    out1, out2 = run1(batch), run2(batch)
-
-    assert len(built) == 2 and len(fetches) == 1
-    assert built[0].done_urls is built[1].done_urls
-    assert out1.equals(out2)
+    assert len(built) == 2 and len(fetches) == 2
+    refs, held = fetches[1]
+    assert refs == [new_ref] and held is None
+    assert built[1].done_urls == frozenset(urls)
     assert out1["status"].to_pylist().count(S.STATUS_SKIPPED_SUFFIX) == 4
+    assert set(out2["status"].to_pylist()) == {S.STATUS_SKIPPED_SUFFIX}
 
-    out3 = _shipped(stages.make_task_extract_fn(done_urls_ref=new_ref))(batch)
+    _shipped(stages.make_task_extract_fn(done_urls_ref=new_ref,
+                                         retry_attempts_ref=retry_ref))(batch)
+    assert len(fetches) == 3 and fetches[2][1] is None
+    assert stages._BROADCASTS[1][1] == {urls[0]: S.MAX_ATTEMPTS}
 
-    assert len(built) == 3 and len(fetches) == 2
-    ref, held_set, held_stage = fetches[1]
-    assert ref == new_ref and held_set is None and held_stage is None
-    assert built[2].done_urls == frozenset(urls)
-    assert set(out3["status"].to_pylist()) == {S.STATUS_SKIPPED_SUFFIX}
+
+def test_retry_run_shares_the_kept_done_ref(tmp_path, monkeypatch):
+    """A ``--retry-failed`` run over an unchanged manifest hands the
+    stage the very ObjectRef ``load_done_urls_ref`` keeps, and puts only
+    its retry map — no skip set of its own."""
+    import ray
+
+    from pmocr_ray import pipeline
+
+    batch = _batch(8)
+    urls = batch["url"].to_pylist()
+    pages = str(tmp_path / "pages.parquet")
+    pq.write_table(batch, pages)
+    done = tmp_path / "done"
+    done.mkdir()
+    pq.write_table(pa.table({
+        "url": urls[:5],
+        "status": [S.STATUS_DONE] * 4 + [S.STATUS_FAILED],
+        "attempts": pa.array([1] * 4 + [S.MAX_ATTEMPTS], pa.int32()),
+    }), str(done / "shard-0.parquet"))
+    kept = pipeline.load_done_urls_ref(str(done))
+
+    shipped, puts = [], []
+    make, put = pipeline.make_task_extract_fn, ray.put
+
+    def spy_make(**kwargs):
+        shipped.append(kwargs)
+        return make(**kwargs)
+
+    def spy_put(value, *args, **kwargs):
+        puts.append(value)
+        return put(value, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "make_task_extract_fn", spy_make)
+    monkeypatch.setattr(ray, "put", spy_put)
+    ds = pipeline.run_extraction(pages, str(done), retry_failed=True)
+    monkeypatch.setattr(ray, "put", put)
+
+    assert shipped[0]["done_urls_ref"] is kept
+    assert puts == [{urls[4]: S.MAX_ATTEMPTS}]
+    out = ds.to_pandas().sort_values("url")
+    got = dict(zip(out["url"], zip(out["status"], out["attempts"])))
+    assert got == {
+        **{u: (S.STATUS_SKIPPED_SUFFIX, 0) for u in urls[:4]},
+        urls[4]: (S.STATUS_DONE, S.MAX_TOTAL_ATTEMPTS),
+        **{u: (S.STATUS_DONE, 1) for u in urls[5:]},
+    }
 
 
 _SESSION_SCRIPT = textwrap.dedent("""

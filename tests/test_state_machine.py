@@ -73,3 +73,32 @@ def test_custom_extractor_registry():
     my = {"html": lambda b: "custom"}
     ct, status, attempts, error, text = process_row(HTML, None, False, extractors=my)
     assert text == "custom" and status == "done"
+
+
+def test_done_row_is_not_preprocessed():
+    """The done-skip comes first: a done url never reaches the
+    preprocessors (the reference never opens a done file), so a raising
+    one cannot quarantine it; the content type is the stored payload's."""
+    def boom(payload):
+        raise RuntimeError("engine broken")
+
+    ct, status, attempts, error, text = process_row(
+        PDF, None, True, preprocessors=[boom])
+    assert (ct, status, attempts, error, text) == (
+        "pdf", S.STATUS_SKIPPED_SUFFIX, 0, None, None)
+    # a row that is not done still fails on the preprocessor
+    ct, status, attempts, error, text = process_row(
+        PDF, None, False, preprocessors=[boom])
+    assert status == S.STATUS_FAILED and error.startswith("preprocessor:")
+
+
+def test_redrive_wins_over_done_record():
+    """A --retry-failed re-drive is in the done manifest too: a carried
+    counter sends the row to the engine instead of the done-skip."""
+    ct, status, attempts, error, text = process_row(
+        HTML, None, True, prior_attempts=S.MAX_ATTEMPTS)
+    assert (ct, status, attempts, error, text) == (
+        "html", S.STATUS_DONE, S.MAX_TOTAL_ATTEMPTS, None, TEXT)
+    ct, status, attempts, error, text = process_row(
+        POISON_PDF, None, True, prior_attempts=S.MAX_ATTEMPTS)
+    assert status == S.STATUS_FAILED and attempts == S.MAX_TOTAL_ATTEMPTS
