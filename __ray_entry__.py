@@ -26,18 +26,6 @@ import pyarrow.parquet as pq
 from pmocr_ray.ops.joins import parts_for_rows, sized_for_join
 
 
-def _dense_i64_lut(mapping: dict, default: int = -1) -> "np.ndarray":
-    """Dense int64 lookup array for a small dict with dense int keys
-    (suppkey→nationkey etc.) — broadcast ONCE via ray.put and gathered
-    with one numpy index per batch, replacing a per-row Python dict
-    lookup in fact-table scans.  ``default`` marks absent keys."""
-    hi = max(mapping) + 1
-    arr = np.full(hi, default, np.int64)
-    arr[np.fromiter(mapping.keys(), np.int64, len(mapping))] = \
-        np.fromiter(mapping.values(), np.int64, len(mapping))
-    return arr
-
-
 def _vgb(ds, keys, *aggs):
     """groupby().aggregate() for KEY-SCALE group counts — routed through
     the Arrow-bucketed aggregate (pmocr_ray.ops.vecagg.ray_aggregate),
@@ -47,23 +35,6 @@ def _vgb(ds, keys, *aggs):
 
     return ray_aggregate(ds, keys, *aggs)
 
-
-def _i64(col) -> "np.ndarray":
-    import pyarrow as pa
-
-    return col.combine_chunks().cast(pa.int64()).to_numpy(
-        zero_copy_only=False)
-
-
-def _lut_gather(lut: "np.ndarray", idx: "np.ndarray",
-                default: int = -1) -> "np.ndarray":
-    """Bounds-safe dense-LUT gather: keys outside the LUT (a FILTERED
-    mapping's array only spans its own max key) map to ``default``
-    instead of raising/garbage."""
-    safe = (idx >= 0) & (idx < len(lut))
-    out = np.full(len(idx), default, np.int64)
-    out[safe] = lut[idx[safe]]
-    return out
 
 REPS = 8  # pages per document row; must match the SQL below
 
@@ -453,40 +424,10 @@ def _q_event_pivot(sf_dir: str):
     return event_type_pivot(rd.read_parquet(os.path.join(sf_dir, "events.parquet")))
 
 
-def _q_hopping_window(sf_dir: str):
-    import ray.data as rd
-
-    from pmocr_ray.ops.events import hopping_window_value
-
-    return hopping_window_value(
-        rd.read_parquet(os.path.join(sf_dir, "events.parquet"))
-    )
-
-
-def _q_customers_no_f_orders(sf_dir: str):
-    import ray.data as rd
-
-    from pmocr_ray.ops.joins import hash_anti_join
-
-    cust = rd.read_parquet(
-        os.path.join(sf_dir, "customer.parquet"),
-        columns=["c_custkey", "c_name"],
-    )
-    # right side pruned AT THE READ: only the join key column of the
-    # 'F' rows ever leaves storage
-    f_orders = rd.read_parquet(
-        os.path.join(sf_dir, "orders.parquet"),
-        columns=["o_custkey", "o_orderstatus"],
-    ).filter(expr="o_orderstatus == 'F'")
-    return hash_anti_join(cust, f_orders, on="c_custkey",
-                          right_on="o_custkey", num_partitions=8)
-
-
 def _q_customers_no_f_orders_native(sf_dir: str):
-    """Third anti-join physical plan: Ray's native ``left_anti`` join
-    (ops/joins.native_anti_join) — same oracle as the left_outer+filter
-    and Bloom-prefilter variants, so the driver gate proves all three
-    plans agree."""
+    """Anti join through Ray's native ``left_anti`` join
+    (ops/joins.native_anti_join); ``tests/test_joins.py`` checks it
+    against the left_outer+filter and Bloom-prefilter plans."""
     import ray.data as rd
 
     from pmocr_ray.ops.joins import native_anti_join
@@ -501,24 +442,6 @@ def _q_customers_no_f_orders_native(sf_dir: str):
     ).filter(expr="o_orderstatus == 'F'")
     return native_anti_join(cust, f_orders, on="c_custkey",
                             right_on="o_custkey", num_partitions=8)
-
-
-def _q_customers_no_f_orders_bloom(sf_dir: str):
-    import ray.data as rd
-
-    from pmocr_ray.ops.joins import bloom_anti_join
-
-    cust = rd.read_parquet(
-        os.path.join(sf_dir, "customer.parquet"),
-        columns=["c_custkey", "c_name"],
-    )
-    f_orders = rd.read_parquet(
-        os.path.join(sf_dir, "orders.parquet"),
-        columns=["o_custkey", "o_orderstatus"],
-    ).filter(expr="o_orderstatus == 'F'")
-    return bloom_anti_join(cust, f_orders, on="c_custkey",
-                           right_on="o_custkey", n_bits=1 << 20,
-                           num_partitions=8)
 
 
 def _q_lang_len_quantiles(sf_dir: str):
@@ -568,15 +491,6 @@ def _q_shuffle_rank(sf_dir: str):
     return hash_shuffle_rank(
         rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
                         columns=["doc_id", "text"]))
-
-
-def _q_events_value_stats(sf_dir: str):
-    import ray.data as rd
-
-    from pmocr_ray.ops.events import events_value_stats
-
-    return events_value_stats(
-        rd.read_parquet(os.path.join(sf_dir, "events.parquet")))
 
 
 def _q_kmv_sketch(sf_dir: str):
@@ -677,18 +591,6 @@ def _q_cc_chain(sf_dir: str):
 
     edges = docs.map_batches(chain_edges, batch_format="pyarrow")
     return connected_components_distributed(edges, num_partitions=4)
-
-
-def _q_latest_order(sf_dir: str):
-    import ray.data as rd
-
-    from pmocr_ray.ops.compact import compact_latest
-
-    orders = rd.read_parquet(
-        os.path.join(sf_dir, "orders.parquet"),
-        columns=["o_custkey", "o_orderkey", "o_orderdate", "o_totalprice"])
-    return compact_latest(orders, key="o_custkey",
-                          order_cols=["o_orderdate", "o_orderkey"])
 
 
 def _q_trending_terms(sf_dir: str):
@@ -873,15 +775,6 @@ def _q_kmeans_cells(sf_dir: str):
             .groupby("cell").aggregate(Sum("n", alias_name="n")))
 
 
-def _q_events_with_session(sf_dir: str):
-    import ray.data as rd
-
-    from pmocr_ray.ops.events import events_with_session
-
-    return events_with_session(
-        rd.read_parquet(os.path.join(sf_dir, "events.parquet")))
-
-
 def _q_len_bucket(sf_dir: str):
     import ray.data as rd
 
@@ -890,24 +783,6 @@ def _q_len_bucket(sf_dir: str):
     return range_bucket(
         rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
                         columns=["doc_id", "n_chars"]))
-
-
-def _q_funnel_stages(sf_dir: str):
-    import ray.data as rd
-
-    from pmocr_ray.ops.events import funnel_stages
-
-    return funnel_stages(
-        rd.read_parquet(os.path.join(sf_dir, "events.parquet")))
-
-
-def _q_hourly_retention(sf_dir: str):
-    import ray.data as rd
-
-    from pmocr_ray.ops.events import hourly_retention
-
-    return hourly_retention(
-        rd.read_parquet(os.path.join(sf_dir, "events.parquet")))
 
 
 def _q_webdataset_audit(sf_dir: str):
@@ -1016,17 +891,6 @@ def _q_host_cap(sf_dir: str):
     return quota_by_key(ds, "host", 3, "url").select_columns(["host", "url"])
 
 
-def _q_asof_click_view(sf_dir: str):
-    """As-of join: each click annotated with the latest preceding view
-    by the same user."""
-    import ray.data as rd
-
-    from pmocr_ray.ops.events import asof_join
-
-    out = asof_join(rd.read_parquet(os.path.join(sf_dir, "events.parquet")))
-    return out.select_columns(["event_id", "user_id", "ts", "prev_ts"])
-
-
 def _q_mirror_hosts(sf_dir: str):
     """Edit-distance-1 mirror-host pairs over the crawl's host domain
     (``www1``/``www2``-style crawl mirrors) — the FastSS deletion-
@@ -1054,145 +918,6 @@ def _q_hash_sample(sf_dir: str):
     return hash_sample(_docs(sf_dir).select_columns(["doc_id", "text"]),
                        column="text",
                        prefix_lt="1a").select_columns(["doc_id"])
-
-
-def _q_orders_by_segment(sf_dir: str):
-    """Distributed hash join (Dataset.join, partitioned on the key) +
-    grouped exact-cents aggregate: order volume per market segment."""
-    import pyarrow as pa
-
-    import ray.data as rd
-    from ray.data.aggregate import Count, Sum
-
-    orders = rd.read_parquet(os.path.join(sf_dir, "orders.parquet"),
-                             columns=["o_custkey", "o_totalprice"])
-
-    def cents(t: pa.Table) -> pa.Table:
-        c = np.rint(np.asarray(t["o_totalprice"].to_numpy(zero_copy_only=False))
-                    * 100).astype(np.int64)
-        return pa.table({"o_custkey": t["o_custkey"],
-                         "price_cents": pa.array(c, pa.int64())})
-
-    orders = orders.map_batches(cents, batch_format="pyarrow")
-    customer = rd.read_parquet(os.path.join(sf_dir, "customer.parquet"),
-                               columns=["c_custkey", "c_mktsegment"])
-    joined = orders.join(customer, join_type="inner", num_partitions=8,
-                         on=("o_custkey",), right_on=("c_custkey",))
-    return joined.groupby("c_mktsegment").aggregate(
-        Count(alias_name="n_orders"),
-        Sum("price_cents", alias_name="total_cents"),
-    )
-
-
-def _q_revenue_by_nation(sf_dir: str):
-    """Three-table star query: lineitem ⋈ orders ⋈ customer → nation
-    rollup.  The scale pattern, in order: (1) pre-aggregate lineitem
-    revenue per order INSIDE map_batches before any join (combiner —
-    the join left side shrinks to ~|orders| rows), (2) two
-    hash-partitioned ``Dataset.join``s on the narrowing keys,
-    (3) the 25-row nation dimension as a broadcast lookup (no shuffle),
-    (4) exact integer arithmetic end-to-end (revenue in 1e-4 dollar
-    units: cents × (100 - discount%), both exact 2-decimals)."""
-    import pyarrow as pa
-
-    import ray.data as rd
-    from ray.data.aggregate import Count, Sum
-
-    from pmocr_ray.ops.joins import broadcast_lookup
-
-    li = rd.read_parquet(os.path.join(sf_dir, "lineitem.parquet"),
-                         columns=["l_orderkey", "l_extendedprice",
-                                  "l_discount"])
-
-    def rev_per_order(t: pa.Table) -> pa.Table:
-        ext = np.rint(np.asarray(
-            t["l_extendedprice"].to_numpy(zero_copy_only=False)) * 100
-        ).astype(np.int64)
-        disc = np.rint(np.asarray(
-            t["l_discount"].to_numpy(zero_copy_only=False)) * 100
-        ).astype(np.int64)
-        tt = pa.table({"l_orderkey": t["l_orderkey"],
-                       "rev": pa.array(ext * (100 - disc), pa.int64())})
-        g = tt.group_by("l_orderkey").aggregate([("rev", "sum")])
-        return pa.table({"l_orderkey": g["l_orderkey"], "rev": g["rev_sum"]})
-
-    per_order = (_vgb(li.map_batches(rev_per_order, batch_format="pyarrow"), "l_orderkey", Sum("rev", alias_name="rev")))
-    orders = rd.read_parquet(os.path.join(sf_dir, "orders.parquet"),
-                             columns=["o_orderkey", "o_custkey"])
-    j1 = per_order.join(orders, join_type="inner", num_partitions=8,
-                        on=("l_orderkey",), right_on=("o_orderkey",))
-    customer = rd.read_parquet(os.path.join(sf_dir, "customer.parquet"),
-                               columns=["c_custkey", "c_nationkey"])
-    j2 = j1.join(customer, join_type="inner", num_partitions=8,
-                 on=("o_custkey",), right_on=("c_custkey",))
-    nation = pq.read_table(os.path.join(sf_dir, "nation.parquet"),
-                           columns=["n_nationkey", "n_name"])
-    n_map = dict(zip(nation["n_nationkey"].to_pylist(),
-                     nation["n_name"].to_pylist()))
-    out = broadcast_lookup(j2, "c_nationkey", n_map, "n_name")
-    return out.groupby("n_name").aggregate(
-        Count(alias_name="n_orders"),
-        Sum("rev", alias_name="revenue"),
-    )
-
-
-def _q_shipping_priority(sf_dir: str):
-    """TPC-H Q3 shape — two LARGE-large hash joins (no broadcast dim):
-    lineitem revenue pre-aggregated per order INSIDE map_batches
-    (combiner) with the shipdate filter applied before any shuffle;
-    orders date-filtered at the scan; segment-filtered customers join
-    as a semi-join side; exact 1e-4-dollar int64 revenue; distributed
-    ``sort().limit(10)`` so only 10 rows reach the driver."""
-    import datetime
-
-    import pyarrow as pa
-    import pyarrow.compute as pc
-
-    import ray.data as rd
-    from ray.data.aggregate import Sum
-
-    cut = pa.scalar(datetime.datetime(1998, 1, 1), pa.timestamp("us"))
-
-    li = rd.read_parquet(
-        os.path.join(sf_dir, "lineitem.parquet"),
-        columns=["l_orderkey", "l_extendedprice", "l_discount",
-                 "l_shipdate"])
-
-    def rev_per_order(t: pa.Table) -> pa.Table:
-        t = t.filter(pc.greater(t["l_shipdate"], cut))
-        ext = np.rint(np.asarray(
-            t["l_extendedprice"].to_numpy(zero_copy_only=False)) * 100
-        ).astype(np.int64)
-        disc = np.rint(np.asarray(
-            t["l_discount"].to_numpy(zero_copy_only=False)) * 100
-        ).astype(np.int64)
-        tt = pa.table({"l_orderkey": t["l_orderkey"],
-                       "rev": pa.array(ext * (100 - disc), pa.int64())})
-        g = tt.group_by("l_orderkey").aggregate([("rev", "sum")])
-        return pa.table({"l_orderkey": g["l_orderkey"],
-                         "rev": g["rev_sum"]})
-
-    per_order = (_vgb(li.map_batches(rev_per_order, batch_format="pyarrow"), "l_orderkey", Sum("rev", alias_name="revenue_e4")))
-    orders = rd.read_parquet(
-        os.path.join(sf_dir, "orders.parquet"),
-        columns=["o_orderkey", "o_custkey", "o_orderdate",
-                 "o_orderpriority"]).map_batches(
-        lambda t: t.filter(pc.less(t["o_orderdate"], cut)),
-        batch_format="pyarrow")
-    j1 = per_order.join(orders, join_type="inner", num_partitions=8,
-                        on=("l_orderkey",), right_on=("o_orderkey",))
-    cust = rd.read_parquet(
-        os.path.join(sf_dir, "customer.parquet"),
-        columns=["c_custkey", "c_mktsegment"],
-    ).filter(expr="c_mktsegment == 'BUILDING'").select_columns(
-        ["c_custkey"])
-    j2 = j1.join(cust, join_type="inner", num_partitions=8,
-                 on=("o_custkey",), right_on=("c_custkey",))
-    return (j2.select_columns(
-                ["l_orderkey", "revenue_e4", "o_orderdate",
-                 "o_orderpriority"])
-            .sort(["revenue_e4", "l_orderkey"], descending=[True, False])
-            .limit(10))
 
 
 def _q_zorder(sf_dir: str):
@@ -1251,24 +976,6 @@ def _q_pps_sample(sf_dir: str):
     from pmocr_ray.ops.pack import pps_systematic_sample
 
     return pps_systematic_sample(_docs(sf_dir), n_samples=50)
-
-
-def _q_distinct_by_type(sf_dir: str):
-    """Per-group KMV distinct-count sketch pinned EXACT at any scale:
-    k is sized past the per-group distinct bound (user ids are dense,
-    so max+1 bounds the distinct count — one column-pruned max scan).
-    A fixed k=256 was exact at sf0.01 (≤150 users/type) but silently
-    approximate at sf0.1 (1,500 users/type) — the sf0.1 heavy-tail
-    pass caught the hash drift.  The approximation regime itself is
-    exercised by the ``kmv_sketch`` query."""
-    import ray.data as rd
-
-    from pmocr_ray.ops.text import group_distinct_kmv
-
-    ev = rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                         columns=["event_type", "user_id"])
-    k = max(256, int(ev.max("user_id")) + 2)
-    return group_distinct_kmv(ev, "event_type", "user_id", k=k)
 
 
 def _q_curate(sf_dir: str):
@@ -2051,16 +1758,6 @@ def _q_event_transitions(sf_dir: str):
         rd.read_parquet(os.path.join(sf_dir, "events.parquet")))
 
 
-def _q_inter_arrival(sf_dir: str):
-    """Per-user inter-arrival gap stats in exact int64 microseconds."""
-    import ray.data as rd
-
-    from pmocr_ray.ops.events import inter_arrival_stats
-
-    return inter_arrival_stats(
-        rd.read_parquet(os.path.join(sf_dir, "events.parquet")))
-
-
 def _q_incremental_near_dedup(sf_dir: str):
     """Crawl-over-crawl near-dup dedup: new docs (doc_id % 5 != 0)
     kept only if no history doc (doc_id % 5 == 0) has word-shingle
@@ -2171,63 +1868,6 @@ def _q_ntile_buckets(sf_dir: str):
     return ntile_buckets(ds, 8)
 
 
-def _q_rollup_orders(sf_dir: str):
-    """GROUP BY ROLLUP(segment, nation) in one pass: pre-aggregate
-    orders per customer INSIDE map_batches (combiner), one hash join
-    to customer, one fine-grained groupby — then the coarser rollup
-    levels are derived from the ≤ |segments|×|nations| fine rows (a
-    bounded-size result, safe to fold on the driver at any corpus
-    scale).  Rolled-up keys use 'ALL' / -1 sentinels (COALESCE'd the
-    same way in the oracle) so the three levels union into one
-    hash-stable table."""
-    import pyarrow as pa
-
-    import ray.data as rd
-    from ray.data.aggregate import Sum
-
-    orders = rd.read_parquet(os.path.join(sf_dir, "orders.parquet"),
-                             columns=["o_custkey", "o_totalprice"])
-
-    def per_cust_partial(t: pa.Table) -> pa.Table:
-        cents = np.rint(np.asarray(
-            t["o_totalprice"].to_numpy(zero_copy_only=False)) * 100
-        ).astype(np.int64)
-        g = pa.table({"o_custkey": t["o_custkey"],
-                      "cents": pa.array(cents, pa.int64())}) \
-            .group_by("o_custkey").aggregate([("cents", "sum"),
-                                              ([], "count_all")])
-        return pa.table({"o_custkey": g["o_custkey"],
-                         "cents": g["cents_sum"],
-                         "n": g["count_all"]})
-
-    per_cust = (_vgb(orders.map_batches(per_cust_partial, batch_format="pyarrow"), "o_custkey", Sum("cents", alias_name="cents"), Sum("n", alias_name="n")))
-    customer = rd.read_parquet(os.path.join(sf_dir, "customer.parquet"),
-                               columns=["c_custkey", "c_mktsegment",
-                                        "c_nationkey"])
-    joined = per_cust.join(customer, join_type="inner", num_partitions=8,
-                           on=("o_custkey",), right_on=("c_custkey",))
-    fine = joined.groupby(["c_mktsegment", "c_nationkey"]).aggregate(
-        Sum("n", alias_name="n_orders"),
-        Sum("cents", alias_name="total_cents"))
-    rows = fine.take_all()  # bounded: |segments| x |nations|
-    out = [{"seg": r["c_mktsegment"], "nationkey": r["c_nationkey"],
-            "n_orders": r["n_orders"], "total_cents": r["total_cents"]}
-           for r in rows]
-    seg_level: dict[str, list[int]] = {}
-    for r in rows:
-        a = seg_level.setdefault(r["c_mktsegment"], [0, 0])
-        a[0] += r["n_orders"]; a[1] += r["total_cents"]
-    for seg, (n, c) in seg_level.items():
-        out.append({"seg": seg, "nationkey": -1, "n_orders": n,
-                    "total_cents": c})
-    out.append({"seg": "ALL", "nationkey": -1,
-                "n_orders": sum(r["n_orders"] for r in rows),
-                "total_cents": sum(r["total_cents"] for r in rows)})
-    return pa.Table.from_pylist(out, schema=pa.schema([
-        ("seg", pa.string()), ("nationkey", pa.int64()),
-        ("n_orders", pa.int64()), ("total_cents", pa.int64())]))
-
-
 def _mod(arr, d: int):
     """Vectorized non-negative integer modulo (this pyarrow build ships
     no modulo kernel): x - (x // d) * d via integer divide."""
@@ -2326,18 +1966,6 @@ def _q_pagerank(sf_dir: str):
     return pagerank(_pagerank_edges(sf_dir), iters=3)
 
 
-def _q_attribution(sf_dir: str):
-    """Clicks within the preceding 60 min of each purchase, per user."""
-    import ray.data as rd
-
-    from pmocr_ray.ops.events import attribution_window
-
-    ev = rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                         columns=["event_id", "ts", "user_id",
-                                  "event_type"])
-    return attribution_window(ev)
-
-
 def _q_host_blocklist(sf_dir: str):
     """Broadcast host-blocklist gate over the pages fixture: two exact
     hosts plus every host ending '3.example' are dropped."""
@@ -2403,157 +2031,6 @@ def _q_cheapest_supplier(sf_dir: str):
                           order_cols=["total_cents", "s_suppkey"],
                           descending=[False, False])
     return best.select_columns(["p_partkey", "s_suppkey", "total_cents"])
-
-
-def _q_local_supplier_revenue(sf_dir: str):
-    """TPC-H Q5 shape: revenue per nation for ASIA where customer and
-    supplier share the nation.  Scale order: region→nation pruning
-    broadcast FIRST (the suppkey→nationkey side filtered to ASIA
-    before any join), lineitem revenue attached to supplier nation via
-    a broadcast lookup (supplier ≪ lineitem; the hash-join form is the
-    swap-in at 10⁹ suppliers), partial (orderkey, s_nat) pre-agg
-    BEFORE the two large-large hash joins (orders, customer), then the
-    same-nation filter and a 5-row rollup.  Exact 1e-4-dollar int64."""
-    import pyarrow as pa
-
-    import ray.data as rd
-    from ray.data.aggregate import Sum
-
-    region = pq.read_table(os.path.join(sf_dir, "region.parquet"))
-    asia_key = region.filter(
-        pc.equal(region["r_name"], "ASIA"))["r_regionkey"][0].as_py()
-    nation = pq.read_table(os.path.join(sf_dir, "nation.parquet"))
-    asia_nations = nation.filter(
-        pc.equal(pc.cast(nation["n_regionkey"], pa.int64()), asia_key))
-    n_map = dict(zip(asia_nations["n_nationkey"].to_pylist(),
-                     asia_nations["n_name"].to_pylist()))
-    supplier = pq.read_table(os.path.join(sf_dir, "supplier.parquet"),
-                             columns=["s_suppkey", "s_nationkey"])
-    s_map = {k: v for k, v in zip(supplier["s_suppkey"].to_pylist(),
-                                  supplier["s_nationkey"].to_pylist())
-             if v in n_map}  # region pruning pushed into the broadcast
-
-    import ray
-    s_ref = ray.put(_dense_i64_lut(s_map))  # region-pruned: absent = -1
-
-    li = rd.read_parquet(os.path.join(sf_dir, "lineitem.parquet"),
-                         columns=["l_orderkey", "l_suppkey",
-                                  "l_extendedprice", "l_discount"])
-
-    def rev_by_order_nat(t: pa.Table) -> pa.Table:
-        lut = ray.get(s_ref)
-        nat = _lut_gather(lut, _i64(t["l_suppkey"]))  # vectorized, bounds-safe
-        t = (t.append_column("s_nat", pa.array(nat, pa.int64()))
-             .filter(pa.array(nat >= 0)))
-        ext = np.rint(np.asarray(
-            t["l_extendedprice"].to_numpy(zero_copy_only=False)) * 100
-        ).astype(np.int64)
-        disc = np.rint(np.asarray(
-            t["l_discount"].to_numpy(zero_copy_only=False)) * 100
-        ).astype(np.int64)
-        tt = pa.table({"l_orderkey": t["l_orderkey"], "s_nat": t["s_nat"],
-                       "rev": pa.array(ext * (100 - disc), pa.int64())})
-        g = tt.group_by(["l_orderkey", "s_nat"]).aggregate([("rev", "sum")])
-        return pa.table({"l_orderkey": g["l_orderkey"],
-                         "s_nat": g["s_nat"], "rev": g["rev_sum"]})
-
-    from pmocr_ray.ops.vecagg import grouped_aggregate
-
-    # order-scale groups — Arrow-bucketed merge (see ops/vecagg.py)
-    per_order = grouped_aggregate(
-        li.map_batches(rev_by_order_nat, batch_format="pyarrow"),
-        ["l_orderkey", "s_nat"], [("rev", "sum", "rev")])
-    orders = rd.read_parquet(os.path.join(sf_dir, "orders.parquet"),
-                             columns=["o_orderkey", "o_custkey"])
-    j1 = per_order.join(orders, join_type="inner", num_partitions=8,
-                        on=("l_orderkey",), right_on=("o_orderkey",))
-    customer = rd.read_parquet(os.path.join(sf_dir, "customer.parquet"),
-                               columns=["c_custkey", "c_nationkey"])
-    j2 = j1.join(customer, join_type="inner", num_partitions=8,
-                 on=("o_custkey",), right_on=("c_custkey",))
-
-    n_ref = ray.put(n_map)
-
-    def same_nation(t: pa.Table) -> pa.Table:
-        nmap = ray.get(n_ref)
-        keep = pc.equal(pc.cast(t["c_nationkey"], pa.int64()), t["s_nat"])
-        t = t.filter(pc.fill_null(keep, False))
-        names = pa.array([nmap[k] for k in t["s_nat"].to_pylist()],
-                         pa.string())
-        return pa.table({"n_name": names, "rev": t["rev"]})
-
-    return (j2.map_batches(same_nation, batch_format="pyarrow")
-            .groupby("n_name").aggregate(Sum("rev",
-                                             alias_name="revenue_e4")))
-
-
-def _q_late_data_window(sf_dir: str):
-    """Event-time hourly windows with a watermark: synthetic arrival
-    delay (event_id % 7 minutes), watermark = max(arrival) − 30 min (a
-    single tiny global aggregate, broadcast as one int), per-window
-    on-time/late split (allowed lateness 3 min) and open/closed status
-    relative to the watermark.  All int64 microsecond arithmetic."""
-    import pyarrow as pa
-
-    import ray.data as rd
-    from ray.data.aggregate import Max, Sum
-
-    ev = rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                         columns=["event_id", "ts"])
-
-    US_MIN = 60_000_000
-    US_HOUR = 3_600_000_000
-
-    def with_arrival(t: pa.Table) -> pa.Table:
-        ts = pc.cast(pc.cast(t["ts"], pa.timestamp("us")), pa.int64())
-        delay = pc.multiply(_mod(t["event_id"], 7), US_MIN)
-        return pa.table({"ts_us": ts, "arrival_us": pc.add(ts, delay)})
-
-    tagged = ev.map_batches(with_arrival, batch_format="pyarrow")
-    wm = tagged.aggregate(Max("arrival_us", alias_name="m"))["m"] - 30 * US_MIN
-
-    def per_window_partial(t: pa.Table) -> pa.Table:
-        win = pc.multiply(pc.divide(t["ts_us"], US_HOUR), US_HOUR)
-        win_end = pc.add(win, US_HOUR)
-        late = pc.greater(t["arrival_us"], pc.add(win_end, 3 * US_MIN))
-        tt = pa.table({
-            "window_start": win,
-            "one": pa.array(np.ones(len(t), np.int64)),
-            "late": pc.cast(late, pa.int64()),
-        })
-        g = tt.group_by("window_start").aggregate(
-            [("one", "sum"), ("late", "sum")])
-        return pa.table({"window_start": g["window_start"],
-                         "n_events": g["one_sum"], "n_late": g["late_sum"]})
-
-    agg = (tagged.map_batches(per_window_partial, batch_format="pyarrow")
-           .groupby("window_start")
-           .aggregate(Sum("n_events", alias_name="n_events"),
-                      Sum("n_late", alias_name="n_late")))
-
-    def finish(t: pa.Table) -> pa.Table:
-        ws = pc.cast(t["window_start"], pa.int64())
-        closed = pc.less_equal(pc.add(ws, US_HOUR), wm)
-        return pa.table({
-            "window_start": pc.cast(ws, pa.timestamp("us")),
-            "n_events": pc.cast(t["n_events"], pa.int64()),
-            "n_late": pc.cast(t["n_late"], pa.int64()),
-            "status": pc.if_else(closed, "closed", "open"),
-        })
-
-    return agg.map_batches(finish, batch_format="pyarrow")
-
-
-def _q_typo_pairs(sf_dir: str):
-    """Edit-distance-1 term pairs in the part-name vocabulary via
-    deletion-neighborhood blocking (never a cross join)."""
-    import ray.data as rd
-
-    from pmocr_ray.ops.text import typo_pairs
-
-    parts = rd.read_parquet(os.path.join(sf_dir, "part.parquet"),
-                            columns=["p_name"])
-    return typo_pairs(parts, column="p_name")
 
 
 def _q_host_lang(sf_dir: str):
@@ -2642,67 +2119,6 @@ def _q_incremental_stats(sf_dir: str):
     return read_rollup(state, group_col="lang")
 
 
-def _q_event_debounce(sf_dir: str):
-    import ray.data as rd
-
-    from pmocr_ray.ops.events import event_debounce
-
-    ev = rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                         columns=["event_id", "user_id", "event_type",
-                                  "ts"])
-    return event_debounce(ev, gap_seconds=3600)
-
-
-def _q_promo_revenue(sf_dir: str):
-    """TPC-H Q14 shape: promo vs total revenue share.  lineitem
-    pre-aggregated per partkey BEFORE the hash join to part (the fact
-    side shrinks to |part| rows); one-row conditional rollup after."""
-    import pyarrow as pa
-
-    import ray.data as rd
-    from ray.data.aggregate import Sum
-
-    li = rd.read_parquet(os.path.join(sf_dir, "lineitem.parquet"),
-                         columns=["l_partkey", "l_extendedprice",
-                                  "l_discount"])
-
-    def rev_per_part(t: pa.Table) -> pa.Table:
-        ext = np.rint(np.asarray(
-            t["l_extendedprice"].to_numpy(zero_copy_only=False)) * 100
-        ).astype(np.int64)
-        disc = np.rint(np.asarray(
-            t["l_discount"].to_numpy(zero_copy_only=False)) * 100
-        ).astype(np.int64)
-        tt = pa.table({"l_partkey": t["l_partkey"],
-                       "rev": pa.array(ext * (100 - disc), pa.int64())})
-        g = tt.group_by("l_partkey").aggregate([("rev", "sum")])
-        return pa.table({"l_partkey": g["l_partkey"], "rev": g["rev_sum"]})
-
-    per_part = (_vgb(li.map_batches(rev_per_part, batch_format="pyarrow"), "l_partkey", Sum("rev",
-                                                    alias_name="rev")))
-    part = rd.read_parquet(os.path.join(sf_dir, "part.parquet"),
-                           columns=["p_partkey", "p_type"])
-    j = per_part.join(part, join_type="inner", num_partitions=4,
-                      on=("l_partkey",), right_on=("p_partkey",))
-
-    def conditional(t: pa.Table) -> pa.Table:
-        promo = pc.if_else(pc.equal(t["p_type"], "PROMO"), t["rev"],
-                           pa.scalar(0, pa.int64()))
-        return pa.table({
-            "promo_e4": pa.array([pc.sum(promo).as_py() or 0], pa.int64()),
-            "total_e4": pa.array([pc.sum(t["rev"]).as_py() or 0],
-                                 pa.int64()),
-        })
-
-    from ray.data.aggregate import Sum as _S
-    row = (j.map_batches(conditional, batch_format="pyarrow")
-           .aggregate(_S("promo_e4", alias_name="promo_e4"),
-                      _S("total_e4", alias_name="total_e4")))
-    import pandas as pd
-    return pd.DataFrame([{"promo_e4": int(row["promo_e4"]),
-                          "total_e4": int(row["total_e4"])}])
-
-
 def _q_embedding_dim_stats(sf_dir: str):
     import ray.data as rd
 
@@ -2760,16 +2176,6 @@ def _q_bucketed_join(sf_dir: str):
             .aggregate(Sum("n_orders", alias_name="n_orders")))
 
 
-def _q_moving_window(sf_dir: str):
-    import ray.data as rd
-
-    from pmocr_ray.ops.events import moving_window_sum
-
-    ev = rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                         columns=["event_type", "ts", "value"])
-    return moving_window_sum(ev, trailing_hours=7)
-
-
 def _q_token_budget(sf_dir: str):
     from pmocr_ray.ops.pack import token_budget_trim
 
@@ -2778,93 +2184,6 @@ def _q_token_budget(sf_dir: str):
                             weight_col="n_chars", key="doc_id",
                             budget=50_000)
     return out.select_columns(["doc_id", "source", "n_chars"])
-
-
-def _q_range_scan(sf_dir: str):
-    """Range-partitioned orders layout; manifest-pruned range query
-    [1000, 3000) with exact residual; one-row rollup."""
-    import tempfile
-
-    import pandas as pd
-    import pyarrow as pa
-
-    import ray.data as rd
-
-    from pmocr_ray.ops.pack import range_lookup, range_partition_write
-
-    orders = rd.read_parquet(os.path.join(sf_dir, "orders.parquet"),
-                             columns=["o_orderkey", "o_totalprice"])
-    d = tempfile.mkdtemp(prefix="pmocr_range_")
-    range_partition_write(orders, d, key="o_orderkey", n_parts=8)
-    hit = range_lookup(d, lo=1000, hi=3000)
-
-    def rollup(t: pa.Table) -> pa.Table:
-        cents = np.rint(np.asarray(
-            t["o_totalprice"].to_numpy(zero_copy_only=False)) * 100
-        ).astype(np.int64)
-        return pa.table({"n_rows": pa.array([len(t)], pa.int64()),
-                         "total_cents": pa.array([int(cents.sum())],
-                                                 pa.int64())})
-
-    from ray.data.aggregate import Sum
-    row = (hit.map_batches(rollup, batch_format="pyarrow")
-           .aggregate(Sum("n_rows", alias_name="n_rows"),
-                      Sum("total_cents", alias_name="total_cents")))
-    return pd.DataFrame([{"n_rows": int(row["n_rows"]),
-                          "total_cents": int(row["total_cents"])}])
-
-
-def _q_skew_join(sf_dir: str):
-    """Hot-key-split join: events ⋈ per-user value rollup with a low
-    hot threshold so BOTH the broadcast and hash paths execute; the
-    result is path-independent (oracle: plain join)."""
-    import pyarrow as pa
-
-    import ray.data as rd
-    from ray.data.aggregate import Count, Sum
-
-    from pmocr_ray.ops.joins import skew_hash_join
-
-    ev = rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                         columns=["user_id", "event_type", "value"])
-
-    def cents_partial(t: pa.Table) -> pa.Table:
-        cents = np.rint(np.asarray(
-            t["value"].to_numpy(zero_copy_only=False)) * 100
-        ).astype(np.int64)
-        g = (pa.table({"p_user": t["user_id"],
-                       "user_cents": pa.array(cents)})
-             .group_by("p_user").aggregate([("user_cents", "sum")]))
-        return pa.table({"p_user": g["p_user"],
-                         "user_cents": g["user_cents_sum"]})
-
-    profile = (_vgb(ev.map_batches(cents_partial, batch_format="pyarrow"), "p_user", Sum("user_cents", alias_name="user_cents")))
-    left = ev.select_columns(["user_id", "event_type"])
-    joined = skew_hash_join(left, profile, on="user_id",
-                            right_on="p_user", hot_threshold=5)
-    return joined.groupby("event_type").aggregate(
-        Count(alias_name="n"),
-        Sum("user_cents", alias_name="total_user_cents"))
-
-
-def _q_value_trend(sf_dir: str):
-    import ray.data as rd
-
-    from pmocr_ray.ops.events import value_trend_components
-
-    ev = rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                         columns=["event_type", "ts", "value"])
-    return value_trend_components(ev)
-
-
-def _q_value_mad(sf_dir: str):
-    import ray.data as rd
-
-    from pmocr_ray.ops.events import value_mad
-
-    ev = rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                         columns=["event_type", "value"])
-    return value_mad(ev)
 
 
 def _q_host_churn(sf_dir: str):
@@ -2919,17 +2238,6 @@ def _q_table_extract(sf_dir: str):
           .map_batches(synth, batch_format="pyarrow")
           .map_batches(table_cells, batch_format="pyarrow"))
     return ds
-
-
-def _q_session_sets(sf_dir: str):
-    import ray.data as rd
-
-    from pmocr_ray.ops.events import session_event_sets
-
-    ev = rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                         columns=["event_id", "user_id", "ts",
-                                  "event_type"])
-    return session_event_sets(ev)
 
 
 def _q_byte_blocks(sf_dir: str):
@@ -3014,39 +2322,11 @@ def _q_rare_term_pairs(sf_dir: str):
     return df
 
 
-def _q_priority_semi(sf_dir: str):
-    """TPC-H Q4 shape: distributed semi-join — lineitem qty>45 filter
-    at the scan, distinct-orderkey reduce (combiner), ONE hash join to
-    orders, priority rollup.  No EXISTS rescan, no broadcast."""
-    import pyarrow as pa
-
-    import ray.data as rd
-    from ray.data.aggregate import Count
-
-    li = rd.read_parquet(os.path.join(sf_dir, "lineitem.parquet"),
-                         columns=["l_orderkey", "l_quantity"])
-
-    def big_qty_keys(t: pa.Table) -> pa.Table:
-        t = t.filter(pc.greater(t["l_quantity"], 45.0))
-        g = t.select(["l_orderkey"]).group_by("l_orderkey").aggregate([])
-        return g
-
-    keys = (_vgb(li.map_batches(big_qty_keys, batch_format="pyarrow"), "l_orderkey", Count(alias_name="_n"))
-            .select_columns(["l_orderkey"]))
-    orders = rd.read_parquet(os.path.join(sf_dir, "orders.parquet"),
-                             columns=["o_orderkey", "o_orderpriority"])
-    j = keys.join(orders, join_type="inner", num_partitions=4,
-                  on=("l_orderkey",), right_on=("o_orderkey",))
-    return j.groupby("o_orderpriority").aggregate(
-        Count(alias_name="n_orders"))
-
-
 def _q_priority_semi_native(sf_dir: str):
-    """Second semi-join physical plan: Ray's native ``left_semi`` join
-    (orders ⋉ qualifying-orderkey set) — same oracle as the
-    distinct-keys + inner-join formulation, so the gate proves the two
-    plans agree.  The probe side is still reduced to distinct keys
-    before the exchange."""
+    """Semi join through Ray's native ``left_semi`` join (orders ⋉
+    qualifying-orderkey set), checked against an EXISTS oracle.  The
+    probe side is still reduced to distinct keys before the
+    exchange."""
     import pyarrow as pa
 
     import ray.data as rd
@@ -3067,41 +2347,6 @@ def _q_priority_semi_native(sf_dir: str):
                     on=("o_orderkey",), right_on=("l_orderkey",))
     return j.groupby("o_orderpriority").aggregate(
         Count(alias_name="n_orders"))
-
-
-def _q_cust_order_dist(sf_dir: str):
-    """TPC-H Q13 shape: distribution of customers by order count,
-    INCLUDING zero-order customers — per-cust combiner rollup, one
-    LEFT hash join from customer, null→0, then the tiny distribution
-    groupby."""
-    import pyarrow as pa
-
-    import ray.data as rd
-    from ray.data.aggregate import Count, Sum
-
-    orders = rd.read_parquet(os.path.join(sf_dir, "orders.parquet"),
-                             columns=["o_custkey"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        g = t.group_by("o_custkey").aggregate([([], "count_all")])
-        return pa.table({"o_custkey": g["o_custkey"],
-                         "n_orders": pc.cast(g["count_all"], pa.int64())})
-
-    per_cust = (_vgb(orders.map_batches(partial, batch_format="pyarrow"), "o_custkey", Sum("n_orders", alias_name="n_orders")))
-    customer = rd.read_parquet(os.path.join(sf_dir, "customer.parquet"),
-                               columns=["c_custkey"])
-    j = customer.join(per_cust, join_type="left_outer", num_partitions=4,
-                      on=("c_custkey",), right_on=("o_custkey",))
-
-    def fill0(t: pa.Table) -> pa.Table:
-        n = pc.cast(pc.coalesce(t["n_orders"],
-                                pa.scalar(0, t["n_orders"].type)),
-                    pa.int64())
-        # left-joined NaN may arrive float64 via pandas blocks
-        return pa.table({"n_orders": n})
-
-    return (j.map_batches(fill0, batch_format="pyarrow")
-            .groupby("n_orders").aggregate(Count(alias_name="n_custs")))
 
 
 def _q_sentence_stats(sf_dir: str):
@@ -3227,142 +2472,6 @@ def _q_scd2_dim(sf_dir: str):
     return versioned.union(unchanged)
 
 
-def _q_returned_top_customers(sf_dir: str):
-    """TPC-H Q10 shape: revenue from RETURNED items per customer,
-    top 20.  Combiner first (per-order returned revenue inside
-    map_batches, exact 1e-4-dollar ints), one hash join to orders,
-    per-customer rollup, then a tiny sort+limit — only the ~|customers|
-    rollup is ever sorted, with an explicit rank column so the
-    order-insensitive driver hash still checks the ordering."""
-    import pyarrow as pa
-
-    import ray.data as rd
-    from ray.data.aggregate import Count, Sum
-
-    li = rd.read_parquet(
-        os.path.join(sf_dir, "lineitem.parquet"),
-        columns=["l_orderkey", "l_extendedprice", "l_discount",
-                 "l_returnflag"])
-
-    def rev_per_order(t: pa.Table) -> pa.Table:
-        t = t.filter(pc.equal(t["l_returnflag"], "R"))
-        ext = np.rint(np.asarray(
-            t["l_extendedprice"].to_numpy(zero_copy_only=False)) * 100
-        ).astype(np.int64)
-        disc = np.rint(np.asarray(
-            t["l_discount"].to_numpy(zero_copy_only=False)) * 100
-        ).astype(np.int64)
-        tt = pa.table({"l_orderkey": t["l_orderkey"],
-                       "rev": pa.array(ext * (100 - disc), pa.int64())})
-        g = tt.group_by("l_orderkey").aggregate([("rev", "sum")])
-        return pa.table({"l_orderkey": g["l_orderkey"], "rev": g["rev_sum"]})
-
-    per_order = (_vgb(li.map_batches(rev_per_order, batch_format="pyarrow"), "l_orderkey", Sum("rev", alias_name="rev")))
-    orders = rd.read_parquet(os.path.join(sf_dir, "orders.parquet"),
-                             columns=["o_orderkey", "o_custkey"])
-    j = per_order.join(orders, join_type="inner", num_partitions=8,
-                       on=("l_orderkey",), right_on=("o_orderkey",))
-    rollup = (_vgb(j, "o_custkey", Sum("rev", alias_name="revenue"), Count(alias_name="n_orders")))
-    top = (rollup.sort(["revenue", "o_custkey"],
-                       descending=[True, False])
-           .limit(20).to_pandas())
-    top.insert(0, "rank", np.arange(1, len(top) + 1, dtype=np.int64))
-    top = top.rename(columns={"o_custkey": "c_custkey"})
-    top["n_orders"] = top["n_orders"].astype("int64")
-    return top[["rank", "c_custkey", "n_orders", "revenue"]]
-
-
-def _q_big_spender_filter(sf_dir: str):
-    """Q22 shape: a GLOBAL scalar (mean positive balance) computed as a
-    tiny two-int aggregate, broadcast into the filter as the exact
-    cross-multiplication cents*n > sum_cents (no float division
-    anywhere), then an anti-join against orders (customers who never
-    ordered) and a per-segment rollup."""
-    import pyarrow as pa
-
-    import ray.data as rd
-    from ray.data.aggregate import Count, Sum
-
-    from pmocr_ray.ops.joins import hash_anti_join
-
-    cust = rd.read_parquet(
-        os.path.join(sf_dir, "customer.parquet"),
-        columns=["c_custkey", "c_acctbal", "c_mktsegment"])
-
-    def to_cents(t: pa.Table) -> pa.Table:
-        cents = np.rint(np.asarray(
-            t["c_acctbal"].to_numpy(zero_copy_only=False)) * 100
-        ).astype(np.int64)
-        return pa.table({"c_custkey": t["c_custkey"],
-                         "c_mktsegment": t["c_mktsegment"],
-                         "cents": pa.array(cents, pa.int64())})
-
-    base = cust.map_batches(to_cents, batch_format="pyarrow")
-
-    # global scalar: one (sum, count) pair per batch -> driver folds a
-    # handful of scalars, never rows
-    def partial_stat(t: pa.Table) -> pa.Table:
-        pos = t.filter(pc.greater(t["cents"], 0))
-        return pa.table({"s": pa.array([pc.sum(pos["cents"]).as_py() or 0],
-                                       pa.int64()),
-                         "n": pa.array([len(pos)], pa.int64())})
-
-    stats = base.map_batches(partial_stat, batch_format="pyarrow").take_all()
-    s = sum(r["s"] for r in stats)
-    n = max(1, sum(r["n"] for r in stats))
-
-    rich = base.map_batches(
-        lambda t: t.filter(pc.greater(pc.multiply(t["cents"], n), s)),
-        batch_format="pyarrow")
-    f_orders = rd.read_parquet(
-        os.path.join(sf_dir, "orders.parquet"),
-        columns=["o_custkey", "o_orderstatus"],
-    ).filter(expr="o_orderstatus == 'F'")
-    no_f = hash_anti_join(rich, f_orders, on="c_custkey",
-                          right_on="o_custkey", num_partitions=8)
-    out = (no_f.groupby("c_mktsegment")
-           .aggregate(Count(alias_name="n_customers"),
-                      Sum("cents", alias_name="total_bal_cents"))
-           .to_pandas())
-    if out.empty:  # schema-stable empty result
-        import pandas as pd
-        out = pd.DataFrame({"c_mktsegment": pd.Series(dtype=object),
-                            "n_customers": pd.Series(dtype="int64"),
-                            "total_bal_cents": pd.Series(dtype="int64")})
-    out["n_customers"] = out["n_customers"].astype("int64")
-    return out
-
-
-def _q_lineitem_unpivot(sf_dir: str):
-    """UNPIVOT/melt: the four lineitem measures stacked into long
-    (key, measure, cents) rows — a pure per-batch reshape (4 column
-    slices concatenated), no shuffle, exact fixed-point values."""
-    import pyarrow as pa
-
-    import ray.data as rd
-
-    li = rd.read_parquet(
-        os.path.join(sf_dir, "lineitem.parquet"),
-        columns=["l_orderkey", "l_linenumber", "l_quantity",
-                 "l_extendedprice", "l_discount", "l_tax"])
-    measures = ["quantity", "extendedprice", "discount", "tax"]
-
-    def melt(t: pa.Table) -> pa.Table:
-        parts = []
-        for m in measures:
-            cents = np.rint(np.asarray(
-                t[f"l_{m}"].to_numpy(zero_copy_only=False)) * 100
-            ).astype(np.int64)
-            parts.append(pa.table({
-                "l_orderkey": t["l_orderkey"],
-                "l_linenumber": pc.cast(t["l_linenumber"], pa.int64()),
-                "measure": pa.array([m] * len(t), pa.string()),
-                "cents": pa.array(cents, pa.int64())}))
-        return pa.concat_tables(parts)
-
-    return li.map_batches(melt, batch_format="pyarrow")
-
-
 def _q_keep_best_dedup(sf_dir: str):
     """Canonical-document selection: per (lang, source) group keep the
     LONGEST doc, tie-broken by smallest doc_id.  Distributed argmax as
@@ -3393,139 +2502,6 @@ def _q_keep_best_dedup(sf_dir: str):
                        Max("n_docs", alias_name="n_docs")))
 
 
-def _q_wow_change(sf_dir: str):
-    """Period-over-period deltas: daily event counts with the lag
-    difference vs the previous day.  The corpus-size work is one
-    vectorized day-bucket + count; the lag runs on the tiny per-day
-    rollup (≤ hundreds of rows) driver-side."""
-    import pandas as pd
-    import pyarrow as pa
-
-    import ray.data as rd
-    from ray.data.aggregate import Count
-
-    ev = rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                         columns=["ts"])
-
-    def day_of(t: pa.Table) -> pa.Table:
-        us = pc.cast(t["ts"], pa.int64())
-        return pa.table({"day": pc.divide(us, 86_400_000_000)})
-
-    rollup = (ev.map_batches(day_of, batch_format="pyarrow")
-              .groupby("day").aggregate(Count(alias_name="n"))
-              .to_pandas().sort_values("day").reset_index(drop=True))
-    n = rollup["n"].astype("int64")
-    prev = n.shift(1, fill_value=0).astype("int64")
-    return pd.DataFrame({"day": rollup["day"].astype("int64"),
-                         "n": n, "delta": (n - prev).astype("int64")})
-
-
-def _q_supplier_variety(sf_dir: str):
-    """TPC-H Q16 shape: COUNT(DISTINCT supplier) per part type.  The
-    part dimension is broadcast (ray.put once, dict lookup per batch —
-    never a shuffle for a dimension table); the fact side is
-    pre-distincted per batch before the global distinct, so the
-    shuffle moves unique (type, suppkey) pairs, not lineitem rows."""
-    import pyarrow as pa
-
-    import ray.data as rd
-    from ray.data.aggregate import Count
-
-    import ray as _ray
-
-    part = pq.read_table(os.path.join(sf_dir, "part.parquet"),
-                         columns=["p_partkey", "p_type"])
-    type_map = dict(zip(part["p_partkey"].to_pylist(),
-                        part["p_type"].to_pylist()))
-    ref = _ray.put(type_map)
-
-    li = rd.read_parquet(os.path.join(sf_dir, "lineitem.parquet"),
-                         columns=["l_partkey", "l_suppkey"])
-
-    def local_distinct(t: pa.Table) -> pa.Table:
-        m = _ray.get(ref)
-        g = t.group_by(["l_partkey", "l_suppkey"]).aggregate([])
-        types = pa.array([m.get(x) for x in g["l_partkey"].to_pylist()],
-                         pa.string())
-        return (pa.table({"p_type": types, "l_suppkey": g["l_suppkey"]})
-                .group_by(["p_type", "l_suppkey"]).aggregate([]))
-
-    pairs = (_vgb(li.map_batches(local_distinct, batch_format="pyarrow"), ["p_type", "l_suppkey"], Count()))
-    return (pairs.groupby("p_type")
-            .aggregate(Count(alias_name="n_suppliers")))
-
-
-def _q_new_users_curve(sf_dir: str):
-    """User-acquisition curve: first-seen day per user (per-batch min
-    combiner + one groupby), daily new-user counts, cumulative sum on
-    the tiny per-day rollup."""
-    import pandas as pd
-    import pyarrow as pa
-
-    import ray.data as rd
-    from ray.data.aggregate import Count, Min
-
-    ev = rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                         columns=["user_id", "ts"])
-
-    def per_batch_min(t: pa.Table) -> pa.Table:
-        day = pc.divide(pc.cast(t["ts"], pa.int64()), 86_400_000_000)
-        tt = pa.table({"user_id": t["user_id"], "day": day})
-        g = tt.group_by("user_id").aggregate([("day", "min")])
-        return pa.table({"user_id": g["user_id"], "day": g["day_min"]})
-
-    first = (_vgb(ev.map_batches(per_batch_min, batch_format="pyarrow"), "user_id", Min("day", alias_name="day")))
-    daily = (first.groupby("day").aggregate(Count(alias_name="n_new"))
-             .to_pandas().sort_values("day").reset_index(drop=True))
-    n_new = daily["n_new"].astype("int64")
-    return pd.DataFrame({"day": daily["day"].astype("int64"),
-                         "n_new": n_new,
-                         "cum_users": n_new.cumsum().astype("int64")})
-
-
-def _q_revenue_concentration(sf_dir: str):
-    """Global concentration: the revenue share of the top-1% orders.
-    Per-order revenue rollup (combiner), distributed sort+limit for the
-    top-k slice (ties broken by orderkey so the cut is deterministic),
-    two scalar sums — output is ONE row; nothing corpus-sized ever
-    reaches the driver.  Share reported as an exact floored ppm ratio."""
-    import pandas as pd
-    import pyarrow as pa
-
-    import ray.data as rd
-    from ray.data.aggregate import Sum
-
-    li = rd.read_parquet(os.path.join(sf_dir, "lineitem.parquet"),
-                         columns=["l_orderkey", "l_extendedprice",
-                                  "l_discount"])
-
-    def rev_per_order(t: pa.Table) -> pa.Table:
-        ext = np.rint(np.asarray(
-            t["l_extendedprice"].to_numpy(zero_copy_only=False)) * 100
-        ).astype(np.int64)
-        disc = np.rint(np.asarray(
-            t["l_discount"].to_numpy(zero_copy_only=False)) * 100
-        ).astype(np.int64)
-        tt = pa.table({"l_orderkey": t["l_orderkey"],
-                       "rev": pa.array(ext * (100 - disc), pa.int64())})
-        g = tt.group_by("l_orderkey").aggregate([("rev", "sum")])
-        return pa.table({"l_orderkey": g["l_orderkey"], "rev": g["rev_sum"]})
-
-    per_order = (_vgb(li.map_batches(rev_per_order, batch_format="pyarrow"), "l_orderkey", Sum("rev", alias_name="rev")))
-    n = per_order.count()
-    k = max(1, n // 100)
-    top = per_order.sort(["rev", "l_orderkey"],
-                         descending=[True, False]).limit(k)
-    top_rev = int(top.sum("rev"))
-    total_rev = int(per_order.sum("rev"))
-    return pd.DataFrame({"k": pd.Series([k], dtype="int64"),
-                         "top_rev": pd.Series([top_rev], dtype="int64"),
-                         "total_rev": pd.Series([total_rev], dtype="int64"),
-                         "share_ppm": pd.Series(
-                             [top_rev * 1_000_000 // total_rev],
-                             dtype="int64")})
-
-
 _DIVISION_TYPES = ("view", "click", "purchase")
 
 
@@ -3553,193 +2529,6 @@ def _q_users_all_types(sf_dir: str):
         lambda t: t.filter(pc.equal(t["n_types"],
                                     len(_DIVISION_TYPES))),
         batch_format="pyarrow").select_columns(["user_id"]))
-
-
-def _q_user_top_type(sf_dir: str):
-    """Grouped mode: each user's most frequent event type, ties broken
-    lexicographically.  Two-phase distributed argmax over the per-user
-    count rollup (group max, join back, min-string tie-break) — the
-    same shape as keep_best_dedup but arg-maxing a COUNT."""
-    import pyarrow as pa
-
-    import ray.data as rd
-    from ray.data.aggregate import Max, Min, Sum
-
-    ev = rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                         columns=["user_id", "event_type"])
-
-    def local_counts(t: pa.Table) -> pa.Table:
-        g = t.group_by(["user_id", "event_type"]).aggregate(
-            [([], "count_all")])
-        return pa.table({"user_id": g["user_id"],
-                         "event_type": g["event_type"],
-                         "n": g["count_all"]})
-
-    counts = (_vgb(ev.map_batches(local_counts, batch_format="pyarrow"), ["user_id", "event_type"], Sum("n", alias_name="n")))
-    best = _vgb(counts, "user_id", Max("n", alias_name="best"))
-    counts, parts = sized_for_join(counts, cap=8)
-    j = counts.join(best, join_type="inner", num_partitions=parts,
-                    on=("user_id",))
-    hits = j.map_batches(
-        lambda t: t.filter(pc.equal(t["n"], t["best"])),
-        batch_format="pyarrow")
-    return (_vgb(hits, "user_id", Min("event_type", alias_name="top_type"), Max("best", alias_name="n")))
-
-
-def _q_daily_fill_gaps(sf_dir: str):
-    """Date-spine gap fill: daily event counts left-joined onto the
-    dense day range, missing days zero-filled.  The corpus pass is one
-    vectorized bucket+count; the spine join happens on the tiny per-day
-    rollup."""
-    import pandas as pd
-    import pyarrow as pa
-
-    import ray.data as rd
-    from ray.data.aggregate import Count
-
-    ev = rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                         columns=["ts"])
-
-    def day_of(t: pa.Table) -> pa.Table:
-        us = pc.cast(t["ts"], pa.int64())
-        return pa.table({"day": pc.divide(us, 86_400_000_000)})
-
-    rollup = (ev.map_batches(day_of, batch_format="pyarrow")
-              .groupby("day").aggregate(Count(alias_name="n"))
-              .to_pandas())
-    lo, hi = int(rollup["day"].min()), int(rollup["day"].max())
-    spine = pd.DataFrame({"day": np.arange(lo, hi + 1, dtype=np.int64)})
-    out = spine.merge(rollup, on="day", how="left")
-    out["n"] = out["n"].fillna(0).astype("int64")
-    return out
-
-
-def _pareto_scan(pts: "np.ndarray") -> "np.ndarray":
-    """Maximal-vector scan over DISTINCT (price, day) points: sort by
-    (price desc, day desc); a point survives iff its day strictly
-    exceeds every preceding day.  Returns the surviving points."""
-    order = np.lexsort((-pts[:, 1], -pts[:, 0]))
-    pts = pts[order]
-    best = np.maximum.accumulate(
-        np.concatenate(([np.iinfo(np.int64).min], pts[:-1, 1])))
-    return pts[pts[:, 1] > best]
-
-
-def _q_pareto_orders(sf_dir: str):
-    """Skyline query: orders not dominated in (totalprice, recency).
-    Distributed pareto = per-block local scan (a locally dominated
-    point can never be globally maximal, so blocks emit only their own
-    frontier), a tiny global scan over the union of frontiers, then a
-    broadcast semi-join of the full table against the winning point
-    set.  Work is one linear pass per block + O(frontier) driver-side."""
-    import pandas as pd
-    import pyarrow as pa
-
-    import ray.data as rd
-
-    import ray as _ray
-
-    orders = rd.read_parquet(os.path.join(sf_dir, "orders.parquet"),
-                             columns=["o_orderkey", "o_totalprice",
-                                      "o_orderdate"])
-
-    def to_points(t: pa.Table) -> pa.Table:
-        price = np.rint(np.asarray(
-            t["o_totalprice"].to_numpy(zero_copy_only=False)) * 100
-        ).astype(np.int64)
-        day = (pc.cast(t["o_orderdate"], pa.int64()).to_numpy()
-               // 86_400_000_000).astype(np.int64)
-        return pa.table({"o_orderkey": t["o_orderkey"],
-                         "price": pa.array(price, pa.int64()),
-                         "day": pa.array(day, pa.int64())})
-
-    pts_ds = orders.map_batches(to_points, batch_format="pyarrow")
-
-    def local_frontier(t: pa.Table) -> pa.Table:
-        pts = np.unique(np.stack([t["price"].to_numpy(),
-                                  t["day"].to_numpy()], axis=1), axis=0)
-        keep = _pareto_scan(pts)
-        return pa.table({"price": pa.array(keep[:, 0], pa.int64()),
-                         "day": pa.array(keep[:, 1], pa.int64())})
-
-    cand = pts_ds.map_batches(local_frontier,
-                              batch_format="pyarrow").take_all()
-    cand_pts = np.unique(
-        np.array([[r["price"], r["day"]] for r in cand], dtype=np.int64),
-        axis=0)
-    frontier = _pareto_scan(cand_pts)
-    keep_set = frozenset((int(p), int(d)) for p, d in frontier)
-    ref = _ray.put(keep_set)
-
-    def semi(t: pa.Table) -> pa.Table:
-        ks = _ray.get(ref)
-        mask = pa.array([(p, d) in ks for p, d in
-                         zip(t["price"].to_numpy(), t["day"].to_numpy())])
-        return t.filter(mask)
-
-    out = pts_ds.map_batches(semi, batch_format="pyarrow").to_pandas()
-    if out.empty:
-        out = pd.DataFrame({"o_orderkey": pd.Series(dtype="int64"),
-                            "price": pd.Series(dtype="int64"),
-                            "day": pd.Series(dtype="int64")})
-    return out
-
-
-def _q_weighted_disc(sf_dir: str):
-    """Grouped WEIGHTED ratio: discount weighted by quantity per part
-    brand — numerator and denominator accumulated as separate exact
-    int64 sums (a distributed ratio must never sum floats), the ratio
-    emitted as a floored ppm.  Brand comes from the broadcast part
-    dimension."""
-    import pyarrow as pa
-
-    import ray.data as rd
-    from ray.data.aggregate import Sum
-
-    import ray as _ray
-
-    part = pq.read_table(os.path.join(sf_dir, "part.parquet"),
-                         columns=["p_partkey", "p_brand"])
-    keys = part["p_partkey"].to_numpy(zero_copy_only=False)
-    lut = np.full(int(keys.max()) + 1, None, dtype=object)
-    lut[keys] = np.asarray(part["p_brand"].to_pylist(), dtype=object)
-    ref = _ray.put(lut)
-
-    li = rd.read_parquet(os.path.join(sf_dir, "lineitem.parquet"),
-                         columns=["l_partkey", "l_quantity",
-                                  "l_discount"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        m = _ray.get(ref)
-        qty = np.rint(np.asarray(
-            t["l_quantity"].to_numpy(zero_copy_only=False)) * 100
-        ).astype(np.int64)
-        disc = np.rint(np.asarray(
-            t["l_discount"].to_numpy(zero_copy_only=False)) * 100
-        ).astype(np.int64)
-        brands = pa.array(m[_i64(t["l_partkey"])], pa.string())
-        tt = pa.table({"p_brand": brands,
-                       "num": pa.array(disc * qty, pa.int64()),
-                       "den": pa.array(qty, pa.int64())})
-        g = tt.group_by("p_brand").aggregate([("num", "sum"),
-                                              ("den", "sum")])
-        return pa.table({"p_brand": g["p_brand"], "num": g["num_sum"],
-                         "den": g["den_sum"]})
-
-    rollup = (li.map_batches(partial, batch_format="pyarrow")
-              .groupby("p_brand")
-              .aggregate(Sum("num", alias_name="num"),
-                         Sum("den", alias_name="den")))
-
-    def ratio(t: pa.Table) -> pa.Table:
-        num = t["num"].to_numpy()
-        den = t["den"].to_numpy()
-        return pa.table({"p_brand": t["p_brand"],
-                         "num": t["num"], "den": t["den"],
-                         "wavg_ppm": pa.array(num * 1_000_000 // den,
-                                              pa.int64())})
-
-    return rollup.map_batches(ratio, batch_format="pyarrow")
 
 
 def _q_bfs_layers(sf_dir: str):
@@ -3796,274 +2585,6 @@ def _q_bfs_layers(sf_dir: str):
         "layer": pd.Series([visited[n] for n in nodes], dtype="int64")})
 
 
-def _q_value_gini(sf_dir: str):
-    """Exact Gini coefficient of order values — a global
-    order-statistic aggregate: range-partition by value into contiguous
-    buckets, per-bucket counts → broadcast exclusive rank offsets, then
-    each bucket contributes the scalar Σ(rank·x) from a local sort.
-    Nothing but per-bucket scalars ever leaves the workers; all
-    arithmetic is int64 (gini reported as floored ppm)."""
-    import pandas as pd
-    import pyarrow as pa
-
-    import ray.data as rd
-    from ray.data.aggregate import Count
-
-    import ray as _ray
-
-    orders = rd.read_parquet(os.path.join(sf_dir, "orders.parquet"),
-                             columns=["o_orderkey", "o_totalprice"])
-
-    def cents(t: pa.Table) -> pa.Table:
-        c = np.rint(np.asarray(
-            t["o_totalprice"].to_numpy(zero_copy_only=False)) * 100
-        ).astype(np.int64)
-        return pa.table({"o_orderkey": t["o_orderkey"],
-                         "price": pa.array(c, pa.int64())})
-
-    pr = orders.map_batches(cents, batch_format="pyarrow")
-    lo = int(pr.min("price"))
-    hi = int(pr.max("price"))
-    span = max(1, hi - lo + 1)
-
-    def with_part(t: pa.Table) -> pa.Table:
-        p = (t["price"].to_numpy() - lo) * 256 // span
-        return t.append_column("part", pa.array(p, pa.int64()))
-
-    parted = pr.map_batches(with_part, batch_format="pyarrow")
-    totals = (parted.select_columns(["part"])
-              .groupby("part").aggregate(Count(alias_name="n")).take_all())
-    totals.sort(key=lambda r: r["part"])
-    offsets, acc = {}, 0
-    for r in totals:
-        offsets[r["part"]] = acc
-        acc += r["n"]
-    off_ref = _ray.put(offsets)
-
-    def per_part(g: pd.DataFrame) -> pd.DataFrame:
-        off = _ray.get(off_ref)[int(g["part"].iloc[0])]
-        g = g.sort_values(["price", "o_orderkey"])
-        x = g["price"].to_numpy(dtype=np.int64)
-        ranks = off + np.arange(1, len(g) + 1, dtype=np.int64)
-        return pd.DataFrame({"s1": [int(np.sum(ranks * x))],
-                             "sx": [int(np.sum(x))],
-                             "n": [len(x)]})
-
-    parts = (parted.groupby("part")
-             .map_groups(per_part, batch_format="pandas").to_pandas())
-    s1 = int(parts["s1"].sum())
-    sx = int(parts["sx"].sum())
-    n = int(parts["n"].sum())
-    gini_ppm = (2 * s1 - (n + 1) * sx) * 1_000_000 // (n * sx)
-    return pd.DataFrame({"n": pd.Series([n], dtype="int64"),
-                         "sum_x": pd.Series([sx], dtype="int64"),
-                         "s1": pd.Series([s1], dtype="int64"),
-                         "gini_ppm": pd.Series([gini_ppm], dtype="int64")})
-
-
-def _q_repeat_orders_7d(sf_dir: str):
-    """Band (range) join, key-scoped: pairs of orders from the SAME
-    customer placed ≤ 7 days apart.  The distributed plan for a band
-    join whose key bounds the bucket: hash equi-join on the key, then a
-    vectorized band filter — the pair blowup is per-customer (~10
-    orders), never cross-customer."""
-    import pyarrow as pa
-
-    import ray.data as rd
-
-    orders = rd.read_parquet(os.path.join(sf_dir, "orders.parquet"),
-                             columns=["o_orderkey", "o_custkey",
-                                      "o_orderdate"])
-
-    def prep(t: pa.Table) -> pa.Table:
-        day = (pc.cast(t["o_orderdate"], pa.int64()).to_numpy()
-               // 86_400_000_000).astype(np.int64)
-        return pa.table({"o_orderkey": t["o_orderkey"],
-                         "o_custkey": t["o_custkey"],
-                         "day": pa.array(day, pa.int64())})
-
-    base = orders.map_batches(prep, batch_format="pyarrow")
-    parts = _pq_parts(sf_dir, "orders", cap=16)
-    j = base.join(base, join_type="inner", num_partitions=parts,
-                  on=("o_custkey",), right_suffix="_r")
-
-    def band(t: pa.Table) -> pa.Table:
-        gap = pc.subtract(t["day_r"], t["day"])
-        keep = pc.and_(
-            pc.less(t["o_orderkey"], t["o_orderkey_r"]),
-            pc.and_(pc.greater_equal(gap, -7), pc.less_equal(gap, 7)))
-        t = t.filter(keep)
-        return pa.table({"c_custkey": t["o_custkey"],
-                         "k1": t["o_orderkey"], "k2": t["o_orderkey_r"],
-                         "gap_days": pc.abs(pc.subtract(t["day_r"],
-                                                        t["day"]))})
-
-    return j.map_batches(band, batch_format="pyarrow")
-
-
-_PROFILE_NUMERIC = ("o_orderkey", "o_custkey", "price_cents", "order_day")
-_PROFILE_ALL = _PROFILE_NUMERIC + ("o_orderstatus", "o_orderpriority")
-
-
-def _q_profile_orders(sf_dir: str):
-    """Data-profiling operator: per-column null count, exact distinct
-    count, and (numeric columns) min/max over orders, emitted long
-    (column, metric, value).  Distinct counts use the per-batch
-    local-distinct → tiny global groupby shape, one column at a time —
-    each shuffle moves unique values only."""
-    import pandas as pd
-    import pyarrow as pa
-
-    import ray.data as rd
-    from ray.data.aggregate import Count
-
-    orders = rd.read_parquet(
-        os.path.join(sf_dir, "orders.parquet"),
-        columns=["o_orderkey", "o_custkey", "o_totalprice",
-                 "o_orderdate", "o_orderstatus", "o_orderpriority"])
-
-    def derive(t: pa.Table) -> pa.Table:
-        price = np.rint(np.asarray(
-            t["o_totalprice"].to_numpy(zero_copy_only=False)) * 100
-        ).astype(np.int64)
-        day = (pc.cast(t["o_orderdate"], pa.int64()).to_numpy()
-               // 86_400_000_000).astype(np.int64)
-        return pa.table({"o_orderkey": t["o_orderkey"],
-                         "o_custkey": t["o_custkey"],
-                         "price_cents": pa.array(price, pa.int64()),
-                         "order_day": pa.array(day, pa.int64()),
-                         "o_orderstatus": t["o_orderstatus"],
-                         "o_orderpriority": t["o_orderpriority"]})
-
-    ds = orders.map_batches(derive, batch_format="pyarrow")
-
-    # one pass for ALL null counters, one aggregate for ALL min/max —
-    # only the exact distinct counts need a shuffle per column
-    def null_counts(t: pa.Table) -> pa.Table:
-        return pa.table({f"null_{c}": pa.array([t[c].null_count],
-                                               pa.int64())
-                         for c in _PROFILE_ALL})
-
-    nulls_parts = ds.map_batches(null_counts,
-                                 batch_format="pyarrow").take_all()
-    nulls = {c: sum(r[f"null_{c}"] for r in nulls_parts)
-             for c in _PROFILE_ALL}
-    from ray.data.aggregate import Max, Min
-    mm = ds.aggregate(*[a for c in _PROFILE_NUMERIC
-                        for a in (Min(c, alias_name=f"min_{c}"),
-                                  Max(c, alias_name=f"max_{c}"))])
-
-    rows = []
-    for col in _PROFILE_ALL:
-        distinct = (ds.select_columns([col]).map_batches(
-            lambda t, c=col: t.filter(pc.is_valid(t[c]))
-            .group_by(c).aggregate([]),
-            batch_format="pyarrow")
-            .groupby(col).aggregate(Count()).count())
-        rows.append((col, "n_null", nulls[col]))
-        rows.append((col, "n_distinct", int(distinct)))
-        if col in _PROFILE_NUMERIC:
-            rows.append((col, "min", int(mm[f"min_{col}"])))
-            rows.append((col, "max", int(mm[f"max_{col}"])))
-    return pd.DataFrame({
-        "column": pd.Series([r[0] for r in rows], dtype=object),
-        "metric": pd.Series([r[1] for r in rows], dtype=object),
-        "value": pd.Series([r[2] for r in rows], dtype="int64")})
-
-
-def _q_props_value_cov(sf_dir: str):
-    """Distributed covariance via SUFFICIENT STATISTICS: per event
-    type, the exact integer covariance numerator n·Σxy − Σx·Σy between
-    the JSON ``k`` prop and the event value (cents).  Each batch emits
-    the four partial sums; only those scalars shuffle — the canonical
-    way to compute second moments without float accumulation order
-    effects."""
-    import pyarrow as pa
-
-    import ray.data as rd
-    from ray.data.aggregate import Sum
-
-    ev = rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                         columns=["event_type", "value", "props"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        m = pc.extract_regex(t["props"], r'"k":\s*(?P<k>-?\d+)')
-        k = pc.fill_null(pc.cast(pc.struct_field(m, "k"), pa.int64()),
-                         0).to_numpy()
-        v = np.rint(np.asarray(
-            t["value"].to_numpy(zero_copy_only=False)) * 100
-        ).astype(np.int64)
-        tt = pa.table({"event_type": t["event_type"],
-                       "sx": pa.array(k, pa.int64()),
-                       "sy": pa.array(v, pa.int64()),
-                       "sxy": pa.array(k * v, pa.int64()),
-                       "n": pa.array(np.ones(len(t), np.int64))})
-        g = tt.group_by("event_type").aggregate(
-            [("sx", "sum"), ("sy", "sum"), ("sxy", "sum"), ("n", "sum")])
-        return pa.table({"event_type": g["event_type"],
-                         "sx": g["sx_sum"], "sy": g["sy_sum"],
-                         "sxy": g["sxy_sum"], "n": g["n_sum"]})
-
-    rollup = (ev.map_batches(partial, batch_format="pyarrow")
-              .groupby("event_type")
-              .aggregate(Sum("sx", alias_name="sx"),
-                         Sum("sy", alias_name="sy"),
-                         Sum("sxy", alias_name="sxy"),
-                         Sum("n", alias_name="n")))
-
-    def finish(t: pa.Table) -> pa.Table:
-        n = t["n"].to_numpy()
-        cov_num = n * t["sxy"].to_numpy() \
-            - t["sx"].to_numpy() * t["sy"].to_numpy()
-        return pa.table({"event_type": t["event_type"], "n": t["n"],
-                         "sx": t["sx"], "sy": t["sy"], "sxy": t["sxy"],
-                         "cov_num": pa.array(cov_num, pa.int64())})
-
-    return rollup.map_batches(finish, batch_format="pyarrow")
-
-
-def _q_nation_matrix(sf_dir: str):
-    """Broadcast CROSS JOIN of two small dimensions: every ordered
-    nation pair within the same region, with an arithmetic affinity
-    key.  The right side rides in the closure (dimension tables never
-    shuffle); output is |nation|² bounded."""
-    import pyarrow as pa
-
-    import ray.data as rd
-
-    import ray as _ray
-
-    nation = pq.read_table(os.path.join(sf_dir, "nation.parquet"),
-                           columns=["n_nationkey", "n_regionkey"])
-    right = list(zip(nation["n_nationkey"].to_pylist(),
-                     nation["n_regionkey"].to_pylist()))
-    ref = _ray.put(right)
-
-    left = rd.read_parquet(os.path.join(sf_dir, "nation.parquet"),
-                           columns=["n_nationkey", "n_regionkey"])
-
-    def cross(t: pa.Table) -> pa.Table:
-        rt = _ray.get(ref)
-        a_k, a_r = (t["n_nationkey"].to_numpy().astype(np.int64),
-                    t["n_regionkey"].to_numpy().astype(np.int64))
-        b_k = np.array([x[0] for x in rt], np.int64)
-        b_r = np.array([x[1] for x in rt], np.int64)
-        # full outer product, then same-region + ordered filter
-        aa_k = np.repeat(a_k, len(b_k))
-        aa_r = np.repeat(a_r, len(b_k))
-        bb_k = np.tile(b_k, len(a_k))
-        bb_r = np.tile(b_r, len(a_k))
-        keep = (aa_r == bb_r) & (aa_k < bb_k)
-        return pa.table({
-            "a": pa.array(aa_k[keep], pa.int64()),
-            "b": pa.array(bb_k[keep], pa.int64()),
-            "region": pa.array(aa_r[keep], pa.int64()),
-            "affinity": pa.array((aa_k[keep] * 31 + bb_k[keep]) % 97,
-                                 pa.int64())})
-
-    return left.map_batches(cross, batch_format="pyarrow")
-
-
 def _q_diverse_top_docs(sf_dir: str):
     """Diversified top-k: the 20 longest documents with AT MOST 2 per
     source.  Per-batch local cap (top-2 per source inside the batch is
@@ -4103,94 +2624,6 @@ def _q_diverse_top_docs(sf_dir: str):
                 np.arange(1, len(cand) + 1, dtype=np.int64))
     cand["rs"] = cand["rs"].astype("int64")
     return cand[["rank", "doc_id", "source", "n_chars", "rs"]]
-
-
-def _q_user_value_norm(sf_dir: str):
-    """Per-group normalization via join-back: each event's value as an
-    exact ppm ratio of its user's mean — the per-user sufficient stats
-    (sum, count) are a tiny rollup hash-joined back onto the event
-    stream, then one vectorized integer kernel.  The standard
-    'normalize by group statistics' shape without ever broadcasting a
-    corpus-sized map."""
-    import pyarrow as pa
-
-    import ray.data as rd
-    from ray.data.aggregate import Count, Sum
-
-    ev = rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                         columns=["event_id", "user_id", "value"])
-
-    def cents(t: pa.Table) -> pa.Table:
-        v = np.rint(np.asarray(
-            t["value"].to_numpy(zero_copy_only=False)) * 100
-        ).astype(np.int64)
-        return pa.table({"event_id": t["event_id"],
-                         "user_id": t["user_id"],
-                         "v": pa.array(v, pa.int64())})
-
-    base = ev.map_batches(cents, batch_format="pyarrow")
-    stats = (_vgb(base, "user_id", Sum("v", alias_name="s"), Count(alias_name="nu")))
-    parts = _pq_parts(sf_dir, "events", cap=16)
-    j = base.join(stats, join_type="inner", num_partitions=parts,
-                  on=("user_id",))
-
-    def finish(t: pa.Table) -> pa.Table:
-        v = t["v"].to_numpy()
-        s = t["s"].to_numpy()
-        nu = t["nu"].to_numpy().astype(np.int64)
-        norm = v * 1_000_000 * nu // s
-        return pa.table({"event_id": t["event_id"],
-                         "user_id": t["user_id"],
-                         "norm_ppm": pa.array(norm, pa.int64())})
-
-    return j.map_batches(finish, batch_format="pyarrow")
-
-
-def _q_join_card_est(sf_dir: str):
-    """Join-size estimation from per-key count statistics (the planner
-    primitive): |A⋈B| = Σ_k n_A(k)·n_B(k), computed exactly as two
-    per-key count rollups (combiner first) joined key-to-key, plus the
-    self-join estimate Σ n(k)².  Only per-key counters shuffle."""
-    import pandas as pd
-    import pyarrow as pa
-
-    import ray.data as rd
-    from ray.data.aggregate import Sum
-
-    def key_counts(path: str, key: str):
-        ds = rd.read_parquet(os.path.join(sf_dir, path), columns=[key])
-
-        def partial(t: pa.Table) -> pa.Table:
-            g = t.group_by(key).aggregate([([], "count_all")])
-            return pa.table({"k": g[key], "n": g["count_all"]})
-
-        return (ds.map_batches(partial, batch_format="pyarrow")
-                .groupby("k").aggregate(Sum("n", alias_name="n")))
-
-    li_pk = key_counts("lineitem.parquet", "l_partkey")
-    self_est = int(li_pk.map_batches(
-        lambda t: pa.table({"sq": pa.array(
-            [int(np.sum(t["n"].to_numpy() ** 2))], pa.int64())}),
-        batch_format="pyarrow").sum("sq"))
-
-    li_ok = key_counts("lineitem.parquet", "l_orderkey")
-    o_ok = key_counts("orders.parquet", "o_orderkey")
-    # one partition per ~40k rollup rows (each join partition costs an
-    # aggregator actor spin-up; see ops/dedup.py partition-sizing note)
-    li_ok, parts = sized_for_join(li_ok, cap=8)
-    j = li_ok.join(o_ok, join_type="inner", num_partitions=parts,
-                   on=("k",), right_suffix="_r")
-    two_est = int(j.map_batches(
-        lambda t: pa.table({"p": pa.array(
-            [int(np.sum(t["n"].to_numpy() * t["n_r"].to_numpy()))],
-            pa.int64())}),
-        batch_format="pyarrow").sum("p"))
-
-    return pd.DataFrame({
-        "join_name": pd.Series(["lineitem_self_partkey",
-                                "lineitem_orders_orderkey"],
-                               dtype=object),
-        "est_rows": pd.Series([self_est, two_est], dtype="int64")})
 
 
 def _q_contamination_frac(sf_dir: str):
@@ -4326,412 +2759,8 @@ def _q_cube_rollup(sf_dir: str):
     return out
 
 
-def _q_orders_above_cust_avg(sf_dir: str):
-    """Correlated-subquery shape: per customer, how many of their
-    orders cost MORE than their own average — decorrelated into one
-    per-customer (sum, count) rollup hash-joined back, with the
-    comparison done as exact cross-multiplication price·n > sum."""
-    import pyarrow as pa
-
-    import ray.data as rd
-    from ray.data.aggregate import Count, Sum
-
-    orders = rd.read_parquet(os.path.join(sf_dir, "orders.parquet"),
-                             columns=["o_custkey", "o_totalprice"])
-
-    def cents(t: pa.Table) -> pa.Table:
-        c = np.rint(np.asarray(
-            t["o_totalprice"].to_numpy(zero_copy_only=False)) * 100
-        ).astype(np.int64)
-        return pa.table({"o_custkey": t["o_custkey"],
-                         "price": pa.array(c, pa.int64())})
-
-    base = orders.map_batches(cents, batch_format="pyarrow")
-    stats = (_vgb(base, "o_custkey", Sum("price", alias_name="s"), Count(alias_name="cn")))
-    parts = _pq_parts(sf_dir, "orders", cap=8)
-    j = base.join(stats, join_type="inner", num_partitions=parts,
-                  on=("o_custkey",))
-
-    def above(t: pa.Table) -> pa.Table:
-        keep = t["price"].to_numpy() * t["cn"].to_numpy() \
-            > t["s"].to_numpy()
-        t = t.filter(pa.array(keep))
-        return pa.table({"c_custkey": t["o_custkey"],
-                         "one": pa.array(np.ones(len(t), np.int64))})
-
-    return (_vgb(j.map_batches(above, batch_format="pyarrow"), "c_custkey", Sum("one", alias_name="n_above")))
-
-
-def _q_time_multi_rollup(sf_dir: str):
-    """Multi-granularity rollup in ONE corpus pass: each event emits a
-    tagged (granularity, bucket) row for hour, day and week; a single
-    groupby serves all three time scales — three shuffles collapsed
-    into one tagged union."""
-    import pyarrow as pa
-
-    import ray.data as rd
-    from ray.data.aggregate import Sum
-
-    ev = rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                         columns=["ts"])
-
-    def tag(t: pa.Table) -> pa.Table:
-        us = pc.cast(t["ts"], pa.int64()).to_numpy()
-        parts = []
-        for g, div in (("hour", 3_600_000_000),
-                       ("day", 86_400_000_000),
-                       ("week", 7 * 86_400_000_000)):
-            parts.append(pa.table({
-                "granularity": pa.array([g] * len(t), pa.string()),
-                "bucket": pa.array(us // div, pa.int64()),
-                "n": pa.array(np.ones(len(t), np.int64))}))
-        tt = pa.concat_tables(parts)
-        g2 = tt.group_by(["granularity", "bucket"]).aggregate(
-            [("n", "sum")])
-        return pa.table({"granularity": g2["granularity"],
-                         "bucket": g2["bucket"], "n": g2["n_sum"]})
-
-    return (ev.map_batches(tag, batch_format="pyarrow")
-            .groupby(["granularity", "bucket"])
-            .aggregate(Sum("n", alias_name="n")))
-
-
 _TYPE_BITS = {"view": 0, "click": 1, "purchase": 2, "signup": 3,
               "error": 4}
-
-
-def _q_user_type_mask(sf_dir: str):
-    """Feature bitmask: per user, an integer whose bits mark which
-    event types the user has ever produced.  Local distinct →
-    global distinct pair rollup → sum of per-type bit values (each bit
-    contributes once, so SUM == OR)."""
-    import pyarrow as pa
-
-    import ray.data as rd
-    from ray.data.aggregate import Sum
-
-    ev = rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                         columns=["user_id", "event_type"])
-
-    def local(t: pa.Table) -> pa.Table:
-        g = t.group_by(["user_id", "event_type"]).aggregate([])
-        bits = np.array([1 << _TYPE_BITS[x]
-                         for x in g["event_type"].to_pylist()], np.int64)
-        return pa.table({"user_id": g["user_id"],
-                         "event_type": g["event_type"],
-                         "bit": pa.array(bits, pa.int64())})
-
-    pairs = (_vgb(ev.map_batches(local, batch_format="pyarrow"), ["user_id", "event_type"], Sum("bit", alias_name="bit_sum")))
-
-    def debit(t: pa.Table) -> pa.Table:
-        # bit_sum is bit × multiplicity (pair seen in k batches); the
-        # distinct pair contributes its bit exactly once
-        bits = np.array([1 << _TYPE_BITS[x]
-                         for x in t["event_type"].to_pylist()], np.int64)
-        return pa.table({"user_id": t["user_id"],
-                         "bit": pa.array(bits, pa.int64())})
-
-    return (_vgb(pairs.map_batches(debit, batch_format="pyarrow"), "user_id", Sum("bit", alias_name="mask")))
-
-
-def _q_median_interp(sf_dir: str):
-    """Exact interpolated median of order value as an integer: the sum
-    of the two middle order-statistics (2×median in cents, no float
-    division).  Distributed selection via the value-rollup: per-batch
-    (value, count) partials → one groupby on distinct values → a
-    cumulative search on the tiny sorted rollup."""
-    import pandas as pd
-    import pyarrow as pa
-
-    import ray.data as rd
-    from ray.data.aggregate import Sum
-
-    orders = rd.read_parquet(os.path.join(sf_dir, "orders.parquet"),
-                             columns=["o_totalprice"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        c = np.rint(np.asarray(
-            t["o_totalprice"].to_numpy(zero_copy_only=False)) * 100
-        ).astype(np.int64)
-        tt = pa.table({"price": pa.array(c, pa.int64()),
-                       "n": pa.array(np.ones(len(c), np.int64))})
-        g = tt.group_by("price").aggregate([("n", "sum")])
-        return pa.table({"price": g["price"], "n": g["n_sum"]})
-
-    rollup = (_vgb(orders.map_batches(partial, batch_format="pyarrow"), "price", Sum("n", alias_name="n"))
-              .to_pandas().sort_values("price").reset_index(drop=True))
-    vals = rollup["price"].to_numpy(dtype=np.int64)
-    cum = rollup["n"].to_numpy(dtype=np.int64).cumsum()
-    n = int(cum[-1])
-    lo_rank = (n + 1) // 2
-    hi_rank = n // 2 + 1
-    lo_v = int(vals[np.searchsorted(cum, lo_rank)])
-    hi_v = int(vals[np.searchsorted(cum, hi_rank)])
-    return pd.DataFrame({"n": pd.Series([n], dtype="int64"),
-                         "mid2_cents": pd.Series([lo_v + hi_v],
-                                                 dtype="int64")})
-
-
-def _q_region_revenue(sf_dir: str):
-    """Snowflake rollup with COMPOSED broadcast dimensions: nation and
-    region are joined driver-side into one custkey→region map chain
-    (customer is itself treated as the broadcastable mid dimension at
-    this scale is NOT assumed — customer joins distributed), revenue
-    rolls up per region name."""
-    import pyarrow as pa
-
-    import ray.data as rd
-    from ray.data.aggregate import Sum
-
-    import ray as _ray
-
-    nation = pq.read_table(os.path.join(sf_dir, "nation.parquet"),
-                           columns=["n_nationkey", "n_regionkey"])
-    region = pq.read_table(os.path.join(sf_dir, "region.parquet"),
-                           columns=["r_regionkey", "r_name"])
-    r_name = dict(zip(region["r_regionkey"].to_pylist(),
-                      region["r_name"].to_pylist()))
-    nat_to_region = {k: r_name[r] for k, r in
-                     zip(nation["n_nationkey"].to_pylist(),
-                         nation["n_regionkey"].to_pylist())}
-    ref = _ray.put(nat_to_region)
-
-    cust = rd.read_parquet(os.path.join(sf_dir, "customer.parquet"),
-                           columns=["c_custkey", "c_nationkey"])
-    orders = rd.read_parquet(os.path.join(sf_dir, "orders.parquet"),
-                             columns=["o_custkey", "o_totalprice"])
-
-    def cents(t: pa.Table) -> pa.Table:
-        c = np.rint(np.asarray(
-            t["o_totalprice"].to_numpy(zero_copy_only=False)) * 100
-        ).astype(np.int64)
-        tt = pa.table({"o_custkey": t["o_custkey"],
-                       "rev": pa.array(c, pa.int64())})
-        g = tt.group_by("o_custkey").aggregate([("rev", "sum")])
-        return pa.table({"o_custkey": g["o_custkey"],
-                         "rev": g["rev_sum"]})
-
-    per_cust = (_vgb(orders.map_batches(cents, batch_format="pyarrow"), "o_custkey", Sum("rev", alias_name="rev")))
-    per_cust, parts = sized_for_join(per_cust, cap=8)
-    j = per_cust.join(cust, join_type="inner", num_partitions=parts,
-                      on=("o_custkey",), right_on=("c_custkey",))
-
-    def tag_region(t: pa.Table) -> pa.Table:
-        m = _ray.get(ref)
-        names = pa.array([m[int(k)] for k in
-                          t["c_nationkey"].to_pylist()], pa.string())
-        return pa.table({"r_name": names, "rev": t["rev"]})
-
-    return (j.map_batches(tag_region, batch_format="pyarrow")
-            .groupby("r_name").aggregate(Sum("rev",
-                                             alias_name="revenue")))
-
-
-def _q_trailing_active_users(sf_dir: str):
-    """Trailing 3-day active users per day (the DAU/WAU windowed
-    distinct): distinct (user, day) pairs, each expanded to the ≤3
-    window days it keeps the user active in, one more distinct, then a
-    count — two small shuffles over unique pairs, never raw events."""
-    import pyarrow as pa
-
-    import ray.data as rd
-    from ray.data.aggregate import Count
-
-    ev = rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                         columns=["user_id", "ts"])
-
-    def pairs(t: pa.Table) -> pa.Table:
-        day = pc.cast(t["ts"], pa.int64()).to_numpy() // 86_400_000_000
-        tt = pa.table({"user_id": t["user_id"],
-                       "day": pa.array(day, pa.int64())})
-        return tt.group_by(["user_id", "day"]).aggregate([])
-
-    distinct = (_vgb(ev.map_batches(pairs, batch_format="pyarrow"), ["user_id", "day"], Count()))
-    # the window-day universe: only days that actually occur
-    days = frozenset(
-        r["day"] for r in
-        distinct.groupby("day").aggregate(Count()).take_all())
-    import ray as _ray
-    dref = _ray.put(days)
-
-    def expand(t: pa.Table) -> pa.Table:
-        ds_ = _ray.get(dref)
-        u = t["user_id"].to_numpy()
-        d = t["day"].to_numpy()
-        us, ws = [], []
-        for off in (0, 1, 2):
-            w = d + off
-            keep = np.fromiter((x in ds_ for x in w), bool, len(w))
-            us.append(u[keep])
-            ws.append(w[keep])
-        tt = pa.table({"user_id": pa.array(np.concatenate(us), pa.int64()),
-                       "wday": pa.array(np.concatenate(ws), pa.int64())})
-        return tt.group_by(["user_id", "wday"]).aggregate([])
-
-    win = (_vgb(distinct.map_batches(expand, batch_format="pyarrow"), ["user_id", "wday"], Count()))
-    out = (win.groupby("wday")
-           .aggregate(Count(alias_name="active_3d")))
-    return out.map_batches(
-        lambda t: pa.table({"day": t["wday"], "active_3d":
-                            pc.cast(t["active_3d"], pa.int64())}),
-        batch_format="pyarrow")
-
-
-def _q_user_streaks(sf_dir: str):
-    """Gaps-and-islands: each user's longest run of consecutive active
-    days.  Distinct (user, day) pairs first (the shuffle moves unique
-    pairs), then a per-user vectorized streak scan — day − rank is
-    constant within an island, exactly the SQL islands trick."""
-    import pandas as pd
-    import pyarrow as pa
-
-    import ray.data as rd
-    from ray.data.aggregate import Count
-
-    ev = rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                         columns=["user_id", "ts"])
-
-    def pairs(t: pa.Table) -> pa.Table:
-        day = pc.cast(t["ts"], pa.int64()).to_numpy() // 86_400_000_000
-        tt = pa.table({"user_id": t["user_id"],
-                       "day": pa.array(day, pa.int64())})
-        return tt.group_by(["user_id", "day"]).aggregate([])
-
-    distinct = (_vgb(ev.map_batches(pairs, batch_format="pyarrow"), ["user_id", "day"], Count()))
-
-    from pmocr_ray.ops.events import _user_bucketed
-
-    def streak_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        # all users of the bucket in one scan: island id = day − rank
-        # within user (constant along a consecutive-day run), run
-        # lengths via one value_counts, max per user via groupby max
-        df = df.sort_values(["user_id", "day"], kind="mergesort")
-        rank = df.groupby("user_id", sort=False).cumcount().to_numpy()
-        island = df["day"].to_numpy(dtype=np.int64) - rank
-        runs = pd.DataFrame({"user_id": df["user_id"].to_numpy(),
-                             "i": island})
-        lens = (runs.groupby(["user_id", "i"], sort=False)
-                .size().reset_index(name="n"))
-        out = (lens.groupby("user_id", sort=False)["n"].max()
-               .reset_index(name="max_streak"))
-        return out
-
-    out = _user_bucketed(distinct, streak_bucket)
-    return out.map_batches(
-        lambda t: pa.table({"user_id": pc.cast(t["user_id"], pa.int64()),
-                            "max_streak": pc.cast(t["max_streak"],
-                                                  pa.int64())}),
-        batch_format="pyarrow")
-
-
-def _q_type_cooccur_lift(sf_dir: str):
-    """Co-occurrence lift between event types at the user level, exact
-    integer numerators: lift(a,b) = (n_ab·n_users) / (n_a·n_b) emitted
-    as the two products (never a float ratio).  Distinct (user, type)
-    pairs → per-type counts (tiny, broadcast) → hash self-join on user
-    → ordered-pair rollup."""
-    import pyarrow as pa
-
-    import ray.data as rd
-    from ray.data.aggregate import Count
-
-    import ray as _ray
-
-    ev = rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                         columns=["user_id", "event_type"])
-
-    def local(t: pa.Table) -> pa.Table:
-        return t.group_by(["user_id", "event_type"]).aggregate([])
-
-    pairs = (_vgb(ev.map_batches(local, batch_format="pyarrow"), ["user_id", "event_type"], Count())
-             .select_columns(["user_id", "event_type"]))
-    type_counts = {r["event_type"]: r["count()"] for r in
-                   pairs.groupby("event_type").aggregate(
-                       Count()).take_all()}
-    n_users = _vgb(pairs, "user_id", Count()).count()
-    tc_ref = _ray.put(type_counts)
-
-    pairs, parts = sized_for_join(pairs, cap=8)
-    j = pairs.join(pairs, join_type="inner", num_partitions=parts,
-                   on=("user_id",), right_suffix="_r")
-
-    def ordered(t: pa.Table) -> pa.Table:
-        keep = pc.less(t["event_type"], t["event_type_r"])
-        t = t.filter(keep)
-        return pa.table({"a": t["event_type"], "b": t["event_type_r"]})
-
-    co = (_vgb(j.map_batches(ordered, batch_format="pyarrow"), ["a", "b"], Count(alias_name="n_ab")))
-
-    def finish(t: pa.Table) -> pa.Table:
-        tc = _ray.get(tc_ref)
-        na = np.array([tc[x] for x in t["a"].to_pylist()], np.int64)
-        nb = np.array([tc[x] for x in t["b"].to_pylist()], np.int64)
-        nab = t["n_ab"].to_numpy().astype(np.int64)
-        return pa.table({"a": t["a"], "b": t["b"],
-                         "n_a": pa.array(na, pa.int64()),
-                         "n_b": pa.array(nb, pa.int64()),
-                         "n_ab": pa.array(nab, pa.int64()),
-                         "lift_num": pa.array(nab * n_users, pa.int64()),
-                         "lift_den": pa.array(na * nb, pa.int64())})
-
-    return co.map_batches(finish, batch_format="pyarrow")
-
-
-def _q_nation_region_share(sf_dir: str):
-    """Hierarchical ratio: each nation's exact ppm share of its
-    region's revenue.  One distributed per-customer revenue rollup
-    feeds BOTH levels; nation→region is a broadcast dimension chain and
-    the two tiny rollups divide integer-exactly driver-side."""
-    import pandas as pd
-    import pyarrow as pa
-
-    import ray.data as rd
-    from ray.data.aggregate import Sum
-
-    import ray as _ray
-
-    nation = pq.read_table(os.path.join(sf_dir, "nation.parquet"),
-                           columns=["n_nationkey", "n_name",
-                                    "n_regionkey"])
-    nat_region = dict(zip(nation["n_nationkey"].to_pylist(),
-                          nation["n_regionkey"].to_pylist()))
-    nat_name = dict(zip(nation["n_nationkey"].to_pylist(),
-                        nation["n_name"].to_pylist()))
-    ref = _ray.put(nat_region)
-
-    cust = rd.read_parquet(os.path.join(sf_dir, "customer.parquet"),
-                           columns=["c_custkey", "c_nationkey"])
-    orders = rd.read_parquet(os.path.join(sf_dir, "orders.parquet"),
-                             columns=["o_custkey", "o_totalprice"])
-
-    def cents(t: pa.Table) -> pa.Table:
-        c = np.rint(np.asarray(
-            t["o_totalprice"].to_numpy(zero_copy_only=False)) * 100
-        ).astype(np.int64)
-        tt = pa.table({"o_custkey": t["o_custkey"],
-                       "rev": pa.array(c, pa.int64())})
-        g = tt.group_by("o_custkey").aggregate([("rev", "sum")])
-        return pa.table({"o_custkey": g["o_custkey"],
-                         "rev": g["rev_sum"]})
-
-    per_cust = (_vgb(orders.map_batches(cents, batch_format="pyarrow"), "o_custkey", Sum("rev", alias_name="rev")))
-    per_cust, parts = sized_for_join(per_cust, cap=8)
-    j = per_cust.join(cust, join_type="inner", num_partitions=parts,
-                      on=("o_custkey",), right_on=("c_custkey",))
-    per_nation = (j.groupby("c_nationkey")
-                  .aggregate(Sum("rev", alias_name="rev"))
-                  .to_pandas())
-    per_nation["c_nationkey"] = per_nation["c_nationkey"].astype("int64")
-    per_nation["region"] = per_nation["c_nationkey"].map(nat_region)
-    region_tot = per_nation.groupby("region")["rev"].sum().to_dict()
-    out = pd.DataFrame({
-        "n_name": per_nation["c_nationkey"].map(nat_name),
-        "revenue": per_nation["rev"].astype("int64"),
-        "region_revenue": per_nation["region"].map(region_tot)
-        .astype("int64")})
-    out["share_ppm"] = (out["revenue"] * 1_000_000
-                        // out["region_revenue"]).astype("int64")
-    return out.reset_index(drop=True)
 
 
 def _q_doc_len_pct_in_lang(sf_dir: str):
@@ -4785,261 +2814,6 @@ def _q_doc_len_pct_in_lang(sf_dir: str):
     return docs.map_batches(assign, batch_format="pyarrow")
 
 
-# Broadcast gate for _q_nation_pair_flows: an orders side within the
-# gate ships as two dense int64 LUTs (≤ ~64 MB) instead of joining.
-# Module-level so tests can force the above-gate join plan on small
-# fixtures (tests/test_joins.py::test_nation_pair_flows_join_plan_...).
-Q7_BROADCAST_GATE = 2_000_000
-
-
-def _q_nation_pair_flows(sf_dir: str):
-    """TPC-H Q7 shape: trade volume between every ordered (supplier
-    nation, customer nation) pair per ship year, supp ≠ cust.  Exact
-    1e-4-dollar int64 revenue (ref: pmocr.sh has no joins; this is the
-    anti-join discipline of pmocr.sh:2126-2144 generalized).
-
-    Two physical plans, gated on the ``orders`` row count (same
-    pattern as ``ops/graph.pagerank``'s node-count gate):
-
-    * ``orders`` ≤ 2M rows: JOIN-FREE.  orderkey→custkey and
-      custkey→nationkey are dense int64 LUTs broadcast once via
-      ``ray.put`` (≤ ~64 MB at the gate) and gathered per batch, so
-      the whole query is one lineitem scan + a ≤4200-row rollup —
-      zero shuffles.
-    * above the gate (orders no longer one-machine-broadcastable):
-      partial (orderkey, s_nat, year) pre-agg BEFORE two large-large
-      hash joins with data-scaled partition counts — the plan that
-      survives 100 TB."""
-    import pyarrow as pa
-
-    import ray.data as rd
-    from ray.data.aggregate import Sum
-
-    import ray
-
-    nation = pq.read_table(os.path.join(sf_dir, "nation.parquet"),
-                           columns=["n_nationkey", "n_name"])
-    n_map = dict(zip(nation["n_nationkey"].to_pylist(),
-                     nation["n_name"].to_pylist()))
-    supplier = pq.read_table(os.path.join(sf_dir, "supplier.parquet"),
-                             columns=["s_suppkey", "s_nationkey"])
-    s_map = dict(zip(supplier["s_suppkey"].to_pylist(),
-                     supplier["s_nationkey"].to_pylist()))
-    s_ref = ray.put(_dense_i64_lut(s_map))
-
-    li = rd.read_parquet(os.path.join(sf_dir, "lineitem.parquet"),
-                         columns=["l_orderkey", "l_suppkey", "l_shipdate",
-                                  "l_extendedprice", "l_discount"])
-
-    n_orders = pq.ParquetFile(
-        os.path.join(sf_dir, "orders.parquet")).metadata.num_rows
-    if n_orders <= Q7_BROADCAST_GATE:  # broadcast gate — see docstring
-        ot = pq.read_table(os.path.join(sf_dir, "orders.parquet"),
-                           columns=["o_orderkey", "o_custkey"])
-        ok = _i64(ot["o_orderkey"])
-        o_lut = np.full(int(ok.max()) + 1, -1, np.int64)
-        o_lut[ok] = _i64(ot["o_custkey"])
-        ct = pq.read_table(os.path.join(sf_dir, "customer.parquet"),
-                           columns=["c_custkey", "c_nationkey"])
-        ck = _i64(ct["c_custkey"])
-        c_lut = np.full(int(ck.max()) + 1, -1, np.int64)
-        c_lut[ck] = _i64(ct["c_nationkey"])
-        names = np.array([n_map.get(i, "") for i in
-                          range(max(n_map) + 1)], dtype=object)
-        luts_ref = ray.put((o_lut, c_lut, names))
-
-        def fused(t: pa.Table) -> pa.Table:
-            o_lut, c_lut, names = ray.get(luts_ref)
-            s_lut = ray.get(s_ref)
-            s_nat = _lut_gather(s_lut, _i64(t["l_suppkey"]))
-            c_nat = _lut_gather(c_lut,
-                                _lut_gather(o_lut, _i64(t["l_orderkey"])))
-            keep = (s_nat >= 0) & (c_nat >= 0) & (s_nat != c_nat)
-            s_nat, c_nat = s_nat[keep], c_nat[keep]
-            kt = t.filter(pa.array(keep))
-            year = pc.cast(pc.year(kt["l_shipdate"]), pa.int64())
-            ext = np.rint(np.asarray(
-                kt["l_extendedprice"].to_numpy(zero_copy_only=False)) * 100
-            ).astype(np.int64)
-            disc = np.rint(np.asarray(
-                kt["l_discount"].to_numpy(zero_copy_only=False)) * 100
-            ).astype(np.int64)
-            tt = pa.table({
-                "supp_nation": pa.array(names[s_nat], pa.string()),
-                "cust_nation": pa.array(names[c_nat], pa.string()),
-                "l_year": year,
-                "rev": pa.array(ext * (100 - disc), pa.int64())})
-            g = tt.group_by(["supp_nation", "cust_nation",
-                             "l_year"]).aggregate([("rev", "sum")])
-            return pa.table({"supp_nation": g["supp_nation"],
-                             "cust_nation": g["cust_nation"],
-                             "l_year": g["l_year"],
-                             "revenue_e4": g["rev_sum"]})
-
-        return (li.map_batches(fused, batch_format="pyarrow")
-                .groupby(["supp_nation", "cust_nation", "l_year"])
-                .aggregate(Sum("revenue_e4", alias_name="revenue_e4")))
-
-    def partial(t: pa.Table) -> pa.Table:
-        lut = ray.get(s_ref)
-        nat = pa.array(_lut_gather(lut, _i64(t["l_suppkey"])), pa.int64())
-        year = pc.cast(pc.year(t["l_shipdate"]), pa.int64())
-        ext = np.rint(np.asarray(
-            t["l_extendedprice"].to_numpy(zero_copy_only=False)) * 100
-        ).astype(np.int64)
-        disc = np.rint(np.asarray(
-            t["l_discount"].to_numpy(zero_copy_only=False)) * 100
-        ).astype(np.int64)
-        tt = pa.table({"l_orderkey": t["l_orderkey"], "s_nat": nat,
-                       "l_year": year,
-                       "rev": pa.array(ext * (100 - disc), pa.int64())})
-        g = tt.group_by(["l_orderkey", "s_nat", "l_year"]).aggregate(
-            [("rev", "sum")])
-        return pa.table({"l_orderkey": g["l_orderkey"],
-                         "s_nat": g["s_nat"], "l_year": g["l_year"],
-                         "rev": g["rev_sum"]})
-
-    from pmocr_ray.ops.vecagg import grouped_aggregate
-
-    # order-scale groups — Arrow-bucketed merge (see ops/vecagg.py)
-    per_order = grouped_aggregate(
-        li.map_batches(partial, batch_format="pyarrow"),
-        ["l_orderkey", "s_nat", "l_year"], [("rev", "sum", "rev")])
-    orders = rd.read_parquet(os.path.join(sf_dir, "orders.parquet"),
-                             columns=["o_orderkey", "o_custkey"])
-    per_order, parts = sized_for_join(per_order, cap=8)
-    j1 = per_order.join(orders, join_type="inner", num_partitions=parts,
-                        on=("l_orderkey",), right_on=("o_orderkey",))
-    customer = rd.read_parquet(os.path.join(sf_dir, "customer.parquet"),
-                               columns=["c_custkey", "c_nationkey"])
-    j2 = j1.join(customer, join_type="inner", num_partitions=parts,
-                 on=("o_custkey",), right_on=("c_custkey",))
-    n_ref = ray.put(n_map)
-
-    def cross_pairs(t: pa.Table) -> pa.Table:
-        nmap = ray.get(n_ref)
-        names = np.array([nmap.get(i, "") for i in
-                          range(max(nmap) + 1)], dtype=object)
-        c_nat = pc.cast(t["c_nationkey"], pa.int64())
-        keep = pc.invert(pc.equal(c_nat, t["s_nat"]))
-        t = t.append_column("c_nat", c_nat).filter(
-            pc.fill_null(keep, False))
-        supp = pa.array(names[_i64(t["s_nat"])], pa.string())
-        cust = pa.array(names[_i64(t["c_nat"])], pa.string())
-        tt = pa.table({"supp_nation": supp, "cust_nation": cust,
-                       "l_year": t["l_year"], "rev": t["rev"]})
-        g = tt.group_by(["supp_nation", "cust_nation", "l_year"]).aggregate(
-            [("rev", "sum")])
-        return pa.table({"supp_nation": g["supp_nation"],
-                         "cust_nation": g["cust_nation"],
-                         "l_year": g["l_year"],
-                         "revenue_e4": g["rev_sum"]})
-
-    return (j2.map_batches(cross_pairs, batch_format="pyarrow")
-            .groupby(["supp_nation", "cust_nation", "l_year"])
-            .aggregate(Sum("revenue_e4", alias_name="revenue_e4")))
-
-
-def _q_sole_returner_suppliers(sf_dir: str):
-    """TPC-H Q21 shape (multi-EXISTS self-join on the fact table):
-    per finished multi-supplier order, find the *sole* supplier whose
-    lines were returned, and tally returned lines per such supplier.
-    Two cascaded groupbys replace the EXISTS/NOT-EXISTS pair: the
-    per-(order,supplier) rollup makes rows unique, so the per-order
-    stage computes n_supp / n_ret_supp / the sole offender with plain
-    Sum/Min aggregates — no correlated rescan of lineitem."""
-    import pyarrow as pa
-
-    import ray.data as rd
-    from ray.data.aggregate import Min, Sum
-
-    import ray
-
-    SENT = (1 << 62)
-    li = rd.read_parquet(os.path.join(sf_dir, "lineitem.parquet"),
-                         columns=["l_orderkey", "l_suppkey",
-                                  "l_returnflag"])
-
-    def per_supp_partial(t: pa.Table) -> pa.Table:
-        ret = pc.cast(pc.equal(t["l_returnflag"], "R"), pa.int64())
-        tt = pa.table({"l_orderkey": t["l_orderkey"],
-                       "l_suppkey": t["l_suppkey"], "ret": ret})
-        g = tt.group_by(["l_orderkey", "l_suppkey"]).aggregate(
-            [("ret", "sum")])
-        return pa.table({"l_orderkey": g["l_orderkey"],
-                         "l_suppkey": g["l_suppkey"],
-                         "ret_lines": g["ret_sum"]})
-
-    per_supp = (_vgb(li.map_batches(per_supp_partial, batch_format="pyarrow"), ["l_orderkey", "l_suppkey"], Sum("ret_lines", alias_name="ret_lines")))
-
-    def per_order_partial(t: pa.Table) -> pa.Table:
-        # rows are unique per (order, supplier) here, so per-batch
-        # partials + a global Sum/Min compose exactly
-        ret = t["ret_lines"].to_numpy()
-        supp = t["l_suppkey"].to_numpy()
-        is_ret = (ret > 0).astype(np.int64)
-        supp_if = np.where(is_ret == 1, supp, SENT)
-        tt = pa.table({
-            "l_orderkey": t["l_orderkey"],
-            "n_supp": pa.array(np.ones(len(t), np.int64)),
-            "n_ret_supp": pa.array(is_ret),
-            "ret_total": pa.array(ret.astype(np.int64)),
-            "ret_supp": pa.array(supp_if, pa.int64()),
-        })
-        g = tt.group_by("l_orderkey").aggregate(
-            [("n_supp", "sum"), ("n_ret_supp", "sum"),
-             ("ret_total", "sum"), ("ret_supp", "min")])
-        return pa.table({"l_orderkey": g["l_orderkey"],
-                         "n_supp": g["n_supp_sum"],
-                         "n_ret_supp": g["n_ret_supp_sum"],
-                         "ret_total": g["ret_total_sum"],
-                         "ret_supp": g["ret_supp_min"]})
-
-    per_order = (_vgb(per_supp.map_batches(per_order_partial,
-                                      batch_format="pyarrow"), "l_orderkey", Sum("n_supp", alias_name="n_supp"), Sum("n_ret_supp", alias_name="n_ret_supp"), Sum("ret_total", alias_name="ret_total"), Min("ret_supp", alias_name="ret_supp")))
-
-    def sole(t: pa.Table) -> pa.Table:
-        keep = pc.and_(pc.greater_equal(t["n_supp"], 2),
-                       pc.equal(t["n_ret_supp"], 1))
-        t = t.filter(pc.fill_null(keep, False))
-        return pa.table({"l_orderkey": t["l_orderkey"],
-                         "ret_supp": t["ret_supp"],
-                         "ret_lines": t["ret_total"]})
-
-    cand = per_order.map_batches(sole, batch_format="pyarrow")
-    orders = rd.read_parquet(os.path.join(sf_dir, "orders.parquet"),
-                             columns=["o_orderkey", "o_orderstatus"])
-
-    def f_only(t: pa.Table) -> pa.Table:
-        return t.filter(pc.equal(t["o_orderstatus"], "F")).select(
-            ["o_orderkey"])
-
-    f_orders = orders.map_batches(f_only, batch_format="pyarrow")
-    cand, parts = sized_for_join(cand, cap=8)
-    j = cand.join(f_orders, join_type="inner", num_partitions=parts,
-                  on=("l_orderkey",), right_on=("o_orderkey",))
-    from ray.data.aggregate import Count
-
-    agg = (j.groupby("ret_supp")
-           .aggregate(Count(alias_name="n_orders"),
-                      Sum("ret_lines", alias_name="n_ret_lines")))
-    supplier = pq.read_table(os.path.join(sf_dir, "supplier.parquet"),
-                             columns=["s_suppkey", "s_name"])
-    s_name = dict(zip(supplier["s_suppkey"].to_pylist(),
-                      supplier["s_name"].to_pylist()))
-    name_ref = ray.put(s_name)
-
-    def named(t: pa.Table) -> pa.Table:
-        m = ray.get(name_ref)
-        return pa.table({
-            "s_name": pa.array([m[k] for k in t["ret_supp"].to_pylist()],
-                               pa.string()),
-            "n_orders": pc.cast(t["n_orders"], pa.int64()),
-            "n_ret_lines": t["n_ret_lines"]})
-
-    return agg.map_batches(named, batch_format="pyarrow")
-
-
 def _q_ks_lang_len(sf_dir: str):
     """Distributed two-sample Kolmogorov–Smirnov statistic: max CDF
     gap between the length distribution of lang='en' documents and all
@@ -5073,59 +2847,6 @@ def _q_ks_lang_len(sf_dir: str):
     return pd.DataFrame({
         "n_en": [n_en], "n_other": [n_other], "d_num": [d_num],
         "ks_ppm": [d_num * 1_000_000 // (n_en * n_other)]}).astype("int64")
-
-
-def _q_order_backlog(sf_dir: str):
-    """Interval-overlap sweep: for each day in the delta support, how
-    many orders are open (orderdate ≤ day < last ship day of the
-    order's lines).  The classic +1/-1 delta decomposition: per-order
-    end day from a lineitem partial-max rollup, hash-joined to orders,
-    exploded to two delta rows, summed per day — the shuffle carries
-    only (day, ±1) pairs and the cumulative scan runs driver-side over
-    the ~2.5k-day support (bounded by the calendar, not the data)."""
-    import pandas as pd
-    import pyarrow as pa
-
-    import ray.data as rd
-    from ray.data.aggregate import Max, Sum
-
-    US_PER_DAY = 86_400_000_000
-
-    li = rd.read_parquet(os.path.join(sf_dir, "lineitem.parquet"),
-                         columns=["l_orderkey", "l_shipdate"])
-
-    def end_partial(t: pa.Table) -> pa.Table:
-        d = pc.divide(pc.cast(t["l_shipdate"], pa.int64()),
-                      US_PER_DAY)
-        tt = pa.table({"l_orderkey": t["l_orderkey"], "ed": d})
-        g = tt.group_by("l_orderkey").aggregate([("ed", "max")])
-        return pa.table({"l_orderkey": g["l_orderkey"],
-                         "ed": g["ed_max"]})
-
-    ends = (_vgb(li.map_batches(end_partial, batch_format="pyarrow"), "l_orderkey", Max("ed", alias_name="ed")))
-    orders = rd.read_parquet(os.path.join(sf_dir, "orders.parquet"),
-                             columns=["o_orderkey", "o_orderdate"])
-    ends, parts = sized_for_join(ends, cap=8)
-    j = ends.join(orders, join_type="inner", num_partitions=parts,
-                  on=("l_orderkey",), right_on=("o_orderkey",))
-
-    def deltas(t: pa.Table) -> pa.Table:
-        sd = pc.divide(pc.cast(t["o_orderdate"], pa.int64()), US_PER_DAY)
-        day = pa.concat_arrays([sd.combine_chunks(),
-                                t["ed"].combine_chunks()])
-        one = np.ones(len(t), np.int64)
-        delta = pa.array(np.concatenate([one, -one]), pa.int64())
-        tt = pa.table({"day": day, "delta": delta})
-        g = tt.group_by("day").aggregate([("delta", "sum")])
-        return pa.table({"day": g["day"], "delta": g["delta_sum"]})
-
-    rollup = (j.map_batches(deltas, batch_format="pyarrow")
-              .groupby("day").aggregate(Sum("delta", alias_name="delta"))
-              .to_pandas().sort_values("day"))
-    return pd.DataFrame({
-        "day": rollup["day"].to_numpy(dtype=np.int64),
-        "open_orders": rollup["delta"].to_numpy(dtype=np.int64).cumsum(),
-    }).reset_index(drop=True)
 
 
 def _q_weighted_median_price(sf_dir: str):
@@ -5247,105 +2968,6 @@ def _q_vocab_overlap(sf_dir: str):
     return out
 
 
-def _q_rfm_scores(sf_dir: str):
-    """RFM customer segmentation with *deterministic* quintiles: each
-    dimension's bucket is min(4, strictly-below-count·5 // n) — a pure
-    function of the value, so ties never straddle buckets and the
-    result is partitioning-independent (NTILE's positional ties are
-    not).  One per-customer rollup is materialized once and reused by
-    the three dimension-CDF rollups and the final assignment; the CDFs
-    travel as one broadcast (bounded value domains: days, order
-    counts; monetary support is distinct-cents — at 100 TB swap in
-    fixed-width bins)."""
-    import pyarrow as pa
-
-    import ray.data as rd
-    from ray.data.aggregate import Max, Sum
-
-    import ray
-
-    US_PER_DAY = 86_400_000_000
-
-    orders = rd.read_parquet(os.path.join(sf_dir, "orders.parquet"),
-                             columns=["o_custkey", "o_orderdate",
-                                      "o_totalprice"])
-
-    # global max order day: dedicated column-pruned pass (cheap), so
-    # the per-customer rollup below executes exactly once
-    dates = rd.read_parquet(os.path.join(sf_dir, "orders.parquet"),
-                            columns=["o_orderdate"])
-
-    def day_max(t: pa.Table) -> pa.Table:
-        d = pc.max(pc.divide(pc.cast(t["o_orderdate"], pa.int64()),
-                             US_PER_DAY))
-        return pa.table({"d": pa.array([d.as_py()], pa.int64())})
-
-    max_day = int(dates.map_batches(day_max, batch_format="pyarrow")
-                  .max("d"))
-
-    def per_cust_partial(t: pa.Table) -> pa.Table:
-        day = pc.divide(pc.cast(t["o_orderdate"], pa.int64()), US_PER_DAY)
-        cents = np.rint(np.asarray(
-            t["o_totalprice"].to_numpy(zero_copy_only=False)) * 100
-        ).astype(np.int64)
-        tt = pa.table({"ck": t["o_custkey"], "last_day": day,
-                       "freq": pa.array(np.ones(len(t), np.int64)),
-                       "mon": pa.array(cents, pa.int64())})
-        g = tt.group_by("ck").aggregate(
-            [("last_day", "max"), ("freq", "sum"), ("mon", "sum")])
-        return pa.table({"ck": g["ck"], "last_day": g["last_day_max"],
-                         "freq": g["freq_sum"], "mon": g["mon_sum"]})
-
-    def to_rec(t: pa.Table) -> pa.Table:
-        rec = pc.subtract(pa.scalar(max_day, pa.int64()), t["last_day"])
-        return pa.table({"ck": t["ck"], "rec": rec, "freq": t["freq"],
-                         "mon": t["mon"]})
-
-    per_cust = (_vgb(orders.map_batches(per_cust_partial,
-                                   batch_format="pyarrow"), "ck", Max("last_day", alias_name="last_day"), Sum("freq", alias_name="freq"), Sum("mon", alias_name="mon"))
-                .map_batches(to_rec, batch_format="pyarrow")
-                .materialize())
-    n_cust = per_cust.count()
-
-    def dim_rollup(dim: str):
-        def partial(t: pa.Table) -> pa.Table:
-            tt = pa.table({"v": t[dim],
-                           "n": pa.array(np.ones(len(t), np.int64))})
-            g = tt.group_by("v").aggregate([("n", "sum")])
-            return pa.table({"v": g["v"], "n": g["n_sum"]})
-
-        df = (_vgb(per_cust.map_batches(partial, batch_format="pyarrow"), "v", Sum("n", alias_name="n"))
-              .to_pandas().sort_values("v"))
-        vals = df["v"].to_numpy(dtype=np.int64)
-        cum = np.concatenate(([0], df["n"].to_numpy(np.int64).cumsum()))
-        return vals, cum[:-1]  # below(v) = customers strictly < v
-
-    cdf_ref = ray.put({d: dim_rollup(d) for d in ("rec", "freq", "mon")})
-
-    def assign(t: pa.Table) -> pa.Table:
-        cdfs = ray.get(cdf_ref)
-        code = np.zeros(len(t), np.int64)
-        for dim, mul in (("rec", 100), ("freq", 10), ("mon", 1)):
-            vals, below = cdfs[dim]
-            v = t[dim].to_numpy()
-            pos = np.searchsorted(vals, v, side="left")
-            b = np.minimum(4, below[pos] * 5 // n_cust)
-            code += b * mul
-        tt = pa.table({"rfm_code": pa.array(code, pa.int64()),
-                       "n_customers": pa.array(np.ones(len(t), np.int64)),
-                       "sum_monetary": t["mon"]})
-        g = tt.group_by("rfm_code").aggregate(
-            [("n_customers", "sum"), ("sum_monetary", "sum")])
-        return pa.table({"rfm_code": g["rfm_code"],
-                         "n_customers": g["n_customers_sum"],
-                         "sum_monetary": g["sum_monetary_sum"]})
-
-    return (per_cust.map_batches(assign, batch_format="pyarrow")
-            .groupby("rfm_code")
-            .aggregate(Sum("n_customers", alias_name="n_customers"),
-                       Sum("sum_monetary", alias_name="sum_monetary")))
-
-
 def _q_emb_norm_outliers(sf_dir: str):
     """Robust outlier flagging on a vector column, bit-exact across
     engines: each embedding is quantized q = floor(x·2²⁰) (scaling by
@@ -5404,50 +3026,6 @@ def _q_emb_norm_outliers(sf_dir: str):
                          "is_outlier": pa.array(out, pa.int64())})
 
     return nt.map_batches(flag, batch_format="pyarrow")
-
-
-def _q_cohort_retention(sf_dir: str):
-    """Quarterly cohort-retention triangle: customers bucketed by
-    first-order quarter; for each (cohort, later-quarter) the count of
-    cohort customers who ordered again.  The per-customer first
-    quarter is a Min rollup hash-joined back to the distinct
-    (customer, quarter) activity set — the classic self-referential
-    temporal join, with both join inputs already reduced to one row
-    per customer(-quarter) before the exchange."""
-    import pyarrow as pa
-
-    import ray.data as rd
-    from ray.data.aggregate import Min, Sum
-
-    orders = rd.read_parquet(os.path.join(sf_dir, "orders.parquet"),
-                             columns=["o_custkey", "o_orderdate"])
-
-    def cust_q(t: pa.Table) -> pa.Table:
-        y = pc.cast(pc.year(t["o_orderdate"]), pa.int64())
-        q = pc.cast(pc.quarter(t["o_orderdate"]), pa.int64())
-        qi = pc.add(pc.multiply(y, 4), pc.subtract(q, 1))
-        tt = pa.table({"ck": t["o_custkey"], "q": qi})
-        return tt.group_by(["ck", "q"]).aggregate([])
-
-    activity = (orders.map_batches(cust_q, batch_format="pyarrow")
-                .groupby(["ck", "q"]).count()
-                .drop_columns(["count()"]))
-    first_q = (_vgb(activity, "ck", Min("q", alias_name="cohort")))
-    first_q, parts = sized_for_join(first_q, cap=8)
-    j = activity.join(first_q, join_type="inner", num_partitions=parts,
-                      on=("ck",), right_on=("ck",))
-
-    def pair(t: pa.Table) -> pa.Table:
-        tt = pa.table({"cohort_q": t["cohort"], "active_q": t["q"],
-                       "n": pa.array(np.ones(len(t), np.int64))})
-        g = tt.group_by(["cohort_q", "active_q"]).aggregate([("n", "sum")])
-        return pa.table({"cohort_q": g["cohort_q"],
-                         "active_q": g["active_q"],
-                         "n_customers": g["n_sum"]})
-
-    return (j.map_batches(pair, batch_format="pyarrow")
-            .groupby(["cohort_q", "active_q"])
-            .aggregate(Sum("n_customers", alias_name="n_customers")))
 
 
 def _q_rank_fusion(sf_dir: str):
@@ -5516,166 +3094,6 @@ def _q_rank_fusion(sf_dir: str):
             .limit(20))
 
 
-def _q_daily_anomalies(sf_dir: str):
-    """Trailing-window anomaly detection on daily event volume,
-    entirely in integers: day d is anomalous when its count exceeds
-    the trailing-28-day mean by 1σ — tested as
-    (c·n − S) > 0 ∧ (c·n − S)² > n·Q − S², which clears both
-    denominators so no float mean/σ ever exists.  The corpus shuffle
-    carries only (day, count) pairs; the trailing scan runs over the
-    bounded day support."""
-    import pandas as pd
-    import pyarrow as pa
-
-    import ray.data as rd
-    from ray.data.aggregate import Sum
-
-    US_PER_DAY = 86_400_000_000
-
-    ev = rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                         columns=["ts"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        d = pc.divide(pc.cast(t["ts"], pa.int64()), US_PER_DAY)
-        tt = pa.table({"day": d,
-                       "n": pa.array(np.ones(len(t), np.int64))})
-        g = tt.group_by("day").aggregate([("n", "sum")])
-        return pa.table({"day": g["day"], "n": g["n_sum"]})
-
-    daily = (ev.map_batches(partial, batch_format="pyarrow")
-             .groupby("day").aggregate(Sum("n", alias_name="n"))
-             .to_pandas().sort_values("day"))
-    days = daily["day"].to_numpy(dtype=np.int64)
-    counts = daily["n"].to_numpy(dtype=np.int64)
-    rows = []
-    for i in range(len(days)):
-        lo_day = days[i] - 28
-        j0 = int(np.searchsorted(days, lo_day, side="left"))
-        w = counts[j0:i][days[j0:i] < days[i]]
-        n = len(w)
-        if n < 7:  # warm-up: not enough history to judge
-            continue
-        s, q = int(w.sum()), int((w * w).sum())
-        c = int(counts[i])
-        lhs = c * n - s
-        if lhs > 0 and lhs * lhs > n * q - s * s:
-            rows.append((int(days[i]), c, n, s))
-    out = pd.DataFrame(rows, columns=["day", "n_events", "win_days",
-                                      "win_sum"])
-    for col in out.columns:
-        out[col] = out[col].astype("int64")
-    return out
-
-
-def _q_small_order_revenue(sf_dir: str):
-    """TPC-H Q17 shape: revenue from lineitems whose quantity is below
-    20% of their part's average quantity.  The correlated AVG becomes
-    a per-part (n, Σqty) rollup hash-joined back to the fact table;
-    the 20% test is the integer cross-multiplication
-    qty·5·n < Σ — no float average exists, so the filter is exact and
-    partitioning-independent.  Output: one row (revenue_e2, n_lines)."""
-    import pandas as pd
-    import pyarrow as pa
-
-    import ray.data as rd
-    from ray.data.aggregate import Sum
-
-    li = rd.read_parquet(os.path.join(sf_dir, "lineitem.parquet"),
-                         columns=["l_partkey", "l_quantity",
-                                  "l_extendedprice"])
-
-    def qty_partial(t: pa.Table) -> pa.Table:
-        q = np.rint(np.asarray(
-            t["l_quantity"].to_numpy(zero_copy_only=False))
-        ).astype(np.int64)
-        tt = pa.table({"pk": t["l_partkey"],
-                       "sq": pa.array(q, pa.int64()),
-                       "n": pa.array(np.ones(len(t), np.int64))})
-        g = tt.group_by("pk").aggregate([("sq", "sum"), ("n", "sum")])
-        return pa.table({"pk": g["pk"], "sq": g["sq_sum"],
-                         "n": g["n_sum"]})
-
-    per_part = (_vgb(li.map_batches(qty_partial, batch_format="pyarrow"), "pk", Sum("sq", alias_name="sq"), Sum("n", alias_name="n")))
-    per_part, parts = sized_for_join(per_part, cap=8)
-    j = li.join(per_part, join_type="inner", num_partitions=parts,
-                on=("l_partkey",), right_on=("pk",))
-
-    def below(t: pa.Table) -> pa.Table:
-        q = np.rint(np.asarray(
-            t["l_quantity"].to_numpy(zero_copy_only=False))
-        ).astype(np.int64)
-        cents = np.rint(np.asarray(
-            t["l_extendedprice"].to_numpy(zero_copy_only=False)) * 100
-        ).astype(np.int64)
-        keep = q * 5 * t["n"].to_numpy() < t["sq"].to_numpy()
-        return pa.table({
-            "rev": pa.array([int(cents[keep].sum())], pa.int64()),
-            "n": pa.array([int(keep.sum())], pa.int64())})
-
-    agg = (j.map_batches(below, batch_format="pyarrow").to_pandas())
-    return pd.DataFrame({"revenue_e2": [int(agg["rev"].sum())],
-                         "n_lines": [int(agg["n"].sum())]}).astype("int64")
-
-
-def _q_large_orders(sf_dir: str):
-    """TPC-H Q18 shape: orders whose total quantity exceeds a
-    threshold (HAVING over the fact rollup), joined back to orders and
-    customer for the report columns.  The rollup-then-filter runs
-    BEFORE any join, so only qualifying orderkeys (a tiny set) enter
-    the exchanges; customer names attach via hash join sized from the
-    survivor count."""
-    import pyarrow as pa
-
-    import ray.data as rd
-    from ray.data.aggregate import Sum
-
-    THRESH = 250
-
-    li = rd.read_parquet(os.path.join(sf_dir, "lineitem.parquet"),
-                         columns=["l_orderkey", "l_quantity"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        q = np.rint(np.asarray(
-            t["l_quantity"].to_numpy(zero_copy_only=False))
-        ).astype(np.int64)
-        tt = pa.table({"l_orderkey": t["l_orderkey"],
-                       "qty": pa.array(q, pa.int64())})
-        g = tt.group_by("l_orderkey").aggregate([("qty", "sum")])
-        return pa.table({"l_orderkey": g["l_orderkey"],
-                         "qty": g["qty_sum"]})
-
-    per_order = (_vgb(li.map_batches(partial, batch_format="pyarrow"), "l_orderkey", Sum("qty", alias_name="total_qty")))
-
-    def having(t: pa.Table) -> pa.Table:
-        return t.filter(pc.greater(t["total_qty"], THRESH))
-
-    big = per_order.map_batches(having, batch_format="pyarrow")
-    big, parts = sized_for_join(big, cap=8)
-    orders = rd.read_parquet(os.path.join(sf_dir, "orders.parquet"),
-                             columns=["o_orderkey", "o_custkey",
-                                      "o_orderdate", "o_totalprice"])
-    j1 = big.join(orders, join_type="inner", num_partitions=parts,
-                  on=("l_orderkey",), right_on=("o_orderkey",))
-    customer = rd.read_parquet(os.path.join(sf_dir, "customer.parquet"),
-                               columns=["c_custkey", "c_name"])
-    j2 = j1.join(customer, join_type="inner", num_partitions=parts,
-                 on=("o_custkey",), right_on=("c_custkey",))
-
-    def report(t: pa.Table) -> pa.Table:
-        cents = np.rint(np.asarray(
-            t["o_totalprice"].to_numpy(zero_copy_only=False)) * 100
-        ).astype(np.int64)
-        day = pc.divide(pc.cast(t["o_orderdate"], pa.int64()),
-                        86_400_000_000)
-        return pa.table({"c_name": t["c_name"],
-                         "o_orderkey": t["l_orderkey"],
-                         "order_day": day,
-                         "totalprice_e2": pa.array(cents, pa.int64()),
-                         "total_qty": t["total_qty"]})
-
-    return j2.map_batches(report, batch_format="pyarrow")
-
-
 def _q_contingency_chi2(sf_dir: str):
     """Independence audit of the (lang, source) contingency table with
     a floor-exact scaled χ²: per cell the standardized-residual
@@ -5720,119 +3138,6 @@ def _q_contingency_chi2(sf_dir: str):
     out["chi2_term"] = ((sr * sr) // denom).astype("int64")
     return out[["lang", "source", "n", "resid_num", "chi2_term"]] \
         .reset_index(drop=True)
-
-
-def _q_cov_matrix(sf_dir: str):
-    """Single-pass moment matrix over the four lineitem measures
-    (quantity, price in hecto-dollars, discount e2, tax e2): per batch
-    the 4+10 sufficient statistics (Σxᵢ, Σxᵢxⱼ) as int64, one global
-    reduce, and the pairwise covariance published as the exact integer
-    numerator n·Σxy − Σx·Σy (the n² denominator is the consumer's) —
-    the shuffle moves 15 numbers per batch regardless of corpus size.
-    Price is quantized to 100-dollar units so n·Σxy stays within int64
-    (cents² × n × n overflows past ~10⁵ rows)."""
-    import pandas as pd
-    import pyarrow as pa
-
-    import ray.data as rd
-
-    COLS = ["qty", "price_h2", "disc_e2", "tax_e2"]
-    li = rd.read_parquet(os.path.join(sf_dir, "lineitem.parquet"),
-                         columns=["l_quantity", "l_extendedprice",
-                                  "l_discount", "l_tax"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        m = np.empty((len(t), 4), np.int64)
-        for i, (src, scale) in enumerate(
-                (("l_quantity", 1), ("l_extendedprice", 100),
-                 ("l_discount", 100), ("l_tax", 100))):
-            m[:, i] = np.rint(np.asarray(
-                t[src].to_numpy(zero_copy_only=False)) * scale
-            ).astype(np.int64)
-        m[:, 1] //= 10000  # cents -> hecto-dollars, exact int floor
-        row = {"n": pa.array([len(t)], pa.int64())}
-        for i in range(4):
-            row[f"s_{i}"] = pa.array([int(m[:, i].sum())], pa.int64())
-            for j_ in range(i, 4):
-                row[f"s_{i}{j_}"] = pa.array(
-                    [int((m[:, i] * m[:, j_]).sum())], pa.int64())
-        return pa.table(row)
-
-    stats = (li.map_batches(partial, batch_format="pyarrow")
-             .to_pandas().sum())
-    n = int(stats["n"])
-    rows = []
-    for i in range(4):
-        for j_ in range(i, 4):
-            cov_num = n * int(stats[f"s_{i}{j_}"]) \
-                - int(stats[f"s_{i}"]) * int(stats[f"s_{j_}"])
-            rows.append((COLS[i], COLS[j_], n, cov_num))
-    return pd.DataFrame(rows, columns=["x", "y", "n", "cov_num"]).astype(
-        {"n": "int64", "cov_num": "int64"})
-
-
-def _q_disjunctive_brackets(sf_dir: str):
-    """TPC-H Q19 shape: disjunctive multi-column bracket predicates
-    across a join.  The part dimension is broadcast once as three
-    parallel numpy arrays (sorted keys + brand-code + size) so each
-    lineitem batch evaluates all three OR'd brackets with one
-    searchsorted gather and pure boolean algebra — no join shuffle, no
-    per-row Python.  Revenue exact in 1e-4 dollars (int64)."""
-    import pandas as pd
-    import pyarrow as pa
-
-    import ray
-    import ray.data as rd
-    from ray.data.aggregate import Sum
-
-    part = pq.read_table(os.path.join(sf_dir, "part.parquet"),
-                         columns=["p_partkey", "p_brand", "p_size"])
-    keys = np.asarray(part["p_partkey"].to_numpy(zero_copy_only=False),
-                      np.int64)
-    order = np.argsort(keys)
-    keys = keys[order]
-    brand = np.asarray(part["p_brand"].to_pylist(), object)[order]
-    bcode = np.zeros(len(keys), np.int8)
-    for code, name in ((1, "Brand#12"), (2, "Brand#23"), (3, "Brand#34")):
-        bcode[brand == name] = code
-    size = np.asarray(part["p_size"].to_numpy(zero_copy_only=False),
-                      np.int64)[order]
-    dim_ref = ray.put((keys, bcode, size))
-
-    li = rd.read_parquet(os.path.join(sf_dir, "lineitem.parquet"),
-                         columns=["l_partkey", "l_quantity",
-                                  "l_extendedprice", "l_discount"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        k, bc, sz = ray.get(dim_ref)
-        pk = np.asarray(t["l_partkey"].to_numpy(zero_copy_only=False),
-                        np.int64)
-        idx = np.searchsorted(k, pk)
-        b, s = bc[idx], sz[idx]
-        qty = np.rint(np.asarray(
-            t["l_quantity"].to_numpy(zero_copy_only=False))).astype(np.int64)
-        mask = (((b == 1) & (s >= 1) & (s <= 5) & (qty >= 1) & (qty <= 11))
-                | ((b == 2) & (s >= 1) & (s <= 10)
-                   & (qty >= 10) & (qty <= 20))
-                | ((b == 3) & (s >= 1) & (s <= 15)
-                   & (qty >= 20) & (qty <= 30)))
-        ext = np.rint(np.asarray(
-            t["l_extendedprice"].to_numpy(zero_copy_only=False)) * 100
-        ).astype(np.int64)[mask]
-        disc = np.rint(np.asarray(
-            t["l_discount"].to_numpy(zero_copy_only=False)) * 100
-        ).astype(np.int64)[mask]
-        return pa.table({
-            "revenue_e4": pa.array([int((ext * (100 - disc)).sum())],
-                                   pa.int64()),
-            "n_items": pa.array([int(mask.sum())], pa.int64()),
-        })
-
-    row = (li.map_batches(partial, batch_format="pyarrow")
-           .aggregate(Sum("revenue_e4", alias_name="revenue_e4"),
-                      Sum("n_items", alias_name="n_items")))
-    return pd.DataFrame([{"revenue_e4": int(row["revenue_e4"]),
-                          "n_items": int(row["n_items"])}])
 
 
 def _q_top_supplier_rev(sf_dir: str):
@@ -5888,182 +3193,6 @@ def _q_top_supplier_rev(sf_dir: str):
     top = top[["s_suppkey", "s_name", "total_rev_e4"]]
     return top.astype({"s_suppkey": "int64", "total_rev_e4": "int64"}) \
         .reset_index(drop=True)
-
-
-def _q_nation_market_share(sf_dir: str):
-    """TPC-H Q8 shape: a target nation's share of ECONOMY-part revenue
-    sold into one region, per order year, published as the exact
-    integer (numerator, denominator) pair in 1e-4 dollars.  Part
-    membership and supplier→nation are broadcast into the lineitem
-    scan; the fact side is pre-aggregated to one (orderkey, total,
-    target) row BEFORE the two hash joins (orders window-filtered,
-    customers region-filtered before joining, so the shuffle moves
-    only qualifying keys); final rollup is a handful of year rows."""
-    import pandas as pd
-    import pyarrow as pa
-
-    import ray
-    import ray.data as rd
-    from ray.data.aggregate import Sum
-
-    TARGET_NATION = 2
-    REGION = 2  # ASIA
-    LO = np.datetime64("1996-01-01")
-    HI = np.datetime64("1998-01-01")
-
-    part = pq.read_table(os.path.join(sf_dir, "part.parquet"),
-                         columns=["p_partkey", "p_type"])
-    eco = np.sort(np.asarray(
-        part.filter(pc.equal(part["p_type"], "ECONOMY"))["p_partkey"]
-        .to_numpy(zero_copy_only=False), np.int64))
-    sup = pq.read_table(os.path.join(sf_dir, "supplier.parquet"),
-                        columns=["s_suppkey", "s_nationkey"])
-    skeys = np.asarray(sup["s_suppkey"].to_numpy(zero_copy_only=False),
-                       np.int64)
-    sorder = np.argsort(skeys)
-    skeys = skeys[sorder]
-    snat = np.asarray(sup["s_nationkey"].to_numpy(zero_copy_only=False),
-                      np.int64)[sorder]
-    dim_ref = ray.put((eco, skeys, snat))
-
-    li = rd.read_parquet(os.path.join(sf_dir, "lineitem.parquet"),
-                         columns=["l_orderkey", "l_partkey", "l_suppkey",
-                                  "l_extendedprice", "l_discount"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        eco_k, sk, sn = ray.get(dim_ref)
-        pk = np.asarray(t["l_partkey"].to_numpy(zero_copy_only=False),
-                        np.int64)
-        pos = np.searchsorted(eco_k, pk)
-        pos[pos >= len(eco_k)] = 0
-        m = len(eco_k) > 0
-        m = (eco_k[pos] == pk) if m else np.zeros(len(pk), bool)
-        ext = np.rint(np.asarray(
-            t["l_extendedprice"].to_numpy(zero_copy_only=False)) * 100
-        ).astype(np.int64)[m]
-        disc = np.rint(np.asarray(
-            t["l_discount"].to_numpy(zero_copy_only=False)) * 100
-        ).astype(np.int64)[m]
-        rev = ext * (100 - disc)
-        supp = np.asarray(t["l_suppkey"].to_numpy(zero_copy_only=False),
-                          np.int64)[m]
-        is_target = sn[np.searchsorted(sk, supp)] == TARGET_NATION
-        ok = np.asarray(t["l_orderkey"].to_numpy(zero_copy_only=False),
-                        np.int64)[m]
-        tt = pa.table({"l_orderkey": pa.array(ok, pa.int64()),
-                       "rev": pa.array(rev, pa.int64()),
-                       "target": pa.array(
-                           np.where(is_target, rev, 0), pa.int64())})
-        g = tt.group_by("l_orderkey").aggregate(
-            [("rev", "sum"), ("target", "sum")])
-        return pa.table({"l_orderkey": g["l_orderkey"],
-                         "rev": g["rev_sum"], "target": g["target_sum"]})
-
-    per_order = (_vgb(li.map_batches(partial, batch_format="pyarrow"), "l_orderkey", Sum("rev", alias_name="rev"), Sum("target", alias_name="target")))
-
-    orders = rd.read_parquet(os.path.join(sf_dir, "orders.parquet"),
-                             columns=["o_orderkey", "o_custkey",
-                                      "o_orderdate"])
-
-    def order_window(t: pa.Table) -> pa.Table:
-        d = np.asarray(t["o_orderdate"].to_numpy(zero_copy_only=False),
-                       "datetime64[us]")
-        m = (d >= LO) & (d < HI)
-        t = t.filter(pa.array(m))
-        year = pc.cast(pc.year(t["o_orderdate"]), pa.int64())
-        return pa.table({"o_orderkey": t["o_orderkey"],
-                         "o_custkey": t["o_custkey"], "o_year": year})
-
-    orders_w = orders.map_batches(order_window, batch_format="pyarrow")
-
-    nation = pq.read_table(os.path.join(sf_dir, "nation.parquet"),
-                           columns=["n_nationkey", "n_regionkey"])
-    region_nations = set(
-        nation.filter(pc.equal(nation["n_regionkey"], REGION))
-        ["n_nationkey"].to_pylist())
-    cust = rd.read_parquet(os.path.join(sf_dir, "customer.parquet"),
-                           columns=["c_custkey", "c_nationkey"])
-
-    def cust_in_region(t: pa.Table) -> pa.Table:
-        keep = pc.is_in(pc.cast(t["c_nationkey"], pa.int64()),
-                        value_set=pa.array(sorted(region_nations),
-                                           pa.int64()))
-        return t.filter(keep).select(["c_custkey"])
-
-    cust_r = cust.map_batches(cust_in_region, batch_format="pyarrow")
-
-    per_order, parts = sized_for_join(per_order, cap=8)
-    j1 = per_order.join(orders_w, join_type="inner",
-                        num_partitions=parts,
-                        on=("l_orderkey",), right_on=("o_orderkey",))
-    j2 = j1.join(cust_r, join_type="inner", num_partitions=parts,
-                 on=("o_custkey",), right_on=("c_custkey",))
-    out = (j2.groupby("o_year")
-           .aggregate(Sum("target", alias_name="target_rev_e4"),
-                      Sum("rev", alias_name="total_rev_e4"))
-           .to_pandas())
-    return out.astype({"o_year": "int64", "target_rev_e4": "int64",
-                       "total_rev_e4": "int64"}) \
-        .sort_values("o_year").reset_index(drop=True)
-
-
-def _q_epoch_price_join(sf_dir: str):
-    """Point-in-time (interval) dimension join — the SCD2 lookup shape:
-    an effective-dated price dimension (3 validity epochs per part,
-    deterministic multiplier) joined to lineitem on key AND
-    ``valid_from <= shipdate < valid_to``.  The dimension is built once
-    on the driver and broadcast as two parallel arrays (sorted part
-    keys + per-part multiplier base); each batch resolves its epoch
-    with one ``searchsorted`` against the boundary vector and its part
-    row with another — an O(log d) vectorized interval lookup, no
-    shuffle, no per-row Python.  Facts fold to 3 epoch rows per batch
-    (combiner) before the global rollup.  Exact 1e-4-dollar int64."""
-    import pandas as pd
-    import pyarrow as pa
-
-    import ray
-    import ray.data as rd
-    from ray.data.aggregate import Sum
-
-    BOUNDS = np.array(["1997-01-01", "1999-01-01"], "datetime64[us]")
-    part = pq.read_table(os.path.join(sf_dir, "part.parquet"),
-                         columns=["p_partkey"])
-    keys = np.sort(np.asarray(
-        part["p_partkey"].to_numpy(zero_copy_only=False), np.int64))
-    pct_base = keys % 7
-    dim_ref = ray.put((keys, pct_base))
-
-    li = rd.read_parquet(os.path.join(sf_dir, "lineitem.parquet"),
-                         columns=["l_partkey", "l_shipdate",
-                                  "l_extendedprice"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        k, base = ray.get(dim_ref)
-        ship = np.asarray(t["l_shipdate"].to_numpy(zero_copy_only=False),
-                          "datetime64[us]")
-        epoch = np.searchsorted(BOUNDS, ship, side="right").astype(np.int64)
-        pk = np.asarray(t["l_partkey"].to_numpy(zero_copy_only=False),
-                        np.int64)
-        pct = 90 + 5 * epoch + base[np.searchsorted(k, pk)]
-        ext = np.rint(np.asarray(
-            t["l_extendedprice"].to_numpy(zero_copy_only=False)) * 100
-        ).astype(np.int64)
-        tt = pa.table({"epoch_idx": pa.array(epoch, pa.int64()),
-                       "rep": pa.array(ext * pct, pa.int64()),
-                       "one": pa.array(np.ones(len(pk), np.int64))})
-        g = tt.group_by("epoch_idx").aggregate(
-            [("rep", "sum"), ("one", "sum")])
-        return pa.table({"epoch_idx": g["epoch_idx"],
-                         "rep": g["rep_sum"], "one": g["one_sum"]})
-
-    out = (li.map_batches(partial, batch_format="pyarrow")
-           .groupby("epoch_idx")
-           .aggregate(Sum("rep", alias_name="repriced_e4"),
-                      Sum("one", alias_name="n_items"))
-           .to_pandas())
-    return out.astype({"epoch_idx": "int64", "repriced_e4": "int64",
-                       "n_items": "int64"}) \
-        .sort_values("epoch_idx").reset_index(drop=True)
 
 
 def _q_outlinks(sf_dir: str):
@@ -6296,100 +3425,6 @@ def _q_lang_profiles(sf_dir: str):
         .sort_values(["lang", "rank"]).reset_index(drop=True)
 
 
-def _q_fk_audit(sf_dir: str):
-    """Referential-integrity audit across the star schema: for each FK
-    edge, the count of DISTINCT fact keys with no dimension match.
-    Fact keys are uniqued per batch (combiner) then globally, and the
-    membership test is the Bloom-prefiltered exact anti-join
-    (ops/joins.bloom_anti_join) — the fixed-size-bitmap shape that
-    scales to dimensions too large to broadcast.  The events edge is
-    deliberately included as a *broken* FK so the audit demonstrably
-    detects orphans, not just confirms zeros."""
-    import pandas as pd
-    import pyarrow as pa
-
-    import ray.data as rd
-    from ray.data.aggregate import Count
-
-    from pmocr_ray.ops.joins import bloom_anti_join
-
-    def n_orphans(fact_file: str, fact_col: str,
-                  dim_file: str, dim_col: str) -> int:
-        fact = rd.read_parquet(os.path.join(sf_dir, fact_file),
-                               columns=[fact_col])
-
-        def uniq(t: pa.Table) -> pa.Table:
-            vals = np.unique(np.asarray(
-                t[fact_col].to_numpy(zero_copy_only=False), np.int64))
-            return pa.table({fact_col: pa.array(vals, pa.int64())})
-
-        # anti-join FIRST (map-only for definite non-members), distinct
-        # AFTER — the global groupby then runs over the orphan set only,
-        # not the full fact key domain
-        keys = fact.map_batches(uniq, batch_format="pyarrow")
-        dim = rd.read_parquet(os.path.join(sf_dir, dim_file),
-                              columns=[dim_col])
-        orphans = bloom_anti_join(keys, dim, on=fact_col,
-                                  right_on=dim_col)
-        from pmocr_ray.ops.vecagg import distinct as _vec_distinct
-
-        return _vec_distinct(orphans, [fact_col]).count()
-
-    EDGES = [
-        ("lineitem.l_orderkey->orders", "lineitem.parquet", "l_orderkey",
-         "orders.parquet", "o_orderkey"),
-        ("lineitem.l_partkey->part", "lineitem.parquet", "l_partkey",
-         "part.parquet", "p_partkey"),
-        ("lineitem.l_suppkey->supplier", "lineitem.parquet", "l_suppkey",
-         "supplier.parquet", "s_suppkey"),
-        ("orders.o_custkey->customer", "orders.parquet", "o_custkey",
-         "customer.parquet", "c_custkey"),
-        ("events.user_id->customer", "events.parquet", "user_id",
-         "customer.parquet", "c_custkey"),
-    ]
-    # serial on purpose: overlapping these pipelines from driver
-    # threads races Ray Data's lazy fsspec imports (observed
-    # ImportError under a ThreadPoolExecutor); each edge is seconds
-    rows = [(name, n_orphans(ff, fc, df, dc))
-            for name, ff, fc, df, dc in EDGES]
-    return pd.DataFrame(rows, columns=["fk", "n_orphans"]).astype(
-        {"n_orphans": "int64"})
-
-
-def _q_stream_windows(sf_dir: str):
-    """Streaming tumbling windows with watermark-gated emission
-    (ops/streaming.streaming_windows): arrival-ordered chunks feed
-    window-hashed stateful actors; complete windows emit as the
-    watermark passes them.  Final rows equal the batch
-    ``late_data_window`` — same SQL oracle."""
-    import ray.data as rd
-
-    from pmocr_ray.ops.streaming import streaming_windows
-
-    ev = rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                         columns=["event_id", "ts"])
-    out = os.path.join("/tmp/pmocr_ray_stream_wspool",
-                       os.path.basename(os.path.normpath(sf_dir)))
-    return streaming_windows(ev, n_chunks=5, n_buckets=4, spool_dir=out)
-
-
-def _q_stream_new_users(sf_dir: str):
-    """Streaming first-seen index (ops/streaming.streaming_first_seen):
-    per-bucket membership actors absorb time-ordered chunks and emit
-    only never-seen keys — the shared-mutable-index pattern.  Output
-    equals the batch min-day rollup; same oracle as new_users_curve."""
-    import ray.data as rd
-
-    from pmocr_ray.ops.streaming import streaming_first_seen
-
-    ev = rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                         columns=["user_id", "ts"])
-    out = os.path.join("/tmp/pmocr_ray_stream_fspool",
-                       os.path.basename(os.path.normpath(sf_dir)))
-    return streaming_first_seen(ev, n_chunks=5, n_buckets=4,
-                                spool_dir=out)
-
-
 def _q_stream_sessions(sf_dir: str):
     """Stateful-streaming sessionization: the events log is spooled as
     a hive-partitioned (chunk=time-range, bucket=user-hash) log and
@@ -6490,12 +3525,10 @@ def _q_page_meta(sf_dir: str):
 
 
 def _q_user_type_mask_agg(sf_dir: str):
-    """Second physical plan for the feature bitmask: a custom
-    bitwise-OR ``AggregateFn`` (OR is idempotent + associative, so a
-    one-int64 state per group is exact under any partitioning — no
-    distinct pass needed at all, unlike the sum-over-distinct-bits
-    plan).  Same oracle as user_type_mask: the gate proves both plans
-    agree."""
+    """Per-user feature bitmask through a custom bitwise-OR
+    ``AggregateFn`` (OR is idempotent + associative, so a one-int64
+    state per group is exact under any partitioning — no distinct pass
+    needed)."""
     import pandas as pd
     import pyarrow as pa
 
@@ -6735,35 +3768,27 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "sessionize": _q_sessionize,
         "lineitem_agg": _q_lineitem_agg,
         "top_docs_by_len": _q_top_docs_by_len,
-        "orders_by_segment": _q_orders_by_segment,
-        "revenue_by_nation": _q_revenue_by_nation,
         "top_terms": _q_top_terms,
         "host_stats": _q_host_stats,
         "mirror_hosts": _q_mirror_hosts,
         "hash_sample": _q_hash_sample,
         "doc_freq": _q_doc_freq,
         "host_cap": _q_host_cap,
-        "asof_click_view": _q_asof_click_view,
         "props_agg": _q_props_agg,
         "top_events_per_user": _q_top_events_per_user,
         "window_distinct_users": _q_window_distinct_users,
         "event_pivot": _q_event_pivot,
-        "hopping_window": _q_hopping_window,
-        "customers_no_f_orders": _q_customers_no_f_orders,
-        "customers_no_f_orders_bloom": _q_customers_no_f_orders_bloom,
         "customers_no_f_orders_native": _q_customers_no_f_orders_native,
         "lang_len_quantiles": _q_lang_len_quantiles,
         "label_centroids": _q_label_centroids,
         "orders_running_total": _q_orders_running_total,
         "shuffle_rank": _q_shuffle_rank,
-        "events_value_stats": _q_events_value_stats,
         "tfidf": _q_tfidf,
         "kmv_sketch": _q_kmv_sketch,
         "clean_text": _q_clean_text,
         "dedup_incremental": _q_dedup_incremental,
         "lang_label_mix": _q_lang_label_mix,
         "cc_chain": _q_cc_chain,
-        "latest_order": _q_latest_order,
         "trending_terms": _q_trending_terms,
         "len_percentile": _q_len_percentile,
         "kmeans_cells": _q_kmeans_cells,
@@ -6772,10 +3797,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "lm_bigram_counts": _q_lm_bigram_counts,
         "quantize_embeddings": _q_quantize_embeddings,
         "span_extract": _q_span_extract,
-        "events_with_session": _q_events_with_session,
         "len_bucket": _q_len_bucket,
-        "funnel_stages": _q_funnel_stages,
-        "hourly_retention": _q_hourly_retention,
         "webdataset_audit": _q_webdataset_audit,
         # curation / export ops
         "redact_pii": _q_redact_pii,
@@ -6789,126 +3811,65 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "dup_spans": _q_dup_spans,
         "remove_dup_spans": _q_remove_dup_spans,
         "event_transitions": _q_event_transitions,
-        "inter_arrival": _q_inter_arrival,
         "incremental_near_dedup": _q_incremental_near_dedup,
         "clip_outliers": _q_clip_outliers,
         "bpe_pairs": _q_bpe_pairs,
-        "shipping_priority": _q_shipping_priority,
         "zorder": _q_zorder,
         "keyword_search": _q_keyword_search,
         "heavy_hitters": _q_heavy_hitters,
         "zorder_scan": _q_zorder_scan,
         "pps_sample": _q_pps_sample,
-        "distinct_by_type": _q_distinct_by_type,
         "domain_reweight": _q_domain_reweight,
         "dsir_weights": _q_dsir_weights,
         "posting_lists": _q_posting_lists,
         "gopher_quality": _q_gopher_quality,
         "c4_filter": _q_c4_filter,
         "ntile_buckets": _q_ntile_buckets,
-        "rollup_orders": _q_rollup_orders,
         "collocations": _q_collocations,
         "snapshot_diff": _q_snapshot_diff,
         "dup_cluster_hist": _q_dup_cluster_hist,
-        "attribution": _q_attribution,
         "host_blocklist": _q_host_blocklist,
         "host_mirror": _q_host_mirror,
         "cheapest_supplier": _q_cheapest_supplier,
-        "local_supplier_revenue": _q_local_supplier_revenue,
-        "late_data_window": _q_late_data_window,
-        "typo_pairs": _q_typo_pairs,
         "host_lang": _q_host_lang,
         "incremental_stats": _q_incremental_stats,
-        "event_debounce": _q_event_debounce,
-        "promo_revenue": _q_promo_revenue,
         "embedding_dim_stats": _q_embedding_dim_stats,
         "triangle_count": _q_triangle_count,
-        "moving_window": _q_moving_window,
-        "range_scan": _q_range_scan,
-        "skew_join": _q_skew_join,
-        "value_trend": _q_value_trend,
-        "value_mad": _q_value_mad,
         "host_churn": _q_host_churn,
         "table_extract": _q_table_extract,
-        "session_sets": _q_session_sets,
         "byte_blocks": _q_byte_blocks,
         "schema_evolve": _q_schema_evolve,
-        "priority_semi": _q_priority_semi,
         "priority_semi_native": _q_priority_semi_native,
         "user_type_mask_agg": _q_user_type_mask_agg,
         "federated_union": _q_federated_union,
         "pdf_target_roundtrip": _q_pdf_target_roundtrip,
         "docx_target_roundtrip": _q_docx_target_roundtrip,
         "xlsx_target_roundtrip": _q_xlsx_target_roundtrip,
-        "cust_order_dist": _q_cust_order_dist,
         "sentence_stats": _q_sentence_stats,
         "basket_pairs": _q_basket_pairs,
         "scd2_dim": _q_scd2_dim,
-        "returned_top_customers": _q_returned_top_customers,
-        "big_spender_filter": _q_big_spender_filter,
-        "lineitem_unpivot": _q_lineitem_unpivot,
         "keep_best_dedup": _q_keep_best_dedup,
-        "wow_change": _q_wow_change,
-        "supplier_variety": _q_supplier_variety,
-        "new_users_curve": _q_new_users_curve,
-        "revenue_concentration": _q_revenue_concentration,
         "users_all_types": _q_users_all_types,
-        "user_top_type": _q_user_top_type,
-        "daily_fill_gaps": _q_daily_fill_gaps,
-        "pareto_orders": _q_pareto_orders,
-        "weighted_disc": _q_weighted_disc,
         "bfs_layers": _q_bfs_layers,
-        "value_gini": _q_value_gini,
-        "repeat_orders_7d": _q_repeat_orders_7d,
-        "profile_orders": _q_profile_orders,
-        "props_value_cov": _q_props_value_cov,
-        "nation_matrix": _q_nation_matrix,
         "diverse_top_docs": _q_diverse_top_docs,
-        "user_value_norm": _q_user_value_norm,
-        "join_card_est": _q_join_card_est,
         "contamination_frac": _q_contamination_frac,
         "table_checksum": _q_table_checksum,
         "cube_rollup": _q_cube_rollup,
-        "orders_above_cust_avg": _q_orders_above_cust_avg,
-        "time_multi_rollup": _q_time_multi_rollup,
-        "user_type_mask": _q_user_type_mask,
-        "median_interp": _q_median_interp,
-        "region_revenue": _q_region_revenue,
-        "trailing_active_users": _q_trailing_active_users,
-        "user_streaks": _q_user_streaks,
-        "type_cooccur_lift": _q_type_cooccur_lift,
-        "nation_region_share": _q_nation_region_share,
         "doc_len_pct_in_lang": _q_doc_len_pct_in_lang,
-        "nation_pair_flows": _q_nation_pair_flows,
-        "sole_returner_suppliers": _q_sole_returner_suppliers,
         "ks_lang_len": _q_ks_lang_len,
-        "order_backlog": _q_order_backlog,
         "weighted_median_price": _q_weighted_median_price,
         "vocab_overlap": _q_vocab_overlap,
-        "rfm_scores": _q_rfm_scores,
         "emb_norm_outliers": _q_emb_norm_outliers,
-        "cohort_retention": _q_cohort_retention,
         "rank_fusion": _q_rank_fusion,
-        "daily_anomalies": _q_daily_anomalies,
-        "small_order_revenue": _q_small_order_revenue,
-        "large_orders": _q_large_orders,
         "contingency_chi2": _q_contingency_chi2,
-        "cov_matrix": _q_cov_matrix,
-        "disjunctive_brackets": _q_disjunctive_brackets,
         "top_supplier_rev": _q_top_supplier_rev,
-        "nation_market_share": _q_nation_market_share,
-        "epoch_price_join": _q_epoch_price_join,
         "outlinks": _q_outlinks,
         "page_meta": _q_page_meta,
         "seq_pattern": _q_seq_pattern,
         "grouped_regression": _q_grouped_regression,
         "csv_roundtrip": _q_csv_roundtrip,
         "lang_profiles": _q_lang_profiles,
-        "fk_audit": _q_fk_audit,
-        "stream_windows": _q_stream_windows,
-        "stream_new_users": _q_stream_new_users,
         "top_parts_per_brand": _q_top_parts_per_brand,
-        # composed curation
         # multimodal
         "media_meta": _q_media_meta,
         "media_png_real": _q_media_png_real,
@@ -7110,36 +4071,6 @@ FROM b"""
 
 def oracle_sql() -> dict[str, str]:
     return {
-        "fk_audit": """
-            SELECT 'lineitem.l_orderkey->orders' AS fk,
-                   CAST(count(*) AS BIGINT) AS n_orphans
-            FROM (SELECT DISTINCT l_orderkey FROM lineitem) f
-            LEFT JOIN orders ON f.l_orderkey = o_orderkey
-            WHERE o_orderkey IS NULL
-            UNION ALL
-            SELECT 'lineitem.l_partkey->part',
-                   CAST(count(*) AS BIGINT)
-            FROM (SELECT DISTINCT l_partkey FROM lineitem) f
-            LEFT JOIN part ON f.l_partkey = p_partkey
-            WHERE p_partkey IS NULL
-            UNION ALL
-            SELECT 'lineitem.l_suppkey->supplier',
-                   CAST(count(*) AS BIGINT)
-            FROM (SELECT DISTINCT l_suppkey FROM lineitem) f
-            LEFT JOIN supplier ON f.l_suppkey = s_suppkey
-            WHERE s_suppkey IS NULL
-            UNION ALL
-            SELECT 'orders.o_custkey->customer',
-                   CAST(count(*) AS BIGINT)
-            FROM (SELECT DISTINCT o_custkey FROM orders) f
-            LEFT JOIN customer ON f.o_custkey = c_custkey
-            WHERE c_custkey IS NULL
-            UNION ALL
-            SELECT 'events.user_id->customer',
-                   CAST(count(*) AS BIGINT)
-            FROM (SELECT DISTINCT user_id FROM events) f
-            LEFT JOIN customer ON f.user_id = c_custkey
-            WHERE c_custkey IS NULL""",
         "lang_profiles": """
             WITH bg AS (
               -- all overlapping bigrams = the two interleaved
@@ -7338,41 +4269,6 @@ def oracle_sql() -> dict[str, str]:
             SELECT p_brand, CAST(rank AS BIGINT) AS rank, p_partkey,
                    price_cents
             FROM r WHERE rank <= 3""",
-        "stream_new_users": """
-            WITH f AS (
-              SELECT user_id,
-                     min(CAST(epoch_us(ts) // 86400000000 AS BIGINT))
-                       AS day
-              FROM events GROUP BY user_id
-            ), d AS (
-              SELECT day, CAST(count(*) AS BIGINT) AS n_new
-              FROM f GROUP BY day
-            )
-            SELECT day, n_new,
-                   CAST(sum(n_new) OVER (
-                     ORDER BY day ROWS UNBOUNDED PRECEDING) AS BIGINT)
-                     AS cum_users
-            FROM d""",
-        "stream_windows": """
-            WITH e AS (
-              SELECT epoch_us(ts) AS ts_us,
-                     epoch_us(ts) + (event_id % 7) * 60000000 AS arrival_us
-              FROM events
-            ), w AS (
-              SELECT max(arrival_us) - 30 * 60000000 AS wm FROM e
-            ), g AS (
-              SELECT (ts_us // 3600000000) * 3600000000 AS ws,
-                     CAST(count(*) AS BIGINT) AS n_events,
-                     CAST(sum(CASE WHEN arrival_us >
-                         (ts_us // 3600000000) * 3600000000 + 3600000000
-                         + 3 * 60000000 THEN 1 ELSE 0 END) AS BIGINT)
-                       AS n_late
-              FROM e GROUP BY 1
-            )
-            SELECT make_timestamp(ws) AS window_start, n_events, n_late,
-                   CASE WHEN ws + 3600000000 <= (SELECT wm FROM w)
-                        THEN 'closed' ELSE 'open' END AS status
-            FROM g""",
         "stream_sessions": """
             WITH o AS (
               SELECT user_id, ts, event_id,
@@ -7564,10 +4460,6 @@ def oracle_sql() -> dict[str, str]:
             SELECT doc_id, CAST(n_chars AS BIGINT) AS weight
             FROM c, t
             WHERE (cum // s) > ((cum - n_chars) // s)""",
-        "distinct_by_type": """
-            SELECT event_type,
-                   CAST(count(DISTINCT user_id) AS BIGINT) AS n_distinct
-            FROM events GROUP BY event_type""",
         "keyword_search": r"""
             WITH tok AS (
               SELECT doc_id, unnest(regexp_extract_all(text, '\S+')) AS w
@@ -7590,25 +4482,6 @@ def oracle_sql() -> dict[str, str]:
             SELECT doc_id, n_chars, lang
             FROM documents
             WHERE n_chars BETWEEN 100 AND 300 AND lang = 'en'""",
-        "shipping_priority": """
-            WITH rev AS (
-              SELECT l_orderkey,
-                     CAST(sum(CAST(round(l_extendedprice * 100) AS BIGINT)
-                              * (100 - CAST(round(l_discount * 100)
-                                            AS BIGINT))) AS BIGINT)
-                       AS revenue_e4
-              FROM lineitem
-              WHERE l_shipdate > TIMESTAMP '1998-01-01'
-              GROUP BY l_orderkey)
-            SELECT r.l_orderkey, r.revenue_e4, o.o_orderdate,
-                   o.o_orderpriority
-            FROM rev r
-            JOIN orders o ON r.l_orderkey = o.o_orderkey
-            JOIN customer c ON o.o_custkey = c.c_custkey
-            WHERE o.o_orderdate < TIMESTAMP '1998-01-01'
-              AND c.c_mktsegment = 'BUILDING'
-            ORDER BY r.revenue_e4 DESC, r.l_orderkey
-            LIMIT 10""",
         "zorder": """
             WITH lc AS (
               SELECT lang,
@@ -7718,19 +4591,6 @@ def oracle_sql() -> dict[str, str]:
             SELECT from_type, to_type, CAST(count(*) AS BIGINT) AS n
             FROM s WHERE to_type IS NOT NULL
             GROUP BY from_type, to_type""",
-        "inter_arrival": """
-            WITH s AS (
-              SELECT user_id, ts,
-                     lag(ts) OVER (PARTITION BY user_id ORDER BY ts) AS pts
-              FROM events)
-            SELECT user_id,
-                   CAST(count(*) AS BIGINT) AS n_events,
-                   CAST(count(pts) AS BIGINT) AS n_gaps,
-                   CAST(coalesce(sum(date_diff('microsecond', pts, ts)), 0)
-                        AS BIGINT) AS sum_gap_us,
-                   CAST(coalesce(max(date_diff('microsecond', pts, ts)), 0)
-                        AS BIGINT) AS max_gap_us
-            FROM s GROUP BY user_id""",
         "dsir_weights": """
             WITH tok AS (
               SELECT doc_id, lang,
@@ -7830,14 +4690,6 @@ def oracle_sql() -> dict[str, str]:
                    CAST(ntile(8) OVER (ORDER BY n_chars, doc_id)
                         AS BIGINT) AS bucket
             FROM documents""",
-        "rollup_orders": """
-            SELECT COALESCE(c_mktsegment, 'ALL') AS seg,
-                   CAST(COALESCE(c_nationkey, -1) AS BIGINT) AS nationkey,
-                   CAST(count(*) AS BIGINT) AS n_orders,
-                   CAST(sum(CAST(round(o.o_totalprice * 100) AS BIGINT))
-                        AS BIGINT) AS total_cents
-            FROM orders o JOIN customer c ON o.o_custkey = c.c_custkey
-            GROUP BY ROLLUP(c_mktsegment, c_nationkey)""",
         "collocations": r"""
             WITH toks AS (
               SELECT doc_id, regexp_extract_all(text, '\S+') AS w
@@ -7917,15 +4769,6 @@ def oracle_sql() -> dict[str, str]:
               FROM n LEFT JOIN c3 ON n.node = c3.node
             )
             SELECT node, CAST(r AS BIGINT) AS "rank" FROM r3""",
-        "attribution": """
-            SELECT p.event_id, p.user_id, p.ts,
-                   CAST(count(c.event_id) AS BIGINT) AS n_touches
-            FROM (SELECT * FROM events WHERE event_type = 'purchase') p
-            LEFT JOIN (SELECT * FROM events WHERE event_type = 'click') c
-              ON c.user_id = p.user_id
-             AND c.ts >= p.ts - INTERVAL 60 MINUTE
-             AND c.ts < p.ts
-            GROUP BY p.event_id, p.user_id, p.ts""",
         "host_blocklist": _PAGE_CTE + """
             SELECT url, lang FROM (
               SELECT url, lang,
@@ -7958,39 +4801,6 @@ def oracle_sql() -> dict[str, str]:
                      ) AS rn
               FROM lineitem GROUP BY l_partkey, l_suppkey)
             WHERE rn = 1""",
-        "local_supplier_revenue": """
-            SELECT n_name,
-                   CAST(sum(CAST(round(l_extendedprice * 100) AS BIGINT)
-                            * (100 - CAST(round(l_discount * 100) AS BIGINT)))
-                        AS BIGINT) AS revenue_e4
-            FROM lineitem
-            JOIN orders   ON l_orderkey = o_orderkey
-            JOIN customer ON o_custkey = c_custkey
-            JOIN supplier ON l_suppkey = s_suppkey
-            JOIN nation   ON s_nationkey = n_nationkey
-            JOIN region   ON n_regionkey = r_regionkey
-            WHERE r_name = 'ASIA' AND c_nationkey = s_nationkey
-            GROUP BY n_name""",
-        "late_data_window": """
-            WITH e AS (
-              SELECT epoch_us(ts) AS ts_us,
-                     epoch_us(ts) + (event_id % 7) * 60000000 AS arrival_us
-              FROM events
-            ), w AS (
-              SELECT max(arrival_us) - 30 * 60000000 AS wm FROM e
-            ), g AS (
-              SELECT (ts_us // 3600000000) * 3600000000 AS ws,
-                     CAST(count(*) AS BIGINT) AS n_events,
-                     CAST(sum(CASE WHEN arrival_us >
-                         (ts_us // 3600000000) * 3600000000 + 3600000000
-                         + 3 * 60000000 THEN 1 ELSE 0 END) AS BIGINT)
-                       AS n_late
-              FROM e GROUP BY 1
-            )
-            SELECT make_timestamp(ws) AS window_start, n_events, n_late,
-                   CASE WHEN ws + 3600000000 <= (SELECT wm FROM w)
-                        THEN 'closed' ELSE 'open' END AS status
-            FROM g""",
         "host_lang": _PAGE_CTE + """
             SELECT host, lang, n_pages FROM (
               SELECT regexp_extract(url, '^[a-z+]+://([^/]+)', 1) AS host,
@@ -8007,13 +4817,6 @@ def oracle_sql() -> dict[str, str]:
             SELECT lang, CAST(count(*) AS BIGINT) AS n_rows,
                    CAST(sum(n_chars) AS BIGINT) AS total_chars
             FROM documents GROUP BY lang""",
-        "cust_order_dist": """
-            SELECT n_orders, CAST(count(*) AS BIGINT) AS n_custs FROM (
-              SELECT c_custkey,
-                     CAST(count(o_custkey) AS BIGINT) AS n_orders
-              FROM customer LEFT JOIN orders ON c_custkey = o_custkey
-              GROUP BY c_custkey)
-            GROUP BY n_orders""",
         "sentence_stats": """
             SELECT doc_id,
                    COALESCE(CAST(len(list_filter(list_transform(
@@ -8064,55 +4867,6 @@ def oracle_sql() -> dict[str, str]:
             SELECT d.doc_id, 'v1', NULL
             FROM documents d
             WHERE d.doc_id NOT IN (SELECT doc_id FROM diff)""",
-        "returned_top_customers": """
-            WITH po AS (
-              SELECT l_orderkey,
-                     sum(CAST(round(l_extendedprice * 100) AS BIGINT)
-                         * (100 - CAST(round(l_discount * 100) AS BIGINT)))
-                       AS rev
-              FROM lineitem WHERE l_returnflag = 'R'
-              GROUP BY l_orderkey
-            ), cr AS (
-              SELECT o.o_custkey AS c_custkey,
-                     CAST(count(*) AS BIGINT) AS n_orders,
-                     CAST(sum(po.rev) AS BIGINT) AS revenue
-              FROM po JOIN orders o ON po.l_orderkey = o.o_orderkey
-              GROUP BY o.o_custkey
-            )
-            SELECT CAST(row_number() OVER (
-                     ORDER BY revenue DESC, c_custkey) AS BIGINT) AS rank,
-                   c_custkey, n_orders, revenue
-            FROM cr ORDER BY revenue DESC, c_custkey LIMIT 20""",
-        "big_spender_filter": """
-            WITH base AS (
-              SELECT c_custkey, c_mktsegment,
-                     CAST(round(c_acctbal * 100) AS BIGINT) AS cents
-              FROM customer
-            ), stat AS (
-              SELECT CAST(sum(cents) AS BIGINT) AS s,
-                     CAST(count(*) AS BIGINT) AS n
-              FROM base WHERE cents > 0
-            )
-            SELECT c_mktsegment,
-                   CAST(count(*) AS BIGINT) AS n_customers,
-                   CAST(sum(cents) AS BIGINT) AS total_bal_cents
-            FROM base, stat
-            WHERE cents * stat.n > stat.s
-              AND NOT EXISTS (SELECT 1 FROM orders
-                              WHERE o_custkey = c_custkey
-                                AND o_orderstatus = 'F')
-            GROUP BY c_mktsegment""",
-        "lineitem_unpivot": """
-            SELECT l_orderkey, CAST(l_linenumber AS BIGINT) AS l_linenumber,
-                   m.measure,
-                   CAST(round(CASE m.measure
-                     WHEN 'quantity' THEN l_quantity
-                     WHEN 'extendedprice' THEN l_extendedprice
-                     WHEN 'discount' THEN l_discount
-                     ELSE l_tax END * 100) AS BIGINT) AS cents
-            FROM lineitem
-            CROSS JOIN (SELECT unnest(['quantity', 'extendedprice',
-                                       'discount', 'tax']) AS measure) m""",
         "keep_best_dedup": """
             WITH g AS (
               SELECT lang, source, max(n_chars) AS best_len,
@@ -8126,58 +4880,6 @@ def oracle_sql() -> dict[str, str]:
             JOIN g ON d.lang = g.lang AND d.source = g.source
                   AND d.n_chars = g.best_len
             GROUP BY g.lang, g.source, g.best_len, g.n_docs""",
-        "wow_change": """
-            WITH d AS (
-              SELECT CAST(epoch_us(ts) // 86400000000 AS BIGINT) AS day,
-                     CAST(count(*) AS BIGINT) AS n
-              FROM events GROUP BY 1
-            )
-            SELECT day, n,
-                   CAST(n - COALESCE(lag(n) OVER (ORDER BY day), 0)
-                        AS BIGINT) AS delta
-            FROM d""",
-        "supplier_variety": """
-            SELECT p.p_type,
-                   CAST(count(DISTINCT l.l_suppkey) AS BIGINT)
-                     AS n_suppliers
-            FROM lineitem l JOIN part p ON l.l_partkey = p.p_partkey
-            GROUP BY p.p_type""",
-        "new_users_curve": """
-            WITH f AS (
-              SELECT user_id,
-                     min(CAST(epoch_us(ts) // 86400000000 AS BIGINT))
-                       AS day
-              FROM events GROUP BY user_id
-            ), d AS (
-              SELECT day, CAST(count(*) AS BIGINT) AS n_new
-              FROM f GROUP BY day
-            )
-            SELECT day, n_new,
-                   CAST(sum(n_new) OVER (
-                     ORDER BY day ROWS UNBOUNDED PRECEDING) AS BIGINT)
-                     AS cum_users
-            FROM d""",
-        "revenue_concentration": """
-            WITH po AS (
-              SELECT l_orderkey,
-                     sum(CAST(round(l_extendedprice * 100) AS BIGINT)
-                         * (100 - CAST(round(l_discount * 100) AS BIGINT)))
-                       AS rev
-              FROM lineitem GROUP BY l_orderkey
-            ), r AS (
-              SELECT rev, row_number() OVER (
-                       ORDER BY rev DESC, l_orderkey) AS rn
-              FROM po
-            ), kk AS (
-              SELECT greatest(1, count(*) // 100) AS k FROM po
-            )
-            SELECT CAST(kk.k AS BIGINT) AS k,
-                   CAST(sum(r.rev) FILTER (WHERE r.rn <= kk.k) AS BIGINT)
-                     AS top_rev,
-                   CAST(sum(r.rev) AS BIGINT) AS total_rev,
-                   CAST(sum(r.rev) FILTER (WHERE r.rn <= kk.k)
-                        * 1000000 // sum(r.rev) AS BIGINT) AS share_ppm
-            FROM r, kk GROUP BY kk.k""",
         "users_all_types": """
             SELECT user_id FROM (
               SELECT user_id, count(DISTINCT event_type) AS c
@@ -8185,66 +4887,6 @@ def oracle_sql() -> dict[str, str]:
               WHERE event_type IN ('view', 'click', 'purchase')
               GROUP BY user_id)
             WHERE c = 3""",
-        "user_top_type": """
-            WITH c AS (
-              SELECT user_id, event_type,
-                     CAST(count(*) AS BIGINT) AS n
-              FROM events GROUP BY user_id, event_type
-            ), m AS (
-              SELECT user_id, max(n) AS best FROM c GROUP BY user_id
-            )
-            SELECT c.user_id, min(c.event_type) AS top_type,
-                   CAST(m.best AS BIGINT) AS n
-            FROM c JOIN m ON c.user_id = m.user_id AND c.n = m.best
-            GROUP BY c.user_id, m.best""",
-        "daily_fill_gaps": """
-            WITH d AS (
-              SELECT CAST(epoch_us(ts) // 86400000000 AS BIGINT) AS day,
-                     CAST(count(*) AS BIGINT) AS n
-              FROM events GROUP BY 1
-            ), s AS (
-              SELECT unnest(generate_series(
-                (SELECT min(day) FROM d), (SELECT max(day) FROM d)))
-                AS day
-            )
-            SELECT s.day, CAST(COALESCE(d.n, 0) AS BIGINT) AS n
-            FROM s LEFT JOIN d USING (day)""",
-        "pareto_orders": """
-            WITH o AS (
-              SELECT o_orderkey,
-                     CAST(round(o_totalprice * 100) AS BIGINT) AS price,
-                     CAST(epoch_us(o_orderdate) // 86400000000 AS BIGINT)
-                       AS day
-              FROM orders
-            ), p AS (
-              SELECT DISTINCT price, day FROM o
-            ), s AS (
-              SELECT price, day,
-                     max(day) OVER (
-                       ORDER BY price DESC, day DESC
-                       ROWS BETWEEN UNBOUNDED PRECEDING AND 1 PRECEDING)
-                       AS best_prev
-              FROM p
-            ), keep AS (
-              SELECT price, day FROM s
-              WHERE best_prev IS NULL OR day > best_prev
-            )
-            SELECT o.o_orderkey, o.price, o.day
-            FROM o JOIN keep USING (price, day)""",
-        "weighted_disc": """
-            SELECT p.p_brand,
-                   CAST(sum(CAST(round(l.l_discount * 100) AS BIGINT)
-                            * CAST(round(l.l_quantity * 100) AS BIGINT))
-                        AS BIGINT) AS num,
-                   CAST(sum(CAST(round(l.l_quantity * 100) AS BIGINT))
-                        AS BIGINT) AS den,
-                   CAST(sum(CAST(round(l.l_discount * 100) AS BIGINT)
-                            * CAST(round(l.l_quantity * 100) AS BIGINT))
-                        * 1000000
-                        // sum(CAST(round(l.l_quantity * 100) AS BIGINT))
-                        AS BIGINT) AS wavg_ppm
-            FROM lineitem l JOIN part p ON l.l_partkey = p.p_partkey
-            GROUP BY p.p_brand""",
         "bfs_layers": """
             WITH RECURSIVE e AS (
               SELECT DISTINCT doc_id % 211 AS src,
@@ -8260,127 +4902,6 @@ def oracle_sql() -> dict[str, str]:
             )
             SELECT node, CAST(min(layer) AS BIGINT) AS layer
             FROM b GROUP BY node""",
-        "value_gini": """
-            WITH o AS (
-              SELECT o_orderkey,
-                     CAST(round(o_totalprice * 100) AS BIGINT) AS price
-              FROM orders
-            ), r AS (
-              SELECT price, row_number() OVER (
-                       ORDER BY price, o_orderkey) AS rn
-              FROM o
-            )
-            SELECT CAST(count(*) AS BIGINT) AS n,
-                   CAST(sum(price) AS BIGINT) AS sum_x,
-                   CAST(sum(rn * price) AS BIGINT) AS s1,
-                   CAST((2 * sum(rn * price)
-                         - (count(*) + 1) * sum(price)) * 1000000
-                        // (count(*) * sum(price)) AS BIGINT)
-                     AS gini_ppm
-            FROM r""",
-        "repeat_orders_7d": """
-            WITH o AS (
-              SELECT o_orderkey, o_custkey,
-                     CAST(epoch_us(o_orderdate) // 86400000000 AS BIGINT)
-                       AS day
-              FROM orders
-            )
-            SELECT a.o_custkey AS c_custkey,
-                   a.o_orderkey AS k1, b.o_orderkey AS k2,
-                   CAST(abs(b.day - a.day) AS BIGINT) AS gap_days
-            FROM o a JOIN o b
-              ON a.o_custkey = b.o_custkey
-             AND a.o_orderkey < b.o_orderkey
-             AND abs(b.day - a.day) <= 7""",
-        "profile_orders": """
-            WITH o AS (
-              SELECT o_orderkey, o_custkey,
-                     CAST(round(o_totalprice * 100) AS BIGINT)
-                       AS price_cents,
-                     CAST(epoch_us(o_orderdate) // 86400000000 AS BIGINT)
-                       AS order_day,
-                     o_orderstatus, o_orderpriority
-              FROM orders
-            )
-            SELECT 'o_orderkey' AS "column", m.metric, m.value FROM (
-              SELECT 'n_null' AS metric,
-                     CAST(count(*) FILTER (o_orderkey IS NULL) AS BIGINT)
-                       AS value FROM o
-              UNION ALL SELECT 'n_distinct',
-                CAST(count(DISTINCT o_orderkey) AS BIGINT) FROM o
-              UNION ALL SELECT 'min', CAST(min(o_orderkey) AS BIGINT) FROM o
-              UNION ALL SELECT 'max', CAST(max(o_orderkey) AS BIGINT) FROM o
-            ) m
-            UNION ALL
-            SELECT 'o_custkey', m.metric, m.value FROM (
-              SELECT 'n_null' AS metric,
-                     CAST(count(*) FILTER (o_custkey IS NULL) AS BIGINT)
-                       AS value FROM o
-              UNION ALL SELECT 'n_distinct',
-                CAST(count(DISTINCT o_custkey) AS BIGINT) FROM o
-              UNION ALL SELECT 'min', CAST(min(o_custkey) AS BIGINT) FROM o
-              UNION ALL SELECT 'max', CAST(max(o_custkey) AS BIGINT) FROM o
-            ) m
-            UNION ALL
-            SELECT 'price_cents', m.metric, m.value FROM (
-              SELECT 'n_null' AS metric,
-                     CAST(count(*) FILTER (price_cents IS NULL) AS BIGINT)
-                       AS value FROM o
-              UNION ALL SELECT 'n_distinct',
-                CAST(count(DISTINCT price_cents) AS BIGINT) FROM o
-              UNION ALL SELECT 'min', CAST(min(price_cents) AS BIGINT) FROM o
-              UNION ALL SELECT 'max', CAST(max(price_cents) AS BIGINT) FROM o
-            ) m
-            UNION ALL
-            SELECT 'order_day', m.metric, m.value FROM (
-              SELECT 'n_null' AS metric,
-                     CAST(count(*) FILTER (order_day IS NULL) AS BIGINT)
-                       AS value FROM o
-              UNION ALL SELECT 'n_distinct',
-                CAST(count(DISTINCT order_day) AS BIGINT) FROM o
-              UNION ALL SELECT 'min', CAST(min(order_day) AS BIGINT) FROM o
-              UNION ALL SELECT 'max', CAST(max(order_day) AS BIGINT) FROM o
-            ) m
-            UNION ALL
-            SELECT 'o_orderstatus', m.metric, m.value FROM (
-              SELECT 'n_null' AS metric,
-                     CAST(count(*) FILTER (o_orderstatus IS NULL) AS BIGINT)
-                       AS value FROM o
-              UNION ALL SELECT 'n_distinct',
-                CAST(count(DISTINCT o_orderstatus) AS BIGINT) FROM o
-            ) m
-            UNION ALL
-            SELECT 'o_orderpriority', m.metric, m.value FROM (
-              SELECT 'n_null' AS metric,
-                     CAST(count(*) FILTER (o_orderpriority IS NULL)
-                          AS BIGINT) AS value FROM o
-              UNION ALL SELECT 'n_distinct',
-                CAST(count(DISTINCT o_orderpriority) AS BIGINT) FROM o
-            ) m""",
-        "props_value_cov": """
-            WITH e AS (
-              SELECT event_type,
-                     COALESCE(CAST(regexp_extract(props, '"k":\\s*(-?\\d+)',
-                                                  1) AS BIGINT), 0) AS k,
-                     CAST(round(value * 100) AS BIGINT) AS v
-              FROM events
-            )
-            SELECT event_type,
-                   CAST(count(*) AS BIGINT) AS n,
-                   CAST(sum(k) AS BIGINT) AS sx,
-                   CAST(sum(v) AS BIGINT) AS sy,
-                   CAST(sum(k * v) AS BIGINT) AS sxy,
-                   CAST(count(*) * sum(k * v) - sum(k) * sum(v)
-                        AS BIGINT) AS cov_num
-            FROM e GROUP BY event_type""",
-        "nation_matrix": """
-            SELECT a.n_nationkey AS a, b.n_nationkey AS b,
-                   CAST(a.n_regionkey AS BIGINT) AS region,
-                   CAST((a.n_nationkey * 31 + b.n_nationkey) % 97
-                        AS BIGINT) AS affinity
-            FROM nation a CROSS JOIN nation b
-            WHERE a.n_regionkey = b.n_regionkey
-              AND a.n_nationkey < b.n_nationkey""",
         "diverse_top_docs": """
             WITH r AS (
               SELECT doc_id, source, n_chars,
@@ -8395,31 +4916,6 @@ def oracle_sql() -> dict[str, str]:
                      ORDER BY n_chars DESC, doc_id) AS BIGINT) AS rank,
                    doc_id, source, n_chars, CAST(rs AS BIGINT) AS rs
             FROM t ORDER BY n_chars DESC, doc_id LIMIT 20""",
-        "user_value_norm": """
-            SELECT event_id, user_id,
-                   CAST(CAST(round(value * 100) AS BIGINT) * 1000000
-                        * count(*) OVER (PARTITION BY user_id)
-                        // sum(CAST(round(value * 100) AS BIGINT))
-                          OVER (PARTITION BY user_id)
-                        AS BIGINT) AS norm_ppm
-            FROM events""",
-        "join_card_est": """
-            WITH a AS (
-              SELECT l_partkey, CAST(count(*) AS BIGINT) AS n
-              FROM lineitem GROUP BY l_partkey
-            ), b AS (
-              SELECT l_orderkey, CAST(count(*) AS BIGINT) AS n
-              FROM lineitem GROUP BY l_orderkey
-            ), c AS (
-              SELECT o_orderkey, CAST(count(*) AS BIGINT) AS n
-              FROM orders GROUP BY o_orderkey
-            )
-            SELECT 'lineitem_self_partkey' AS join_name,
-                   CAST(sum(n * n) AS BIGINT) AS est_rows FROM a
-            UNION ALL
-            SELECT 'lineitem_orders_orderkey',
-                   CAST(sum(b.n * c.n) AS BIGINT)
-            FROM b JOIN c ON b.l_orderkey = c.o_orderkey""",
         "contamination_frac": """
             WITH w AS (
               SELECT doc_id, string_split(text, ' ') AS ws
@@ -8464,31 +4960,6 @@ def oracle_sql() -> dict[str, str]:
         "cube_rollup": """
             SELECT lang, source, CAST(count(*) AS BIGINT) AS n
             FROM documents GROUP BY CUBE (lang, source)""",
-        "orders_above_cust_avg": """
-            WITH o AS (
-              SELECT o_custkey,
-                     CAST(round(o_totalprice * 100) AS BIGINT) AS price
-              FROM orders
-            ), s AS (
-              SELECT o_custkey, CAST(sum(price) AS BIGINT) AS s,
-                     CAST(count(*) AS BIGINT) AS cn
-              FROM o GROUP BY o_custkey
-            )
-            SELECT o.o_custkey AS c_custkey,
-                   CAST(count(*) AS BIGINT) AS n_above
-            FROM o JOIN s ON o.o_custkey = s.o_custkey
-            WHERE o.price * s.cn > s.s
-            GROUP BY o.o_custkey""",
-        "time_multi_rollup": """
-            SELECT g.granularity,
-                   CAST(epoch_us(ts) // g.div AS BIGINT) AS bucket,
-                   CAST(count(*) AS BIGINT) AS n
-            FROM events
-            CROSS JOIN (
-              SELECT unnest(['hour', 'day', 'week']) AS granularity,
-                     unnest([3600000000, 86400000000,
-                             604800000000]) AS div) g
-            GROUP BY g.granularity, bucket""",
         "user_type_mask_agg": """
             SELECT user_id,
                    CAST(sum(DISTINCT CASE event_type
@@ -8496,106 +4967,6 @@ def oracle_sql() -> dict[str, str]:
                      WHEN 'purchase' THEN 4 WHEN 'signup' THEN 8
                      ELSE 16 END) AS BIGINT) AS mask
             FROM events GROUP BY user_id""",
-        "user_type_mask": """
-            SELECT user_id,
-                   CAST(sum(DISTINCT CASE event_type
-                     WHEN 'view' THEN 1 WHEN 'click' THEN 2
-                     WHEN 'purchase' THEN 4 WHEN 'signup' THEN 8
-                     ELSE 16 END) AS BIGINT) AS mask
-            FROM events GROUP BY user_id""",
-        "median_interp": """
-            WITH o AS (
-              SELECT CAST(round(o_totalprice * 100) AS BIGINT) AS price
-              FROM orders
-            ), r AS (
-              SELECT price, row_number() OVER (ORDER BY price) AS rn
-              FROM o
-            ), nn AS (
-              SELECT count(*) AS n FROM o
-            )
-            SELECT CAST(nn.n AS BIGINT) AS n,
-                   CAST((SELECT price FROM r WHERE rn = (nn.n + 1) // 2)
-                        + (SELECT price FROM r WHERE rn = nn.n // 2 + 1)
-                        AS BIGINT) AS mid2_cents
-            FROM nn""",
-        "region_revenue": """
-            SELECT r.r_name,
-                   CAST(sum(CAST(round(o.o_totalprice * 100) AS BIGINT))
-                        AS BIGINT) AS revenue
-            FROM orders o
-            JOIN customer c ON o.o_custkey = c.c_custkey
-            JOIN nation n ON c.c_nationkey = n.n_nationkey
-            JOIN region r ON n.n_regionkey = r.r_regionkey
-            GROUP BY r.r_name""",
-        "trailing_active_users": """
-            WITH p AS (
-              SELECT DISTINCT user_id,
-                     CAST(epoch_us(ts) // 86400000000 AS BIGINT) AS day
-              FROM events
-            ), days AS (
-              SELECT DISTINCT day FROM p
-            )
-            SELECT d.day,
-                   CAST(count(DISTINCT p.user_id) AS BIGINT)
-                     AS active_3d
-            FROM days d JOIN p ON p.day BETWEEN d.day - 2 AND d.day
-            GROUP BY d.day""",
-        "user_streaks": """
-            WITH p AS (
-              SELECT DISTINCT user_id,
-                     CAST(epoch_us(ts) // 86400000000 AS BIGINT) AS day
-              FROM events
-            ), g AS (
-              SELECT user_id, day,
-                     day - row_number() OVER (
-                       PARTITION BY user_id ORDER BY day) AS grp
-              FROM p
-            ), s AS (
-              SELECT user_id, CAST(count(*) AS BIGINT) AS len
-              FROM g GROUP BY user_id, grp
-            )
-            SELECT user_id, CAST(max(len) AS BIGINT) AS max_streak
-            FROM s GROUP BY user_id""",
-        "type_cooccur_lift": """
-            WITH p AS (
-              SELECT DISTINCT user_id, event_type FROM events
-            ), tc AS (
-              SELECT event_type, CAST(count(*) AS BIGINT) AS n
-              FROM p GROUP BY event_type
-            ), nu AS (
-              SELECT CAST(count(DISTINCT user_id) AS BIGINT) AS n FROM p
-            ), co AS (
-              SELECT x.event_type AS a, y.event_type AS b,
-                     CAST(count(*) AS BIGINT) AS n_ab
-              FROM p x JOIN p y
-                ON x.user_id = y.user_id
-               AND x.event_type < y.event_type
-              GROUP BY x.event_type, y.event_type
-            )
-            SELECT co.a, co.b, ta.n AS n_a, tb.n AS n_b, co.n_ab,
-                   CAST(co.n_ab * nu.n AS BIGINT) AS lift_num,
-                   CAST(ta.n * tb.n AS BIGINT) AS lift_den
-            FROM co JOIN tc ta ON co.a = ta.event_type
-                    JOIN tc tb ON co.b = tb.event_type
-                    CROSS JOIN nu""",
-        "nation_region_share": """
-            WITH nr AS (
-              SELECT n.n_name, n.n_nationkey, n.n_regionkey,
-                     CAST(sum(CAST(round(o.o_totalprice * 100)
-                                   AS BIGINT)) AS BIGINT) AS revenue
-              FROM orders o
-              JOIN customer c ON o.o_custkey = c.c_custkey
-              JOIN nation n ON c.c_nationkey = n.n_nationkey
-              GROUP BY n.n_name, n.n_nationkey, n.n_regionkey
-            ), rr AS (
-              SELECT n_regionkey,
-                     CAST(sum(revenue) AS BIGINT) AS region_revenue
-              FROM nr GROUP BY n_regionkey
-            )
-            SELECT nr.n_name, nr.revenue, rr.region_revenue,
-                   CAST(nr.revenue * 1000000 // rr.region_revenue
-                        AS BIGINT) AS share_ppm
-            FROM nr JOIN rr ON nr.n_regionkey = rr.n_regionkey""",
         "doc_len_pct_in_lang": """
             SELECT doc_id, lang, n_chars,
                    CAST((rank() OVER (
@@ -8604,47 +4975,6 @@ def oracle_sql() -> dict[str, str]:
                         // count(*) OVER (PARTITION BY lang)
                         AS BIGINT) AS pct_ppm
             FROM documents""",
-        "nation_pair_flows": """
-            SELECT ns.n_name AS supp_nation, nc.n_name AS cust_nation,
-                   CAST(extract(year FROM l.l_shipdate) AS BIGINT)
-                       AS l_year,
-                   CAST(sum(CAST(round(l.l_extendedprice * 100) AS BIGINT)
-                            * (100 - CAST(round(l.l_discount * 100)
-                                          AS BIGINT)))
-                        AS BIGINT) AS revenue_e4
-            FROM lineitem l
-            JOIN orders o   ON l.l_orderkey = o.o_orderkey
-            JOIN customer c ON o.o_custkey = c.c_custkey
-            JOIN supplier s ON l.l_suppkey = s.s_suppkey
-            JOIN nation ns  ON s.s_nationkey = ns.n_nationkey
-            JOIN nation nc  ON c.c_nationkey = nc.n_nationkey
-            WHERE s.s_nationkey <> c.c_nationkey
-            GROUP BY ns.n_name, nc.n_name, l_year""",
-        "sole_returner_suppliers": """
-            WITH ls AS (
-              SELECT l_orderkey, l_suppkey,
-                     CAST(sum(CASE WHEN l_returnflag = 'R'
-                              THEN 1 ELSE 0 END) AS BIGINT) AS ret_lines
-              FROM lineitem GROUP BY l_orderkey, l_suppkey
-            ), po AS (
-              SELECT l_orderkey,
-                     count(*) AS n_supp,
-                     sum(CASE WHEN ret_lines > 0 THEN 1 ELSE 0 END)
-                         AS n_ret_supp,
-                     CAST(sum(ret_lines) AS BIGINT) AS ret_total,
-                     min(CASE WHEN ret_lines > 0 THEN l_suppkey END)
-                         AS ret_supp
-              FROM ls GROUP BY l_orderkey
-            )
-            SELECT s.s_name,
-                   CAST(count(*) AS BIGINT) AS n_orders,
-                   CAST(sum(po.ret_total) AS BIGINT) AS n_ret_lines
-            FROM po
-            JOIN orders o ON po.l_orderkey = o.o_orderkey
-            JOIN supplier s ON po.ret_supp = s.s_suppkey
-            WHERE po.n_supp >= 2 AND po.n_ret_supp = 1
-              AND o.o_orderstatus = 'F'
-            GROUP BY s.s_name""",
         "ks_lang_len": """
             WITH g AS (
               SELECT n_chars AS v,
@@ -8669,28 +4999,6 @@ def oracle_sql() -> dict[str, str]:
                         * 1000000 // (t.n_en * t.n_other)
                         AS BIGINT) AS ks_ppm
             FROM c, t GROUP BY t.n_en, t.n_other""",
-        "order_backlog": """
-            WITH le AS (
-              SELECT l_orderkey,
-                     CAST(epoch_us(max(l_shipdate)) // 86400000000
-                          AS BIGINT) AS ed
-              FROM lineitem GROUP BY l_orderkey
-            ), o AS (
-              SELECT CAST(epoch_us(o_orderdate) // 86400000000
-                          AS BIGINT) AS sd, le.ed
-              FROM orders JOIN le ON o_orderkey = l_orderkey
-            ), d AS (
-              SELECT sd AS day, CAST(1 AS BIGINT) AS delta FROM o
-              UNION ALL
-              SELECT ed, CAST(-1 AS BIGINT) FROM o
-            ), g AS (
-              SELECT day, CAST(sum(delta) AS BIGINT) AS delta
-              FROM d GROUP BY day
-            )
-            SELECT day,
-                   CAST(sum(delta) OVER (ORDER BY day) AS BIGINT)
-                       AS open_orders
-            FROM g""",
         "weighted_median_price": """
             WITH d AS (
               SELECT l_returnflag AS grp,
@@ -8733,34 +5041,6 @@ def oracle_sql() -> dict[str, str]:
                        AS jaccard_ppm
             FROM p JOIN s sa ON p.lang_a = sa.lang
                    JOIN s sb ON p.lang_b = sb.lang""",
-        "rfm_scores": """
-            WITH pc AS (
-              SELECT o_custkey AS ck,
-                     CAST(max(epoch_us(o_orderdate)) // 86400000000
-                          AS BIGINT) AS last_day,
-                     CAST(count(*) AS BIGINT) AS freq,
-                     CAST(sum(CAST(round(o_totalprice * 100) AS BIGINT))
-                          AS BIGINT) AS mon
-              FROM orders GROUP BY o_custkey
-            ), d AS (
-              SELECT ck,
-                     (SELECT max(last_day) FROM pc) - last_day AS rec,
-                     freq, mon
-              FROM pc
-            ), b AS (
-              SELECT mon,
-                     least(4, (rank() OVER (ORDER BY rec) - 1) * 5
-                              // count(*) OVER ()) AS rb,
-                     least(4, (rank() OVER (ORDER BY freq) - 1) * 5
-                              // count(*) OVER ()) AS fb,
-                     least(4, (rank() OVER (ORDER BY mon) - 1) * 5
-                              // count(*) OVER ()) AS mb
-              FROM d
-            )
-            SELECT CAST(rb * 100 + fb * 10 + mb AS BIGINT) AS rfm_code,
-                   CAST(count(*) AS BIGINT) AS n_customers,
-                   CAST(sum(mon) AS BIGINT) AS sum_monetary
-            FROM b GROUP BY rfm_code""",
         "emb_norm_outliers": """
             WITH nq AS (
               SELECT vec_id,
@@ -8791,20 +5071,6 @@ def oracle_sql() -> dict[str, str]:
                    CAST(CASE WHEN ad > 3 * (SELECT mad FROM mm)
                         THEN 1 ELSE 0 END AS BIGINT) AS is_outlier
             FROM a""",
-        "cohort_retention": """
-            WITH a AS (
-              SELECT DISTINCT o_custkey AS ck,
-                     CAST(extract(year FROM o_orderdate) * 4
-                          + extract(quarter FROM o_orderdate) - 1
-                          AS BIGINT) AS q
-              FROM orders
-            ), f AS (
-              SELECT ck, min(q) AS cohort_q FROM a GROUP BY ck
-            )
-            SELECT f.cohort_q, a.q AS active_q,
-                   CAST(count(*) AS BIGINT) AS n_customers
-            FROM a JOIN f ON a.ck = f.ck
-            GROUP BY f.cohort_q, a.q""",
         "rank_fusion": r"""
             WITH d AS (
               SELECT doc_id, CAST(n_chars AS BIGINT) AS len_v,
@@ -8824,58 +5090,6 @@ def oracle_sql() -> dict[str, str]:
                         + 1000000000 // (60 + rq) AS BIGINT)
                        AS rrf_score
             FROM r ORDER BY rrf_score DESC, doc_id LIMIT 20""",
-        "daily_anomalies": """
-            WITH g AS (
-              SELECT CAST(epoch_us(ts) // 86400000000 AS BIGINT) AS day,
-                     CAST(count(*) AS BIGINT) AS n
-              FROM events GROUP BY day
-            ), w AS (
-              SELECT day, n,
-                     CAST(count(n) OVER win AS BIGINT) AS wn,
-                     CAST(coalesce(sum(n) OVER win, 0) AS BIGINT) AS ws,
-                     CAST(coalesce(sum(n * n) OVER win, 0) AS BIGINT)
-                         AS wq
-              FROM g
-              WINDOW win AS (ORDER BY day
-                             RANGE BETWEEN 28 PRECEDING
-                                       AND 1 PRECEDING)
-            )
-            SELECT day, n AS n_events, wn AS win_days, ws AS win_sum
-            FROM w
-            WHERE wn >= 7 AND (n * wn - ws) > 0
-              AND (n * wn - ws) * (n * wn - ws)
-                  > wn * wq - ws * ws""",
-        "small_order_revenue": """
-            WITH pq AS (
-              SELECT l_partkey AS pk,
-                     CAST(sum(CAST(round(l_quantity) AS BIGINT))
-                          AS BIGINT) AS sq,
-                     CAST(count(*) AS BIGINT) AS n
-              FROM lineitem GROUP BY l_partkey
-            )
-            SELECT CAST(sum(CAST(round(l.l_extendedprice * 100)
-                                 AS BIGINT)) AS BIGINT) AS revenue_e2,
-                   CAST(count(*) AS BIGINT) AS n_lines
-            FROM lineitem l JOIN pq ON l.l_partkey = pq.pk
-            WHERE CAST(round(l.l_quantity) AS BIGINT) * 5 * pq.n
-                  < pq.sq""",
-        "large_orders": """
-            WITH po AS (
-              SELECT l_orderkey,
-                     CAST(sum(CAST(round(l_quantity) AS BIGINT))
-                          AS BIGINT) AS total_qty
-              FROM lineitem GROUP BY l_orderkey
-              HAVING total_qty > 250
-            )
-            SELECT c.c_name, po.l_orderkey AS o_orderkey,
-                   CAST(epoch_us(o.o_orderdate) // 86400000000
-                        AS BIGINT) AS order_day,
-                   CAST(round(o.o_totalprice * 100) AS BIGINT)
-                       AS totalprice_e2,
-                   po.total_qty
-            FROM po
-            JOIN orders o ON po.l_orderkey = o.o_orderkey
-            JOIN customer c ON o.o_custkey = c.c_custkey""",
         "contingency_chi2": """
             WITH cells AS (
               SELECT lang, source, CAST(count(*) AS BIGINT) AS n
@@ -8901,57 +5115,6 @@ def oracle_sql() -> dict[str, str]:
             FROM cells, tot
             JOIN rm ON cells.lang = rm.lang
             JOIN cm ON cells.source = cm.source""",
-        "cov_matrix": """
-            WITH m AS (
-              SELECT CAST(round(l_quantity) AS BIGINT) AS x0,
-                     CAST(round(l_extendedprice * 100) AS BIGINT)
-                         // 10000 AS x1,
-                     CAST(round(l_discount * 100) AS BIGINT) AS x2,
-                     CAST(round(l_tax * 100) AS BIGINT) AS x3
-              FROM lineitem
-            ), s AS (
-              SELECT CAST(count(*) AS BIGINT) AS n,
-                     sum(x0) AS s0, sum(x1) AS s1,
-                     sum(x2) AS s2, sum(x3) AS s3,
-                     sum(x0*x0) AS s00, sum(x0*x1) AS s01,
-                     sum(x0*x2) AS s02, sum(x0*x3) AS s03,
-                     sum(x1*x1) AS s11, sum(x1*x2) AS s12,
-                     sum(x1*x3) AS s13, sum(x2*x2) AS s22,
-                     sum(x2*x3) AS s23, sum(x3*x3) AS s33
-              FROM m
-            )
-            SELECT p.x, p.y, s.n,
-              CAST(CASE p.x || '/' || p.y
-                WHEN 'qty/qty' THEN s.n*s.s00 - s.s0*s.s0
-                WHEN 'qty/price_h2' THEN s.n*s.s01 - s.s0*s.s1
-                WHEN 'qty/disc_e2' THEN s.n*s.s02 - s.s0*s.s2
-                WHEN 'qty/tax_e2' THEN s.n*s.s03 - s.s0*s.s3
-                WHEN 'price_h2/price_h2' THEN s.n*s.s11 - s.s1*s.s1
-                WHEN 'price_h2/disc_e2' THEN s.n*s.s12 - s.s1*s.s2
-                WHEN 'price_h2/tax_e2' THEN s.n*s.s13 - s.s1*s.s3
-                WHEN 'disc_e2/disc_e2' THEN s.n*s.s22 - s.s2*s.s2
-                WHEN 'disc_e2/tax_e2' THEN s.n*s.s23 - s.s2*s.s3
-                WHEN 'tax_e2/tax_e2' THEN s.n*s.s33 - s.s3*s.s3
-              END AS BIGINT) AS cov_num
-            FROM s, (VALUES
-              ('qty','qty'), ('qty','price_h2'), ('qty','disc_e2'),
-              ('qty','tax_e2'), ('price_h2','price_h2'),
-              ('price_h2','disc_e2'), ('price_h2','tax_e2'),
-              ('disc_e2','disc_e2'), ('disc_e2','tax_e2'),
-              ('tax_e2','tax_e2')) AS p(x, y)""",
-        "disjunctive_brackets": """
-            SELECT CAST(coalesce(sum(
-                     CAST(round(l_extendedprice * 100) AS BIGINT)
-                     * (100 - CAST(round(l_discount * 100) AS BIGINT))),
-                   0) AS BIGINT) AS revenue_e4,
-                   CAST(count(*) AS BIGINT) AS n_items
-            FROM lineitem JOIN part ON l_partkey = p_partkey
-            WHERE (p_brand = 'Brand#12' AND p_size BETWEEN 1 AND 5
-                   AND l_quantity BETWEEN 1 AND 11)
-               OR (p_brand = 'Brand#23' AND p_size BETWEEN 1 AND 10
-                   AND l_quantity BETWEEN 10 AND 20)
-               OR (p_brand = 'Brand#34' AND p_size BETWEEN 1 AND 15
-                   AND l_quantity BETWEEN 20 AND 30)""",
         "top_supplier_rev": """
             WITH rev AS (
               SELECT l_suppkey AS s_suppkey,
@@ -8967,54 +5130,6 @@ def oracle_sql() -> dict[str, str]:
             SELECT rev.s_suppkey, s.s_name, rev.total_rev_e4
             FROM rev JOIN supplier s ON rev.s_suppkey = s.s_suppkey
             WHERE rev.total_rev_e4 = (SELECT max(total_rev_e4) FROM rev)""",
-        "epoch_price_join": """
-            WITH dim AS (
-              SELECT p_partkey, e.idx AS epoch_idx,
-                     CASE e.idx
-                       WHEN 0 THEN TIMESTAMP '1995-01-01'
-                       WHEN 1 THEN TIMESTAMP '1997-01-01'
-                       ELSE TIMESTAMP '1999-01-01' END AS valid_from,
-                     CASE e.idx
-                       WHEN 0 THEN TIMESTAMP '1997-01-01'
-                       WHEN 1 THEN TIMESTAMP '1999-01-01'
-                       ELSE TIMESTAMP '2999-01-01' END AS valid_to,
-                     90 + 5 * e.idx + p_partkey % 7 AS pct
-              FROM part, (VALUES (0), (1), (2)) AS e(idx)
-            )
-            SELECT d.epoch_idx,
-                   CAST(sum(CAST(round(l_extendedprice * 100) AS BIGINT)
-                            * d.pct) AS BIGINT) AS repriced_e4,
-                   CAST(count(*) AS BIGINT) AS n_items
-            FROM lineitem l
-            JOIN dim d ON l.l_partkey = d.p_partkey
-                      AND l.l_shipdate >= d.valid_from
-                      AND l.l_shipdate < d.valid_to
-            GROUP BY 1""",
-        "nation_market_share": """
-            WITH l AS (
-              SELECT l_orderkey,
-                     CAST(round(l_extendedprice * 100) AS BIGINT)
-                     * (100 - CAST(round(l_discount * 100) AS BIGINT))
-                         AS rev,
-                     s_nationkey
-              FROM lineitem
-              JOIN part ON l_partkey = p_partkey
-              JOIN supplier ON l_suppkey = s_suppkey
-              WHERE p_type = 'ECONOMY'
-            )
-            SELECT CAST(year(o_orderdate) AS BIGINT) AS o_year,
-                   CAST(sum(CASE WHEN l.s_nationkey = 2
-                            THEN l.rev ELSE 0 END) AS BIGINT)
-                       AS target_rev_e4,
-                   CAST(sum(l.rev) AS BIGINT) AS total_rev_e4
-            FROM l
-            JOIN orders ON l.l_orderkey = o_orderkey
-            JOIN customer ON o_custkey = c_custkey
-            JOIN nation ON c_nationkey = n_nationkey
-            WHERE n_regionkey = 2
-              AND o_orderdate >= TIMESTAMP '1996-01-01'
-              AND o_orderdate < TIMESTAMP '1998-01-01'
-            GROUP BY 1""",
         "rare_term_pairs": r"""
             WITH d AS (
               SELECT doc_id,
@@ -9037,13 +5152,6 @@ def oracle_sql() -> dict[str, str]:
             FROM ri x JOIN ri y
               ON x.term = y.term AND x.doc_id < y.doc_id
             GROUP BY x.doc_id, y.doc_id""",
-        "priority_semi": """
-            SELECT o_orderpriority, CAST(count(*) AS BIGINT) AS n_orders
-            FROM orders
-            WHERE EXISTS (SELECT 1 FROM lineitem
-                          WHERE l_orderkey = o_orderkey
-                            AND l_quantity > 45)
-            GROUP BY o_orderpriority""",
         "priority_semi_native": """
             SELECT o_orderpriority, CAST(count(*) AS BIGINT) AS n_orders
             FROM orders
@@ -9074,53 +5182,6 @@ def oracle_sql() -> dict[str, str]:
                    r.range AS row_idx, c.range AS col_idx,
                    doc_id || '-' || r.range || '-' || c.range AS cell
             FROM documents CROSS JOIN range(2) r CROSS JOIN range(2) c""",
-        "session_sets": """
-            WITH s AS (
-              SELECT user_id, event_id, event_type, ts,
-                     CASE WHEN ts - lag(ts) OVER w > INTERVAL 30 MINUTE
-                          THEN 1 ELSE 0 END AS brk
-              FROM events
-              WINDOW w AS (PARTITION BY user_id ORDER BY ts, event_id)
-            ), g AS (
-              SELECT *, sum(brk) OVER (
-                PARTITION BY user_id ORDER BY ts, event_id
-                ROWS UNBOUNDED PRECEDING) AS sess
-              FROM s
-            )
-            SELECT user_id, min(ts) AS session_start,
-                   array_to_string(list_sort(list_distinct(
-                     list(event_type))), ',') AS type_set,
-                   CAST(count(*) AS BIGINT) AS n_events
-            FROM g GROUP BY user_id, sess""",
-        "value_trend": """
-            WITH c AS (
-              SELECT event_type,
-                     (epoch_us(ts) - epoch_us(TIMESTAMP '2024-01-01'))
-                       // 3600000000 AS x,
-                     CAST(round(value * 100) AS BIGINT) AS y
-              FROM events
-            )
-            SELECT event_type, CAST(count(*) AS BIGINT) AS n,
-                   CAST(sum(x) AS BIGINT) AS sum_x,
-                   CAST(sum(y) AS BIGINT) AS sum_y,
-                   CAST(sum(x * y) AS BIGINT) AS sum_xy,
-                   CAST(sum(x * x) AS BIGINT) AS sum_x2
-            FROM c GROUP BY event_type""",
-        "value_mad": """
-            WITH c AS (
-              SELECT event_type,
-                     CAST(round(value * 100) AS BIGINT) AS v
-              FROM events
-            ), m AS (
-              SELECT event_type, quantile_disc(v, 0.5) AS med
-              FROM c GROUP BY event_type
-            )
-            SELECT c.event_type,
-                   CAST(m.med AS BIGINT) AS median_cents,
-                   CAST(quantile_disc(abs(c.v - m.med), 0.5) AS BIGINT)
-                     AS mad_cents
-            FROM c JOIN m ON c.event_type = m.event_type
-            GROUP BY c.event_type, m.med""",
         "host_churn": """
             WITH b AS (
               SELECT doc_id,
@@ -9155,23 +5216,6 @@ def oracle_sql() -> dict[str, str]:
                        ROWS UNBOUNDED PRECEDING) AS c
               FROM documents)
             WHERE c <= 50000""",
-        "range_scan": """
-            SELECT CAST(count(*) AS BIGINT) AS n_rows,
-                   CAST(sum(CAST(round(o_totalprice * 100) AS BIGINT))
-                        AS BIGINT) AS total_cents
-            FROM orders
-            WHERE o_orderkey >= 1000 AND o_orderkey < 3000""",
-        "skew_join": """
-            WITH p AS (
-              SELECT user_id AS p_user,
-                     CAST(sum(CAST(round(value * 100) AS BIGINT))
-                          AS BIGINT) AS user_cents
-              FROM events GROUP BY user_id
-            )
-            SELECT event_type, CAST(count(*) AS BIGINT) AS n,
-                   CAST(sum(user_cents) AS BIGINT) AS total_user_cents
-            FROM events JOIN p ON user_id = p_user
-            GROUP BY event_type""",
         "triangle_count": """
             WITH e AS (
               SELECT DISTINCT doc_id % 211 AS src,
@@ -9189,37 +5233,6 @@ def oracle_sql() -> dict[str, str]:
             SELECT c_mktsegment, CAST(count(*) AS BIGINT) AS n_orders
             FROM orders JOIN customer ON o_custkey = c_custkey
             GROUP BY c_mktsegment""",
-        "moving_window": """
-            WITH r AS (
-              SELECT event_type,
-                     (epoch_us(ts) // 3600000000) * 3600000000 AS h,
-                     CAST(sum(CAST(round(value * 100) AS BIGINT))
-                          AS BIGINT) AS cents
-              FROM events GROUP BY 1, 2
-            )
-            SELECT event_type, make_timestamp(h) AS hour,
-                   CAST(sum(cents) OVER (
-                     PARTITION BY event_type ORDER BY h
-                     RANGE BETWEEN 21600000000 PRECEDING AND CURRENT ROW)
-                     AS BIGINT) AS trailing_cents
-            FROM r""",
-        "event_debounce": """
-            SELECT event_id, user_id, event_type, ts FROM (
-              SELECT event_id, user_id, event_type, ts,
-                     lag(ts) OVER (PARTITION BY user_id, event_type
-                                   ORDER BY ts, event_id) AS pts
-              FROM events)
-            WHERE pts IS NULL OR ts - pts > INTERVAL 3600 SECOND""",
-        "promo_revenue": """
-            SELECT CAST(sum(CASE WHEN p_type = 'PROMO' THEN rev
-                                 ELSE 0 END) AS BIGINT) AS promo_e4,
-                   CAST(sum(rev) AS BIGINT) AS total_e4
-            FROM (SELECT l_partkey,
-                         CAST(round(l_extendedprice * 100) AS BIGINT)
-                         * (100 - CAST(round(l_discount * 100) AS BIGINT))
-                           AS rev
-                  FROM lineitem) l
-            JOIN part ON l_partkey = p_partkey""",
         "embedding_dim_stats": """
             SELECT dim, CAST(count(*) AS BIGINT) AS n,
                    CAST(sum(v) AS BIGINT) AS sum_e6,
@@ -9231,15 +5244,6 @@ def oracle_sql() -> dict[str, str]:
                                 * 1000000) AS BIGINT) AS v
               FROM embeddings CROSS JOIN range(64) r)
             GROUP BY dim""",
-        "typo_pairs": r"""
-            WITH t AS (
-              SELECT DISTINCT unnest(regexp_extract_all(p_name, '\S+')) AS w
-              FROM part
-            )
-            SELECT a.w AS w1, b.w AS w2,
-                   CAST(levenshtein(a.w, b.w) AS BIGINT) AS dist
-            FROM t a JOIN t b
-              ON a.w < b.w AND levenshtein(a.w, b.w) <= 1""",
         "dup_cluster_hist": """
             WITH d AS (
               SELECT doc_id,
@@ -9327,15 +5331,6 @@ def oracle_sql() -> dict[str, str]:
                            url
                     FROM c))
             WHERE rn <= 3""",
-        "asof_click_view": """
-            SELECT event_id, user_id, ts, prev_ts FROM (
-              SELECT event_id, user_id, ts, event_type,
-                     max(CASE WHEN event_type = 'view' THEN ts END)
-                       OVER (PARTITION BY user_id ORDER BY ts, event_id
-                             ROWS BETWEEN UNBOUNDED PRECEDING
-                                      AND 1 PRECEDING) AS prev_ts
-              FROM events)
-            WHERE event_type = 'click'""",
         "props_agg": """
             SELECT event_type,
                    CAST(sum(CAST(json_extract(props, '$.k') AS BIGINT)) AS BIGINT)
@@ -9362,29 +5357,6 @@ def oracle_sql() -> dict[str, str]:
                    CAST(sum(CASE WHEN event_type = 'signup'   THEN 1 ELSE 0 END) AS BIGINT) AS n_signup,
                    CAST(sum(CASE WHEN event_type = 'view'     THEN 1 ELSE 0 END) AS BIGINT) AS n_view
             FROM events GROUP BY 1""",
-        "hopping_window": """
-            WITH e AS (
-              SELECT date_trunc('hour', ts) AS h,
-                     CAST(round(value * 100) AS BIGINT) AS c
-              FROM events),
-            w AS (
-              SELECT h AS window_start, c FROM e
-              UNION ALL
-              SELECT h - INTERVAL 1 HOUR, c FROM e)
-            SELECT window_start,
-                   CAST(sum(c) AS BIGINT) AS total_cents,
-                   count(*) AS n_events
-            FROM w GROUP BY window_start""",
-        "customers_no_f_orders": """
-            SELECT c_custkey, c_name FROM customer c
-            WHERE NOT EXISTS (
-              SELECT 1 FROM orders o
-              WHERE o.o_custkey = c.c_custkey AND o.o_orderstatus = 'F')""",
-        "customers_no_f_orders_bloom": """
-            SELECT c_custkey, c_name FROM customer c
-            WHERE NOT EXISTS (
-              SELECT 1 FROM orders o
-              WHERE o.o_custkey = c.c_custkey AND o.o_orderstatus = 'F')""",
         "customers_no_f_orders_native": """
             SELECT c_custkey, c_name FROM customer c
             WHERE NOT EXISTS (
@@ -9459,16 +5431,6 @@ def oracle_sql() -> dict[str, str]:
             SELECT doc_id, md5(text) AS h,
                    row_number() OVER (ORDER BY md5(text), doc_id) AS rank
             FROM documents""",
-        "events_value_stats": """
-            WITH c AS (
-              SELECT event_type,
-                     CAST(round(value * 100) AS BIGINT) AS cents
-              FROM events)
-            SELECT event_type,
-                   CAST(sum(cents) AS BIGINT) AS sum_cents,
-                   CAST(sum(cents * cents) AS BIGINT) AS sum_sq_cents,
-                   count(*) AS n
-            FROM c GROUP BY event_type""",
         "tfidf": r"""
             WITH terms AS (
               SELECT doc_id,
@@ -9507,50 +5469,6 @@ def oracle_sql() -> dict[str, str]:
                              AS UBIGINT) % 8 AS BIGINT) AS shard,
                    count(*) AS n_members
             FROM documents GROUP BY shard""",
-        "funnel_stages": """
-            WITH v AS (SELECT user_id, min(ts) AS t1 FROM events
-                       WHERE event_type = 'view' GROUP BY user_id),
-            c AS (SELECT e.user_id, min(e.ts) AS t2 FROM events e
-                  JOIN v ON e.user_id = v.user_id
-                  WHERE e.event_type = 'click' AND e.ts > v.t1
-                  GROUP BY e.user_id),
-            p AS (SELECT e.user_id, min(e.ts) AS t3 FROM events e
-                  JOIN c ON e.user_id = c.user_id
-                  WHERE e.event_type = 'purchase' AND e.ts > c.t2
-                  GROUP BY e.user_id),
-            u AS (SELECT DISTINCT user_id FROM events)
-            SELECT u.user_id,
-                   CAST(CASE WHEN p.user_id IS NOT NULL THEN 3
-                             WHEN c.user_id IS NOT NULL THEN 2
-                             WHEN v.user_id IS NOT NULL THEN 1
-                             ELSE 0 END AS BIGINT) AS stage
-            FROM u LEFT JOIN v USING (user_id)
-                   LEFT JOIN c USING (user_id)
-                   LEFT JOIN p USING (user_id)""",
-        "hourly_retention": """
-            WITH p AS (SELECT DISTINCT user_id,
-                              date_trunc('hour', ts) AS hour
-                       FROM events)
-            SELECT a.hour, count(*) AS retained_users
-            FROM p a JOIN p b ON a.user_id = b.user_id
-                             AND b.hour = a.hour + INTERVAL 1 HOUR
-            GROUP BY a.hour""",
-        "events_with_session": """
-            WITH o AS (
-              SELECT event_id, user_id, ts,
-                     CASE WHEN ts - lag(ts) OVER (PARTITION BY user_id
-                                                  ORDER BY ts, event_id)
-                               > INTERVAL 30 MINUTE THEN 1 ELSE 0 END AS new_s
-              FROM events),
-            s AS (
-              SELECT event_id, user_id, ts,
-                     sum(new_s) OVER (PARTITION BY user_id
-                                      ORDER BY ts, event_id
-                                      ROWS UNBOUNDED PRECEDING) AS sess
-              FROM o)
-            SELECT event_id, user_id, ts,
-                   min(ts) OVER (PARTITION BY user_id, sess) AS session_start
-            FROM s""",
         "len_bucket": """
             WITH b AS (
               SELECT quantile_disc(n_chars, 0.25) AS q1,
@@ -9579,14 +5497,6 @@ def oracle_sql() -> dict[str, str]:
             SELECT doc_id,
                    cume_dist() OVER (ORDER BY n_chars) AS pct
             FROM documents""",
-        "latest_order": """
-            SELECT o_custkey, o_orderkey, o_orderdate, o_totalprice FROM (
-              SELECT o_custkey, o_orderkey, o_orderdate, o_totalprice,
-                     row_number() OVER (PARTITION BY o_custkey
-                                        ORDER BY o_orderdate DESC,
-                                                 o_orderkey DESC) AS rn
-              FROM orders)
-            WHERE rn = 1""",
         "cc_chain": """
             SELECT doc_id AS node,
                    CAST(doc_id - doc_id % 10 AS BIGINT) AS label
@@ -9597,29 +5507,6 @@ def oracle_sql() -> dict[str, str]:
                    count(*) AS n_docs
             FROM documents d JOIN embeddings e ON d.doc_id = e.vec_id
             GROUP BY d.lang, e.label""",
-        "orders_by_segment": """
-            SELECT c.c_mktsegment,
-                   count(*) AS n_orders,
-                   CAST(sum(CAST(round(o.o_totalprice * 100) AS BIGINT)) AS BIGINT)
-                     AS total_cents
-            FROM orders o JOIN customer c ON o.o_custkey = c.c_custkey
-            GROUP BY c.c_mktsegment""",
-        "revenue_by_nation": """
-            WITH po AS (
-              SELECT l_orderkey,
-                     sum(CAST(round(l_extendedprice * 100) AS BIGINT)
-                         * (100 - CAST(round(l_discount * 100) AS BIGINT)))
-                       AS rev
-              FROM lineitem GROUP BY l_orderkey
-            )
-            SELECT n.n_name,
-                   count(*) AS n_orders,
-                   CAST(sum(po.rev) AS BIGINT) AS revenue
-            FROM po
-            JOIN orders o ON po.l_orderkey = o.o_orderkey
-            JOIN customer c ON o.o_custkey = c.c_custkey
-            JOIN nation n ON c.c_nationkey = n.n_nationkey
-            GROUP BY n.n_name""",
         "media_meta": """
             SELECT doc_id,
                    CAST(doc_id % 640 + 16 AS INTEGER) AS width,

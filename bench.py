@@ -186,7 +186,7 @@ def run_bench() -> dict:
                    block_tokens=2048).count()
     queries["pack_sequences"] = round(time.perf_counter() - t0, 3)
 
-    # round-2 additions: iterative-join graph op + hot-key-split join
+    # round-2 addition: iterative-join graph op
     from pmocr_ray.ops.graph import pagerank
 
     def _edges(t):
@@ -204,13 +204,6 @@ def run_bench() -> dict:
              .map_batches(_edges, batch_format="pyarrow"),
              iters=3).count()
     queries["pagerank"] = round(time.perf_counter() - t0, 3)
-
-    from pmocr_ray.ops.events import moving_window_sum
-
-    t0 = time.perf_counter()
-    moving_window_sum(rd.read_parquet(
-        events_path, columns=["event_type", "ts", "value"])).count()
-    queries["moving_window"] = round(time.perf_counter() - t0, 3)
 
     # end-to-end LLM-curation composition (langid → quality → near-dup
     # keep → filter) — the flagship training-data pipeline, measured as

@@ -140,75 +140,6 @@ def snapshot_diff(ds_a: rd.Dataset, ds_b: rd.Dataset, *,
     return agg.map_batches(classify, batch_format="pyarrow")
 
 
-def plan_compaction(sizes: dict[str, int],
-                    target_bytes: int) -> list[list[str]]:
-    """First-fit-decreasing bin packing of files into merge groups of
-    ~``target_bytes``.  Driver-side over file METADATA only (one
-    (path, size) pair per file — bounded by file count, never data).
-    Oversized files get a singleton group (they are already compact).
-    Deterministic: sizes descending, path ascending tie-break."""
-    bins: list[tuple[int, list[str]]] = []
-    for path, sz in sorted(sizes.items(), key=lambda kv: (-kv[1], kv[0])):
-        placed = False
-        for i, (used, members) in enumerate(bins):
-            if used + sz <= target_bytes:
-                bins[i] = (used + sz, members + [path])
-                placed = True
-                break
-        if not placed:
-            bins.append((sz, [path]))
-    return [members for _, members in bins]
-
-
-def compact_small_files(in_dir: str, out_dir: str, *,
-                        target_bytes: int = 128 << 20,
-                        row_group_size: int = 64 << 10) -> list[str]:
-    """Merge a directory of small parquet files into ~``target_bytes``
-    outputs — the post-run compaction pass that keeps a resumable
-    partitioned-output layout (many small per-partition files) from
-    degrading read throughput over time.
-
-    Scale shape: the plan is metadata-only (:func:`plan_compaction`);
-    execution is one raw Ray task per merge group (legitimate raw-task
-    use: file-level orchestration the Dataset API can't express
-    without a full decode→shuffle→encode cycle).  Each task STREAMS
-    row groups through a ``ParquetWriter`` — peak memory is one row
-    group, never a whole group of files.  Output names are
-    deterministic (``compact-{i:05d}.parquet``) so a rerun overwrites
-    rather than duplicates.
-    """
-    import os
-
-    import pyarrow.parquet as pq
-
-    import ray
-
-    files = sorted(
-        os.path.join(in_dir, f) for f in os.listdir(in_dir)
-        if f.endswith(".parquet"))
-    sizes = {f: os.path.getsize(f) for f in files}
-    groups = plan_compaction(sizes, target_bytes)
-    os.makedirs(out_dir, exist_ok=True)
-
-    @ray.remote
-    def merge(group: list[str], out_path: str) -> str:
-        schema = pq.read_schema(group[0])
-        tmp = out_path + ".tmp"
-        with pq.ParquetWriter(tmp, schema) as w:
-            for f in group:
-                pf = pq.ParquetFile(f)
-                for rg in range(pf.num_row_groups):
-                    w.write_table(pf.read_row_group(rg),
-                                  row_group_size=row_group_size)
-        os.replace(tmp, out_path)
-        return out_path
-
-    outs = ray.get([
-        merge.remote(g, os.path.join(out_dir, f"compact-{i:05d}.parquet"))
-        for i, g in enumerate(groups)])
-    return sorted(outs)
-
-
 def fold_rollup_shard(ds: rd.Dataset, state_dir: str, run_id: str, *,
                       group_col: str, sum_cols: dict[str, str]) -> str:
     """Incremental aggregate maintenance, fold side: reduce a new

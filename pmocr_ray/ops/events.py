@@ -239,78 +239,6 @@ def event_type_pivot(events: rd.Dataset) -> rd.Dataset:
             *[Sum(f"n_{t}", alias_name=f"n_{t}") for t in EVENT_TYPES])
 
 
-def hopping_window_value(events: rd.Dataset, window_hours: int = 2,
-                         hop_hours: int = 1) -> rd.Dataset:
-    """Hopping (sliding) window: total cents + count per
-    ``window_hours`` window hopping ``hop_hours``.  Window starts live
-    on the GLOBAL epoch-aligned hop grid (not per-event offsets — with
-    hop > 1 an event-relative grid would give different events
-    incoherent window sets); each event lands in every grid window
-    covering its hour, up to ``ceil(window/hop)`` of them.  The
-    expansion happens INSIDE the per-batch combiner (emit one partial
-    row per (window, ) it saw, not one per event×window), so the
-    shuffle fan-in stays windows-sized.
-    """
-    if window_hours < 1 or hop_hours < 1:
-        raise ValueError(
-            f"hopping_window_value needs window_hours >= 1 and "
-            f"hop_hours >= 1 (got {window_hours}, {hop_hours})")
-    k = (window_hours + hop_hours - 1) // hop_hours  # ceil: covers h0
-
-    def partial(batch: pa.Table) -> pa.Table:
-        b = add_value_cents(batch)
-        h0 = pc.floor_temporal(b["ts"], unit="hour") \
-               .to_numpy(zero_copy_only=False)
-        cents = b["value_cents"].to_numpy(zero_copy_only=False)
-        hours = h0.astype("datetime64[h]").astype(np.int64)
-        w0 = (hours // hop_hours) * hop_hours  # grid start at/below h0
-        ws_h = np.concatenate([w0 - i * hop_hours for i in range(k)])
-        hh = np.tile(hours, k)
-        cs = np.tile(cents, k)
-        keep = (hh - ws_h) < window_hours  # window still covers h0
-        ws = ws_h[keep].astype("datetime64[h]").astype(h0.dtype)
-        g = pa.table({"window_start": pa.array(ws),
-                      "cents": pa.array(cs[keep], pa.int64())}) \
-            .group_by("window_start") \
-            .aggregate([("cents", "sum"), ("cents", "count")])
-        return pa.table({"window_start": g["window_start"],
-                         "cents": g["cents_sum"],
-                         "n": pc.cast(g["cents_count"], pa.int64())})
-
-    return (events.map_batches(partial, batch_format="pyarrow")
-            .groupby("window_start")
-            .aggregate(Sum("cents", alias_name="total_cents"),
-                       Sum("n", alias_name="n_events")))
-
-
-def asof_join(events: rd.Dataset, left_type: str = "click",
-              right_type: str = "view") -> rd.Dataset:
-    """Per-user as-of join: attach to every ``left_type`` event the
-    timestamp of the most recent strictly-preceding ``right_type``
-    event by the same user (canonical order: ``(ts, event_id)``).
-
-    Ray Data has no as-of join; the semantics are a per-key ordered
-    scan, so one ``groupby(user).map_groups`` expresses it without an
-    all-pairs range join: inside each (ts-sorted) group the preceding
-    right-side timestamp is a vectorized shift+ffill — O(group), no
-    per-row search.  Partitioning assumption: one user's events fit in
-    a worker (same as :func:`sessionize`); a pathological single-user
-    stream would need ts-bucket salting with boundary stitching.
-    """
-    def asof_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(["user_id", "ts", "event_id"],
-                            kind="mergesort")
-        right_ts = df["ts"].where(df["event_type"].eq(right_type))
-        grp = right_ts.groupby(df["user_id"], sort=False)
-        prev = grp.shift(1).groupby(df["user_id"], sort=False).ffill()
-        out = df.loc[df["event_type"].eq(left_type),
-                     ["event_id", "user_id", "ts"]].copy()
-        out["prev_ts"] = prev[out.index]
-        return out
-
-    return _user_bucketed(events, asof_bucket)
-
-
 def orders_running_total(orders: rd.Dataset) -> rd.Dataset:
     """Per-customer cumulative order value (exact cents), ordered by
     ``(o_orderdate, o_orderkey)`` — the running-spend ledger.
@@ -337,135 +265,6 @@ def orders_running_total(orders: rd.Dataset) -> rd.Dataset:
         orders.select_columns(
             ["o_orderkey", "o_custkey", "o_orderdate", "o_totalprice"]),
         ledger_bucket, keys=["o_custkey"])
-
-
-def events_value_stats(events: rd.Dataset) -> rd.Dataset:
-    """Exact variance components per event type: n, sum of cents and
-    sum of squared cents as int64 — bit-deterministic under any
-    reduction order (the float variance is derivable downstream:
-    ``(sum_sq - sum²/n) / n``).  Combiner per batch, tiny groupby.
-    """
-    def partial(batch: pa.Table) -> pa.Table:
-        b = add_value_cents(batch)
-        c = b["value_cents"].to_numpy(zero_copy_only=False)
-        sq = pa.array(c * c, pa.int64())
-        t = pa.table({"event_type": b["event_type"],
-                      "cents": b["value_cents"], "sq": sq})
-        g = t.group_by("event_type").aggregate(
-            [("cents", "sum"), ("sq", "sum"), ([], "count_all")])
-        return pa.table({"event_type": g["event_type"],
-                         "sum_cents": g["cents_sum"],
-                         "sum_sq_cents": g["sq_sum"],
-                         "n": g["count_all"]})
-
-    return (events.map_batches(partial, batch_format="pyarrow")
-            .groupby("event_type")
-            .aggregate(Sum("sum_cents", alias_name="sum_cents"),
-                       Sum("sum_sq_cents", alias_name="sum_sq_cents"),
-                       Sum("n", alias_name="n")))
-
-
-def events_with_session(events: rd.Dataset,
-                        gap_minutes: int = 30) -> rd.Dataset:
-    """Interval join: attach to every event the start of the session
-    window containing it — the sessionized-events view downstream
-    funnel analysis consumes.
-
-    Ray Data has no interval join; for key-scoped intervals the shape
-    is a per-key cogroup: one ``groupby(user).map_groups`` that
-    derives the session windows from the (sorted) group and assigns
-    each event its window in the same pass — no event×interval blowup,
-    O(group) per user.
-    """
-    gap = pd.Timedelta(minutes=gap_minutes)
-
-    def assign_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(["user_id", "ts", "event_id"],
-                            kind="mergesort")
-        brk = (df["user_id"].ne(df["user_id"].shift())
-               | (df["ts"].diff() > gap))
-        start = df.groupby(brk.cumsum())["ts"].transform("min")
-        return pd.DataFrame({
-            "event_id": df["event_id"].to_numpy(),
-            "user_id": df["user_id"].to_numpy(),
-            "ts": df["ts"].to_numpy(),
-            "session_start": start.to_numpy(),
-        })
-
-    return _user_bucketed(
-        events.select_columns(["event_id", "user_id", "ts"]),
-        assign_bucket)
-
-
-FUNNEL_STEPS = ("view", "click", "purchase")
-
-
-def funnel_stages(events: rd.Dataset,
-                  steps: tuple[str, ...] = FUNNEL_STEPS) -> rd.Dataset:
-    """Ordered-funnel stage per user: how far along ``steps`` each user
-    got, where step i+1 must occur STRICTLY AFTER the first qualifying
-    occurrence of step i (the product-analytics conversion funnel).
-
-    Per-user sorted scan in ``map_groups`` — one pass, O(group);
-    no per-step self-joins.  Returns (user_id, stage) with stage in
-    [0, len(steps)].
-    """
-    def funnel_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        # the greedy earliest-match scan IS "min ts of step-k events
-        # strictly after the step-(k-1) match": one vectorized
-        # min-after pass PER STEP over all users of the bucket (a
-        # |steps|-round loop, never a per-user or per-event one)
-        users = pd.Index(df["user_id"].unique())
-        after = pd.Series(pd.NaT, index=users)
-        stage = pd.Series(0, index=users, dtype="int64")
-        for si, st in enumerate(steps):
-            sub = df[df["event_type"].eq(st)]
-            prev = after.reindex(sub["user_id"]).to_numpy()
-            ok = sub[pd.isna(prev) | (sub["ts"].to_numpy() > prev)]
-            t_st = ok.groupby("user_id")["ts"].min()
-            # only users still AT stage si may advance
-            t_st = t_st[stage.reindex(t_st.index).to_numpy() == si]
-            after.loc[t_st.index] = t_st
-            stage.loc[t_st.index] = si + 1
-        return pd.DataFrame({"user_id": users.to_numpy(),
-                             "stage": stage.to_numpy()})
-
-    return _user_bucketed(
-        events.select_columns(["user_id", "ts", "event_id",
-                               "event_type"]),
-        funnel_bucket)
-
-
-def hourly_retention(events: rd.Dataset) -> rd.Dataset:
-    """Cohort retention: per hour h, how many of h's active users were
-    also active in h+1.
-
-    Scale shape: dedup to (user, hour) pairs per batch (combiner) →
-    global pair dedup → per-user sorted hour scan emits (hour,
-    retained=1) for consecutive-hour pairs → tiny count groupby.  The
-    heavy exchange carries distinct (user, hour) pairs only.
-    """
-    def pair_dedup(batch: pa.Table) -> pa.Table:
-        b = add_hour_bucket(batch)
-        return b.select(["user_id", "hour"]).group_by(
-            ["user_id", "hour"]).aggregate([])
-
-    from pmocr_ray.ops.vecagg import distinct as _vec_distinct
-
-    pairs = _vec_distinct(
-        events.map_batches(pair_dedup, batch_format="pyarrow"),
-        ["user_id", "hour"])
-
-    def retained_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        # (user, h) retained iff (user, h+1h) exists: ONE vectorized
-        # self-merge per bucket over the already-distinct pairs
-        nxt = df.copy()
-        nxt["hour"] = nxt["hour"] - pd.Timedelta(hours=1)
-        m = df.merge(nxt, on=["user_id", "hour"])
-        return m[["hour"]]
-
-    ret = _user_bucketed(pairs, retained_bucket)
-    return ret.groupby("hour").aggregate(Count(alias_name="retained_users"))
 
 
 def event_transitions(events: rd.Dataset) -> rd.Dataset:
@@ -505,327 +304,3 @@ def event_transitions(events: rd.Dataset) -> rd.Dataset:
                             "n": pc.cast(t["n"], pa.int64())}),
         batch_format="pyarrow")
 
-
-def inter_arrival_stats(events: rd.Dataset) -> rd.Dataset:
-    """Per-user inter-arrival gap statistics over the sorted event
-    times — the lag-window rollup (n_events, n_gaps, sum/max gap in
-    EXACT int64 microseconds; no floats, so distribution order can't
-    change a bit).  ``sum_gap_us`` telescopes to max(ts)−min(ts);
-    ``max_gap_us`` is the longest silence.  Per-user ordered scan in
-    ``map_groups``, one tiny output row per user.
-    """
-    def gaps_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(["user_id", "ts"], kind="mergesort")
-        ts = df["ts"].to_numpy().astype("datetime64[us]").astype(np.int64)
-        usr = df["user_id"].to_numpy()
-        same = np.concatenate([[False], usr[1:] == usr[:-1]])
-        gaps = np.concatenate([[0], np.diff(ts)])
-        gaps = np.where(same, gaps, 0)  # zero across user boundaries
-        tmp = pd.DataFrame({"user_id": usr, "g": gaps,
-                            "v": same.astype(np.int64)})
-        agg = tmp.groupby("user_id", sort=False).agg(
-            n_events=("g", "size"), n_gaps=("v", "sum"),
-            sum_gap_us=("g", "sum"), max_gap_us=("g", "max"))
-        return agg.reset_index()
-
-    return _user_bucketed(events.select_columns(["user_id", "ts"]),
-                          gaps_bucket)
-
-
-def attribution_window(events: rd.Dataset, *,
-                       conv_type: str = "purchase",
-                       touch_type: str = "click",
-                       window_minutes: int = 60) -> rd.Dataset:
-    """Window attribution: for every ``conv_type`` event, the number of
-    ``touch_type`` events by the same user in the strictly-preceding
-    ``window_minutes`` — the ad-attribution / funnel-credit range join.
-
-    Unlike :func:`asof_join` (nearest single predecessor) this counts
-    ALL touches in a bounded interval.  Same scale shape: per-user
-    ``groupby().map_groups`` with a vectorized two-pointer
-    (``searchsorted``) inside each ts-sorted group — O(group log group)
-    and no all-pairs expansion, where a naive range join would emit
-    |touches|×|conversions| pairs per user before filtering.
-    Partitioning assumption: one user's events fit in a worker (shared
-    with sessionize/asof; salt by ts-bucket + stitch for a
-    pathological single-user stream).  Emits
-    (event_id, user_id, ts, n_touches) — counts exact int64.
-    """
-    import numpy as np
-
-    win_us = np.int64(window_minutes) * 60_000_000
-
-    def window_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        # cumulative-count formulation of the two-pointer: touches
-        # before time t = rank of the last touch strictly < t.  TWO
-        # compiled merge_asof passes (on t and on t-window) resolve
-        # every conversion of every user in the bucket at once — no
-        # per-user Python call.  All frames stay t-sorted throughout
-        # (df is ts-sorted; subtracting a constant preserves order),
-        # which is merge_asof's precondition.
-        df = df.sort_values(["ts", "event_id"], kind="mergesort")
-        ts_us = df["ts"].astype("datetime64[us]").astype("int64").to_numpy()
-        is_touch = df["event_type"].eq(touch_type).to_numpy()
-        is_conv = df["event_type"].eq(conv_type).to_numpy()
-        touches = pd.DataFrame({
-            "user_id": df["user_id"].to_numpy()[is_touch],
-            "t": ts_us[is_touch],
-        })
-        touches["c"] = (touches.groupby("user_id", sort=False).cumcount()
-                        + 1).astype("int64")
-        conv = df.loc[is_conv, ["event_id", "user_id", "ts"]] \
-                 .reset_index(drop=True)
-        conv_t = ts_us[is_conv]
-
-        def rank_before(targets: "np.ndarray") -> "np.ndarray":
-            left = pd.DataFrame({"user_id": conv["user_id"].to_numpy(),
-                                 "t": targets})
-            m = pd.merge_asof(left, touches, on="t", by="user_id",
-                              allow_exact_matches=False)
-            return m["c"].fillna(0).to_numpy()
-
-        hi = rank_before(conv_t)
-        lo = rank_before(conv_t - int(win_us))
-        conv["n_touches"] = (hi - lo).astype("int64")
-        return conv
-
-    return _user_bucketed(events, window_bucket)
-
-
-def event_debounce(events: rd.Dataset, *,
-                   gap_seconds: int = 60) -> rd.Dataset:
-    """Collapse retry/burst storms: drop an event when the previous
-    event of the same (user, type) is within ``gap_seconds`` — the
-    lag-based debounce (each survivor is > gap from its predecessor in
-    the RAW stream; deterministic, SQL-expressible — unlike the greedy
-    last-KEPT variant, which is chain-dependent).
-
-    Scale shape: ONE shuffle on the composite (user_id, event_type)
-    key — finer-grained than a per-user shuffle, so hot users spread
-    across their types — then a vectorized shift/compare inside each
-    sorted group.  Canonical order (ts, event_id) for ties.
-    """
-    gap = pd.Timedelta(seconds=gap_seconds)
-
-    def debounce_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(["user_id", "event_type", "ts", "event_id"],
-                            kind="mergesort")
-        same = (df["user_id"].eq(df["user_id"].shift())
-                & df["event_type"].eq(df["event_type"].shift()))
-        keep = ~same | ((df["ts"] - df["ts"].shift()) > gap)
-        return df.loc[keep.to_numpy(),
-                      ["event_id", "user_id", "event_type", "ts"]]
-
-    return _user_bucketed(events, debounce_bucket,
-                          keys=["user_id", "event_type"])
-
-
-def moving_window_sum(events: rd.Dataset, *,
-                      trailing_hours: int = 7) -> rd.Dataset:
-    """Trailing ``trailing_hours``-hour moving sum of value per event
-    type, evaluated at each present hour — the monitoring rollup
-    behind rate-drift alerts.
-
-    Scale shape: the raw stream first collapses to an (event_type,
-    hour) combiner rollup (bounded by types × hours, NOT by events);
-    the moving frame is then a vectorized two-pointer
-    (``searchsorted`` over the sorted hour axis + prefix sums) inside
-    ``groupby(event_type).map_groups`` — O(hours) per type, exact
-    int64 cents, and hours absent from the data contribute zero
-    (RANGE-frame semantics, matching the SQL window).
-    """
-    import numpy as np
-
-    from ray.data.aggregate import Sum
-
-    US_HOUR = 3_600_000_000
-
-    def partial(t: pa.Table) -> pa.Table:
-        ts = pc.cast(pc.cast(t["ts"], pa.timestamp("us")), pa.int64())
-        hour = pc.multiply(pc.divide(ts, US_HOUR), US_HOUR)
-        cents = pc.cast(pc.round(pc.multiply(
-            pc.cast(t["value"], pa.float64()), 100)), pa.int64())
-        tt = pa.table({"event_type": t["event_type"], "hour": hour,
-                       "cents": cents})
-        g = tt.group_by(["event_type", "hour"]).aggregate(
-            [("cents", "sum")])
-        return pa.table({"event_type": g["event_type"],
-                         "hour": g["hour"], "cents": g["cents_sum"]})
-
-    from pmocr_ray.ops.vecagg import grouped_aggregate
-
-    rollup = grouped_aggregate(
-        events.map_batches(partial, batch_format="pyarrow"),
-        ["event_type", "hour"], [("cents", "sum", "cents")])
-
-    win_us = np.int64(trailing_hours - 1) * US_HOUR
-
-    def per_type(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values("hour")
-        h = g["hour"].to_numpy(np.int64)
-        c = g["cents"].to_numpy(np.int64)
-        csum = np.concatenate([[0], np.cumsum(c)])
-        lo = np.searchsorted(h, h - win_us, side="left")
-        trailing = csum[np.arange(1, len(h) + 1)] - csum[lo]
-        return pd.DataFrame({
-            "event_type": g["event_type"].to_numpy(),
-            "hour": g["hour"].astype("int64").astype("datetime64[us]"),
-            "trailing_cents": trailing.astype(np.int64),
-        })
-
-    return rollup.groupby("event_type").map_groups(per_type,
-                                                   batch_format="pandas")
-
-
-def value_trend_components(events: rd.Dataset, *,
-                           x_origin: str = "2024-01-01") -> rd.Dataset:
-    """Per-type least-squares trend of value-vs-time as EXACT integer
-    moment components (n, Σx, Σy, Σxy, Σx²) with x = hours since
-    ``x_origin`` and y = integer cents — drift detection without a
-    single order-dependent float: the slope
-    (n·Σxy − Σx·Σy) / (n·Σx² − Σx²) is a consumer-side rational over
-    these (kept un-multiplied here so every emitted column fits int64
-    at 10⁹-event scale; the products overflow 64 bits and belong in
-    bigint/float space downstream).
-
-    Shape: map-only combiner (one component row per type per batch) →
-    one tiny groupby.  The bivariate sibling of
-    :func:`events_value_stats`.
-    """
-    import numpy as np
-
-    from ray.data.aggregate import Sum
-
-    origin_us = int(pd.Timestamp(x_origin).value // 1_000)
-    US_HOUR = 3_600_000_000
-
-    def partial(t: pa.Table) -> pa.Table:
-        ts = pc.cast(pc.cast(t["ts"], pa.timestamp("us")),
-                     pa.int64()).to_numpy(zero_copy_only=False)
-        x = (ts - origin_us) // US_HOUR
-        y = np.rint(np.asarray(
-            t["value"].to_numpy(zero_copy_only=False)) * 100
-        ).astype(np.int64)
-        tt = pa.table({
-            "event_type": t["event_type"],
-            "n": pa.array(np.ones(len(t), np.int64)),
-            "sum_x": pa.array(x), "sum_y": pa.array(y),
-            "sum_xy": pa.array(x * y), "sum_x2": pa.array(x * x),
-        })
-        g = tt.group_by("event_type").aggregate(
-            [("n", "sum"), ("sum_x", "sum"), ("sum_y", "sum"),
-             ("sum_xy", "sum"), ("sum_x2", "sum")])
-        return pa.table({
-            "event_type": g["event_type"], "n": g["n_sum"],
-            "sum_x": g["sum_x_sum"], "sum_y": g["sum_y_sum"],
-            "sum_xy": g["sum_xy_sum"], "sum_x2": g["sum_x2_sum"]})
-
-    return (events.map_batches(partial, batch_format="pyarrow")
-            .groupby("event_type").aggregate(
-                Sum("n", alias_name="n"), Sum("sum_x", alias_name="sum_x"),
-                Sum("sum_y", alias_name="sum_y"),
-                Sum("sum_xy", alias_name="sum_xy"),
-                Sum("sum_x2", alias_name="sum_x2")))
-
-
-def value_mad(events: rd.Dataset) -> pa.Table:
-    """Per-type robust stats: exact median and MAD (median absolute
-    deviation) of integer cents, both under the ``quantile_disc`` rule
-    (value at 1-based rank ceil(n/2)).  Returns the (types-bounded)
-    rollup as a pyarrow Table — the driver-contract result shape for
-    tiny collected rollups.
-
-    ONE distributed pass: the (type, cents) value-counts combiner
-    rollup — bounded by types × distinct cent values, never rows —
-    then both quantile walks run on the collected rollup (the same
-    bounded-rollup argument as ``ops/text.length_quantiles``; the MAD
-    needs no second corpus pass because |v − med| re-weights the SAME
-    rollup).
-    """
-    import math
-
-    import numpy as np
-
-    from ray.data.aggregate import Sum
-
-    def partial(t: pa.Table) -> pa.Table:
-        cents = np.rint(np.asarray(
-            t["value"].to_numpy(zero_copy_only=False)) * 100
-        ).astype(np.int64)
-        g = (pa.table({"event_type": t["event_type"],
-                       "v": pa.array(cents)})
-             .group_by(["event_type", "v"]).aggregate([([], "count_all")]))
-        return pa.table({"event_type": g["event_type"], "v": g["v"],
-                         "n": pc.cast(g["count_all"], pa.int64())})
-
-    rollup = (events.map_batches(partial, batch_format="pyarrow")
-              .groupby(["event_type", "v"])
-              .aggregate(Sum("n", alias_name="n"))).take_all()
-
-    by_type: dict = {}
-    for r in rollup:
-        by_type.setdefault(r["event_type"], []).append((r["v"], r["n"]))
-
-    def disc_median(pairs):
-        pairs = sorted(pairs)
-        vals = np.array([p[0] for p in pairs], np.int64)
-        cum = np.cumsum([p[1] for p in pairs])
-        rank = max(math.ceil(0.5 * int(cum[-1])), 1)
-        return int(vals[int(np.searchsorted(cum, rank))])
-
-    rows = []
-    for et in sorted(by_type):
-        med = disc_median(by_type[et])
-        mad = disc_median([(abs(v - med), n) for v, n in by_type[et]])
-        rows.append({"event_type": et, "median_cents": med,
-                     "mad_cents": mad})
-    return pa.Table.from_pylist(rows, schema=pa.schema(
-        [("event_type", pa.string()), ("median_cents", pa.int64()),
-         ("mad_cents", pa.int64())]))
-
-
-def session_event_sets(events: rd.Dataset, *,
-                       gap_minutes: int = 30) -> rd.Dataset:
-    """Per-session signature: the sorted distinct event-type set (as a
-    ','-joined string) and event count for every (user, session) — the
-    session-shape rollup behind behavioral cohorting.
-
-    One shuffle (user), sessionization + signature in the same sorted
-    scan as :func:`events_with_session` — no second pass, no
-    event×session join.
-    """
-    gap = pd.Timedelta(minutes=gap_minutes)
-
-    def sets_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(["user_id", "ts", "event_id"],
-                            kind="mergesort")
-        brk = (df["user_id"].ne(df["user_id"].shift())
-               | (df["ts"].diff() > gap))
-        df = df.assign(_sid=brk.cumsum())
-        agg = df.groupby("_sid").agg(
-            user_id=("user_id", "first"),
-            session_start=("ts", "min"),
-            n_events=("event_id", "count"))
-        # the ','-joined sorted distinct type set per session: distinct
-        # (sid, type), one sort, ListArray + binary_join — no per-
-        # session Python join
-        dt = (df[["_sid", "event_type"]].drop_duplicates()
-              .sort_values(["_sid", "event_type"], kind="mergesort"))
-        sid = dt["_sid"].to_numpy()
-        starts = np.flatnonzero(
-            np.concatenate([[True], sid[1:] != sid[:-1]]))
-        offsets = np.concatenate([starts, [len(sid)]]).astype(np.int64)
-        la = pa.LargeListArray.from_arrays(
-            pa.array(offsets, pa.int64()),
-            pa.array(dt["event_type"].to_numpy(), pa.string()))
-        joined = pd.Series(pc.binary_join(la, ",").to_pandas().to_numpy(),
-                           index=sid[starts])
-        agg["type_set"] = joined.reindex(agg.index).to_numpy()
-        agg["n_events"] = agg["n_events"].astype("int64")
-        return agg[["user_id", "session_start", "type_set",
-                    "n_events"]].reset_index(drop=True)
-
-    return _user_bucketed(
-        events.select_columns(["event_id", "user_id", "ts",
-                               "event_type"]),
-        sets_bucket)

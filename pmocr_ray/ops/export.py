@@ -1,12 +1,12 @@
-"""Training-data export: deterministic hash sharding + partitioned
-Parquet writer.
+"""Training-data export: deterministic hash sharding + WebDataset-style
+tar writer.
 
 The last stage of a curation run: assign every document a stable shard
 id from a content-independent key hash (md5, so the DuckDB oracle can
-replay the assignment bit-for-bit), then write one hive partition per
-shard.  Re-running the export reproduces the same shard membership on
+replay the assignment bit-for-bit), then write one tar per shard.
+Re-running the export reproduces the same shard membership on
 any cluster shape — the property a 100 TB resumable export needs
-(finished ``shard=K/`` directories can be skipped; readers can address
+(finished shards can be skipped; readers can address
 a deterministic 1/N slice of the corpus without a shuffle).
 """
 
@@ -32,18 +32,6 @@ def assign_shard(batch: pa.Table, *, key: str = "url", n_shards: int = 16,
         pa.int64(),
     )
     return batch.append_column(out_column, shards)
-
-
-def shard_export(ds: rd.Dataset, out_dir: str, *, key: str = "url",
-                 n_shards: int = 16) -> None:
-    """Write ``out_dir/shard=K/`` hive partitions with deterministic
-    membership.  Map-only + partitioned write; no shuffle — Parquet
-    files within a shard directory may interleave writer tasks, but
-    shard membership (what a trainer consumes) is exact."""
-    ds.map_batches(
-        lambda b: assign_shard(b, key=key, n_shards=n_shards),
-        batch_format="pyarrow",
-    ).write_parquet(out_dir, partition_cols=["shard"])
 
 
 def shard_counts(ds: rd.Dataset, *, key: str = "url",

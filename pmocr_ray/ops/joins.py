@@ -5,8 +5,7 @@ discovered candidates against the done/failed sets, encoded as ``find``
 exclusion predicates (/root/reference/pmocr.sh:2126-2144,2183).  Here
 the small side is broadcast once (``ray.put``) and each batch filters
 vectorized with ``pc.is_in`` — no shuffle.  For two large sides use
-``Dataset.join`` (hash-partitioned; see ``__ray_entry__`` query
-``orders_by_segment``).
+``Dataset.join`` (hash-partitioned).
 """
 
 from __future__ import annotations
@@ -69,35 +68,6 @@ def sized_for_join(ds: rd.Dataset, cap: int = 8) -> tuple["rd.MaterializedDatase
     Returns ``(materialized_ds, num_partitions)``."""
     m = ds.materialize()
     return m, parts_for_rows(m.count(), cap)
-
-
-def broadcast_lookup(ds: rd.Dataset, key: str, mapping: dict,
-                     out_column: str, default=None,
-                     value_type: pa.DataType | None = None) -> rd.Dataset:
-    """Map-side dimension lookup: append ``out_column`` =
-    ``mapping[key]`` per row (broadcast dict, no shuffle).
-
-    The output column type is pinned once from the mapping's values
-    (or ``value_type``), not inferred per batch — an all-miss batch
-    would otherwise infer ``null`` and yield inconsistent schemas
-    across batches, breaking downstream union/write."""
-    ref = ray.put(mapping)
-    if value_type is None:
-        probe = [v for v in mapping.values() if v is not None]
-        if default is not None:
-            probe.append(default)
-        # infer over ALL values (+ default), not just the first — a
-        # heterogeneous mapping (e.g. {1: 2, 2: 3.5}) must pin the
-        # common promoted type up front, not crash mid-pipeline on
-        # the first batch that hits the wider value
-        value_type = pa.array(probe).type if probe else pa.null()
-
-    def fn(t: pa.Table) -> pa.Table:
-        m = ray.get(ref)
-        vals = [m.get(k, default) for k in t[key].to_pylist()]
-        return t.append_column(out_column, pa.array(vals, type=value_type))
-
-    return ds.map_batches(fn, batch_format="pyarrow")
 
 
 def hash_anti_join(left: rd.Dataset, right: rd.Dataset, on: str,
@@ -266,118 +236,6 @@ def bloom_anti_join(left: rd.Dataset, right: rd.Dataset, on: str,
     return definite_out.union(survivors)
 
 
-def skew_hash_join(left: rd.Dataset, right: rd.Dataset, *, on: str,
-                   right_on: str, hot_threshold: int = 10_000,
-                   num_partitions: int = 8) -> rd.Dataset:
-    """Skew-resilient inner equi-join: keys whose LEFT frequency
-    exceeds ``hot_threshold`` bypass the hash exchange — their RIGHT
-    rows are broadcast and map-joined in place — while the cold tail
-    takes the normal hash join.  This is the standard hot-key split
-    that keeps one celebrity key from serializing an entire join
-    stage into a single reducer.
-
-    Frequency detection is an exact combiner rollup filtered to
-    ``count > hot_threshold`` — the hot set reaching the driver is
-    bounded by |left| / hot_threshold keys by construction, so the
-    broadcast is small no matter how skewed the input.  Assumes the
-    right side is ~one row per key (dimension-shaped); a skewed-right
-    variant would split both sides.
-    """
-    import pandas as pd
-
-    from ray.data.aggregate import Sum
-
-    def key_counts(t: pa.Table) -> pa.Table:
-        g = t.select([on]).group_by(on).aggregate([([], "count_all")])
-        return pa.table({on: g[on],
-                         "n": pc.cast(g["count_all"], pa.int64())})
-
-    from pmocr_ray.ops.vecagg import grouped_aggregate
-
-    counts = grouped_aggregate(
-        left.map_batches(key_counts, batch_format="pyarrow"),
-        [on], [("n", "sum", "n")]).materialize()
-    hot_rows = counts.map_batches(
-        lambda t: t.filter(pc.greater(t["n"], hot_threshold)),
-        batch_format="pyarrow").take_all()
-    n_cold_keys = counts.map_batches(
-        lambda t: t.filter(pc.less_equal(t["n"], hot_threshold)),
-        batch_format="pyarrow").count()
-    hot_keys = sorted(r[on] for r in hot_rows)
-    hot_arr = pa.array(hot_keys)  # built ONCE, shared via object store
-    hot_ref = ray.put(hot_arr)
-
-    def split(t: pa.Table, want_hot: bool) -> pa.Table:
-        keys = ray.get(hot_ref)
-        if not len(keys):
-            return t if not want_hot else t.slice(0, 0)
-        mask = pc.is_in(t[on], value_set=keys)
-        return t.filter(mask if want_hot else pc.invert(mask))
-
-    # left's row total = sum over the (materialized) counts rollup —
-    # a bare left.count() would re-execute the whole left pipeline
-    nr = counts.aggregate(Sum("n", alias_name="nr"))
-    n_rows = int(nr["nr"]) if nr and nr.get("nr") is not None else 0
-    parts = max(1, min(num_partitions, n_rows // 2048 + 1))
-
-    def _empty_df(ds: rd.Dataset) -> "pd.DataFrame":
-        # typed zero-row frame from the dataset's schema —
-        # ``limit(0).to_pandas()`` loses the columns entirely
-        base = ds.schema().base_schema
-        if isinstance(base, pa.Schema):
-            return base.empty_table().to_pandas()
-        return pd.DataFrame({n: pd.Series([], dtype=t)
-                             for n, t in zip(base.names, base.types)})
-
-    def empty_joined() -> rd.Dataset:
-        # typed empty result with the JOINED schema, built exactly like
-        # map_join's merge — joining an empty side through Ray's hash
-        # join is not an option (an empty partition reaches acero as a
-        # zero-column table and fails FieldRef resolution)
-        m = _empty_df(left).merge(_empty_df(right), left_on=on,
-                                  right_on=right_on, how="inner")
-        if right_on != on:
-            m = m.drop(columns=[right_on])
-        return rd.from_pandas(m)
-    cold = None
-    if n_cold_keys:  # an all-hot corpus would hand acero empty
-        # zero-column partitions (known Ray join gotcha) — skip the
-        # exchange entirely when no cold key exists
-        cold = (left.map_batches(lambda t: split(t, False),
-                                 batch_format="pyarrow")
-                .join(right, join_type="inner", num_partitions=parts,
-                      on=(on,), right_on=(right_on,)))
-    if not hot_keys:
-        return cold if cold is not None else empty_joined()
-
-    # broadcast the right rows for hot keys (≤ |hot| dimension rows)
-    hot_right = right.map_batches(
-        lambda t: t.filter(pc.is_in(t[right_on],
-                                    value_set=ray.get(hot_ref))),
-        batch_format="pyarrow").take_all()
-    if not hot_right:
-        # hot keys have no right match: inner join drops them; the
-        # empty result must still carry the JOINED schema (an empty
-        # limit(0) with only left's columns breaks downstream selects
-        # of right-side columns)
-        return cold if cold is not None else empty_joined()
-    hr_ref = ray.put(pd.DataFrame(hot_right))
-
-    def map_join(t: pa.Table) -> pa.Table:
-        hr = ray.get(hr_ref)
-        df = t.to_pandas().merge(hr, left_on=on, right_on=right_on,
-                                 how="inner")
-        if right_on != on:
-            # match Ray's hash-join schema (right key column dropped)
-            df = df.drop(columns=[right_on])
-        return pa.Table.from_pandas(df, preserve_index=False)
-
-    hot_joined = left.map_batches(
-        lambda t: split(t, True), batch_format="pyarrow").map_batches(
-        map_join, batch_format="pyarrow")
-    return cold.union(hot_joined) if cold is not None else hot_joined
-
-
 # ------------------------------------------------- fuzzy-key self-join
 
 
@@ -443,8 +301,7 @@ def edit1_pairs(ds: rd.Dataset, column: str, *, min_len: int = 1,
        pathological variant fan-in loudly (ValueError, per the repo's
        loud-guard rule) rather than silently truncating;
        ``cap_bucket`` (opt-in) instead caps each variant bucket to its
-       deterministic lexicographic prefix — the mirror-farm bound used
-       by :func:`pmocr_ray.ops.text.typo_pairs`, which delegates here.
+       deterministic lexicographic prefix — the mirror-farm bound.
     4. global distinct of verified (a, b) — the same pair can be found
        under several shared variants in different partitions.
 

@@ -685,95 +685,6 @@ def token_budget_trim(ds: rd.Dataset, *, group_col: str = "source",
                                             batch_format="pandas")
 
 
-def range_partition_write(ds: rd.Dataset, out_dir: str, *, key: str,
-                          n_parts: int = 8) -> str:
-    """Range-partitioned layout: exact key quantiles (from the bounded
-    per-key value-counts rollup — see ``ops/text.length_quantiles``)
-    become split points; rows land in hive ``krange=i`` directories and
-    a JSON manifest records each partition's [lo, hi) bounds.  The
-    range analogue of :func:`bucketed_write` — point/range lookups
-    then open only overlapping partitions (:func:`range_lookup`).
-
-    The quantile rollup moves (key_value, count) pairs — bounded by
-    key cardinality, not rows; split-point selection on the driver is
-    O(distinct keys) and documented as the sampled-quantile swap-in
-    point for ultra-high-cardinality keys.
-    """
-    import json
-    import os
-
-    import numpy as np
-
-    from ray.data.aggregate import Sum
-
-    def vc(t: pa.Table) -> pa.Table:
-        g = t.select([key]).group_by(key).aggregate([([], "count_all")])
-        return pa.table({"k": pc.cast(g[key], pa.int64()),
-                         "n": pc.cast(g["count_all"], pa.int64())})
-
-    from pmocr_ray.ops.vecagg import grouped_aggregate
-
-    rows = sorted((r["k"], r["n"]) for r in
-                  grouped_aggregate(
-                      ds.map_batches(vc, batch_format="pyarrow"),
-                      ["k"], [("n", "sum", "n")])
-                  .take_all())
-    ks = np.array([k for k, _ in rows], np.int64)
-    cum = np.cumsum([n for _, n in rows])
-    total = int(cum[-1])
-    splits = []
-    for i in range(1, n_parts):
-        target = i * total // n_parts
-        splits.append(int(ks[int(np.searchsorted(cum, target,
-                                                 side="left"))]))
-    splits = sorted(set(splits))
-    bounds = [int(ks[0])] + splits + [int(ks[-1]) + 1]
-    sp = np.array(splits, np.int64)
-
-    def assign(t: pa.Table) -> pa.Table:
-        k = t[key].combine_chunks().cast(pa.int64()).to_numpy(
-            zero_copy_only=False)
-        part = np.searchsorted(sp, k, side="right").astype(np.int64)
-        return t.append_column("krange", pa.array(part))
-
-    (ds.map_batches(assign, batch_format="pyarrow")
-     .write_parquet(out_dir, partition_cols=["krange"]))
-    manifest = {"key": key,
-                "parts": [{"id": i, "lo": bounds[i], "hi": bounds[i + 1]}
-                          for i in range(len(bounds) - 1)]}
-    with open(os.path.join(out_dir, "_range_manifest.json"), "w") as f:
-        json.dump(manifest, f)
-    return out_dir
-
-
-def range_lookup(dir_: str, *, lo: int, hi: int) -> rd.Dataset:
-    """Read only the partitions whose [lo, hi) bounds overlap the query
-    range (manifest-pruned scan), with the exact residual filter
-    applied — the primary-key range query over the layout above."""
-    import json
-    import os
-
-    with open(os.path.join(dir_, "_range_manifest.json")) as f:
-        manifest = json.load(f)
-    key = manifest["key"]
-    dirs = [os.path.join(dir_, f"krange={p['id']}")
-            for p in manifest["parts"]
-            if p["lo"] < hi and p["hi"] > lo and
-            os.path.isdir(os.path.join(dir_, f"krange={p['id']}"))]
-    if not dirs:
-        return rd.from_items([])
-    import glob as _glob
-    files = sorted(f for d in dirs
-                   for f in _glob.glob(os.path.join(d, "*.parquet")))
-    ds = rd.read_parquet(files)
-
-    def residual(t: pa.Table) -> pa.Table:
-        k = pc.cast(t[key], pa.int64())
-        return t.filter(pc.and_(pc.greater_equal(k, lo), pc.less(k, hi)))
-
-    return ds.map_batches(residual, batch_format="pyarrow")
-
-
 def byte_balanced_blocks(ds: rd.Dataset, *, key: str = "doc_id",
                          bytes_col: str = "n_chars",
                          target_bytes: int = 1 << 20,

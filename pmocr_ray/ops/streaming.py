@@ -148,270 +148,6 @@ def _sessions_table(rows: list[tuple]) -> pa.Table:
     })
 
 
-@ray.remote
-class WindowBucket:
-    """Per-bucket tumbling-window counts with watermark-gated emission.
-
-    Windows are complete — and emitted — once the watermark passes
-    ``window_end + max_delay`` (the bounded-disorder assumption every
-    watermark system rests on: an event's arrival trails its event
-    time by at most ``max_delay``).  Late rows (arrival after
-    ``window_end + lateness``) are counted per window before emission,
-    so emitted rows are final.
-    """
-
-    def __init__(self, window_us: int, lateness_us: int,
-                 max_delay_us: int) -> None:
-        self.window_us = window_us
-        self.lateness_us = lateness_us
-        self.max_delay_us = max_delay_us
-        self.acc: dict[int, list] = {}  # win_start -> [n_events, n_late]
-        self.done: set[int] = set()
-
-    def feed(self, paths: list[str], watermark_us: int) -> pa.Table:
-        for p in paths:
-            t = pq.read_table(p, columns=["ts_us", "arrival_us"])
-            ts = np.asarray(t["ts_us"].to_numpy(), np.int64)
-            arr = np.asarray(t["arrival_us"].to_numpy(), np.int64)
-            win = ts // self.window_us * self.window_us
-            late = arr > win + self.window_us + self.lateness_us
-            for w in np.unique(win):
-                if int(w) in self.done:
-                    # not an assert: must hold under python -O and on
-                    # real data, else an already-emitted 'final' window
-                    # would silently re-accumulate and emit twice
-                    raise ValueError(
-                        f"window {int(w)} already emitted: an arrival "
-                        f"violated the max_delay={self.max_delay_us}us "
-                        "contract; raise max_delay or route late rows "
-                        "to a side output")
-                m = win == w
-                a = self.acc.setdefault(int(w), [0, 0])
-                a[0] += int(m.sum())
-                a[1] += int(late[m].sum())
-        ready = sorted(
-            w for w in self.acc
-            if w + self.window_us + self.max_delay_us <= watermark_us)
-        rows = [(w, *self.acc.pop(w)) for w in ready]
-        self.done.update(w for w, _, _ in rows)
-        return _windows_table(rows)
-
-    def flush(self) -> pa.Table:
-        rows = [(w, *self.acc[w]) for w in sorted(self.acc)]
-        self.acc.clear()
-        return _windows_table(rows)
-
-
-def _windows_table(rows: list[tuple]) -> pa.Table:
-    return pa.table({
-        "ws_us": pa.array([r[0] for r in rows], pa.int64()),
-        "n_events": pa.array([r[1] for r in rows], pa.int64()),
-        "n_late": pa.array([r[2] for r in rows], pa.int64()),
-    })
-
-
-def streaming_windows(
-    events: rd.Dataset,
-    *,
-    window_minutes: int = 60,
-    lateness_minutes: int = 3,
-    watermark_lag_minutes: int = 30,
-    max_delay_minutes: int = 7,
-    n_chunks: int = 4,
-    n_buckets: int = 4,
-    spool_dir: str | None = None,
-) -> pa.Table:
-    """Event-time tumbling windows with a watermark, streaming-shaped:
-    rows are spooled in ARRIVAL order (chunk = arrival-time range,
-    bucket = window hash — a window's rows always meet the same
-    actor), the watermark after each chunk is that chunk's arrival
-    upper bound minus the configured lag, and complete windows are
-    emitted incrementally.  Arrival = ts + (event_id % 7) minutes (the
-    same synthetic disorder as the batch ``late_data_window``); the
-    final row set is identical to the batch operator for any chunking
-    because late classification depends only on (ts, arrival)."""
-    import pyarrow.compute as pc
-
-    US_MIN = 60_000_000
-    window_us = window_minutes * US_MIN
-    lateness_us = lateness_minutes * US_MIN
-    lag_us = watermark_lag_minutes * US_MIN
-    max_delay_us = max_delay_minutes * US_MIN
-
-    def with_arrival(t: pa.Table) -> pa.Table:
-        ts = pc.cast(pc.cast(t["ts"], pa.timestamp("us")), pa.int64())
-        delay = pc.multiply(
-            pc.subtract(t["event_id"],
-                        pc.multiply(pc.divide(t["event_id"], 7), 7)),
-            US_MIN)
-        return pa.table({"ts_us": ts,
-                         "arrival_us": pc.add(ts, pc.cast(delay,
-                                                          pa.int64()))})
-
-    tagged = events.map_batches(with_arrival, batch_format="pyarrow")
-
-    empty = pa.table({
-        "window_start": pa.array([], pa.timestamp("us")),
-        "n_events": pa.array([], pa.int64()),
-        "n_late": pa.array([], pa.int64()),
-        "status": pa.array([], pa.string()),
-    })
-
-    from ray.data.aggregate import Max, Min
-    lohi = tagged.aggregate(Min("arrival_us", alias_name="lo"),
-                            Max("arrival_us", alias_name="hi"))
-    if not lohi or lohi.get("lo") is None:
-        return empty
-    lo, hi = int(lohi["lo"]), int(lohi["hi"])
-    span = max(hi - lo + 1, 1)
-
-    def spool_tag(t: pa.Table) -> pa.Table:
-        arr = np.asarray(t["arrival_us"].to_numpy(), np.int64)
-        chunk = ((arr - lo) * n_chunks // span).astype(np.int64)
-        win_idx = np.asarray(t["ts_us"].to_numpy(), np.int64) // window_us
-        return (t.append_column("chunk", pa.array(chunk))
-                .append_column("bucket",
-                               pa.array(win_idx % n_buckets)))
-
-    spool_dir, own_spool = _resolve_spool(spool_dir, "pmocr_wspool_")
-    (tagged.map_batches(spool_tag, batch_format="pyarrow")
-     .write_parquet(spool_dir, partition_cols=["chunk", "bucket"]))
-
-    actors = [WindowBucket.remote(window_us, lateness_us, max_delay_us)
-              for _ in range(n_buckets)]
-    parts: list[pa.Table] = []
-    for chunk in range(n_chunks):
-        # arrival upper bound of this chunk → the advancing watermark
-        wm = lo + span * (chunk + 1) // n_chunks - lag_us
-        futures = []
-        for b, actor in enumerate(actors):
-            d = os.path.join(spool_dir, f"chunk={chunk}", f"bucket={b}")
-            if not os.path.isdir(d):
-                continue
-            paths = sorted(os.path.join(d, f) for f in os.listdir(d)
-                           if f.endswith(".parquet"))
-            futures.append(actor.feed.remote(paths, wm))
-        parts.extend(ray.get(futures))
-    parts.extend(ray.get([a.flush.remote() for a in actors]))
-    if own_spool:
-        shutil.rmtree(spool_dir, ignore_errors=True)
-    parts = [t for t in parts if t.num_rows]
-    if not parts:
-        return empty
-    allw = pa.concat_tables(parts)
-    final_wm = hi - lag_us
-    closed = pc.less_equal(pc.add(allw["ws_us"], window_us),
-                           pa.scalar(final_wm, pa.int64()))
-    return pa.table({
-        "window_start": pc.cast(allw["ws_us"], pa.timestamp("us")),
-        "n_events": allw["n_events"],
-        "n_late": allw["n_late"],
-        "status": pc.if_else(closed, "closed", "open"),
-    })
-
-
-@ray.remote
-class SeenIndexBucket:
-    """Shared mutable membership index, one shard per key-hash bucket —
-    the raw-actor pattern the Dataset API can't express (a growing
-    index consulted AND updated by every chunk in order).  ``feed``
-    returns each chunk's first-seen (key, day) pairs; keys already in
-    the index are absorbed silently.
-    """
-
-    def __init__(self) -> None:
-        self.seen: set[int] = set()
-
-    def feed(self, paths: list[str]) -> pa.Table:
-        import pandas as pd
-
-        frames = [pq.read_table(p, columns=["user_id", "day"]).to_pandas()
-                  for p in paths]
-        if not frames:
-            return pa.table({"user_id": pa.array([], pa.int64()),
-                             "day": pa.array([], pa.int64())})
-        t = pd.concat(frames).sort_values(["day", "user_id"])
-        first = t.groupby("user_id", sort=True)["day"].min()
-        fresh = [(int(u), int(d)) for u, d in first.items()
-                 if int(u) not in self.seen]
-        self.seen.update(u for u, _ in fresh)
-        return pa.table({
-            "user_id": pa.array([u for u, _ in fresh], pa.int64()),
-            "day": pa.array([d for _, d in fresh], pa.int64()),
-        })
-
-
-def streaming_first_seen(
-    events: rd.Dataset,
-    *,
-    n_chunks: int = 4,
-    n_buckets: int = 4,
-    spool_dir: str | None = None,
-) -> pa.Table:
-    """Per-day new-user counts via a streaming first-seen index: events
-    spool as (chunk=time-range, bucket=user-hash) and each bucket's
-    index actor absorbs its chunks in order, emitting only
-    never-seen-before keys.  Equivalent to the batch min-day rollup
-    (``new_users_curve``) for any chunking because chunks are processed
-    in global time order.  The per-actor state is the key set of its
-    bucket — the streaming analogue of the done-manifest anti-join."""
-    import pyarrow.compute as pc
-
-    empty = pa.table({"day": pa.array([], pa.int64()),
-                      "n_new": pa.array([], pa.int64()),
-                      "cum_users": pa.array([], pa.int64())})
-    bounds = _ts_bounds_us(events)
-    if bounds is None:
-        return empty
-    lo64, hi64 = bounds
-    span = max(hi64 - lo64 + 1, 1)
-
-    def tag(t: pa.Table) -> pa.Table:
-        ts = np.asarray(pc.cast(pc.cast(t["ts"], pa.timestamp("us")),
-                                pa.int64()).to_numpy())
-        uid = np.asarray(t["user_id"].to_numpy(zero_copy_only=False),
-                         np.int64)
-        return pa.table({
-            "user_id": pa.array(uid),
-            "day": pa.array(ts // 86_400_000_000),
-            "chunk": pa.array((ts - lo64) * n_chunks // span),
-            "bucket": pa.array(uid % n_buckets),
-        })
-
-    spool_dir, own_spool = _resolve_spool(spool_dir, "pmocr_fspool_")
-    (events.select_columns(["user_id", "ts"])
-     .map_batches(tag, batch_format="pyarrow")
-     .write_parquet(spool_dir, partition_cols=["chunk", "bucket"]))
-
-    actors = [SeenIndexBucket.remote() for _ in range(n_buckets)]
-    parts: list[pa.Table] = []
-    for chunk in range(n_chunks):
-        futures = []
-        for b, actor in enumerate(actors):
-            d = os.path.join(spool_dir, f"chunk={chunk}", f"bucket={b}")
-            if not os.path.isdir(d):
-                continue
-            paths = sorted(os.path.join(d, f) for f in os.listdir(d)
-                           if f.endswith(".parquet"))
-            futures.append(actor.feed.remote(paths))
-        parts.extend(ray.get(futures))  # ordered rounds, parallel fan-out
-    if own_spool:
-        shutil.rmtree(spool_dir, ignore_errors=True)
-    parts = [t for t in parts if t.num_rows]
-    if not parts:
-        return empty
-    firsts = pa.concat_tables(parts)
-    # tiny driver rollup: (day → n_new) + running total over day support
-    import pandas as pd
-
-    df = (firsts.to_pandas().groupby("day").size()
-          .rename("n_new").reset_index().sort_values("day"))
-    df["cum_users"] = df["n_new"].cumsum()
-    return pa.Table.from_pandas(
-        df.astype({"day": "int64", "n_new": "int64",
-                   "cum_users": "int64"}), preserve_index=False)
-
-
 def streaming_sessionize(
     events: rd.Dataset,
     *,

@@ -16,7 +16,6 @@ import pyarrow.compute as pc
 
 import ray
 
-from pmocr_ray.ops.joins import _lev1  # shared ED≤1 verification kernel
 
 # ------------------------------------------------------------ token stats
 
@@ -40,32 +39,6 @@ def text_stats(batch: pa.Table, column: str = "text") -> pa.Table:
         .append_column("n_chars_total", n_chars)
         .append_column("n_chars_nospace", n_alnum)
     )
-
-
-# ------------------------------------------------------- url normalization
-
-
-def normalize_url(url: str) -> str:
-    """Canonicalize a url record key: lowercase scheme+host, strip default
-    ports and fragments, percent-decode unreserved chars, drop trailing
-    slash on bare paths.  (Reference has UrlEncode/UrlDecode helpers,
-    /root/reference/pmocr.sh:1347-1370; keys here are urls, not paths.)
-    Deterministic — safe to use upstream of the dedup/done-manifest keys.
-    """
-    from urllib.parse import unquote, urlsplit, urlunsplit
-
-    parts = urlsplit(url)
-    scheme = parts.scheme.lower()
-    host = parts.hostname.lower() if parts.hostname else ""
-    port = parts.port
-    if port and not (
-        (scheme == "http" and port == 80) or (scheme == "https" and port == 443)
-    ):
-        host = f"{host}:{port}"
-    path = unquote(parts.path) or "/"
-    if path != "/" and path.endswith("/"):
-        path = path[:-1]
-    return urlunsplit((scheme, host, path, parts.query, ""))
 
 
 # --------------------------------------------------------- quality scoring
@@ -473,35 +446,6 @@ def fingerprint(batch: pa.Table, column: str = "text",
     return batch.append_column(out_column, fps)
 
 
-_B64 = 1 << 64
-
-
-def rolling_fingerprint(batch: pa.Table, column: str = "text",
-                        out_column: str = "rfp", window: int = 8) -> pa.Table:
-    """Polynomial rolling-hash fingerprint (Rabin-Karp style): min of the
-    rolling window hashes — a cheap locality-robust document signature
-    (shift-tolerant, unlike MD5).  Pure integer arithmetic, deterministic.
-    """
-    out = []
-    for t in batch[column].to_pylist():
-        if t is None or len(t) < window:
-            out.append(None)
-            continue
-        data = t.encode("utf-8")
-        h = 0
-        base, mod = 1000003, (1 << 61) - 1
-        pw = pow(base, window - 1, mod)
-        best = None
-        for i, b in enumerate(data):
-            if i >= window:
-                h = (h - data[i - window] * pw) % mod
-            h = (h * base + b) % mod
-            if i >= window - 1:
-                best = h if best is None or h < best else best
-        out.append(best)
-    return batch.append_column(out_column, pa.array(out, pa.uint64()))
-
-
 def grouped_length_quantiles(ds, group_col: str = "lang",
                              column: str = "n_chars",
                              qs: tuple[float, ...] = (0.5, 0.9, 0.99)):
@@ -594,9 +538,9 @@ def kmv_sketch(ds, column: str = "text", k: int = 64):
     The per-batch combiner prunes hard — the global k minima are a
     subset of the union of per-batch k minima, so each batch forwards
     ≤ k hashes no matter its size; the tail is one tiny dedup-groupby
-    and a distributed ``sort().limit(k)``.  Feed the result to
-    :func:`kmv_estimate` for the cardinality estimate; with
-    ``k ≥ distinct`` the sketch IS the exact distinct set.
+    and a distributed ``sort().limit(k)``.  The cardinality estimate
+    is ``(k-1) / frac(h_k)``, the k-th smallest hash mapped to (0, 1];
+    with ``k ≥ distinct`` the sketch IS the exact distinct set.
     """
     def partial(batch: pa.Table) -> pa.Table:
         hs = {hashlib.md5(t.encode("utf-8")).hexdigest()
@@ -609,17 +553,6 @@ def kmv_sketch(ds, column: str = "text", k: int = 64):
                 ds.map_batches(partial, batch_format="pyarrow"), ["h"],
                 seed_schema=pa.schema([("h", pa.string())]))
             .sort("h").limit(k))
-
-
-def kmv_estimate(hashes: list[str], k: int) -> float:
-    """Cardinality estimate from a KMV sketch: if fewer than k hashes
-    exist the sketch is exhaustive (exact count); otherwise
-    ``(k-1) / frac(h_k)`` with the k-th smallest hash mapped to (0,1].
-    """
-    if len(hashes) < k:
-        return float(len(hashes))
-    hk = int(max(hashes)[:16], 16) / float(1 << 64)
-    return (k - 1) / hk if hk > 0 else float(len(hashes))
 
 
 def clean_text(batch: pa.Table, column: str = "text",
@@ -1326,65 +1259,6 @@ def heavy_hitters(ds, column: str = "text", k: int = 64) -> pa.Table:
                                           pa.int64())})
 
 
-def group_distinct_kmv(ds, group_col: str, value_col: str, k: int = 256):
-    """Per-group distinct-count via a k-minimum-values sketch: the
-    grouped version of :func:`kmv_sketch`.  Per batch, values hash to
-    64-bit ints and only the k smallest PER GROUP survive (local
-    combiner — each batch ships ≤ k × |groups| rows); the global
-    per-group merge keeps the k overall minima and estimates
-    ``(k-1) / frac(h_k)``.  EXACT whenever a group's distinct count is
-    below k (the sketch saw every distinct hash) — so the operator is
-    oracle-checkable in that regime and degrades to the standard
-    1/√k-error estimate above it.  Emits (group, n_distinct) int64.
-    """
-    import pandas as pd
-
-    def partial(batch: pa.Table) -> pa.Table:
-        df = pd.DataFrame({
-            "g": batch[group_col].to_pylist(),
-            "h": [int.from_bytes(
-                hashlib.md5(str(v).encode()).digest()[:8], "big")
-                for v in batch[value_col].to_pylist()],
-        }).drop_duplicates()
-        df = (df.sort_values(["g", "h"]).groupby("g", as_index=False)
-              .head(k))
-        return pa.table({"g": pa.array(df["g"]),
-                         "h": pa.array(df["h"].to_numpy(np.uint64),
-                                       pa.uint64())})
-
-    from pmocr_ray.ops.vecagg import _bucket_of
-
-    def bucket(t: pa.Table) -> pa.Table:
-        return t.append_column("_bkt", _bucket_of(t, ["g"], 32))
-
-    def merge_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        # ALL groups of the bucket in one sorted scan: distinct
-        # (g, h), per-group rank, then the k-th smallest hash (exact
-        # count below k) — no per-group Python call
-        df = (df[["g", "h"]].drop_duplicates()
-              .sort_values(["g", "h"], kind="mergesort"))
-        rank = df.groupby("g", sort=False).cumcount()
-        sizes = df.groupby("g", sort=False)["h"].transform("size")
-        kth = df[rank == k - 1].set_index("g")["h"]
-        firsts = df[rank == 0]
-        n = firsts["g"].map(
-            df.groupby("g", sort=False)["h"].size()).to_numpy()
-        kth_v = firsts["g"].map(kth).to_numpy(dtype="float64",
-                                              na_value=np.nan)
-        frac = kth_v / float(1 << 64)
-        est = np.where(n < k, n,
-                       np.round((k - 1) / np.where(np.isnan(frac), 1.0,
-                                                   frac))).astype(np.int64)
-        return pd.DataFrame({group_col: firsts["g"].to_numpy(),
-                             "n_distinct": est})
-
-    return (ds.select_columns([group_col, value_col])
-            .map_batches(partial, batch_format="pyarrow")
-            .map_batches(bucket, batch_format="pyarrow")
-            .groupby("_bkt").map_groups(merge_bucket,
-                                        batch_format="pandas"))
-
-
 def collocation_pairs(ds, column: str = "text", vocab_k: int = 200,
                       min_count: int = 2):
     """Adjacent word-pair (bigram) collocation counts over the corpus,
@@ -1449,50 +1323,10 @@ def collocation_pairs(ds, column: str = "text", vocab_k: int = 200,
     return pairs.map_batches(attach, batch_format="pyarrow")
 
 
-
-
-def typo_pairs(ds, column: str = "text", max_bucket: int = 64):
-    """Edit-distance-1 term pairs over the corpus vocabulary — the
-    string-similarity join behind typo/variant normalization, WITHOUT
-    a cross join.
-
-    Scale shape: symmetric-delete (FastSS) blocking, delegated to the
-    shared fuzzy-key self-join kernel
-    :func:`pmocr_ray.ops.joins.edit1_pairs` — this wrapper only
-    tokenizes the corpus into its vocabulary (per-batch distinct, so
-    the rollup, not the corpus, flows on) and renames the output.
-    ``max_bucket`` caps each deletion-variant bucket at a
-    deterministic sorted prefix (the mirror-farm bound: a pathological
-    vocabulary where thousands of terms share one deletion key cannot
-    emit O(bucket²) pairs).  Emits (w1, w2, dist) with w1 < w2; dist
-    is always 1 (int64).
-    """
-    from pmocr_ray.ops.joins import edit1_pairs
-
-    def toks(batch: pa.Table) -> pa.Table:
-        flat = pc.list_flatten(
-            pc.split_pattern_regex(batch[column], r"\s+"))
-        flat = flat.filter(pc.not_equal(flat, ""))
-        return pa.table({"term": flat}).group_by("term").aggregate([])
-
-    pairs = edit1_pairs(ds.map_batches(toks, batch_format="pyarrow"),
-                        "term", cap_bucket=max_bucket)
-    return pairs.map_batches(
-        lambda t: pa.table({
-            "w1": t["a"], "w2": t["b"],
-            "dist": pa.array(np.ones(len(t), np.int64))}),
-        batch_format="pyarrow")
-
-
-_TRACKING_PARAMS = ("utm_", "gclid", "fbclid", "ref")
-
-
 def strip_tracking_params(url: str) -> str:
     """Canonicalize away click-tracking query params (utm_*, gclid,
     fbclid, ref) and fragments, lowercase scheme+host — the url-level
-    dedup key for crawl variants of the same page.  Composes with
-    :func:`normalize_url`; kept separate because tracking-strip is
-    lossy by design (normalize_url is reversible-safe for manifests)."""
+    dedup key for crawl variants of the same page."""
     from urllib.parse import parse_qsl, urlencode, urlsplit, urlunsplit
 
     parts = urlsplit(url)

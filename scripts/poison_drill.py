@@ -41,9 +41,6 @@ sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 def main() -> int:
     sf_dir = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.1"
 
-    import pyarrow.compute as pc
-    import pyarrow.parquet as pq
-
     import ray
 
     if not ray.is_initialized():
@@ -53,6 +50,23 @@ def main() -> int:
     from ray.data import DataContext
 
     DataContext.get_current().enable_progress_bars = False
+
+    # the drill's incoming pages, outputs, manifests and alert spool
+    root = tempfile.mkdtemp(prefix="poison_drill_")
+    try:
+        result = _drill(sf_dir, root)
+    finally:
+        shutil.rmtree(root, ignore_errors=True)
+    print(json.dumps(result))
+    ray.shutdown()
+    return 0 if result["pass"] else 1
+
+
+def _drill(sf_dir: str, root: str) -> dict:
+    """Run the four drill steps in the work dir ``root``; the result
+    dict carries each step's counts and checks, and ``pass``."""
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
 
     from pmocr_ray.fixtures import ensure_pages_fixture
     from pmocr_ray.pipeline import run_extraction
@@ -66,7 +80,6 @@ def main() -> int:
     pages, seed_manifest = ensure_pages_fixture(sf_dir)
     parts = sorted(glob.glob(os.path.join(pages, "*.parquet")))
     assert len(parts) >= 3, f"need >=3 partitions, got {len(parts)}"
-    root = tempfile.mkdtemp(prefix="poison_drill_")
     monitored = os.path.join(root, "incoming")
     os.makedirs(monitored)
     out_dir, mani_dir = os.path.join(root, "out"), os.path.join(root, "mani")
@@ -142,16 +155,14 @@ def main() -> int:
         "non_seeded_quarantined": ok_quarantine, "prior_entries_untouched":
         ok_integrity, "error_rows_verified": ok_rows}
     recs = _alert_records()
+    ok_alert = (len(recs) == n_alerts_before + 1
+                and recs[-1]["failed_rows"] == n_drill - n_seeded
+                and recs[-1]["partitions"] == [key])
     result["alerts"] = {
-        "alert_path": alert_path,
-        "spool_dir": alert_spool,
         "records": len(recs),
         "spool_files": len(glob.glob(os.path.join(alert_spool,
                                                   "alert-*.json"))),
-        "poisoned_round_alerted": (
-            len(recs) == n_alerts_before + 1
-            and recs[-1]["failed_rows"] == n_drill - n_seeded
-            and recs[-1]["partitions"] == [key]),
+        "poisoned_round_alerted": ok_alert,
     }
 
     # round 3: engine fixed — new arrival processes, drill not re-run
@@ -196,10 +207,8 @@ def main() -> int:
         "ok": bool(ok_redrive)}
 
     result["pass"] = bool(ok_quarantine and ok_integrity and ok_rows
-                          and ok_resume and ok_redrive)
-    print(json.dumps(result))
-    ray.shutdown()
-    return 0 if result["pass"] else 1
+                          and ok_alert and ok_resume and ok_redrive)
+    return result
 
 
 if __name__ == "__main__":

@@ -17,7 +17,7 @@ from pmocr_ray.ops.dedup import (
     explode_lines,
     line_dedup,
 )
-from pmocr_ray.ops.export import assign_shard, shard_counts, shard_export
+from pmocr_ray.ops.export import assign_shard, shard_counts
 from pmocr_ray.ops.text import (
     length_quantiles,
     redact_pii,
@@ -190,26 +190,6 @@ def test_assign_shard_matches_md5():
     exp = [int(hashlib.md5(u.encode()).hexdigest()[:8], 16) % 7
            for u in ["u1", "u2", "u3"]]
     assert got == exp
-
-
-def test_shard_export_membership_deterministic(ray_session, tmp_path):
-    rows = [{"url": f"https://h/{i}", "v": i} for i in range(200)]
-    out1 = str(tmp_path / "e1")
-    out2 = str(tmp_path / "e2")
-    shard_export(rd.from_items(rows), out1, n_shards=4)
-    shard_export(rd.from_items(rows).repartition(9), out2, n_shards=4)
-
-    def membership(path):
-        import pyarrow.dataset as pads
-
-        t = pads.dataset(path, partitioning="hive").to_table()
-        return sorted(zip(t["url"].to_pylist(),
-                          [int(s) for s in t["shard"].to_pylist()]))
-
-    m1, m2 = membership(out1), membership(out2)
-    assert m1 == m2  # identical membership on a different partitioning
-    assert len(m1) == 200
-    assert {s for _, s in m1} == {0, 1, 2, 3}
 
 
 def test_shard_counts_total(ray_session):
@@ -406,55 +386,18 @@ def test_host_mirror_pairs_counts_and_cap(ray_session):
     assert gotc == {("a.x", "b.x"): 2}
 
 
-def test_plan_compaction_ffd():
-    from pmocr_ray.ops.compact import plan_compaction
-
-    sizes = {"a": 60, "b": 50, "c": 40, "d": 30, "e": 200}
-    groups = plan_compaction(sizes, target_bytes=100)
-    # e oversized → singleton; FFD: 60+40, 50+30
-    assert sorted(map(sorted, groups)) == [["a", "c"], ["b", "d"], ["e"]]
-
-
-def test_compact_small_files_preserves_rows(ray_session, tmp_path):
-    import os
-
-    import pandas as pd
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-
-    from pmocr_ray.ops.compact import compact_small_files
-
-    in_dir = str(tmp_path / "small"); os.makedirs(in_dir)
-    out_dir = str(tmp_path / "compacted")
-    for i in range(12):
-        pq.write_table(
-            pa.table({"k": pa.array(range(i * 10, i * 10 + 10), pa.int64()),
-                      "v": pa.array([f"r{j}" for j in range(10)])}),
-            f"{in_dir}/part-{i:03d}.parquet")
-    some = os.path.getsize(f"{in_dir}/part-000.parquet")
-    outs = compact_small_files(in_dir, out_dir, target_bytes=some * 4)
-    assert 3 <= len(outs) < 12
-    got = pd.concat([pq.read_table(f).to_pandas() for f in outs])
-    assert sorted(got["k"]) == list(range(120))
-    # deterministic rerun overwrites, not duplicates
-    outs2 = compact_small_files(in_dir, out_dir, target_bytes=some * 4)
-    assert outs2 == outs
-    assert len(os.listdir(out_dir)) == len(outs)
-
-
 def test_cheapest_supplier_tie_breaks_min_suppkey(ray_session):
     """Driver query helper: argmin ties resolve to the smaller suppkey
     under any partitioning."""
     import importlib.util
-
-    import pandas as pd
-
-    spec = importlib.util.spec_from_file_location(
-        "entry_mod", "/root/repo/__ray_entry__.py")
-    m = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(m)
     import os
     import tempfile
+
+    spec = importlib.util.spec_from_file_location(
+        "entry_mod", os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "__ray_entry__.py"))
+    m = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(m)
 
     import pyarrow as pa
     import pyarrow.parquet as pq

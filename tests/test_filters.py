@@ -370,29 +370,6 @@ def test_heavy_hitters_exact_below_k(ray_session):
         {"a": 3, "b": 2, "c": 1}
 
 
-def test_group_distinct_kmv_exact_below_k(ray_session):
-    from pmocr_ray.ops.text import group_distinct_kmv
-
-    t = pa.table({"g": ["a"] * 6 + ["b"] * 3,
-                  "v": [1, 2, 3, 1, 2, 1, 9, 9, 8]})
-    out = group_distinct_kmv(rd.from_arrow(t).repartition(3),
-                             "g", "v", k=16).to_pandas()
-    r = dict(zip(out["g"], out["n_distinct"]))
-    assert r == {"a": 3, "b": 2}
-
-
-def test_group_distinct_kmv_estimate_error_bound(ray_session):
-    from pmocr_ray.ops.text import group_distinct_kmv
-
-    # 2000 distinct values, k=64 -> estimate within ~4/sqrt(64)=50%
-    # (loose bound; typical error is ~12%)
-    t = pa.table({"g": ["x"] * 2000, "v": list(range(2000))})
-    out = group_distinct_kmv(rd.from_arrow(t).repartition(4),
-                             "g", "v", k=64).to_pandas()
-    est = int(out["n_distinct"].iloc[0])
-    assert 1000 <= est <= 3000
-
-
 # ----------------------------------------------------------------- dsir
 
 def _dsir_ref(docs, target_value="en", n_buckets=4096):

@@ -80,33 +80,6 @@ def test_pagerank_cycle_exact_hand_trace(ray_session):
     assert got[3] == 150_000  # no in-edges
 
 
-def test_attribution_window_counts(ray_session):
-    import pandas as pd
-
-    from pmocr_ray.ops.events import attribution_window
-
-    base = pd.Timestamp("2024-01-01 12:00:00")
-    rows = [
-        # user 1: clicks at -90, -30, -1 min; purchase at 0; click at +5
-        (1, base - pd.Timedelta(minutes=90), 1, "click"),
-        (2, base - pd.Timedelta(minutes=30), 1, "click"),
-        (3, base - pd.Timedelta(minutes=1), 1, "click"),
-        (4, base, 1, "purchase"),
-        (5, base + pd.Timedelta(minutes=5), 1, "click"),
-        # user 2: click exactly AT the purchase ts is excluded
-        (6, base, 2, "click"),
-        (7, base, 2, "purchase"),
-        # user 2: click exactly at the window edge (-60) is included
-        (8, base - pd.Timedelta(minutes=60), 2, "click"),
-    ]
-    ev = pd.DataFrame(rows, columns=["event_id", "ts", "user_id",
-                                     "event_type"])
-    out = attribution_window(rd.from_pandas(ev).repartition(3),
-                             window_minutes=60).to_pandas()
-    got = dict(zip(out["event_id"], out["n_touches"]))
-    assert got == {4: 2, 7: 1}
-
-
 def test_host_blocklist_filter_exact_suffix_invert(ray_session):
     import pandas as pd
 

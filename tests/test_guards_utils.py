@@ -1,5 +1,4 @@
-"""Tests for the per-row size guard, size parsing, url normalization,
-and the run logger (SURVEY §2.3/§2.7 utility parity)."""
+"""Tests for the per-row size guard, size parsing and the run logger (SURVEY §2.3/§2.7 utility parity)."""
 
 import os
 
@@ -8,7 +7,6 @@ import pytest
 
 from pmocr_ray.config import parse_size
 from pmocr_ray.fixtures import build_html_page
-from pmocr_ray.ops.text import normalize_url
 from pmocr_ray.state_machine import process_row
 
 TEXT = "guard test words one two three four five six seven eight nine ten"
@@ -42,18 +40,6 @@ class TestParseSize:
     ])
     def test_values(self, s, expected):
         assert parse_size(s) == expected
-
-
-class TestNormalizeUrl:
-    @pytest.mark.parametrize("raw,norm", [
-        ("HTTPS://Example.COM:443/a/b/", "https://example.com/a/b"),
-        ("http://host:80/", "http://host/"),
-        ("http://host:8080/x", "http://host:8080/x"),
-        ("https://h/p%61th?q=1#frag", "https://h/path?q=1"),
-        ("https://site1.example/page/3-0", "https://site1.example/page/3-0"),
-    ])
-    def test_cases(self, raw, norm):
-        assert normalize_url(raw) == norm
 
 
 def test_run_logger_writes_file(tmp_path):

@@ -1,10 +1,10 @@
-"""Broadcast join helper tests (SURVEY §2.5)."""
+"""Join helper tests (SURVEY §2.5)."""
 
 import pyarrow as pa
 
 import ray.data as rd
 
-from pmocr_ray.ops.joins import broadcast_lookup, broadcast_semi_join
+from pmocr_ray.ops.joins import broadcast_semi_join
 
 
 def _ds(ray_session):
@@ -17,13 +17,6 @@ def _ds(ray_session):
 def test_semi_join(ray_session):
     out = broadcast_semi_join(_ds(ray_session), "k", [2, 4, 9]).take_all()
     assert sorted(r["k"] for r in out) == [2, 4]
-
-
-def test_lookup(ray_session):
-    out = broadcast_lookup(_ds(ray_session), "k", {1: "x", 3: "y"},
-                           "looked", default="-").take_all()
-    got = {r["k"]: r["looked"] for r in out}
-    assert got == {1: "x", 2: "-", 3: "y", 4: "-", 5: "-"}
 
 
 def test_build_bloom_no_false_negatives(ray_session):
@@ -75,29 +68,6 @@ def test_native_anti_join_agrees_with_hash_and_bloom(ray_session):
                      fn(left, right, on="k", num_partitions=4)
                      .select_columns(["k"]).take_all())
         assert got == expected, fn.__name__
-
-
-def test_nation_pair_flows_join_plan_matches_broadcast_plan(ray_session):
-    """The above-gate plan (pre-agg + two hash joins — the 100 TB
-    route) must produce exactly the broadcast-LUT plan's rows; the gate
-    is a physical choice, never a semantic one."""
-    import __ray_entry__ as E
-
-    sf = "/root/testdata/sf0.001"
-
-    def rows(ds):
-        return sorted(
-            (r["supp_nation"], r["cust_nation"], r["l_year"],
-             r["revenue_e4"]) for r in ds.take_all())
-
-    broadcast = rows(E._q_nation_pair_flows(sf))
-    orig = E.Q7_BROADCAST_GATE
-    E.Q7_BROADCAST_GATE = 0  # force the join plan on the small fixture
-    try:
-        joined = rows(E._q_nation_pair_flows(sf))
-    finally:
-        E.Q7_BROADCAST_GATE = orig
-    assert joined == broadcast and len(broadcast) > 0
 
 
 def test_is_ed1_exact():
@@ -186,14 +156,3 @@ def test_anti_joins_with_empty_right_return_left(ray_session):
         out = fn(left, empty, on="k", num_partitions=2)
         got = sorted(r["k"] for r in out.take_all())
         assert got == list(range(20)), fn.__name__
-
-
-def test_broadcast_lookup_heterogeneous_value_types(ray_session):
-    """Mixed int/float mapping values: the output type is the promoted
-    common type, pinned up front (inferring from the first value only
-    would crash on the first batch hitting the wider value)."""
-    out = broadcast_lookup(_ds(None), "k", {1: 2, 2: 3.5}, "w",
-                           default=0).take_all()
-    got = {r["k"]: r["w"] for r in out}
-    assert got == {1: 2.0, 2: 3.5, 3: 0.0, 4: 0.0, 5: 0.0}
-    assert all(isinstance(v, float) for v in got.values())

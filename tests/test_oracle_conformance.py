@@ -31,21 +31,13 @@ KEYS = [
     "basket_pairs",
     "keep_best_dedup",
     "users_all_types",
-    "pareto_orders",
-    "value_gini",
     "scd2_dim",
     # late round-2 relational/analytic shapes
-    "nation_pair_flows",
-    "sole_returner_suppliers",
     "ks_lang_len",
     "weighted_median_price",
     "vocab_overlap",
-    "rfm_scores",
     # session-3 shapes
-    "disjunctive_brackets",
     "top_supplier_rev",
-    "nation_market_share",
-    "epoch_price_join",
     "outlinks",
     "seq_pattern",
     "grouped_regression",
@@ -53,10 +45,7 @@ KEYS = [
     "lang_profiles",
     "contingency_chi2",
     "stream_sessions",
-    "stream_windows",
-    "fk_audit",
     "top_parts_per_brand",
-    "stream_new_users",
     "page_meta",
     "customers_no_f_orders_native",
     "priority_semi_native",
@@ -67,6 +56,10 @@ KEYS = [
     "xlsx_target_roundtrip",
     "lm_bigram_counts",
     "kmeans_assign1",
+    # ops/joins: the Bloom anti join (via incremental exact dedup) and
+    # the edit-distance-1 self-join
+    "dedup_incremental",
+    "mirror_hosts",
 ]
 
 

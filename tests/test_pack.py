@@ -225,47 +225,6 @@ def test_token_budget_trim_rule(ray_session):
     assert sorted(out2["doc_id"]) == [1, 2, 3, 4, 5]
 
 
-def test_range_partition_write_prunes_and_matches(ray_session, tmp_path):
-    import glob
-    import json
-
-    import pandas as pd
-
-    from pmocr_ray.ops.pack import range_lookup, range_partition_write
-
-    df = pd.DataFrame({"k": list(range(100)), "v": list(range(100))})
-    d = str(tmp_path / "ranges")
-    range_partition_write(rd.from_pandas(df).repartition(4), d,
-                          key="k", n_parts=5)
-    man = json.load(open(f"{d}/_range_manifest.json"))
-    assert len(man["parts"]) == 5
-    out = range_lookup(d, lo=37, hi=61).to_pandas()
-    assert sorted(out["k"]) == list(range(37, 61))
-    # pruning actually happened: the overlapped partitions hold fewer
-    # rows than the table
-    touched = [p for p in man["parts"] if p["lo"] < 61 and p["hi"] > 37]
-    assert len(touched) < 5
-
-
-def test_skew_join_hot_and_cold_paths_match_plain(ray_session):
-    import pandas as pd
-
-    from pmocr_ray.ops.joins import skew_hash_join
-
-    left = pd.DataFrame({
-        "k": [1] * 50 + [2, 2, 3, 4],   # key 1 is hot
-        "x": list(range(54)),
-    })
-    right = pd.DataFrame({"rk": [1, 2, 3, 9], "y": ["a", "b", "c", "z"]})
-    exp = left.merge(right, left_on="k", right_on="rk").drop(columns=["rk"])
-    for thr in (5, 1000, 0):
-        out = skew_hash_join(rd.from_pandas(left).repartition(3),
-                             rd.from_pandas(right), on="k", right_on="rk",
-                             hot_threshold=thr).to_pandas()
-        assert (sorted(zip(out["k"], out["x"], out["y"]))
-                == sorted(zip(exp["k"], exp["x"], exp["y"]))), thr
-
-
 def test_byte_balanced_blocks_giant_row_isolated(ray_session):
     import pandas as pd
 
@@ -282,25 +241,6 @@ def test_byte_balanced_blocks_giant_row_isolated(ray_session):
                .to_pandas().set_index("doc_id")["block_id"])
         # cum-before: 0,100,200,5200,5300 → blocks 0,0,0,5,5
         assert out.to_dict() == {0: 0, 1: 0, 2: 0, 3: 5, 4: 5}
-
-
-def test_skew_hash_join_all_hot_no_right_match_keeps_joined_schema(ray_session):
-    """Every key hot, none present on the right: the empty result must
-    still carry the JOINED schema so downstream selects of right-side
-    columns see the column, matching the cold-path branch."""
-    import pandas as pd
-    import ray.data as rd
-
-    from pmocr_ray.ops.joins import skew_hash_join
-
-    left = rd.from_pandas(pd.DataFrame(
-        {"user_id": [7] * 50, "v": range(50)}))
-    right = rd.from_pandas(pd.DataFrame(
-        {"uid": [1, 2, 3], "name": ["a", "b", "c"]}))
-    out = skew_hash_join(left, right, on="user_id", right_on="uid",
-                         hot_threshold=10)
-    assert out.count() == 0
-    assert "name" in out.schema().names and "v" in out.schema().names
 
 
 def test_chunk_tokens_stride_regimes(ray_session):
