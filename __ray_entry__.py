@@ -23,7 +23,7 @@ import numpy as np
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
-from pmocr_ray.ops.joins import parts_for_rows, sized_for_join
+from pmocr_ray.ops.joins import parts_for_rows
 
 
 def _vgb(ds, keys, *aggs):
@@ -444,25 +444,6 @@ def _q_customers_no_f_orders_native(sf_dir: str):
                             right_on="o_custkey", num_partitions=8)
 
 
-def _q_lang_len_quantiles(sf_dir: str):
-    import ray.data as rd
-
-    from pmocr_ray.ops.text import grouped_length_quantiles
-
-    return grouped_length_quantiles(
-        rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                        columns=["lang", "n_chars"]))
-
-
-def _q_label_centroids(sf_dir: str):
-    import ray.data as rd
-
-    from pmocr_ray.ops.knn import label_centroid_fixedpoint
-
-    return label_centroid_fixedpoint(
-        rd.read_parquet(os.path.join(sf_dir, "embeddings.parquet")))
-
-
 def _q_orders_running_total(sf_dir: str):
     import ray.data as rd
 
@@ -481,16 +462,6 @@ def _q_pack_sequences(sf_dir: str):
         rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
                         columns=["doc_id", "text"]),
         block_tokens=512)
-
-
-def _q_shuffle_rank(sf_dir: str):
-    import ray.data as rd
-
-    from pmocr_ray.ops.pack import hash_shuffle_rank
-
-    return hash_shuffle_rank(
-        rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                        columns=["doc_id", "text"]))
 
 
 def _q_kmv_sketch(sf_dir: str):
@@ -533,161 +504,6 @@ def _q_dedup_incremental(sf_dir: str):
     return incremental_exact_dedup(new, history)
 
 
-def _q_lang_label_mix(sf_dir: str):
-    """Cross-modal enrichment: documents ⋈ embeddings on id (two large
-    sides — hash-partitioned join, payload pruned at the read to the
-    three columns used), then the (lang, label) composition rollup via
-    the usual per-batch combiner + tiny global groupby."""
-    import pyarrow as pa
-
-    import ray.data as rd
-    from ray.data.aggregate import Sum
-
-    docs = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                           columns=["doc_id", "lang", "n_chars"])
-    emb = rd.read_parquet(os.path.join(sf_dir, "embeddings.parquet"),
-                          columns=["vec_id", "label"])
-    parts = _pq_parts(sf_dir, "documents", cap=8)
-    j = docs.join(emb, join_type="inner", num_partitions=parts,
-                  on=("doc_id",), right_on=("vec_id",))
-
-    def partial(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as _pc
-        g = (t.select(["lang", "label", "n_chars"])
-             .group_by(["lang", "label"])
-             .aggregate([("n_chars", "sum"), ([], "count_all")]))
-        return pa.table({"lang": g["lang"],
-                         "label": _pc.cast(g["label"], pa.int64()),
-                         "sum_chars": g["n_chars_sum"],
-                         "n_docs": g["count_all"]})
-
-    return (j.map_batches(partial, batch_format="pyarrow")
-            .groupby(["lang", "label"])
-            .aggregate(Sum("sum_chars", alias_name="sum_chars"),
-                       Sum("n_docs", alias_name="n_docs")))
-
-
-def _q_cc_chain(sf_dir: str):
-    """Distributed connected components on a chain graph derived from
-    doc ids (edges i→i+1 within blocks of 10): 10-hop chains force the
-    min-label propagation loop through real multi-hop convergence —
-    the closed-form oracle (label = id - id%10) checks the fixpoint."""
-    import pyarrow as pa
-    import pyarrow.compute as _pc
-
-    import ray.data as rd
-
-    from pmocr_ray.ops.graph import connected_components_distributed
-
-    docs = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                           columns=["doc_id"])
-
-    def chain_edges(t: pa.Table) -> pa.Table:
-        ids = t["doc_id"]
-        m = _pc.not_equal(_pc.subtract(ids, _pc.multiply(
-            _pc.divide(ids, 10), 10)), 9)
-        a = ids.filter(m)
-        return pa.table({"a": a, "b": _pc.add(a, 1)})
-
-    edges = docs.map_batches(chain_edges, batch_format="pyarrow")
-    return connected_components_distributed(edges, num_partitions=4)
-
-
-def _q_trending_terms(sf_dir: str):
-    import ray.data as rd
-
-    from pmocr_ray.ops.text import top_terms_by_group
-
-    return top_terms_by_group(
-        rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                        columns=["lang", "text"]), group_col="lang", k=5)
-
-
-def _q_len_percentile(sf_dir: str):
-    """Annotate every doc with the cume_dist of its length: the global
-    CDF is a value-counts rollup (bounded by distinct lengths, not
-    rows), broadcast once; the annotate pass is a map-only
-    searchsorted."""
-    import numpy as np
-    import pyarrow as pa
-
-    import ray
-    import ray.data as rd
-    from ray.data.aggregate import Sum
-
-    docs = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                           columns=["doc_id", "n_chars"])
-
-    def counts(t: pa.Table) -> pa.Table:
-        g = t.select(["n_chars"]).group_by("n_chars").aggregate(
-            [([], "count_all")])
-        return pa.table({"value": g["n_chars"], "n": g["count_all"]})
-
-    rollup = (docs.map_batches(counts, batch_format="pyarrow")
-              .groupby("value").aggregate(Sum("n", alias_name="n"))
-              .sort("value").take_all())
-    values = np.array([r["value"] for r in rollup], np.int64)
-    cum = np.cumsum([r["n"] for r in rollup]).astype(np.int64)
-    total = int(cum[-1])
-    ref = ray.put((values, cum))
-
-    def annotate(t: pa.Table) -> pa.Table:
-        v, c = ray.get(ref)
-        idx = np.searchsorted(v, t["n_chars"].to_numpy(zero_copy_only=False))
-        pct = c[idx].astype(np.float64) / total
-        return pa.table({"doc_id": t["doc_id"],
-                         "pct": pa.array(pct, pa.float64())})
-
-    return docs.map_batches(annotate, batch_format="pyarrow")
-
-
-def _q_lm_score(sf_dir: str):
-    """Char-bigram LM quality scoring (train-then-score; no SQL oracle —
-    the model is corpus-trained; determinism and ordering are
-    pytest-verified)."""
-    import ray.data as rd
-
-    from pmocr_ray.ops.text import lm_score
-
-    return (lm_score(rd.read_parquet(
-                os.path.join(sf_dir, "documents.parquet"),
-                columns=["doc_id", "text"]))
-            .select_columns(["doc_id", "lm_logprob"]))
-
-
-def _q_lm_bigram_counts(sf_dir: str):
-    """The corpus-scale half of ``lm_score`` made oracle-checkable:
-    the trained char-bigram count matrix as (prev_ch, next_ch, n) rows
-    with non-top-64 chars folded to ``<oov>``.  All integers — the
-    distributed combiner + groupby is exact, so DuckDB can recompute
-    it with a per-char lateral unnest.  Only the final per-doc float
-    mean (``lm_score`` itself) stays rows-only."""
-    import numpy as np
-    import pyarrow as pa
-
-    from pmocr_ray.ops.text import train_char_bigram_lm
-
-    model = train_char_bigram_lm(_docs(sf_dir))
-    chars, counts = model["chars"], model["counts"] - 1  # un-smooth
-    labels = list(chars) + ["<oov>"]
-    i, j = np.nonzero(counts)
-    return pa.table({
-        "prev_ch": pa.array([labels[x] for x in i], pa.string()),
-        "next_ch": pa.array([labels[x] for x in j], pa.string()),
-        "n": pa.array(counts[i, j], pa.int64()),
-    })
-
-
-def _q_quantize_embeddings(sf_dir: str):
-    import ray.data as rd
-
-    from pmocr_ray.ops.knn import quantize_embeddings
-
-    return quantize_embeddings(
-        rd.read_parquet(os.path.join(sf_dir, "embeddings.parquet"),
-                        columns=["vec_id", "embedding"]))
-
-
 def _q_span_extract(sf_dir: str):
     import ray.data as rd
 
@@ -697,82 +513,6 @@ def _q_span_extract(sf_dir: str):
         rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
                         columns=["doc_id", "text"]),
         r"scan \w+")
-
-
-def _q_kmeans_assign1(sf_dir: str):
-    """The k-means assignment kernel pinned to an SQL-reproducible
-    regime: centroids = the first k=8 vectors by vec_id (deterministic
-    init, no RNG), one assignment pass, per-vector cell emitted.  The
-    argmax is float-safe against engine ULP differences: the minimum
-    best-vs-second margin on the fixture is ~1e-4 (measured), ten
-    orders above any dot-product reassociation error, and exact ties
-    break to the lowest centroid index on both sides (numpy argmax
-    picks the first maximum; the SQL twin orders by s DESC, idx ASC).
-    The iterative production path (``kmeans_cells``) stays rows-only."""
-    import numpy as np
-    import pyarrow as pa
-
-    import ray
-    import ray.data as rd
-
-    from pmocr_ray.ops.knn import _normalize, list_matrix
-
-    emb = rd.read_parquet(os.path.join(sf_dir, "embeddings.parquet"),
-                          columns=["vec_id", "embedding"])
-
-    # first-8-by-vec_id via a bounded combiner (8 rows per batch reach
-    # the driver), not sort().limit() — a global sort shuffles the
-    # whole corpus for 8 rows
-    def first8(t: pa.Table) -> pa.Table:
-        idx = np.argsort(t["vec_id"].to_numpy(zero_copy_only=False),
-                         kind="stable")[:8]
-        return t.take(pa.array(idx))
-
-    partials = emb.map_batches(first8, batch_format="pyarrow").take_all()
-    first = sorted(partials, key=lambda r: r["vec_id"])[:8]
-    cent = _normalize(np.asarray([r["embedding"] for r in first],
-                                 np.float64))
-    ref = ray.put(cent)
-
-    def assign(t: pa.Table) -> pa.Table:
-        c = ray.get(ref)
-        mat = list_matrix(t["embedding"])
-        a = np.argmax(mat @ c.T, axis=1).astype(np.int64)
-        return pa.table({"vec_id": t["vec_id"],
-                         "cell": pa.array(a, pa.int64())})
-
-    return emb.map_batches(assign, batch_format="pyarrow")
-
-
-def _q_kmeans_cells(sf_dir: str):
-    """Full-corpus Lloyd k-means (iterative — no SQL oracle; fixed-point
-    determinism is pytest-verified bit-identical across partitionings);
-    returns the final cell membership counts."""
-    import numpy as np
-    import pyarrow as pa
-
-    import ray
-    import ray.data as rd
-    from ray.data.aggregate import Sum
-
-    from pmocr_ray.ops.knn import _normalize, kmeans_distributed
-
-    emb = rd.read_parquet(os.path.join(sf_dir, "embeddings.parquet"),
-                          columns=["embedding"])
-    cent = kmeans_distributed(emb, k=8, iters=5)
-    ref = ray.put(cent)
-
-    def assign_counts(t: pa.Table) -> pa.Table:
-        c = ray.get(ref)
-        mat = _normalize(np.asarray(t["embedding"].to_pylist(),
-                                    dtype=np.float64))
-        a = np.argmax(mat @ c.T, axis=1)
-        uniq, counts = np.unique(a, return_counts=True)
-        return pa.table({"cell": pa.array(uniq, pa.int64()),
-                         "n": pa.array(counts, pa.int64())})
-
-    return (emb.map_batches(assign_counts, batch_format="pyarrow")
-            .groupby("cell").aggregate(Sum("n", alias_name="n")))
 
 
 def _q_len_bucket(sf_dir: str):
@@ -785,37 +525,11 @@ def _q_len_bucket(sf_dir: str):
                         columns=["doc_id", "n_chars"]))
 
 
-def _q_webdataset_audit(sf_dir: str):
-    """WebDataset tar export (side effect under /tmp) returning the
-    per-shard audit rows; the oracle replays the md5 shard rule."""
-    import ray.data as rd
-
-    from pmocr_ray.ops.export import webdataset_export
-
-    out = f"/tmp/pmocr_wds/{os.path.basename(os.path.normpath(sf_dir))}"
-    audit = webdataset_export(
-        rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                        columns=["doc_id", "text"]),
-        out, n_shards=8)
-    return audit.select_columns(["shard", "n_members"])
-
-
-def _q_tfidf(sf_dir: str):
-    import ray.data as rd
-
-    from pmocr_ray.ops.text import tfidf_terms
-
-    return tfidf_terms(
-        rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                        columns=["doc_id", "text"]),
-        vocab_k=50)
-
-
 def _q_lineitem_agg(sf_dir: str):
     import pyarrow as pa
 
     import ray.data as rd
-    from ray.data.aggregate import Count, Sum
+    from ray.data.aggregate import Sum
 
     def partial(t: pa.Table) -> pa.Table:
         qty = t["l_quantity"].cast(pa.int64())
@@ -843,37 +557,11 @@ def _q_lineitem_agg(sf_dir: str):
     )
 
 
-def _q_top_docs_by_len(sf_dir: str):
-    """Global sort + limit: top 20 documents by length (ties by id)."""
-    out = (
-        _docs(sf_dir)
-        .select_columns(["doc_id", "n_chars"])
-        .sort(["n_chars", "doc_id"], descending=[True, False])
-        .limit(20)
-    )
-    return out
-
-
-def _q_top_terms(sf_dir: str):
-    """Global top-20 vocabulary terms: per-batch local count (combiner),
-    groupby-sum, distributed sort+limit."""
-    from pmocr_ray.ops.text import top_terms
-
-    return top_terms(_docs(sf_dir).select_columns(["text"]), k=20)
-
-
 def _q_host_stats(sf_dir: str):
     """Per-host page rollup over the extraction output's url column."""
     from pmocr_ray.ops.text import host_stats
 
     return host_stats(_read_output(sf_dir))
-
-
-def _q_doc_freq(sf_dir: str):
-    """Top-50 terms by document frequency (the DF side of TF-IDF)."""
-    from pmocr_ray.ops.text import doc_frequency
-
-    return doc_frequency(_docs(sf_dir).select_columns(["text"]), k=50)
 
 
 def _q_host_cap(sf_dir: str):
@@ -927,16 +615,6 @@ def _q_zorder(sf_dir: str):
     return zorder_values(_docs(sf_dir))
 
 
-def _q_keyword_search(sf_dir: str):
-    """Exact multi-term keyword retrieval: top-20 docs by (distinct
-    query terms matched, total term hits), deterministic tie-break."""
-    from pmocr_ray.ops.text import keyword_search
-
-    return keyword_search(_docs(sf_dir),
-                          ("hash", "merge", "sort", "window", "spark"),
-                          k=20)
-
-
 def _q_heavy_hitters(sf_dir: str):
     """Misra-Gries token heavy-hitter sketch (k=64).  The corpus
     vocabulary (31) is below k, so no counter is ever trimmed and the
@@ -946,36 +624,6 @@ def _q_heavy_hitters(sf_dir: str):
     from pmocr_ray.ops.text import heavy_hitters
 
     return heavy_hitters(_docs(sf_dir).select_columns(["text"]), k=64)
-
-
-_zorder_cache: dict[str, str] = {}
-
-
-def _q_zorder_scan(sf_dir: str):
-    """End-to-end Z-order layout: hive write partitioned by Morton
-    bucket + zone-map manifest, then a predicate-pruned read (only
-    overlapping bucket directories are opened) with the exact residual
-    filter."""
-    import tempfile
-
-    from pmocr_ray.ops.pack import zorder_read, zorder_write
-
-    if sf_dir not in _zorder_cache:
-        out = tempfile.mkdtemp(prefix="pmocr_zorder_")
-        zorder_write(_docs(sf_dir).select_columns(
-            ["doc_id", "n_chars", "lang"]), out, bucket_shift=12)
-        _zorder_cache[sf_dir] = out
-    return zorder_read(_zorder_cache[sf_dir], x_range=(100, 300),
-                       cat="en").select_columns(
-        ["doc_id", "n_chars", "lang"])
-
-
-def _q_pps_sample(sf_dir: str):
-    """Deterministic PPS systematic sample of 50 docs weighted by
-    n_chars (two-pass distributed prefix sum, exact ints)."""
-    from pmocr_ray.ops.pack import pps_systematic_sample
-
-    return pps_systematic_sample(_docs(sf_dir), n_samples=50)
 
 
 def _q_curate(sf_dir: str):
@@ -1392,8 +1040,6 @@ def _q_audio_resample_real(sf_dir: str):
     """REAL nearest-index resample to 4 kHz through the WAV codec:
     the output sample SUM is recomputed by SQL from the same
     ``src = (dst * n_in) // n_out`` formula."""
-    import pyarrow as pa
-
     from pmocr_ray.ops.media import AudioResampleStage
 
     ds = (_docs(sf_dir).select_columns(["doc_id"])
@@ -1651,13 +1297,6 @@ def _q_stratified_sample(sf_dir: str):
     ).select_columns(["doc_id", "lang"])
 
 
-def _q_len_quantiles(sf_dir: str):
-    from pmocr_ray.ops.text import length_quantiles
-
-    return length_quantiles(_docs(sf_dir), column="n_chars",
-                            qs=(0.5, 0.9, 0.99))
-
-
 def _q_line_dedup(sf_dir: str):
     from pmocr_ray.ops.dedup import line_dedup
 
@@ -1701,24 +1340,6 @@ def _q_chunk_tokens(sf_dir: str):
                         window=64, stride=48)
 
 
-def _q_line_self_dedup(sf_dir: str):
-    """Within-document line dedup over the derived multi-line view
-    (newline every 8 words, same derivation as c4_filter)."""
-    import pyarrow as pa
-    import pyarrow.compute as pc
-
-    from pmocr_ray.ops.dedup import line_self_dedup
-
-    def derive_lines(t: pa.Table) -> pa.Table:
-        t2 = pc.replace_substring_regex(
-            t["text"], r"((?:\S+ ){7}\S+) ", "\\1\n")
-        return pa.table({"doc_id": t["doc_id"], "text": t2})
-
-    return line_self_dedup(
-        _docs(sf_dir).select_columns(["doc_id", "text"])
-        .map_batches(derive_lines, batch_format="pyarrow"))
-
-
 def _q_split_assign(sf_dir: str):
     """Deterministic 80/10/10 train/val/test assignment by md5 bucket."""
     from pmocr_ray.ops.text import split_assign
@@ -1758,25 +1379,6 @@ def _q_event_transitions(sf_dir: str):
         rd.read_parquet(os.path.join(sf_dir, "events.parquet")))
 
 
-def _q_incremental_near_dedup(sf_dir: str):
-    """Crawl-over-crawl near-dup dedup: new docs (doc_id % 5 != 0)
-    kept only if no history doc (doc_id % 5 == 0) has word-shingle
-    Jaccard >= 0.8 against them."""
-    import pyarrow as pa
-
-    from pmocr_ray.ops.dedup import incremental_minhash_dedup
-
-    docs = _docs(sf_dir).select_columns(["doc_id", "lang", "text"])
-    new = _sel(docs, ["doc_id", "lang", "text"],
-               lambda t: pa.array(
-                   t["doc_id"].to_numpy(zero_copy_only=False) % 5 != 0))
-    hist = _sel(docs, ["doc_id", "text"],
-                lambda t: pa.array(
-                    t["doc_id"].to_numpy(zero_copy_only=False) % 5 == 0))
-    return (incremental_minhash_dedup(new, hist, threshold=0.8)
-            .select_columns(["doc_id", "lang"]))
-
-
 def _q_clip_outliers(sf_dir: str):
     """Winsorize n_chars at exact p5/p95 (broadcast bounds, map-only)."""
     from pmocr_ray.ops.text import clip_outliers
@@ -1785,31 +1387,12 @@ def _q_clip_outliers(sf_dir: str):
         ["doc_id", "n_chars"]))
 
 
-def _q_bpe_pairs(sf_dir: str):
-    """Top-50 adjacent char-pair frequencies weighted by word counts
-    (the BPE first-merge statistic)."""
-    from pmocr_ray.ops.text import bpe_pair_counts
-
-    return bpe_pair_counts(_docs(sf_dir).select_columns(["text"]), k=50)
-
-
 def _q_domain_reweight(sf_dir: str):
     """Uniform-mix rebalancing: per-group counts (tiny groupby) →
     broadcast integer thresholds → deterministic md5-bucket filter."""
     from pmocr_ray.ops.text import domain_reweight
 
     return domain_reweight(_docs(sf_dir).select_columns(["doc_id", "lang"]))
-
-
-def _q_dsir_weights(sf_dir: str):
-    """DSIR importance weights (Xie et al. 2023): hashed word-bigram
-    features, target = lang='en' slice, Laplace-smoothed log-ratio
-    score per document.  Text never shuffles; the ≤4096-row bucket
-    rollup is the only driver materialization (the model), then
-    broadcast for the map-side scoring pass."""
-    from pmocr_ray.ops.text import dsir_weights
-
-    return dsir_weights(_docs(sf_dir))
 
 
 def _q_posting_lists(sf_dir: str):
@@ -1880,62 +1463,6 @@ def _q_collocations(sf_dir: str):
     from pmocr_ray.ops.text import collocation_pairs
 
     return collocation_pairs(_docs(sf_dir), vocab_k=200, min_count=2)
-
-
-def _derive_snapshot_b(docs):
-    """Deterministic snapshot B for the CDC diff: drop doc_id%7==0,
-    revise text for doc_id%5==0, add +1e9-keyed rows for doc_id%11==0.
-    Pure Arrow arithmetic so the oracle derives the same table in SQL."""
-    import pyarrow as pa
-
-    def mutate(t: pa.Table) -> pa.Table:
-        did = t["doc_id"]
-        keep = pc.not_equal(_mod(did, 7), 0)
-        t = t.filter(keep)
-        did = t["doc_id"]
-        revised = pc.binary_join_element_wise(t["text"], " [rev2]", "")
-        text = pc.if_else(pc.equal(_mod(did, 5), 0), revised, t["text"])
-        return pa.table({"doc_id": did, "text": text})
-
-    def added(t: pa.Table) -> pa.Table:
-        t = t.filter(pc.equal(_mod(t["doc_id"], 11), 0))
-        new_id = pc.add(t["doc_id"], 1_000_000_000)
-        text = pc.binary_join_element_wise(
-            "new page ", pc.cast(t["doc_id"], pa.string()), "")
-        return pa.table({"doc_id": new_id, "text": text})
-
-    base = docs.select_columns(["doc_id", "text"])
-    return (base.map_batches(mutate, batch_format="pyarrow")
-            .union(base.map_batches(added, batch_format="pyarrow")))
-
-
-def _q_snapshot_diff(sf_dir: str):
-    """CDC diff A→B (added/removed/changed) via tagged union + one
-    groupby — full-outer-join semantics without a join."""
-    from pmocr_ray.ops.compact import snapshot_diff
-
-    docs = _docs(sf_dir)
-    return snapshot_diff(docs, _derive_snapshot_b(docs))
-
-
-def _q_dup_cluster_hist(sf_dir: str):
-    """Exact-duplicate cluster-size histogram over a corpus with
-    injected duplicate buckets (doc_id%10<3 collapse to 50 contents)."""
-    import pyarrow as pa
-
-    from pmocr_ray.ops.dedup import dup_cluster_histogram
-
-    def inject(t: pa.Table) -> pa.Table:
-        dup = pc.binary_join_element_wise(
-            "dup bucket ", pc.cast(_mod(t["doc_id"], 50), pa.string()),
-            "")
-        text = pc.if_else(pc.less(_mod(t["doc_id"], 10), 3),
-                          dup, t["text"])
-        return pa.table({"doc_id": t["doc_id"], "text": text})
-
-    ds = _docs(sf_dir).select_columns(["doc_id", "text"]).map_batches(
-        inject, batch_format="pyarrow")
-    return dup_cluster_histogram(ds)
 
 
 def _pagerank_edges(sf_dir: str):
@@ -2091,55 +1618,6 @@ def _q_url_canon_dedup(sf_dir: str):
         pages.map_batches(variants, batch_format="pyarrow"))
 
 
-def _q_incremental_stats(sf_dir: str):
-    """Incremental aggregate maintenance: the corpus arrives as two
-    partitions (doc_id parity), each folded to an O(groups) rollup
-    shard; the merged view equals the batch GROUP BY exactly."""
-    import tempfile
-
-    import pyarrow as pa
-
-    from pmocr_ray.ops.compact import fold_rollup_shard, read_rollup
-
-    docs = _docs(sf_dir).select_columns(["doc_id", "lang", "n_chars"])
-
-    def half(keep_even: bool):
-        def fn(t: pa.Table) -> pa.Table:
-            even = pc.equal(_mod(t["doc_id"], 2), 0)
-            return t.filter(even if keep_even else pc.invert(even))
-        return fn
-
-    state = tempfile.mkdtemp(prefix="pmocr_rollup_")
-    fold_rollup_shard(docs.map_batches(half(True), batch_format="pyarrow"),
-                      state, "even", group_col="lang",
-                      sum_cols={"total_chars": "n_chars"})
-    fold_rollup_shard(docs.map_batches(half(False), batch_format="pyarrow"),
-                      state, "odd", group_col="lang",
-                      sum_cols={"total_chars": "n_chars"})
-    return read_rollup(state, group_col="lang")
-
-
-def _q_embedding_dim_stats(sf_dir: str):
-    import ray.data as rd
-
-    from pmocr_ray.ops.knn import embedding_dim_stats
-
-    emb = rd.read_parquet(os.path.join(sf_dir, "embeddings.parquet"),
-                          columns=["embedding"])
-    return embedding_dim_stats(emb)
-
-
-def _q_triangle_count(sf_dir: str):
-    """Global triangle count of the derived host graph (degree-oriented
-    wedge join — no hub explosion)."""
-    import pandas as pd
-
-    from pmocr_ray.ops.graph import triangle_count
-
-    n = triangle_count(_pagerank_edges(sf_dir))
-    return pd.DataFrame([{"n_triangles": int(n)}])
-
-
 def _q_bucketed_join(sf_dir: str):
     """Shuffle-free bucketed storage join: orders and customer written
     hash-bucketed on the customer key ONCE, then joined bucket-by-
@@ -2186,34 +1664,6 @@ def _q_token_budget(sf_dir: str):
     return out.select_columns(["doc_id", "source", "n_chars"])
 
 
-def _q_host_churn(sf_dir: str):
-    """Per-source churn rollup of the CDC diff: the small diff table
-    hash-joins back to documents for the source dimension (added rows
-    map via key − 10⁹), then one tiny (source, change) groupby."""
-    import pyarrow as pa
-
-    import ray.data as rd
-    from ray.data.aggregate import Count
-
-    from pmocr_ray.ops.compact import snapshot_diff
-
-    docs = _docs(sf_dir)
-    diff = snapshot_diff(docs, _derive_snapshot_b(docs))
-
-    def base_key(t: pa.Table) -> pa.Table:
-        did = pc.cast(t["doc_id"], pa.int64())
-        base = pc.if_else(pc.greater_equal(did, 1_000_000_000),
-                          pc.subtract(did, 1_000_000_000), did)
-        return pa.table({"base_id": base, "change": t["change"]})
-
-    keyed = diff.map_batches(base_key, batch_format="pyarrow")
-    dims = docs.select_columns(["doc_id", "source"])
-    j = keyed.join(dims, join_type="inner", num_partitions=1,
-                   on=("base_id",), right_on=("doc_id",))
-    return j.groupby(["source", "change"]).aggregate(
-        Count(alias_name="n"))
-
-
 def _q_table_extract(sf_dir: str):
     """Structured HTML-table extraction: deterministic 2×2 table per
     document (cells '{doc_id}-{r}-{c}'), exploded to cell rows — the
@@ -2240,20 +1690,12 @@ def _q_table_extract(sf_dir: str):
     return ds
 
 
-def _q_byte_blocks(sf_dir: str):
-    from pmocr_ray.ops.pack import byte_balanced_blocks
-
-    docs = _docs(sf_dir).select_columns(["doc_id", "n_chars"])
-    return byte_balanced_blocks(docs, target_bytes=4096)
-
-
 def _q_schema_evolve(sf_dir: str):
     """Two crawl snapshots with drifted schemas (old half lacks lang,
     new half adds crawl_tag) align and union; rollup by lang counts
     the null-lang legacy rows like the oracle's."""
     import pyarrow as pa
 
-    from pmocr_ray.ops.joins import _key_array  # noqa: F401  (parity)
     from pmocr_ray.sources import align_schemas
 
     docs = _docs(sf_dir)
@@ -2349,137 +1791,12 @@ def _q_priority_semi_native(sf_dir: str):
         Count(alias_name="n_orders"))
 
 
-def _q_sentence_stats(sf_dir: str):
-    """Vectorized sentence segmentation stats per doc: split on
-    [.!?]+ runs, count non-blank sentences (Arrow kernels only)."""
-    import pyarrow as pa
-
-    def stats(t: pa.Table) -> pa.Table:
-        # derive sentence boundaries deterministically (corpus text is
-        # unpunctuated word salad): ' batch ' → '. ', same left-to-right
-        # non-overlapping replace rule in Arrow and DuckDB
-        text = pc.replace_substring(t["text"], " batch ", ". ")
-        parts = pc.split_pattern_regex(text, r"[.!?]+")
-        flat = pc.utf8_trim_whitespace(pc.list_flatten(parts))
-        parent = pc.list_parent_indices(parts)
-        keep = pc.not_equal(flat, "")
-        counts = pa.table({
-            "i": parent.filter(keep)}).group_by("i").aggregate(
-            [([], "count_all")])
-        n = np.zeros(len(t), np.int64)
-        n[counts["i"].to_numpy(zero_copy_only=False)] = \
-            counts["count_all"].to_numpy(zero_copy_only=False)
-        return pa.table({"doc_id": t["doc_id"],
-                         "n_sentences": pa.array(n)})
-
-    return (_docs(sf_dir).select_columns(["doc_id", "text"])
-            .map_batches(stats, batch_format="pyarrow"))
-
-
-def _q_basket_pairs(sf_dir: str):
-    """Market-basket 2-itemsets: part pairs co-purchased in one order,
-    support ≥ 3.  Distributed shape: global distinct of
-    (orderkey, partkey) via one groupby, then a hash self-join on
-    l_orderkey — pair emission stays within the basket (never
-    cross-order), and support is one more small groupby.  No per-group
-    Python dispatch; every step is a vectorized batch kernel."""
-    import pyarrow as pa
-
-    import ray.data as rd
-    from ray.data.aggregate import Count, Sum
-
-    from pmocr_ray.ops.vecagg import distinct as _vec_distinct
-
-    li = rd.read_parquet(os.path.join(sf_dir, "lineitem.parquet"),
-                         columns=["l_orderkey", "l_partkey"])
-    # order-item-scale distinct — Arrow-bucketed (see ops/vecagg.py)
-    items = _vec_distinct(li, ["l_orderkey", "l_partkey"])
-    items, parts = sized_for_join(items, cap=16)
-
-    j = items.join(items, join_type="inner", num_partitions=parts,
-                   on=("l_orderkey",), right_suffix="_r")
-
-    def to_pairs(t: pa.Table) -> pa.Table:
-        keep = pc.less(t["l_partkey"], t["l_partkey_r"])
-        t = t.filter(keep)
-        return pa.table({"p1": t["l_partkey"], "p2": t["l_partkey_r"],
-                         "n": pa.array([1] * len(t), pa.int64())})
-
-    from pmocr_ray.ops.vecagg import grouped_aggregate
-
-    sup = grouped_aggregate(
-        j.map_batches(to_pairs, batch_format="pyarrow"),
-        ["p1", "p2"], [("n", "sum", "support")])
-    return sup.map_batches(
-        lambda t: t.filter(pc.greater_equal(t["support"], 3)),
-        batch_format="pyarrow")
-
-
-def _q_scd2_dim(sf_dir: str):
-    """Slowly-changing-dimension type 2 build from the CDC diff: one
-    versioned row per (doc, validity interval) under fixed version
-    stamps v1/v2 — unchanged docs keep their open v1 row, changed docs
-    close v1 and open v2, removed close v1, added open at v2."""
-    import pyarrow as pa
-
-    from pmocr_ray.ops.compact import snapshot_diff
-
-    docs = _docs(sf_dir)
-    diff = snapshot_diff(docs, _derive_snapshot_b(docs))
-
-    def versions(t: pa.Table) -> pa.Table:
-        did = pc.cast(t["doc_id"], pa.int64())
-        ch = t["change"]
-        added = pc.equal(ch, "added")
-        removed = pc.equal(ch, "removed")
-        changed = pc.equal(ch, "changed")
-        rows_id, rows_from, rows_to = [], [], []
-        for i in range(len(t)):
-            d = did[i].as_py()
-            if added[i].as_py():
-                rows_id.append(d); rows_from.append("v2"); rows_to.append(None)
-            elif removed[i].as_py():
-                rows_id.append(d); rows_from.append("v1"); rows_to.append("v2")
-            else:
-                rows_id.append(d); rows_from.append("v1"); rows_to.append("v2")
-                rows_id.append(d); rows_from.append("v2"); rows_to.append(None)
-        return pa.table({"doc_id": pa.array(rows_id, pa.int64()),
-                         "valid_from": pa.array(rows_from, pa.string()),
-                         "valid_to": pa.array(rows_to, pa.string())})
-
-    versioned = diff.map_batches(versions, batch_format="pyarrow")
-
-    # unchanged docs: anti-join documents against the diff'd ids —
-    # broadcast of the CHANGED id set only (diff ≪ corpus)
-    changed_ids = pa.array(
-        sorted(r["doc_id"] for r in
-               diff.select_columns(["doc_id"]).take_all()), pa.int64())
-    import ray as _ray
-    ref = _ray.put(changed_ids)
-
-    def open_rows(t: pa.Table) -> pa.Table:
-        ids = _ray.get(ref)
-        keep = pc.invert(pc.is_in(pc.cast(t["doc_id"], pa.int64()),
-                                  value_set=ids))
-        t = t.filter(pc.fill_null(keep, True))
-        n = len(t)
-        return pa.table({"doc_id": pc.cast(t["doc_id"], pa.int64()),
-                         "valid_from": pa.array(["v1"] * n, pa.string()),
-                         "valid_to": pa.nulls(n, pa.string())})
-
-    unchanged = docs.select_columns(["doc_id"]).map_batches(
-        open_rows, batch_format="pyarrow")
-    return versioned.union(unchanged)
-
-
 def _q_keep_best_dedup(sf_dir: str):
     """Canonical-document selection: per (lang, source) group keep the
     LONGEST doc, tie-broken by smallest doc_id.  Distributed argmax as
     two small shuffles and one hash join — group max first, join the
     max back, then min-id among the rows that hit the max.  No
     map_groups, no per-group Python dispatch."""
-    import pyarrow as pa
-
     from ray.data.aggregate import Count, Max, Min
 
     import ray.data as rd
@@ -2531,668 +1848,8 @@ def _q_users_all_types(sf_dir: str):
         batch_format="pyarrow").select_columns(["user_id"]))
 
 
-def _q_bfs_layers(sf_dir: str):
-    """Iterative BFS from seed node 0 on the derived doc graph (same
-    arithmetic edge rule as ``pagerank``), 3 expansion rounds.  Each
-    round is one broadcast-frontier semi-join over the distributed edge
-    set (frontier and visited sets are node-space-sized — the small
-    side — never corpus-sized); layer = first-visit round, matching the
-    recursive-CTE min(layer) semantics."""
-    import pandas as pd
-    import pyarrow as pa
-
-    import ray.data as rd
-
-    import ray as _ray
-
-    docs = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                           columns=["doc_id"])
-
-    def to_edges(t: pa.Table) -> pa.Table:
-        did = t["doc_id"]
-        src = _mod(did, 211)
-        dst = _mod(pc.add(pc.multiply(did, 13), 7), 211)
-        tt = pa.table({"src": src, "dst": dst})
-        tt = tt.filter(pc.not_equal(tt["src"], tt["dst"]))
-        return tt.group_by(["src", "dst"]).aggregate([])
-
-    edges = docs.map_batches(to_edges, batch_format="pyarrow")
-
-    visited = {0: 0}
-    frontier = frozenset([0])
-    for layer in (1, 2, 3):
-        if not frontier:
-            break
-        ref = _ray.put(frontier)
-
-        def expand(t: pa.Table) -> pa.Table:
-            f = _ray.get(ref)
-            mask = pa.array([s in f for s in t["src"].to_numpy()])
-            return t.filter(mask).select(["dst"])
-
-        # reachable node set is graph-node-sized (the small rollup),
-        # never corpus-sized — take_all is bounded by |nodes|
-        reached = {int(r["dst"]) for r in
-                   edges.map_batches(expand,
-                                     batch_format="pyarrow").take_all()}
-        frontier = frozenset(n for n in reached if n not in visited)
-        for nd in frontier:
-            visited[nd] = layer
-
-    nodes = sorted(visited)
-    return pd.DataFrame({
-        "node": pd.Series(nodes, dtype="int64"),
-        "layer": pd.Series([visited[n] for n in nodes], dtype="int64")})
-
-
-def _q_diverse_top_docs(sf_dir: str):
-    """Diversified top-k: the 20 longest documents with AT MOST 2 per
-    source.  Per-batch local cap (top-2 per source inside the batch is
-    a superset of the global per-source top-2 contribution), per-source
-    groupby cap, then the tiny candidate set is ranked driver-side with
-    explicit rank columns so ordering is hash-checkable."""
-    import pandas as pd
-    import pyarrow as pa
-
-    import ray.data as rd
-
-    docs = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                           columns=["doc_id", "source", "n_chars"])
-
-    def local_cap(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["n_chars", "doc_id"],
-                          ascending=[False, True]).head(2)
-        return g
-
-    def batch_cap(t: pa.Table) -> pa.Table:
-        df = t.to_pandas()
-        return pa.Table.from_pandas(
-            df.sort_values(["n_chars", "doc_id"],
-                           ascending=[False, True])
-            .groupby("source", sort=False).head(2),
-            preserve_index=False)
-
-    capped = docs.map_batches(batch_cap, batch_format="pyarrow")
-    per_source = capped.groupby("source").map_groups(
-        local_cap, batch_format="pandas")
-    cand = per_source.to_pandas()
-    cand = cand.sort_values(["n_chars", "doc_id"],
-                            ascending=[False, True])
-    cand["rs"] = cand.groupby("source", sort=False).cumcount() + 1
-    cand = cand.head(20).reset_index(drop=True)
-    cand.insert(0, "rank",
-                np.arange(1, len(cand) + 1, dtype=np.int64))
-    cand["rs"] = cand["rs"].astype("int64")
-    return cand[["rank", "doc_id", "source", "n_chars", "rs"]]
-
-
-def _q_contamination_frac(sf_dir: str):
-    """Train/test contamination scoring: per document, the exact
-    fraction (ppm) of its word 3-grams that appear in the held-out set
-    (docs with doc_id % 31 == 0).  The test-gram set is the SMALL side:
-    distinct grams broadcast once via ray.put; the corpus pass is one
-    map_batches membership count — the decontamination shape used on
-    training corpora, with the overlap reported per doc instead of a
-    hard drop."""
-    import pyarrow as pa
-
-    import ray.data as rd
-
-    import ray as _ray
-
-    docs = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                           columns=["doc_id", "text"])
-
-    def grams_of(text: str) -> list:
-        ws = (text or "").split(" ")
-        return [ws[i] + " " + ws[i + 1] + " " + ws[i + 2]
-                for i in range(max(0, len(ws) - 2))]
-
-    def test_grams(t: pa.Table) -> pa.Table:
-        t = t.filter(pc.equal(_mod(t["doc_id"], 31), 0))
-        out = set()
-        for txt in t["text"].to_pylist():
-            out.update(grams_of(txt))
-        return pa.table({"gram": pa.array(sorted(out), pa.string())})
-
-    # held-out gram set: the small side — distinct grams, broadcast once
-    tg = set()
-    for r in docs.map_batches(test_grams,
-                              batch_format="pyarrow").take_all():
-        tg.add(r["gram"])
-    ref = _ray.put(frozenset(tg))
-
-    def score(t: pa.Table) -> pa.Table:
-        ts = _ray.get(ref)
-        ids, ngs, hits = [], [], []
-        for did, txt in zip(t["doc_id"].to_pylist(),
-                            t["text"].to_pylist()):
-            gs = grams_of(txt)
-            h = sum(1 for g in gs if g in ts)
-            ids.append(did)
-            ngs.append(len(gs))
-            hits.append(h)
-        ngs = np.array(ngs, np.int64)
-        hits = np.array(hits, np.int64)
-        frac = hits * 1_000_000 // np.maximum(ngs, 1)
-        return pa.table({"doc_id": pa.array(ids, pa.int64()),
-                         "n_grams": pa.array(ngs, pa.int64()),
-                         "n_hit": pa.array(hits, pa.int64()),
-                         "frac_ppm": pa.array(frac, pa.int64())})
-
-    return docs.map_batches(score, batch_format="pyarrow")
-
-
-_CKSUM_P = 1_000_000_007
-
-
-def _q_table_checksum(sf_dir: str):
-    """Order-insensitive content checksums for integrity auditing:
-    per table, row count plus Σ(md5_lower64(key||'|'||payload) mod p) —
-    a pure combiner (per-batch residue sums, one scalar per batch), so
-    two copies of a 100 TB table can be compared without moving either.
-    md5 lower-64 matches DuckDB's md5_number_lower (little-endian bytes
-    8..16)."""
-    import hashlib
-
-    import pandas as pd
-    import pyarrow as pa
-
-    import ray.data as rd
-
-    def cksum(path: str, fmt) -> tuple:
-        ds = rd.read_parquet(os.path.join(sf_dir, path))
-
-        def partial(t: pa.Table) -> pa.Table:
-            acc = 0
-            n = len(t)
-            for row in fmt(t):
-                h = hashlib.md5(row.encode("utf-8")).digest()
-                acc += int.from_bytes(h[8:], "little") % _CKSUM_P
-            return pa.table({"s": pa.array([acc], pa.int64()),
-                             "n": pa.array([n], pa.int64())})
-
-        parts = ds.map_batches(partial, batch_format="pyarrow").take_all()
-        return (sum(r["n"] for r in parts), sum(r["s"] for r in parts))
-
-    def fmt_docs(t: pa.Table):
-        for d, x in zip(t["doc_id"].to_pylist(), t["text"].to_pylist()):
-            yield f"{d}|{x}"
-
-    def fmt_nation(t: pa.Table):
-        for k, nm in zip(t["n_nationkey"].to_pylist(),
-                         t["n_name"].to_pylist()):
-            yield f"{k}|{nm}"
-
-    rows = [("documents", *cksum("documents.parquet", fmt_docs)),
-            ("nation", *cksum("nation.parquet", fmt_nation))]
-    return pd.DataFrame({
-        "table_name": pd.Series([r[0] for r in rows], dtype=object),
-        "n_rows": pd.Series([r[1] for r in rows], dtype="int64"),
-        "checksum": pd.Series([r[2] for r in rows], dtype="int64")})
-
-
-def _q_cube_rollup(sf_dir: str):
-    """CUBE over (lang, source): all four grouping sets.  The finest
-    rollup is computed ONCE distributed; the coarser sets re-aggregate
-    that tiny table driver-side — the standard way to serve a CUBE
-    without shuffling the corpus four times."""
-    import pandas as pd
-
-    import ray.data as rd
-    from ray.data.aggregate import Count
-
-    docs = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                           columns=["lang", "source"])
-    fine = (docs.groupby(["lang", "source"])
-            .aggregate(Count(alias_name="n")).to_pandas())
-    fine["n"] = fine["n"].astype("int64")
-    by_lang = fine.groupby("lang", as_index=False)["n"].sum()
-    by_lang["source"] = None
-    by_source = fine.groupby("source", as_index=False)["n"].sum()
-    by_source["lang"] = None
-    total = pd.DataFrame({"lang": [None], "source": [None],
-                          "n": [int(fine["n"].sum())]})
-    out = pd.concat([fine, by_lang, by_source, total],
-                    ignore_index=True)[["lang", "source", "n"]]
-    out["n"] = out["n"].astype("int64")
-    return out
-
-
 _TYPE_BITS = {"view": 0, "click": 1, "purchase": 2, "signup": 3,
               "error": 4}
-
-
-def _q_doc_len_pct_in_lang(sf_dir: str):
-    """Grouped CDF assignment: each document's exact within-language
-    length percentile, as (count of strictly shorter docs)·1e6 // n.
-    The per-lang value rollup (distinct lengths + counts) is the SMALL
-    side, broadcast once; assignment is a vectorized searchsorted per
-    batch — no per-row window function over the corpus."""
-    import pyarrow as pa
-
-    import ray.data as rd
-    from ray.data.aggregate import Sum
-
-    import ray as _ray
-
-    docs = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                           columns=["doc_id", "lang", "n_chars"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        tt = pa.table({"lang": t["lang"], "v": t["n_chars"],
-                       "n": pa.array(np.ones(len(t), np.int64))})
-        g = tt.group_by(["lang", "v"]).aggregate([("n", "sum")])
-        return pa.table({"lang": g["lang"], "v": g["v"],
-                         "n": g["n_sum"]})
-
-    rollup = (_vgb(docs.map_batches(partial, batch_format="pyarrow"), ["lang", "v"], Sum("n", alias_name="n"))
-              .to_pandas())
-    cdf = {}
-    for lang, g in rollup.groupby("lang"):
-        g = g.sort_values("v")
-        vals = g["v"].to_numpy(dtype=np.int64)
-        counts = g["n"].to_numpy(dtype=np.int64)
-        cum = np.concatenate(([0], counts.cumsum()))
-        cdf[lang] = (vals, cum[:-1], int(cum[-1]))
-    ref = _ray.put(cdf)
-
-    def assign(t: pa.Table) -> pa.Table:
-        m = _ray.get(ref)
-        out = np.empty(len(t), np.int64)
-        langs = np.asarray(t["lang"].to_pylist())
-        v = t["n_chars"].to_numpy()
-        for lang in np.unique(langs):
-            vals, below, total = m[lang]
-            idx = langs == lang
-            pos = np.searchsorted(vals, v[idx], side="left")
-            out[idx] = below[pos] * 1_000_000 // total
-        return pa.table({"doc_id": t["doc_id"], "lang": t["lang"],
-                         "n_chars": t["n_chars"],
-                         "pct_ppm": pa.array(out, pa.int64())})
-
-    return docs.map_batches(assign, batch_format="pyarrow")
-
-
-def _q_ks_lang_len(sf_dir: str):
-    """Distributed two-sample Kolmogorov–Smirnov statistic: max CDF
-    gap between the length distribution of lang='en' documents and all
-    others, exact in cross-multiplied integers (no float CDF).  The
-    shuffle moves only (value, n_en, n_other) rollup triples; the
-    cumulative scan runs driver-side over the tiny distinct-value
-    support."""
-    import pandas as pd
-    import pyarrow as pa
-
-    import ray.data as rd
-    from ray.data.aggregate import Sum
-
-    docs = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                           columns=["lang", "n_chars"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        e = pc.cast(pc.equal(t["lang"], "en"), pa.int64())
-        tt = pa.table({"v": t["n_chars"], "ne": e,
-                       "no": pc.subtract(pa.scalar(1, pa.int64()), e)})
-        g = tt.group_by("v").aggregate([("ne", "sum"), ("no", "sum")])
-        return pa.table({"v": g["v"], "ne": g["ne_sum"],
-                         "no": g["no_sum"]})
-
-    rollup = (_vgb(docs.map_batches(partial, batch_format="pyarrow"), "v", Sum("ne", alias_name="ne"), Sum("no", alias_name="no"))
-              .to_pandas().sort_values("v"))
-    cne = rollup["ne"].to_numpy(dtype=np.int64).cumsum()
-    cno = rollup["no"].to_numpy(dtype=np.int64).cumsum()
-    n_en, n_other = int(cne[-1]), int(cno[-1])
-    d_num = int(np.max(np.abs(cne * n_other - cno * n_en)))
-    return pd.DataFrame({
-        "n_en": [n_en], "n_other": [n_other], "d_num": [d_num],
-        "ks_ppm": [d_num * 1_000_000 // (n_en * n_other)]}).astype("int64")
-
-
-def _q_weighted_median_price(sf_dir: str):
-    """Grouped *weighted* median: per returnflag, the smallest price
-    (cents) whose cumulative quantity weight reaches half the group
-    total.  Holistic aggregate made distributive: the all-to-all moves
-    only (group, value, weight-sum) triples over the bounded price
-    domain; the per-group cumulative scan is driver-side over distinct
-    values only."""
-    import pandas as pd
-    import pyarrow as pa
-
-    import ray.data as rd
-    from ray.data.aggregate import Sum
-
-    li = rd.read_parquet(os.path.join(sf_dir, "lineitem.parquet"),
-                         columns=["l_returnflag", "l_extendedprice",
-                                  "l_quantity"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        v = np.rint(np.asarray(
-            t["l_extendedprice"].to_numpy(zero_copy_only=False)) * 100
-        ).astype(np.int64)
-        w = np.rint(np.asarray(
-            t["l_quantity"].to_numpy(zero_copy_only=False))
-        ).astype(np.int64)
-        tt = pa.table({"grp": t["l_returnflag"],
-                       "v": pa.array(v, pa.int64()),
-                       "w": pa.array(w, pa.int64())})
-        g = tt.group_by(["grp", "v"]).aggregate([("w", "sum")])
-        return pa.table({"grp": g["grp"], "v": g["v"], "w": g["w_sum"]})
-
-    rollup = (_vgb(li.map_batches(partial, batch_format="pyarrow"), ["grp", "v"], Sum("w", alias_name="w"))
-              .to_pandas())
-    out_g, out_v = [], []
-    for grp, g in rollup.groupby("grp"):
-        g = g.sort_values("v")
-        w = g["w"].to_numpy(dtype=np.int64)
-        cw = w.cumsum()
-        tot = cw[-1]
-        idx = int(np.searchsorted(cw * 2, tot, side="left"))
-        out_g.append(grp)
-        out_v.append(int(g["v"].to_numpy(dtype=np.int64)[idx]))
-    return pd.DataFrame({"l_returnflag": out_g,
-                         "wmedian_cents": pd.array(out_v,
-                                                   dtype="int64")})
-
-
-def _q_vocab_overlap(sf_dir: str):
-    """Exact pairwise vocabulary Jaccard between languages.  The
-    corpus-sized explode dedups (lang, term) per batch before any
-    shuffle; the two term-keyed shuffles move only vocab-sized pairs
-    (never document text), and the pairwise math collapses to a
-    ≤2^L-row *lang-bitmask histogram* — no vocab×vocab join anywhere."""
-    import pandas as pd
-    import pyarrow as pa
-
-    import ray.data as rd
-    from ray.data.aggregate import Count, Sum
-
-    docs = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                           columns=["lang", "text"])
-    langs = sorted(
-        rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                        columns=["lang"])
-        .groupby("lang").count().to_pandas()["lang"])
-    bit = {l: 1 << i for i, l in enumerate(langs)}
-
-    def explode(t: pa.Table) -> pa.Table:
-        # vectorized: arrow split (\s+ split == \S+ findall minus the
-        # empties) + parent-index lang-bit gather + local arrow distinct
-        toks = pc.split_pattern_regex(pc.fill_null(t["text"], ""), r"\s+")
-        flat = pc.list_flatten(toks)
-        parent = pc.list_parent_indices(toks)
-        mask = pc.not_equal(flat, "")
-        flat, parent = flat.filter(mask), parent.filter(mask)
-        lang_bits = np.array([bit[l] for l in t["lang"].to_pylist()],
-                             np.int64)
-        b = lang_bits[parent.to_numpy(zero_copy_only=False)]
-        tab = pa.table({"term": flat, "b": pa.array(b, pa.int64())})
-        return tab.group_by(["term", "b"]).aggregate([])
-
-    from pmocr_ray.ops.vecagg import distinct as _vec_distinct
-    from pmocr_ray.ops.vecagg import grouped_aggregate
-
-    # distinct (term, lang-bit) globally, then OR bits per term: after
-    # the distinct, each (term, bit) is unique, so Sum == bitwise OR;
-    # term groups are VOCAB-scale — Arrow-bucketed merge
-    distinct = _vec_distinct(
-        docs.map_batches(explode, batch_format="pyarrow"), ["term", "b"])
-    masks = grouped_aggregate(distinct, ["term"],
-                              [("b", "sum", "mask")])
-
-    def hist(t: pa.Table) -> pa.Table:
-        tt = pa.table({"mask": t["mask"],
-                       "n": pa.array(np.ones(len(t), np.int64))})
-        g = tt.group_by("mask").aggregate([("n", "sum")])
-        return pa.table({"mask": g["mask"], "n": g["n_sum"]})
-
-    h = (masks.map_batches(hist, batch_format="pyarrow")
-         .groupby("mask").aggregate(Sum("n", alias_name="n")).to_pandas())
-    mask_n = dict(zip(h["mask"].astype("int64"), h["n"].astype("int64")))
-    size = {l: sum(n for m, n in mask_n.items() if m & bit[l])
-            for l in langs}
-    rows = []
-    for i, a in enumerate(langs):
-        for bl in langs[i + 1:]:
-            common = sum(n for m, n in mask_n.items()
-                         if (m & bit[a]) and (m & bit[bl]))
-            if common == 0:
-                continue
-            union = size[a] + size[bl] - common
-            rows.append((a, bl, size[a], size[bl], common,
-                         common * 1_000_000 // union))
-    out = pd.DataFrame(rows, columns=["lang_a", "lang_b", "n_a", "n_b",
-                                      "n_common", "jaccard_ppm"])
-    for c in ["n_a", "n_b", "n_common", "jaccard_ppm"]:
-        out[c] = out[c].astype("int64")
-    return out
-
-
-def _q_emb_norm_outliers(sf_dir: str):
-    """Robust outlier flagging on a vector column, bit-exact across
-    engines: each embedding is quantized q = floor(x·2²⁰) (scaling by
-    a power of two is EXACT in IEEE double, floor has no tie rule —
-    no round() half-even/half-away divergence), the squared norm is an
-    exact int64 sum, and median/MAD come from the same strict
-    2·cum ≥ n walk used by weighted_median.  One materialized
-    (vec_id, norm) table feeds both the value-counts rollup and the
-    flag pass; the driver walk is over distinct norms (swap in
-    fixed-width bins at 10⁹ vectors)."""
-    import pyarrow as pa
-
-    import ray.data as rd
-    from ray.data.aggregate import Sum
-
-    import ray
-
-    emb = rd.read_parquet(os.path.join(sf_dir, "embeddings.parquet"),
-                          columns=["vec_id", "embedding"])
-
-    def norms(t: pa.Table) -> pa.Table:
-        col = t["embedding"].combine_chunks()
-        flat = np.asarray(col.values, dtype=np.float64)
-        d = len(flat) // len(t)
-        q = np.floor(flat * 1048576.0).astype(np.int64).reshape(len(t), d)
-        s = (q * q).sum(axis=1)
-        return pa.table({"vec_id": t["vec_id"],
-                         "norm_q2": pa.array(s, pa.int64())})
-
-    nt = emb.map_batches(norms, batch_format="pyarrow").materialize()
-
-    def rollup(t: pa.Table) -> pa.Table:
-        tt = pa.table({"v": t["norm_q2"],
-                       "n": pa.array(np.ones(len(t), np.int64))})
-        g = tt.group_by("v").aggregate([("n", "sum")])
-        return pa.table({"v": g["v"], "n": g["n_sum"]})
-
-    def strict_median(df) -> int:
-        df = df.sort_values("v")
-        w = df["n"].to_numpy(dtype=np.int64)
-        cw = w.cumsum()
-        idx = int(np.searchsorted(cw * 2, cw[-1], side="left"))
-        return int(df["v"].to_numpy(dtype=np.int64)[idx])
-
-    vals = (_vgb(nt.map_batches(rollup, batch_format="pyarrow"), "v", Sum("n", alias_name="n")).to_pandas())
-    med = strict_median(vals)
-    vals["v"] = (vals["v"].astype("int64") - med).abs()
-    mad = strict_median(vals.groupby("v", as_index=False)["n"].sum())
-    lim_ref = ray.put((med, 3 * mad))
-
-    def flag(t: pa.Table) -> pa.Table:
-        med_, lim = ray.get(lim_ref)
-        s = t["norm_q2"].to_numpy()
-        out = (np.abs(s - med_) > lim).astype(np.int64)
-        return pa.table({"vec_id": t["vec_id"], "norm_q2": t["norm_q2"],
-                         "is_outlier": pa.array(out, pa.int64())})
-
-    return nt.map_batches(flag, batch_format="pyarrow")
-
-
-def _q_rank_fusion(sf_dir: str):
-    """Reciprocal-rank fusion of two document rankings (by length and
-    by a quality proxy), integer-exact: score = Σ 10⁹//(60+rank).
-    Each ranking is assigned distributively via the broadcast-CDF
-    trick — rank = strictly-below count on the (value, doc_id) pair,
-    no global sort of the corpus — then one map pass fuses and a
-    sort().limit(k) returns the top 20."""
-    import pyarrow as pa
-
-    import ray.data as rd
-    from ray.data.aggregate import Sum
-
-    import ray
-
-    docs = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                           columns=["doc_id", "n_chars", "text"])
-
-    def with_quality(t: pa.Table) -> pa.Table:
-        # quality proxy: words per 100 chars (int), deterministic
-        words = pc.list_value_length(
-            pc.split_pattern_regex(pc.coalesce(t["text"], ""), r"\s+"))
-        n = pc.max_element_wise(t["n_chars"], 1)
-        q = pc.divide(pc.multiply(pc.cast(words, pa.int64()), 100),
-                      pc.cast(n, pa.int64()))
-        return pa.table({"doc_id": t["doc_id"],
-                         "len_v": pc.cast(t["n_chars"], pa.int64()),
-                         "q_v": q})
-
-    scored = docs.map_batches(with_quality,
-                              batch_format="pyarrow").materialize()
-
-    def dim_cdf(dim: str):
-        def partial(t: pa.Table) -> pa.Table:
-            tt = pa.table({"v": t[dim],
-                           "n": pa.array(np.ones(len(t), np.int64))})
-            g = tt.group_by("v").aggregate([("n", "sum")])
-            return pa.table({"v": g["v"], "n": g["n_sum"]})
-
-        df = (_vgb(scored.map_batches(partial, batch_format="pyarrow"), "v", Sum("n", alias_name="n"))
-              .to_pandas().sort_values("v"))
-        vals = df["v"].to_numpy(dtype=np.int64)
-        cum = np.concatenate(([0], df["n"].to_numpy(np.int64).cumsum()))
-        return vals, cum[:-1], int(cum[-1])
-
-    cdf_ref = ray.put({d: dim_cdf(d) for d in ("len_v", "q_v")})
-
-    def fuse(t: pa.Table) -> pa.Table:
-        cdfs = ray.get(cdf_ref)
-        score = np.zeros(len(t), np.int64)
-        for dim in ("len_v", "q_v"):
-            vals, below, total = cdfs[dim]
-            v = t[dim].to_numpy()
-            # rank 1 = best (largest value); ties share the best rank
-            # of the tied block: rank = (# strictly greater) + 1
-            pos = np.searchsorted(vals, v, side="right")
-            count_le = np.concatenate((below, [total]))[pos]
-            rank = total - count_le + 1
-            score += 1_000_000_000 // (60 + rank)
-        return pa.table({"doc_id": t["doc_id"],
-                         "rrf_score": pa.array(score, pa.int64())})
-
-    return (scored.map_batches(fuse, batch_format="pyarrow")
-            .sort(["rrf_score", "doc_id"], descending=[True, False])
-            .limit(20))
-
-
-def _q_contingency_chi2(sf_dir: str):
-    """Independence audit of the (lang, source) contingency table with
-    a floor-exact scaled χ²: per cell the standardized-residual
-    numerator (o·N − r·c) and the cell term
-    (|resid| // N)² // max(r·c // N, 1) — residual pre-scaled by N so
-    the square stays bounded by N² (resid² itself would overflow int64
-    past ~10⁹ documents); abs() keeps every division non-negative,
-    where DuckDB's truncating // and numpy's flooring // agree, so the
-    statistic is integer-reproducible.  One tiny groupby builds the
-    table; margins and terms are driver-side arithmetic over the L×S
-    cells."""
-    import pandas as pd
-    import pyarrow as pa
-
-    import ray.data as rd
-    from ray.data.aggregate import Sum
-
-    docs = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                           columns=["lang", "source"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        tt = pa.table({"lang": t["lang"], "source": t["source"],
-                       "n": pa.array(np.ones(len(t), np.int64))})
-        g = tt.group_by(["lang", "source"]).aggregate([("n", "sum")])
-        return pa.table({"lang": g["lang"], "source": g["source"],
-                         "n": g["n_sum"]})
-
-    cells = (docs.map_batches(partial, batch_format="pyarrow")
-             .groupby(["lang", "source"])
-             .aggregate(Sum("n", alias_name="n")).to_pandas())
-    cells["n"] = cells["n"].astype("int64")
-    N = int(cells["n"].sum())
-    r = cells.groupby("lang")["n"].sum().to_dict()
-    c = cells.groupby("source")["n"].sum().to_dict()
-    out = cells.copy()
-    rc = out["lang"].map(r).astype("int64") * \
-        out["source"].map(c).astype("int64")
-    resid = out["n"] * N - rc
-    out["resid_num"] = resid.astype("int64")
-    sr = resid.abs() // N
-    denom = np.maximum(rc // N, 1)
-    out["chi2_term"] = ((sr * sr) // denom).astype("int64")
-    return out[["lang", "source", "n", "resid_num", "chi2_term"]] \
-        .reset_index(drop=True)
-
-
-def _q_top_supplier_rev(sf_dir: str):
-    """TPC-H Q15 shape: supplier(s) with the maximum revenue over a
-    ship-date window, tie-safe.  Per-batch combiner shrinks lineitem to
-    (suppkey, rev) partials, one small groupby builds the per-supplier
-    rollup, a scalar ``max`` aggregate finds the bar, and only the
-    winning row(s) reach the driver — never the rollup, never the
-    fact table.  Names resolved from a broadcast supplier dimension."""
-    import pandas as pd
-    import pyarrow as pa
-
-    import ray.data as rd
-    from ray.data.aggregate import Sum
-
-    LO = np.datetime64("1996-01-01")
-    HI = np.datetime64("1996-04-01")
-    li = rd.read_parquet(os.path.join(sf_dir, "lineitem.parquet"),
-                         columns=["l_suppkey", "l_shipdate",
-                                  "l_extendedprice", "l_discount"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        ship = np.asarray(t["l_shipdate"].to_numpy(zero_copy_only=False),
-                          "datetime64[us]")
-        m = (ship >= LO) & (ship < HI)
-        ext = np.rint(np.asarray(
-            t["l_extendedprice"].to_numpy(zero_copy_only=False)) * 100
-        ).astype(np.int64)[m]
-        disc = np.rint(np.asarray(
-            t["l_discount"].to_numpy(zero_copy_only=False)) * 100
-        ).astype(np.int64)[m]
-        supp = np.asarray(t["l_suppkey"].to_numpy(zero_copy_only=False),
-                          np.int64)[m]
-        tt = pa.table({"s_suppkey": pa.array(supp, pa.int64()),
-                       "rev": pa.array(ext * (100 - disc), pa.int64())})
-        g = tt.group_by("s_suppkey").aggregate([("rev", "sum")])
-        return pa.table({"s_suppkey": g["s_suppkey"], "rev": g["rev_sum"]})
-
-    per_supp = (_vgb(li.map_batches(partial, batch_format="pyarrow"), "s_suppkey", Sum("rev", alias_name="total_rev_e4")))
-    bar = per_supp.max("total_rev_e4")
-
-    def winners(t: pa.Table) -> pa.Table:
-        return t.filter(pc.equal(t["total_rev_e4"],
-                                 pa.scalar(int(bar), pa.int64())))
-
-    top = per_supp.map_batches(winners,
-                               batch_format="pyarrow").to_pandas()
-    sup = pq.read_table(os.path.join(sf_dir, "supplier.parquet"),
-                        columns=["s_suppkey", "s_name"])
-    names = dict(zip(sup["s_suppkey"].to_pylist(),
-                     sup["s_name"].to_pylist()))
-    top["s_name"] = top["s_suppkey"].map(names)
-    top = top[["s_suppkey", "s_name", "total_rev_e4"]]
-    return top.astype({"s_suppkey": "int64", "total_rev_e4": "int64"}) \
-        .reset_index(drop=True)
 
 
 def _q_outlinks(sf_dir: str):
@@ -3229,100 +1886,6 @@ def _q_outlinks(sf_dir: str):
     return (ds.map_batches(links, batch_format="pyarrow")
             .groupby("target")
             .aggregate(Sum("n_links", alias_name="n_links")))
-
-
-def _q_seq_pattern(sf_dir: str):
-    """MATCH_RECOGNIZE-shape sequence pattern matching: each user's
-    event history becomes a compact symbol string (type initials in
-    (ts, event_id) order — the deterministic tie-break both engines
-    share), and a compiled regex counts non-overlapping ``vc*p``
-    funnels (view, any clicks, purchase) per user.  Hash-partitioned
-    ``groupby(user).map_groups`` — each group is one user's bounded
-    history; the regex kernel is O(|seq|) per user."""
-    import re
-
-    import pandas as pd
-    import ray.data as rd
-
-    pat = re.compile("vc*p")
-    ev = rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                         columns=["user_id", "ts", "event_id",
-                                  "event_type"])
-
-    from pmocr_ray.ops.events import _user_bucketed
-
-    def seq_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        import pyarrow as _pa
-        import pyarrow.compute as _pc
-
-        df = df.sort_values(["user_id", "ts", "event_id"],
-                            kind="mergesort")
-        usr = df["user_id"].to_numpy()
-        sym = df["event_type"].str[0].to_numpy()
-        starts = np.flatnonzero(np.concatenate([[True],
-                                                usr[1:] != usr[:-1]]))
-        offsets = np.concatenate([starts, [len(usr)]]).astype(np.int64)
-        la = _pa.LargeListArray.from_arrays(
-            _pa.array(offsets, _pa.int64()), _pa.array(sym, _pa.string()))
-        seqs = _pc.binary_join(la, "").to_pylist()
-        # the regex kernel stays per USER (bounded history), the only
-        # inherently scalar step
-        return pd.DataFrame({
-            "user_id": usr[starts].astype("int64"),
-            "seq": seqs,
-            "n_hits": [len(pat.findall(q)) for q in seqs],
-        })
-
-    out = _user_bucketed(ev, seq_bucket).to_pandas()
-    return out.astype({"user_id": "int64", "n_hits": "int64"}) \
-        .sort_values("user_id").reset_index(drop=True)
-
-
-def _q_grouped_regression(sf_dir: str):
-    """Per-group OLS via sufficient statistics: for each lang, the
-    slope of chars-vs-tokens published as the exact integer pair
-    (n·Σxy − Σx·Σy, n·Σx² − (Σx)²) — the consumer divides.  Each batch
-    folds to ≤|langs| rows of 5 int64 moments (combiner) before one
-    tiny groupby; nothing float crosses the shuffle, so the result is
-    bit-reproducible under any partitioning."""
-    import pandas as pd
-    import pyarrow as pa
-
-    import ray.data as rd
-    from ray.data.aggregate import Sum
-
-    docs = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                           columns=["lang", "text"])
-
-    def moments(t: pa.Table) -> pa.Table:
-        # null text → 0-moment contribution, identical to SQL's
-        # null-skipping sum (adding zero) while count(*) still counts
-        txt = pc.fill_null(t["text"], "")
-        x = pc.count_substring_regex(txt, r"\S+").cast(pa.int64())
-        y = pc.utf8_length(txt).cast(pa.int64())
-        xn = np.asarray(x.to_numpy(zero_copy_only=False), np.int64)
-        yn = np.asarray(y.to_numpy(zero_copy_only=False), np.int64)
-        tt = pa.table({"lang": t["lang"],
-                       "n": pa.array(np.ones(len(t), np.int64)),
-                       "sx": pa.array(xn), "sy": pa.array(yn),
-                       "sxy": pa.array(xn * yn), "sxx": pa.array(xn * xn)})
-        g = tt.group_by("lang").aggregate(
-            [("n", "sum"), ("sx", "sum"), ("sy", "sum"),
-             ("sxy", "sum"), ("sxx", "sum")])
-        return g.rename_columns(["lang", "n", "sx", "sy", "sxy", "sxx"])
-
-    agg = (docs.map_batches(moments, batch_format="pyarrow")
-           .groupby("lang")
-           .aggregate(Sum("n", alias_name="n"), Sum("sx", alias_name="sx"),
-                      Sum("sy", alias_name="sy"),
-                      Sum("sxy", alias_name="sxy"),
-                      Sum("sxx", alias_name="sxx"))
-           .to_pandas())
-    agg["slope_num"] = agg["n"] * agg["sxy"] - agg["sx"] * agg["sy"]
-    agg["slope_den"] = agg["n"] * agg["sxx"] - agg["sx"] * agg["sx"]
-    out = agg[["lang", "n", "slope_num", "slope_den"]].astype(
-        {"n": "int64", "slope_num": "int64", "slope_den": "int64"})
-    return out.sort_values("lang").reset_index(drop=True)
 
 
 def _q_csv_roundtrip(sf_dir: str):
@@ -3363,68 +1926,6 @@ def _q_csv_roundtrip(sf_dir: str):
                        Sum("sum_chars", alias_name="sum_chars")))
 
 
-def _q_lang_profiles(sf_dir: str):
-    """Distributed n-gram model training: per-lang char-bigram count
-    profiles (top 10, deterministic (-count, bigram) tie-break, rank
-    emitted as a value column).  The counting kernel is fully
-    vectorized — each batch concatenates one lang's texts with a NUL
-    separator, views the bytes as uint8, forms bigram codes with one
-    multiply-add, and ``bincount``s them; only (lang, code, n) partials
-    cross the shuffle (≤65k rows per lang per batch, typically ~10³).
-    Corpus texts are ASCII so byte bigrams equal the oracle's char
-    bigrams."""
-    import pandas as pd
-    import pyarrow as pa
-
-    import ray.data as rd
-    from ray.data.aggregate import Sum
-
-    docs = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                           columns=["lang", "text"])
-
-    def count_bigrams(t: pa.Table) -> pa.Table:
-        langs_out, codes_out, ns_out = [], [], []
-        langs = t["lang"].to_pylist()
-        texts = t["text"].to_pylist()
-        by_lang: dict[str, list[str]] = {}
-        for lg, tx in zip(langs, texts):
-            by_lang.setdefault(lg, []).append(tx or "")
-        for lg, txts in by_lang.items():
-            blob = np.frombuffer("\x00".join(txts).encode("utf-8"),
-                                 np.uint8)
-            if len(blob) < 2:
-                continue
-            a, b = blob[:-1].astype(np.int32), blob[1:].astype(np.int32)
-            codes = a * 256 + b
-            codes = codes[(a != 0) & (b != 0)]
-            cnt = np.bincount(codes, minlength=65536)
-            nz = np.nonzero(cnt)[0]
-            langs_out.extend([lg] * len(nz))
-            codes_out.extend(nz.tolist())
-            ns_out.extend(cnt[nz].tolist())
-        return pa.table({"lang": pa.array(langs_out, pa.string()),
-                         "code": pa.array(codes_out, pa.int64()),
-                         "n": pa.array(ns_out, pa.int64())})
-
-    # lang × 65536 possible groups — Arrow-bucketed merge
-    per_code = _vgb(docs.map_batches(count_bigrams,
-                                     batch_format="pyarrow"),
-                    ["lang", "code"], Sum("n", alias_name="n"))
-
-    def topk(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.copy()
-        g["bigram"] = [chr(c >> 8) + chr(c & 255) for c in g["code"]]
-        g = g.sort_values(["n", "bigram"],
-                          ascending=[False, True]).head(10)
-        g["rank"] = np.arange(1, len(g) + 1, dtype=np.int64)
-        return g[["lang", "bigram", "n", "rank"]]
-
-    out = (per_code.groupby("lang")
-           .map_groups(topk, batch_format="pandas").to_pandas())
-    return out.astype({"n": "int64", "rank": "int64"}) \
-        .sort_values(["lang", "rank"]).reset_index(drop=True)
-
-
 def _q_stream_sessions(sf_dir: str):
     """Stateful-streaming sessionization: the events log is spooled as
     a hive-partitioned (chunk=time-range, bucket=user-hash) log and
@@ -3442,57 +1943,6 @@ def _q_stream_sessions(sf_dir: str):
                        os.path.basename(os.path.normpath(sf_dir)))
     return streaming_sessionize(ev, n_chunks=5, n_buckets=4,
                                 spool_dir=out)
-
-
-def _q_top_parts_per_brand(sf_dir: str):
-    """Per-group top-k as a CUSTOM DISTRIBUTIVE AGGREGATE: a bounded
-    k-candidate state per (group, block) accumulated vectorized, merged
-    associatively across blocks — per-group top-3 without ``map_groups``
-    and without ever co-locating a group's full row set.  The k-bounded
-    state is what makes the shuffle O(groups·k) regardless of group
-    size (contrast: ``map_groups`` moves every row of a hot group to
-    one worker).  Deterministic (-price, partkey) order; exploded to
-    (brand, rank, part, price) rows after the aggregate."""
-    import pandas as pd
-    import pyarrow as pa
-
-    import ray.data as rd
-    from ray.data.aggregate import AggregateFn
-
-    K = 3
-
-    def acc_block(state, block):
-        price = np.rint(np.asarray(
-            block["p_retailprice"].to_numpy(zero_copy_only=False)) * 100
-        ).astype(np.int64)
-        ids = np.asarray(block["p_partkey"].to_numpy(zero_copy_only=False),
-                         np.int64)
-        cand = state + list(zip(price.tolist(), ids.tolist()))
-        cand.sort(key=lambda t: (-t[0], t[1]))
-        return cand[:K]
-
-    def merge(a, b):
-        m = a + b
-        m.sort(key=lambda t: (-t[0], t[1]))
-        return m[:K]
-
-    top3 = AggregateFn(
-        init=lambda k: [],
-        accumulate_block=acc_block,
-        merge=merge,
-        name="top3",
-    )
-    part = rd.read_parquet(os.path.join(sf_dir, "part.parquet"),
-                           columns=["p_brand", "p_partkey",
-                                    "p_retailprice"])
-    rows = part.groupby("p_brand").aggregate(top3).take_all()
-    out = [(r["p_brand"], rank + 1, int(pid), int(price))
-           for r in rows
-           for rank, (price, pid) in enumerate(r["top3"])]
-    return pd.DataFrame(out, columns=["p_brand", "rank", "p_partkey",
-                                      "price_cents"]).astype(
-        {"rank": "int64", "p_partkey": "int64", "price_cents": "int64"}) \
-        .sort_values(["p_brand", "rank"]).reset_index(drop=True)
 
 
 def _q_page_meta(sf_dir: str):
@@ -3767,77 +2217,45 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "top_users": _q_top_users,
         "sessionize": _q_sessionize,
         "lineitem_agg": _q_lineitem_agg,
-        "top_docs_by_len": _q_top_docs_by_len,
-        "top_terms": _q_top_terms,
         "host_stats": _q_host_stats,
         "mirror_hosts": _q_mirror_hosts,
         "hash_sample": _q_hash_sample,
-        "doc_freq": _q_doc_freq,
         "host_cap": _q_host_cap,
         "props_agg": _q_props_agg,
         "top_events_per_user": _q_top_events_per_user,
         "window_distinct_users": _q_window_distinct_users,
         "event_pivot": _q_event_pivot,
         "customers_no_f_orders_native": _q_customers_no_f_orders_native,
-        "lang_len_quantiles": _q_lang_len_quantiles,
-        "label_centroids": _q_label_centroids,
         "orders_running_total": _q_orders_running_total,
-        "shuffle_rank": _q_shuffle_rank,
-        "tfidf": _q_tfidf,
         "kmv_sketch": _q_kmv_sketch,
         "clean_text": _q_clean_text,
         "dedup_incremental": _q_dedup_incremental,
-        "lang_label_mix": _q_lang_label_mix,
-        "cc_chain": _q_cc_chain,
-        "trending_terms": _q_trending_terms,
-        "len_percentile": _q_len_percentile,
-        "kmeans_cells": _q_kmeans_cells,
-        "kmeans_assign1": _q_kmeans_assign1,
-        "lm_score": _q_lm_score,
-        "lm_bigram_counts": _q_lm_bigram_counts,
-        "quantize_embeddings": _q_quantize_embeddings,
         "span_extract": _q_span_extract,
         "len_bucket": _q_len_bucket,
-        "webdataset_audit": _q_webdataset_audit,
         # curation / export ops
         "redact_pii": _q_redact_pii,
         "repetition_stats": _q_repetition_stats,
         "stratified_sample": _q_stratified_sample,
-        "len_quantiles": _q_len_quantiles,
         "shard_counts": _q_shard_counts,
         "chunk_tokens": _q_chunk_tokens,
-        "line_self_dedup": _q_line_self_dedup,
         "split_assign": _q_split_assign,
         "dup_spans": _q_dup_spans,
         "remove_dup_spans": _q_remove_dup_spans,
         "event_transitions": _q_event_transitions,
-        "incremental_near_dedup": _q_incremental_near_dedup,
         "clip_outliers": _q_clip_outliers,
-        "bpe_pairs": _q_bpe_pairs,
         "zorder": _q_zorder,
-        "keyword_search": _q_keyword_search,
         "heavy_hitters": _q_heavy_hitters,
-        "zorder_scan": _q_zorder_scan,
-        "pps_sample": _q_pps_sample,
         "domain_reweight": _q_domain_reweight,
-        "dsir_weights": _q_dsir_weights,
         "posting_lists": _q_posting_lists,
         "gopher_quality": _q_gopher_quality,
         "c4_filter": _q_c4_filter,
         "ntile_buckets": _q_ntile_buckets,
         "collocations": _q_collocations,
-        "snapshot_diff": _q_snapshot_diff,
-        "dup_cluster_hist": _q_dup_cluster_hist,
         "host_blocklist": _q_host_blocklist,
         "host_mirror": _q_host_mirror,
         "cheapest_supplier": _q_cheapest_supplier,
         "host_lang": _q_host_lang,
-        "incremental_stats": _q_incremental_stats,
-        "embedding_dim_stats": _q_embedding_dim_stats,
-        "triangle_count": _q_triangle_count,
-        "host_churn": _q_host_churn,
         "table_extract": _q_table_extract,
-        "byte_blocks": _q_byte_blocks,
         "schema_evolve": _q_schema_evolve,
         "priority_semi_native": _q_priority_semi_native,
         "user_type_mask_agg": _q_user_type_mask_agg,
@@ -3845,31 +2263,11 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "pdf_target_roundtrip": _q_pdf_target_roundtrip,
         "docx_target_roundtrip": _q_docx_target_roundtrip,
         "xlsx_target_roundtrip": _q_xlsx_target_roundtrip,
-        "sentence_stats": _q_sentence_stats,
-        "basket_pairs": _q_basket_pairs,
-        "scd2_dim": _q_scd2_dim,
         "keep_best_dedup": _q_keep_best_dedup,
         "users_all_types": _q_users_all_types,
-        "bfs_layers": _q_bfs_layers,
-        "diverse_top_docs": _q_diverse_top_docs,
-        "contamination_frac": _q_contamination_frac,
-        "table_checksum": _q_table_checksum,
-        "cube_rollup": _q_cube_rollup,
-        "doc_len_pct_in_lang": _q_doc_len_pct_in_lang,
-        "ks_lang_len": _q_ks_lang_len,
-        "weighted_median_price": _q_weighted_median_price,
-        "vocab_overlap": _q_vocab_overlap,
-        "emb_norm_outliers": _q_emb_norm_outliers,
-        "rank_fusion": _q_rank_fusion,
-        "contingency_chi2": _q_contingency_chi2,
-        "top_supplier_rev": _q_top_supplier_rev,
         "outlinks": _q_outlinks,
         "page_meta": _q_page_meta,
-        "seq_pattern": _q_seq_pattern,
-        "grouped_regression": _q_grouped_regression,
         "csv_roundtrip": _q_csv_roundtrip,
-        "lang_profiles": _q_lang_profiles,
-        "top_parts_per_brand": _q_top_parts_per_brand,
         # multimodal
         "media_meta": _q_media_meta,
         "media_png_real": _q_media_png_real,
@@ -4071,29 +2469,6 @@ FROM b"""
 
 def oracle_sql() -> dict[str, str]:
     return {
-        "lang_profiles": """
-            WITH bg AS (
-              -- all overlapping bigrams = the two interleaved
-              -- non-overlapping extractions (even + odd offsets)
-              SELECT lang, unnest(regexp_extract_all(text, '..'))
-                         AS bigram
-              FROM documents
-              UNION ALL
-              SELECT lang,
-                     unnest(regexp_extract_all(substr(text, 2), '..'))
-                         AS bigram
-              FROM documents
-            ), cnt AS (
-              SELECT lang, bigram, CAST(count(*) AS BIGINT) AS n
-              FROM bg GROUP BY lang, bigram
-            ), rk AS (
-              SELECT lang, bigram, n,
-                     row_number() OVER (PARTITION BY lang
-                                        ORDER BY n DESC, bigram) AS rank
-              FROM cnt
-            )
-            SELECT lang, bigram, n, CAST(rank AS BIGINT) AS rank
-            FROM rk WHERE rank <= 10""",
         "csv_roundtrip": """
             SELECT lang, CAST(count(*) AS BIGINT) AS n_docs,
                    CAST(sum(n_chars) AS BIGINT) AS sum_chars
@@ -4102,31 +2477,6 @@ def oracle_sql() -> dict[str, str]:
             SELECT lang, CAST(count(*) AS BIGINT) AS n_docs,
                    CAST(sum(n_chars) AS BIGINT) AS sum_chars
             FROM documents GROUP BY lang""",
-        "grouped_regression": r"""
-            WITH m AS (
-              SELECT lang,
-                     CAST(len(regexp_extract_all(text, '\S+')) AS BIGINT)
-                         AS x,
-                     CAST(length(text) AS BIGINT) AS y
-              FROM documents
-            )
-            SELECT lang, CAST(count(*) AS BIGINT) AS n,
-                   CAST(count(*) * sum(x * y) - sum(x) * sum(y)
-                        AS BIGINT) AS slope_num,
-                   CAST(count(*) * sum(x * x) - sum(x) * sum(x)
-                        AS BIGINT) AS slope_den
-            FROM m GROUP BY lang""",
-        "seq_pattern": """
-            WITH s AS (
-              SELECT user_id,
-                     string_agg(substr(event_type, 1, 1), ''
-                                ORDER BY ts, event_id) AS seq
-              FROM events GROUP BY user_id
-            )
-            SELECT user_id, seq,
-                   CAST(len(regexp_extract_all(seq, 'vc*p')) AS BIGINT)
-                       AS n_hits
-            FROM s""",
         "pdf_target_roundtrip": _PAGE_CTE + """
             SELECT url, CAST(1 AS BIGINT) AS roundtrip_ok
             FROM c WHERE cls <= 15 OR cls = 19""",
@@ -4256,19 +2606,6 @@ def oracle_sql() -> dict[str, str]:
                    CAST(sum(CAST(round(value * 100) AS BIGINT)) AS BIGINT) AS total_cents
             FROM events GROUP BY user_id
             ORDER BY total_cents DESC, user_id ASC LIMIT 10""",
-        "top_parts_per_brand": """
-            WITH r AS (
-              SELECT p_brand, p_partkey,
-                     CAST(round(p_retailprice * 100) AS BIGINT)
-                         AS price_cents,
-                     row_number() OVER (
-                       PARTITION BY p_brand
-                       ORDER BY round(p_retailprice * 100) DESC,
-                                p_partkey) AS rank
-              FROM part)
-            SELECT p_brand, CAST(rank AS BIGINT) AS rank, p_partkey,
-                   price_cents
-            FROM r WHERE rank <= 3""",
         "stream_sessions": """
             WITH o AS (
               SELECT user_id, ts, event_id,
@@ -4302,14 +2639,6 @@ def oracle_sql() -> dict[str, str]:
                    CAST(sum(l_quantity) AS BIGINT) AS sum_qty,
                    count(*) AS n
             FROM lineitem GROUP BY l_returnflag, l_linestatus""",
-        "top_docs_by_len": """
-            SELECT doc_id, n_chars FROM documents
-            ORDER BY n_chars DESC, doc_id ASC LIMIT 20""",
-        "top_terms": r"""
-            SELECT term, CAST(count(*) AS BIGINT) AS n
-            FROM (SELECT unnest(regexp_extract_all(text, '\S+')) AS term
-                  FROM documents)
-            GROUP BY term ORDER BY n DESC, term ASC LIMIT 20""",
         "host_stats": _PAGE_CTE + """
             SELECT regexp_extract(url, '^[a-z+]+://([^/]+)', 1) AS host,
                    CAST(count(*) AS BIGINT) AS n_pages
@@ -4356,11 +2685,6 @@ def oracle_sql() -> dict[str, str]:
                    coalesce(CAST(mx.mc AS DOUBLE) / nullif(len(w) - 1, 0),
                             0.0) AS top_bigram_frac
             FROM t LEFT JOIN mx USING (doc_id)""",
-        "len_quantiles": """
-            SELECT unnest([0.5, 0.9, 0.99]) AS q,
-                   unnest(qv) AS value FROM
-              (SELECT quantile_disc(n_chars, [0.5, 0.9, 0.99]) AS qv
-               FROM documents)""",
         "line_dedup": r"""
             WITH w AS (SELECT doc_id, regexp_extract_all(text, '\S+') AS toks
                        FROM documents),
@@ -4418,27 +2742,6 @@ def oracle_sql() -> dict[str, str]:
                                                          len(ts))], ' ')
                      AS chunk_text
             FROM ch""",
-        "line_self_dedup": r"""
-            WITH d AS (
-              SELECT doc_id, regexp_replace(text, '((?:\S+ ){7}\S+) ',
-                                            '\1' || chr(10), 'g') AS t2
-              FROM documents),
-            l AS (
-              SELECT doc_id,
-                     unnest(split(t2, chr(10))) AS line,
-                     unnest(range(len(split(t2, chr(10))))) AS pos
-              FROM d),
-            f AS (
-              SELECT doc_id, line, min(pos) AS p
-              FROM l GROUP BY doc_id, line)
-            SELECT f.doc_id,
-                   CAST(any_value(nl.n) AS BIGINT) AS n_lines,
-                   CAST(count(*) AS BIGINT) AS n_unique_lines,
-                   string_agg(f.line, chr(10) ORDER BY f.p) AS dedup_text
-            FROM f JOIN (SELECT doc_id,
-                                len(split(t2, chr(10))) AS n FROM d) nl
-                   ON f.doc_id = nl.doc_id
-            GROUP BY f.doc_id""",
         "split_assign": """
             SELECT doc_id, lang,
                    CASE WHEN CAST(('0x' || substr(md5(CAST(doc_id AS
@@ -4449,39 +2752,11 @@ def oracle_sql() -> dict[str, str]:
                           THEN 'val'
                         ELSE 'test' END AS split
             FROM documents""",
-        "pps_sample": """
-            WITH c AS (
-              SELECT doc_id, n_chars,
-                     sum(n_chars) OVER (ORDER BY doc_id
-                       ROWS UNBOUNDED PRECEDING) AS cum
-              FROM documents),
-            t AS (SELECT greatest(sum(n_chars) // 50, 1) AS s
-                  FROM documents)
-            SELECT doc_id, CAST(n_chars AS BIGINT) AS weight
-            FROM c, t
-            WHERE (cum // s) > ((cum - n_chars) // s)""",
-        "keyword_search": r"""
-            WITH tok AS (
-              SELECT doc_id, unnest(regexp_extract_all(text, '\S+')) AS w
-              FROM documents),
-            h AS (SELECT doc_id, w FROM tok
-                  WHERE w IN ('hash', 'merge', 'sort', 'window', 'spark')),
-            s AS (SELECT doc_id,
-                         CAST(count(DISTINCT w) AS BIGINT) AS n_match,
-                         CAST(count(*) AS BIGINT) AS sum_tf
-                  FROM h GROUP BY doc_id)
-            SELECT doc_id, n_match, sum_tf
-            FROM s ORDER BY n_match DESC, sum_tf DESC, doc_id
-            LIMIT 20""",
         "heavy_hitters": r"""
             SELECT w AS term, CAST(count(*) AS BIGINT) AS approx_n
             FROM (SELECT unnest(regexp_extract_all(text, '\S+')) AS w
                   FROM documents)
             GROUP BY w""",
-        "zorder_scan": """
-            SELECT doc_id, n_chars, lang
-            FROM documents
-            WHERE n_chars BETWEEN 100 AND 300 AND lang = 'en'""",
         "zorder": """
             WITH lc AS (
               SELECT lang,
@@ -4509,29 +2784,6 @@ def oracle_sql() -> dict[str, str]:
                    CAST(least(greatest(n_chars, b.lo), b.hi) AS BIGINT)
                      AS clipped
             FROM documents, b""",
-        "bpe_pairs": r"""
-            WITH w AS (
-              SELECT unnest(regexp_extract_all(text, '\S+')) AS word
-              FROM documents),
-            wc AS (SELECT word, count(*) AS c FROM w GROUP BY word),
-            p AS (
-              SELECT substring(word, i, 2) AS pair,
-                     CAST(sum(c) AS BIGINT) AS n
-              FROM wc, unnest(range(1, length(word))) AS t(i)
-              GROUP BY pair)
-            SELECT pair, n FROM p ORDER BY n DESC, pair LIMIT 50""",
-        "incremental_near_dedup": _WORD_SHINGLES_CTE + """
-            , newd AS (SELECT * FROM sh WHERE doc_id % 5 <> 0),
-            hist AS (SELECT * FROM sh WHERE doc_id % 5 = 0),
-            dup AS (
-              SELECT DISTINCT n.doc_id
-              FROM newd n JOIN hist h
-                ON CAST(len(list_intersect(n.s, h.s)) AS DOUBLE)
-                   / len(list_distinct(list_concat(n.s, h.s))) >= 0.8)
-            SELECT d.doc_id, d.lang
-            FROM documents d
-            WHERE d.doc_id % 5 <> 0
-              AND d.doc_id NOT IN (SELECT doc_id FROM dup)""",
         "dup_spans": r"""
             WITH tok AS (
               SELECT doc_id, regexp_extract_all(text, '\S+') AS ts
@@ -4591,36 +2843,6 @@ def oracle_sql() -> dict[str, str]:
             SELECT from_type, to_type, CAST(count(*) AS BIGINT) AS n
             FROM s WHERE to_type IS NOT NULL
             GROUP BY from_type, to_type""",
-        "dsir_weights": """
-            WITH tok AS (
-              SELECT doc_id, lang,
-                     regexp_extract_all(lower(text), '[a-z0-9]+') AS ts
-              FROM documents),
-            g AS (
-              SELECT doc_id, lang,
-                     CAST(CAST(('0x' || substr(md5(ts[k + 1] || ' ' ||
-                          ts[k + 2]), 1, 8)) AS UBIGINT) % 4096
-                          AS BIGINT) AS bkt
-              FROM tok, unnest(range(greatest(len(ts) - 1, 0))) AS t(k)),
-            tots AS (
-              SELECT count(*) AS r_tot,
-                     count(*) FILTER (lang = 'en') AS t_tot
-              FROM g),
-            lr AS (
-              SELECT bkt,
-                     ln((count(*) FILTER (lang = 'en') + 1.0)
-                        / (tots.t_tot + 4096))
-                   - ln((count(*) + 1.0) / (tots.r_tot + 4096)) AS logratio
-              FROM g, tots GROUP BY bkt, tots.t_tot, tots.r_tot),
-            per AS (
-              SELECT g.doc_id,
-                     count(*) AS n_feats,
-                     sum(lr.logratio) AS dsir_logw
-              FROM g JOIN lr USING (bkt) GROUP BY g.doc_id)
-            SELECT d.doc_id,
-                   CAST(coalesce(p.n_feats, 0) AS BIGINT) AS n_feats,
-                   coalesce(p.dsir_logw, 0.0) AS dsir_logw
-            FROM documents d LEFT JOIN per p USING (doc_id)""",
         "domain_reweight": """
             WITH n AS (SELECT lang, count(*) AS n_g
                        FROM documents GROUP BY lang),
@@ -4712,24 +2934,6 @@ def oracle_sql() -> dict[str, str]:
             JOIN vocab v2 ON pr.w2 = v2.term
             GROUP BY pr.w1, pr.w2, v1.n, v2.n
             HAVING count(*) >= 2""",
-        "snapshot_diff": """
-            WITH b AS (
-              SELECT doc_id,
-                     CASE WHEN doc_id % 5 = 0 THEN text || ' [rev2]'
-                          ELSE text END AS text
-              FROM documents WHERE doc_id % 7 <> 0
-              UNION ALL
-              SELECT doc_id + 1000000000 AS doc_id,
-                     'new page ' || doc_id AS text
-              FROM documents WHERE doc_id % 11 = 0
-            )
-            SELECT COALESCE(a.doc_id, b.doc_id) AS doc_id,
-                   CASE WHEN a.doc_id IS NULL THEN 'added'
-                        WHEN b.doc_id IS NULL THEN 'removed'
-                        ELSE 'changed' END AS change
-            FROM documents a FULL OUTER JOIN b ON a.doc_id = b.doc_id
-            WHERE a.doc_id IS NULL OR b.doc_id IS NULL
-               OR a.text IS DISTINCT FROM b.text""",
         "pagerank": """
             WITH e AS (
               SELECT DISTINCT doc_id % 211 AS src,
@@ -4813,60 +3017,6 @@ def oracle_sql() -> dict[str, str]:
             WHERE rn = 1""",
         "url_canon_dedup": _PAGE_CTE + """
             SELECT url, CAST(3 AS BIGINT) AS n_variants FROM c""",
-        "incremental_stats": """
-            SELECT lang, CAST(count(*) AS BIGINT) AS n_rows,
-                   CAST(sum(n_chars) AS BIGINT) AS total_chars
-            FROM documents GROUP BY lang""",
-        "sentence_stats": """
-            SELECT doc_id,
-                   COALESCE(CAST(len(list_filter(list_transform(
-                     string_split_regex(replace(text, ' batch ', '. '),
-                                        '[.!?]+'),
-                     s -> trim(s)), s -> s <> '')) AS BIGINT), 0)
-                     AS n_sentences
-            FROM documents""",
-        "basket_pairs": """
-            WITH items AS (
-              SELECT DISTINCT l_orderkey, l_partkey FROM lineitem
-            )
-            SELECT a.l_partkey AS p1, b.l_partkey AS p2,
-                   CAST(count(*) AS BIGINT) AS support
-            FROM items a JOIN items b
-              ON a.l_orderkey = b.l_orderkey
-             AND a.l_partkey < b.l_partkey
-            GROUP BY a.l_partkey, b.l_partkey
-            HAVING count(*) >= 3""",
-        "scd2_dim": """
-            WITH b AS (
-              SELECT doc_id,
-                     CASE WHEN doc_id % 5 = 0 THEN text || ' [rev2]'
-                          ELSE text END AS text
-              FROM documents WHERE doc_id % 7 <> 0
-              UNION ALL
-              SELECT doc_id + 1000000000 AS doc_id,
-                     'new page ' || doc_id AS text
-              FROM documents WHERE doc_id % 11 = 0
-            ), diff AS (
-              SELECT COALESCE(a.doc_id, b.doc_id) AS doc_id,
-                     CASE WHEN a.doc_id IS NULL THEN 'added'
-                          WHEN b.doc_id IS NULL THEN 'removed'
-                          ELSE 'changed' END AS change
-              FROM documents a FULL OUTER JOIN b ON a.doc_id = b.doc_id
-              WHERE a.doc_id IS NULL OR b.doc_id IS NULL
-                 OR a.text IS DISTINCT FROM b.text
-            )
-            SELECT doc_id, 'v2' AS valid_from,
-                   CAST(NULL AS VARCHAR) AS valid_to
-            FROM diff WHERE change = 'added'
-            UNION ALL
-            SELECT doc_id, 'v1', 'v2'
-            FROM diff WHERE change IN ('removed', 'changed')
-            UNION ALL
-            SELECT doc_id, 'v2', NULL FROM diff WHERE change = 'changed'
-            UNION ALL
-            SELECT d.doc_id, 'v1', NULL
-            FROM documents d
-            WHERE d.doc_id NOT IN (SELECT doc_id FROM diff)""",
         "keep_best_dedup": """
             WITH g AS (
               SELECT lang, source, max(n_chars) AS best_len,
@@ -4887,79 +3037,6 @@ def oracle_sql() -> dict[str, str]:
               WHERE event_type IN ('view', 'click', 'purchase')
               GROUP BY user_id)
             WHERE c = 3""",
-        "bfs_layers": """
-            WITH RECURSIVE e AS (
-              SELECT DISTINCT doc_id % 211 AS src,
-                              (doc_id * 13 + 7) % 211 AS dst
-              FROM documents
-              WHERE (doc_id % 211) <> ((doc_id * 13 + 7) % 211)
-            ), b AS (
-              SELECT CAST(0 AS BIGINT) AS node, 0 AS layer
-              UNION
-              SELECT e.dst AS node, b.layer + 1
-              FROM b JOIN e ON e.src = b.node
-              WHERE b.layer < 3
-            )
-            SELECT node, CAST(min(layer) AS BIGINT) AS layer
-            FROM b GROUP BY node""",
-        "diverse_top_docs": """
-            WITH r AS (
-              SELECT doc_id, source, n_chars,
-                     row_number() OVER (
-                       PARTITION BY source
-                       ORDER BY n_chars DESC, doc_id) AS rs
-              FROM documents
-            ), t AS (
-              SELECT * FROM r WHERE rs <= 2
-            )
-            SELECT CAST(row_number() OVER (
-                     ORDER BY n_chars DESC, doc_id) AS BIGINT) AS rank,
-                   doc_id, source, n_chars, CAST(rs AS BIGINT) AS rs
-            FROM t ORDER BY n_chars DESC, doc_id LIMIT 20""",
-        "contamination_frac": """
-            WITH w AS (
-              SELECT doc_id, string_split(text, ' ') AS ws
-              FROM documents
-            ), g AS (
-              SELECT doc_id,
-                     unnest(list_transform(
-                       generate_series(1, greatest(len(ws) - 2, 0)),
-                       i -> ws[i] || ' ' || ws[i+1] || ' ' || ws[i+2]))
-                       AS gram
-              FROM w
-            ), t AS (
-              SELECT DISTINCT gram FROM g WHERE doc_id % 31 = 0
-            ), pd AS (
-              SELECT g.doc_id,
-                     CAST(count(*) AS BIGINT) AS n_grams,
-                     CAST(count(*) FILTER (
-                       gram IN (SELECT gram FROM t)) AS BIGINT) AS n_hit
-              FROM g GROUP BY g.doc_id
-            )
-            SELECT d.doc_id,
-                   CAST(COALESCE(pd.n_grams, 0) AS BIGINT) AS n_grams,
-                   CAST(COALESCE(pd.n_hit, 0) AS BIGINT) AS n_hit,
-                   CAST(COALESCE(pd.n_hit, 0) * 1000000
-                        // greatest(COALESCE(pd.n_grams, 0), 1)
-                        AS BIGINT) AS frac_ppm
-            FROM documents d LEFT JOIN pd ON d.doc_id = pd.doc_id""",
-        "table_checksum": """
-            SELECT 'documents' AS table_name,
-                   CAST(count(*) AS BIGINT) AS n_rows,
-                   CAST(sum(CAST(md5_number_lower(
-                     CAST(doc_id AS VARCHAR) || '|' || text)
-                     % 1000000007 AS BIGINT)) AS BIGINT) AS checksum
-            FROM documents
-            UNION ALL
-            SELECT 'nation',
-                   CAST(count(*) AS BIGINT),
-                   CAST(sum(CAST(md5_number_lower(
-                     CAST(n_nationkey AS VARCHAR) || '|' || n_name)
-                     % 1000000007 AS BIGINT)) AS BIGINT)
-            FROM nation""",
-        "cube_rollup": """
-            SELECT lang, source, CAST(count(*) AS BIGINT) AS n
-            FROM documents GROUP BY CUBE (lang, source)""",
         "user_type_mask_agg": """
             SELECT user_id,
                    CAST(sum(DISTINCT CASE event_type
@@ -4967,169 +3044,6 @@ def oracle_sql() -> dict[str, str]:
                      WHEN 'purchase' THEN 4 WHEN 'signup' THEN 8
                      ELSE 16 END) AS BIGINT) AS mask
             FROM events GROUP BY user_id""",
-        "doc_len_pct_in_lang": """
-            SELECT doc_id, lang, n_chars,
-                   CAST((rank() OVER (
-                          PARTITION BY lang ORDER BY n_chars) - 1)
-                        * 1000000
-                        // count(*) OVER (PARTITION BY lang)
-                        AS BIGINT) AS pct_ppm
-            FROM documents""",
-        "ks_lang_len": """
-            WITH g AS (
-              SELECT n_chars AS v,
-                     CAST(sum(CASE WHEN lang = 'en' THEN 1 ELSE 0 END)
-                          AS BIGINT) AS ne,
-                     CAST(sum(CASE WHEN lang = 'en' THEN 0 ELSE 1 END)
-                          AS BIGINT) AS no
-              FROM documents GROUP BY n_chars
-            ), c AS (
-              SELECT CAST(sum(ne) OVER (ORDER BY v) AS BIGINT) AS cne,
-                     CAST(sum(no) OVER (ORDER BY v) AS BIGINT) AS cno
-              FROM g
-            ), t AS (
-              SELECT CAST(sum(ne) AS BIGINT) AS n_en,
-                     CAST(sum(no) AS BIGINT) AS n_other
-              FROM g
-            )
-            SELECT t.n_en, t.n_other,
-                   CAST(max(abs(c.cne * t.n_other - c.cno * t.n_en))
-                        AS BIGINT) AS d_num,
-                   CAST(max(abs(c.cne * t.n_other - c.cno * t.n_en))
-                        * 1000000 // (t.n_en * t.n_other)
-                        AS BIGINT) AS ks_ppm
-            FROM c, t GROUP BY t.n_en, t.n_other""",
-        "weighted_median_price": """
-            WITH d AS (
-              SELECT l_returnflag AS grp,
-                     CAST(round(l_extendedprice * 100) AS BIGINT) AS v,
-                     CAST(round(l_quantity) AS BIGINT) AS w
-              FROM lineitem
-            ), g AS (
-              SELECT grp, v, CAST(sum(w) AS BIGINT) AS w
-              FROM d GROUP BY grp, v
-            ), c AS (
-              SELECT grp, v,
-                     CAST(sum(w) OVER (PARTITION BY grp ORDER BY v)
-                          AS BIGINT) AS cw,
-                     CAST(sum(w) OVER (PARTITION BY grp) AS BIGINT) AS tw
-              FROM g
-            )
-            SELECT grp AS l_returnflag,
-                   CAST(min(v) AS BIGINT) AS wmedian_cents
-            FROM c WHERE cw * 2 >= tw GROUP BY grp""",
-        "vocab_overlap": r"""
-            WITH lt AS (
-              SELECT DISTINCT lang, term FROM (
-                SELECT lang,
-                       unnest(regexp_extract_all(text, '\S+')) AS term
-                FROM documents)
-            ), p AS (
-              SELECT a.lang AS lang_a, b.lang AS lang_b,
-                     CAST(count(*) AS BIGINT) AS n_common
-              FROM lt a JOIN lt b
-                   ON a.term = b.term AND a.lang < b.lang
-              GROUP BY a.lang, b.lang
-            ), s AS (
-              SELECT lang, CAST(count(*) AS BIGINT) AS n
-              FROM lt GROUP BY lang
-            )
-            SELECT p.lang_a, p.lang_b, sa.n AS n_a, sb.n AS n_b,
-                   p.n_common,
-                   CAST(p.n_common * 1000000
-                        // (sa.n + sb.n - p.n_common) AS BIGINT)
-                       AS jaccard_ppm
-            FROM p JOIN s sa ON p.lang_a = sa.lang
-                   JOIN s sb ON p.lang_b = sb.lang""",
-        "emb_norm_outliers": """
-            WITH nq AS (
-              SELECT vec_id,
-                     CAST(list_sum(list_transform(
-                          CAST(embedding AS DOUBLE[]),
-                          x -> CAST(floor(x * 1048576) AS BIGINT)
-                               * CAST(floor(x * 1048576) AS BIGINT)))
-                          AS BIGINT) AS s
-              FROM embeddings
-            ), m AS (
-              SELECT min(v) AS med FROM (
-                SELECT s AS v,
-                       count(*) OVER (ORDER BY s) * 2
-                         >= count(*) OVER () AS ok
-                FROM nq) WHERE ok
-            ), a AS (
-              SELECT vec_id, s,
-                     abs(s - (SELECT med FROM m)) AS ad
-              FROM nq
-            ), mm AS (
-              SELECT min(v) AS mad FROM (
-                SELECT ad AS v,
-                       count(*) OVER (ORDER BY ad) * 2
-                         >= count(*) OVER () AS ok
-                FROM a) WHERE ok
-            )
-            SELECT vec_id, CAST(s AS BIGINT) AS norm_q2,
-                   CAST(CASE WHEN ad > 3 * (SELECT mad FROM mm)
-                        THEN 1 ELSE 0 END AS BIGINT) AS is_outlier
-            FROM a""",
-        "rank_fusion": r"""
-            WITH d AS (
-              SELECT doc_id, CAST(n_chars AS BIGINT) AS len_v,
-                     CAST(len(string_split_regex(coalesce(text, ''),
-                                                 '\s+')) AS BIGINT)
-                       * 100
-                       // CAST(greatest(n_chars, 1) AS BIGINT) AS q_v
-              FROM documents
-            ), r AS (
-              SELECT doc_id,
-                     rank() OVER (ORDER BY len_v DESC) AS rl,
-                     rank() OVER (ORDER BY q_v DESC) AS rq
-              FROM d
-            )
-            SELECT doc_id,
-                   CAST(1000000000 // (60 + rl)
-                        + 1000000000 // (60 + rq) AS BIGINT)
-                       AS rrf_score
-            FROM r ORDER BY rrf_score DESC, doc_id LIMIT 20""",
-        "contingency_chi2": """
-            WITH cells AS (
-              SELECT lang, source, CAST(count(*) AS BIGINT) AS n
-              FROM documents GROUP BY lang, source
-            ), tot AS (
-              SELECT CAST(sum(n) AS BIGINT) AS nn FROM cells
-            ), rm AS (
-              SELECT lang, CAST(sum(n) AS BIGINT) AS rn
-              FROM cells GROUP BY lang
-            ), cm AS (
-              SELECT source, CAST(sum(n) AS BIGINT) AS cn
-              FROM cells GROUP BY source
-            )
-            SELECT cells.lang, cells.source, cells.n,
-                   CAST(cells.n * tot.nn - rm.rn * cm.cn AS BIGINT)
-                       AS resid_num,
-                   CAST((abs(cells.n * tot.nn - rm.rn * cm.cn)
-                         // tot.nn)
-                        * (abs(cells.n * tot.nn - rm.rn * cm.cn)
-                           // tot.nn)
-                        // greatest((rm.rn * cm.cn) // tot.nn, 1)
-                        AS BIGINT) AS chi2_term
-            FROM cells, tot
-            JOIN rm ON cells.lang = rm.lang
-            JOIN cm ON cells.source = cm.source""",
-        "top_supplier_rev": """
-            WITH rev AS (
-              SELECT l_suppkey AS s_suppkey,
-                     CAST(sum(CAST(round(l_extendedprice * 100) AS BIGINT)
-                          * (100 - CAST(round(l_discount * 100)
-                                        AS BIGINT))) AS BIGINT)
-                         AS total_rev_e4
-              FROM lineitem
-              WHERE l_shipdate >= TIMESTAMP '1996-01-01'
-                AND l_shipdate < TIMESTAMP '1996-04-01'
-              GROUP BY l_suppkey
-            )
-            SELECT rev.s_suppkey, s.s_name, rev.total_rev_e4
-            FROM rev JOIN supplier s ON rev.s_suppkey = s.s_suppkey
-            WHERE rev.total_rev_e4 = (SELECT max(total_rev_e4) FROM rev)""",
         "rare_term_pairs": r"""
             WITH d AS (
               SELECT doc_id,
@@ -5159,12 +3073,6 @@ def oracle_sql() -> dict[str, str]:
                           WHERE l_orderkey = o_orderkey
                             AND l_quantity > 45)
             GROUP BY o_orderpriority""",
-        "byte_blocks": """
-            SELECT doc_id, CAST(n_chars AS BIGINT) AS row_bytes,
-                   CAST((sum(n_chars) OVER (
-                     ORDER BY doc_id ROWS UNBOUNDED PRECEDING)
-                     - n_chars) // 4096 AS BIGINT) AS block_id
-            FROM documents""",
         "schema_evolve": """
             WITH u AS (
               SELECT doc_id, text, NULL AS lang, NULL AS crawl_tag
@@ -5182,31 +3090,6 @@ def oracle_sql() -> dict[str, str]:
                    r.range AS row_idx, c.range AS col_idx,
                    doc_id || '-' || r.range || '-' || c.range AS cell
             FROM documents CROSS JOIN range(2) r CROSS JOIN range(2) c""",
-        "host_churn": """
-            WITH b AS (
-              SELECT doc_id,
-                     CASE WHEN doc_id % 5 = 0 THEN text || ' [rev2]'
-                          ELSE text END AS text
-              FROM documents WHERE doc_id % 7 <> 0
-              UNION ALL
-              SELECT doc_id + 1000000000 AS doc_id,
-                     'new page ' || doc_id AS text
-              FROM documents WHERE doc_id % 11 = 0
-            ), diff AS (
-              SELECT COALESCE(a.doc_id, b.doc_id) AS doc_id,
-                     CASE WHEN a.doc_id IS NULL THEN 'added'
-                          WHEN b.doc_id IS NULL THEN 'removed'
-                          ELSE 'changed' END AS change
-              FROM documents a FULL OUTER JOIN b ON a.doc_id = b.doc_id
-              WHERE a.doc_id IS NULL OR b.doc_id IS NULL
-                 OR a.text IS DISTINCT FROM b.text
-            )
-            SELECT d.source, diff.change, CAST(count(*) AS BIGINT) AS n
-            FROM diff JOIN documents d ON
-              (CASE WHEN diff.doc_id >= 1000000000
-                    THEN diff.doc_id - 1000000000
-                    ELSE diff.doc_id END) = d.doc_id
-            GROUP BY d.source, diff.change""",
         "token_budget": """
             SELECT doc_id, source, n_chars FROM (
               SELECT doc_id, source, n_chars,
@@ -5216,47 +3099,10 @@ def oracle_sql() -> dict[str, str]:
                        ROWS UNBOUNDED PRECEDING) AS c
               FROM documents)
             WHERE c <= 50000""",
-        "triangle_count": """
-            WITH e AS (
-              SELECT DISTINCT doc_id % 211 AS src,
-                              (doc_id * 13 + 7) % 211 AS dst
-              FROM documents
-              WHERE (doc_id % 211) <> ((doc_id * 13 + 7) % 211)
-            ), u AS (
-              SELECT DISTINCT least(src, dst) AS a,
-                              greatest(src, dst) AS b FROM e
-            )
-            SELECT CAST(count(*) AS BIGINT) AS n_triangles
-            FROM u x JOIN u y ON x.b = y.a
-                     JOIN u z ON z.a = x.a AND z.b = y.b""",
         "bucketed_join": """
             SELECT c_mktsegment, CAST(count(*) AS BIGINT) AS n_orders
             FROM orders JOIN customer ON o_custkey = c_custkey
             GROUP BY c_mktsegment""",
-        "embedding_dim_stats": """
-            SELECT dim, CAST(count(*) AS BIGINT) AS n,
-                   CAST(sum(v) AS BIGINT) AS sum_e6,
-                   CAST(min(v) AS BIGINT) AS min_e6,
-                   CAST(max(v) AS BIGINT) AS max_e6
-            FROM (
-              SELECT r.range AS dim,
-                     CAST(floor(CAST(embedding[r.range + 1] AS DOUBLE)
-                                * 1000000) AS BIGINT) AS v
-              FROM embeddings CROSS JOIN range(64) r)
-            GROUP BY dim""",
-        "dup_cluster_hist": """
-            WITH d AS (
-              SELECT doc_id,
-                     CASE WHEN doc_id % 10 < 3
-                          THEN 'dup bucket ' || CAST(doc_id % 50 AS VARCHAR)
-                          ELSE text END AS text
-              FROM documents
-            ), s AS (
-              SELECT CAST(count(*) AS BIGINT) AS cluster_size
-              FROM d GROUP BY md5(text)
-            )
-            SELECT cluster_size, CAST(count(*) AS BIGINT) AS n_clusters
-            FROM s GROUP BY cluster_size""",
         "knn_multi": """
             SELECT CAST(qid AS INTEGER) AS query_idx, vec_id,
                    CAST(rank AS INTEGER) AS rank FROM (
@@ -5269,60 +3115,6 @@ def oracle_sql() -> dict[str, str]:
               CROSS JOIN (SELECT vec_id, embedding FROM embeddings
                           WHERE vec_id < 5) q)
             WHERE rank <= 10""",
-        "doc_freq": r"""
-            SELECT term, CAST(count(DISTINCT doc_id) AS BIGINT) AS df
-            FROM (SELECT doc_id, unnest(regexp_extract_all(text, '\S+')) AS term
-                  FROM documents)
-            GROUP BY term ORDER BY df DESC, term ASC LIMIT 50""",
-        "kmeans_assign1": """
-            WITH cent AS (
-              SELECT row_number() OVER (ORDER BY vec_id) - 1 AS idx,
-                     embedding AS c,
-                     CASE WHEN list_dot_product(embedding, embedding) = 0
-                          THEN 1.0
-                          ELSE sqrt(list_dot_product(embedding, embedding))
-                     END AS nrm
-              FROM (SELECT vec_id, embedding FROM embeddings
-                    ORDER BY vec_id LIMIT 8)
-            ),
-            sims AS (
-              SELECT e.vec_id, c.idx,
-                     list_dot_product(e.embedding, c.c) / c.nrm AS s
-              FROM embeddings e CROSS JOIN cent c
-            )
-            SELECT vec_id, CAST(idx AS BIGINT) AS cell FROM (
-              SELECT vec_id, idx,
-                     row_number() OVER (PARTITION BY vec_id
-                                        ORDER BY s DESC, idx ASC) AS rn
-              FROM sims)
-            WHERE rn = 1""",
-        "lm_bigram_counts": """
-            WITH chars AS (
-              SELECT substring(text, u.i, 1) AS ch
-              FROM documents,
-                   unnest(range(1, length(text)::BIGINT + 1)) AS u(i)
-              WHERE text IS NOT NULL
-            ),
-            top AS (
-              SELECT ch FROM (
-                SELECT ch, count(*) AS n FROM chars GROUP BY ch
-                ORDER BY n DESC, ch ASC LIMIT 64)
-            ),
-            big AS (
-              SELECT CASE WHEN substring(text, u.i, 1) IN
-                            (SELECT ch FROM top)
-                          THEN substring(text, u.i, 1)
-                          ELSE '<oov>' END AS prev_ch,
-                     CASE WHEN substring(text, u.i + 1, 1) IN
-                            (SELECT ch FROM top)
-                          THEN substring(text, u.i + 1, 1)
-                          ELSE '<oov>' END AS next_ch
-              FROM documents,
-                   unnest(range(1, length(text)::BIGINT)) AS u(i)
-              WHERE text IS NOT NULL AND length(text) >= 2
-            )
-            SELECT prev_ch, next_ch, CAST(count(*) AS BIGINT) AS n
-            FROM big GROUP BY prev_ch, next_ch""",
         "host_cap": _PAGE_CTE + """
             SELECT host, url FROM (
               SELECT host, url,
@@ -5362,43 +3154,10 @@ def oracle_sql() -> dict[str, str]:
             WHERE NOT EXISTS (
               SELECT 1 FROM orders o
               WHERE o.o_custkey = c.c_custkey AND o.o_orderstatus = 'F')""",
-        "lang_len_quantiles": """
-            SELECT lang, 0.5::DOUBLE AS q,
-                   CAST(quantile_disc(n_chars, 0.5) AS BIGINT) AS value
-            FROM documents GROUP BY lang
-            UNION ALL
-            SELECT lang, 0.9::DOUBLE,
-                   CAST(quantile_disc(n_chars, 0.9) AS BIGINT)
-            FROM documents GROUP BY lang
-            UNION ALL
-            SELECT lang, 0.99::DOUBLE,
-                   CAST(quantile_disc(n_chars, 0.99) AS BIGINT)
-            FROM documents GROUP BY lang""",
         "span_extract": r"""
             SELECT doc_id, unnest(regexp_extract_all(text, 'scan \w+'))
                      AS match
             FROM documents""",
-        "quantize_embeddings": """
-            WITH u AS (
-              SELECT vec_id, generate_subscripts(embedding, 1) AS dim,
-                     CAST(unnest(embedding) AS DOUBLE) AS v
-              FROM embeddings),
-            b AS (SELECT dim, min(v) AS mn, max(v) AS mx FROM u GROUP BY dim)
-            SELECT u.vec_id, u.dim,
-                   CAST(CASE WHEN b.mx > b.mn
-                             THEN floor((u.v - b.mn) / (b.mx - b.mn) * 255)
-                             ELSE 0 END AS BIGINT) AS q
-            FROM u JOIN b USING (dim)""",
-        "label_centroids": """
-            SELECT label, dim,
-                   CAST(sum(CAST(floor(CAST(v AS DOUBLE) * 1000000) AS BIGINT))
-                          AS BIGINT) AS sum_fp,
-                   count(*) AS n
-            FROM (SELECT label,
-                         generate_subscripts(embedding, 1) AS dim,
-                         unnest(embedding) AS v
-                  FROM embeddings)
-            GROUP BY label, dim""",
         "orders_running_total": """
             SELECT o_orderkey, o_custkey, o_orderdate,
                    CAST(sum(CAST(round(o_totalprice * 100) AS BIGINT))
@@ -5427,26 +3186,6 @@ def oracle_sql() -> dict[str, str]:
                         THEN (tok_start + n_tokens - 1) // 512
                         ELSE tok_start // 512 END AS block_end
             FROM s""",
-        "shuffle_rank": """
-            SELECT doc_id, md5(text) AS h,
-                   row_number() OVER (ORDER BY md5(text), doc_id) AS rank
-            FROM documents""",
-        "tfidf": r"""
-            WITH terms AS (
-              SELECT doc_id,
-                     unnest(regexp_extract_all(text, '\S+')) AS term
-              FROM documents),
-            df AS (
-              SELECT term, CAST(count(DISTINCT doc_id) AS BIGINT) AS df
-              FROM terms GROUP BY term),
-            vocab AS (
-              SELECT term, df FROM df
-              ORDER BY df DESC, term ASC LIMIT 50),
-            tf AS (
-              SELECT doc_id, term, CAST(count(*) AS BIGINT) AS tf
-              FROM terms GROUP BY doc_id, term)
-            SELECT t.doc_id, t.term, t.tf, v.df
-            FROM tf t JOIN vocab v USING (term)""",
         "kmv_sketch": """
             SELECT h FROM (
               SELECT DISTINCT md5(text) AS h FROM documents
@@ -5464,11 +3203,6 @@ def oracle_sql() -> dict[str, str]:
             WHERE doc_id % 2 = 1 AND NOT EXISTS (
               SELECT 1 FROM documents h
               WHERE h.doc_id % 2 = 0 AND md5(h.text) = md5(n.text))""",
-        "webdataset_audit": """
-            SELECT CAST(CAST(('0x' || substr(md5(CAST(doc_id AS VARCHAR)), 1, 8))
-                             AS UBIGINT) % 8 AS BIGINT) AS shard,
-                   count(*) AS n_members
-            FROM documents GROUP BY shard""",
         "len_bucket": """
             WITH b AS (
               SELECT quantile_disc(n_chars, 0.25) AS q1,
@@ -5481,32 +3215,6 @@ def oracle_sql() -> dict[str, str]:
                              WHEN n_chars <= q3 THEN 2
                              ELSE 3 END AS BIGINT) AS bucket
             FROM documents, b""",
-        "trending_terms": r"""
-            SELECT lang, term, n, rank FROM (
-              SELECT lang, term, n,
-                     row_number() OVER (PARTITION BY lang
-                                        ORDER BY n DESC, term ASC) AS rank
-              FROM (SELECT lang, term, CAST(count(*) AS BIGINT) AS n
-                    FROM (SELECT lang,
-                                 unnest(regexp_extract_all(text, '\S+'))
-                                   AS term
-                          FROM documents)
-                    GROUP BY lang, term))
-            WHERE rank <= 5""",
-        "len_percentile": """
-            SELECT doc_id,
-                   cume_dist() OVER (ORDER BY n_chars) AS pct
-            FROM documents""",
-        "cc_chain": """
-            SELECT doc_id AS node,
-                   CAST(doc_id - doc_id % 10 AS BIGINT) AS label
-            FROM documents""",
-        "lang_label_mix": """
-            SELECT d.lang, CAST(e.label AS BIGINT) AS label,
-                   CAST(sum(d.n_chars) AS BIGINT) AS sum_chars,
-                   count(*) AS n_docs
-            FROM documents d JOIN embeddings e ON d.doc_id = e.vec_id
-            GROUP BY d.lang, e.label""",
         "media_meta": """
             SELECT doc_id,
                    CAST(doc_id % 640 + 16 AS INTEGER) AS width,

@@ -66,117 +66,3 @@ def compact_latest(ds: rd.Dataset, key: str, order_cols: list[str],
             .map_batches(bucket, batch_format="pyarrow")
             .groupby("_bkt")
             .map_groups(exact_bucket, batch_format="pandas"))
-
-
-def snapshot_diff(ds_a: rd.Dataset, ds_b: rd.Dataset, *,
-                  key: str = "doc_id", column: str = "text") -> rd.Dataset:
-    """CDC diff between two snapshots of a keyed table: which keys were
-    ``added`` / ``removed`` / ``changed`` from A to B (unchanged keys
-    are dropped) — the re-crawl delta report.
-
-    Scale shape: full-outer-join semantics WITHOUT a join.  Each side
-    maps to tiny (key, in_a, in_b, fp_a, fp_b) rows — the content
-    fingerprint is a vectorized md5→int48, so the text column never
-    leaves the map stage — then a union and ONE groupby(key) with
-    Sum/Max aggregates reconstructs both sides per key (Max ignores the
-    null fp of the absent side).  Classification is a vectorized
-    per-row expression over the aggregate row.  One shuffle total, and
-    it moves five scalar columns per key, never the payload.
-
-    Assumes each snapshot has at most one row per key (use
-    :func:`compact_latest` first otherwise).
-    """
-    import hashlib
-
-    import numpy as np
-    import pyarrow.compute as pc
-
-    from pmocr_ray.ops.vecagg import grouped_aggregate
-
-    def tag(side: str):
-        def fn(batch: pa.Table) -> pa.Table:
-            fps = np.array(
-                [int.from_bytes(hashlib.md5(t.encode()).digest()[:6], "big")
-                 if t is not None else -1
-                 for t in batch[column].to_pylist()], np.int64)
-            n = len(batch)
-            one = pa.array(np.ones(n, np.int64))
-            zero = pa.array(np.zeros(n, np.int64))
-            fp = pa.array(fps)
-            null = pa.nulls(n, pa.int64())
-            return pa.table({
-                key: batch[key],
-                "in_a": one if side == "a" else zero,
-                "in_b": one if side == "b" else zero,
-                "fp_a": fp if side == "a" else null,
-                "fp_b": fp if side == "b" else null,
-            })
-        return fn
-
-    tagged = (ds_a.map_batches(tag("a"), batch_format="pyarrow")
-              .union(ds_b.map_batches(tag("b"), batch_format="pyarrow")))
-    # key groups are CORPUS-scale — Arrow-bucketed aggregate (vecagg);
-    # max skips the absent side's null fp exactly like Ray's Max did,
-    # and the fp stays int64 (no pandas float round-trip anymore)
-    agg = grouped_aggregate(
-        tagged, [key],
-        [("in_a", "sum", "n_a"), ("in_b", "sum", "n_b"),
-         ("fp_a", "max", "fp_a"), ("fp_b", "max", "fp_b")])
-
-    def classify(t: pa.Table) -> pa.Table:
-        # Kleene logic so the one-sided null fp can't poison the mask.
-        in_a = pc.greater(t["n_a"], 0)
-        in_b = pc.greater(t["n_b"], 0)
-        added = pc.and_kleene(pc.invert(in_a), in_b)
-        removed = pc.and_kleene(in_a, pc.invert(in_b))
-        changed = pc.and_kleene(pc.and_kleene(in_a, in_b),
-                                pc.not_equal(t["fp_a"], t["fp_b"]))
-        change = pc.if_else(added, "added",
-                            pc.if_else(removed, "removed", "changed"))
-        keep = pc.or_kleene(pc.or_kleene(added, removed), changed)
-        return pa.table({key: t[key].filter(keep),
-                         "change": change.filter(keep)})
-
-    return agg.map_batches(classify, batch_format="pyarrow")
-
-
-def fold_rollup_shard(ds: rd.Dataset, state_dir: str, run_id: str, *,
-                      group_col: str, sum_cols: dict[str, str]) -> str:
-    """Incremental aggregate maintenance, fold side: reduce a new
-    partition to its per-group rollup (count + requested sums) and
-    append it as ONE parquet shard named by ``run_id`` — the same
-    O(1)-per-commit shard discipline as the done manifest
-    (pmocr_ray/state/manifest.py), applied to aggregate state.
-    Re-folding the same run_id overwrites its shard (idempotent), and
-    history is never rewritten.  ``sum_cols`` maps output name →
-    source column.  Shard size is bounded by group cardinality, not
-    partition size."""
-    import os
-
-    import pyarrow.parquet as pq_
-
-    from ray.data.aggregate import Count, Sum
-
-    aggs = [Count(alias_name="n_rows")]
-    for out_name, src in sum_cols.items():
-        aggs.append(Sum(src, alias_name=out_name))
-    rollup = ds.groupby(group_col).aggregate(*aggs)
-    tbl = pa.Table.from_pandas(rollup.to_pandas(), preserve_index=False)
-    os.makedirs(state_dir, exist_ok=True)
-    path = os.path.join(state_dir, f"rollup-{run_id}.parquet")
-    tmp = path + ".tmp"
-    pq_.write_table(tbl, tmp)
-    os.replace(tmp, path)
-    return path
-
-
-def read_rollup(state_dir: str, *, group_col: str) -> rd.Dataset:
-    """Merge side: the current aggregate view is one groupby over the
-    shard directory — cost scales with shards × groups, never with the
-    rows ever ingested."""
-    from ray.data.aggregate import Sum
-
-    ds = rd.read_parquet(state_dir)
-    cols = [c for c in ds.schema().names if c != group_col]
-    return ds.groupby(group_col).aggregate(
-        *[Sum(c, alias_name=c) for c in cols])

@@ -1266,7 +1266,7 @@ def semdedup(ds: rd.Dataset, *, k: int = 8, threshold: float = 0.45,
     /root/reference/pmocr.sh:2126-2144):
 
     * centroids: caller-supplied (production path: feed
-      :func:`pmocr_ray.ops.knn.kmeans_distributed` output) or the
+      :func:`pmocr_ray.ops.knn.train_centroids` output) or the
       pinned deterministic init (first ``k`` vectors by key, bounded
       combiner — no RNG, no global sort), broadcast once via
       ``ray.put``;
@@ -1441,8 +1441,7 @@ def line_dedup(ds: rd.Dataset, *, key: str = "doc_id",
     # reassembly WITHOUT a per-document Python call: documents hash to
     # buckets (vecagg's deterministic bucketing), each bucket sorts
     # once by (key, line_no) and rebuilds ALL its documents with one
-    # ListArray + binary_join — same vectorized rebuild as
-    # line_self_dedup, applied across the bucket
+    # ListArray + binary_join
     from pmocr_ray.ops.vecagg import _bucket_of
 
     def bucket(t: pa.Table) -> pa.Table:
@@ -1563,86 +1562,6 @@ def incremental_exact_dedup(new_docs: rd.Dataset, history: rd.Dataset, *,
         fingerprint, fn_kwargs={"column": column}, batch_format="pyarrow")
     out = bloom_anti_join(new_fp, hist_fp, on="fp", n_bits=n_bits)
     return out.drop_columns(["fp"])
-
-
-def incremental_minhash_dedup(
-    new_docs: rd.Dataset,
-    history: rd.Dataset,
-    *,
-    key: str = "doc_id",
-    column: str = "text",
-    threshold: float = 0.8,
-    num_perm: int = 128,
-    n_bands: int = 32,
-    shingle_size: int = 3,
-    concurrency: int = 2,
-) -> rd.Dataset:
-    """Near-dup dedup of a NEW crawl against an already-kept corpus
-    (the crawl-over-crawl discipline): drop every new document whose
-    word-shingle Jaccard against ANY history document is ≥ threshold.
-    Within-new duplicates are deliberately NOT decided here — run
-    :func:`minhash_dedup_keep` on the survivors for that.
-
-    Scale shape: both sides are sketched independently (actor pools),
-    their band rows union into ONE bucket groupby, and candidate pairs
-    are filtered to cross-side pairs BEFORE verification — with
-    history ≫ new, the within-history pair mass (the dominant term)
-    never reaches the Jaccard verify join.  Side membership and the
-    final drop set are broadcast as int id sets (the same
-    fits-in-memory-ints assumption the union-find step makes); corpus
-    text only moves through the hash-partitioned verify join.
-    Precondition: ``key`` values are globally unique across both sides.
-    """
-    mh_kwargs = {"num_perm": num_perm, "n_bands": n_bands,
-                 "shingle_size": shingle_size, "key": key, "column": column}
-    bands = (new_docs.map_batches(MinHashStage,
-                                  fn_constructor_kwargs=mh_kwargs,
-                                  batch_format="pyarrow",
-                                  concurrency=(1, concurrency))
-             .union(history.map_batches(MinHashStage,
-                                        fn_constructor_kwargs=mh_kwargs,
-                                        batch_format="pyarrow",
-                                        concurrency=(1, concurrency))))
-    candidates = lsh_candidate_pairs(bands)
-
-    new_ids: set = set()
-    for blk in new_docs.select_columns([key]).iter_batches(
-            batch_format="pyarrow"):
-        new_ids.update(blk[key].to_pylist())
-    new_ref = ray.put(frozenset(new_ids))
-
-    def cross_side(t: pa.Table) -> pa.Table:
-        ids = ray.get(new_ref)
-        a = t["a"].to_pylist()
-        b = t["b"].to_pylist()
-        mask = pa.array([(x in ids) != (y in ids) for x, y in zip(a, b)],
-                        pa.bool_())
-        return t.filter(mask)
-
-    cross = candidates.map_batches(cross_side, batch_format="pyarrow")
-    corpus = new_docs.select_columns([key, column]).union(
-        history.select_columns([key, column]))
-    paired = attach_pair_sides(cross, corpus, key=key, column=column)
-    verified = paired.map_batches(
-        _jaccard_verify_fn(column, threshold, shingle_size, False),
-        batch_format="pyarrow",
-    )
-
-    dup_new: set = set()
-    for blk in verified.select_columns(["a", "b"]).iter_batches(
-            batch_format="pyarrow"):
-        for x in blk["a"].to_pylist() + blk["b"].to_pylist():
-            if x in new_ids:
-                dup_new.add(x)
-    dup_ref = ray.put(pa.array(sorted(dup_new), pa.int64()))
-
-    def keep(t: pa.Table) -> pa.Table:
-        d = ray.get(dup_ref)
-        mask = pa.compute.invert(pa.compute.is_in(
-            pa.compute.cast(t[key], pa.int64()), value_set=d))
-        return t.filter(pa.compute.fill_null(mask, True))
-
-    return new_docs.map_batches(keep, batch_format="pyarrow")
 
 
 def dup_span_stats(ds, *, key: str = "doc_id", column: str = "text",
@@ -1909,85 +1828,6 @@ def remove_dup_spans(ds: rd.Dataset, *, key: str = "doc_id",
                                                pa.string())})
 
     return with_cov.map_batches(rebuild, batch_format="pyarrow")
-
-
-def line_self_dedup(ds, key: str = "doc_id", column: str = "text"):
-    """WITHIN-document line dedup: drop repeated lines inside each
-    document, keeping the first occurrence, and rebuild the text (the
-    boilerplate-collapse step — nav menus / footers repeated inside
-    one page — complementing :func:`line_dedup`'s cross-corpus pass).
-
-    Map-only and batch-local by construction (a document never spans
-    batches), so it scales as a pure map stage.  Vectorized: split →
-    flatten with parent indices → first-occurrence mask via a single
-    local group_by(parent, line) min-position → ListArray rebuild +
-    ``binary_join``.  Emits (key, n_lines, n_unique_lines, dedup_text).
-    """
-    import numpy as np
-
-    def per_batch(batch: pa.Table) -> pa.Table:
-        col = pc.fill_null(batch[column], "")
-        lines = pc.split_pattern(col, "\n")
-        chunked = lines if isinstance(lines, pa.ChunkedArray) \
-            else pa.chunked_array([lines])
-        outs = []
-        for chunk in chunked.chunks:
-            values = chunk.values
-            offsets = chunk.offsets.to_numpy(zero_copy_only=False)
-            parent = pc.list_parent_indices(chunk)
-            n = len(values)
-            pos = pa.array(np.arange(n, dtype=np.int64))
-            firsts = pa.table({"p": parent, "l": values, "i": pos}) \
-                .group_by(["p", "l"]).aggregate([("i", "min")])
-            keep_idx = np.sort(firsts["i_min"].to_numpy(
-                zero_copy_only=False))
-            mask = np.zeros(n, dtype=bool)
-            mask[keep_idx] = True
-            kept_cum = np.concatenate([[0], np.cumsum(mask)])
-            new_offsets = kept_cum[offsets]
-            kept_list = pa.ListArray.from_arrays(
-                pa.array(new_offsets, pa.int64()), values.filter(
-                    pa.array(mask)))
-            outs.append((np.diff(offsets).astype(np.int64),
-                         np.diff(new_offsets).astype(np.int64),
-                         pc.binary_join(kept_list, "\n")))
-        return pa.table({
-            key: batch[key],
-            "n_lines": pa.chunked_array(
-                [pa.array(o[0], pa.int64()) for o in outs]),
-            "n_unique_lines": pa.chunked_array(
-                [pa.array(o[1], pa.int64()) for o in outs]),
-            "dedup_text": pa.chunked_array([o[2] for o in outs]),
-        })
-
-    return ds.map_batches(per_batch, batch_format="pyarrow")
-
-
-def dup_cluster_histogram(ds: rd.Dataset, column: str = "text",
-                          key: str = "doc_id") -> rd.Dataset:
-    """Histogram of exact-duplicate cluster sizes: how many distinct
-    contents have exactly k copies — the corpus-duplication profile a
-    curation run reports before choosing dedup thresholds.
-
-    Scale shape: :func:`exact_dedup` already reduces the corpus to one
-    (fp, keep_id, n_dups) row per distinct content via the per-batch
-    combiner; this adds a SECOND tiny groupby over those rollup rows
-    (cardinality = distinct cluster sizes, i.e. dozens).  Nothing
-    larger than the dedup rollup ever shuffles.  Emits
-    (cluster_size, n_clusters), both exact int64.
-    """
-    from ray.data.aggregate import Count
-
-    sizes = exact_dedup(ds, column=column, key=key)
-    hist = sizes.groupby("n_dups").aggregate(Count(alias_name="n_clusters"))
-
-    def rename(t: pa.Table) -> pa.Table:
-        return pa.table({
-            "cluster_size": pc.cast(t["n_dups"], pa.int64()),
-            "n_clusters": pc.cast(t["n_clusters"], pa.int64()),
-        })
-
-    return hist.map_batches(rename, batch_format="pyarrow")
 
 
 def host_mirror_pairs(ds: rd.Dataset, *, url_column: str = "url",

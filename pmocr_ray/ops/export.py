@@ -1,9 +1,8 @@
-"""Training-data export: deterministic hash sharding + WebDataset-style
-tar writer.
+"""Training-data export: deterministic hash sharding.
 
 The last stage of a curation run: assign every document a stable shard
 id from a content-independent key hash (md5, so the DuckDB oracle can
-replay the assignment bit-for-bit), then write one tar per shard.
+replay the assignment bit-for-bit).
 Re-running the export reproduces the same shard membership on
 any cluster shape — the property a 100 TB resumable export needs
 (finished shards can be skipped; readers can address
@@ -47,64 +46,3 @@ def shard_counts(ds: rd.Dataset, *, key: str = "url",
 
     return (ds.map_batches(partial, batch_format="pyarrow")
               .groupby("shard").aggregate(Sum("n", alias_name="n")))
-
-
-def webdataset_export(ds: rd.Dataset, out_dir: str, *, key: str = "doc_id",
-                      column: str = "text", n_shards: int = 8) -> rd.Dataset:
-    """WebDataset-style tar shards: ``out_dir/shard-K.tar`` containing
-    one ``<key>.txt`` member per document, members sorted by key within
-    a shard (deterministic bytes for a given corpus + shard count).
-
-    Custom SINK shape: deterministic hash sharding (map-only) co-locates
-    each shard's rows with ``groupby(shard).map_groups``; each group
-    writes its own tar locally and returns only an audit row
-    (shard, n_members, tar_bytes) — the driver never sees document
-    bytes.  One tar per shard keeps the write parallel across shards
-    and resumable per shard (the audit row is the commit record).
-    Tar mtimes/uids are zeroed so shard bytes are reproducible.
-    """
-    import io
-    import os
-    import tarfile
-
-    import pandas as pd
-
-    os.makedirs(out_dir, exist_ok=True)
-
-    def write_shard(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(key)
-        shard = int(g["shard"].iloc[0])
-        path = os.path.join(out_dir, f"shard-{shard}.tar")
-        tmp = path + ".tmp"
-        with tarfile.open(tmp, "w") as tar:
-            for k, text in zip(g[key], g[column]):
-                data = (text or "").encode("utf-8")
-                info = tarfile.TarInfo(name=f"{k}.txt")
-                info.size = len(data)
-                info.mtime = 0
-                tar.addfile(info, io.BytesIO(data))
-        os.replace(tmp, path)  # atomic commit per shard
-        return pd.DataFrame({"shard": [shard],
-                             "n_members": [len(g)],
-                             "tar_bytes": [os.path.getsize(path)]})
-
-    sharded = ds.map_batches(
-        lambda b: _assign_int_shard(b, key=key, n_shards=n_shards),
-        batch_format="pyarrow",
-    )
-    return sharded.groupby("shard").map_groups(write_shard,
-                                               batch_format="pandas")
-
-
-def _assign_int_shard(batch: pa.Table, *, key: str,
-                      n_shards: int) -> pa.Table:
-    """assign_shard for non-string keys: hash str(key) — same md5 rule."""
-    if n_shards < 1:
-        raise ValueError(f"webdataset_export needs n_shards >= 1 "
-                         f"(got {n_shards})")
-    shards = pa.array(
-        [int(hashlib.md5(str(k).encode()).hexdigest()[:8], 16) % n_shards
-         for k in batch[key].to_pylist()],
-        pa.int64(),
-    )
-    return batch.append_column("shard", shards)

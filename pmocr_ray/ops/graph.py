@@ -34,7 +34,6 @@ import ray
 import ray.data as rd
 from ray.data.aggregate import Sum
 
-from pmocr_ray.ops.vecagg import distinct as _vec_distinct
 from pmocr_ray.ops.vecagg import grouped_aggregate as _vec_agg
 
 # every groupby below runs over NODE- or EDGE-scale group counts — the
@@ -368,90 +367,3 @@ def pagerank(edges: rd.Dataset, *, iters: int = 3, scale: int = 1_000_000,
         lambda t: pa.table({"node": t["rnode"],
                             "rank": pc.cast(t["rank"], pa.int64())}),
         batch_format="pyarrow")
-
-
-def triangle_count(edges: rd.Dataset, *, num_partitions: int = 8) -> int:
-    """Exact global triangle count over an undirected int64 (src, dst)
-    edge list — the clustering-structure probe for host/link graphs.
-
-    Scale shape: the classic degree orientation.  Each undirected edge
-    is directed from its LOWER-degree endpoint to the higher (ties by
-    node id), which bounds every node's out-degree by O(√|E|) — so the
-    wedge join (oriented ⋈ oriented on the middle vertex) cannot
-    explode on a celebrity hub the way a naive join would.  Wedges
-    then close against the oriented edge set with one more hash join.
-    Degrees ride along the edge rows (one rollup + one join to attach)
-    rather than a driver broadcast, so node-scale never hits the
-    driver.  Every triangle is counted exactly once (its unique
-    orientation a→b→c with a→c, ordered by (deg, id)).
-    """
-    def canon(t: pa.Table) -> pa.Table:
-        lo = pc.min_element_wise(t["src"], t["dst"])
-        hi = pc.max_element_wise(t["src"], t["dst"])
-        tab = pa.table({"u": pc.cast(lo, pa.int64()),
-                        "v": pc.cast(hi, pa.int64())})
-        tab = tab.filter(pc.not_equal(tab["u"], tab["v"]))
-        return tab.group_by(["u", "v"]).aggregate([])
-
-    und = _vec_distinct(
-        edges.map_batches(canon, batch_format="pyarrow"),
-        ["u", "v"]).materialize()
-    n_edges = und.count()
-    if n_edges == 0:  # joins below lose the schema on zero-row inputs
-        return 0
-    parts = max(1, min(num_partitions, n_edges // 2048 + 1))
-
-    sym = _sym_edges(und.map_batches(
-        lambda t: pa.table({"a": t["u"], "b": t["v"]}),
-        batch_format="pyarrow"))
-    deg = _vec_agg(
-        sym.map_batches(
-            lambda t: pa.table({"node": t["u"],
-                                "d": pa.array([1] * len(t), pa.int64())}),
-            batch_format="pyarrow"),
-        ["node"], [("d", "sum", "d")])
-
-    # attach both endpoint degrees, then orient (deg, id)-ascending
-    j = und.join(deg, join_type="inner", num_partitions=parts,
-                 on=("u",), right_on=("node",))
-    j = j.map_batches(lambda t: pa.table({
-        "u": t["u"], "v": t["v"], "du": t["d"]}), batch_format="pyarrow")
-    j = j.join(deg, join_type="inner", num_partitions=parts,
-               on=("v",), right_on=("node",))
-
-    def orient(t: pa.Table) -> pa.Table:
-        du, dv = pc.cast(t["du"], pa.int64()), pc.cast(t["d"], pa.int64())
-        u_first = pc.or_(pc.less(du, dv),
-                         pc.and_(pc.equal(du, dv), pc.less(t["u"], t["v"])))
-        a = pc.if_else(u_first, t["u"], t["v"])
-        b = pc.if_else(u_first, t["v"], t["u"])
-        return pa.table({"a": pc.cast(a, pa.int64()),
-                         "b": pc.cast(b, pa.int64())})
-
-    oriented = j.map_batches(orient, batch_format="pyarrow").materialize()
-
-    # wedges a→b, a→c (b != c): self-join on the low vertex
-    wedges = oriented.join(
-        oriented.map_batches(
-            lambda t: pa.table({"a2": t["a"], "c": t["b"]}),
-            batch_format="pyarrow"),
-        join_type="inner", num_partitions=parts, on=("a",),
-        right_on=("a2",))
-    wedges = wedges.map_batches(
-        lambda t: pa.table({"b": t["b"], "c": t["c"]}),
-        batch_format="pyarrow").map_batches(
-        lambda t: t.filter(pc.less(t["b"], t["c"])),
-        batch_format="pyarrow")
-
-    # close the wedge: (b, c) must be an oriented edge in EITHER
-    # direction; oriented edges have b<c not guaranteed, so canonicalize
-    closing = oriented.map_batches(
-        lambda t: pa.table({
-            "b": pc.min_element_wise(t["a"], t["b"]),
-            "c": pc.max_element_wise(t["a"], t["b"]),
-            "is_edge": pa.array([1] * len(t), pa.int64())}),
-        batch_format="pyarrow")
-    closed = wedges.join(closing, join_type="inner",
-                         num_partitions=parts, on=("b", "c"),
-                         right_on=("b", "c"))
-    return closed.count()

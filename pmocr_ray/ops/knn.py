@@ -297,222 +297,3 @@ def knn_cosine_ivf(
     )
     return knn_cosine(cand, queries, k, key=key, column=column,
                       concurrency=concurrency)
-
-
-def label_centroid_fixedpoint(ds: rd.Dataset, key: str = "label",
-                              column: str = "embedding",
-                              scale: float = 1e6) -> rd.Dataset:
-    """Per-label centroid accumulator in FIXED POINT: per (label, dim),
-    ``sum(floor(v * scale))`` as int64 plus the member count.
-
-    Distributed float sums are reduction-order-dependent, so an
-    oracle-checkable centroid aggregates exact integers instead (floor,
-    not round: no tie policy to match).  The per-batch combiner does
-    one numpy scatter-add per label and emits labels × dims partial
-    rows — shuffle fan-in is the centroid table itself, never vectors.
-    The mean is ``sum_fp / n / scale`` downstream, deterministic.
-    """
-    from ray.data.aggregate import Sum
-
-    def partial(batch: pa.Table) -> pa.Table:
-        labels = batch[key].to_numpy(zero_copy_only=False).astype(np.int64)
-        mat = list_matrix(batch[column])
-        fp = np.floor(mat * scale).astype(np.int64)
-        uniq, inv = np.unique(labels, return_inverse=True)
-        sums = np.zeros((len(uniq), fp.shape[1]), np.int64)
-        np.add.at(sums, inv, fp)
-        counts = np.bincount(inv, minlength=len(uniq)).astype(np.int64)
-        n_dim = fp.shape[1]
-        return pa.table({
-            key: pa.array(np.repeat(uniq, n_dim), pa.int64()),
-            "dim": pa.array(np.tile(np.arange(1, n_dim + 1), len(uniq)),
-                            pa.int64()),
-            "sum_fp": pa.array(sums.ravel(), pa.int64()),
-            "n": pa.array(np.repeat(counts, n_dim), pa.int64()),
-        })
-
-    return (ds.map_batches(partial, batch_format="pyarrow")
-            .groupby([key, "dim"])
-            .aggregate(Sum("sum_fp", alias_name="sum_fp"),
-                       Sum("n", alias_name="n")))
-
-
-def kmeans_distributed(ds: rd.Dataset, k: int, *, column: str = "embedding",
-                       iters: int = 10, seed: int = 42,
-                       scale: float = 1e6) -> np.ndarray:
-    """Full-corpus Lloyd k-means (vs :func:`train_centroids`' bounded
-    driver-side sample): every iteration is one broadcast + one
-    map_batches + one tiny groupby — the dataset itself never moves.
-
-    Per iteration: centroids are broadcast (``ray.put``, k×dim); each
-    batch assigns its vectors with one matmul and emits FIXED-POINT
-    per-(cell, dim) partial sums (int64 ``floor(v·scale)`` — the
-    :func:`label_centroid_fixedpoint` trick), so the reduction is
-    bit-deterministic under any partitioning and the shuffle carries
-    k×dim rows per batch, never vectors.  Init: first k distinct rows
-    under a seeded deterministic hash order (no RNG state on workers).
-
-    Returns the (k, dim) centroid matrix (unit-normalized).
-    """
-    from ray.data.aggregate import Sum
-
-    init_rows = ds.select_columns([column]).limit(10 * k).take_all()
-    if not init_rows:
-        raise ValueError(
-            f"kmeans_distributed: dataset has no rows (column {column!r}) "
-            "— cannot seed centroids from an empty corpus")
-    X0 = _normalize(np.asarray([r[column] for r in init_rows],
-                               dtype=np.float64))
-    rng = np.random.RandomState(seed)
-    cent = X0[rng.choice(len(X0), size=min(k, len(X0)), replace=False)].copy()
-
-    for _ in range(iters):
-        cent_ref = ray.put(cent)
-
-        def partial(batch: pa.Table) -> pa.Table:
-            c = ray.get(cent_ref)
-            mat = _normalize(list_matrix(batch[column]))
-            assign = np.argmax(mat @ c.T, axis=1)
-            fp = np.floor(mat * scale).astype(np.int64)
-            uniq, inv = np.unique(assign, return_inverse=True)
-            sums = np.zeros((len(uniq), fp.shape[1]), np.int64)
-            np.add.at(sums, inv, fp)
-            counts = np.bincount(inv, minlength=len(uniq)).astype(np.int64)
-            d = fp.shape[1]
-            return pa.table({
-                "cell": pa.array(np.repeat(uniq, d), pa.int64()),
-                "dim": pa.array(np.tile(np.arange(d), len(uniq)), pa.int64()),
-                "s": pa.array(sums.ravel(), pa.int64()),
-                "n": pa.array(np.repeat(counts, d), pa.int64()),
-            })
-
-        rollup = (ds.map_batches(partial, batch_format="pyarrow")
-                  .groupby(["cell", "dim"])
-                  .aggregate(Sum("s", alias_name="s"),
-                             Sum("n", alias_name="n")).take_all())
-        new = cent.copy()
-        acc: dict[int, np.ndarray] = {}
-        cnt: dict[int, int] = {}
-        for r in rollup:
-            acc.setdefault(r["cell"], np.zeros(cent.shape[1]))[r["dim"]] = r["s"]
-            cnt[r["cell"]] = r["n"]
-        for cell, v in acc.items():
-            if cnt[cell]:
-                m = v / (cnt[cell] * scale)
-                nrm = np.linalg.norm(m)
-                if nrm > 0:
-                    new[cell] = m / nrm
-        if np.allclose(new, cent, atol=1e-12):
-            break
-        cent = new
-    return cent
-
-
-def quantize_embeddings(ds: rd.Dataset, *, key: str = "vec_id",
-                        column: str = "embedding") -> rd.Dataset:
-    """Uniform int8 quantization of an embedding column — the
-    storage/serving compression step of an ANN index build.
-
-    Two passes, both shuffle-light: (1) per-dim min/max via per-batch
-    numpy partials → a groupby bounded by the dimension count; (2) the
-    bounds (two dim-length arrays) broadcast to a map-only vectorized
-    quantize.  All arithmetic in float64 (exact for float32 inputs), so
-    the codes are bit-deterministic: ``q = floor((v-mn)/(mx-mn)*255)``,
-    0 where a dim is constant.  Returns COO rows (key, dim, q).
-    """
-    from ray.data.aggregate import Max, Min
-
-    def bounds_partial(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:  # min/max over zero rows would crash
-            return pa.table({"dim": pa.array([], pa.int64()),
-                             "mn": pa.array([], pa.float64()),
-                             "mx": pa.array([], pa.float64())})
-        mat = list_matrix(batch[column])
-        d = mat.shape[1]
-        return pa.table({
-            "dim": pa.array(np.arange(1, d + 1), pa.int64()),
-            "mn": pa.array(mat.min(axis=0), pa.float64()),
-            "mx": pa.array(mat.max(axis=0), pa.float64()),
-        })
-
-    rollup = (ds.map_batches(bounds_partial, batch_format="pyarrow")
-              .groupby("dim").aggregate(Min("mn", alias_name="mn"),
-                                        Max("mx", alias_name="mx"))
-              .sort("dim").take_all())
-    mn = np.array([r["mn"] for r in rollup])
-    mx = np.array([r["mx"] for r in rollup])
-    ref = ray.put((mn, mx))
-
-    def quantize(batch: pa.Table) -> pa.Table:
-        lo, hi = ray.get(ref)
-        mat = list_matrix(batch[column])
-        span = hi - lo
-        with np.errstate(divide="ignore", invalid="ignore"):
-            q = np.floor((mat - lo) / span * 255.0)
-        q = np.where(span > 0, q, 0.0).astype(np.int64)
-        n, d = mat.shape
-        ids = batch[key].to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table({
-            key: pa.array(np.repeat(ids, d), pa.int64()),
-            "dim": pa.array(np.tile(np.arange(1, d + 1), n), pa.int64()),
-            "q": pa.array(q.ravel(), pa.int64()),
-        })
-
-    return ds.map_batches(quantize, batch_format="pyarrow")
-
-
-def embedding_dim_stats(ds, column: str = "embedding",
-                        scale: int = 1_000_000):
-    """Per-dimension rollup over a ``list<float>`` column: count, sum,
-    min, max in FLOORED fixed-point micro-units — the vector-column
-    profiling pass (bounds feed quantization; drift across crawls
-    feeds monitoring).
-
-    Determinism: each float32 value casts to float64 and floors AFTER
-    one multiply — elementwise IEEE ops identical on every worker and
-    in the SQL oracle; the cross-row aggregation is then exact int64,
-    so partial-sum order is irrelevant.  Shape: flatten + reshape per
-    batch (zero-copy list buffers), one numpy reduction per dim → the
-    shuffle moves d rows per batch, never a vector.
-    """
-    import numpy as np
-    import pyarrow as pa
-    import pyarrow.compute as pc
-
-    import ray.data as rd  # noqa: F401  (signature parity)
-    from ray.data.aggregate import Max, Min, Sum
-
-    def partial(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0:
-            return pa.table({"dim": pa.array([], pa.int64()),
-                             "n": pa.array([], pa.int64()),
-                             "sum_e6": pa.array([], pa.int64()),
-                             "min_e6": pa.array([], pa.int64()),
-                             "max_e6": pa.array([], pa.int64())})
-        col = t[column].combine_chunks()
-        sizes = pc.list_value_length(col)
-        if (col.null_count or
-                pc.min(sizes).as_py() != pc.max(sizes).as_py()):
-            # flatten+reshape would silently misalign rows — fail loud
-            raise ValueError(
-                f"embedding_dim_stats: column {column!r} has null or "
-                "ragged embeddings; fixed-width list<float> required")
-        flat = pc.list_flatten(col).to_numpy(zero_copy_only=False)
-        n = len(t)
-        d = len(flat) // n
-        v = np.floor(flat.astype(np.float64) * scale).astype(np.int64)
-        m = v.reshape(n, d)
-        return pa.table({
-            "dim": pa.array(np.arange(d, dtype=np.int64)),
-            "n": pa.array(np.full(d, n, np.int64)),
-            "sum_e6": pa.array(m.sum(axis=0, dtype=np.int64)),
-            "min_e6": pa.array(m.min(axis=0)),
-            "max_e6": pa.array(m.max(axis=0)),
-        })
-
-    return (ds.map_batches(partial, batch_format="pyarrow")
-            .groupby("dim").aggregate(
-                Sum("n", alias_name="n"),
-                Sum("sum_e6", alias_name="sum_e6"),
-                Min("min_e6", alias_name="min_e6"),
-                Max("max_e6", alias_name="max_e6")))

@@ -92,54 +92,6 @@ def pack_sequences(docs: rd.Dataset, block_tokens: int,
             .map_groups(per_part, batch_format="pandas"))
 
 
-def hash_shuffle_rank(docs: rd.Dataset, key: str = "doc_id",
-                      column: str = "text") -> rd.Dataset:
-    """Deterministic pseudo-shuffle with an explicit GLOBAL rank:
-    documents ordered by ``(md5(text), key)`` — the reproducible,
-    seed-free order randomization used for training-data interleaving
-    (sorting by a cryptographic hash decorrelates neighbors exactly
-    like a seeded shuffle, but is partition-invariant and resumable).
-
-    The global rank reuses the two-pass distributed scan from
-    :func:`pack_sequences` on a different partitioning: the hash's
-    first byte gives 256 CONTIGUOUS ranges of the sort order, so
-    per-part counts → broadcast exclusive offsets → per-part local
-    sort + arange.  No stage holds more than one part.
-    """
-    import hashlib as _hl
-
-    def with_hash(batch: pa.Table) -> pa.Table:
-        hs = pa.array(
-            [_hl.md5((t or "").encode("utf-8")).hexdigest()
-             for t in batch[column].to_pylist()], pa.string())
-        part = pc.cast(pa.array(
-            [int(h[:2], 16) for h in hs.to_pylist()], pa.int64()), pa.int64())
-        return pa.table({key: batch[key], "h": hs, "part": part})
-
-    hashed = docs.map_batches(with_hash, batch_format="pyarrow")
-
-    from ray.data.aggregate import Count
-    totals = (hashed.select_columns(["part"])
-              .groupby("part").aggregate(Count(alias_name="n")).take_all())
-    totals.sort(key=lambda r: r["part"])
-    offsets, acc = {}, 0
-    for r in totals:
-        offsets[r["part"]] = acc
-        acc += r["n"]
-    offsets_ref = ray.put(offsets)
-
-    def per_part(g: pd.DataFrame) -> pd.DataFrame:
-        off = ray.get(offsets_ref)[int(g["part"].iloc[0])]
-        g = g.sort_values(["h", key])
-        return pd.DataFrame({
-            key: g[key].to_numpy(),
-            "h": g["h"].to_numpy(),
-            "rank": off + np.arange(1, len(g) + 1, dtype=np.int64),
-        })
-
-    return hashed.groupby("part").map_groups(per_part, batch_format="pandas")
-
-
 def ntile_buckets(docs: rd.Dataset, k: int, order_col: str = "n_chars",
                   key: str = "doc_id", part_width: int = 16) -> rd.Dataset:
     """Equal-frequency bucket assignment: SQL ``NTILE(k) OVER (ORDER BY
@@ -320,167 +272,6 @@ def zorder_values(ds: rd.Dataset, x_col: str = "n_chars",
 
     return ds.select_columns([key, x_col, cat_col]).map_batches(
         z, batch_format="pyarrow")
-
-
-def zorder_write(ds: rd.Dataset, out_dir: str, *, x_col: str = "n_chars",
-                 cat_col: str = "lang", key: str = "doc_id",
-                 bits: int = 16, bucket_shift: int = 12) -> None:
-    """Write the dataset hive-partitioned by Z-order file bucket, with a
-    per-bucket (min,max) zone-map manifest — the layout that makes
-    EITHER predicate dimension prunable at the read (the same
-    locality-at-rest story as :func:`pmocr_ray.ops.knn.ivf_build_index`,
-    for relational predicates instead of vector cells).
-
-    The full rows are written (zvalue carried as a column); the zone
-    map is a tiny per-bucket rollup (min/max of the numeric dim plus
-    the category set) persisted beside the data.
-    """
-    import os
-
-    import pyarrow.parquet as pq
-    from ray.data.aggregate import Max, Min
-
-    cats = sorted(
-        r[cat_col]
-        for r in ds.groupby(cat_col).count().select_columns([cat_col])
-        .take_all())
-
-    def z(batch: pa.Table) -> pa.Table:
-        x = batch[x_col].to_numpy(zero_copy_only=False).astype(np.int64) \
-            & ((1 << bits) - 1)
-        # dense code = index into the sorted category list — one Arrow
-        # index_in kernel instead of a per-row dict lookup
-        y = pc.index_in(batch[cat_col], value_set=pa.array(cats)) \
-            .cast(pa.int64()).to_numpy(zero_copy_only=False)
-        zv = np.zeros(len(x), np.int64)
-        for i in range(bits):
-            zv |= ((x >> i) & 1) << (2 * i)
-            zv |= ((y >> i) & 1) << (2 * i + 1)
-        return (batch.append_column("zvalue", pa.array(zv, pa.int64()))
-                .append_column("zbucket", pa.array(zv >> bucket_shift,
-                                                   pa.int64())))
-
-    keyed = ds.map_batches(z, batch_format="pyarrow")
-    keyed.write_parquet(os.path.join(out_dir, "data"),
-                        partition_cols=["zbucket"])
-    zones = (keyed.groupby("zbucket")
-             .aggregate(Min(x_col, alias_name="x_min"),
-                        Max(x_col, alias_name="x_max"),
-                        Min(cat_col, alias_name="cat_min"),
-                        Max(cat_col, alias_name="cat_max"))
-             .take_all())
-    pq.write_table(
-        pa.table({
-            "zbucket": pa.array([r["zbucket"] for r in zones], pa.int64()),
-            "x_min": pa.array([r["x_min"] for r in zones], pa.int64()),
-            "x_max": pa.array([r["x_max"] for r in zones], pa.int64()),
-            "cat_min": pa.array([r["cat_min"] for r in zones]),
-            "cat_max": pa.array([r["cat_max"] for r in zones]),
-        }),
-        os.path.join(out_dir, "zones.parquet"))
-
-
-def zorder_pruned_buckets(out_dir: str, *, x_range=None, cat=None):
-    """Zone-map pruning decision (exposed for tests/audit): the bucket
-    ids whose (min,max) zones overlap the predicate."""
-    import os
-
-    import pyarrow.parquet as pq
-
-    zones = pq.read_table(os.path.join(out_dir, "zones.parquet"))
-    keep = np.ones(zones.num_rows, bool)
-    if x_range is not None:
-        lo, hi = x_range
-        keep &= (zones["x_max"].to_numpy() >= lo) \
-            & (zones["x_min"].to_numpy() <= hi)
-    if cat is not None:
-        cmin = zones["cat_min"].to_pylist()
-        cmax = zones["cat_max"].to_pylist()
-        keep &= np.array([a <= cat <= b for a, b in zip(cmin, cmax)])
-    return sorted(int(b) for b in
-                  zones["zbucket"].to_numpy()[keep])
-
-
-def zorder_read(out_dir: str, *, x_col: str = "n_chars",
-                cat_col: str = "lang", x_range=None,
-                cat=None) -> rd.Dataset:
-    """Predicate-pruned read over a :func:`zorder_write` layout: only
-    bucket directories whose zone overlaps the predicate are opened
-    (directory-level pruning, like the IVF probed-cells read), then the
-    exact filter runs map-only over the survivors."""
-    import os
-
-    import glob
-
-    files = [f
-             for b in zorder_pruned_buckets(out_dir, x_range=x_range,
-                                            cat=cat)
-             for f in sorted(glob.glob(os.path.join(
-                 out_dir, "data", f"zbucket={b}", "*.parquet")))]
-    if not files:
-        raise ValueError("predicate prunes every bucket")
-    ds = rd.read_parquet(files)
-
-    def exact(t: pa.Table) -> pa.Table:
-        m = np.ones(t.num_rows, bool)
-        if x_range is not None:
-            xv = t[x_col].to_numpy(zero_copy_only=False)
-            m &= (xv >= x_range[0]) & (xv <= x_range[1])
-        if cat is not None:
-            m &= pc.fill_null(pc.equal(t[cat_col], cat), False) \
-                .to_numpy(zero_copy_only=False)
-        return t.filter(pa.array(m))
-
-    return ds.map_batches(exact, batch_format="pyarrow")
-
-
-def pps_systematic_sample(ds: rd.Dataset, n_samples: int,
-                          weight_col: str = "n_chars",
-                          key: str = "doc_id",
-                          part_size: int = 1000) -> rd.Dataset:
-    """Probability-proportional-to-size SYSTEMATIC sampling, fully
-    deterministic and exact-integer: with total weight W and stride
-    s = W // n_samples, a row is selected iff its cumulative-weight
-    interval (cum_before, cum_after] crosses a multiple of s — the
-    classic PPS systematic rule, so heavier rows are proportionally
-    likelier, zero-weight rows never selected, and the draw is
-    reproducible under any partitioning (unlike random_sample).
-
-    Same two-pass distributed ordered prefix-sum as
-    :func:`pack_sequences`: contiguous key-range parts → per-part
-    totals (≤ n_parts ints to the driver) → broadcast exclusive
-    offsets → per-part vectorized cumsum + boundary test.
-    """
-    def weights(batch: pa.Table) -> pa.Table:
-        w = pc.fill_null(pc.cast(batch[weight_col], pa.int64()), 0)
-        part = pc.divide(batch[key], part_size).cast(pa.int64())
-        return pa.table({key: batch[key], "part": part, "w": w})
-
-    counted = ds.select_columns([key, weight_col]).map_batches(
-        weights, batch_format="pyarrow")
-    totals = (counted.select_columns(["part", "w"])
-              .groupby("part").aggregate(Sum("w", alias_name="t"))
-              .take_all())
-    totals.sort(key=lambda r: r["part"])
-    offsets, acc = {}, 0
-    for r in totals:
-        offsets[r["part"]] = acc
-        acc += r["t"]
-    stride = max(acc // n_samples, 1)
-    offsets_ref = ray.put(offsets)
-
-    def per_part(g: pd.DataFrame) -> pd.DataFrame:
-        off = ray.get(offsets_ref)[int(g["part"].iloc[0])]
-        g = g.sort_values(key)
-        w = g["w"].to_numpy()
-        after = off + np.cumsum(w)
-        before = after - w
-        sel = (after // stride) > (before // stride)
-        return pd.DataFrame({key: g[key].to_numpy()[sel],
-                             "weight": w[sel]})
-
-    return (counted.groupby("part")
-            .map_groups(per_part, batch_format="pandas"))
 
 
 def bucketed_write(ds: rd.Dataset, out_dir: str, *, key: str,
@@ -673,8 +464,8 @@ def token_budget_trim(ds: rd.Dataset, *, group_col: str = "source",
     Shape: ONE shuffle on ``group_col``; inside each group a vectorized
     sort + cumsum.  Partitioning assumption: one source's doc LIST
     (key + weight only — trimmed columns ride along but the group is
-    whole) fits a worker; salt + two-pass prefix-sum (see
-    ``pps_systematic_sample``) is the swap-in for a single mega-source.
+    whole) fits a worker; salt + a two-pass prefix sum (the
+    ``pack_sequences`` scan) is the swap-in for a single mega-source.
     """
     def per_group(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values([weight_col, key], ascending=[False, True])
@@ -683,51 +474,3 @@ def token_budget_trim(ds: rd.Dataset, *, group_col: str = "source",
 
     return ds.groupby(group_col).map_groups(per_group,
                                             batch_format="pandas")
-
-
-def byte_balanced_blocks(ds: rd.Dataset, *, key: str = "doc_id",
-                         bytes_col: str = "n_chars",
-                         target_bytes: int = 1 << 20,
-                         part_size: int = 1000) -> rd.Dataset:
-    """Assign every row a byte-balanced block id: rows in ascending
-    ``key`` order are packed so each block holds ~``target_bytes`` of
-    payload — the explicit answer to giant-row skew (a 2 GB page gets
-    a block to itself; a million 1 KB pages share blocks) that
-    byte-blind row-count repartitioning cannot give.
-
-    Same two-pass distributed ordered prefix-sum as
-    :func:`pack_sequences` (its fifth reuse): per-part totals (ONE tiny
-    rollup reaching the driver, ≤ n_parts ints) → broadcast exclusive
-    offsets → local ordered cumsum per part.  block_id =
-    (cumulative_bytes_before_row) // target_bytes — deterministic
-    under any partitioning.  Emits (key, row_bytes, block_id).
-    """
-    def count_bytes(batch: pa.Table) -> pa.Table:
-        b = pc.fill_null(pc.cast(batch[bytes_col], pa.int64()), 0)
-        part = pc.divide(batch[key], part_size).cast(pa.int64())
-        return pa.table({key: batch[key], "part": part, "row_bytes": b})
-
-    counted = ds.map_batches(count_bytes, batch_format="pyarrow")
-    totals = (counted.select_columns(["part", "row_bytes"])
-              .groupby("part").aggregate(Sum("row_bytes", alias_name="t"))
-              .take_all())
-    totals.sort(key=lambda r: r["part"])
-    offsets, acc = {}, 0
-    for r in totals:
-        offsets[r["part"]] = acc
-        acc += r["t"]
-    offsets_ref = ray.put(offsets)
-
-    def per_part(g: pd.DataFrame) -> pd.DataFrame:
-        off = ray.get(offsets_ref)[int(g["part"].iloc[0])]
-        g = g.sort_values(key)
-        b = g["row_bytes"].to_numpy(np.int64)
-        start = off + np.cumsum(b) - b
-        return pd.DataFrame({
-            key: g[key].to_numpy(),
-            "row_bytes": b,
-            "block_id": (start // target_bytes).astype(np.int64),
-        })
-
-    return counted.groupby("part").map_groups(per_part,
-                                              batch_format="pandas")

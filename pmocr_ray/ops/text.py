@@ -446,91 +446,6 @@ def fingerprint(batch: pa.Table, column: str = "text",
     return batch.append_column(out_column, fps)
 
 
-def grouped_length_quantiles(ds, group_col: str = "lang",
-                             column: str = "n_chars",
-                             qs: tuple[float, ...] = (0.5, 0.9, 0.99)):
-    """EXACT per-group quantiles (the per-language length audit).
-
-    Same shape as :func:`length_quantiles` with the group key carried
-    through: per-batch (group, value) counts → one tiny
-    ``groupby(group, value)`` shuffle → per-group CDF walk.  The rollup
-    is bounded by groups × distinct values — collecting it is safe at
-    any corpus size (it does NOT grow with rows).
-
-    Quantile rule matches DuckDB ``quantile_disc`` (value at 1-based
-    rank ``ceil(q*n)``).  Returns an Arrow table (group, q, value).
-    """
-    import math
-
-    from ray.data.aggregate import Sum
-
-    def partial(batch: pa.Table) -> pa.Table:
-        g = batch.select([group_col, column]) \
-            .group_by([group_col, column]).aggregate([([], "count_all")])
-        return pa.table({group_col: g[group_col], "value": g[column],
-                         "n": g["count_all"]})
-
-    rollup = (ds.map_batches(partial, batch_format="pyarrow")
-                .groupby([group_col, "value"])
-                .aggregate(Sum("n", alias_name="n"))
-                .sort([group_col, "value"]).take_all())
-    out_g, out_q, out_v = [], [], []
-    i = 0
-    while i < len(rollup):
-        j = i
-        while j < len(rollup) and rollup[j][group_col] == rollup[i][group_col]:
-            j += 1
-        values = np.array([r["value"] for r in rollup[i:j]], np.int64)
-        cum = np.cumsum(np.array([r["n"] for r in rollup[i:j]], np.int64))
-        total = int(cum[-1])
-        for q in qs:
-            rank = max(math.ceil(q * total), 1)
-            out_g.append(rollup[i][group_col])
-            out_q.append(q)
-            out_v.append(int(values[np.searchsorted(cum, rank)]))
-        i = j
-    return pa.table({group_col: pa.array(out_g, pa.string()),
-                     "q": pa.array(out_q, pa.float64()),
-                     "value": pa.array(out_v, pa.int64())})
-
-
-def tfidf_terms(ds, key: str = "doc_id", column: str = "text",
-                vocab_k: int = 1000):
-    """Per-(doc, term) TF with the term's global DF attached, restricted
-    to the top-``vocab_k`` vocabulary by document frequency — the sparse
-    TF-IDF feature matrix in COO layout (the score ``tf·ln(N/df)`` is a
-    deterministic per-row expression downstream; the integers here are
-    the distributed part).
-
-    Scale shape: the vocabulary is the :func:`doc_frequency` rollup
-    (combiner + tiny shuffle) cut to k rows by a distributed
-    ``sort().limit(k)`` — only vocab_k (term, df) pairs reach the
-    driver and are broadcast (``ray.put``), never the corpus.  The TF
-    pass is map-only: tokenize → ``is_in`` vocab filter → one local
-    (doc, term) count per batch.  No second shuffle: each doc's rows
-    live in one batch, so per-batch counts ARE final.
-    """
-    vocab_rows = doc_frequency(ds, column=column, k=vocab_k).take_all()
-    vocab = {r["term"]: r["df"] for r in vocab_rows}
-    ref = ray.put((pa.array(sorted(vocab)), vocab))
-
-    def tf_pass(batch: pa.Table) -> pa.Table:
-        vocab_arr, df_map = ray.get(ref)
-        toks = pc.split_pattern_regex(batch[column], r"\s+")
-        flat = pc.list_flatten(toks)
-        parent = pc.list_parent_indices(toks)
-        keep = pc.is_in(flat, value_set=vocab_arr)
-        ids = batch[key].take(parent.filter(keep))
-        pairs = pa.table({key: ids, "term": flat.filter(keep)})
-        g = pairs.group_by([key, "term"]).aggregate([([], "count_all")])
-        dfs = pa.array([df_map[t] for t in g["term"].to_pylist()], pa.int64())
-        return pa.table({key: g[key], "term": g["term"],
-                         "tf": pc.cast(g["count_all"], pa.int64()),
-                         "df": dfs})
-
-    return ds.map_batches(tf_pass, batch_format="pyarrow")
-
-
 def kmv_sketch(ds, column: str = "text", k: int = 64):
     """K-minimum-values distinct-count sketch: the k smallest distinct
     md5 hashes of ``column`` across the corpus.
@@ -569,54 +484,6 @@ def clean_text(batch: pa.Table, column: str = "text",
     return batch.append_column(out_column, col)
 
 
-def top_terms_by_group(ds, group_col: str = "lang", k: int = 5,
-                       column: str = "text"):
-    """Top-k vocabulary terms PER GROUP with exact counts (trending
-    terms per language/source/day).  Combines the :func:`top_terms`
-    combiner with the per-group cap: per-batch local (group, term)
-    counts → one groupby over the partials → per-batch top-k cap per
-    group (global top-k ⊆ union of batch top-k over the rollup) →
-    exact ranked top-k in ``map_groups``.  Ties term-ascending.
-    Returns (group, term, n, rank).
-    """
-    import pandas as pd
-
-    from ray.data.aggregate import Sum
-
-    def partial(batch: pa.Table) -> pa.Table:
-        toks = pc.split_pattern_regex(batch[column], r"\s+")
-        flat = pc.list_flatten(toks)
-        parent = pc.list_parent_indices(toks)
-        mask = pc.not_equal(flat, "")
-        groups = batch[group_col].take(parent.filter(mask))
-        g = (pa.table({group_col: groups, "term": flat.filter(mask)})
-             .group_by([group_col, "term"]).aggregate([([], "count_all")]))
-        return pa.table({group_col: g[group_col], "term": g["term"],
-                         "n": g["count_all"]})
-
-    from pmocr_ray.ops.vecagg import grouped_aggregate
-
-    rollup = grouped_aggregate(
-        ds.map_batches(partial, batch_format="pyarrow"),
-        [group_col, "term"], [("n", "sum", "n")])
-
-    def local_cap(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        df = df.sort_values([group_col, "n", "term"],
-                            ascending=[True, False, True])
-        return pa.Table.from_pandas(
-            df.groupby(group_col, sort=False).head(k), preserve_index=False)
-
-    def exact_top(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["n", "term"], ascending=[False, True]).head(k).copy()
-        g["rank"] = np.arange(1, len(g) + 1, dtype=np.int64)
-        return g
-
-    return (rollup.map_batches(local_cap, batch_format="pyarrow")
-            .groupby(group_col)
-            .map_groups(exact_top, batch_format="pandas"))
-
-
 def range_bucket(ds, column: str = "n_chars",
                  qs: tuple[float, ...] = (0.25, 0.5, 0.75),
                  key: str = "doc_id"):
@@ -641,141 +508,6 @@ def range_bucket(ds, column: str = "n_chars",
                          "bucket": pa.array(bucket, pa.int64())})
 
     return ds.map_batches(assign, batch_format="pyarrow")
-
-
-def _batch_codepoints(texts: list) -> tuple[np.ndarray, np.ndarray]:
-    """Concatenated UTF-32 codepoints of a batch of strings plus the
-    per-doc lengths (None/empty → 0) — one encode per BATCH, so the
-    char-level kernels below index numpy arrays instead of looping
-    Python characters."""
-    big = "".join(t for t in texts if t)
-    cp = np.frombuffer(big.encode("utf-32-le"), np.uint32).astype(np.int64)
-    lengths = np.fromiter((len(t) if t else 0 for t in texts),
-                          np.int64, len(texts))
-    return cp, lengths
-
-
-def _char_lut(chars: str) -> np.ndarray:
-    """Codepoint → vocab-index lookup table (unknown → V = len(chars));
-    bounded by the highest codepoint among the V kept chars."""
-    V = len(chars)
-    if not V:
-        return np.full(1, 0, np.int32)
-    cps = [ord(c) for c in chars]
-    lut = np.full(max(cps) + 1, V, np.int32)
-    for i, c in enumerate(cps):
-        lut[c] = i
-    return lut
-
-
-def _lut_ids(cp: np.ndarray, lut: np.ndarray, oov: int) -> np.ndarray:
-    """Vectorized ``idx.get(ch, oov)``: in-range codepoints gather from
-    the LUT (which already maps unknowns to oov), out-of-range → oov."""
-    return np.where(cp < len(lut),
-                    lut[np.minimum(cp, len(lut) - 1)], oov).astype(np.int64)
-
-
-def train_char_bigram_lm(ds, column: str = "text",
-                         top_chars: int = 64) -> dict:
-    """Train a character-bigram language model over the corpus: counts
-    of (prev, next) over the ``top_chars`` most frequent characters
-    (everything else folds to one OOV bucket).
-
-    Combiner shape: per-batch local bigram count tables → one tiny
-    groupby (≤ (top_chars+1)² keys) → driver assembles the count
-    matrix (bounded, independent of corpus size).  Returns a dict
-    {"chars": str, "counts": (V+1, V+1) int64 ndarray} for
-    :class:`BigramScoreStage`.
-    """
-    from ray.data.aggregate import Sum
-
-    def char_partial(batch: pa.Table) -> pa.Table:
-        cp, _ = _batch_codepoints(batch[column].to_pylist())
-        uniq, counts = np.unique(cp, return_counts=True)
-        return pa.table({"ch": pa.array([chr(int(u)) for u in uniq],
-                                        pa.string()),
-                         "n": pa.array(counts.astype(np.int64), pa.int64())})
-
-    char_rows = (ds.map_batches(char_partial, batch_format="pyarrow")
-                 .groupby("ch").aggregate(Sum("n", alias_name="n"))
-                 .sort(["n", "ch"], descending=[True, False])
-                 .limit(top_chars).take_all())
-    chars = "".join(sorted(r["ch"] for r in char_rows))
-    V = len(chars)
-
-    lut = _char_lut(chars)
-
-    def bigram_partial(batch: pa.Table) -> pa.Table:
-        counts = np.zeros((V + 1, V + 1), np.int64)
-        cp, lengths = _batch_codepoints(batch[column].to_pylist())
-        if len(cp) >= 2:
-            ids = _lut_ids(cp, lut, V)
-            # mask the pairs that straddle doc boundaries (last char of
-            # each doc); bounds-guard for leading/trailing empty docs
-            valid = np.ones(len(cp) - 1, bool)
-            b = np.cumsum(lengths)[:-1] - 1
-            b = b[(b >= 0) & (b < len(cp) - 1)]
-            valid[b] = False
-            np.add.at(counts, (ids[:-1][valid], ids[1:][valid]), 1)
-        nz = np.nonzero(counts)
-        return pa.table({
-            "i": pa.array(nz[0], pa.int64()),
-            "j": pa.array(nz[1], pa.int64()),
-            "n": pa.array(counts[nz], pa.int64()),
-        })
-
-    rows = (ds.map_batches(bigram_partial, batch_format="pyarrow")
-            .groupby(["i", "j"]).aggregate(Sum("n", alias_name="n"))
-            .take_all())
-    counts = np.ones((V + 1, V + 1), np.int64)  # add-one smoothing
-    for r in rows:
-        counts[r["i"], r["j"]] += r["n"]
-    return {"chars": chars, "counts": counts}
-
-
-class BigramScoreStage:
-    """Actor-pool stage: per-doc mean log-probability under the trained
-    char-bigram LM (higher = more corpus-like; the classic
-    perplexity-style quality filter).  The model (log-prob matrix) is
-    broadcast once and turned into a lookup in ``__init__``; scoring a
-    doc is one vectorized gather + mean.
-    """
-
-    def __init__(self, model_ref, column: str = "text") -> None:
-        model = ray.get(model_ref)
-        self.lut = _char_lut(model["chars"])
-        counts = model["counts"].astype(np.float64)
-        self.logp = np.log(counts / counts.sum(axis=1, keepdims=True))
-        self.oov = len(model["chars"])
-        self.column = column
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        out = np.full(len(batch), -np.inf)
-        cp, lengths = _batch_codepoints(batch[self.column].to_pylist())
-        ids = _lut_ids(cp, self.lut, self.oov)
-        starts = np.concatenate(([0], np.cumsum(lengths)[:-1]))
-        for r in range(len(batch)):
-            L = int(lengths[r])
-            if L < 2:
-                continue
-            seg = ids[starts[r]:starts[r] + L]
-            # np.mean over the doc's own slice — float result identical
-            # to the former per-doc kernel
-            out[r] = float(self.logp[seg[:-1], seg[1:]].mean())
-        return batch.append_column("lm_logprob", pa.array(out, pa.float64()))
-
-
-def lm_score(ds, column: str = "text", top_chars: int = 64,
-             concurrency=(1, 4)):
-    """Train-then-score composition: train the bigram LM on the corpus
-    (combiner + tiny groupby), broadcast it, score every doc in an
-    actor pool.  Deterministic given the corpus."""
-    model = train_char_bigram_lm(ds, column=column, top_chars=top_chars)
-    ref = ray.put(model)
-    return ds.map_batches(BigramScoreStage,
-                          fn_constructor_kwargs={"model_ref": ref,
-                                                 "column": column},
-                          batch_format="pyarrow", concurrency=concurrency)
 
 
 class RegexExplodeStage:
@@ -817,147 +549,6 @@ def regex_explode(ds, pattern: str, *, key: str = "doc_id",
 
 
 # ------------------------------------------- mix rebalancing / indexing
-
-
-class _GramBuckets:
-    """Word-bigram → hashed-bucket featurizer shared by the two
-    :func:`dsir_weights` passes.  Tokens are lowercase ``[a-z0-9]+``
-    runs (split on the complement), grams are adjacent token pairs
-    joined with one space, and the bucket is
-    ``int(md5(gram)[:8], 16) % n_buckets`` — the repo's md5 convention
-    (:func:`split_assign`), chosen because DuckDB can reproduce it
-    exactly for the oracle.  md5 runs once per DISTINCT gram per batch
-    and feeds a per-actor cache (Zipfian vocab ⇒ high hit rate), never
-    per occurrence."""
-
-    def __init__(self, n_buckets: int) -> None:
-        self.n_buckets = n_buckets
-        self.cache: dict[str, int] = {}
-
-    def grams_of(self, texts: pa.ChunkedArray | pa.Array
-                 ) -> tuple[np.ndarray, np.ndarray]:
-        """→ (bucket id per gram occurrence, parent row per gram)."""
-        toks = pc.split_pattern_regex(
-            pc.utf8_lower(pc.fill_null(texts, "")), r"[^a-z0-9]+")
-        flat = pc.list_flatten(toks)
-        parent = pc.list_parent_indices(toks)
-        mask = pc.not_equal(flat, "")
-        flat = flat.filter(mask).combine_chunks()
-        pn = parent.filter(mask).to_numpy(zero_copy_only=False)
-        if len(pn) < 2:
-            return np.zeros(0, np.int64), np.zeros(0, np.int64)
-        adj = pn[1:] == pn[:-1]                 # bigram stays in its row
-        w_idx = np.flatnonzero(adj)
-        if len(w_idx) == 0:
-            return np.zeros(0, np.int64), np.zeros(0, np.int64)
-        gather = np.empty(2 * len(w_idx), np.int64)
-        gather[0::2], gather[1::2] = w_idx, w_idx + 1
-        win = pa.table({"w": flat.take(pa.array(gather, pa.int64()))})["w"]
-        gl = pa.LargeListArray.from_arrays(
-            pa.array(np.arange(0, len(gather) + 1, 2, np.int64), pa.int64()),
-            win.combine_chunks())
-        denc = pc.dictionary_encode(pc.binary_join(gl, " "))
-        dvals = denc.dictionary.to_pylist()     # per-batch DISTINCT grams
-        if len(self.cache) > 2_000_000:         # bound actor heap on huge vocab
-            self.cache.clear()
-        cache, nb = self.cache, self.n_buckets
-        db = np.empty(len(dvals), np.int64)
-        for i, g in enumerate(dvals):
-            b = cache.get(g)
-            if b is None:
-                b = cache[g] = int(
-                    hashlib.md5(g.encode()).hexdigest()[:8], 16) % nb
-            db[i] = b
-        bk = db[denc.indices.to_numpy(zero_copy_only=False)]
-        return bk, pn[w_idx]
-
-
-def dsir_weights(ds, *, key: str = "doc_id", column: str = "text",
-                 target_column: str = "lang", target_value: str = "en",
-                 n_buckets: int = 4096):
-    """DSIR-style importance weights for data selection (Xie et al.
-    2023, "Data Selection for Language Models via Importance
-    Resampling"): featurize every document into hashed word-bigram
-    bucket counts, estimate the TARGET distribution from the rows
-    where ``target_column == target_value`` and the RAW distribution
-    from the whole corpus (both Laplace +1 smoothed over
-    ``n_buckets``), and score each document with
-    ``dsir_logw = Σ_grams log p_target(bucket) − log p_raw(bucket)``.
-    High-weight documents look like the target slice; resample or
-    threshold downstream.  Output: one row per input document —
-    (key, n_feats, dsir_logw); documents with no grams score 0.
-
-    Scale shape: text never shuffles.  Pass 1 folds each batch's
-    grams into per-bucket (n_raw, n_tgt) partials (≤ ``n_buckets``
-    rows per batch) and a tiny Arrow-bucketed groupby reduces them;
-    the ≤ ``n_buckets``-row rollup — the model, not the data — is the
-    ONLY driver materialization, then broadcast via ``ray.put``.
-    Pass 2 re-featurizes and segment-sums the broadcast log-ratio per
-    document (``np.bincount`` weights — no Python per-gram loop; md5
-    only on per-batch-distinct grams through a per-actor cache).
-    Re-deriving grams twice beats pinning token-scale rows in the
-    object store, same trade as :func:`~pmocr_ray.ops.dedup.remove_dup_spans`.
-    """
-    from pmocr_ray.ops.vecagg import grouped_aggregate
-
-    src = ds.select_columns([key, column, target_column])
-
-    class Featurize:
-        def __init__(self) -> None:
-            self.fb = _GramBuckets(n_buckets)
-
-        def __call__(self, t: pa.Table) -> pa.Table:
-            bk, dpi = self.fb.grams_of(t[column])
-            if len(bk) == 0:
-                return pa.table({"bkt": pa.array([], pa.int64()),
-                                 "n_raw": pa.array([], pa.int64()),
-                                 "n_tgt": pa.array([], pa.int64())})
-            n_raw = np.bincount(bk, minlength=n_buckets)
-            tm = pc.fill_null(pc.equal(t[target_column], target_value),
-                              False).combine_chunks() \
-                .to_numpy(zero_copy_only=False).astype(bool)
-            n_tgt = np.bincount(bk[tm[dpi]], minlength=n_buckets)
-            nz = np.flatnonzero(n_raw)
-            return pa.table({"bkt": pa.array(nz, pa.int64()),
-                             "n_raw": pa.array(n_raw[nz], pa.int64()),
-                             "n_tgt": pa.array(n_tgt[nz], pa.int64())})
-
-    partials = src.map_batches(Featurize, concurrency=(1, 8),
-                               batch_format="pyarrow")
-    rollup = grouped_aggregate(
-        partials, ["bkt"],
-        [("n_raw", "sum", "n_raw"), ("n_tgt", "sum", "n_tgt")],
-        seed_schema=pa.schema([("bkt", pa.int64()), ("n_raw", pa.int64()),
-                               ("n_tgt", pa.int64())])).take_all()
-    n_raw = np.zeros(n_buckets, np.int64)
-    n_tgt = np.zeros(n_buckets, np.int64)
-    for r in rollup:
-        n_raw[r["bkt"]] = r["n_raw"]
-        n_tgt[r["bkt"]] = r["n_tgt"]
-    R, T = int(n_raw.sum()), int(n_tgt.sum())
-    logratio = (np.log((n_tgt + 1.0) / (T + n_buckets))
-                - np.log((n_raw + 1.0) / (R + n_buckets)))
-    lr_ref = ray.put(logratio)
-
-    class Score:
-        def __init__(self) -> None:
-            self.fb = _GramBuckets(n_buckets)
-            self.lr = ray.get(lr_ref)
-
-        def __call__(self, t: pa.Table) -> pa.Table:
-            bk, dpi = self.fb.grams_of(t[column])
-            nrows = t.num_rows
-            n_feats = np.bincount(dpi, minlength=nrows) if len(bk) \
-                else np.zeros(nrows, np.int64)
-            logw = np.bincount(dpi, weights=self.lr[bk],
-                               minlength=nrows) if len(bk) \
-                else np.zeros(nrows, np.float64)
-            return pa.table({key: t[key],
-                             "n_feats": pa.array(n_feats.astype(np.int64)),
-                             "dsir_logw": pa.array(logw, pa.float64())})
-
-    return src.map_batches(Score, concurrency=(1, 8),
-                           batch_format="pyarrow")
 
 
 def domain_reweight(ds, group_column: str = "lang",
@@ -1123,91 +714,6 @@ def clip_outliers(ds, column: str = "n_chars",
         return batch.append_column("clipped", pc.cast(c, pa.int64()))
 
     return ds.map_batches(clip, batch_format="pyarrow")
-
-
-def bpe_pair_counts(ds, column: str = "text", k: int = 50):
-    """Adjacent character-pair frequencies weighted by word frequency —
-    the first-merge statistic of BPE tokenizer training, at corpus
-    scale.  Per batch: one vectorized ``value_counts`` over the
-    flattened tokens gives the batch vocabulary, then pairs are
-    enumerated over DISTINCT words only (vocab-bounded, not
-    token-bounded) and pre-summed locally — the combiner discipline;
-    the global groupby moves (pair, n) partials.  Top-k is a
-    distributed ``sort(n desc, pair asc).limit(k)`` — deterministic
-    under ties, only k rows reach the driver side.
-    """
-    from ray.data.aggregate import Sum
-
-    def partial(batch: pa.Table) -> pa.Table:
-        toks = pc.split_pattern_regex(pc.fill_null(batch[column], ""),
-                                      r"\s+")
-        flat = pc.list_flatten(toks)
-        flat = flat.filter(pc.not_equal(flat, ""))
-        vc = pc.value_counts(flat)
-        counts: dict[str, int] = {}
-        for sv in vc:
-            w = sv["values"].as_py()
-            c = sv["counts"].as_py()
-            for i in range(len(w) - 1):
-                p = w[i:i + 2]
-                counts[p] = counts.get(p, 0) + c
-        return pa.table({"pair": pa.array(list(counts), pa.string()),
-                         "n": pa.array(list(counts.values()), pa.int64())})
-
-    from pmocr_ray.ops.vecagg import grouped_aggregate
-
-    agg = grouped_aggregate(
-        ds.map_batches(partial, batch_format="pyarrow"),
-        ["pair"], [("n", "sum", "n")],
-        seed_schema=pa.schema([("pair", pa.string()), ("n", pa.int64())]))
-    return (agg.map_batches(
-                lambda t: pa.table({"pair": t["pair"],
-                                    "n": pc.cast(t["n"], pa.int64())}),
-                batch_format="pyarrow")
-            .sort(["n", "pair"], descending=[True, False])
-            .limit(k))
-
-
-def keyword_search(ds, terms, *, key: str = "doc_id",
-                   column: str = "text", k: int = 20):
-    """Exact multi-term keyword search: rank documents by (number of
-    distinct query terms present, total query-term occurrences), both
-    exact ints — the term-overlap retrieval baseline that complements
-    the ANN family.  The query-term set rides inside the Arrow
-    ``is_in`` kernel (vectorized; no broadcast object needed at this
-    size); per-doc stats come from parent-index bincounts; the final
-    top-k is a distributed ``sort().limit(k)`` with a full
-    deterministic tie-break, so only k rows reach the driver.
-    """
-    terms_arr = pa.array(sorted(set(terms)), pa.string())
-
-    def score(batch: pa.Table) -> pa.Table:
-        toks = pc.split_pattern_regex(pc.fill_null(batch[column], ""),
-                                      r"\s+")
-        flat = pc.list_flatten(toks)
-        parent = pc.list_parent_indices(toks)
-        m = pc.is_in(flat, value_set=terms_arr)
-        hit_parent = parent.filter(m).to_numpy(zero_copy_only=False)
-        hit_tok = flat.filter(m)
-        n = batch.num_rows
-        sum_tf = np.bincount(hit_parent, minlength=n).astype(np.int64)
-        pt = pa.table({"p": pa.array(hit_parent, pa.int64()),
-                       "t": hit_tok}).group_by(["p", "t"]).aggregate([])
-        n_match = np.bincount(
-            pt["p"].to_numpy(zero_copy_only=False),
-            minlength=n).astype(np.int64)
-        keep = n_match > 0
-        return pa.table({
-            key: batch[key].filter(pa.array(keep)),
-            "n_match": pa.array(n_match[keep], pa.int64()),
-            "sum_tf": pa.array(sum_tf[keep], pa.int64()),
-        })
-
-    return (ds.select_columns([key, column])
-            .map_batches(score, batch_format="pyarrow")
-            .sort(["n_match", "sum_tf", key],
-                  descending=[True, True, False])
-            .limit(k))
 
 
 def heavy_hitters(ds, column: str = "text", k: int = 64) -> pa.Table:
@@ -1413,8 +919,6 @@ def canonical_url_counts(ds, url_column: str = "url"):
     :func:`canonicalize_urls` (Arrow kernels + rare-row fallback),
     stateless and fused; the shuffle moves only (canonical,
     partial_count) combiner rows."""
-    from ray.data.aggregate import Sum
-
     def partial(batch: pa.Table) -> pa.Table:
         canon = canonicalize_urls(batch[url_column])
         g = (pa.table({"url": canon}).group_by("url")
@@ -1459,8 +963,6 @@ def rare_term_pairs(ds, column: str = "text", key: str = "doc_id",
     bloom-prefilter + verify ladder as ``bloom_anti_join``.  Both
     plans are equivalence-tested (``tests/test_curation_ops.py``).
     """
-    from ray.data.aggregate import Sum
-
     rare = (doc_frequency(ds, column=column)
             .map_batches(lambda t: t.filter(
                 pc.less_equal(t["df"], max_df)),

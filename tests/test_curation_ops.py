@@ -227,36 +227,6 @@ def test_incremental_exact_dedup_drops_seen_content(ray_session):
     assert "fp" not in out.columns
 
 
-def test_webdataset_export_deterministic_tars(ray_session, tmp_path):
-    import hashlib
-    import tarfile
-
-    import pandas as pd
-    import ray.data as rd
-
-    from pmocr_ray.ops.export import webdataset_export
-
-    df = pd.DataFrame({"doc_id": range(20),
-                       "text": [f"doc body {i}" for i in range(20)]})
-    out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
-    audit = webdataset_export(rd.from_pandas(df), out1,
-                              n_shards=4).to_pandas()
-    assert audit["n_members"].sum() == 20
-    # re-export under a different partitioning: identical shard bytes
-    webdataset_export(rd.from_pandas(df).repartition(7), out2,
-                      n_shards=4).to_pandas()
-    for s in audit["shard"]:
-        h1 = hashlib.md5(open(f"{out1}/shard-{s}.tar", "rb").read()).hexdigest()
-        h2 = hashlib.md5(open(f"{out2}/shard-{s}.tar", "rb").read()).hexdigest()
-        assert h1 == h2
-    # members are readable and named by key
-    with tarfile.open(f"{out1}/shard-{audit['shard'].iloc[0]}.tar") as tar:
-        names = tar.getnames()
-        assert all(n.endswith(".txt") for n in names)
-        m = tar.extractfile(names[0]).read().decode()
-        assert m.startswith("doc body ")
-
-
 def test_jsonl_source_roundtrip_extraction(ray_session, tmp_path):
     """JSONL ingest path produces byte-identical extraction output to
     the Parquet path over the same pages."""
@@ -318,47 +288,6 @@ def test_collocation_pairs_adjacency_not_cross_doc(ray_session):
                             vocab_k=5, min_count=1).to_pandas()
     got = {(r.w1, r.w2): r.pair_n for r in out.itertuples()}
     assert got == {("alpha", "beta"): 2, ("beta", "alpha"): 2}
-
-
-def test_snapshot_diff_classification(ray_session):
-    import pandas as pd
-
-    import ray.data as rd
-    from pmocr_ray.ops.compact import snapshot_diff
-
-    a = pd.DataFrame({"doc_id": [1, 2, 3, 4],
-                      "text": ["one", "two", "three", "four"]})
-    b = pd.DataFrame({"doc_id": [2, 3, 4, 5],
-                      "text": ["two", "THREE", "four", "five"]})
-    out = snapshot_diff(rd.from_pandas(a).repartition(2),
-                        rd.from_pandas(b).repartition(3)).to_pandas()
-    got = dict(zip(out["doc_id"], out["change"]))
-    assert got == {1: "removed", 3: "changed", 5: "added"}
-
-
-def test_snapshot_diff_identical_is_empty(ray_session):
-    import pandas as pd
-
-    import ray.data as rd
-    from pmocr_ray.ops.compact import snapshot_diff
-
-    a = pd.DataFrame({"doc_id": [1, 2], "text": ["x", "y"]})
-    out = snapshot_diff(rd.from_pandas(a), rd.from_pandas(a)).to_pandas()
-    assert len(out) == 0
-
-
-def test_dup_cluster_histogram(ray_session):
-    import pandas as pd
-
-    import ray.data as rd
-    from pmocr_ray.ops.dedup import dup_cluster_histogram
-
-    texts = (["same"] * 4) + (["also same"] * 2) + ["solo1", "solo2",
-                                                    "solo3"]
-    df = pd.DataFrame({"doc_id": range(len(texts)), "text": texts})
-    out = dup_cluster_histogram(rd.from_pandas(df).repartition(4)).to_pandas()
-    got = dict(zip(out["cluster_size"], out["n_clusters"]))
-    assert got == {4: 1, 2: 1, 1: 3}
 
 
 def test_host_mirror_pairs_counts_and_cap(ray_session):
@@ -497,28 +426,6 @@ def test_canonical_url_counts(ray_session):
     out = canonical_url_counts(rd.from_pandas(df).repartition(3)).to_pandas()
     got = dict(zip(out["url"], out["n_variants"]))
     assert got == {"https://a.x/p": 3, "https://b.x/q?id=7": 2}
-
-
-def test_incremental_rollup_matches_batch_and_idempotent(ray_session,
-                                                         tmp_path):
-    import pandas as pd
-
-    import ray.data as rd
-    from pmocr_ray.ops.compact import fold_rollup_shard, read_rollup
-
-    df = pd.DataFrame({"g": ["a", "b", "a", "b", "a"],
-                       "v": [1, 2, 3, 4, 5]})
-    state = str(tmp_path / "state")
-    fold_rollup_shard(rd.from_pandas(df.iloc[:3]), state, "r1",
-                      group_col="g", sum_cols={"sv": "v"})
-    fold_rollup_shard(rd.from_pandas(df.iloc[3:]), state, "r2",
-                      group_col="g", sum_cols={"sv": "v"})
-    # idempotent re-fold of r2 (crash/retry) must not double-count
-    fold_rollup_shard(rd.from_pandas(df.iloc[3:]), state, "r2",
-                      group_col="g", sum_cols={"sv": "v"})
-    out = read_rollup(state, group_col="g").to_pandas()
-    got = {r.g: (r.n_rows, r.sv) for r in out.itertuples()}
-    assert got == {"a": (3, 9), "b": (2, 6)}
 
 
 def test_align_schemas_union(ray_session):

@@ -242,30 +242,6 @@ def test_dup_span_stats_within_doc_repeat_not_dup(ray_session):
     assert out.loc[0, "n_dup_grams"] == 0
 
 
-def test_incremental_minhash_dedup_drops_near_dup_of_history(ray_session):
-    from pmocr_ray.ops.dedup import incremental_minhash_dedup
-    base = ("the quick brown fox jumps over the lazy dog while rain "
-            "falls gently on the quiet village roofs at dusk tonight")
-    edited = base.replace("quiet", "sleepy")      # near-dup of history
-    hist = pa.table({"doc_id": pa.array([100, 101], pa.int64()),
-                     "text": [base,
-                              "completely unrelated archival content "
-                              "about maritime navigation and charts"]})
-    new = pa.table({"doc_id": pa.array([1, 2, 3], pa.int64()),
-                    "text": [edited,                       # dup of 100
-                             "fresh original reporting on local sports "
-                             "league results and upcoming fixtures",
-                             "fresh original reporting on local sports "
-                             "league results and upcoming fixtures"]})
-    out = incremental_minhash_dedup(
-        rd.from_arrow(new).repartition(2), rd.from_arrow(hist),
-        threshold=0.5).to_pandas()
-    kept = sorted(out["doc_id"])
-    # 1 dropped (near-dup of history 100); 2 and 3 BOTH kept — the
-    # within-new duplicate pair is not this operator's decision
-    assert kept == [2, 3]
-
-
 def test_exact_dup_pairs_hot_star_and_null_groups(ray_session):
     """Pair emission must match the per-group reference semantics:
     all-pairs for small clusters, star emit above max_group, and null

@@ -271,19 +271,6 @@ def test_chunk_tokens_overlap_content():
     assert out["chunk_text"].tolist() == ["w0 w1 w2 w3", "w2 w3 w4 w5"]
 
 
-def test_line_self_dedup_keeps_first_occurrence():
-    from pmocr_ray.ops.dedup import line_self_dedup
-
-    doc = "nav menu\ncontent one\nnav menu\ncontent two\nnav menu"
-    t = pa.table({"doc_id": [1, 2], "text": [doc, "only line"]})
-    out = line_self_dedup(rd.from_arrow(t)).to_pandas() \
-        .sort_values("doc_id").reset_index(drop=True)
-    assert out.loc[0, "n_lines"] == 5
-    assert out.loc[0, "n_unique_lines"] == 3
-    assert out.loc[0, "dedup_text"] == "nav menu\ncontent one\ncontent two"
-    assert out.loc[1, "dedup_text"] == "only line"
-
-
 def test_split_assign_proportions_and_determinism():
     from pmocr_ray.ops.text import split_assign
 
@@ -311,32 +298,6 @@ def test_clip_outliers_bounds(ray_session):
     assert out["clipped"].min() == 5 and out["clipped"].max() == 95
     assert out.loc[49, "clipped"] == 50          # interior untouched
     assert (out[out.n_chars < 5]["clipped"] == 5).all()
-
-
-def test_bpe_pair_counts_word_weighted(ray_session):
-    from pmocr_ray.ops.text import bpe_pair_counts
-
-    # "ab" x3 (as two docs), "abc" x1 -> pair "ab": 3+1=4, "bc": 1
-    t = pa.table({"text": ["ab ab", "ab abc", "x"]})
-    out = bpe_pair_counts(rd.from_arrow(t).repartition(3), k=10) \
-        .to_pandas()
-    r = dict(zip(out["pair"], out["n"]))
-    assert r == {"ab": 4, "bc": 1}
-    # top-1 deterministic
-    assert out.iloc[0]["pair"] == "ab"
-
-
-def test_keyword_search_ranking_and_ties(ray_session):
-    from pmocr_ray.ops.text import keyword_search
-
-    t = pa.table({"doc_id": pa.array([1, 2, 3, 4], pa.int64()),
-                  "text": ["cat dog cat", "cat", "bird fish", "dog cat"]})
-    out = keyword_search(rd.from_arrow(t).repartition(2),
-                         ("cat", "dog"), k=3).to_pandas()
-    # doc1: 2 terms, tf 3; doc4: 2 terms, tf 2; doc2: 1 term, tf 1
-    assert out["doc_id"].tolist() == [1, 4, 2]
-    assert out["n_match"].tolist() == [2, 2, 1]
-    assert out["sum_tf"].tolist() == [3, 2, 1]
 
 
 def test_heavy_hitters_guarantee_under_trimming(ray_session):
@@ -368,83 +329,3 @@ def test_heavy_hitters_exact_below_k(ray_session):
     out = heavy_hitters(rd.from_arrow(t).repartition(3), k=64).to_pandas()
     assert dict(zip(out["term"], out["approx_n"])) == \
         {"a": 3, "b": 2, "c": 1}
-
-
-# ----------------------------------------------------------------- dsir
-
-def _dsir_ref(docs, target_value="en", n_buckets=4096):
-    """Plain-python DSIR reference (same formula, same md5 bucket)."""
-    import hashlib
-    import re
-
-    def grams(text):
-        ts = re.findall(r"[a-z0-9]+", text.lower())
-        return [f"{a} {b}" for a, b in zip(ts, ts[1:])]
-
-    def bkt(g):
-        return int(hashlib.md5(g.encode()).hexdigest()[:8], 16) % n_buckets
-
-    n_raw = np.zeros(n_buckets)
-    n_tgt = np.zeros(n_buckets)
-    for _, lang, text in docs:
-        for g in grams(text):
-            b = bkt(g)
-            n_raw[b] += 1
-            if lang == target_value:
-                n_tgt[b] += 1
-    R, T = n_raw.sum(), n_tgt.sum()
-    lr = (np.log((n_tgt + 1) / (T + n_buckets))
-          - np.log((n_raw + 1) / (R + n_buckets)))
-    out = {}
-    for did, _, text in docs:
-        bs = [bkt(g) for g in grams(text)]
-        out[did] = (len(bs), float(sum(lr[b] for b in bs)))
-    return out
-
-
-def test_dsir_weights_matches_reference_and_ranks_target(ray_session):
-    from pmocr_ray.ops.text import dsir_weights
-
-    docs = [
-        (1, "en", "the quick brown fox jumps over the lazy dog"),
-        (2, "en", "the quick brown fox runs through the green field"),
-        (3, "de", "der schnelle braune fuchs springt ueber den hund"),
-        (4, "de", "voellig anderer deutscher inhalt ohne ueberlappung"),
-        (5, "fr", "the quick brown fox speaks a little english too"),
-        (6, "en", ""),                       # no grams -> 0.0
-        (7, "en", "solo"),                   # one token -> no bigrams
-    ]
-    t = pa.table({"doc_id": pa.array([d for d, _, _ in docs], pa.int64()),
-                  "lang": [l for _, l, _ in docs],
-                  "text": [x for _, _, x in docs]})
-    out = dsir_weights(rd.from_arrow(t).repartition(3)) \
-        .to_pandas().set_index("doc_id").sort_index()
-    ref = _dsir_ref(docs)
-    for did, (nf, lw) in ref.items():
-        assert out.loc[did, "n_feats"] == nf
-        assert abs(out.loc[did, "dsir_logw"] - lw) < 1e-9
-    # docs sharing the target slice's grams outscore disjoint ones
-    # (per-gram average: raw DSIR sums scale with length by design)
-    assert out.loc[1, "dsir_logw"] > out.loc[4, "dsir_logw"]
-    avg = out["dsir_logw"] / out["n_feats"].clip(lower=1)
-    assert avg.loc[5] > avg.loc[4]
-    assert out.loc[6, "n_feats"] == 0 and out.loc[6, "dsir_logw"] == 0.0
-    assert out.loc[7, "n_feats"] == 0
-
-
-def test_dsir_weights_partition_invariant(ray_session):
-    from pmocr_ray.ops.text import dsir_weights
-
-    rng = np.random.default_rng(5)
-    vocab = [f"w{i}" for i in range(40)]
-    langs = rng.choice(["en", "de", "fr"], size=50)
-    texts = [" ".join(rng.choice(vocab, size=rng.integers(2, 25)))
-             for _ in range(50)]
-    t = pa.table({"doc_id": pa.array(range(50), pa.int64()),
-                  "lang": pa.array(langs), "text": texts})
-    a = dsir_weights(rd.from_arrow(t)).to_pandas() \
-        .sort_values("doc_id").reset_index(drop=True)
-    b = dsir_weights(rd.from_arrow(t).repartition(11)).to_pandas() \
-        .sort_values("doc_id").reset_index(drop=True)
-    assert a["n_feats"].equals(b["n_feats"])
-    assert np.allclose(a["dsir_logw"], b["dsir_logw"], atol=1e-12)

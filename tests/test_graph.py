@@ -103,23 +103,6 @@ def test_host_blocklist_filter_exact_suffix_invert(ray_session):
                                       "https://sub.spam.example/c"]
 
 
-def test_triangle_count_known_graphs(ray_session):
-    from pmocr_ray.ops.graph import triangle_count
-
-    # K4 has 4 triangles; edges given unordered/duplicated/reversed
-    k4 = pd.DataFrame({
-        "src": [0, 0, 0, 1, 1, 2, 2, 3],
-        "dst": [1, 2, 3, 2, 3, 3, 1, 0],   # (2,1) and (3,0) are dups
-    })
-    assert triangle_count(rd.from_pandas(k4).repartition(3)) == 4
-    # a 4-cycle has none
-    c4 = pd.DataFrame({"src": [0, 1, 2, 3], "dst": [1, 2, 3, 0]})
-    assert triangle_count(rd.from_pandas(c4)) == 0
-    # star + one closing edge = exactly 1
-    star = pd.DataFrame({"src": [0, 0, 0, 1], "dst": [1, 2, 3, 2]})
-    assert triangle_count(rd.from_pandas(star)) == 1
-
-
 def test_cc_chain_across_many_blocks(ray_session):
     """A long path split across many blocks exercises the
     filter-contract step: each block contracts its segment to a star
@@ -184,14 +167,13 @@ def test_pagerank_driver_merge_and_exchange_merge_bit_identical(
 
 
 def test_graph_empty_and_self_loop_inputs(ray_session):
-    """Empty edge sets return typed empties / zero (the joins would
+    """Empty edge sets return typed empties (the joins would
     otherwise crash on schema-less zero-row datasets); self-loop-only
     nodes keep a (node, label=node) row instead of vanishing."""
     import pyarrow as pa
     import ray.data as rd
 
-    from pmocr_ray.ops.graph import (connected_components_distributed,
-                                     pagerank, triangle_count)
+    from pmocr_ray.ops.graph import connected_components_distributed, pagerank
 
     empty_ab = rd.from_arrow(pa.table({"a": pa.array([], pa.int64()),
                                        "b": pa.array([], pa.int64())}))
@@ -202,9 +184,6 @@ def test_graph_empty_and_self_loop_inputs(ray_session):
     empty_sd = rd.from_arrow(pa.table({"src": pa.array([], pa.int64()),
                                        "dst": pa.array([], pa.int64())}))
     assert pagerank(empty_sd, iters=2).count() == 0
-    assert triangle_count(empty_sd.map_batches(
-        lambda t: pa.table({"src": t["src"], "dst": t["dst"]}),
-        batch_format="pyarrow")) == 0
 
     loop_edges = rd.from_arrow(pa.table({"a": pa.array([1, 2], pa.int64()),
                                          "b": pa.array([1, 3], pa.int64())}))

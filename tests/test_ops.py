@@ -1104,32 +1104,6 @@ def test_hash_anti_join_unmatched_only(ray_session):
     assert sorted(out.columns) == ["k", "name"]
 
 
-def test_grouped_length_quantiles(ray_session):
-    from pmocr_ray.ops.text import grouped_length_quantiles
-    df = pd.DataFrame({"lang": ["en"] * 10 + ["de"] * 4,
-                       "n_chars": list(range(1, 11)) + [5, 5, 7, 100]})
-    t = grouped_length_quantiles(rd.from_pandas(df).repartition(3),
-                                 qs=(0.5, 0.9)).to_pandas()
-    get = lambda g, q: int(t[(t["lang"] == g) & (t["q"] == q)]["value"].iloc[0])
-    # quantile_disc rule: value at 1-based rank ceil(q*n)
-    assert get("en", 0.5) == 5 and get("en", 0.9) == 9
-    assert get("de", 0.5) == 5 and get("de", 0.9) == 100
-
-
-def test_label_centroid_fixedpoint_exact(ray_session):
-    from pmocr_ray.ops.knn import label_centroid_fixedpoint
-    df = pd.DataFrame({
-        "label": pd.array([0, 0, 1], dtype="int64"),
-        "embedding": [[0.25, -0.5], [0.75, 0.5], [1.0, 2.0]],
-    })
-    out = label_centroid_fixedpoint(rd.from_pandas(df).repartition(3),
-                                    scale=100.0).to_pandas()
-    r = {(int(x["label"]), int(x["dim"])): x for _, x in out.iterrows()}
-    assert r[(0, 1)]["sum_fp"] == 25 + 75 and r[(0, 1)]["n"] == 2
-    assert r[(0, 2)]["sum_fp"] == -50 + 50
-    assert r[(1, 2)]["sum_fp"] == 200 and r[(1, 2)]["n"] == 1
-
-
 def test_orders_running_total_cumsum(ray_session):
     from pmocr_ray.ops.events import orders_running_total
     df = pd.DataFrame({
@@ -1145,21 +1119,6 @@ def test_orders_running_total_cumsum(ray_session):
     assert list(c7["o_orderkey"]) == [2, 1, 3]
     assert list(c7["cum_cents"]) == [550, 1550, 1675]
     assert list(out[out["o_custkey"] == 8]["cum_cents"]) == [200]
-
-
-def test_tfidf_terms_vocab_and_counts(ray_session):
-    from pmocr_ray.ops.text import tfidf_terms
-    df = pd.DataFrame({
-        "doc_id": [1, 2, 3],
-        "text": ["a a b c", "a b b", "c"],
-    })
-    # DF: a=2, b=2, c=2 -> vocab_k=2 with (df desc, term asc) ties -> {a, b}
-    out = tfidf_terms(rd.from_pandas(df).repartition(3), vocab_k=2).to_pandas()
-    assert set(out["term"]) == {"a", "b"}
-    r = {(int(x["doc_id"]), x["term"]): x for _, x in out.iterrows()}
-    assert r[(1, "a")]["tf"] == 2 and r[(1, "a")]["df"] == 2
-    assert r[(2, "b")]["tf"] == 2
-    assert (3, "c") not in r and (3, "a") not in r
 
 
 def kmv_estimate(hashes: list[str], k: int) -> float:
@@ -1204,37 +1163,6 @@ def test_compact_latest_keeps_newest_per_key(ray_session):
     assert len(out) == 2
 
 
-def test_top_terms_by_group_exact(ray_session):
-    from pmocr_ray.ops.text import top_terms_by_group
-    df = pd.DataFrame({
-        "lang": ["en", "en", "de"],
-        "text": ["a a b", "a c", "x x y"],
-    })
-    out = (top_terms_by_group(rd.from_pandas(df).repartition(3),
-                              group_col="lang", k=2).to_pandas())
-    en = out[out["lang"] == "en"].sort_values("rank")
-    assert list(en["term"]) == ["a", "b"]  # a:3; b/c tie -> term asc
-    assert list(en["n"]) == [3, 1]
-    de = out[out["lang"] == "de"].sort_values("rank")
-    assert list(de["term"]) == ["x", "y"]
-
-
-def test_kmeans_distributed_partition_invariant_and_separates(ray_session):
-    from pmocr_ray.ops.knn import kmeans_distributed
-    rng = np.random.default_rng(11)
-    blob_a = rng.normal([5, 0, 0], 0.1, (60, 3))
-    blob_b = rng.normal([0, 5, 0], 0.1, (60, 3))
-    X = np.vstack([blob_a, blob_b])
-    df = pd.DataFrame({"embedding": [list(map(float, v)) for v in X]})
-    c1 = kmeans_distributed(rd.from_pandas(df), k=2, iters=5)
-    c2 = kmeans_distributed(rd.from_pandas(df).repartition(7), k=2, iters=5)
-    assert np.array_equal(c1, c2)  # bit-identical across partitionings
-    # each blob mean direction is captured by exactly one centroid
-    dirs = np.array([[1, 0, 0], [0, 1, 0]], float)
-    sims = dirs @ c1.T
-    assert sims.max(axis=1).min() > 0.99
-
-
 def test_range_bucket_quantile_boundaries(ray_session):
     from pmocr_ray.ops.text import range_bucket
     df = pd.DataFrame({"doc_id": np.arange(8, dtype=np.int64),
@@ -1243,43 +1171,6 @@ def test_range_bucket_quantile_boundaries(ray_session):
            .to_pandas().sort_values("doc_id"))
     # quantile_disc boundaries: q25=2, q50=4, q75=6
     assert list(out["bucket"]) == [0, 0, 1, 1, 2, 2, 3, 3]
-
-
-def test_lm_score_prefers_corpus_like_text(ray_session):
-    from pmocr_ray.ops.text import lm_score
-    corpus = ["the quick brown fox jumps over the lazy dog"] * 20
-    probe = ["the quick brown fox", "zzqxj zzqxj qqqq"]
-    df = pd.DataFrame({"doc_id": range(22), "text": corpus + probe})
-    out = lm_score(rd.from_pandas(df)).to_pandas()
-    fluent = float(out[out["doc_id"] == 20]["lm_logprob"].iloc[0])
-    garbage = float(out[out["doc_id"] == 21]["lm_logprob"].iloc[0])
-    assert fluent > garbage
-
-
-def test_lm_score_partition_invariant(ray_session):
-    from pmocr_ray.ops.text import lm_score
-    df = pd.DataFrame({"doc_id": range(30),
-                       "text": [f"sample text number {i} with words" * 3
-                                for i in range(30)]})
-    a = lm_score(rd.from_pandas(df)).to_pandas().sort_values("doc_id")
-    b = (lm_score(rd.from_pandas(df).repartition(7))
-         .to_pandas().sort_values("doc_id"))
-    assert np.array_equal(a["lm_logprob"].to_numpy(),
-                          b["lm_logprob"].to_numpy())
-
-
-def test_quantize_embeddings_codes(ray_session):
-    from pmocr_ray.ops.knn import quantize_embeddings
-    df = pd.DataFrame({
-        "vec_id": pd.array([0, 1, 2], dtype="int64"),
-        "embedding": [[0.0, 5.0], [1.0, 5.0], [2.0, 5.0]],
-    })
-    out = quantize_embeddings(rd.from_pandas(df).repartition(3)).to_pandas()
-    r = {(int(x["vec_id"]), int(x["dim"])): int(x["q"])
-         for _, x in out.iterrows()}
-    assert r[(0, 1)] == 0 and r[(2, 1)] == 255  # min->0, max->255
-    assert r[(1, 1)] == 127                      # floor(0.5*255)
-    assert r[(0, 2)] == r[(1, 2)] == r[(2, 2)] == 0  # constant dim
 
 
 def test_regex_explode_matches(ray_session):
@@ -1335,21 +1226,6 @@ def test_lev1_kernel_cases():
     assert not _lev1("ab", "ba")        # transposition = 2
     assert not _lev1("abc", "abcde")    # length gap 2
     assert not _lev1("abc", "xyc")      # two substitutions
-
-
-def test_embedding_dim_stats_exact(ray_session):
-    import numpy as np
-    import pandas as pd
-
-    import ray.data as rd
-    from pmocr_ray.ops.knn import embedding_dim_stats
-
-    vecs = [[0.5, -0.25], [1.5, 0.75], [-0.5, 0.125]]
-    tbl = pa.table({"embedding": pa.array(vecs, pa.list_(pa.float32()))})
-    ds = rd.from_arrow(tbl).repartition(3)
-    out = embedding_dim_stats(ds).to_pandas().set_index("dim")
-    assert out.loc[0].tolist() == [3, 1_500_000, -500_000, 1_500_000]
-    assert out.loc[1].tolist() == [3, 625_000, -250_000, 750_000]
 
 
 # ------------------------------------------------------- streaming state
@@ -1473,13 +1349,12 @@ def test_review_fix_edge_cases(ray_session):
 
 def test_knn_edge_cases(ray_session, vec_ds):
     """Round-3 knn hardening: 1-D query promotion, empty batches,
-    empty corpora, ragged embeddings, missing IVF index files."""
+    empty corpora, missing IVF index files."""
     import pytest
     import ray.data as rd
 
-    from pmocr_ray.ops.knn import (_BatchTopK, embedding_dim_stats,
-                                   knn_cosine_ivf_indexed,
-                                   quantize_embeddings, train_centroids)
+    from pmocr_ray.ops.knn import (_BatchTopK, knn_cosine_ivf_indexed,
+                                   train_centroids)
 
     ds, mat = vec_ds
     # a single query passed as a bare vector == its one-row-matrix form
@@ -1498,15 +1373,6 @@ def test_knn_edge_cases(ray_session, vec_ds):
     empty_ds = rd.from_arrow(empty)
     with pytest.raises(ValueError, match="no rows"):
         train_centroids(empty_ds, 4)
-    assert quantize_embeddings(empty_ds).count() == 0
-
-    # ragged embeddings: loud, not a silent reshape misalignment
-    ragged = rd.from_arrow(pa.table({
-        "vec_id": pa.array([1, 2], pa.int64()),
-        "embedding": pa.array([[1.0, 2.0], [3.0]], pa.list_(pa.float32())),
-    }))
-    with pytest.raises(Exception, match="ragged"):
-        embedding_dim_stats(ragged).take_all()
 
     # missing index data dir: loud with the probed cells in the message
     import os

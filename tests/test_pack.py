@@ -5,7 +5,7 @@ import pyarrow as pa
 
 import ray.data as rd
 
-from pmocr_ray.ops.pack import hash_shuffle_rank, pack_sequences
+from pmocr_ray.ops.pack import pack_sequences
 
 
 def test_pack_sequences_concat_then_chunk(ray_session):
@@ -39,16 +39,6 @@ def test_pack_sequences_partition_invariant(ray_session):
             == a["n_tokens"].to_numpy()[:-1]).all()
 
 
-def test_hash_shuffle_rank_is_total_order(ray_session):
-    df = pd.DataFrame({"doc_id": np.arange(50),
-                       "text": [f"doc number {i}" for i in range(50)]})
-    out = hash_shuffle_rank(rd.from_pandas(df).repartition(7)).to_pandas()
-    assert sorted(out["rank"]) == list(range(1, 51))  # dense global rank
-    ordered = out.sort_values("rank")
-    hs = list(ordered["h"])
-    assert hs == sorted(hs)  # rank order IS hash order
-
-
 def test_zorder_values_interleave(ray_session):
     from pmocr_ray.ops.pack import zorder_values
 
@@ -78,53 +68,6 @@ def test_zorder_locality_property(ray_session):
     out = zorder_values(rd.from_arrow(t)).to_pandas().set_index("doc_id")
     near_same_cat = abs(out.loc[1, "zvalue"] - out.loc[2, "zvalue"])
     assert near_same_cat <= 4          # adjacent x in same cat stays close
-
-
-def test_zorder_write_read_prunes_and_matches_full_scan(ray_session, tmp_path):
-    from pmocr_ray.ops.pack import (zorder_pruned_buckets, zorder_read,
-                                    zorder_write)
-
-    rng = np.random.default_rng(7)
-    n = 400
-    t = pa.table({
-        "doc_id": pa.array(range(n), pa.int64()),
-        "n_chars": pa.array(rng.integers(0, 4096, n), pa.int64()),
-        "lang": pa.array([["en", "fr", "de"][i % 3] for i in range(n)]),
-    })
-    out = str(tmp_path / "zo")
-    zorder_write(rd.from_arrow(t).repartition(4), out, bucket_shift=6)
-
-    pruned = zorder_pruned_buckets(out, x_range=(0, 100))
-    all_b = zorder_pruned_buckets(out)
-    assert len(pruned) < len(all_b)        # zone map actually prunes
-
-    got = zorder_read(out, x_range=(0, 100), cat="en").to_pandas()
-    df = t.to_pandas()
-    want = df[(df.n_chars <= 100) & (df.lang == "en")]
-    assert sorted(got["doc_id"]) == sorted(want["doc_id"])
-
-
-def test_pps_systematic_sample_deterministic_and_weighted(ray_session):
-    from pmocr_ray.ops.pack import pps_systematic_sample
-
-    # one huge-weight row must always be selected; zero-weight never
-    t = pa.table({"doc_id": pa.array(range(100), pa.int64()),
-                  "n_chars": pa.array([10000 if i == 7 else
-                                       (0 if i == 8 else 10)
-                                       for i in range(100)], pa.int64())})
-    a = pps_systematic_sample(rd.from_arrow(t), n_samples=10) \
-        .to_pandas().sort_values("doc_id").reset_index(drop=True)
-    assert 7 in set(a["doc_id"])         # certainty unit (w > stride)
-    assert 8 not in set(a["doc_id"])     # zero weight never drawn
-    b = pps_systematic_sample(rd.from_arrow(t).repartition(7),
-                              n_samples=10) \
-        .to_pandas().sort_values("doc_id").reset_index(drop=True)
-    assert a["doc_id"].tolist() == b["doc_id"].tolist()
-    # uniform weights -> exactly n_samples selected
-    u = pa.table({"doc_id": pa.array(range(100), pa.int64()),
-                  "n_chars": pa.array([10] * 100, pa.int64())})
-    c = pps_systematic_sample(rd.from_arrow(u), n_samples=10).to_pandas()
-    assert len(c) == 10
 
 
 def test_bucketed_join_matches_plain_join(ray_session, tmp_path):
@@ -223,24 +166,6 @@ def test_token_budget_trim_rule(ray_session):
     out2 = token_budget_trim(rd.from_pandas(df).repartition(3),
                              budget=230).to_pandas()
     assert sorted(out2["doc_id"]) == [1, 2, 3, 4, 5]
-
-
-def test_byte_balanced_blocks_giant_row_isolated(ray_session):
-    import pandas as pd
-
-    from pmocr_ray.ops.pack import byte_balanced_blocks
-
-    df = pd.DataFrame({
-        "doc_id": [0, 1, 2, 3, 4],
-        "n_chars": [100, 100, 5000, 100, 100],  # doc 2 is giant
-    })
-    for parts in (1, 3):
-        out = (byte_balanced_blocks(
-                   rd.from_pandas(df).repartition(parts),
-                   target_bytes=1000)
-               .to_pandas().set_index("doc_id")["block_id"])
-        # cum-before: 0,100,200,5200,5300 → blocks 0,0,0,5,5
-        assert out.to_dict() == {0: 0, 1: 0, 2: 0, 3: 5, 4: 5}
 
 
 def test_chunk_tokens_stride_regimes(ray_session):
