@@ -23,8 +23,6 @@ import numpy as np
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
-from pmocr_ray.ops.joins import parts_for_rows
-
 
 def _vgb(ds, keys, *aggs):
     """groupby().aggregate() for KEY-SCALE group counts — routed through
@@ -102,15 +100,6 @@ def _docs(sf_dir: str):
     import ray.data as rd
 
     return rd.read_parquet(os.path.join(sf_dir, "documents.parquet"))
-
-
-def _pq_parts(sf_dir: str, table: str, cap: int = 8) -> int:
-    """Join-partition count for a BASE-table operand, sized from the
-    parquet file's metadata row count — no execution, no pinning of
-    the table in the object store (unlike ``sized_for_join``, which is
-    for derived rollups)."""
-    n = pq.ParquetFile(os.path.join(sf_dir, f"{table}.parquet")).metadata.num_rows
-    return parts_for_rows(n, cap)
 
 
 def _sel(ds, cols, flt=None):
@@ -388,71 +377,6 @@ def _q_sessionize(sf_dir: str):
     return sessionize(rd.read_parquet(os.path.join(sf_dir, "events.parquet")))
 
 
-def _q_props_agg(sf_dir: str):
-    import ray.data as rd
-
-    from pmocr_ray.ops.events import props_value_agg
-
-    return props_value_agg(rd.read_parquet(os.path.join(sf_dir, "events.parquet")))
-
-
-def _q_top_events_per_user(sf_dir: str):
-    import ray.data as rd
-
-    from pmocr_ray.ops.events import top_events_per_user
-
-    return top_events_per_user(
-        rd.read_parquet(os.path.join(sf_dir, "events.parquet")), n=3
-    )
-
-
-def _q_window_distinct_users(sf_dir: str):
-    import ray.data as rd
-
-    from pmocr_ray.ops.events import window_distinct_users
-
-    return window_distinct_users(
-        rd.read_parquet(os.path.join(sf_dir, "events.parquet"))
-    )
-
-
-def _q_event_pivot(sf_dir: str):
-    import ray.data as rd
-
-    from pmocr_ray.ops.events import event_type_pivot
-
-    return event_type_pivot(rd.read_parquet(os.path.join(sf_dir, "events.parquet")))
-
-
-def _q_customers_no_f_orders_native(sf_dir: str):
-    """Anti join through Ray's native ``left_anti`` join
-    (ops/joins.native_anti_join); ``tests/test_joins.py`` checks it
-    against the left_outer+filter and Bloom-prefilter plans."""
-    import ray.data as rd
-
-    from pmocr_ray.ops.joins import native_anti_join
-
-    cust = rd.read_parquet(
-        os.path.join(sf_dir, "customer.parquet"),
-        columns=["c_custkey", "c_name"],
-    )
-    f_orders = rd.read_parquet(
-        os.path.join(sf_dir, "orders.parquet"),
-        columns=["o_custkey", "o_orderstatus"],
-    ).filter(expr="o_orderstatus == 'F'")
-    return native_anti_join(cust, f_orders, on="c_custkey",
-                            right_on="o_custkey", num_partitions=8)
-
-
-def _q_orders_running_total(sf_dir: str):
-    import ray.data as rd
-
-    from pmocr_ray.ops.events import orders_running_total
-
-    return orders_running_total(
-        rd.read_parquet(os.path.join(sf_dir, "orders.parquet")))
-
-
 def _q_pack_sequences(sf_dir: str):
     import ray.data as rd
 
@@ -525,38 +449,6 @@ def _q_len_bucket(sf_dir: str):
                         columns=["doc_id", "n_chars"]))
 
 
-def _q_lineitem_agg(sf_dir: str):
-    import pyarrow as pa
-
-    import ray.data as rd
-    from ray.data.aggregate import Sum
-
-    def partial(t: pa.Table) -> pa.Table:
-        qty = t["l_quantity"].cast(pa.int64())
-        tt = pa.table({
-            "l_returnflag": t["l_returnflag"],
-            "l_linestatus": t["l_linestatus"],
-            "qty": qty,
-        })
-        g = tt.group_by(["l_returnflag", "l_linestatus"]).aggregate(
-            [("qty", "sum"), ("qty", "count")]
-        )
-        return pa.table({
-            "l_returnflag": g["l_returnflag"],
-            "l_linestatus": g["l_linestatus"],
-            "qty": g["qty_sum"],
-            "cnt": g["qty_count"],
-        })
-
-    ds = rd.read_parquet(
-        os.path.join(sf_dir, "lineitem.parquet"),
-        columns=["l_returnflag", "l_linestatus", "l_quantity"],
-    ).map_batches(partial, batch_format="pyarrow")
-    return ds.groupby(["l_returnflag", "l_linestatus"]).aggregate(
-        Sum("qty", alias_name="sum_qty"), Sum("cnt", alias_name="n")
-    )
-
-
 def _q_host_stats(sf_dir: str):
     """Per-host page rollup over the extraction output's url column."""
     from pmocr_ray.ops.text import host_stats
@@ -606,13 +498,6 @@ def _q_hash_sample(sf_dir: str):
     return hash_sample(_docs(sf_dir).select_columns(["doc_id", "text"]),
                        column="text",
                        prefix_lt="1a").select_columns(["doc_id"])
-
-
-def _q_zorder(sf_dir: str):
-    """Z-order (Morton) layout key over (n_chars, lang) + file bucket."""
-    from pmocr_ray.ops.pack import zorder_values
-
-    return zorder_values(_docs(sf_dir))
 
 
 def _q_heavy_hitters(sf_dir: str):
@@ -1331,15 +1216,6 @@ def _q_shard_counts(sf_dir: str):
                         key="url", n_shards=16)
 
 
-def _q_chunk_tokens(sf_dir: str):
-    """Sliding-window token chunking (window 64, stride 48): flat-map
-    explode, numpy-indexed gather, ListArray+binary_join reassembly."""
-    from pmocr_ray.ops.pack import chunk_tokens
-
-    return chunk_tokens(_docs(sf_dir).select_columns(["doc_id", "text"]),
-                        window=64, stride=48)
-
-
 def _q_split_assign(sf_dir: str):
     """Deterministic 80/10/10 train/val/test assignment by md5 bucket."""
     from pmocr_ray.ops.text import split_assign
@@ -1368,17 +1244,6 @@ def _q_remove_dup_spans(sf_dir: str):
         _docs(sf_dir).select_columns(["doc_id", "text"]), n=8)
 
 
-def _q_event_transitions(sf_dir: str):
-    """User-journey Markov rollup: (from_type, to_type, n) over each
-    user's (ts, event_id)-ordered event sequence."""
-    import ray.data as rd
-
-    from pmocr_ray.ops.events import event_transitions
-
-    return event_transitions(
-        rd.read_parquet(os.path.join(sf_dir, "events.parquet")))
-
-
 def _q_clip_outliers(sf_dir: str):
     """Winsorize n_chars at exact p5/p95 (broadcast bounds, map-only)."""
     from pmocr_ray.ops.text import clip_outliers
@@ -1401,54 +1266,6 @@ def _q_posting_lists(sf_dir: str):
     from pmocr_ray.ops.text import posting_lists
 
     return posting_lists(_docs(sf_dir).select_columns(["doc_id", "text"]))
-
-
-def _q_gopher_quality(sf_dir: str):
-    """Gopher-style document shape rules (arXiv:2112.11446 §A1.1) as a
-    map-only vectorized Arrow stage; integer cross-multiplied
-    thresholds so the verdict is exactly SQL-reproducible."""
-    from pmocr_ray.ops.filters import gopher_quality
-
-    return _docs(sf_dir).select_columns(["doc_id", "text"]).map_batches(
-        gopher_quality, batch_format="pyarrow")
-
-
-def _q_c4_filter(sf_dir: str):
-    """C4-style line filter (arXiv:1910.10683 §2.2) over a derived
-    multi-line view of the corpus (newline every 8 words — the raw
-    fixture is single-line prose, so the strict terminal-punctuation
-    rule would be degenerate; the line rule here keeps lines
-    containing the token 'table' with ≥8 words).  Exercises the full
-    machinery: split → per-line vectorized mask → ListArray rebuild →
-    binary_join reassembly → doc verdict."""
-    import pyarrow as pa
-    import pyarrow.compute as pc
-
-    from pmocr_ray.ops.filters import c4_line_filter
-
-    def derive_lines(t: pa.Table) -> pa.Table:
-        t2 = pc.replace_substring_regex(
-            t["text"], r"((?:\S+ ){7}\S+) ", "\\1\n")
-        return pa.table({"doc_id": t["doc_id"], "text": t2})
-
-    return (_docs(sf_dir).select_columns(["doc_id", "text"])
-            .map_batches(derive_lines, batch_format="pyarrow")
-            .map_batches(lambda t: c4_line_filter(
-                t, line_keep_re=r"(?:^|[ \t])table(?:[ \t]|$)",
-                min_line_words=8, min_kept_lines=2),
-                batch_format="pyarrow"))
-
-
-def _q_ntile_buckets(sf_dir: str):
-    """Equal-frequency NTILE(8) bucketing over (n_chars, doc_id) order
-    — distributed two-pass ordered scan, exact SQL NTILE semantics."""
-    import ray.data as rd
-
-    from pmocr_ray.ops.pack import ntile_buckets
-
-    ds = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                         columns=["doc_id", "n_chars"])
-    return ntile_buckets(ds, 8)
 
 
 def _mod(arr, d: int):
@@ -1523,41 +1340,6 @@ def _q_host_mirror(sf_dir: str):
     done = ds.map_batches(done_only, batch_format="pyarrow").select_columns(
         ["url", "extracted_text"])
     return host_mirror_pairs(done)
-
-
-def _q_cheapest_supplier(sf_dir: str):
-    """Per part: the supplier with the lowest total extended price
-    (grouped argmin over a combiner rollup; ties break min suppkey).
-    Reuses compact_latest as the generic exact per-key argmin."""
-    import pyarrow as pa
-
-    import ray.data as rd
-    from ray.data.aggregate import Sum
-
-    from pmocr_ray.ops.compact import compact_latest
-
-    li = rd.read_parquet(os.path.join(sf_dir, "lineitem.parquet"),
-                         columns=["l_partkey", "l_suppkey",
-                                  "l_extendedprice"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        cents = np.rint(np.asarray(
-            t["l_extendedprice"].to_numpy(zero_copy_only=False)) * 100
-        ).astype(np.int64)
-        g = (pa.table({"p_partkey": t["l_partkey"],
-                       "s_suppkey": t["l_suppkey"],
-                       "total_cents": pa.array(cents)})
-             .group_by(["p_partkey", "s_suppkey"])
-             .aggregate([("total_cents", "sum")]))
-        return pa.table({"p_partkey": g["p_partkey"],
-                         "s_suppkey": g["s_suppkey"],
-                         "total_cents": g["total_cents_sum"]})
-
-    rollup = (_vgb(li.map_batches(partial, batch_format="pyarrow"), ["p_partkey", "s_suppkey"], Sum("total_cents", alias_name="total_cents")))
-    best = compact_latest(rollup, key="p_partkey",
-                          order_cols=["total_cents", "s_suppkey"],
-                          descending=[False, False])
-    return best.select_columns(["p_partkey", "s_suppkey", "total_cents"])
 
 
 def _q_host_lang(sf_dir: str):
@@ -1764,94 +1546,6 @@ def _q_rare_term_pairs(sf_dir: str):
     return df
 
 
-def _q_priority_semi_native(sf_dir: str):
-    """Semi join through Ray's native ``left_semi`` join (orders ⋉
-    qualifying-orderkey set), checked against an EXISTS oracle.  The
-    probe side is still reduced to distinct keys before the
-    exchange."""
-    import pyarrow as pa
-
-    import ray.data as rd
-    from ray.data.aggregate import Count
-
-    li = rd.read_parquet(os.path.join(sf_dir, "lineitem.parquet"),
-                         columns=["l_orderkey", "l_quantity"])
-
-    def big_qty_keys(t: pa.Table) -> pa.Table:
-        t = t.filter(pc.greater(t["l_quantity"], 45.0))
-        return t.select(["l_orderkey"]).group_by("l_orderkey").aggregate([])
-
-    keys = (_vgb(li.map_batches(big_qty_keys, batch_format="pyarrow"), "l_orderkey", Count(alias_name="_n"))
-            .select_columns(["l_orderkey"]))
-    orders = rd.read_parquet(os.path.join(sf_dir, "orders.parquet"),
-                             columns=["o_orderkey", "o_orderpriority"])
-    j = orders.join(keys, join_type="left_semi", num_partitions=4,
-                    on=("o_orderkey",), right_on=("l_orderkey",))
-    return j.groupby("o_orderpriority").aggregate(
-        Count(alias_name="n_orders"))
-
-
-def _q_keep_best_dedup(sf_dir: str):
-    """Canonical-document selection: per (lang, source) group keep the
-    LONGEST doc, tie-broken by smallest doc_id.  Distributed argmax as
-    two small shuffles and one hash join — group max first, join the
-    max back, then min-id among the rows that hit the max.  No
-    map_groups, no per-group Python dispatch."""
-    from ray.data.aggregate import Count, Max, Min
-
-    import ray.data as rd
-
-    docs = rd.read_parquet(
-        os.path.join(sf_dir, "documents.parquet"),
-        columns=["doc_id", "lang", "source", "n_chars"])
-    g = (docs.groupby(["lang", "source"])
-         .aggregate(Max("n_chars", alias_name="best_len"),
-                    Count(alias_name="n_docs")))
-    parts = _pq_parts(sf_dir, "documents", cap=8)
-    j = docs.join(g, join_type="inner", num_partitions=parts,
-                  on=("lang", "source"))
-    hits = j.map_batches(
-        lambda t: t.filter(pc.equal(t["n_chars"], t["best_len"])),
-        batch_format="pyarrow")
-    return (hits.groupby(["lang", "source"])
-            .aggregate(Min("doc_id", alias_name="keep_id"),
-                       Max("best_len", alias_name="best_len"),
-                       Max("n_docs", alias_name="n_docs")))
-
-
-_DIVISION_TYPES = ("view", "click", "purchase")
-
-
-def _q_users_all_types(sf_dir: str):
-    """Relational division: users who performed EVERY event type in the
-    target set.  Per-batch local distinct shrinks the shuffle to unique
-    (user, type) pairs; division is then a count==|target| filter on a
-    tiny per-user rollup — no joins, no per-user iteration."""
-    import pyarrow as pa
-
-    import ray.data as rd
-    from ray.data.aggregate import Count
-
-    ev = rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                         columns=["user_id", "event_type"])
-    want = pa.array(list(_DIVISION_TYPES))
-
-    def local_distinct(t: pa.Table) -> pa.Table:
-        t = t.filter(pc.is_in(t["event_type"], value_set=want))
-        return t.group_by(["user_id", "event_type"]).aggregate([])
-
-    pairs = (_vgb(ev.map_batches(local_distinct, batch_format="pyarrow"), ["user_id", "event_type"], Count()))
-    per_user = _vgb(pairs, "user_id", Count(alias_name="n_types"))
-    return (per_user.map_batches(
-        lambda t: t.filter(pc.equal(t["n_types"],
-                                    len(_DIVISION_TYPES))),
-        batch_format="pyarrow").select_columns(["user_id"]))
-
-
-_TYPE_BITS = {"view": 0, "click": 1, "purchase": 2, "signup": 3,
-              "error": 4}
-
-
 def _q_outlinks(sf_dir: str):
     """Outlink-graph extraction from raw HTML payloads — the web-native
     companion to the content extractor: every page's anchors are pulled
@@ -1886,44 +1580,6 @@ def _q_outlinks(sf_dir: str):
     return (ds.map_batches(links, batch_format="pyarrow")
             .groupby("target")
             .aggregate(Sum("n_links", alias_name="n_links")))
-
-
-def _q_csv_roundtrip(sf_dir: str):
-    """CSV source + sink coverage: the metadata projection of the
-    corpus is written as sharded CSV (one file per block — the same
-    resumable-partition discipline as the parquet sinks), read back
-    with the CSV source, and rolled up per lang.  Quoting-safe by
-    construction (int/short-string columns only); the oracle aggregates
-    the same projection straight from parquet, so a roundtrip fault
-    (type coercion, header loss, row drop) breaks the hash."""
-    import shutil
-
-    import ray.data as rd
-    from ray.data.aggregate import Sum
-
-    out = os.path.join("/tmp/pmocr_ray_csv",
-                       os.path.basename(os.path.normpath(sf_dir)))
-    shutil.rmtree(out, ignore_errors=True)
-    os.makedirs(out, exist_ok=True)
-    docs = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                           columns=["doc_id", "lang", "n_chars"])
-    docs.write_csv(out)
-    back = rd.read_csv(out)
-
-    import pyarrow as pa
-
-    def partial(t: pa.Table) -> pa.Table:
-        tt = pa.table({"lang": t["lang"],
-                       "n_docs": pa.array(np.ones(len(t), np.int64)),
-                       "sum_chars": pc.cast(t["n_chars"], pa.int64())})
-        g = tt.group_by("lang").aggregate(
-            [("n_docs", "sum"), ("sum_chars", "sum")])
-        return g.rename_columns(["lang", "n_docs", "sum_chars"])
-
-    return (back.map_batches(partial, batch_format="pyarrow")
-            .groupby("lang")
-            .aggregate(Sum("n_docs", alias_name="n_docs"),
-                       Sum("sum_chars", alias_name="sum_chars")))
 
 
 def _q_stream_sessions(sf_dir: str):
@@ -1972,86 +1628,6 @@ def _q_page_meta(sf_dir: str):
                          "html_lang": lang})
 
     return ds.map_batches(meta, batch_format="pyarrow")
-
-
-def _q_user_type_mask_agg(sf_dir: str):
-    """Per-user feature bitmask through a custom bitwise-OR
-    ``AggregateFn`` (OR is idempotent + associative, so a one-int64
-    state per group is exact under any partitioning — no distinct pass
-    needed)."""
-    import pandas as pd
-    import pyarrow as pa
-
-    import ray.data as rd
-    from ray.data.aggregate import AggregateFn
-
-    ev = rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
-                         columns=["user_id", "event_type"])
-
-    def with_bits(t: pa.Table) -> pa.Table:
-        bits = np.array([1 << _TYPE_BITS[x]
-                         for x in t["event_type"].to_pylist()], np.int64)
-        return pa.table({"user_id": t["user_id"],
-                         "bit": pa.array(bits, pa.int64())})
-
-    bit_or = AggregateFn(
-        init=lambda k: 0,
-        accumulate_block=lambda s, blk: s | int(
-            np.bitwise_or.reduce(np.asarray(
-                blk["bit"].to_numpy(zero_copy_only=False), np.int64))),
-        merge=lambda a, b: a | b,
-        name="mask",
-    )
-    rows = (ev.map_batches(with_bits, batch_format="pyarrow")
-            .groupby("user_id").aggregate(bit_or).take_all())
-    return pd.DataFrame(rows)[["user_id", "mask"]].astype(
-        {"user_id": "int64", "mask": "int64"}) \
-        .sort_values("user_id").reset_index(drop=True)
-
-
-def _q_federated_union(sf_dir: str):
-    """Heterogeneous-source federation: even-id rows stay in Parquet,
-    odd-id rows round-trip through a sharded CSV sink+source, and
-    ``Dataset.union`` of the two feeds one rollup — proving the union
-    operator and the CSV codec reproduce the single-source result
-    bit-for-bit (same oracle as the all-parquet rollup)."""
-    import shutil
-
-    import pyarrow as pa
-    import ray.data as rd
-    from ray.data.aggregate import Sum
-
-    docs = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                           columns=["doc_id", "lang", "n_chars"])
-
-    def half(t: pa.Table, even: bool) -> pa.Table:
-        ids = np.asarray(t["doc_id"].to_numpy(zero_copy_only=False),
-                         np.int64)
-        return t.filter(pa.array((ids % 2 == 0) == even))
-
-    out = os.path.join("/tmp/pmocr_ray_fed_csv",
-                       os.path.basename(os.path.normpath(sf_dir)))
-    shutil.rmtree(out, ignore_errors=True)
-    os.makedirs(out, exist_ok=True)
-    docs.map_batches(half, fn_kwargs={"even": False},
-                     batch_format="pyarrow").write_csv(out)
-    odd_back = rd.read_csv(out)
-    even = docs.map_batches(half, fn_kwargs={"even": True},
-                            batch_format="pyarrow")
-    both = even.union(odd_back)
-
-    def partial(t: pa.Table) -> pa.Table:
-        tt = pa.table({"lang": t["lang"],
-                       "n_docs": pa.array(np.ones(len(t), np.int64)),
-                       "sum_chars": pc.cast(t["n_chars"], pa.int64())})
-        g = tt.group_by("lang").aggregate(
-            [("n_docs", "sum"), ("sum_chars", "sum")])
-        return g.rename_columns(["lang", "n_docs", "sum_chars"])
-
-    return (both.map_batches(partial, batch_format="pyarrow")
-            .groupby("lang")
-            .aggregate(Sum("n_docs", alias_name="n_docs"),
-                       Sum("sum_chars", alias_name="sum_chars")))
 
 
 def _q_pdf_target_roundtrip(sf_dir: str):
@@ -2216,17 +1792,10 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "events_window": _q_events_window,
         "top_users": _q_top_users,
         "sessionize": _q_sessionize,
-        "lineitem_agg": _q_lineitem_agg,
         "host_stats": _q_host_stats,
         "mirror_hosts": _q_mirror_hosts,
         "hash_sample": _q_hash_sample,
         "host_cap": _q_host_cap,
-        "props_agg": _q_props_agg,
-        "top_events_per_user": _q_top_events_per_user,
-        "window_distinct_users": _q_window_distinct_users,
-        "event_pivot": _q_event_pivot,
-        "customers_no_f_orders_native": _q_customers_no_f_orders_native,
-        "orders_running_total": _q_orders_running_total,
         "kmv_sketch": _q_kmv_sketch,
         "clean_text": _q_clean_text,
         "dedup_incremental": _q_dedup_incremental,
@@ -2237,37 +1806,24 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "repetition_stats": _q_repetition_stats,
         "stratified_sample": _q_stratified_sample,
         "shard_counts": _q_shard_counts,
-        "chunk_tokens": _q_chunk_tokens,
         "split_assign": _q_split_assign,
         "dup_spans": _q_dup_spans,
         "remove_dup_spans": _q_remove_dup_spans,
-        "event_transitions": _q_event_transitions,
         "clip_outliers": _q_clip_outliers,
-        "zorder": _q_zorder,
         "heavy_hitters": _q_heavy_hitters,
         "domain_reweight": _q_domain_reweight,
         "posting_lists": _q_posting_lists,
-        "gopher_quality": _q_gopher_quality,
-        "c4_filter": _q_c4_filter,
-        "ntile_buckets": _q_ntile_buckets,
         "collocations": _q_collocations,
         "host_blocklist": _q_host_blocklist,
         "host_mirror": _q_host_mirror,
-        "cheapest_supplier": _q_cheapest_supplier,
         "host_lang": _q_host_lang,
         "table_extract": _q_table_extract,
         "schema_evolve": _q_schema_evolve,
-        "priority_semi_native": _q_priority_semi_native,
-        "user_type_mask_agg": _q_user_type_mask_agg,
-        "federated_union": _q_federated_union,
         "pdf_target_roundtrip": _q_pdf_target_roundtrip,
         "docx_target_roundtrip": _q_docx_target_roundtrip,
         "xlsx_target_roundtrip": _q_xlsx_target_roundtrip,
-        "keep_best_dedup": _q_keep_best_dedup,
-        "users_all_types": _q_users_all_types,
         "outlinks": _q_outlinks,
         "page_meta": _q_page_meta,
-        "csv_roundtrip": _q_csv_roundtrip,
         # multimodal
         "media_meta": _q_media_meta,
         "media_png_real": _q_media_png_real,
@@ -2469,14 +2025,6 @@ FROM b"""
 
 def oracle_sql() -> dict[str, str]:
     return {
-        "csv_roundtrip": """
-            SELECT lang, CAST(count(*) AS BIGINT) AS n_docs,
-                   CAST(sum(n_chars) AS BIGINT) AS sum_chars
-            FROM documents GROUP BY lang""",
-        "federated_union": """
-            SELECT lang, CAST(count(*) AS BIGINT) AS n_docs,
-                   CAST(sum(n_chars) AS BIGINT) AS sum_chars
-            FROM documents GROUP BY lang""",
         "pdf_target_roundtrip": _PAGE_CTE + """
             SELECT url, CAST(1 AS BIGINT) AS roundtrip_ok
             FROM c WHERE cls <= 15 OR cls = 19""",
@@ -2634,11 +2182,6 @@ def oracle_sql() -> dict[str, str]:
             SELECT user_id, min(ts) AS session_start, max(ts) AS session_end,
                    count(*) AS n_events
             FROM s GROUP BY user_id, sess""",
-        "lineitem_agg": """
-            SELECT l_returnflag, l_linestatus,
-                   CAST(sum(l_quantity) AS BIGINT) AS sum_qty,
-                   count(*) AS n
-            FROM lineitem GROUP BY l_returnflag, l_linestatus""",
         "host_stats": _PAGE_CTE + """
             SELECT regexp_extract(url, '^[a-z+]+://([^/]+)', 1) AS host,
                    CAST(count(*) AS BIGINT) AS n_pages
@@ -2724,24 +2267,6 @@ def oracle_sql() -> dict[str, str]:
             SELECT n_chars // 100 AS bucket,
                    CAST(count(*) AS BIGINT) AS n
             FROM documents GROUP BY bucket""",
-        "chunk_tokens": r"""
-            WITH tok AS (
-              SELECT doc_id, regexp_extract_all(text, '\S+') AS ts
-              FROM documents),
-            ch AS (
-              SELECT doc_id, ts,
-                unnest(range(CASE WHEN len(ts) = 0 THEN 0
-                                  WHEN len(ts) <= 64 THEN 1
-                                  ELSE (len(ts) - 64 + 47) // 48 + 1 END))
-                  AS k
-              FROM tok)
-            SELECT doc_id, CAST(k AS BIGINT) AS chunk_idx,
-                   CAST(least(k * 48 + 64, len(ts)) - k * 48 AS BIGINT)
-                     AS n_tokens,
-                   array_to_string(ts[k * 48 + 1 : least(k * 48 + 64,
-                                                         len(ts))], ' ')
-                     AS chunk_text
-            FROM ch""",
         "split_assign": """
             SELECT doc_id, lang,
                    CASE WHEN CAST(('0x' || substr(md5(CAST(doc_id AS
@@ -2757,25 +2282,6 @@ def oracle_sql() -> dict[str, str]:
             FROM (SELECT unnest(regexp_extract_all(text, '\S+')) AS w
                   FROM documents)
             GROUP BY w""",
-        "zorder": """
-            WITH lc AS (
-              SELECT lang,
-                     CAST(row_number() OVER (ORDER BY lang) - 1
-                          AS BIGINT) AS code
-              FROM (SELECT DISTINCT lang FROM documents)),
-            b AS (
-              SELECT d.doc_id, d.n_chars % 65536 AS x, lc.code AS y
-              FROM documents d JOIN lc USING (lang)),
-            z AS (
-              SELECT doc_id,
-                     CAST(sum((((x >> i) & 1) << (2 * i))
-                              + (((y >> i) & 1) << (2 * i + 1)))
-                          AS BIGINT) AS zvalue
-              FROM b, unnest(range(16)) AS t(i)
-              GROUP BY doc_id)
-            SELECT doc_id, zvalue,
-                   CAST(zvalue >> 20 AS BIGINT) AS file_bucket
-            FROM z""",
         "clip_outliers": """
             WITH b AS (SELECT quantile_disc(n_chars, 0.05) AS lo,
                               quantile_disc(n_chars, 0.95) AS hi
@@ -2834,15 +2340,6 @@ def oracle_sql() -> dict[str, str]:
               FROM kept GROUP BY doc_id)
             SELECT d.doc_id, coalesce(p.text_clean, '') AS text_clean
             FROM documents d LEFT JOIN per p USING (doc_id)""",
-        "event_transitions": """
-            WITH s AS (
-              SELECT event_type AS from_type,
-                     lead(event_type) OVER (PARTITION BY user_id
-                       ORDER BY ts, event_id) AS to_type
-              FROM events)
-            SELECT from_type, to_type, CAST(count(*) AS BIGINT) AS n
-            FROM s WHERE to_type IS NOT NULL
-            GROUP BY from_type, to_type""",
         "domain_reweight": """
             WITH n AS (SELECT lang, count(*) AS n_g
                        FROM documents GROUP BY lang),
@@ -2862,56 +2359,6 @@ def oracle_sql() -> dict[str, str]:
                      list_slice(list(doc_id ORDER BY doc_id), 1, 20), ',')
                      AS postings
             FROM pairs GROUP BY term""",
-        "gopher_quality": r"""
-            WITH g AS (
-              SELECT doc_id,
-                len(regexp_extract_all(text, '\S+')) AS n_words,
-                CAST(length(regexp_replace(text, '\s+', '', 'g')) AS BIGINT)
-                  AS n_word_chars,
-                len(regexp_extract_all(text, '\S*[A-Za-z]\S*'))
-                  AS n_alpha_words,
-                CAST(1 + length(text) - length(replace(text, chr(10), ''))
-                     AS BIGINT) AS n_lines,
-                len(regexp_extract_all(text, '(?m)^[ \t]*[-*•]'))
-                  AS n_bullet_lines,
-                len(regexp_extract_all(text, '(?m)(\.\.\.|…)[ \t]*$'))
-                  AS n_ellipsis_lines
-              FROM documents)
-            SELECT doc_id, n_words, n_word_chars, n_alpha_words, n_lines,
-                   n_bullet_lines, n_ellipsis_lines,
-                   (n_words BETWEEN 50 AND 100000
-                    AND n_word_chars BETWEEN 3 * n_words AND 10 * n_words
-                    AND 100 * n_bullet_lines <= 90 * n_lines
-                    AND 100 * n_ellipsis_lines <= 30 * n_lines
-                    AND 100 * n_alpha_words >= 80 * n_words) AS keep
-            FROM g""",
-        "c4_filter": r"""
-            WITH d AS (
-              SELECT doc_id,
-                     regexp_replace(text, '((?:\S+ ){7}\S+) ',
-                                    '\1' || chr(10), 'g') AS t2
-              FROM documents
-            ), f AS (
-              SELECT doc_id, t2,
-                CAST(len(split(t2, chr(10))) AS BIGINT) AS n_lines,
-                list_filter(split(t2, chr(10)),
-                    l -> regexp_matches(l, '(?:^|[ \t])table(?:[ \t]|$)')
-                         AND len(regexp_extract_all(l, '\S+')) >= 8) AS kept
-              FROM d)
-            SELECT doc_id, n_lines,
-                   CAST(len(kept) AS BIGINT) AS n_kept_lines,
-                   COALESCE(array_to_string(kept, chr(10)), '') AS kept_text,
-                   (len(kept) >= 2
-                    AND NOT contains(lower(t2), 'lorem ipsum')
-                    AND NOT contains(t2, '{')) AS keep
-            FROM f""",
-        "ntile_buckets": """
-            SELECT doc_id, n_chars,
-                   CAST(row_number() OVER (ORDER BY n_chars, doc_id)
-                        AS BIGINT) AS rnk,
-                   CAST(ntile(8) OVER (ORDER BY n_chars, doc_id)
-                        AS BIGINT) AS bucket
-            FROM documents""",
         "collocations": r"""
             WITH toks AS (
               SELECT doc_id, regexp_extract_all(text, '\S+') AS w
@@ -2993,18 +2440,6 @@ def oracle_sql() -> dict[str, str]:
                    CAST(count(*) AS BIGINT) AS n_shared
             FROM x a JOIN x b ON a.fp = b.fp AND a.host < b.host
             GROUP BY a.host, b.host""",
-        "cheapest_supplier": """
-            SELECT p_partkey, s_suppkey, total_cents FROM (
-              SELECT l_partkey AS p_partkey, l_suppkey AS s_suppkey,
-                     CAST(sum(CAST(round(l_extendedprice * 100) AS BIGINT))
-                          AS BIGINT) AS total_cents,
-                     row_number() OVER (
-                       PARTITION BY l_partkey
-                       ORDER BY sum(CAST(round(l_extendedprice * 100)
-                                         AS BIGINT)) ASC, l_suppkey ASC
-                     ) AS rn
-              FROM lineitem GROUP BY l_partkey, l_suppkey)
-            WHERE rn = 1""",
         "host_lang": _PAGE_CTE + """
             SELECT host, lang, n_pages FROM (
               SELECT regexp_extract(url, '^[a-z+]+://([^/]+)', 1) AS host,
@@ -3017,33 +2452,6 @@ def oracle_sql() -> dict[str, str]:
             WHERE rn = 1""",
         "url_canon_dedup": _PAGE_CTE + """
             SELECT url, CAST(3 AS BIGINT) AS n_variants FROM c""",
-        "keep_best_dedup": """
-            WITH g AS (
-              SELECT lang, source, max(n_chars) AS best_len,
-                     CAST(count(*) AS BIGINT) AS n_docs
-              FROM documents GROUP BY lang, source
-            )
-            SELECT g.lang, g.source,
-                   CAST(min(d.doc_id) AS BIGINT) AS keep_id,
-                   g.best_len, g.n_docs
-            FROM documents d
-            JOIN g ON d.lang = g.lang AND d.source = g.source
-                  AND d.n_chars = g.best_len
-            GROUP BY g.lang, g.source, g.best_len, g.n_docs""",
-        "users_all_types": """
-            SELECT user_id FROM (
-              SELECT user_id, count(DISTINCT event_type) AS c
-              FROM events
-              WHERE event_type IN ('view', 'click', 'purchase')
-              GROUP BY user_id)
-            WHERE c = 3""",
-        "user_type_mask_agg": """
-            SELECT user_id,
-                   CAST(sum(DISTINCT CASE event_type
-                     WHEN 'view' THEN 1 WHEN 'click' THEN 2
-                     WHEN 'purchase' THEN 4 WHEN 'signup' THEN 8
-                     ELSE 16 END) AS BIGINT) AS mask
-            FROM events GROUP BY user_id""",
         "rare_term_pairs": r"""
             WITH d AS (
               SELECT doc_id,
@@ -3066,13 +2474,6 @@ def oracle_sql() -> dict[str, str]:
             FROM ri x JOIN ri y
               ON x.term = y.term AND x.doc_id < y.doc_id
             GROUP BY x.doc_id, y.doc_id""",
-        "priority_semi_native": """
-            SELECT o_orderpriority, CAST(count(*) AS BIGINT) AS n_orders
-            FROM orders
-            WHERE EXISTS (SELECT 1 FROM lineitem
-                          WHERE l_orderkey = o_orderkey
-                            AND l_quantity > 45)
-            GROUP BY o_orderpriority""",
         "schema_evolve": """
             WITH u AS (
               SELECT doc_id, text, NULL AS lang, NULL AS crawl_tag
@@ -3123,49 +2524,10 @@ def oracle_sql() -> dict[str, str]:
                            url
                     FROM c))
             WHERE rn <= 3""",
-        "props_agg": """
-            SELECT event_type,
-                   CAST(sum(CAST(json_extract(props, '$.k') AS BIGINT)) AS BIGINT)
-                     AS sum_k,
-                   count(*) AS n
-            FROM events GROUP BY event_type""",
-        "top_events_per_user": """
-            SELECT user_id, event_id, value, rank FROM (
-              SELECT user_id, event_id, value,
-                     row_number() OVER (PARTITION BY user_id
-                                        ORDER BY value DESC, event_id ASC)
-                       AS rank
-              FROM events)
-            WHERE rank <= 3""",
-        "window_distinct_users": """
-            SELECT date_trunc('hour', ts) AS hour,
-                   count(DISTINCT user_id) AS n_users
-            FROM events GROUP BY 1""",
-        "event_pivot": """
-            SELECT date_trunc('day', ts) AS day,
-                   CAST(sum(CASE WHEN event_type = 'click'    THEN 1 ELSE 0 END) AS BIGINT) AS n_click,
-                   CAST(sum(CASE WHEN event_type = 'error'    THEN 1 ELSE 0 END) AS BIGINT) AS n_error,
-                   CAST(sum(CASE WHEN event_type = 'purchase' THEN 1 ELSE 0 END) AS BIGINT) AS n_purchase,
-                   CAST(sum(CASE WHEN event_type = 'signup'   THEN 1 ELSE 0 END) AS BIGINT) AS n_signup,
-                   CAST(sum(CASE WHEN event_type = 'view'     THEN 1 ELSE 0 END) AS BIGINT) AS n_view
-            FROM events GROUP BY 1""",
-        "customers_no_f_orders_native": """
-            SELECT c_custkey, c_name FROM customer c
-            WHERE NOT EXISTS (
-              SELECT 1 FROM orders o
-              WHERE o.o_custkey = c.c_custkey AND o.o_orderstatus = 'F')""",
         "span_extract": r"""
             SELECT doc_id, unnest(regexp_extract_all(text, 'scan \w+'))
                      AS match
             FROM documents""",
-        "orders_running_total": """
-            SELECT o_orderkey, o_custkey, o_orderdate,
-                   CAST(sum(CAST(round(o_totalprice * 100) AS BIGINT))
-                          OVER (PARTITION BY o_custkey
-                                ORDER BY o_orderdate, o_orderkey
-                                ROWS UNBOUNDED PRECEDING) AS BIGINT)
-                     AS cum_cents
-            FROM orders""",
         "pack_sequences": r"""
             WITH c AS (
               SELECT doc_id,

@@ -19,27 +19,20 @@ from pmocr_ray.extract.docx_extractor import extract_docx
 from pmocr_ray.extract.xlsx_extractor import extract_xlsx
 from pmocr_ray.extract.html_extractor import extract_html
 from pmocr_ray.extract.pdf_extractor import extract_pdf
-from pmocr_ray.schema import CT_HTML, CT_PDF
+from pmocr_ray.schema import CT_DOCX, CT_HTML, CT_PDF, CT_XLSX
 
 EXTRACTORS: dict[str, Callable[[bytes], str]] = {
     CT_HTML: extract_html,
     CT_PDF: extract_pdf,
-    # structured-document route (the WORD-target inverse); the default
-    # sniff never emits this type — route it via a registered sniff
-    # extension or an explicit content_type column
-    "docx": extract_docx,
-    "xlsx": extract_xlsx,
+    # the OPC containers (the docx and xlsx targets' inverses):
+    # sniff_content_type tells them apart by their word/ or xl/ parts
+    CT_DOCX: extract_docx,
+    CT_XLSX: extract_xlsx,
 }
 
 
 def register_extractor(content_type: str, fn: Callable[[bytes], str]) -> None:
     EXTRACTORS[content_type] = fn
-
-
-def get_extractor(content_type: str) -> Callable[[bytes], str]:
-    """Raises ``KeyError`` for unroutable content types; the pipeline
-    converts that into a quarantined row (unknown type = data failure)."""
-    return EXTRACTORS[content_type]
 
 
 # ----------------------------------------------------------- preprocessors

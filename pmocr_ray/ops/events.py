@@ -120,187 +120,3 @@ def sessionize(events: rd.Dataset, gap_minutes: int = 30) -> rd.Dataset:
         return out.reset_index(drop=True)
 
     return _user_bucketed(events, sessions_bucket)
-
-
-def props_value_agg(events: rd.Dataset) -> rd.Dataset:
-    """Per-event-type rollup of the ``k`` field inside the JSON
-    ``props`` payload.
-
-    There is no Arrow JSON kernel; for the fixed ``{"k": N}`` shape one
-    RE2 ``extract_regex`` per batch is the vectorized path (a general
-    JSON column would get a per-batch ``json.loads`` loop inside an
-    actor pool instead).  Fan-in is tiny: one row per event_type.
-    """
-    def partial(batch: pa.Table) -> pa.Table:
-        m = pc.extract_regex(batch["props"], r'"k":\s*(?P<k>-?\d+)')
-        k = pc.cast(pc.struct_field(m, "k"), pa.int64())
-        # count_all, not count("k"): a row whose props doesn't match the
-        # pattern extracts null but must still be counted like count(*)
-        g = pa.table({"event_type": batch["event_type"], "k": k}) \
-            .group_by("event_type") \
-            .aggregate([("k", "sum"), ([], "count_all")])
-        return pa.table({"event_type": g["event_type"],
-                         "sum_k": g["k_sum"],
-                         "n": g["count_all"]})
-
-    return (events.map_batches(partial, batch_format="pyarrow")
-            .groupby("event_type")
-            .aggregate(Sum("sum_k", alias_name="sum_k"),
-                       Sum("n", alias_name="n")))
-
-
-def top_events_per_user(events: rd.Dataset, n: int = 3) -> rd.Dataset:
-    """Top-``n`` events per user by ``(value desc, event_id asc)``.
-
-    Scale shape: a per-batch LOCAL cap first — the global top-n for a
-    user is a subset of the union of per-batch top-n, so each batch
-    forwards at most n rows per user it saw — then the exact global
-    top-n inside ``groupby(user).map_groups`` over the pruned stream.
-    The shuffle moves ≤ n×users rows however skewed a hot user is.
-    """
-    def local_cap(batch: pa.Table) -> pa.Table:
-        batch = batch.select(["user_id", "event_id", "value"])
-        uid = batch["user_id"].to_numpy(zero_copy_only=False)
-        eid = batch["event_id"].to_numpy(zero_copy_only=False)
-        val = batch["value"].to_numpy(zero_copy_only=False)
-        # (user asc, value desc, event_id asc) then per-user rank via
-        # group-start offsets — no pandas round-trip on the raw stream
-        order = np.lexsort((eid, -val, uid))
-        u = uid[order]
-        if not len(u):
-            return batch
-        new_grp = np.concatenate(([True], u[1:] != u[:-1]))
-        starts = np.flatnonzero(new_grp)
-        sizes = np.diff(np.concatenate((starts, [len(u)])))
-        rank = np.arange(len(u)) - np.repeat(starts, sizes)
-        return batch.take(pa.array(order[rank < n]))
-
-    def exact_top_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(["user_id", "value", "event_id"],
-                            ascending=[True, False, True],
-                            kind="mergesort")
-        df = df.groupby("user_id", sort=False).head(n).copy()
-        df["rank"] = (df.groupby("user_id", sort=False).cumcount()
-                      + 1).astype(np.int64)
-        return df
-
-    return _user_bucketed(
-        events.map_batches(local_cap, batch_format="pyarrow"),
-        exact_top_bucket)
-
-
-def window_distinct_users(events: rd.Dataset) -> rd.Dataset:
-    """Distinct users per tumbling hour.
-
-    Exact distinct via two shuffles of shrinking size: per-batch
-    (hour, user) dedup combiner → global pair dedup (groupby on both
-    keys) → tiny per-hour count.  The pair shuffle carries only the
-    distinct pairs each batch saw, never raw events.
-    """
-    def pair_dedup(batch: pa.Table) -> pa.Table:
-        b = add_hour_bucket(batch)
-        g = b.select(["hour", "user_id"]).group_by(["hour", "user_id"]) \
-             .aggregate([])
-        return g
-
-    from pmocr_ray.ops.vecagg import distinct as _vec_distinct
-
-    # (hour, user) groups are USER-scale — Arrow-bucketed distinct
-    pairs = _vec_distinct(
-        events.map_batches(pair_dedup, batch_format="pyarrow"),
-        ["hour", "user_id"])
-    return (pairs.select_columns(["hour"])
-            .groupby("hour").aggregate(Count(alias_name="n_users")))
-
-
-EVENT_TYPES = ("click", "error", "purchase", "signup", "view")
-
-
-def event_type_pivot(events: rd.Dataset) -> rd.Dataset:
-    """Per-day event counts pivoted wide (one ``n_<type>`` column per
-    known event type) — the long→wide rollup a monitoring dashboard
-    reads.  Conditional-count combiner per batch, then one tiny
-    groupby(day) summing the pivot columns; unknown types are ignored
-    by construction.
-    """
-    def partial(batch: pa.Table) -> pa.Table:
-        day = pc.floor_temporal(batch["ts"], unit="day")
-        cols = {"day": day}
-        for t in EVENT_TYPES:
-            cols[f"n_{t}"] = pc.cast(pc.equal(batch["event_type"], t),
-                                     pa.int64())
-        g = pa.table(cols).group_by("day").aggregate(
-            [(f"n_{t}", "sum") for t in EVENT_TYPES])
-        return pa.table({"day": g["day"],
-                         **{f"n_{t}": g[f"n_{t}_sum"] for t in EVENT_TYPES}})
-
-    return events.map_batches(partial, batch_format="pyarrow") \
-        .groupby("day").aggregate(
-            *[Sum(f"n_{t}", alias_name=f"n_{t}") for t in EVENT_TYPES])
-
-
-def orders_running_total(orders: rd.Dataset) -> rd.Dataset:
-    """Per-customer cumulative order value (exact cents), ordered by
-    ``(o_orderdate, o_orderkey)`` — the running-spend ledger.
-
-    Per-key ordered scan in ``map_groups`` with a vectorized cumsum
-    over exact integer cents (distribution-order-proof, like all
-    monetary aggregates here).  Partitioning assumption: one
-    customer's orders fit in a worker (same as :func:`sessionize`).
-    """
-    def ledger_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(["o_custkey", "o_orderdate", "o_orderkey"],
-                            kind="mergesort")
-        cents = pd.Series(
-            np.rint(df["o_totalprice"].to_numpy() * 100).astype(np.int64))
-        cum = cents.groupby(df["o_custkey"].to_numpy()).cumsum()
-        return pd.DataFrame({
-            "o_orderkey": df["o_orderkey"].to_numpy(),
-            "o_custkey": df["o_custkey"].to_numpy(),
-            "o_orderdate": df["o_orderdate"].to_numpy(),
-            "cum_cents": cum.to_numpy(),
-        })
-
-    return _user_bucketed(
-        orders.select_columns(
-            ["o_orderkey", "o_custkey", "o_orderdate", "o_totalprice"]),
-        ledger_bucket, keys=["o_custkey"])
-
-
-def event_transitions(events: rd.Dataset) -> rd.Dataset:
-    """Per-user event-sequence transition rollup (the user-journey
-    Markov matrix): order each user's events by ``(ts, event_id)``,
-    pair each event type with its successor (SQL ``lead()``), and
-    count every (from_type, to_type) transition globally.
-
-    Per-user ordered scan in ``map_groups`` (same partitioning
-    assumption as :func:`sessionize`) with the pair counts rolled up
-    LOCALLY per group before the tiny global groupby — the shuffle
-    moves (from, to, n) triples bounded by |event types|² per group,
-    never the event stream itself.
-    """
-    def trans_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(["user_id", "ts", "event_id"],
-                            kind="mergesort")
-        et = df["event_type"].to_numpy()
-        usr = df["user_id"].to_numpy()
-        if len(et) < 2:
-            return pd.DataFrame({"from_type": [], "to_type": [], "n": []})
-        mask = usr[:-1] == usr[1:]  # successor pairs within one user
-        local = (pd.DataFrame({"from_type": et[:-1][mask],
-                               "to_type": et[1:][mask]})
-                 .groupby(["from_type", "to_type"], as_index=False)
-                 .size().rename(columns={"size": "n"}))
-        return local
-
-    per = _user_bucketed(
-        events.select_columns(["user_id", "ts", "event_id", "event_type"]),
-        trans_bucket)
-    out = per.groupby(["from_type", "to_type"]).aggregate(
-        Sum("n", alias_name="n"))
-    return out.map_batches(
-        lambda t: pa.table({"from_type": t["from_type"],
-                            "to_type": t["to_type"],
-                            "n": pc.cast(t["n"], pa.int64())}),
-        batch_format="pyarrow")
-

@@ -1,186 +1,15 @@
-"""Heuristic web-text quality filters (Gopher- and C4-style rules).
+"""Crawl-hygiene filters over page urls.
 
-The standard pre-training curation filters from the public literature:
-
-* :func:`gopher_quality` — document-level repetition/shape rules in the
-  style of Gopher (Rae et al. 2021, arXiv:2112.11446 §A1.1): word
-  count bounds, mean word length bounds, bullet/ellipsis line ratios,
-  alphabetic-word fraction.
-* :func:`c4_line_filter` — line-level cleaning in the style of C4
-  (Raffel et al. 2020, arXiv:1910.10683 §2.2): keep only lines that
-  end in terminal punctuation and have enough words; drop documents
-  with too few surviving lines, a "lorem ipsum" marker, or code
-  braces.
-
-Both are pure vectorized Arrow kernels inside ``map_batches`` — no
-Python loop over rows, no state, no shuffle; they scale as map-only
-stages.  All emitted columns are int64 / bool / string so the results
-are exactly reproducible against a SQL oracle (no float thresholds:
-every ratio rule is cross-multiplied into integer arithmetic).
-
-Reference parity: the reference engine has no text-quality filtering
-(it converts files 1:1, /root/reference/pmocr.sh:2546-2593); these are
-beyond-the-reference training-data operators, same family as
-``ops/text.quality_score``.
+:func:`host_blocklist_filter` drops (or, inverted, keeps only) the pages
+whose url host is on a blocklist: a pure vectorized Arrow kernel inside
+``map_batches`` over a broadcast blocklist, so it scales as a map-only
+stage with no shuffle.
 """
 
 from __future__ import annotations
 
 import pyarrow as pa
 import pyarrow.compute as pc
-
-# Both Arrow and DuckDB compile regexes with RE2, so the patterns below
-# (including the inline (?m) multiline flag) behave identically in the
-# Ray kernels and in the DuckDB oracle.
-_WORD_RE = r"\S+"
-_ALPHA_WORD_RE = r"\S*[A-Za-z]\S*"
-_BULLET_LINE_RE = r"(?m)^[ \t]*[-*•]"
-_ELLIPSIS_LINE_RE = r"(?m)(\.\.\.|…)[ \t]*$"
-
-
-def _count_re(col: pa.Array, pattern: str) -> pa.Array:
-    return pc.fill_null(
-        pc.count_substring_regex(col, pattern).cast(pa.int64()), 0)
-
-
-def gopher_quality(batch: pa.Table, column: str = "text",
-                   min_words: int = 50, max_words: int = 100_000,
-                   min_mean_word_len: int = 3, max_mean_word_len: int = 10,
-                   max_bullet_pct: int = 90, max_ellipsis_pct: int = 30,
-                   min_alpha_pct: int = 80) -> pa.Table:
-    """Gopher-style document shape/repetition rules, integers only.
-
-    Emits per-document counts plus the ``keep`` verdict.  Every
-    fractional rule is evaluated by cross-multiplication so the kernel
-    and the SQL oracle agree bit-for-bit:
-
-    * ``min_words <= n_words <= max_words``
-    * mean word length in [min,max]:
-      ``min*n_words <= n_word_chars <= max*n_words``
-    * bullet lines ≤ max_bullet_pct%: ``100*n_bullet <= pct*n_lines``
-    * ellipsis lines ≤ max_ellipsis_pct%
-    * words containing an ASCII letter ≥ min_alpha_pct%:
-      ``100*n_alpha_words >= pct*n_words``
-    """
-    col = batch[column]
-    n_words = _count_re(col, _WORD_RE)
-    n_alpha_words = _count_re(col, _ALPHA_WORD_RE)
-    # total non-whitespace chars = the numerator of mean word length
-    n_word_chars = pc.fill_null(
-        pc.utf8_length(pc.replace_substring_regex(col, r"\s+", ""))
-        .cast(pa.int64()), 0)
-    # line count = newline count + 1 (a doc is never zero lines)
-    n_lines = pc.add(pc.fill_null(
-        pc.count_substring(col, "\n").cast(pa.int64()), 0), 1)
-    n_bullet = _count_re(col, _BULLET_LINE_RE)
-    n_ellipsis = _count_re(col, _ELLIPSIS_LINE_RE)
-
-    def ge(a, b):
-        return pc.greater_equal(a, b)
-
-    keep = pc.and_(
-        pc.and_(
-            pc.and_(ge(n_words, min_words),
-                    ge(pa.scalar(max_words, pa.int64()), n_words)),
-            pc.and_(
-                ge(n_word_chars, pc.multiply(n_words,
-                                             pa.scalar(min_mean_word_len,
-                                                       pa.int64()))),
-                ge(pc.multiply(n_words, pa.scalar(max_mean_word_len,
-                                                  pa.int64())),
-                   n_word_chars)),
-        ),
-        pc.and_(
-            pc.and_(
-                ge(pc.multiply(n_lines, pa.scalar(max_bullet_pct, pa.int64())),
-                   pc.multiply(n_bullet, pa.scalar(100, pa.int64()))),
-                ge(pc.multiply(n_lines, pa.scalar(max_ellipsis_pct,
-                                                  pa.int64())),
-                   pc.multiply(n_ellipsis, pa.scalar(100, pa.int64()))),
-            ),
-            ge(pc.multiply(n_alpha_words, pa.scalar(100, pa.int64())),
-               pc.multiply(n_words, pa.scalar(min_alpha_pct, pa.int64()))),
-        ),
-    )
-    return pa.table({
-        "doc_id": batch["doc_id"],
-        "n_words": n_words,
-        "n_word_chars": n_word_chars,
-        "n_alpha_words": n_alpha_words,
-        "n_lines": n_lines,
-        "n_bullet_lines": n_bullet,
-        "n_ellipsis_lines": n_ellipsis,
-        "keep": keep,
-    })
-
-
-_C4_LINE_KEEP_RE = r'[.!?"][ \t]*$'
-
-
-def c4_line_filter(batch: pa.Table, column: str = "text",
-                   min_line_words: int = 5, min_kept_lines: int = 3,
-                   line_keep_re: str = _C4_LINE_KEEP_RE) -> pa.Table:
-    """C4-style line filter: keep lines matching ``line_keep_re``
-    (default: ends in terminal punctuation ``. ! ? "``) with
-    ≥ ``min_line_words`` words; rebuild the document from the
-    surviving lines.  Document verdict ``keep`` requires
-    ≥ ``min_kept_lines`` surviving lines, no ``lorem ipsum`` (case
-    insensitive), and no ``{`` (the C4 code heuristic).
-
-    Fully vectorized, including the text reassembly: split →
-    per-line masks on the FLATTENED values → rebuild a ListArray of
-    the kept lines with adjusted offsets → ``pc.binary_join``.  The
-    per-row Python loop the naive version would use never happens.
-    """
-    col = pc.fill_null(batch[column], "")
-    lines = pc.split_pattern(col, "\n")  # ListArray<string>
-    flat_chunks, kept_chunks = [], []
-    chunked = lines if isinstance(lines, pa.ChunkedArray) \
-        else pa.chunked_array([lines])
-    n_lines_out, n_kept_out, kept_text_out = [], [], []
-    for chunk in chunked.chunks:
-        values = chunk.values
-        keep_line = pc.and_(
-            pc.match_substring_regex(values, line_keep_re),
-            pc.greater_equal(
-                pc.count_substring_regex(values, _WORD_RE),
-                pa.scalar(min_line_words, pa.int32())),
-        )
-        offsets = chunk.offsets.to_numpy(zero_copy_only=False)
-        import numpy as np
-
-        mask = keep_line.to_numpy(zero_copy_only=False).astype(bool)
-        # new offsets = inclusive prefix count of kept lines at each
-        # old offset boundary (vectorized reindex, no per-row loop)
-        kept_cum = np.concatenate([[0], np.cumsum(mask)])
-        new_offsets = kept_cum[offsets]
-        kept_values = values.filter(pa.array(mask))
-        kept_list = pa.ListArray.from_arrays(
-            pa.array(new_offsets, pa.int32()), kept_values)
-        n_lines = np.diff(offsets).astype(np.int64)
-        n_kept = np.diff(new_offsets).astype(np.int64)
-        kept_text = pc.binary_join(kept_list, "\n")
-        n_lines_out.append(pa.array(n_lines, pa.int64()))
-        n_kept_out.append(pa.array(n_kept, pa.int64()))
-        kept_text_out.append(kept_text)
-    # a zero-chunk (empty) batch leaves the accumulators empty, and a
-    # typeless pa.chunked_array([]) is invalid — pass the types
-    n_lines_col = pa.chunked_array(n_lines_out, pa.int64())
-    n_kept_col = pa.chunked_array(n_kept_out, pa.int64())
-    kept_text_col = pa.chunked_array(kept_text_out, pa.string())
-    has_lorem = pc.match_substring(pc.utf8_lower(col), "lorem ipsum")
-    has_brace = pc.match_substring(col, "{")
-    keep = pc.and_(
-        pc.greater_equal(n_kept_col, pa.scalar(min_kept_lines, pa.int64())),
-        pc.and_(pc.invert(has_lorem), pc.invert(has_brace)),
-    )
-    return pa.table({
-        "doc_id": batch["doc_id"],
-        "n_lines": n_lines_col,
-        "n_kept_lines": n_kept_col,
-        "kept_text": kept_text_col,
-        "keep": keep,
-    })
 
 
 def host_blocklist_filter(ds, exact: set[str] | list[str],

@@ -109,31 +109,6 @@ def hash_anti_join(left: rd.Dataset, right: rd.Dataset, on: str,
     return joined.map_batches(keep_unmatched, batch_format="pyarrow")
 
 
-def native_anti_join(left: rd.Dataset, right: rd.Dataset, on: str,
-                     right_on: str | None = None,
-                     num_partitions: int = 16) -> rd.Dataset:
-    """Anti join via Ray's native ``join_type="left_anti"``.
-
-    Same semantics as :func:`hash_anti_join` (kept for Ray builds
-    predating native semi/anti support and as the seam the Bloom
-    variant reuses); the right side is still pre-aggregated to one row
-    per key before the exchange so the shuffle moves distinct keys,
-    never payload, with the same pinned-rollup partition sizing and
-    empty-right short-circuit."""
-    from pmocr_ray.ops.vecagg import grouped_aggregate
-
-    r_on = right_on or on
-    marker, parts = sized_for_join(
-        grouped_aggregate(right.select_columns([r_on]),
-                          [r_on], [(None, "count", "__m")]),
-        cap=num_partitions)
-    if marker.count() == 0:
-        return left
-    return left.join(marker, join_type="left_anti",
-                     num_partitions=parts,
-                     on=(on,), right_on=(r_on,))
-
-
 # ------------------------------------------------------ bloom anti join
 
 def _bloom_indices(keys: list, n_bits: int, k_hashes: int):

@@ -92,188 +92,6 @@ def pack_sequences(docs: rd.Dataset, block_tokens: int,
             .map_groups(per_part, batch_format="pandas"))
 
 
-def ntile_buckets(docs: rd.Dataset, k: int, order_col: str = "n_chars",
-                  key: str = "doc_id", part_width: int = 16) -> rd.Dataset:
-    """Equal-frequency bucket assignment: SQL ``NTILE(k) OVER (ORDER BY
-    order_col, key)`` as a distributed operator.
-
-    Third reuse of the two-pass ordered scan (see
-    :func:`pack_sequences`): partition the sort ORDER into contiguous
-    ranges (``part = order_col // part_width`` — order-preserving), per
-    -part counts → broadcast exclusive offsets → per-part local sort +
-    ``arange`` gives the exact global rank; the NTILE boundary formula
-    is then a pure per-row computation against the broadcast total.
-
-    ``part_width`` bounds per-part memory at the cost of balance; at
-    scale, replace the fixed width with sampled order-statistic range
-    boundaries (same shape as ``ops/knn.kmeans_cells`` sampling) so
-    parts stay even under any value distribution.  Emits
-    (key, order_col, rnk [1-based], bucket [1-based NTILE semantics:
-    the first ``N % k`` buckets get the extra row]).
-    """
-    from ray.data.aggregate import Count
-
-    def keyed(batch: pa.Table) -> pa.Table:
-        part = pc.divide(batch[order_col], part_width).cast(pa.int64())
-        return pa.table({key: batch[key], order_col: batch[order_col],
-                         "part": part})
-
-    keyed_ds = docs.map_batches(keyed, batch_format="pyarrow")
-    totals = (keyed_ds.select_columns(["part"])
-              .groupby("part").aggregate(Count(alias_name="n")).take_all())
-    totals.sort(key=lambda r: r["part"])
-    offsets, acc = {}, 0
-    for r in totals:
-        offsets[r["part"]] = acc
-        acc += r["n"]
-    n_total = acc
-    offsets_ref = ray.put(offsets)
-
-    size, rem = divmod(n_total, k)
-
-    def per_part(g: pd.DataFrame) -> pd.DataFrame:
-        off = ray.get(offsets_ref)[int(g["part"].iloc[0])]
-        g = g.sort_values([order_col, key])
-        r0 = off + np.arange(len(g), dtype=np.int64)  # 0-based global rank
-        cut = (size + 1) * rem  # ranks below this fall in the fat buckets
-        bucket = np.where(
-            r0 < cut,
-            r0 // (size + 1) if size + 1 > 0 else 0,
-            rem + (np.maximum(r0 - cut, 0) // size if size > 0 else 0),
-        ).astype(np.int64) + 1
-        return pd.DataFrame({
-            key: g[key].to_numpy(),
-            order_col: g[order_col].to_numpy(),
-            "rnk": r0 + 1,
-            "bucket": bucket,
-        })
-
-    return keyed_ds.groupby("part").map_groups(per_part,
-                                               batch_format="pandas")
-
-
-def chunk_tokens(docs: rd.Dataset, window: int, stride: int,
-                 key: str = "doc_id", column: str = "text") -> rd.Dataset:
-    """Sliding-window token chunking (the RAG / long-context prep op):
-    each document's whitespace tokens are cut into chunks of
-    ``window`` tokens every ``stride`` tokens (overlapping when
-    stride < window, gap-sampling when stride > window; the final
-    chunk may be short, and chunk starts always fall inside the
-    document — no empty or negative-length chunks in either regime).
-    Emits (key, chunk_idx, n_tokens, chunk_text) — a flat-map explode.
-
-    Map-only and fully vectorized: tokens are flattened once per
-    batch; chunk token indices are built with numpy repeat/arange
-    arithmetic and gathered with one ``take``; chunk texts come from a
-    rebuilt ListArray + ``binary_join``.  No per-row Python loop, no
-    shuffle, no state — scales as a pure map stage.
-    """
-    if window < 1 or stride < 1:
-        raise ValueError(
-            f"chunk_tokens needs window >= 1 and stride >= 1 "
-            f"(got window={window}, stride={stride})")
-
-    def explode(batch: pa.Table) -> pa.Table:
-        toks = pc.split_pattern_regex(
-            pc.fill_null(batch[column], ""), r"\s+")
-        # drop empty strings produced by leading/trailing whitespace
-        flat_all = pc.list_flatten(toks)
-        parent_all = pc.list_parent_indices(toks)
-        nonempty = pc.not_equal(flat_all, "")
-        flat = flat_all.filter(nonempty)
-        parent = parent_all.filter(nonempty).to_numpy(zero_copy_only=False)
-        n_rows = batch.num_rows
-        t_cnt = np.bincount(parent, minlength=n_rows).astype(np.int64)
-        row_off = np.concatenate([[0], np.cumsum(t_cnt)])[:-1]
-
-        # two regimes, one count: the cover-minimal start count (last
-        # start >= t-window; exact for stride <= window) capped by the
-        # number of stride-multiple starts INSIDE the document (the
-        # binding bound when stride > window, where the cover formula
-        # would emit starts past the end — negative-length chunks)
-        n_cover = np.where(t_cnt <= window, 1,
-                           (t_cnt - window + stride - 1) // stride + 1)
-        n_inside = (np.maximum(t_cnt, 1) - 1) // stride + 1
-        n_chunks = np.where(t_cnt == 0, 0,
-                            np.minimum(n_cover, n_inside))
-        total_chunks = int(n_chunks.sum())
-        if total_chunks == 0:
-            return pa.table({key: pa.array([], batch[key].type),
-                             "chunk_idx": pa.array([], pa.int64()),
-                             "n_tokens": pa.array([], pa.int64()),
-                             "chunk_text": pa.array([], pa.string())})
-        chunk_row = np.repeat(np.arange(n_rows), n_chunks)
-        # chunk index within its row
-        first_chunk = np.concatenate([[0], np.cumsum(n_chunks)])[:-1]
-        chunk_idx = np.arange(total_chunks) - np.repeat(first_chunk, n_chunks)
-        starts = chunk_idx * stride
-        lens = np.minimum(starts + window, t_cnt[chunk_row]) - starts
-        # token indices: repeat each chunk's (flat start) len times + intra
-        tok_total = int(lens.sum())
-        intra = (np.arange(tok_total)
-                 - np.repeat(np.concatenate([[0], np.cumsum(lens)])[:-1],
-                             lens))
-        gather = np.repeat(row_off[chunk_row] + starts, lens) + intra
-        chunk_tok = flat.take(pa.array(gather, pa.int64()))
-        offsets = np.concatenate([[0], np.cumsum(lens)]).astype(np.int64)
-        chunk_list = pa.ListArray.from_arrays(
-            pa.array(offsets, pa.int64()),
-            chunk_tok.combine_chunks() if isinstance(chunk_tok,
-                                                     pa.ChunkedArray)
-            else chunk_tok)
-        text = pc.binary_join(chunk_list, " ")
-        return pa.table({
-            key: batch[key].take(pa.array(chunk_row, pa.int64())),
-            "chunk_idx": pa.array(chunk_idx, pa.int64()),
-            "n_tokens": pa.array(lens, pa.int64()),
-            "chunk_text": text,
-        })
-
-    return docs.map_batches(explode, batch_format="pyarrow")
-
-
-def zorder_values(ds: rd.Dataset, x_col: str = "n_chars",
-                  cat_col: str = "lang", key: str = "doc_id",
-                  bits: int = 16, bucket_shift: int = 20) -> rd.Dataset:
-    """Z-order (Morton) layout key over (numeric, category): interleave
-    the low ``bits`` of the numeric column with the category's dense
-    alphabetical code — the multi-dimensional data-layout key that
-    keeps rows close in BOTH dimensions close in the written file
-    order, so either predicate prunes row groups.  Emits
-    (key, zvalue, file_bucket = zvalue >> bucket_shift).
-
-    The category dictionary is a tiny groupby rollup (bounded by
-    |categories|), broadcast; the interleave itself is a map-only
-    numpy bit pass (vectorized per bit position, no per-row loop).
-    Writing sorted-by-zvalue partitioned files is then
-    ``ds.sort("zvalue").write_parquet(...)`` — kept separate so the
-    key derivation stays oracle-checkable.
-    """
-    cats = sorted(
-        r[cat_col]
-        for r in ds.groupby(cat_col).count().select_columns([cat_col])
-        .take_all())
-
-    def z(batch: pa.Table) -> pa.Table:
-        x = batch[x_col].to_numpy(zero_copy_only=False).astype(np.int64) \
-            & ((1 << bits) - 1)
-        # dense code = index into the sorted category list — one Arrow
-        # index_in kernel instead of a per-row dict lookup
-        y = pc.index_in(batch[cat_col], value_set=pa.array(cats)) \
-            .cast(pa.int64()).to_numpy(zero_copy_only=False)
-        zv = np.zeros(len(x), np.int64)
-        for i in range(bits):
-            zv |= ((x >> i) & 1) << (2 * i)
-            zv |= ((y >> i) & 1) << (2 * i + 1)
-        return pa.table({key: batch[key],
-                         "zvalue": pa.array(zv, pa.int64()),
-                         "file_bucket": pa.array(zv >> bucket_shift,
-                                                 pa.int64())})
-
-    return ds.select_columns([key, x_col, cat_col]).map_batches(
-        z, batch_format="pyarrow")
-
-
 def bucketed_write(ds: rd.Dataset, out_dir: str, *, key: str,
                    n_buckets: int = 16) -> str:
     """Write a dataset hash-bucketed by ``key`` into hive-style

@@ -7,7 +7,8 @@ import that nothing reads any more.  ``tests/test_ops_reachable.py``
 cannot see these: they are private names inside the catalog.  The scan
 is syntactic, like that one: a name counts as used when it appears as an
 identifier (a call, an attribute, a bare name), not in a docstring or a
-comment.
+comment.  The unused-import check also runs over the package,
+``bench.py``, ``scripts/`` and the tests.
 """
 
 import ast
@@ -90,10 +91,35 @@ def _unused_imports(scope: str, node) -> list[str]:
     return out
 
 
-def test_every_catalog_import_is_used_in_its_scope():
-    tree = _tree()
+def _scoped_unused_imports(tree) -> list[str]:
+    """Unused imports of a module and of every function in it, nested
+    functions and methods included."""
     unused = _unused_imports("<module>", tree)
-    for d in tree.body:
-        if isinstance(d, ast.FunctionDef):
+    for d in ast.walk(tree):
+        if isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef)):
             unused += _unused_imports(d.name, d)
+    return unused
+
+
+def test_every_catalog_import_is_used_in_its_scope():
+    unused = _scoped_unused_imports(_tree())
+    assert unused == [], f"imports nothing in their scope reads: {unused}"
+
+
+def test_every_import_is_used_in_its_scope():
+    """The same guard over the rest of the repo's Python: the package,
+    ``bench.py``, ``scripts/`` and the tests.  Package ``__init__.py``
+    files are exempt: their imports are re-exports, read by importers."""
+    paths = [os.path.join(ROOT, "bench.py")] \
+        + glob.glob(os.path.join(ROOT, "scripts", "*.py")) \
+        + glob.glob(os.path.join(ROOT, "tests", "*.py")) \
+        + [p for p in glob.glob(os.path.join(ROOT, "pmocr_ray", "**", "*.py"),
+                                recursive=True)
+           if os.path.basename(p) != "__init__.py"]
+    unused = []
+    for p in sorted(paths):
+        with open(p) as f:
+            tree = ast.parse(f.read())
+        rel = os.path.relpath(p, ROOT)
+        unused += [f"{rel}:{u}" for u in _scoped_unused_imports(tree)]
     assert unused == [], f"imports nothing in their scope reads: {unused}"

@@ -315,34 +315,6 @@ def test_host_mirror_pairs_counts_and_cap(ray_session):
     assert gotc == {("a.x", "b.x"): 2}
 
 
-def test_cheapest_supplier_tie_breaks_min_suppkey(ray_session):
-    """Driver query helper: argmin ties resolve to the smaller suppkey
-    under any partitioning."""
-    import importlib.util
-    import os
-    import tempfile
-
-    spec = importlib.util.spec_from_file_location(
-        "entry_mod", os.path.join(os.path.dirname(os.path.dirname(
-            os.path.abspath(__file__))), "__ray_entry__.py"))
-    m = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(m)
-
-    import pyarrow as pa
-    import pyarrow.parquet as pq
-
-    with tempfile.TemporaryDirectory() as d:
-        pq.write_table(pa.table({
-            "l_partkey": pa.array([1, 1, 1, 2], pa.int64()),
-            "l_suppkey": pa.array([9, 3, 3, 5], pa.int64()),
-            "l_extendedprice": pa.array([10.0, 5.0, 5.0, 7.0]),
-        }), os.path.join(d, "lineitem.parquet"))
-        out = m._q_cheapest_supplier(d).to_pandas()
-    got = {r.p_partkey: (r.s_suppkey, r.total_cents)
-           for r in out.itertuples()}
-    assert got == {1: (3, 1000), 2: (5, 700)}  # tie 1000 vs 1000 → supp 3
-
-
 def test_strip_tracking_params_cases():
     from pmocr_ray.ops.text import strip_tracking_params as s
 

@@ -1,176 +1,10 @@
-"""Tests for the Gopher/C4-style web-text quality filters and the
-NTILE equal-frequency bucketing operator."""
+"""Tests for the text curation ops in ``pmocr_ray/ops/text.py``: domain
+reweighting, posting lists, split assignment, outlier clipping and
+heavy hitters."""
 
-import duckdb
-import numpy as np
 import pyarrow as pa
 
 import ray.data as rd
-
-from pmocr_ray.ops.filters import c4_line_filter, gopher_quality
-from pmocr_ray.ops.pack import ntile_buckets
-
-
-# --------------------------------------------------------------- gopher
-
-def _gopher_one(text, **kw):
-    t = pa.table({"doc_id": [1], "text": [text]})
-    return {c: v[0] for c, v in gopher_quality(t, **kw).to_pydict().items()}
-
-
-def test_gopher_counts_and_verdict():
-    good = "the quick brown fox jumps over a lazy dog " * 10  # 90 words
-    r = _gopher_one(good)
-    assert r["n_words"] == 90
-    assert r["n_lines"] == 1
-    assert r["keep"] is True
-
-
-def test_gopher_too_short():
-    r = _gopher_one("only four short words")
-    assert r["n_words"] == 4 and r["keep"] is False
-
-
-def test_gopher_bullet_heavy():
-    # every line a bullet -> bullet fraction 100% > 90% cap
-    text = "\n".join("- item number %d here today" % i for i in range(60))
-    r = _gopher_one(text)
-    assert r["n_bullet_lines"] == 60 and r["n_lines"] == 60
-    assert r["keep"] is False
-    # same doc without bullets passes
-    r2 = _gopher_one(text.replace("- ", ""))
-    assert r2["n_bullet_lines"] == 0 and r2["keep"] is True
-
-
-def test_gopher_ellipsis_and_alpha():
-    base = "solid words " * 30
-    dots = "\n".join([base] + ["trailing off..."] * 5)
-    r = _gopher_one(dots)
-    assert r["n_ellipsis_lines"] == 5
-    # 5/6 lines ellipsis-terminated > 30% cap
-    assert r["keep"] is False
-    numeric = "12345 67890 " * 30  # zero alphabetic words
-    assert _gopher_one(numeric)["n_alpha_words"] == 0
-    assert _gopher_one(numeric)["keep"] is False
-
-
-def test_gopher_mean_word_length_bounds():
-    # mean word length 1 (< 3) fails; ~5 passes
-    short = "a b c d e " * 20
-    assert _gopher_one(short)["keep"] is False
-    long_words = ("pneumonoultramicroscopic " * 60)  # mean 24 > 10
-    assert _gopher_one(long_words)["keep"] is False
-
-
-def test_gopher_null_text():
-    t = pa.table({"doc_id": [1], "text": pa.array([None], pa.string())})
-    r = gopher_quality(t).to_pydict()
-    assert r["n_words"][0] == 0 and r["keep"][0] is False
-
-
-# ------------------------------------------------------------------- c4
-
-def test_c4_default_rules_reassembly():
-    doc = "\n".join([
-        "This line has enough words to pass easily.",   # keep
-        "too short.",                                    # < 5 words
-        "no terminal punctuation on this line here",     # no punct
-        'A quoted ending with five words "',             # keep (quote)
-        "Another proper sentence with many words!",      # keep
-    ])
-    t = pa.table({"doc_id": [7], "text": [doc]})
-    out = c4_line_filter(t).to_pydict()
-    assert out["n_lines"][0] == 5
-    assert out["n_kept_lines"][0] == 3
-    assert out["kept_text"][0] == (
-        "This line has enough words to pass easily.\n"
-        'A quoted ending with five words "\n'
-        "Another proper sentence with many words!")
-    assert out["keep"][0] is True
-
-
-def test_c4_doc_level_drops():
-    ok = "\n".join(["A good line with plenty of words."] * 4)
-    lorem = ok + "\nSome Lorem Ipsum filler text here."
-    brace = ok + "\nfunction f() { return 1; }"
-    t = pa.table({"doc_id": [1, 2, 3], "text": [ok, lorem, brace]})
-    out = c4_line_filter(t).to_pydict()
-    assert out["keep"] == [True, False, False]
-
-
-def test_c4_empty_and_no_keeps():
-    t = pa.table({"doc_id": [1, 2],
-                  "text": ["", "nothing here matches at all"]})
-    out = c4_line_filter(t).to_pydict()
-    assert out["n_kept_lines"] == [0, 0]
-    assert out["kept_text"] == ["", ""]
-    assert out["keep"] == [False, False]
-
-
-def test_c4_matches_duckdb_on_fixture():
-    con = duckdb.connect()
-    docs = con.execute("""
-        SELECT * FROM read_parquet(
-          '/root/testdata/sf0.001/documents.parquet') LIMIT 80""").arrow()
-    import pyarrow.compute as pc
-
-    t2 = pa.table({"doc_id": docs["doc_id"],
-                   "text": pc.replace_substring_regex(
-                       docs["text"], r"((?:\S+ ){7}\S+) ", "\\1\n")})
-    mine = c4_line_filter(
-        t2, line_keep_re=r"(?:^|[ \t])table(?:[ \t]|$)",
-        min_line_words=8, min_kept_lines=2).to_pandas() \
-        .sort_values("doc_id").reset_index(drop=True)
-    con.register("d2", t2)
-    oracle = con.execute(r"""
-        WITH f AS (
-          SELECT doc_id,
-            CAST(len(split(text, chr(10))) AS BIGINT) AS n_lines,
-            list_filter(split(text, chr(10)),
-              l -> regexp_matches(l, '(?:^|[ \t])table(?:[ \t]|$)')
-                   AND len(regexp_extract_all(l, '\S+')) >= 8) AS kept,
-            text FROM d2)
-        SELECT doc_id, n_lines, CAST(len(kept) AS BIGINT) AS n_kept_lines,
-               COALESCE(array_to_string(kept, chr(10)), '') AS kept_text,
-               (len(kept) >= 2 AND NOT contains(lower(text), 'lorem ipsum')
-                AND NOT contains(text, '{')) AS keep
-        FROM f ORDER BY doc_id""").df()
-    for c in ["n_lines", "n_kept_lines", "kept_text", "keep"]:
-        assert (mine[c].to_numpy() == oracle[c].to_numpy()).all(), c
-
-
-# ---------------------------------------------------------------- ntile
-
-def test_ntile_exact_sql_semantics():
-    # N=10, k=4 -> bucket sizes 3,3,2,2 (first N%k buckets get the extra)
-    t = pa.table({"doc_id": list(range(10)),
-                  "n_chars": [5, 3, 8, 1, 9, 2, 7, 4, 6, 0]})
-    out = (ntile_buckets(rd.from_arrow(t), 4, part_width=2)
-           .to_pandas().sort_values("rnk").reset_index(drop=True))
-    assert out["rnk"].tolist() == list(range(1, 11))
-    assert out["bucket"].tolist() == [1, 1, 1, 2, 2, 2, 3, 3, 4, 4]
-    # ordered by n_chars asc
-    assert out["n_chars"].is_monotonic_increasing
-
-
-def test_ntile_ties_break_on_key():
-    t = pa.table({"doc_id": [3, 1, 2], "n_chars": [5, 5, 5]})
-    out = (ntile_buckets(rd.from_arrow(t), 3, part_width=100)
-           .to_pandas().sort_values("rnk"))
-    assert out["doc_id"].tolist() == [1, 2, 3]
-
-
-def test_ntile_partition_invariance():
-    rng = np.random.default_rng(7)
-    n = 500
-    t = pa.table({"doc_id": np.arange(n),
-                  "n_chars": rng.integers(0, 300, n)})
-    a = (ntile_buckets(rd.from_arrow(t), 8, part_width=16)
-         .to_pandas().sort_values("doc_id").reset_index(drop=True))
-    b = (ntile_buckets(rd.from_arrow(t).repartition(13), 8, part_width=64)
-         .to_pandas().sort_values("doc_id").reset_index(drop=True))
-    assert (a["rnk"].to_numpy() == b["rnk"].to_numpy()).all()
-    assert (a["bucket"].to_numpy() == b["bucket"].to_numpy()).all()
 
 
 # ------------------------------------- domain reweight / posting lists
@@ -231,45 +65,7 @@ def test_posting_lists_cross_batch_merge():
     assert out.loc["shared", "postings"] == "1,100"
 
 
-# -------------------------------- chunking / self-dedup / split assign
-
-def test_chunk_tokens_windows_and_tail():
-    from pmocr_ray.ops.pack import chunk_tokens
-
-    # 10 tokens, window 4, stride 3 -> starts 0,3,6 (start 6 covers the
-    # last token, so no redundant 4th chunk); lens 4,4,4
-    text = " ".join(f"t{i}" for i in range(10))
-    t = pa.table({"doc_id": [1, 2, 3],
-                  "text": [text, "a b", ""]})
-    out = (chunk_tokens(rd.from_arrow(t), window=4, stride=3)
-           .to_pandas().sort_values(["doc_id", "chunk_idx"])
-           .reset_index(drop=True))
-    d1 = out[out.doc_id == 1]
-    assert d1["chunk_idx"].tolist() == [0, 1, 2]
-    assert d1["n_tokens"].tolist() == [4, 4, 4]
-    assert d1["chunk_text"].tolist()[0] == "t0 t1 t2 t3"
-    assert d1["chunk_text"].tolist()[2] == "t6 t7 t8 t9"
-    # 11 tokens -> starts 0,3,6,9 with a short tail chunk
-    t11 = pa.table({"doc_id": [4],
-                    "text": [" ".join(f"t{i}" for i in range(11))]})
-    tail = (chunk_tokens(rd.from_arrow(t11), window=4, stride=3)
-            .to_pandas().sort_values("chunk_idx"))
-    assert tail["n_tokens"].tolist() == [4, 4, 4, 2]
-    assert tail["chunk_text"].tolist()[3] == "t9 t10"
-    # short doc -> one chunk; empty doc -> zero chunks
-    assert out[out.doc_id == 2]["chunk_text"].tolist() == ["a b"]
-    assert len(out[out.doc_id == 3]) == 0
-
-
-def test_chunk_tokens_overlap_content():
-    from pmocr_ray.ops.pack import chunk_tokens
-
-    text = "w0 w1 w2 w3 w4 w5"
-    t = pa.table({"doc_id": [9], "text": [text]})
-    out = (chunk_tokens(rd.from_arrow(t), window=4, stride=2)
-           .to_pandas().sort_values("chunk_idx"))
-    assert out["chunk_text"].tolist() == ["w0 w1 w2 w3", "w2 w3 w4 w5"]
-
+# ------------------------------- split assign / clip / heavy hitters
 
 def test_split_assign_proportions_and_determinism():
     from pmocr_ray.ops.text import split_assign

@@ -52,18 +52,19 @@ def test_bloom_anti_join_exact_under_false_positives(ray_session):
 
 
 def test_native_anti_join_agrees_with_hash_and_bloom(ray_session):
+    """The hash and Bloom-prefilter anti joins drop exactly the keys
+    the right side holds, duplicates included."""
     import pandas as pd
     import ray.data as rd
 
-    from pmocr_ray.ops.joins import (bloom_anti_join, hash_anti_join,
-                                     native_anti_join)
+    from pmocr_ray.ops.joins import bloom_anti_join, hash_anti_join
 
     left = rd.from_pandas(pd.DataFrame(
         {"k": list(range(100)), "v": [f"x{i}" for i in range(100)]}))
     right = rd.from_pandas(pd.DataFrame(
         {"k": [i for i in range(100) if i % 3 == 0] * 2}))
     expected = sorted(i for i in range(100) if i % 3 != 0)
-    for fn in (hash_anti_join, bloom_anti_join, native_anti_join):
+    for fn in (hash_anti_join, bloom_anti_join):
         got = sorted(r["k"] for r in
                      fn(left, right, on="k", num_partitions=4)
                      .select_columns(["k"]).take_all())
@@ -146,13 +147,12 @@ def test_anti_joins_with_empty_right_return_left(ray_session):
     import pandas as pd
     import ray.data as rd
 
-    from pmocr_ray.ops.joins import (bloom_anti_join, hash_anti_join,
-                                     native_anti_join)
+    from pmocr_ray.ops.joins import bloom_anti_join, hash_anti_join
 
     left = rd.from_pandas(pd.DataFrame(
         {"k": list(range(20)), "v": [f"x{i}" for i in range(20)]}))
     empty = rd.from_pandas(pd.DataFrame({"k": pd.Series([], dtype="int64")}))
-    for fn in (hash_anti_join, bloom_anti_join, native_anti_join):
+    for fn in (hash_anti_join, bloom_anti_join):
         out = fn(left, empty, on="k", num_partitions=2)
         got = sorted(r["k"] for r in out.take_all())
         assert got == list(range(20)), fn.__name__

@@ -1040,59 +1040,6 @@ def test_sessionize(events_ds):
     assert len([r for r in rows if r["user_id"] == 2]) == 1
 
 
-def test_props_value_agg(ray_session):
-    from pmocr_ray.ops.events import props_value_agg
-    df = pd.DataFrame({
-        "event_type": ["click", "click", "view"],
-        "props": ['{"k": 3}', '{"k": -1}', '{"k": 10}'],
-    })
-    rows = {r["event_type"]: r
-            for r in props_value_agg(rd.from_pandas(df)).take_all()}
-    assert rows["click"]["sum_k"] == 2 and rows["click"]["n"] == 2
-    assert rows["view"]["sum_k"] == 10 and rows["view"]["n"] == 1
-
-
-def test_top_events_per_user_rank_and_ties(events_ds):
-    from pmocr_ray.ops.events import top_events_per_user
-    out = top_events_per_user(events_ds, n=2).to_pandas()
-    u1 = out[out["user_id"] == 1].sort_values("rank")
-    # u1 values: 1.10 (e1), 2.20 (e2), 3.30 (e3) -> top2 = e3, e2
-    assert list(u1["event_id"]) == [3, 2]
-    assert list(u1["rank"]) == [1, 2]
-    assert len(out[out["user_id"] == 2]) == 1  # only one event
-
-
-def test_top_events_per_user_local_cap_subset(ray_session):
-    """The per-batch cap must not change results under repartitioning:
-    a user whose top events straddle many blocks still gets the exact
-    global top-n."""
-    from pmocr_ray.ops.events import top_events_per_user
-    df = pd.DataFrame({
-        "event_id": np.arange(100, dtype=np.int64),
-        "user_id": np.zeros(100, dtype=np.int64),
-        "value": np.arange(100, dtype=np.float64),
-    })
-    out = (top_events_per_user(rd.from_pandas(df).repartition(10), n=3)
-           .to_pandas().sort_values("rank"))
-    assert list(out["event_id"]) == [99, 98, 97]
-
-
-def test_window_distinct_users(events_ds):
-    from pmocr_ray.ops.events import window_distinct_users
-    rows = {str(r["hour"]): r["n_users"]
-            for r in window_distinct_users(events_ds).take_all()}
-    assert rows["2024-01-01 00:00:00"] == 2  # u1 (twice) + u2 -> distinct 2
-    assert rows["2024-01-01 02:00:00"] == 1
-
-
-def test_event_type_pivot(events_ds):
-    from pmocr_ray.ops.events import event_type_pivot
-    out = event_type_pivot(events_ds).to_pandas()
-    assert len(out) == 1
-    r = out.iloc[0]
-    assert r["n_click"] == 3 and r["n_view"] == 0  # "buy" not a known type
-
-
 def test_hash_anti_join_unmatched_only(ray_session):
     from pmocr_ray.ops.joins import hash_anti_join
     left = rd.from_pandas(pd.DataFrame(
@@ -1102,23 +1049,6 @@ def test_hash_anti_join_unmatched_only(ray_session):
                          num_partitions=2).to_pandas()
     assert sorted(out["k"]) == [1, 3]
     assert sorted(out.columns) == ["k", "name"]
-
-
-def test_orders_running_total_cumsum(ray_session):
-    from pmocr_ray.ops.events import orders_running_total
-    df = pd.DataFrame({
-        "o_orderkey": [1, 2, 3, 9],
-        "o_custkey": [7, 7, 7, 8],
-        "o_orderdate": pd.to_datetime(
-            ["2024-01-02", "2024-01-01", "2024-01-02", "2024-03-01"]),
-        "o_totalprice": [10.00, 5.50, 1.25, 2.00],
-    })
-    out = orders_running_total(rd.from_pandas(df)).to_pandas()
-    c7 = out[out["o_custkey"] == 7].sort_values("cum_cents")
-    # date order: key2 (550), then key1 (10.00 -> 1550), then key3 (1675)
-    assert list(c7["o_orderkey"]) == [2, 1, 3]
-    assert list(c7["cum_cents"]) == [550, 1550, 1675]
-    assert list(out[out["o_custkey"] == 8]["cum_cents"]) == [200]
 
 
 def kmv_estimate(hashes: list[str], k: int) -> float:
@@ -1180,39 +1110,6 @@ def test_regex_explode_matches(ray_session):
     out = regex_explode(rd.from_pandas(df), r"scan \w+").to_pandas()
     assert sorted(out["match"]) == ["scan fast", "scan slow"]
     assert set(out["doc_id"]) == {1}
-
-
-def test_event_transitions_ordered_pairs(ray_session):
-    from pmocr_ray.ops.events import event_transitions
-    df = pd.DataFrame({
-        "event_id": [0, 1, 2, 3, 4, 5],
-        "ts": pd.to_datetime(["2024-01-01 00:00", "2024-01-01 00:05",
-                              "2024-01-01 00:10", "2024-01-01 01:00",
-                              "2024-01-01 01:05", "2024-01-01 02:00"]),
-        "user_id": pd.array([1, 1, 1, 2, 2, 3], dtype="int64"),
-        "event_type": ["view", "click", "view", "view", "buy", "view"],
-    })
-    out = event_transitions(rd.from_pandas(df).repartition(3)).to_pandas()
-    r = {(x["from_type"], x["to_type"]): int(x["n"])
-         for _, x in out.iterrows()}
-    # user 1: view->click, click->view; user 2: view->buy; user 3: none
-    assert r == {("view", "click"): 1, ("click", "view"): 1,
-                 ("view", "buy"): 1}
-
-
-def test_event_transitions_tie_break_by_event_id(ray_session):
-    from pmocr_ray.ops.events import event_transitions
-    same = pd.Timestamp("2024-01-01 00:00")
-    df = pd.DataFrame({
-        "event_id": [2, 1, 3],
-        "ts": [same, same, same],
-        "user_id": pd.array([7, 7, 7], dtype="int64"),
-        "event_type": ["b", "a", "c"],   # event_id order: a(1), b(2), c(3)
-    })
-    out = event_transitions(rd.from_pandas(df)).to_pandas()
-    r = {(x["from_type"], x["to_type"]): int(x["n"])
-         for _, x in out.iterrows()}
-    assert r == {("a", "b"): 1, ("b", "c"): 1}
 
 
 def test_lev1_kernel_cases():
@@ -1410,24 +1307,15 @@ def test_text_ops_empty_corpus_loud(ray_session):
 
 
 def test_media_and_c4_edge_cases(ray_session):
-    """Media stage constructor validation; C4 line filter on an empty
-    (zero-chunk) batch keeps its typed schema."""
+    """Media stage constructor validation."""
     import pytest
 
-    from pmocr_ray.ops.filters import c4_line_filter
     from pmocr_ray.ops.media import FrameSampleStage, MediaResizeStage
 
     with pytest.raises(ValueError, match="step >= 1"):
         FrameSampleStage(step=0)
     with pytest.raises(ValueError, match="positive target dims"):
         MediaResizeStage(out_width=0)
-
-    empty = pa.table({"doc_id": pa.array([], pa.int64()),
-                      "text": pa.array([], pa.string())})
-    out = c4_line_filter(empty)
-    assert out.num_rows == 0
-    assert out.column_names == ["doc_id", "n_lines", "n_kept_lines",
-                                "kept_text", "keep"]
 
 
 def test_compact_and_export_param_guards(ray_session):

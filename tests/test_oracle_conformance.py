@@ -25,20 +25,11 @@ KEYS = [
     "text_stats",
     "dedup_exact",
     "top_users",
-    "lineitem_agg",
     "media_meta",
-    # round-2 relational/curation shapes
-    "keep_best_dedup",
-    "users_all_types",
     # session-3 shapes
     "outlinks",
-    "csv_roundtrip",
     "stream_sessions",
     "page_meta",
-    "customers_no_f_orders_native",
-    "priority_semi_native",
-    "user_type_mask_agg",
-    "federated_union",
     # the targets' three transforms (pdf, docx, xlsx) round-tripped
     "pdf_target_roundtrip",
     "docx_target_roundtrip",
@@ -71,22 +62,16 @@ CORRECTNESS_WINDOW = [
 # The queries outside the window, in catalog order.  Growing this list
 # is a deliberate, visible edit.
 OUTSIDE_WINDOW = [
-    "lineitem_agg", "host_stats", "mirror_hosts", "hash_sample", "host_cap",
-    "props_agg", "top_events_per_user", "window_distinct_users",
-    "event_pivot", "customers_no_f_orders_native", "orders_running_total",
-    "kmv_sketch", "clean_text", "dedup_incremental", "span_extract",
-    "len_bucket", "redact_pii", "repetition_stats", "stratified_sample",
-    "shard_counts", "chunk_tokens", "split_assign", "dup_spans",
-    "remove_dup_spans", "event_transitions", "clip_outliers", "zorder",
-    "heavy_hitters", "domain_reweight", "posting_lists", "gopher_quality",
-    "c4_filter", "ntile_buckets", "collocations", "host_blocklist",
-    "host_mirror", "cheapest_supplier", "host_lang", "table_extract",
-    "schema_evolve", "priority_semi_native", "user_type_mask_agg",
-    "federated_union", "pdf_target_roundtrip", "docx_target_roundtrip",
-    "xlsx_target_roundtrip", "keep_best_dedup", "users_all_types",
-    "outlinks", "page_meta", "csv_roundtrip",
-    "media_meta", "media_png_real", "media_tiff_real", "gif_frames_real",
-    "media_resize", "audio_meta", "audio_g711_real", "frame_sample",
+    "host_stats", "mirror_hosts", "hash_sample", "host_cap", "kmv_sketch",
+    "clean_text", "dedup_incremental", "span_extract", "len_bucket",
+    "redact_pii", "repetition_stats", "stratified_sample", "shard_counts",
+    "split_assign", "dup_spans", "remove_dup_spans", "clip_outliers",
+    "heavy_hitters", "domain_reweight", "posting_lists", "collocations",
+    "host_blocklist", "host_mirror", "host_lang", "table_extract",
+    "schema_evolve", "pdf_target_roundtrip", "docx_target_roundtrip",
+    "xlsx_target_roundtrip", "outlinks", "page_meta", "media_meta",
+    "media_png_real", "media_tiff_real", "gif_frames_real", "media_resize",
+    "audio_meta", "audio_g711_real", "frame_sample",
 ]
 
 

@@ -1,7 +1,6 @@
 """Sequence packing / distributed prefix-sum tests."""
 import numpy as np
 import pandas as pd
-import pyarrow as pa
 
 import ray.data as rd
 
@@ -37,37 +36,6 @@ def test_pack_sequences_partition_invariant(ray_session):
     # global invariant: consecutive tok_starts differ by n_tokens
     assert (a["tok_start"].diff().dropna().to_numpy()
             == a["n_tokens"].to_numpy()[:-1]).all()
-
-
-def test_zorder_values_interleave(ray_session):
-    from pmocr_ray.ops.pack import zorder_values
-
-    t = pa.table({"doc_id": pa.array([1, 2, 3], pa.int64()),
-                  "n_chars": pa.array([0b101, 0b11, 0], pa.int64()),
-                  "lang": ["b", "a", "b"]})    # codes: a=0, b=1
-    out = zorder_values(rd.from_arrow(t).repartition(2)) \
-        .to_pandas().set_index("doc_id")
-    # doc 1: x=101, y=1 -> bits x0..: z = x interleaved even, y odd
-    #   x=5 (101): bits at 0,4 -> 1+16=17 ; y=1: bit at 1 -> 2 ; z=19
-    assert out.loc[1, "zvalue"] == 19
-    # doc 2: x=3 (11): bits 0,2 -> 5 ; y=0 -> z=5
-    assert out.loc[2, "zvalue"] == 5
-    # doc 3: x=0, y=1 -> z=2
-    assert out.loc[3, "zvalue"] == 2
-    assert (out["file_bucket"] == out["zvalue"] // (1 << 20)).all()
-
-
-def test_zorder_locality_property(ray_session):
-    from pmocr_ray.ops.pack import zorder_values
-
-    # same category + close numeric -> close zvalues; different
-    # category flips a low odd bit
-    t = pa.table({"doc_id": pa.array([1, 2, 3], pa.int64()),
-                  "n_chars": pa.array([100, 101, 100], pa.int64()),
-                  "lang": ["a", "a", "b"]})
-    out = zorder_values(rd.from_arrow(t)).to_pandas().set_index("doc_id")
-    near_same_cat = abs(out.loc[1, "zvalue"] - out.loc[2, "zvalue"])
-    assert near_same_cat <= 4          # adjacent x in same cat stays close
 
 
 def test_bucketed_join_matches_plain_join(ray_session, tmp_path):
@@ -166,34 +134,3 @@ def test_token_budget_trim_rule(ray_session):
     out2 = token_budget_trim(rd.from_pandas(df).repartition(3),
                              budget=230).to_pandas()
     assert sorted(out2["doc_id"]) == [1, 2, 3, 4, 5]
-
-
-def test_chunk_tokens_stride_regimes(ray_session):
-    """stride > window (gap sampling) must not crash or emit empty
-    chunks; stride <= window keeps the cover-minimal chunking."""
-    import pandas as pd
-    import pytest
-    import ray.data as rd
-
-    from pmocr_ray.ops.pack import chunk_tokens
-
-    def chunks(text, window, stride):
-        ds = rd.from_pandas(pd.DataFrame({"doc_id": [1], "text": [text]}))
-        out = chunk_tokens(ds, window, stride).to_pandas()
-        return list(zip(out["chunk_idx"], out["n_tokens"],
-                        out["chunk_text"]))
-
-    toks12 = " ".join(f"t{i}" for i in range(12))
-    # gap sampling: starts 0 and 10 only, tail chunk short
-    assert chunks(" ".join(f"t{i}" for i in range(4)), 3, 10) == [
-        (0, 3, "t0 t1 t2")]
-    assert chunks(toks12, 3, 10) == [(0, 3, "t0 t1 t2"), (1, 2, "t10 t11")]
-    # start==t_cnt would be an empty chunk: must not be emitted
-    assert chunks(" ".join(f"t{i}" for i in range(10)), 3, 10) == [
-        (0, 3, "t0 t1 t2")]
-    # overlap regime unchanged: cover-minimal starts 0,3,6
-    assert [c[0] for c in chunks(" ".join(f"t{i}" for i in range(10)),
-                                 4, 3)] == [0, 1, 2]
-    with pytest.raises(ValueError, match="window >= 1"):
-        chunk_tokens(rd.from_pandas(
-            pd.DataFrame({"doc_id": [1], "text": ["a"]})), 0, 1)

@@ -242,8 +242,6 @@ def test_write_targets_column_pruned_read(tmp_path, pages_fixture):
 def test_cli_targets_and_retry_flags(tmp_path, pages_fixture):
     """CLI: --targets fan-out writes per-format dirs; --retry-failed is
     accepted and a rerun after --update-done skips everything."""
-    import json as _json
-
     from pmocr_ray.cli import main
 
     src_dir = str(tmp_path / "in")
@@ -274,8 +272,6 @@ def test_cli_targets_and_retry_flags(tmp_path, pages_fixture):
 def test_pdf_target_roundtrips_byte_identical(tmp_path, pages_fixture):
     """The pdf target is the exact inverse of the PDF parser: for every
     row with extracted text, extract_pdf(pdf) == extracted_text."""
-    import ray.data as rd
-
     from pmocr_ray.extract.pdf_extractor import extract_pdf, pdf_has_text_layer
     from pmocr_ray.targets import write_targets
 
@@ -335,9 +331,9 @@ def test_docx_registry_route(tmp_path):
     """extract_docx is registered as an extractor: a docx payload
     routed under the 'docx' content type extracts its own text."""
     from pmocr_ray.extract.docx_extractor import build_docx
-    from pmocr_ray.extract.registry import get_extractor
+    from pmocr_ray.extract.registry import EXTRACTORS
 
-    fn = get_extractor("docx")
+    fn = EXTRACTORS["docx"]
     assert fn(build_docx("alpha\nbeta & <gamma>")) == "alpha\nbeta & <gamma>"
 
 
@@ -377,10 +373,10 @@ def test_xlsx_target_roundtrips_byte_identical(tmp_path, pages_fixture):
 def test_xlsx_registry_route(tmp_path):
     """extract_xlsx is registered as an extractor: an xlsx payload
     routed under the 'xlsx' content type extracts its own text."""
-    from pmocr_ray.extract.registry import get_extractor
+    from pmocr_ray.extract.registry import EXTRACTORS
     from pmocr_ray.extract.xlsx_extractor import build_xlsx
 
-    fn = get_extractor("xlsx")
+    fn = EXTRACTORS["xlsx"]
     assert fn(build_xlsx("a;b & <c>\nsecond line\n;;\ntrail ")) \
         == "a;b & <c>\nsecond line\n;;\ntrail "
 
