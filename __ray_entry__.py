@@ -1595,10 +1595,7 @@ def _q_stream_sessions(sf_dir: str):
 
     ev = rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
                          columns=["user_id", "ts", "event_id"])
-    out = os.path.join("/tmp/pmocr_ray_stream_spool",
-                       os.path.basename(os.path.normpath(sf_dir)))
-    return streaming_sessionize(ev, n_chunks=5, n_buckets=4,
-                                spool_dir=out)
+    return streaming_sessionize(ev, n_chunks=5, n_buckets=4)
 
 
 def _q_page_meta(sf_dir: str):

@@ -16,15 +16,16 @@ Features", WSDM 2010):
    environment; the scanner is this engine's parser.
 2. For every *candidate container* element (article/main/body/div/
    section/td/li/p) accumulate, over its whole subtree:
-   ``text_len`` (characters of visible text), ``link_len`` (characters
-   of text inside <a>), and the ordered list of visible words.
+   ``text_len`` (non-whitespace characters of visible text),
+   ``link_len`` (the same inside <a>), and the ordered list of visible
+   text runs (each kept whole, entity-unescaped, never split).
 3. Score each candidate ``(text_len - link_len) * (1 - link_len/text_len)``
    — high text density and low link density win; navigation chrome
    (link-dominated) scores ~0.
 4. The best-scoring candidate (ties broken by first close in document
-   order — deterministic) is the main content; serialize it as its
-   visible words joined by single spaces (whitespace-normalized,
-   entity-unescaped).
+   order — deterministic) is the main content; serialize its runs
+   once, normalized to single spaces — its visible words joined by
+   single spaces (whitespace-normalized, entity-unescaped).
 
 Determinism: pure function of the payload bytes.  No locale dependence
 (the reference pins LC_ALL=C for the same reason, pmocr.sh:38), no
@@ -52,7 +53,9 @@ _VOID = frozenset(
 
 # One token per iteration: a comment, a declaration/doctype, a closing
 # tag, an opening tag (attribute section is quote-aware so '>' inside
-# quoted attribute values does not terminate the tag), or a text run.
+# quoted attribute values does not terminate the tag), a whitespace-only
+# run, or a text run.  ``m.lastindex`` alone names the kind: 1=close,
+# 3=open, 4=text, None=markup or whitespace (no visible text).
 _TOKEN_RE = re.compile(
     r"""<!--.*?(?:-->|$)                    # comment
       | <!\[CDATA\[.*?(?:\]\]>|$)           # cdata
@@ -65,11 +68,18 @@ _TOKEN_RE = re.compile(
                                             #   first-char-disjoint alternatives, so
                                             #   identical matches, fewer engine steps)
         >?
-      | [^<]+                               # text run
-      | <                                   # stray '<' (treated as text)
+      | \s+(?=<|\Z)                         # whitespace-only run: no words
+      | ([^<]+|<)                           # text run, or stray '<' treated
+                                            #   as text           -> group 4
     """,
     re.VERBOSE | re.DOTALL,
 )
+
+# The ten ASCII characters ``str.split()`` splits on.  ``bytes.split()``
+# knows only the first six, so ASCII runs are counted and normalized
+# with ``translate`` over this set instead.
+_ASCII_WS = b" \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f"
+_WS_TO_SPACE = bytes.maketrans(_ASCII_WS, b" " * len(_ASCII_WS))
 
 _RAW_END = {
     tag: re.compile(rf"</\s*{tag}\b[^>]*>", re.IGNORECASE)
@@ -113,12 +123,21 @@ def extract_html(payload) -> str:
     byte-identical — hash-verified against the split implementation
     over the full fixture).
 
-    Stack discipline: each open element records (tag, word-list start
+    The loop pays per token, not per word: each visible text run is
+    kept whole, and its non-whitespace character count (what the sum
+    of its words' lengths was) is taken in C — ``bytes.translate``
+    deleting the ASCII whitespace for an ASCII run, ``str.split`` only
+    for a run with non-ASCII characters.  Whitespace-only runs are
+    consumed by the tokenizer itself and never reach a branch.  Only
+    the winning window of runs is normalized to single spaces, once,
+    at return — the same bytes as joining its words.
+
+    Stack discipline: each open element records (tag, run-list start
     index, chars start, link-chars start) against GLOBAL counters — a
-    subtree's totals on close are two subtractions and its word list
-    one slice, O(words + elements) per document.  Misnested markup
-    folds skipped nodes into their ancestors; stray close tags are
-    ignored (lenient-parser policy).
+    subtree's totals on close are two subtractions and its runs one
+    slice, O(tokens + elements) per document plus one pass over the
+    winner's text.  Misnested markup folds skipped nodes into their
+    ancestors; stray close tags are ignored (lenient-parser policy).
 
     Raises ``UnicodeDecodeError`` on non-UTF-8 payloads and
     ``ValueError`` when no visible text exists — both are *data*
@@ -133,19 +152,20 @@ def extract_html(payload) -> str:
     raw_end = _RAW_END
     candidates = _CANDIDATES
     unescape = _unescape
+    ascii_ws = _ASCII_WS
     tag_kind = _tag_kind
     # direct cache probe first: tag spellings repeat constantly, so the
     # common case is one dict hit with no Python call frame
     tag_kind_get = _TAG_KIND.get
 
     stack: list[tuple[str, int, int, int]] = [("#root", 0, 0, 0)]
-    words: list[str] = []
+    runs: list[str] = []
     chars = 0
     link_chars = 0
     link_depth = 0
     best_score = 0.0
-    # winner tracked as a (start, end) window into ``words`` — a new
-    # best costs two int stores instead of copying the word slice
+    # winner tracked as a (start, end) window into ``runs`` — a new
+    # best costs two int stores instead of copying the run slice
     # (nested candidates re-win constantly on real pages); the single
     # slice happens once, at return
     best_w0 = -1
@@ -166,21 +186,22 @@ def extract_html(payload) -> str:
     while pos < n:
         restart = False
         for m in finditer(text, pos):
-            li = m.lastindex  # 1=close, 2/3=open, None=text/markup
-            if li is None:
-                tok = m.group(0)
-                if tok[0] != "<" or tok == "<":
-                    # text run (or stray '<' treated as text)
-                    ws = (unescape(tok) if "&" in tok else tok).split()
-                    if ws:
-                        words.extend(ws)
-                        cn = sum(map(len, ws))
-                        chars += cn
-                        if link_depth:
-                            link_chars += cn
-                # comments / doctype / cdata / PI: no visible text
-            elif li >= 2:  # opening tag
-                raw = m.group(2)
+            li = m.lastindex  # 1=close, 3=open, 4=text, None=no text
+            if li == 4:  # text run (or stray '<' treated as text)
+                tok = m[4]
+                if "&" in tok:
+                    tok = unescape(tok)
+                if tok.isascii():
+                    cn = len(tok.encode().translate(None, ascii_ws))
+                else:
+                    cn = sum(map(len, tok.split()))
+                if cn:
+                    runs.append(tok)
+                    chars += cn
+                    if link_depth:
+                        link_chars += cn
+            elif li == 3:  # opening tag
+                raw = m[2]
                 e = tag_kind_get(raw)
                 tag, kind = e if e is not None else tag_kind(raw)
                 if kind == 1:  # void
@@ -190,14 +211,14 @@ def extract_html(payload) -> str:
                     pos = close.end() if close else n
                     restart = True
                     break
-                attrs = m.group(3)
+                attrs = m[3]
                 if attrs and attrs.rstrip().endswith("/"):
                     continue  # self-closing: no content
                 if tag == "a":
                     link_depth += 1
-                stack.append((tag, len(words), chars, link_chars))
-            else:  # closing tag
-                raw = m.group(1)
+                stack.append((tag, len(runs), chars, link_chars))
+            elif li == 1:  # closing tag
+                raw = m[1]
                 e = tag_kind_get(raw)
                 tag, kind = e if e is not None else tag_kind(raw)
                 if kind:  # void or raw-text: no stack effect
@@ -226,7 +247,8 @@ def extract_html(payload) -> str:
                             if best_w0 < 0 or score > best_score:
                                 best_score = score
                                 best_w0 = w0
-                                best_w1 = len(words)
+                                best_w1 = len(runs)
+            # comments / doctype / cdata / PI / whitespace: no visible text
         if not restart:
             break
 
@@ -240,8 +262,17 @@ def extract_html(payload) -> str:
                 if best_w0 < 0 or score > best_score:
                     best_score = score
                     best_w0 = w0
-                    best_w1 = len(words)
+                    best_w1 = len(runs)
 
     if best_w0 < 0:
         raise ValueError("html extractor: no visible text content found")
-    return " ".join(words[best_w0:best_w1])
+    # the winner's words joined by single spaces, without splitting it
+    # into words when it is ASCII: every whitespace byte becomes a
+    # space, space runs collapse, the ends are trimmed
+    out = " ".join(runs[best_w0:best_w1])
+    if not out.isascii():
+        return " ".join(out.split())
+    b = out.encode().translate(_WS_TO_SPACE)
+    while b"  " in b:
+        b = b.replace(b"  ", b" ")
+    return b.strip().decode()

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import os
 import shutil
+import tempfile
 
 import numpy as np
 import pyarrow as pa
@@ -117,24 +118,6 @@ def _ts_bounds_us(events: rd.Dataset) -> tuple[int, int] | None:
             int(np.datetime64(r["hi"], "us").astype(np.int64)))
 
 
-def _resolve_spool(spool_dir: str | None, prefix: str) -> tuple[str, bool]:
-    """Resolve a run's spool directory.  ``None`` (the default) makes a
-    fresh private tempdir, so two concurrent runs can NEVER clobber
-    each other — a fixed shared path + rmtree would silently delete
-    the other run's spool mid-rounds and yield partial results (the
-    per-round reader treats a missing chunk/bucket dir as a sparse
-    partition, which is normal).  A caller-supplied path is cleared
-    and reused: the caller owns its uniqueness and its lifetime.
-    Returns (path, owned); owned spools are deleted after a
-    successful run (kept on error, for debugging)."""
-    if spool_dir is None:
-        import tempfile
-
-        return tempfile.mkdtemp(prefix=prefix), True
-    shutil.rmtree(spool_dir, ignore_errors=True)
-    return spool_dir, False
-
-
 def _sessions_table(rows: list[tuple]) -> pa.Table:
     import pandas as pd
 
@@ -154,7 +137,6 @@ def streaming_sessionize(
     gap_minutes: int = 30,
     n_chunks: int = 4,
     n_buckets: int = 4,
-    spool_dir: str | None = None,
 ) -> pa.Table:
     """Sessionize via the stateful-streaming path; result equals the
     batch ``sessionize`` for ANY (n_chunks, n_buckets) because chunks
@@ -184,7 +166,12 @@ def streaming_sessionize(
         return (t.append_column("chunk", pa.array(chunk))
                 .append_column("bucket", pa.array(bucket)))
 
-    spool_dir, own_spool = _resolve_spool(spool_dir, "pmocr_spool_")
+    # a private spool per run: a fixed shared path cleared by a second
+    # run would delete this run's log mid-rounds, and the per-round
+    # reader takes a missing chunk/bucket dir for a sparse partition, so
+    # the result would be silently partial.  Removed after a successful
+    # run, kept on error for debugging.
+    spool_dir = tempfile.mkdtemp(prefix="pmocr_spool_")
     (events.select_columns(["user_id", "ts", "event_id"])
      .map_batches(tag, batch_format="pyarrow")
      .write_parquet(spool_dir, partition_cols=["chunk", "bucket"]))
@@ -202,7 +189,6 @@ def streaming_sessionize(
             futures.append(actor.feed.remote(paths))
         out.extend(ray.get(futures))  # barrier: next chunk needs state
     out.extend(ray.get([a.flush.remote() for a in actors]))
-    if own_spool:
-        shutil.rmtree(spool_dir, ignore_errors=True)
+    shutil.rmtree(spool_dir, ignore_errors=True)
     out = [t for t in out if t.num_rows]
     return pa.concat_tables(out) if out else _sessions_table([])

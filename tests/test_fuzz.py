@@ -114,8 +114,7 @@ def test_streaming_sessionize_equals_batch_on_random_logs(
 
     exp = norm(sessionize(ds).to_pandas())
     got = norm(streaming_sessionize(
-        ds, n_chunks=n_chunks, n_buckets=n_buckets,
-        spool_dir="/tmp/pmocr_stream_fuzz").to_pandas())
+        ds, n_chunks=n_chunks, n_buckets=n_buckets).to_pandas())
     pd.testing.assert_frame_equal(got, exp)
 
 

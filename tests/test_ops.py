@@ -1145,9 +1145,8 @@ def test_streaming_sessionize_matches_batch_any_chunking(ray_session, sf_small):
                          columns=["user_id", "ts", "event_id"])
     expected = _batch_sessions_df(ev)
     for n_chunks, n_buckets in ((1, 1), (3, 2), (7, 4)):
-        got = (streaming_sessionize(
-                   ev, n_chunks=n_chunks, n_buckets=n_buckets,
-                   spool_dir=f"/tmp/pmocr_stream_t_{n_chunks}_{n_buckets}")
+        got = (streaming_sessionize(ev, n_chunks=n_chunks,
+                                    n_buckets=n_buckets)
                .to_pandas()
                .sort_values(["user_id", "session_start"])
                .reset_index(drop=True))
@@ -1168,9 +1167,7 @@ def test_streaming_sessionize_session_spans_chunks(ray_session):
     ts = pd.date_range("2024-01-01", periods=13, freq="10min")
     ev = rd.from_pandas(pd.DataFrame({
         "user_id": [7] * 13, "ts": ts, "event_id": range(13)}))
-    out = streaming_sessionize(
-        ev, n_chunks=6, n_buckets=2,
-        spool_dir="/tmp/pmocr_stream_t_span").to_pandas()
+    out = streaming_sessionize(ev, n_chunks=6, n_buckets=2).to_pandas()
     assert len(out) == 1
     assert out["n_events"].iloc[0] == 13
     assert out["session_start"].iloc[0] == ts[0]
