@@ -13,7 +13,10 @@ Features", WSDM 2010):
    quote-aware tag scanner (compiled regexes; ~4× the throughput of
    stdlib ``html.parser`` for this workload, and the engine kernel IS
    the pipeline's hot loop).  lxml is not available in this
-   environment; the scanner is this engine's parser.
+   environment; the scanner is this engine's parser.  A leaf element
+   (``<p>text</p>``, ``<a href=…>label</a>``: an opening tag, a text
+   run with no ``<`` and the same tag's close) is one token, and the
+   scan stays linear on closes that never find their ``>``.
 2. For every *candidate container* element (article/main/body/div/
    section/td/li/p) accumulate, over its whole subtree:
    ``text_len`` (non-whitespace characters of visible text),
@@ -52,26 +55,42 @@ _VOID = frozenset(
 )
 
 # One token per iteration: a comment, a declaration/doctype, a closing
-# tag, an opening tag (attribute section is quote-aware so '>' inside
-# quoted attribute values does not terminate the tag), a whitespace-only
-# run, or a text run.  ``m.lastindex`` alone names the kind: 1=close,
-# 3=open, 4=text, None=markup or whitespace (no visible text).
-_TOKEN_RE = re.compile(
-    r"""<!--.*?(?:-->|$)                    # comment
+# tag, a leaf element, an opening tag (attribute section is quote-aware
+# so '>' inside quoted attribute values does not terminate the tag), a
+# whitespace-only run, or a text run.  A leaf element is an opening tag,
+# a text run with no '<' and the close of the same tag spelling
+# (case-sensitive backreference; the lookahead stops ``</px>`` closing
+# ``p`` exactly as the close alternative's greedy name does).  Closes
+# and leaves also consume a following whitespace-only run.
+# ``m.lastindex`` alone names the kind: 1=close, 3=open, 4=leaf,
+# 5=text, None=markup or whitespace (no visible text).  The group
+# numbering is private to this module.
+_TOKEN_PATTERN = r"""<!--.*?(?:-->|$)                    # comment
       | <!\[CDATA\[.*?(?:\]\]>|$)           # cdata
       | <![^>]*>?                           # doctype / declaration
       | <\?[^>]*>?                          # processing instruction
       | </\s*([a-zA-Z][a-zA-Z0-9:-]*)[^>]*> # closing tag   -> group 1
+          (?:\s+(?=<|\Z))?                  #   + trailing whitespace
       | <([a-zA-Z][a-zA-Z0-9:-]*)           # opening tag   -> group 2
           ((?:"[^"]*"|'[^']*'|[^>"']+)*)    #   quote-aware attrs -> group 3
                                             #   (unquoted runs consumed +-greedily:
                                             #   first-char-disjoint alternatives, so
                                             #   identical matches, fewer engine steps)
-        >?
+        (?:>([^<]*)                         #   leaf: text    -> group 4,
+           </\s*\2(?![a-zA-Z0-9:-])[^>]*>   #   the same tag's close
+           (?:\s+(?=<|\Z))?                 #   + trailing whitespace
+         | >?)                              #   or the opening tag alone
       | \s+(?=<|\Z)                         # whitespace-only run: no words
       | ([^<]+|<)                           # text run, or stray '<' treated
-                                            #   as text           -> group 4
-    """,
+                                            #   as text           -> group 5
+    """
+_TOKEN_RE = re.compile(_TOKEN_PATTERN, re.VERBOSE | re.DOTALL)
+# The same tokens for a suffix with no '>' in it: there a closing tag
+# can never find its '>', and the close alternative of ``_TOKEN_RE``
+# would scan to the end of the document at every '</' before falling
+# back to a stray '<' (quadratic in the number of unterminated closes).
+_TAIL_RE = re.compile(
+    _TOKEN_PATTERN.replace(r"[^>]*> # closing tag", r"(?!)   # closing tag"),
     re.VERBOSE | re.DOTALL,
 )
 
@@ -132,6 +151,15 @@ def extract_html(payload) -> str:
     the winning window of runs is normalized to single spaces, once,
     at return — the same bytes as joining its words.
 
+    It pays per element, not per tag: a plain leaf element (a normal or
+    candidate tag, not self-closing, around one text run) is one token
+    and one branch — the run is counted and kept, the link counters
+    take it if the leaf is or sits in an ``<a>``, and a candidate leaf
+    is scored on the spot, with the same expressions, in the same
+    order, as its open/text/close triple whose stack effects cancel.
+    A void, raw-text or self-closing leaf restarts the scan at the end
+    of its opening tag, where the tag-by-tag tokens resume.
+
     Stack discipline: each open element records (tag, run-list start
     index, chars start, link-chars start) against GLOBAL counters — a
     subtree's totals on close are two subtractions and its runs one
@@ -149,6 +177,7 @@ def extract_html(payload) -> str:
     # local bindings: the loop below runs a few hundred times per
     # document and every global/attribute lookup in it is measurable
     finditer = _TOKEN_RE.finditer
+    tail_finditer = _TAIL_RE.finditer
     raw_end = _RAW_END
     candidates = _CANDIDATES
     unescape = _unescape
@@ -175,20 +204,68 @@ def extract_html(payload) -> str:
     # the token pattern matches at EVERY position (text runs, the
     # '<'-alternatives, and the stray-'<' catch-all tile the string),
     # so leftmost-match iteration yields the identical token stream
-    # while the position bookkeeping runs in C (measured 1.2× kernel
-    # throughput, byte-identical on the full fixture corpus including
-    # exception parity).  Raw-text skips (<script>…) are the one
-    # non-sequential jump: they break out and restart the iterator at
-    # the closing tag, preserving the original jump semantics (a
-    # comment opener inside script text must NOT swallow the close).
+    # while the position bookkeeping runs in C.  Three jumps break out
+    # and restart the iterator: a raw-text skip (<script>…) restarts at
+    # its closing tag (a comment opener inside script text must NOT
+    # swallow the close); a leaf element that is not plain restarts at
+    # the end of its opening tag, where the separate tokens resume; and
+    # a stray '<' past the document's last '>' restarts the same
+    # position with ``_TAIL_RE``.  No closing tag ends after that last
+    # '>', so both patterns give the same tokens there.
     pos = 0
     n = len(text)
+    # every closing tag ends at or before the last '>': the tail pattern
+    # takes over past it, and raw-text end searches stop there (an
+    # unbounded search rescans to the end at every unterminated close)
+    tail_from = text.rfind(">") + 1
     while pos < n:
         restart = False
         for m in finditer(text, pos):
-            li = m.lastindex  # 1=close, 3=open, 4=text, None=no text
-            if li == 4:  # text run (or stray '<' treated as text)
+            li = m.lastindex  # 1=close, 3=open, 4=leaf, 5=text, None
+            if li == 4:  # leaf element: <tag attrs>text</tag>
+                raw = m[2]
+                e = tag_kind_get(raw)
+                tag, kind = e if e is not None else tag_kind(raw)
+                attrs = m[3]
+                if kind or attrs and attrs.rstrip().endswith("/"):
+                    # void, raw-text or self-closing: take it apart
+                    pos = m.end(3) + 1
+                    if kind == 2:
+                        close = raw_end[tag].search(text, pos, tail_from)
+                        pos = close.end() if close else n
+                    restart = True
+                    break
+                # plain leaf: open, text and close fused; the element
+                # would be pushed and popped around this one run, so
+                # the stack and link depth are untouched
                 tok = m[4]
+                if "&" in tok:
+                    tok = unescape(tok)
+                if tok.isascii():
+                    cn = len(tok.encode().translate(None, ascii_ws))
+                else:
+                    cn = sum(map(len, tok.split()))
+                if cn:
+                    runs.append(tok)
+                    chars += cn
+                    ll = 0
+                    if link_depth or tag == "a":
+                        link_chars += cn
+                        ll = cn
+                    if tag in candidates:
+                        score = (cn - ll) * (1.0 - ll / cn)
+                        if best_w0 < 0 or score > best_score:
+                            best_score = score
+                            best_w1 = len(runs)
+                            best_w0 = best_w1 - 1
+            elif li == 5:  # text run (or stray '<' treated as text)
+                tok = m[5]
+                if tok == "<" and finditer is not tail_finditer \
+                        and m.start() >= tail_from:
+                    pos = m.start()
+                    finditer = tail_finditer
+                    restart = True
+                    break
                 if "&" in tok:
                     tok = unescape(tok)
                 if tok.isascii():
@@ -207,7 +284,7 @@ def extract_html(payload) -> str:
                 if kind == 1:  # void
                     continue
                 if kind == 2:  # raw-text element: jump to its closing tag
-                    close = raw_end[tag].search(text, m.end())
+                    close = raw_end[tag].search(text, m.end(), tail_from)
                     pos = close.end() if close else n
                     restart = True
                     break

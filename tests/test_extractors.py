@@ -118,6 +118,34 @@ class TestHtmlExtractor:
         page = build_html_page(TEXT, site=3, lang="fr", variant=1, giant=False)
         assert extract_html(page) == extract_html(page)
 
+    # Leaf elements (<tag>text</tag>) and their near misses.  The short
+    # leading link makes the <p> win only when it holds all the
+    # non-link text, so each output shows where the <p> was closed.
+    @pytest.mark.parametrize("html, expected", [
+        # a close of another case still closes the element
+        (b"<div><a>l</a><P>upper open</p></div>", "upper open"),
+        # '_' ends a tag name, '-' and letters continue it
+        (b"<div><a>l</a><p>one</p_x> two</p></div>", "l one two"),
+        (b"<div><a>l</a><p>alpha</px> beta</p></div>", "alpha beta"),
+        (b"<div><a>l</a><p>gamma</p-x> delta</p></div>", "gamma delta"),
+        # a raw-text element ends only at a close its end pattern knows
+        (b"<div><p>kept<script>x</script_x> lost</script> after</p></div>",
+         "kept after"),
+        (b"<div><a>l</a><p>a <br>b</br> c</p></div>", "a b c"),
+        # a self-closing <p/> opens nothing: its "close" ends the outer <p>
+        (b"<p>outer <p/>inner</p> tail words here</p>", "outer inner"),
+        (b'<div><a>l</a><p title="</p>">quoted close</p></div>',
+         "quoted close"),
+        (b"<div><a>l</a><p data-x='a>b'>quoted gt</p></div>", "quoted gt"),
+        # a link inside a link: the outer one still counts its tail
+        (b"<div><a>nav <a>inner</a> more words here</a><p>body text</p>"
+         b"</div>", "body text"),
+        # closes with no '>' after them are text
+        (b"<div><a>l</a><p>x </p </p </p", "x < /p < /p < /p"),
+    ])
+    def test_leaf_elements(self, html, expected):
+        assert extract_html(html) == expected
+
 
 class TestPdfExtractor:
     def test_recovers_text_exactly(self):

@@ -10,16 +10,20 @@ arithmetic), and the two implementations are asserted byte-identical —
 on corpus-shaped pages from the fixture generator AND on
 hypothesis-generated adversarial markup (misnesting, stray closes,
 entities, raw-text islands, self-closing candidates, comments/PI/CDATA,
-stray '<').
+stray '<', leaf elements with mismatched-case or name-continuing
+closes, and closes with no '>' after them).
 
-The tokenizer regex is shared by design (its behaviors are pinned by
-the case tests in test_extractors.py and by the outcome digest in
-test_html_outcome_pin.py); what this differential protects is the
-accounting: subtree word spans, link-depth bookkeeping, misnesting
-folds, tie-breaks, and the end-of-document drain.  The model splits
-every text run into words; the kernel keeps runs whole and counts and
-normalizes them in C, so the text alphabet below carries every
-whitespace class on both sides of that ASCII / non-ASCII boundary.
+The model has its own tokenizer: a frozen copy of the kernel's
+original token regex, one token per tag (1=close, 2 and 3=open,
+4=text), with no leaf elements, no consumed trailing whitespace and no
+tail pattern.  So a change to the kernel's tokenizer (fusing tags into
+one token, restarting past the last '>') is checked here against the
+plain tag-by-tag reading of the same document; only the element
+vocabularies and the raw-text end patterns are shared.  The model
+splits every text run into words; the kernel keeps runs whole and
+counts and normalizes them in C, so the text alphabet below carries
+every whitespace class on both sides of that ASCII / non-ASCII
+boundary.
 
 Reference parity: the reference proves its engine wrapper against known
 documents (/root/reference/dev/tests/run_tests.sh:165-314); this is the
@@ -27,6 +31,8 @@ same idea with a generative corpus and an independent model.
 """
 
 from __future__ import annotations
+
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -36,11 +42,28 @@ from pmocr_ray.extract.html_extractor import (
     _CANDIDATES,
     _RAW_END,
     _SKIP_CONTENT,
-    _TOKEN_RE,
     _VOID,
     extract_html,
 )
 from pmocr_ray.fixtures import build_html_page
+
+# The kernel's tokenizer before leaf elements were fused, kept as is:
+# one token per tag.  ``m.lastindex``: 1=close, 3=open, 4=text,
+# None=markup or whitespace-only run.
+_MODEL_TOKEN_RE = re.compile(
+    r"""<!--.*?(?:-->|$)                    # comment
+      | <!\[CDATA\[.*?(?:\]\]>|$)           # cdata
+      | <![^>]*>?                           # doctype / declaration
+      | <\?[^>]*>?                          # processing instruction
+      | </\s*([a-zA-Z][a-zA-Z0-9:-]*)[^>]*> # closing tag   -> group 1
+      | <([a-zA-Z][a-zA-Z0-9:-]*)           # opening tag   -> group 2
+          ((?:"[^"]*"|'[^']*'|[^>"']+)*)    #   attrs       -> group 3
+        >?
+      | \s+(?=<|\Z)                         # whitespace-only run
+      | ([^<]+|<)                           # text run or stray '<' -> 4
+    """,
+    re.VERBOSE | re.DOTALL,
+)
 
 
 def extract_html_model(payload) -> str:
@@ -77,7 +100,7 @@ def extract_html_model(payload) -> str:
     n = len(text)
     while pos < n:
         restart = False
-        for m in _TOKEN_RE.finditer(text, pos):
+        for m in _MODEL_TOKEN_RE.finditer(text, pos):
             li = m.lastindex
             if li is None:  # markup or whitespace-only run: no words
                 continue
@@ -169,11 +192,33 @@ _text_frag = st.text(
     max_size=24)
 
 
+_LEAF_TAGS = ["p", "P", "a", "A", "li", "div", "span", "b", "td", "br",
+              "script", "style"]
+
+
+@st.composite
+def leaf(draw):
+    """A leaf element (open tag, text with no '<', close) and its near
+    misses: a close of another case or a longer name, a self-closing
+    or quote-hiding open tag, a close with no '>' after it."""
+    tag = draw(st.sampled_from(_LEAF_TAGS))
+    attrs = draw(st.sampled_from(
+        ["", " href='/x'", " /", "/", " id='a>b'", ' title="</p>"',
+         " data-x='</" + tag + ">'"]))
+    body = draw(_text_frag).replace("<", "")
+    close = draw(st.sampled_from(
+        [f"</{tag}>", f"</{tag}>", f"</ {tag} >", f"</{tag}\n>",
+         f"</{tag.swapcase()}>", f"</{tag}_x>", f"</{tag}-x>",
+         f"</{tag}x>", f"</{tag}:x>", f"</{tag} ", f"</{tag}"]))
+    tail = draw(st.sampled_from(["", " ", "\n\t", " x"]))
+    return f"<{tag}{attrs}>{body}{close}{tail}"
+
+
 @st.composite
 def markup(draw, depth=0):
     parts = []
     for _ in range(draw(st.integers(0, 4))):
-        kind = draw(st.integers(0, 6))
+        kind = draw(st.integers(0, 7))
         if kind == 0:
             parts.append(draw(_text_frag))
         elif kind == 1 and depth < 4:  # (possibly misnested) element
@@ -192,17 +237,24 @@ def markup(draw, depth=0):
             parts.append(draw(st.sampled_from(
                 ["<script>var a = '</div>';</script>",
                  "<style>p { color: red }</style>",
-                 "<script>unterminated raw text"])))
+                 "<script>unterminated raw text",
+                 "<script>x</script_x> y</script>", "<script>x</script_x>",
+                 "<style>x</STYLE>"])))
         elif kind == 4:
             parts.append(draw(st.sampled_from(
                 ["&amp;", "&#32;", "&lt;b&gt;", "&bogus;", "&", "&nbsp;",
                  "&#160;", "&#x85;", "&#12;"])))
         elif kind == 5:
             parts.append(draw(st.sampled_from(
-                ["<", "< notatag", "</>", "<3", "</nope>"])))
-        else:
+                ["<", "< notatag", "</>", "<3", "</nope>", "</p", "</p ",
+                 "</a x", "</div  "])))
+        elif kind == 6:
             parts.append(draw(st.sampled_from(
-                ["<br>", "<img src=x>", "<hr/>"])))
+                ["<br>", "<img src=x>", "<hr/>", "<br>x</br>",
+                 "<p><p/>x</p>", "<a><a>x</a>", "<a>y <a>x</a> z</a>",
+                 "<p>x</P>", "<P>x</p>"])))
+        else:
+            parts.append(draw(leaf()))
     return "".join(parts)
 
 
@@ -217,3 +269,38 @@ def test_adversarial_markup_matches_model(doc):
 def test_bare_fragment_matches_model(doc):
     # no <body> wrapper: the end-of-document drain does the scoring
     assert_parity(doc.encode())
+
+
+@given(doc=markup(), tail=st.lists(st.sampled_from(
+    ["</p ", "</a", "</div  x", "<p>y ", "</P", " ", "<", "&amp;"]),
+    min_size=1, max_size=6))
+@settings(max_examples=100, deadline=None)
+def test_unterminated_closes_after_last_gt_match_model(doc, tail):
+    # everything after the document's last '>' is read by the kernel's
+    # tail pattern; the model reads it with the one-token-per-tag regex
+    assert_parity((doc + "".join(tail)).encode())
+
+
+# ------------------------------------------------------------- hostile
+
+
+def _unterminated_closes(k: int) -> bytes:
+    return b"<p>x " + b"</p " * k
+
+
+def test_unterminated_closes_match_model():
+    assert_parity(_unterminated_closes(20_000))
+    assert_parity(b"<div><script>" + b"</script " * 8_000)
+
+
+def test_unterminated_closes_are_linear():
+    # one '</' with no '>' after it used to scan to the end of the
+    # document, so 250k of them (1 MB) took minutes
+    import time
+
+    t0 = time.perf_counter()
+    out = extract_html(_unterminated_closes(250_000))
+    with pytest.raises(ValueError):
+        extract_html(b"<div><script>" + b"</script " * 250_000)
+    assert time.perf_counter() - t0 < 10.0
+    assert out == "x" + " < /p" * 250_000

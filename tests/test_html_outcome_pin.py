@@ -1,19 +1,27 @@
-"""Pinned outcomes of the HTML kernel over a seeded corpus.
+"""Pinned outcomes of the HTML kernel over seeded corpora.
 
-`test_html_model_differential.py` shares the tokenizer regex with the
-kernel, so a change to that regex cannot show up there.  This test
-runs `extract_html` over a fixed corpus and compares a sha256 of every
-outcome — ``("ok", text)`` or ``("err", type, message)`` — with a
-constant computed from the kernel before its text runs were kept
-whole.  Any change in extracted text, exception type or exception
-message on any of these documents changes the digest.
+`test_html_model_differential.py` checks the kernel against a model
+with its own one-token-per-tag tokenizer; this module checks it against
+the kernel's own past.  It runs `extract_html` over fixed corpora and
+compares a sha256 of every outcome — ``("ok", text)`` or ``("err",
+type, message)`` — with a constant computed from an earlier kernel:
+`PINNED_SHA256` from the kernel before its text runs were kept whole,
+`LEAF_PINNED_SHA256` from the kernel before leaf elements were one
+token.  Any change in extracted text, exception type or exception
+message on any of these documents changes a digest.  A digest is never
+recomputed to make a change pass; a new corpus is pinned with its
+digest taken on the commit before the change.
 
-The corpus is every fixture class built by `fixtures.build_page_row`
-(plain, PDF, already-done, poison and giant pages over seeded texts
-with ASCII, non-ASCII and every whitespace class `str.split` knows),
-plus seeded misnested markup: stray and mismatched closes, raw-text
-islands, comments/PI/CDATA, entities that unescape to whitespace, and
-stray '<'.
+The first corpus is every fixture class built by
+`fixtures.build_page_row` (plain, PDF, already-done, poison and giant
+pages over seeded texts with ASCII, non-ASCII and every whitespace
+class `str.split` knows), plus seeded misnested markup: stray and
+mismatched closes, raw-text islands, comments/PI/CDATA, entities that
+unescape to whitespace, and stray '<'.  The leaf corpus is markup built
+mostly of leaf elements (``<tag>text</tag>``) and their near misses:
+closes of another case or of a longer name, void, raw-text and
+self-closing leaves, '>' and '</p>' inside quoted attributes, links in
+links, and closes with no '>' after them.
 """
 
 from __future__ import annotations
@@ -28,6 +36,9 @@ from pmocr_ray.fixtures import build_page_row
 
 PINNED_SHA256 = (
     "0ef4b2bb30aeead10afd354a18055d484890c5aa79ebf50484a1105fbb7398b3")
+# the leaf corpus below, over the kernel that read one token per tag
+LEAF_PINNED_SHA256 = (
+    "d387302c587333032be20a2b1b7a61928921e7b6896e5575b610a2ab27b6792a")
 
 _WORDS = ("the", "quick", "brown", "fox", "a", "b&c", "x<y", "caf\xe9",
           "na\xefve", "\u4e2d\u6587", "\u4e16\u754c", "e\u0301", "1.5",
@@ -85,6 +96,48 @@ def _markup(rng: random.Random, pools, depth: int = 0) -> str:
     return "".join(parts)
 
 
+_LEAF_TAGS = ("p", "P", "a", "A", "li", "div", "span", "b", "td", "br",
+              "script")
+_LEAF_ATTRS = ("", "", " href=/x", " /", "/", " id='a>b'", ' title="</p>"')
+_LEAF_MARKUP = ("<br>x</br>", "<script>x</script_x> y</script>",
+                "<style>x</STYLE>", "<p><p/>x</p>", "<a><a>x</a>",
+                "<a>y <a>x</a> z</a>", "<p>x</P>", "<P>x</p>")
+_UNTERMINATED = ("</p ", "</a", "</div x", "</P", "<p>y ", "<")
+
+
+def _leaf(rng: random.Random, pools) -> str:
+    """A leaf element, or one of its near misses: a close of another
+    case or a longer name, a self-closing or quote-hiding open tag."""
+    tag = rng.choice(_LEAF_TAGS)
+    close = rng.choice((f"</{tag}>", f"</{tag}>", f"</ {tag} >",
+                        f"</{tag}\n>", f"</{tag.swapcase()}>", f"</{tag}_x>",
+                        f"</{tag}-x>", f"</{tag}x>", f"</{tag}:x>"))
+    body = _text(rng, rng.randint(0, 4), pools)
+    tail = rng.choice(("", "", " ", "\n\t", rng.choice(pools[1])))
+    return f"<{tag}{rng.choice(_LEAF_ATTRS)}>{body}{close}{tail}"
+
+
+def _leaf_markup(rng: random.Random, pools, depth: int = 0) -> str:
+    parts = []
+    for _ in range(rng.randint(1, 6)):
+        kind = rng.choice((0, 0, 0, 1, 1, 2, 3, 4))
+        if kind == 0:
+            parts.append(_leaf(rng, pools))
+        elif kind == 1 and depth < 4:
+            tag = rng.choice(("div", "p", "a", "li", "body", "span"))
+            close = rng.choice((f"</{tag}>", f"</{tag}>", "", "</div>",
+                                "</a>"))
+            inner = _leaf_markup(rng, pools, depth + 1)
+            parts.append(f"<{tag}{rng.choice(_LEAF_ATTRS)}>{inner}{close}")
+        elif kind == 2:
+            parts.append(rng.choice(_LEAF_MARKUP + _MARKUP))
+        elif kind == 3:
+            parts.append(_text(rng, rng.randint(0, 3), pools))
+        else:
+            parts.append(rng.choice(_ENTITIES))
+    return "".join(parts)
+
+
 def _corpus():
     rng = random.Random(20240612)
     reps = S.REPS_DEFAULT
@@ -97,6 +150,19 @@ def _corpus():
         doc = _markup(rng, _ASCII if rng.random() < 0.5 else (_WORDS, _SEPS))
         yield (f"<html><body>{doc}</body></html>" if rng.random() < 0.5
                else doc).encode()
+
+
+def _leaf_corpus():
+    rng = random.Random(20261019)
+    for _ in range(6000):
+        pools = _ASCII if rng.random() < 0.5 else (_WORDS, _SEPS)
+        doc = _leaf_markup(rng, pools)
+        if rng.random() < 0.5:
+            doc = f"<html><body>{doc}</body></html>"
+        if rng.random() < 0.25:  # closes with no '>' after them
+            doc += "".join(rng.choice(_UNTERMINATED)
+                           for _ in range(rng.randint(1, 5)))
+        yield doc.encode()
 
 
 def _outcome(payload) -> tuple:
@@ -112,14 +178,25 @@ def test_corpus_covers_every_class():
     assert classes == set(range(S.N_CLASSES))
 
 
-def test_outcomes_match_pinned_digest():
+def _digest(corpus) -> tuple[str, set]:
     h = hashlib.sha256()
     kinds = set()
-    for payload in _corpus():
+    for payload in corpus:
         out = _outcome(payload)
         kinds.add(out[0] if out[0] == "ok" else out[1])
         h.update(json.dumps(out).encode())
         h.update(b"\n")
+    return h.hexdigest(), kinds
+
+
+def test_outcomes_match_pinned_digest():
+    digest, kinds = _digest(_corpus())
     # the corpus must reach text, both exception types, and misnesting
     assert kinds == {"ok", "UnicodeDecodeError", "ValueError"}
-    assert h.hexdigest() == PINNED_SHA256
+    assert digest == PINNED_SHA256
+
+
+def test_leaf_outcomes_match_pinned_digest():
+    digest, kinds = _digest(_leaf_corpus())
+    assert kinds == {"ok", "ValueError"}
+    assert digest == LEAF_PINNED_SHA256
