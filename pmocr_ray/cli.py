@@ -58,7 +58,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--update-done", action="store_true",
                    help="after a batch run, fold terminal rows into the "
                         "done manifest (the reference's mark-as-done rename)")
-    p.add_argument("--batch-size", dest="batch_size", type=int)
+    p.add_argument("--batch-size", dest="batch_size", type=int,
+                   help="re-batch the extract input by this many rows; "
+                        "turns read fusion off (default: one read "
+                        "block per batch, the read fused into the "
+                        "extract)")
     p.add_argument("--interval", dest="poll_interval_s", type=float)
     p.add_argument("--rounds", type=int, default=None,
                    help="service mode: stop after N poll rounds")

@@ -26,10 +26,17 @@ Scale notes (the 100 TB story):
   partitions.
 * No shuffle anywhere in the hot path: sniff and extract are
   map-only; the only ``groupby`` is the tiny per-run metrics rollup.
-* Skew: ``override_num_blocks`` at the read splits the input into
-  many small blocks, spreading giant-payload rows across tasks before
-  the heavy parse stage (north-star mandate; the reference has no
-  equivalent — a giant PDF just occupies a slot, SURVEY §4).
+* Skew and fusion: the read asks for ``5 × cluster CPUs`` blocks and
+  the extract takes one read block per batch (``batch_size=None``), so
+  a batch is bounded in bytes (Ray's Parquet reader sizes its batches
+  near ``target_max_block_size / 10`` and caps a block at 128 MiB),
+  not in rows.  An input of at least that many files is grouped, and
+  Ray fuses read → extract → write into one task per group of files:
+  page payloads never enter the object store.  A smaller input (a
+  one-file service partition) is split into that many blocks,
+  spreading giant-payload rows across tasks before the heavy parse
+  stage (north-star mandate; the reference has no equivalent — a
+  giant PDF just occupies a slot, SURVEY §4).
 """
 
 from __future__ import annotations
@@ -44,10 +51,12 @@ from pmocr_ray.state.manifest import load_done_urls, load_retry_state
 
 
 def _cluster_cpus() -> int:
-    try:
-        return max(1, int(ray.cluster_resources().get("CPU", 4)))
-    except Exception:  # pragma: no cover - ray not initialised
-        return 4
+    """CPUs of the Ray cluster the run goes to.  With no session up,
+    this first makes the bare ``ray.init()`` that Ray Data's read would
+    make, so the plan is sized for the session that then runs it."""
+    if not ray.is_initialized():
+        ray.init()
+    return max(1, int(ray.cluster_resources().get("CPU", 1)))
 
 
 def read_pages(pages_path: str | list[str] | rd.Dataset,
@@ -114,7 +123,7 @@ def run_extraction(
     *,
     processed_at: datetime.datetime | None = None,
     num_blocks: int | None = None,
-    batch_size: int = 256,
+    batch_size: int | None = None,
     check_existing_text: bool = True,
     max_payload_bytes: int | None = None,
     retry_failed: bool = False,
@@ -143,30 +152,37 @@ def run_extraction(
     The extract stage is a plain task ``map_batches`` whose fn builds
     an :class:`~pmocr_ray.stages.ExtractStage` per batch over the
     broadcasts each worker process keeps (module-level cache).
-    Read-fusion note: Ray fuses the Parquet read INTO this operator
-    (payload never enters the object store) only when ``batch_size is
-    None`` AND the input file count equals ``num_blocks`` — any read
-    split breaks fusion.  Interleaved A/Bs at 1.8M pages measured the
-    fused and unfused plans equal single-node (the streaming executor
-    overlaps the read with the parse, hiding the extra plasma hop), so
-    the default keeps the finer-waves split; on a multi-node cluster
-    prefer input layouts with ≥ ``5 × cluster_cpus`` files and pass
-    ``batch_size=None`` so the payload column also never crosses the
-    NETWORK between read and parse.
+    Read fusion: with the defaults, an input of at least ``5 ×
+    cluster_cpus`` files runs as one ``ReadParquet->MapBatches(_extract)
+    ->Write`` task per group of files, and the payload column never
+    enters the object store.  Fusion needs ``batch_size=None`` and at
+    least ``num_blocks`` input files: an integer ``batch_size``
+    re-batches by rows (the old, unfused plan), and an input of fewer
+    files is split into ``num_blocks`` blocks first.
+    perfbench on 1 vCPU (8000 pages in 8 files, 11 alternating pairs
+    on ``rerun_big_manifest``, 6 on ``batch_fresh``), against
+    ``batch_size=256`` and ``max(5 × cpus, 16)`` blocks: ``docs_per_s``
+    6969 → 12510 (×1.80, 11/11 pairs won) on the rerun and 2901 → 3636
+    (+25%, 6/6) on the fresh batch; ``peak_rss_mb`` 1002 → 953 and
+    998 → 1006.  ``bench.py``'s 32-CPU headline stays on the split
+    path: its fixture has 64 files, fewer than the 160 blocks 32 CPUs
+    ask for.
     """
     if num_blocks is None:
-        # Finer read splits pipeline better: ~5 waves per slot keeps the
-        # extract tasks fed while reads/writes interleave (paired A/B at
-        # 1.8M pages, 32 cpus: 64 blocks 98-135s vs 160 blocks 66-74s).
-        # At production scale the input block count is naturally ≫ this.
-        num_blocks = max(5 * _cluster_cpus(), 16)
+        # ~5 waves per slot keeps the extract tasks fed while reads and
+        # writes interleave (paired A/B at 1.8M pages, 32 cpus: 64
+        # blocks 98-135s vs 160 blocks 66-74s).  An input of at least
+        # this many files is grouped, not split, so the read fuses into
+        # the extract; a smaller one is still split into this many.
+        num_blocks = 5 * _cluster_cpus()
 
     done_ref = load_done_urls_ref(done_manifest_path)
     retry = load_retry_state(done_manifest_path) if retry_failed else None
 
     # NOTE: no separate sniff pass here — ExtractStage sniffs each row
     # exactly once in-row (process_row), so the payload column crosses
-    # the object store once (read → extract), not twice.  The standalone
+    # the object store at most once (read → extract; not at all when
+    # the read fuses into the extract), not twice.  The standalone
     # sniff_stage remains for routing-only pipelines (see
     # __ray_entry__._q_sniff_route).
     return read_pages(pages_path, num_blocks=num_blocks).map_batches(

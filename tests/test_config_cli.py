@@ -23,6 +23,14 @@ class TestConfig:
     def test_defaults(self):
         cfg = PipelineConfig()
         assert cfg.check_existing_text is True
+        # None = one read block per batch, so the read fuses into the
+        # extract; CLI and service runs take it through _engine_kwargs
+        assert cfg.batch_size is None
+
+    def test_batch_size_none_parses(self, tmp_path):
+        p = tmp_path / "none.conf"
+        p.write_text("batch_size=none\n")
+        assert load_config(str(p)).batch_size is None
 
     def test_coerce_bool_legacy(self):
         assert coerce_bool("yes") is True and coerce_bool("No") is False

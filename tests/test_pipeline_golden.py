@@ -5,9 +5,14 @@ settings — the analogue of the reference's end-to-end batch assertions
 engine-failure quarantine case (run_tests.sh:409-427).
 """
 
-import pandas as pd
-import pytest
+import re
 
+import pandas as pd
+import pyarrow.parquet as pq
+import pytest
+import ray
+
+from pmocr_ray import pipeline
 from pmocr_ray.oracle import run_oracle
 from pmocr_ray.pipeline import run_extraction, status_counts
 from pmocr_ray.stages import csv_hack
@@ -48,6 +53,60 @@ def test_byte_identical_other_partitioning(pages_fixture, golden):
     pages, manifest = pages_fixture
     out = _run(pages, manifest, num_blocks=3, batch_size=17)
     _assert_identical(out, golden)
+
+
+def _cut_pages(pages: str, out_dir, files: int, rows: int) -> str:
+    """``files`` parquet files of ``rows`` pages each, cut from the
+    front of the pages fixture."""
+    t = pq.read_table(pages)
+    out_dir.mkdir()
+    for i in range(files):
+        pq.write_table(t.slice(i * rows, rows), out_dir / f"p{i:02d}.parquet")
+    return str(out_dir)
+
+
+def _operators(ds) -> list[str]:
+    return re.findall(r"^Operator \d+ (\S+):", ds.stats(), re.M)
+
+
+def test_default_plan_fuses_read_into_extract(pages_fixture, tmp_path):
+    """An input of at least 5 x cluster CPUs files (20 in the 4-CPU test
+    session) runs as one fused operator per read task: the payload
+    never enters the object store between read and extract.  Its rows
+    are still the oracle's, byte for byte."""
+    pages, manifest = pages_fixture
+    src = _cut_pages(pages, tmp_path / "many", files=24, rows=10)
+    ds = run_extraction(src, manifest).materialize()
+    assert _operators(ds) == ["ReadParquet->MapBatches(_extract)"]
+    out = ds.to_pandas().sort_values("url").reset_index(drop=True)
+    golden = run_oracle(src, manifest).to_pandas().sort_values(
+        "url").reset_index(drop=True)
+    _assert_identical(out, golden)
+    # an integer batch_size re-batches by rows: the old, unfused plan
+    rebatched = run_extraction(src, manifest, batch_size=256).materialize()
+    assert _operators(rebatched) == ["ReadParquet", "MapBatches(_extract)"]
+
+
+def test_one_file_input_is_still_split(pages_fixture, tmp_path):
+    pages, manifest = pages_fixture
+    src = _cut_pages(pages, tmp_path / "one", files=1, rows=240)
+    ops = _operators(run_extraction(src, manifest).materialize())
+    assert any("SplitBlocks" in op for op in ops), ops
+
+
+def test_plan_sized_after_the_session_starts(monkeypatch):
+    """With no session up, ``_cluster_cpus`` makes Ray Data's own bare
+    ``ray.init()`` before it reads the cluster's CPUs, instead of
+    sizing the plan against a default."""
+    calls = []
+    resources = ray.cluster_resources
+    monkeypatch.setattr(ray, "is_initialized", lambda: False)
+    monkeypatch.setattr(ray, "init",
+                        lambda *a, **kw: calls.append(("init", a, kw)))
+    monkeypatch.setattr(ray, "cluster_resources",
+                        lambda: calls.append("resources") or resources())
+    assert pipeline._cluster_cpus() == 4
+    assert calls == [("init", (), {}), "resources"]
 
 
 def test_without_done_manifest_everything_processed(pages_fixture):
