@@ -58,11 +58,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--update-done", action="store_true",
                    help="after a batch run, fold terminal rows into the "
                         "done manifest (the reference's mark-as-done rename)")
-    p.add_argument("--batch-size", dest="batch_size", type=int,
-                   help="re-batch the extract input by this many rows; "
-                        "turns read fusion off (default: one read "
-                        "block per batch, the read fused into the "
-                        "extract)")
     p.add_argument("--interval", dest="poll_interval_s", type=float)
     p.add_argument("--rounds", type=int, default=None,
                    help="service mode: stop after N poll rounds")
@@ -91,7 +86,6 @@ def _engine_kwargs(cfg: PipelineConfig) -> dict:
     the one place batch runs and every service directory get them."""
     return {
         "num_blocks": cfg.num_blocks,
-        "batch_size": cfg.batch_size,
         "check_existing_text": cfg.check_existing_text,
         "max_payload_bytes": cfg.max_payload_bytes,
         "retry_failed": cfg.retry_failed,
@@ -208,7 +202,6 @@ def main(argv: list[str] | None = None) -> int:
         targets=args.targets,
         preprocessors=args.preprocessors,
         retry_failed=args.retry_failed,
-        batch_size=args.batch_size,
         poll_interval_s=args.poll_interval_s,
         alert_spool=args.alert_spool,
     )

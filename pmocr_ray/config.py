@@ -52,7 +52,6 @@ class PipelineConfig:
                                          # (OCR_PREPROCESSOR_*, default.conf:92-99)
     # execution (NUMBER_OF_PROCESSES default.conf:16-17: Ray sizes the
     # worker pool from the cluster's CPUs)
-    batch_size: int | None = None        # None -> one read block per batch
     num_blocks: int | None = None        # None -> auto from cluster CPUs
     # service mode (INOTIFY_POLLER_INTERVAL default.conf:33)
     poll_interval_s: float = 30.0

@@ -26,17 +26,18 @@ Scale notes (the 100 TB story):
   partitions.
 * No shuffle anywhere in the hot path: sniff and extract are
   map-only; the only ``groupby`` is the tiny per-run metrics rollup.
-* Skew and fusion: the read asks for ``5 × cluster CPUs`` blocks and
-  the extract takes one read block per batch (``batch_size=None``), so
-  a batch is bounded in bytes (Ray's Parquet reader sizes its batches
-  near ``target_max_block_size / 10`` and caps a block at 128 MiB),
-  not in rows.  An input of at least that many files is grouped, and
-  Ray fuses read → extract → write into one task per group of files:
-  page payloads never enter the object store.  A smaller input (a
-  one-file service partition) is split into that many blocks,
+* Skew and fusion: the read asks for ``5 × cluster CPUs`` blocks.  An
+  input of at least that many files is grouped, not split, and the
+  extract takes one read block per batch, so a batch is bounded in
+  bytes (Ray's Parquet reader caps a block at 128 MiB), not in rows,
+  and Ray fuses read → extract → write into one task per group of
+  files: page payloads never enter the object store.  A smaller input
+  (a one-file service partition) is split into that many blocks,
   spreading giant-payload rows across tasks before the heavy parse
   stage (north-star mandate; the reference has no equivalent — a
-  giant PDF just occupies a slot, SURVEY §4).
+  giant PDF just occupies a slot, SURVEY §4), and the blocks are
+  re-bundled into batches of at least 256 rows, so a small input
+  writes about one file per 256 rows, not one per block.
 """
 
 from __future__ import annotations
@@ -81,6 +82,10 @@ def read_pages(pages_path: str | list[str] | rd.Dataset,
     )
 
 
+# Rows per extract batch when the read is split (an input of fewer
+# files than read blocks).
+_SPLIT_BATCH_ROWS = 256
+
 # The last broadcast done set, as ``(session key, frozenset,
 # ObjectRef)``.  Keeping the ref keeps the set in the object store
 # between runs; the session key (:func:`pmocr_ray.stages._session_key`)
@@ -123,7 +128,6 @@ def run_extraction(
     *,
     processed_at: datetime.datetime | None = None,
     num_blocks: int | None = None,
-    batch_size: int | None = None,
     check_existing_text: bool = True,
     max_payload_bytes: int | None = None,
     retry_failed: bool = False,
@@ -152,28 +156,18 @@ def run_extraction(
     The extract stage is a plain task ``map_batches`` whose fn builds
     an :class:`~pmocr_ray.stages.ExtractStage` per batch over the
     broadcasts each worker process keeps (module-level cache).
-    Read fusion: with the defaults, an input of at least ``5 ×
-    cluster_cpus`` files runs as one ``ReadParquet->MapBatches(_extract)
-    ->Write`` task per group of files, and the payload column never
-    enters the object store.  Fusion needs ``batch_size=None`` and at
-    least ``num_blocks`` input files: an integer ``batch_size``
-    re-batches by rows (the old, unfused plan), and an input of fewer
-    files is split into ``num_blocks`` blocks first.
-    perfbench on 1 vCPU (8000 pages in 8 files, 11 alternating pairs
-    on ``rerun_big_manifest``, 6 on ``batch_fresh``), against
-    ``batch_size=256`` and ``max(5 × cpus, 16)`` blocks: ``docs_per_s``
-    6969 → 12510 (×1.80, 11/11 pairs won) on the rerun and 2901 → 3636
-    (+25%, 6/6) on the fresh batch; ``peak_rss_mb`` 1002 → 953 and
-    998 → 1006.  ``bench.py``'s 32-CPU headline stays on the split
-    path: its fixture has 64 files, fewer than the 160 blocks 32 CPUs
-    ask for.
+    Read fusion: an input of at least ``num_blocks`` files (default
+    ``5 × cluster_cpus``) runs as one ``ReadParquet->MapBatches(_extract)
+    ->Write`` task per group of files, one read block per batch, and
+    the payload column never enters the object store.  An input of
+    fewer files is split into ``num_blocks`` blocks, which Ray cannot
+    fuse into the extract; there the blocks are re-bundled into
+    batches of at least :data:`_SPLIT_BATCH_ROWS` rows.
     """
     if num_blocks is None:
         # ~5 waves per slot keeps the extract tasks fed while reads and
         # writes interleave (paired A/B at 1.8M pages, 32 cpus: 64
-        # blocks 98-135s vs 160 blocks 66-74s).  An input of at least
-        # this many files is grouped, not split, so the read fuses into
-        # the extract; a smaller one is still split into this many.
+        # blocks 98-135s vs 160 blocks 66-74s).
         num_blocks = 5 * _cluster_cpus()
 
     done_ref = load_done_urls_ref(done_manifest_path)
@@ -185,7 +179,12 @@ def run_extraction(
     # the read fuses into the extract), not twice.  The standalone
     # sniff_stage remains for routing-only pipelines (see
     # __ray_entry__._q_sniff_route).
-    return read_pages(pages_path, num_blocks=num_blocks).map_batches(
+    pages = read_pages(pages_path, num_blocks=num_blocks)
+    # Only a read that is not split fuses into the extract, and only
+    # with one read block per batch; a split read's blocks are bundled
+    # by rows so they are not each written as a file of their own.
+    fused = len(pages.input_files()) >= num_blocks
+    return pages.map_batches(
         make_task_extract_fn(
             done_urls_ref=done_ref,
             retry_attempts_ref=ray.put(retry) if retry else None,
@@ -195,7 +194,7 @@ def run_extraction(
             preprocessors=preprocessors,
         ),
         batch_format="pyarrow",
-        batch_size=batch_size,
+        batch_size=None if fused else _SPLIT_BATCH_ROWS,
     )
 
 

@@ -133,7 +133,7 @@ def run_incremental(
     rows.
 
     ``extract_kwargs`` forwards engine configuration (preprocessors,
-    ``retry_failed``, batch size …) to ``run_extraction`` —
+    ``retry_failed``, block count …) to ``run_extraction`` —
     the reference re-reads its engine config each service round
     (SetOCREngineOptions at startup of each dispatch), so a config
     change (or a broken engine) takes effect at the next poll, never

@@ -23,14 +23,6 @@ class TestConfig:
     def test_defaults(self):
         cfg = PipelineConfig()
         assert cfg.check_existing_text is True
-        # None = one read block per batch, so the read fuses into the
-        # extract; CLI and service runs take it through _engine_kwargs
-        assert cfg.batch_size is None
-
-    def test_batch_size_none_parses(self, tmp_path):
-        p = tmp_path / "none.conf"
-        p.write_text("batch_size=none\n")
-        assert load_config(str(p)).batch_size is None
 
     def test_coerce_bool_legacy(self):
         assert coerce_bool("yes") is True and coerce_bool("No") is False
@@ -43,14 +35,14 @@ class TestConfig:
             f"config_revision={CONFIG_REVISION}\n"
             "# comment\n"
             "check_existing_text=no\n"
-            "batch_size=17\n"
+            "num_blocks=17\n"
             'out_dir="/tmp/x"\n'
         )
         cfg = load_config(str(p))
         assert cfg.check_existing_text is False
-        assert cfg.batch_size == 17 and cfg.out_dir == "/tmp/x"
-        cfg2 = apply_overrides(cfg, batch_size=99, out_dir=None)
-        assert cfg2.batch_size == 99 and cfg2.out_dir == "/tmp/x"
+        assert cfg.num_blocks == 17 and cfg.out_dir == "/tmp/x"
+        cfg2 = apply_overrides(cfg, num_blocks=99, out_dir=None)
+        assert cfg2.num_blocks == 99 and cfg2.out_dir == "/tmp/x"
 
     def test_revision_gate(self, tmp_path):
         p = tmp_path / "old.conf"
@@ -62,7 +54,7 @@ class TestConfig:
         # retired settings included: a config still setting one must
         # fail, not be silently ignored
         for key in ("no_such_knob", "max_attempts", "max_total_attempts",
-                    "emit_csv"):
+                    "emit_csv", "batch_size"):
             p = tmp_path / "bad.conf"
             p.write_text(f"{key}=1\n")
             with pytest.raises(ValueError, match="unknown key"):

@@ -48,10 +48,12 @@ def test_byte_identical_default(pages_fixture, golden):
 
 
 def test_byte_identical_other_partitioning(pages_fixture, golden):
-    """Different block count and batch size must not change a single
-    byte (determinism under distribution, SURVEY §7.4)."""
+    """A different block count must not change a single byte
+    (determinism under distribution, SURVEY §7.4): three blocks over
+    the fixture's six files group the read and fuse it into the
+    extract, where the default's 20 split it."""
     pages, manifest = pages_fixture
-    out = _run(pages, manifest, num_blocks=3, batch_size=17)
+    out = _run(pages, manifest, num_blocks=3)
     _assert_identical(out, golden)
 
 
@@ -69,29 +71,40 @@ def _operators(ds) -> list[str]:
     return re.findall(r"^Operator \d+ (\S+):", ds.stats(), re.M)
 
 
-def test_default_plan_fuses_read_into_extract(pages_fixture, tmp_path):
-    """An input of at least 5 x cluster CPUs files (20 in the 4-CPU test
-    session) runs as one fused operator per read task: the payload
-    never enters the object store between read and extract.  Its rows
-    are still the oracle's, byte for byte."""
+@pytest.mark.parametrize("cpus", [None, 1])
+def test_default_plan_fuses_read_into_extract(pages_fixture, tmp_path,
+                                              monkeypatch, cpus):
+    """An input of at least 5 x cluster CPUs files (exactly that many
+    here: 20 in the 4-CPU test session, 5 when the cluster reports one
+    CPU, with no floor of 16 blocks) runs as one fused operator per
+    read task: the payload never enters the object store between read
+    and extract.  Its rows are still the oracle's, byte for byte."""
     pages, manifest = pages_fixture
-    src = _cut_pages(pages, tmp_path / "many", files=24, rows=10)
+    if cpus is not None:
+        monkeypatch.setattr(pipeline, "_cluster_cpus", lambda: cpus)
+    files = 5 * (cpus or 4)
+    src = _cut_pages(pages, tmp_path / "many", files=files, rows=240 // files)
     ds = run_extraction(src, manifest).materialize()
     assert _operators(ds) == ["ReadParquet->MapBatches(_extract)"]
     out = ds.to_pandas().sort_values("url").reset_index(drop=True)
     golden = run_oracle(src, manifest).to_pandas().sort_values(
         "url").reset_index(drop=True)
     _assert_identical(out, golden)
-    # an integer batch_size re-batches by rows: the old, unfused plan
-    rebatched = run_extraction(src, manifest, batch_size=256).materialize()
-    assert _operators(rebatched) == ["ReadParquet", "MapBatches(_extract)"]
 
 
-def test_one_file_input_is_still_split(pages_fixture, tmp_path):
+def test_one_file_input_is_split_and_rebundled(pages_fixture, tmp_path):
+    """A one-file input (a service partition) is still split into 20
+    blocks, and the extract re-bundles them by rows: 600 rows are
+    written as at most ceil(600 / 256) = 3 files, not one per block."""
     pages, manifest = pages_fixture
-    src = _cut_pages(pages, tmp_path / "one", files=1, rows=240)
+    src = _cut_pages(pages, tmp_path / "one", files=1, rows=600)
     ops = _operators(run_extraction(src, manifest).materialize())
-    assert any("SplitBlocks" in op for op in ops), ops
+    assert ops == ["ReadParquet->SplitBlocks(20)", "MapBatches(_extract)"]
+    out = tmp_path / "out"
+    run_extraction(src, manifest).write_parquet(str(out))
+    files = list(out.glob("*.parquet"))
+    assert 1 <= len(files) <= 3
+    assert sum(pq.read_metadata(f).num_rows for f in files) == 600
 
 
 def test_plan_sized_after_the_session_starts(monkeypatch):
