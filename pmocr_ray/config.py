@@ -52,7 +52,9 @@ class PipelineConfig:
                                          # (OCR_PREPROCESSOR_*, default.conf:92-99)
     # execution (NUMBER_OF_PROCESSES default.conf:16-17: Ray sizes the
     # worker pool from the cluster's CPUs)
-    num_blocks: int | None = None        # None -> auto from cluster CPUs
+    num_blocks: int | None = None        # read blocks; None -> one per
+                                         # cluster CPU (one fused task
+                                         # per slot); must be >= 1
     # service mode (INOTIFY_POLLER_INTERVAL default.conf:33)
     poll_interval_s: float = 30.0
     # sinks
@@ -126,6 +128,11 @@ def _parse_field(key: str, val: str):
         return None
     if key == "max_payload_bytes":
         return parse_size(val)
+    if key == "num_blocks":
+        n = int(val)
+        if n < 1:
+            raise ValueError(f"num_blocks must be at least 1, got {n}")
+        return n
     if t in ("bool",):
         return coerce_bool(val)
     if t in ("int", "int | None"):

@@ -26,16 +26,22 @@ Scale notes (the 100 TB story):
   partitions.
 * No shuffle anywhere in the hot path: sniff and extract are
   map-only; the only ``groupby`` is the tiny per-run metrics rollup.
-* Skew and fusion: the read asks for ``5 × cluster CPUs`` blocks.  An
-  input of at least that many files is grouped, not split, and the
-  extract takes one read block per batch, so a batch is bounded in
-  bytes (Ray's Parquet reader caps a block at 128 MiB), not in rows,
-  and Ray fuses read → extract → write into one task per group of
-  files: page payloads never enter the object store.  A smaller input
-  (a one-file service partition) is split into that many blocks,
-  spreading giant-payload rows across tasks before the heavy parse
-  stage (north-star mandate; the reference has no equivalent — a
-  giant PDF just occupies a slot, SURVEY §4), and the blocks are
+* Skew and fusion: the read asks for one block per cluster CPU.  An
+  input of at least that many files is grouped, not split: each CPU
+  slot runs one fused read → extract → write task over a contiguous
+  run of files (Ray's ``np.array_split``), one read block per batch,
+  so a batch is bounded in bytes (Ray's Parquet reader caps a block at
+  128 MiB), not in rows, and page payloads never enter the object
+  store.  Files are indivisible and about equal in size, so one task
+  per slot already reaches the makespan bound of ⌈files / CPUs⌉ files
+  per slot, and Ray Data's fixed cost per task is paid once per slot.
+  The cost is memory: Ray's Parquet sink lists a task's whole output
+  before it writes the task's one file, so a fused task holds its
+  share of the output, output ÷ CPUs.  A smaller input (a one-file
+  service partition on more than one CPU) is split into that many
+  blocks, spreading giant-payload rows across tasks before the heavy
+  parse stage (north-star mandate; the reference has no equivalent —
+  a giant PDF just occupies a slot, SURVEY §4), and the blocks are
   re-bundled into batches of at least 256 rows, so a small input
   writes about one file per 256 rows, not one per block.
 """
@@ -157,18 +163,25 @@ def run_extraction(
     an :class:`~pmocr_ray.stages.ExtractStage` per batch over the
     broadcasts each worker process keeps (module-level cache).
     Read fusion: an input of at least ``num_blocks`` files (default
-    ``5 × cluster_cpus``) runs as one ``ReadParquet->MapBatches(_extract)
-    ->Write`` task per group of files, one read block per batch, and
-    the payload column never enters the object store.  An input of
-    fewer files is split into ``num_blocks`` blocks, which Ray cannot
-    fuse into the extract; there the blocks are re-bundled into
-    batches of at least :data:`_SPLIT_BATCH_ROWS` rows.
+    one per cluster CPU) runs as ``num_blocks`` fused
+    ``ReadParquet->MapBatches(_extract)->Write`` tasks, each over
+    ⌈files / num_blocks⌉ or ⌊files / num_blocks⌋ contiguous files, one
+    read block per batch, and the payload column never enters the
+    object store.  Each task holds its whole output until its one file
+    is written (Ray's Parquet sink), so fewer blocks mean more memory
+    per task.  An input of fewer files is split into ``num_blocks``
+    blocks, which Ray cannot fuse into the extract; there the blocks
+    are re-bundled into batches of at least :data:`_SPLIT_BATCH_ROWS`
+    rows.  A ``num_blocks`` below 1 raises ``ValueError``.
     """
     if num_blocks is None:
-        # ~5 waves per slot keeps the extract tasks fed while reads and
-        # writes interleave (paired A/B at 1.8M pages, 32 cpus: 64
-        # blocks 98-135s vs 160 blocks 66-74s).
-        num_blocks = 5 * _cluster_cpus()
+        # One task per slot: a fused task reads, extracts and writes on
+        # its own, so more waves only pay Ray's fixed cost per task
+        # again; files are about equal in size, so one wave already
+        # balances the slots to within one file.
+        num_blocks = _cluster_cpus()
+    elif num_blocks < 1:
+        raise ValueError(f"num_blocks must be at least 1, got {num_blocks}")
 
     done_ref = load_done_urls_ref(done_manifest_path)
     retry = load_retry_state(done_manifest_path) if retry_failed else None

@@ -50,6 +50,14 @@ class TestConfig:
         with pytest.raises(ValueError, match="revision"):
             load_config(str(p))
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_non_positive_num_blocks_rejected(self, tmp_path, n):
+        # caught at load, not deep inside Ray's read planning
+        p = tmp_path / "blocks.conf"
+        p.write_text(f"num_blocks={n}\n")
+        with pytest.raises(ValueError, match="num_blocks"):
+            load_config(str(p))
+
     def test_unknown_key_rejected(self, tmp_path):
         # retired settings included: a config still setting one must
         # fail, not be silently ignored

@@ -49,12 +49,25 @@ def test_byte_identical_default(pages_fixture, golden):
 
 def test_byte_identical_other_partitioning(pages_fixture, golden):
     """A different block count must not change a single byte
-    (determinism under distribution, SURVEY §7.4): three blocks over
-    the fixture's six files group the read and fuse it into the
-    extract, where the default's 20 split it."""
+    (determinism under distribution, SURVEY §7.4): eight blocks over
+    the fixture's six files split the read, where the default's four
+    group it and fuse it into the extract."""
     pages, manifest = pages_fixture
-    out = _run(pages, manifest, num_blocks=3)
+    ds = run_extraction(pages, manifest, num_blocks=8).materialize()
+    assert _operators(ds) == ["ReadParquet->SplitBlocks(2)",
+                              "MapBatches(_extract)"]
+    out = ds.to_pandas().sort_values("url").reset_index(drop=True)
     _assert_identical(out, golden)
+
+
+@pytest.mark.parametrize("num_blocks", [0, -1])
+def test_non_positive_num_blocks_rejected(pages_fixture, num_blocks):
+    """Caught before the read is planned, naming the argument, instead
+    of failing inside Ray's read planning with numpy's ``ValueError``
+    (0) or a bare ``IndexError`` (-1)."""
+    pages, manifest = pages_fixture
+    with pytest.raises(ValueError, match="num_blocks"):
+        run_extraction(pages, manifest, num_blocks=num_blocks)
 
 
 def _cut_pages(pages: str, out_dir, files: int, rows: int) -> str:
@@ -71,40 +84,92 @@ def _operators(ds) -> list[str]:
     return re.findall(r"^Operator \d+ (\S+):", ds.stats(), re.M)
 
 
+def _tasks(ds) -> list[int]:
+    return [int(n) for n in re.findall(
+        r"^Operator \d+ \S+: (\d+) tasks executed", ds.stats(), re.M)]
+
+
 @pytest.mark.parametrize("cpus", [None, 1])
 def test_default_plan_fuses_read_into_extract(pages_fixture, tmp_path,
                                               monkeypatch, cpus):
-    """An input of at least 5 x cluster CPUs files (exactly that many
-    here: 20 in the 4-CPU test session, 5 when the cluster reports one
-    CPU, with no floor of 16 blocks) runs as one fused operator per
-    read task: the payload never enters the object store between read
-    and extract.  Its rows are still the oracle's, byte for byte."""
+    """An input of as many files as cluster CPUs (4 in the test
+    session, 1 when the cluster reports one CPU) runs as one fused
+    operator with one task per CPU slot: one wave, and the payload
+    never enters the object store between read and extract.  Its rows
+    are still the oracle's, byte for byte."""
     pages, manifest = pages_fixture
     if cpus is not None:
         monkeypatch.setattr(pipeline, "_cluster_cpus", lambda: cpus)
-    files = 5 * (cpus or 4)
+    files = cpus or 4
     src = _cut_pages(pages, tmp_path / "many", files=files, rows=240 // files)
     ds = run_extraction(src, manifest).materialize()
     assert _operators(ds) == ["ReadParquet->MapBatches(_extract)"]
+    assert _tasks(ds) == [files]
     out = ds.to_pandas().sort_values("url").reset_index(drop=True)
     golden = run_oracle(src, manifest).to_pandas().sort_values(
         "url").reset_index(drop=True)
     _assert_identical(out, golden)
 
 
+def test_fewer_files_than_cpus_are_split(pages_fixture, tmp_path):
+    """One file fewer than the session's 4 CPUs is split: Ray cuts
+    each of the 3 files into ceil(4 / 3) = 2 blocks, which it cannot
+    fuse into the extract."""
+    pages, manifest = pages_fixture
+    src = _cut_pages(pages, tmp_path / "few", files=3, rows=80)
+    ops = _operators(run_extraction(src, manifest).materialize())
+    assert ops == ["ReadParquet->SplitBlocks(2)", "MapBatches(_extract)"]
+
+
 def test_one_file_input_is_split_and_rebundled(pages_fixture, tmp_path):
-    """A one-file input (a service partition) is still split into 20
-    blocks, and the extract re-bundles them by rows: 600 rows are
-    written as at most ceil(600 / 256) = 3 files, not one per block."""
+    """A one-file input (a service partition) is still split into 4
+    blocks at 4 CPUs, and the extract re-bundles them by rows: 600 rows
+    are written as at most ceil(600 / 256) = 3 files, not one per
+    block."""
     pages, manifest = pages_fixture
     src = _cut_pages(pages, tmp_path / "one", files=1, rows=600)
     ops = _operators(run_extraction(src, manifest).materialize())
-    assert ops == ["ReadParquet->SplitBlocks(20)", "MapBatches(_extract)"]
+    assert ops == ["ReadParquet->SplitBlocks(4)", "MapBatches(_extract)"]
     out = tmp_path / "out"
     run_extraction(src, manifest).write_parquet(str(out))
     files = list(out.glob("*.parquet"))
     assert 1 <= len(files) <= 3
     assert sum(pq.read_metadata(f).num_rows for f in files) == 600
+
+
+def test_one_file_service_partition_fuses_at_one_cpu(pages_fixture, tmp_path,
+                                                     monkeypatch):
+    """At one CPU a one-file service partition is one read block: the
+    round runs it as one fused read → extract → write task, writes one
+    output file, commits it, and its rows are the oracle's."""
+    from pmocr_ray.state.manifest import LineageManifest, run_incremental
+
+    pages, manifest = pages_fixture
+    monkeypatch.setattr(pipeline, "_cluster_cpus", lambda: 1)
+    src = _cut_pages(pages, tmp_path / "in", files=1, rows=600)
+    runs = []
+    run_extraction_ = pipeline.run_extraction
+
+    def recording(*a, **kw):
+        runs.append(run_extraction_(*a, **kw))
+        return runs[-1]
+
+    monkeypatch.setattr(pipeline, "run_extraction", recording)
+    out_dir, manifest_dir = tmp_path / "out", tmp_path / "lineage"
+    summary = run_incremental(src, str(out_dir), str(manifest_dir), manifest)
+    (key,) = summary["processed"]
+    assert LineageManifest(str(manifest_dir)).is_committed(key)
+    (ds,) = runs
+    assert _operators(ds) == ["ReadParquet->MapBatches(_extract)->Write"]
+    assert _tasks(ds) == [1]
+    part = out_dir / f"part-{key}"
+    files = list(part.glob("*.parquet"))
+    assert len(files) == 1
+    out = pq.read_table(files[0]).to_pandas().sort_values(
+        "url").reset_index(drop=True)
+    golden = run_oracle(src, manifest).to_pandas().sort_values(
+        "url").reset_index(drop=True)
+    _assert_identical(out, golden)
 
 
 def test_plan_sized_after_the_session_starts(monkeypatch):
