@@ -17,10 +17,8 @@ Either mode writes no file outside ``/tmp``: the printed JSON line is
 the run's only record (past rounds commit it as ``BENCH_*.json``).
 
 The bench fixture is 1.8M pages (REPS=360 over sf0.1's 5000
-documents; env ``PMOCR_BENCH_REPS`` overrides), 64 parquet partitions,
-at least one per slot at both parallelism levels: the extraction runs
-one fused read → extract → write task per slot, of 8 files each at 8
-CPUs and 2 at 32.
+documents; env ``PMOCR_BENCH_REPS`` overrides), 64 parquet partitions
+so both parallelism levels saturate with multiple waves per slot.
 """
 
 from __future__ import annotations

@@ -52,9 +52,9 @@ class PipelineConfig:
                                          # (OCR_PREPROCESSOR_*, default.conf:92-99)
     # execution (NUMBER_OF_PROCESSES default.conf:16-17: Ray sizes the
     # worker pool from the cluster's CPUs)
-    num_blocks: int | None = None        # read blocks; None -> one per
-                                         # cluster CPU (one fused task
-                                         # per slot); must be >= 1
+    num_blocks: int | None = None        # read blocks, >= 1; None ->
+                                         # from cluster CPUs and input
+                                         # bytes (run_extraction)
     # service mode (INOTIFY_POLLER_INTERVAL default.conf:33)
     poll_interval_s: float = 30.0
     # sinks

@@ -26,24 +26,14 @@ Scale notes (the 100 TB story):
   partitions.
 * No shuffle anywhere in the hot path: sniff and extract are
   map-only; the only ``groupby`` is the tiny per-run metrics rollup.
-* Skew and fusion: the read asks for one block per cluster CPU.  An
-  input of at least that many files is grouped, not split: each CPU
-  slot runs one fused read → extract → write task over a contiguous
-  run of files (Ray's ``np.array_split``), one read block per batch,
-  so a batch is bounded in bytes (Ray's Parquet reader caps a block at
-  128 MiB), not in rows, and page payloads never enter the object
-  store.  Files are indivisible and about equal in size, so one task
-  per slot already reaches the makespan bound of ⌈files / CPUs⌉ files
-  per slot, and Ray Data's fixed cost per task is paid once per slot.
-  The cost is memory: Ray's Parquet sink lists a task's whole output
-  before it writes the task's one file, so a fused task holds its
-  share of the output, output ÷ CPUs.  A smaller input (a one-file
-  service partition on more than one CPU) is split into that many
-  blocks, spreading giant-payload rows across tasks before the heavy
-  parse stage (north-star mandate; the reference has no equivalent —
-  a giant PDF just occupies a slot, SURVEY §4), and the blocks are
-  re-bundled into batches of at least 256 rows, so a small input
-  writes about one file per 256 rows, not one per block.
+* Skew and fusion: an input of at least as many files as read blocks
+  runs as one fused read → extract → write task per group of files,
+  so page payloads never enter the object store; a smaller input (a
+  one-file service partition) is split, spreading giant-payload rows
+  across tasks before the heavy parse stage (north-star mandate; the
+  reference has no equivalent — a giant PDF just occupies a slot,
+  SURVEY §4).  The block count, and what each plan holds in memory,
+  are set out in :func:`run_extraction`.
 """
 
 from __future__ import annotations
@@ -52,6 +42,8 @@ import datetime
 
 import ray
 import ray.data as rd
+from pyarrow.fs import FileSelector, FileType
+from ray.data.datasource.path_util import _resolve_paths_and_filesystem
 
 from pmocr_ray.stages import _session_key, make_task_extract_fn
 from pmocr_ray.state.manifest import load_done_urls, load_retry_state
@@ -91,6 +83,40 @@ def read_pages(pages_path: str | list[str] | rd.Dataset,
 # Rows per extract batch when the read is split (an input of fewer
 # files than read blocks).
 _SPLIT_BATCH_ROWS = 256
+
+# Input file bytes per fused task past which the default block count
+# grows with the input: Ray's Parquet sink holds a task's whole output
+# until it writes the task's one file.  perfbench's fresh pages came
+# out of the extract at ~7.5x their Parquet file bytes in memory, so a
+# task holds about one 128 MiB block (Ray's target block size) of
+# output.
+_TASK_INPUT_BYTES = 16 << 20
+
+
+def _input_bytes(pages_path: str | list[str] | rd.Dataset) -> int:
+    """Bytes of the files under ``pages_path`` (0 for a ``Dataset``)."""
+    if isinstance(pages_path, rd.Dataset):
+        return 0
+    paths, fs = _resolve_paths_and_filesystem(pages_path)
+    total = 0
+    for info in fs.get_file_info(paths):
+        if info.type == FileType.Directory:
+            infos = fs.get_file_info(FileSelector(info.path, recursive=True))
+        else:
+            infos = [info]
+        total += sum(i.size for i in infos if i.type == FileType.File)
+    return total
+
+
+def _default_num_blocks(pages_path: str | list[str] | rd.Dataset) -> int:
+    """The rule is set out in :func:`run_extraction`'s docstring."""
+    cpus = _cluster_cpus()
+    # Several slots keep ~5 waves per slot (paired A/B of the unfused
+    # plan at 1.8M pages, 32 cpus: 64 blocks 98-135s vs 160 blocks
+    # 66-74s); one wave there awaits a skewed workload and more cores.
+    waves = 1 if cpus == 1 else 5
+    return max(waves * cpus, -(-_input_bytes(pages_path) // _TASK_INPUT_BYTES))
+
 
 # The last broadcast done set, as ``(session key, frozenset,
 # ObjectRef)``.  Keeping the ref keeps the set in the object store
@@ -162,24 +188,29 @@ def run_extraction(
     The extract stage is a plain task ``map_batches`` whose fn builds
     an :class:`~pmocr_ray.stages.ExtractStage` per batch over the
     broadcasts each worker process keeps (module-level cache).
-    Read fusion: an input of at least ``num_blocks`` files (default
-    one per cluster CPU) runs as ``num_blocks`` fused
-    ``ReadParquet->MapBatches(_extract)->Write`` tasks, each over
-    ⌈files / num_blocks⌉ or ⌊files / num_blocks⌋ contiguous files, one
-    read block per batch, and the payload column never enters the
-    object store.  Each task holds its whole output until its one file
-    is written (Ray's Parquet sink), so fewer blocks mean more memory
-    per task.  An input of fewer files is split into ``num_blocks``
-    blocks, which Ray cannot fuse into the extract; there the blocks
-    are re-bundled into batches of at least :data:`_SPLIT_BATCH_ROWS`
-    rows.  A ``num_blocks`` below 1 raises ``ValueError``.
+    Read fusion: an input of at least ``num_blocks`` files runs as
+    ``num_blocks`` fused ``ReadParquet->MapBatches(_extract)->Write``
+    tasks, each over ⌈files / num_blocks⌉ or ⌊files / num_blocks⌋
+    contiguous files (Ray's ``np.array_split``), one read block per
+    batch, and the payload column never enters the object store.  Each
+    task holds its whole output until its one file is written (Ray's
+    Parquet sink).  An input of fewer files is split into
+    ``num_blocks`` blocks, which Ray cannot fuse into the extract;
+    there the blocks are re-bundled into batches of at least
+    :data:`_SPLIT_BATCH_ROWS` rows, so a task holds one batch.
+
+    The default ``num_blocks`` is 1 on a one-CPU cluster and
+    ``5 × cluster CPUs`` on a larger one, and at least one per
+    :data:`_TASK_INPUT_BYTES` of input files, so the output a fused
+    task holds is bounded whatever the input's size.  One wave on one
+    slot pays Ray Data's fixed cost per task once; on several slots the
+    extra waves let idle slots take the tasks a slow one has not
+    started, since a fused task's files cannot move: in one wave over
+    F files, C < F < 2C, one slot runs two files where an even split
+    would give F / C.  A ``num_blocks`` below 1 raises ``ValueError``.
     """
     if num_blocks is None:
-        # One task per slot: a fused task reads, extracts and writes on
-        # its own, so more waves only pay Ray's fixed cost per task
-        # again; files are about equal in size, so one wave already
-        # balances the slots to within one file.
-        num_blocks = _cluster_cpus()
+        num_blocks = _default_num_blocks(pages_path)
     elif num_blocks < 1:
         raise ValueError(f"num_blocks must be at least 1, got {num_blocks}")
 

@@ -5,6 +5,7 @@ settings — the analogue of the reference's end-to-end batch assertions
 engine-failure quarantine case (run_tests.sh:409-427).
 """
 
+import os
 import re
 
 import pandas as pd
@@ -49,13 +50,13 @@ def test_byte_identical_default(pages_fixture, golden):
 
 def test_byte_identical_other_partitioning(pages_fixture, golden):
     """A different block count must not change a single byte
-    (determinism under distribution, SURVEY §7.4): eight blocks over
-    the fixture's six files split the read, where the default's four
-    group it and fuse it into the extract."""
+    (determinism under distribution, SURVEY §7.4): three blocks over
+    the fixture's six files group the read and fuse it into the
+    extract, where the default's 20 split it."""
     pages, manifest = pages_fixture
-    ds = run_extraction(pages, manifest, num_blocks=8).materialize()
-    assert _operators(ds) == ["ReadParquet->SplitBlocks(2)",
-                              "MapBatches(_extract)"]
+    ds = run_extraction(pages, manifest, num_blocks=3).materialize()
+    assert _operators(ds) == ["ReadParquet->MapBatches(_extract)"]
+    assert _tasks(ds) == [3]
     out = ds.to_pandas().sort_values("url").reset_index(drop=True)
     _assert_identical(out, golden)
 
@@ -92,15 +93,15 @@ def _tasks(ds) -> list[int]:
 @pytest.mark.parametrize("cpus", [None, 1])
 def test_default_plan_fuses_read_into_extract(pages_fixture, tmp_path,
                                               monkeypatch, cpus):
-    """An input of as many files as cluster CPUs (4 in the test
-    session, 1 when the cluster reports one CPU) runs as one fused
-    operator with one task per CPU slot: one wave, and the payload
+    """An input of as many files as default read blocks (20, 5 per CPU,
+    in the 4-CPU test session; 1 when the cluster reports one CPU) runs
+    as one fused operator with one task per block, and the payload
     never enters the object store between read and extract.  Its rows
     are still the oracle's, byte for byte."""
     pages, manifest = pages_fixture
     if cpus is not None:
         monkeypatch.setattr(pipeline, "_cluster_cpus", lambda: cpus)
-    files = cpus or 4
+    files = 1 if cpus == 1 else 20
     src = _cut_pages(pages, tmp_path / "many", files=files, rows=240 // files)
     ds = run_extraction(src, manifest).materialize()
     assert _operators(ds) == ["ReadParquet->MapBatches(_extract)"]
@@ -111,25 +112,56 @@ def test_default_plan_fuses_read_into_extract(pages_fixture, tmp_path,
     _assert_identical(out, golden)
 
 
-def test_fewer_files_than_cpus_are_split(pages_fixture, tmp_path):
-    """One file fewer than the session's 4 CPUs is split: Ray cuts
-    each of the 3 files into ceil(4 / 3) = 2 blocks, which it cannot
-    fuse into the extract."""
+def test_fewer_files_than_blocks_are_split(pages_fixture, tmp_path):
+    """One file fewer than the session's 20 default blocks is split:
+    Ray cuts each of the 19 files into ceil(20 / 19) = 2 blocks, which
+    it cannot fuse into the extract."""
     pages, manifest = pages_fixture
-    src = _cut_pages(pages, tmp_path / "few", files=3, rows=80)
+    src = _cut_pages(pages, tmp_path / "few", files=19, rows=12)
     ops = _operators(run_extraction(src, manifest).materialize())
     assert ops == ["ReadParquet->SplitBlocks(2)", "MapBatches(_extract)"]
 
 
+@pytest.mark.parametrize("cpus, parts, ops, tasks", [
+    (1, 3, ["ReadParquet->MapBatches(_extract)"], [3]),
+    (1, 12, ["ReadParquet->SplitBlocks(2)", "MapBatches(_extract)"], None),
+    (None, 24, ["ReadParquet->SplitBlocks(4)", "MapBatches(_extract)"], None),
+])
+def test_default_blocks_grow_with_input_bytes(pages_fixture, golden,
+                                              monkeypatch, cpus, parts, ops,
+                                              tasks):
+    """Past ``_TASK_INPUT_BYTES`` of input per block the default block
+    count follows the input's bytes, not the CPUs, so a fused task's
+    share of the output stays bounded: with a budget of a third of the
+    six-file fixture it runs three fused tasks of two files; with a
+    twelfth, or a 24th at 4 CPUs (more than the 20 blocks of the CPU
+    rule), the read is split into batches of rows.  Rows stay the
+    oracle's."""
+    pages, manifest = pages_fixture
+    total = sum(os.path.getsize(os.path.join(pages, f))
+                for f in os.listdir(pages))
+    assert pipeline._input_bytes(pages) == total
+    if cpus is not None:
+        monkeypatch.setattr(pipeline, "_cluster_cpus", lambda: cpus)
+    monkeypatch.setattr(pipeline, "_TASK_INPUT_BYTES", -(-total // parts))
+    assert pipeline._default_num_blocks(pages) == parts
+    ds = run_extraction(pages, manifest).materialize()
+    assert _operators(ds) == ops
+    if tasks is not None:
+        assert _tasks(ds) == tasks
+    out = ds.to_pandas().sort_values("url").reset_index(drop=True)
+    _assert_identical(out, golden)
+
+
 def test_one_file_input_is_split_and_rebundled(pages_fixture, tmp_path):
-    """A one-file input (a service partition) is still split into 4
+    """A one-file input (a service partition) is still split into 20
     blocks at 4 CPUs, and the extract re-bundles them by rows: 600 rows
     are written as at most ceil(600 / 256) = 3 files, not one per
     block."""
     pages, manifest = pages_fixture
     src = _cut_pages(pages, tmp_path / "one", files=1, rows=600)
     ops = _operators(run_extraction(src, manifest).materialize())
-    assert ops == ["ReadParquet->SplitBlocks(4)", "MapBatches(_extract)"]
+    assert ops == ["ReadParquet->SplitBlocks(20)", "MapBatches(_extract)"]
     out = tmp_path / "out"
     run_extraction(src, manifest).write_parquet(str(out))
     files = list(out.glob("*.parquet"))
