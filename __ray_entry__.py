@@ -388,67 +388,6 @@ def _q_pack_sequences(sf_dir: str):
         block_tokens=512)
 
 
-def _q_kmv_sketch(sf_dir: str):
-    import ray.data as rd
-
-    from pmocr_ray.ops.text import kmv_sketch
-
-    return kmv_sketch(
-        rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                        columns=["text"]), k=64)
-
-
-def _q_clean_text(sf_dir: str):
-    import ray.data as rd
-
-    from pmocr_ray.ops.text import clean_text
-
-    return (rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                            columns=["doc_id", "text"])
-            .map_batches(clean_text, batch_format="pyarrow")
-            .select_columns(["doc_id", "text_clean"]))
-
-
-def _q_dedup_incremental(sf_dir: str):
-    import ray.data as rd
-
-    from pmocr_ray.ops.dedup import incremental_exact_dedup
-
-    import pyarrow.compute as _pc
-
-    def _parity(t, odd: bool):
-        m = _pc.equal(_pc.bit_wise_and(t["doc_id"], 1), 1 if odd else 0)
-        return t.filter(m)
-
-    docs = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"))
-    new = docs.map_batches(_parity, fn_kwargs={"odd": True},
-                           batch_format="pyarrow")
-    history = docs.map_batches(_parity, fn_kwargs={"odd": False},
-                               batch_format="pyarrow")
-    return incremental_exact_dedup(new, history)
-
-
-def _q_span_extract(sf_dir: str):
-    import ray.data as rd
-
-    from pmocr_ray.ops.text import regex_explode
-
-    return regex_explode(
-        rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                        columns=["doc_id", "text"]),
-        r"scan \w+")
-
-
-def _q_len_bucket(sf_dir: str):
-    import ray.data as rd
-
-    from pmocr_ray.ops.text import range_bucket
-
-    return range_bucket(
-        rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                        columns=["doc_id", "n_chars"]))
-
-
 def _q_host_stats(sf_dir: str):
     """Per-host page rollup over the extraction output's url column."""
     from pmocr_ray.ops.text import host_stats
@@ -488,27 +427,6 @@ def _q_mirror_hosts(sf_dir: str):
         _read_output(sf_dir).select_columns(["url"]).map_batches(
             hosts, batch_format="pyarrow"),
         "host")
-
-
-def _q_hash_sample(sf_dir: str):
-    """Deterministic md5-prefix sample of documents (~10% of rows),
-    stable across runs and partitionings."""
-    from pmocr_ray.ops.text import hash_sample
-
-    return hash_sample(_docs(sf_dir).select_columns(["doc_id", "text"]),
-                       column="text",
-                       prefix_lt="1a").select_columns(["doc_id"])
-
-
-def _q_heavy_hitters(sf_dir: str):
-    """Misra-Gries token heavy-hitter sketch (k=64).  The corpus
-    vocabulary (31) is below k, so no counter is ever trimmed and the
-    sketch is provably EXACT here — letting the approximate operator
-    carry a full SQL oracle (its guarantee degrades gracefully to
-    superset-with-bounded-undercount above k)."""
-    from pmocr_ray.ops.text import heavy_hitters
-
-    return heavy_hitters(_docs(sf_dir).select_columns(["text"]), k=64)
 
 
 def _q_curate(sf_dir: str):
@@ -1142,46 +1060,6 @@ def _q_dedup_embedding_lsh(sf_dir: str):
     ).select_columns(["a", "b"])
 
 
-# injected-PII suffix shared by the Ray query and the oracle so the
-# redaction pass has real matches to scrub on the synthetic corpus
-def _inject_pii(t):
-    import pyarrow as pa
-
-    did = pc.cast(t["doc_id"], pa.string())
-    mod = pc.cast(pa.array(np.mod(t["doc_id"].to_numpy(zero_copy_only=False),
-                                  200)), pa.string())
-    txt = pc.binary_join_element_wise(
-        t["text"], " contact user", did, "@mail.example or 10.0.", mod,
-        ".7 now", "")
-    return pa.table({"doc_id": t["doc_id"], "text": txt})
-
-
-def _q_redact_pii(sf_dir: str):
-    from pmocr_ray.ops.text import redact_pii
-
-    return (_docs(sf_dir).select_columns(["doc_id", "text"])
-            .map_batches(_inject_pii, batch_format="pyarrow")
-            .map_batches(redact_pii, batch_format="pyarrow")
-            .select_columns(["doc_id", "text_redacted"]))
-
-
-def _q_repetition_stats(sf_dir: str):
-    from pmocr_ray.ops.text import repetition_stats
-
-    return _docs(sf_dir).map_batches(repetition_stats, batch_format="pyarrow")
-
-
-_STRAT_THRESHOLDS = {"en": "4", "de": "c"}  # keep ~25% en, ~75% de; rest all
-
-
-def _q_stratified_sample(sf_dir: str):
-    from pmocr_ray.ops.text import stratified_sample
-
-    return stratified_sample(
-        _docs(sf_dir), "lang", _STRAT_THRESHOLDS, key_column="text"
-    ).select_columns(["doc_id", "lang"])
-
-
 def _q_line_dedup(sf_dir: str):
     from pmocr_ray.ops.dedup import line_dedup
 
@@ -1216,70 +1094,10 @@ def _q_shard_counts(sf_dir: str):
                         key="url", n_shards=16)
 
 
-def _q_split_assign(sf_dir: str):
-    """Deterministic 80/10/10 train/val/test assignment by md5 bucket."""
-    from pmocr_ray.ops.text import split_assign
-
-    return split_assign(_docs(sf_dir).select_columns(["doc_id", "lang"]))
-
-
-def _q_dup_spans(sf_dir: str):
-    """Cross-document duplicate 8-gram span detection (word-level
-    exact-substring dedup signal): per-doc distinct-gram totals and
-    how many grams recur elsewhere in the corpus."""
-    from pmocr_ray.ops.dedup import dup_span_stats
-
-    return dup_span_stats(_docs(sf_dir).select_columns(["doc_id", "text"]),
-                          n=8)
-
-
-def _q_remove_dup_spans(sf_dir: str):
-    """Exact duplicated-span removal (train-data substring dedup,
-    word-window form): drop every duplicated 8-gram occurrence except
-    its globally first one and rewrite each document's text without
-    the covered words."""
-    from pmocr_ray.ops.dedup import remove_dup_spans
-
-    return remove_dup_spans(
-        _docs(sf_dir).select_columns(["doc_id", "text"]), n=8)
-
-
-def _q_clip_outliers(sf_dir: str):
-    """Winsorize n_chars at exact p5/p95 (broadcast bounds, map-only)."""
-    from pmocr_ray.ops.text import clip_outliers
-
-    return clip_outliers(_docs(sf_dir).select_columns(
-        ["doc_id", "n_chars"]))
-
-
-def _q_domain_reweight(sf_dir: str):
-    """Uniform-mix rebalancing: per-group counts (tiny groupby) →
-    broadcast integer thresholds → deterministic md5-bucket filter."""
-    from pmocr_ray.ops.text import domain_reweight
-
-    return domain_reweight(_docs(sf_dir).select_columns(["doc_id", "lang"]))
-
-
-def _q_posting_lists(sf_dir: str):
-    """Inverted-index export: exact df + first-20 posting list per
-    term; per-batch capped candidates bound the shuffle at vocab×cap."""
-    from pmocr_ray.ops.text import posting_lists
-
-    return posting_lists(_docs(sf_dir).select_columns(["doc_id", "text"]))
-
-
 def _mod(arr, d: int):
     """Vectorized non-negative integer modulo (this pyarrow build ships
     no modulo kernel): x - (x // d) * d via integer divide."""
     return pc.subtract(arr, pc.multiply(pc.divide(arr, d), d))
-
-
-def _q_collocations(sf_dir: str):
-    """Adjacent-bigram collocations in the top-200 vocabulary: exact
-    pair + unigram counts (broadcast-vocab combiner, one shuffle)."""
-    from pmocr_ray.ops.text import collocation_pairs
-
-    return collocation_pairs(_docs(sf_dir), vocab_k=200, min_count=2)
 
 
 def _pagerank_edges(sf_dir: str):
@@ -1791,26 +1609,9 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "sessionize": _q_sessionize,
         "host_stats": _q_host_stats,
         "mirror_hosts": _q_mirror_hosts,
-        "hash_sample": _q_hash_sample,
         "host_cap": _q_host_cap,
-        "kmv_sketch": _q_kmv_sketch,
-        "clean_text": _q_clean_text,
-        "dedup_incremental": _q_dedup_incremental,
-        "span_extract": _q_span_extract,
-        "len_bucket": _q_len_bucket,
         # curation / export ops
-        "redact_pii": _q_redact_pii,
-        "repetition_stats": _q_repetition_stats,
-        "stratified_sample": _q_stratified_sample,
         "shard_counts": _q_shard_counts,
-        "split_assign": _q_split_assign,
-        "dup_spans": _q_dup_spans,
-        "remove_dup_spans": _q_remove_dup_spans,
-        "clip_outliers": _q_clip_outliers,
-        "heavy_hitters": _q_heavy_hitters,
-        "domain_reweight": _q_domain_reweight,
-        "posting_lists": _q_posting_lists,
-        "collocations": _q_collocations,
         "host_blocklist": _q_host_blocklist,
         "host_mirror": _q_host_mirror,
         "host_lang": _q_host_lang,
@@ -2191,40 +1992,6 @@ def oracle_sql() -> dict[str, str]:
             FROM h x JOIN h y
               ON x.host < y.host AND levenshtein(x.host, y.host) = 1
             ORDER BY a, b""",
-        "hash_sample": """
-            SELECT doc_id FROM documents
-            WHERE substr(md5(text), 1, 2) < '1a'""",
-        "stratified_sample": """
-            SELECT doc_id, lang FROM documents
-            WHERE CASE lang
-                    WHEN 'en' THEN substr(md5(text), 1, 1) < '4'
-                    WHEN 'de' THEN substr(md5(text), 1, 1) < 'c'
-                    ELSE TRUE END""",
-        "redact_pii": r"""
-            SELECT doc_id, regexp_replace(regexp_replace(regexp_replace(
-                text || ' contact user' || doc_id
-                     || '@mail.example or 10.0.' || (doc_id % 200) || '.7 now',
-                '[A-Za-z0-9._%+-]+@[A-Za-z0-9.-]+\.[A-Za-z]{2,}', '<EMAIL>', 'g'),
-                '\b\d{1,3}\.\d{1,3}\.\d{1,3}\.\d{1,3}\b', '<IP>', 'g'),
-                '\+\d[\d\-\. ]{7,}\d', '<PHONE>', 'g') AS text_redacted
-            FROM documents""",
-        "repetition_stats": r"""
-            WITH t AS (SELECT doc_id, regexp_extract_all(text, '\S+') AS w
-                       FROM documents),
-            bg AS (SELECT doc_id,
-                          unnest(list_transform(range(1, len(w)),
-                                 i -> w[i] || ' ' || w[i+1])) AS g
-                   FROM t WHERE len(w) >= 2),
-            mx AS (SELECT doc_id, max(c) AS mc FROM
-                     (SELECT doc_id, g, count(*) AS c FROM bg GROUP BY 1, 2)
-                   GROUP BY 1)
-            SELECT t.doc_id,
-                   CASE WHEN len(w) > 0
-                        THEN CAST(len(list_distinct(w)) AS DOUBLE) / len(w)
-                        ELSE 0.0 END AS distinct_ratio,
-                   coalesce(CAST(mx.mc AS DOUBLE) / nullif(len(w) - 1, 0),
-                            0.0) AS top_bigram_frac
-            FROM t LEFT JOIN mx USING (doc_id)""",
         "line_dedup": r"""
             WITH w AS (SELECT doc_id, regexp_extract_all(text, '\S+') AS toks
                        FROM documents),
@@ -2264,120 +2031,6 @@ def oracle_sql() -> dict[str, str]:
             SELECT n_chars // 100 AS bucket,
                    CAST(count(*) AS BIGINT) AS n
             FROM documents GROUP BY bucket""",
-        "split_assign": """
-            SELECT doc_id, lang,
-                   CASE WHEN CAST(('0x' || substr(md5(CAST(doc_id AS
-                          VARCHAR)), 1, 8)) AS UBIGINT) % 100 < 80
-                          THEN 'train'
-                        WHEN CAST(('0x' || substr(md5(CAST(doc_id AS
-                          VARCHAR)), 1, 8)) AS UBIGINT) % 100 < 90
-                          THEN 'val'
-                        ELSE 'test' END AS split
-            FROM documents""",
-        "heavy_hitters": r"""
-            SELECT w AS term, CAST(count(*) AS BIGINT) AS approx_n
-            FROM (SELECT unnest(regexp_extract_all(text, '\S+')) AS w
-                  FROM documents)
-            GROUP BY w""",
-        "clip_outliers": """
-            WITH b AS (SELECT quantile_disc(n_chars, 0.05) AS lo,
-                              quantile_disc(n_chars, 0.95) AS hi
-                       FROM documents)
-            SELECT doc_id, n_chars,
-                   CAST(least(greatest(n_chars, b.lo), b.hi) AS BIGINT)
-                     AS clipped
-            FROM documents, b""",
-        "dup_spans": r"""
-            WITH tok AS (
-              SELECT doc_id, regexp_extract_all(text, '\S+') AS ts
-              FROM documents),
-            g AS (
-              SELECT DISTINCT doc_id,
-                     array_to_string(ts[k + 1 : k + 8], ' ') AS gram
-              FROM tok, unnest(range(greatest(len(ts) - 7, 0))) AS t(k)),
-            c AS (SELECT gram, count(*) AS nd FROM g GROUP BY gram),
-            per AS (
-              SELECT g.doc_id, count(*) AS n_grams,
-                     sum(CASE WHEN c.nd > 1 THEN 1 ELSE 0 END) AS n_dup
-              FROM g JOIN c USING (gram) GROUP BY g.doc_id)
-            SELECT d.doc_id,
-                   CAST(coalesce(p.n_grams, 0) AS BIGINT) AS n_grams,
-                   CAST(coalesce(p.n_dup, 0) AS BIGINT) AS n_dup_grams
-            FROM documents d LEFT JOIN per p USING (doc_id)""",
-        "remove_dup_spans": r"""
-            WITH tok AS (
-              SELECT doc_id, regexp_extract_all(text, '\S+') AS ts
-              FROM documents),
-            w AS (
-              SELECT doc_id, k AS pos, ts[k + 1] AS word
-              FROM tok, unnest(range(len(ts))) AS t(k)),
-            occ AS (
-              SELECT doc_id, k AS pos,
-                     array_to_string(ts[k + 1 : k + 8], ' ') AS gram
-              FROM tok, unnest(range(greatest(len(ts) - 7, 0))) AS t(k)),
-            c AS (
-              SELECT gram, count(*) AS nd,
-                     min(doc_id * 1048576 + pos) AS first_packed
-              FROM occ GROUP BY gram),
-            rem AS (
-              SELECT o.doc_id, o.pos
-              FROM occ o JOIN c USING (gram)
-              WHERE c.nd > 1
-                AND o.doc_id * 1048576 + o.pos <> c.first_packed),
-            cov AS (
-              SELECT DISTINCT r.doc_id, r.pos + j AS pos
-              FROM rem r, unnest(range(8)) AS t(j)),
-            kept AS (
-              SELECT w.doc_id, w.pos, w.word
-              FROM w LEFT JOIN cov
-                ON w.doc_id = cov.doc_id AND w.pos = cov.pos
-              WHERE cov.doc_id IS NULL),
-            per AS (
-              SELECT doc_id, string_agg(word, ' ' ORDER BY pos) AS text_clean
-              FROM kept GROUP BY doc_id)
-            SELECT d.doc_id, coalesce(p.text_clean, '') AS text_clean
-            FROM documents d LEFT JOIN per p USING (doc_id)""",
-        "domain_reweight": """
-            WITH n AS (SELECT lang, count(*) AS n_g
-                       FROM documents GROUP BY lang),
-                 t AS (SELECT min(n_g) AS target_n FROM n)
-            SELECT d.doc_id, d.lang
-            FROM documents d JOIN n USING (lang) CROSS JOIN t
-            WHERE CAST(('0x' || substr(md5(CAST(d.doc_id AS VARCHAR)), 1, 8))
-                       AS UBIGINT) % 1048576
-                  < (t.target_n * 1048576) // n.n_g""",
-        "posting_lists": r"""
-            WITH pairs AS (
-              SELECT DISTINCT term, doc_id FROM (
-                SELECT doc_id, unnest(regexp_extract_all(text, '\S+')) AS term
-                FROM documents))
-            SELECT term, CAST(count(*) AS BIGINT) AS df,
-                   array_to_string(
-                     list_slice(list(doc_id ORDER BY doc_id), 1, 20), ',')
-                     AS postings
-            FROM pairs GROUP BY term""",
-        "collocations": r"""
-            WITH toks AS (
-              SELECT doc_id, regexp_extract_all(text, '\S+') AS w
-              FROM documents
-            ), uni AS (
-              SELECT term, CAST(count(*) AS BIGINT) AS n
-              FROM (SELECT unnest(w) AS term FROM toks) GROUP BY term
-            ), vocab AS (
-              SELECT term, n FROM uni ORDER BY n DESC, term LIMIT 200
-            ), pairs AS (
-              SELECT p.w1 AS w1, p.w2 AS w2 FROM (
-                SELECT unnest(list_transform(range(1, len(w)),
-                         i -> struct_pack(w1 := w[i], w2 := w[i+1]))) AS p
-                FROM toks WHERE len(w) >= 2)
-            )
-            SELECT pr.w1, pr.w2, CAST(count(*) AS BIGINT) AS pair_n,
-                   v1.n AS w1_n, v2.n AS w2_n
-            FROM pairs pr
-            JOIN vocab v1 ON pr.w1 = v1.term
-            JOIN vocab v2 ON pr.w2 = v2.term
-            GROUP BY pr.w1, pr.w2, v1.n, v2.n
-            HAVING count(*) >= 2""",
         "pagerank": """
             WITH e AS (
               SELECT DISTINCT doc_id % 211 AS src,
@@ -2521,10 +2174,6 @@ def oracle_sql() -> dict[str, str]:
                            url
                     FROM c))
             WHERE rn <= 3""",
-        "span_extract": r"""
-            SELECT doc_id, unnest(regexp_extract_all(text, 'scan \w+'))
-                     AS match
-            FROM documents""",
         "pack_sequences": r"""
             WITH c AS (
               SELECT doc_id,
@@ -2545,35 +2194,6 @@ def oracle_sql() -> dict[str, str]:
                         THEN (tok_start + n_tokens - 1) // 512
                         ELSE tok_start // 512 END AS block_end
             FROM s""",
-        "kmv_sketch": """
-            SELECT h FROM (
-              SELECT DISTINCT md5(text) AS h FROM documents
-              WHERE text IS NOT NULL)
-            ORDER BY h LIMIT 64""",
-        "clean_text": r"""
-            SELECT doc_id,
-                   trim(regexp_replace(
-                        regexp_replace(lower(text), '[\x00-\x1f\x7f]', ' ', 'g'),
-                        '\s+', ' ', 'g')) AS text_clean
-            FROM documents""",
-        "dedup_incremental": """
-            SELECT doc_id, text, lang, source, n_chars
-            FROM documents n
-            WHERE doc_id % 2 = 1 AND NOT EXISTS (
-              SELECT 1 FROM documents h
-              WHERE h.doc_id % 2 = 0 AND md5(h.text) = md5(n.text))""",
-        "len_bucket": """
-            WITH b AS (
-              SELECT quantile_disc(n_chars, 0.25) AS q1,
-                     quantile_disc(n_chars, 0.5)  AS q2,
-                     quantile_disc(n_chars, 0.75) AS q3
-              FROM documents)
-            SELECT doc_id,
-                   CAST(CASE WHEN n_chars <= q1 THEN 0
-                             WHEN n_chars <= q2 THEN 1
-                             WHEN n_chars <= q3 THEN 2
-                             ELSE 3 END AS BIGINT) AS bucket
-            FROM documents, b""",
         "media_meta": """
             SELECT doc_id,
                    CAST(doc_id % 640 + 16 AS INTEGER) AS width,

@@ -122,12 +122,19 @@ def load_config(path: str) -> PipelineConfig:
 
 
 def _parse_field(key: str, val: str):
-    f = _FIELDS[key]
-    t = f.type
+    t = _FIELDS[key].type
     if val.lower() in ("none", ""):
-        return None
+        # only an ``X | None`` field holds None; an empty str is ""
+        if t.endswith("| None"):
+            return None
+        if t == "str" and not val:
+            return ""
+        raise ValueError(f"{key} needs a value, got {val!r}")
     if key == "max_payload_bytes":
-        return parse_size(val)
+        n = parse_size(val)
+        if n < 0:
+            raise ValueError(f"max_payload_bytes must not be negative, got {val!r}")
+        return n
     if key == "num_blocks":
         n = int(val)
         if n < 1:

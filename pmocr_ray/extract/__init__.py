@@ -23,4 +23,4 @@ byte-identical per url at any parallelism (the conformance contract).
 from pmocr_ray.extract.sniff import sniff_content_type  # noqa: F401
 from pmocr_ray.extract.html_extractor import extract_html  # noqa: F401
 from pmocr_ray.extract.pdf_extractor import extract_pdf, pdf_has_text_layer  # noqa: F401
-from pmocr_ray.extract.registry import EXTRACTORS, register_extractor  # noqa: F401
+from pmocr_ray.extract.registry import EXTRACTORS  # noqa: F401

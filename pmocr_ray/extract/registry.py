@@ -4,11 +4,12 @@ Reference parity: pmOCR supports any OCR engine via configuration
 (``OCR_ENGINE`` + per-engine exec/args bundles,
 /root/reference/pmocr.sh:1825-1852, default.conf:24-87); the engine is
 resolved once at startup (``SetOCREngineOptions``).  Here an extractor
-is a pure function ``bytes -> str`` registered under a content type;
-the extraction stage (:class:`pmocr_ray.stages.ExtractStage`) resolves
-the registry in its ``__init__``, a dict copy per batch; the state kept
-warm per worker process is the broadcast done set, mirroring the
-long-lived engine processes.
+is a pure function ``bytes -> str`` keyed by content type in
+:data:`EXTRACTORS`; the extraction stage
+(:class:`pmocr_ray.stages.ExtractStage`) resolves the registry in its
+``__init__``, a dict copy per batch; the state kept warm per worker
+process is the broadcast done set, mirroring the long-lived engine
+processes.
 """
 
 from __future__ import annotations
@@ -29,10 +30,6 @@ EXTRACTORS: dict[str, Callable[[bytes], str]] = {
     CT_DOCX: extract_docx,
     CT_XLSX: extract_xlsx,
 }
-
-
-def register_extractor(content_type: str, fn: Callable[[bytes], str]) -> None:
-    EXTRACTORS[content_type] = fn
 
 
 # ----------------------------------------------------------- preprocessors
@@ -62,10 +59,6 @@ PREPROCESSORS: dict[str, Callable] = {
     "strip_bom": strip_bom,
     "normalize_crlf": normalize_crlf,
 }
-
-
-def register_preprocessor(name: str, fn: Callable) -> None:
-    PREPROCESSORS[name] = fn
 
 
 def resolve_preprocessors(specs) -> list[Callable]:

@@ -5,8 +5,9 @@ Batch mode mirrors ``pmocr.sh --batch`` (/root/reference/pmocr.sh:
 filter already-processed → route → convert → mark done / quarantine.
 Here discovery is ``read_parquet``, the filter is a broadcast done-url
 set, routing is content sniffing, conversion is the extract stage (over
-a done set kept once per worker process), and done/quarantine are
-status columns in partitioned Parquet output.
+a done set kept once per worker process), and done/quarantine are the
+``status`` and ``error`` columns of the Parquet output, which callers
+write with ``Dataset.write_parquet``.
 
 Scale notes (the 100 TB story):
 
@@ -58,18 +59,11 @@ def _cluster_cpus() -> int:
     return max(1, int(ray.cluster_resources().get("CPU", 1)))
 
 
-def read_pages(pages_path: str | list[str] | rd.Dataset,
+def read_pages(pages_path: str | list[str],
                num_blocks: int | None = None) -> rd.Dataset:
     """Source: Parquet shards of pages (reference: find-based discovery,
     /root/reference/pmocr.sh:2183).  Column pruning happens here — all
-    five input columns are genuinely consumed downstream.
-
-    An already-constructed ``Dataset`` in the canonical pages schema
-    (e.g. from :mod:`pmocr_ray.sources` JSONL ingest) passes through —
-    the rest of the pipeline is source-agnostic."""
-    if isinstance(pages_path, rd.Dataset):
-        return pages_path.select_columns(
-            ["url", "warc_ts", "html", "text", "lang"])
+    five input columns are genuinely consumed downstream."""
     kwargs = {}
     if num_blocks is not None:
         kwargs["override_num_blocks"] = num_blocks
@@ -93,10 +87,8 @@ _SPLIT_BATCH_ROWS = 256
 _TASK_INPUT_BYTES = 16 << 20
 
 
-def _input_bytes(pages_path: str | list[str] | rd.Dataset) -> int:
-    """Bytes of the files under ``pages_path`` (0 for a ``Dataset``)."""
-    if isinstance(pages_path, rd.Dataset):
-        return 0
+def _input_bytes(pages_path: str | list[str]) -> int:
+    """Bytes of the files under ``pages_path``."""
     paths, fs = _resolve_paths_and_filesystem(pages_path)
     total = 0
     for info in fs.get_file_info(paths):
@@ -108,7 +100,7 @@ def _input_bytes(pages_path: str | list[str] | rd.Dataset) -> int:
     return total
 
 
-def _default_num_blocks(pages_path: str | list[str] | rd.Dataset) -> int:
+def _default_num_blocks(pages_path: str | list[str]) -> int:
     """The rule is set out in :func:`run_extraction`'s docstring."""
     cpus = _cluster_cpus()
     # Several slots keep ~5 waves per slot (paired A/B of the unfused
@@ -155,7 +147,7 @@ def load_done_urls_ref(done_manifest_path: str | None):
 
 
 def run_extraction(
-    pages_path: str | list[str] | rd.Dataset,
+    pages_path: str | list[str],
     done_manifest_path: str | None = None,
     *,
     processed_at: datetime.datetime | None = None,
@@ -167,9 +159,11 @@ def run_extraction(
 ) -> rd.Dataset:
     """The flagship pipeline: read → sniff → extract.
 
-    Returns a lazy Dataset with :data:`pmocr_ray.schema.OUTPUT_SCHEMA`;
-    consume with ``write_parquet`` / ``iter_batches`` — nothing here
-    materializes the input.
+    ``pages_path`` names Parquet files of pages: a file or directory
+    path, or a list of them.  Returns a lazy Dataset with
+    :data:`pmocr_ray.schema.OUTPUT_SCHEMA`; consume with
+    ``write_parquet`` / ``iter_batches`` — nothing here materializes
+    the input.
 
     ``processed_at`` stamps every output row (default ``S.EPOCH``; the
     CLI batch run and each service round pass the current UTC time).
@@ -248,20 +242,3 @@ def status_counts(result_ds: rd.Dataset) -> dict[str, int]:
     rows = result_ds.groupby("status").count().take_all()
     return {r["status"]: r["count()"] for r in rows}
 
-
-def write_output(result_ds: rd.Dataset, out_dir: str,
-                 partition_by_status: bool = False) -> None:
-    """Sink: partitioned Parquet, one directory per run/partition so a
-    failed run can be skipped/rerun wholesale (resumable output).
-
-    ``partition_by_status=True`` writes hive-style ``status=<v>/``
-    subdirectories — the literal analogue of the reference's
-    success-archive and failure-quarantine directories
-    (MOVE_ORIGINAL_ON_SUCCESS/FAILURE, /root/reference/pmocr.sh:
-    2067-2096,1986-2011): quarantined rows land in
-    ``status=failed/`` and future runs can prune whole directories.
-    """
-    if partition_by_status:
-        result_ds.write_parquet(out_dir, partition_cols=["status"])
-    else:
-        result_ds.write_parquet(out_dir)

@@ -1,65 +1,14 @@
-"""Alternate page-source formats beyond Parquet.
+"""Schema-evolution union of page sources.
 
 The reference ingests whatever files land in a watched directory
-(/root/reference/pmocr.sh:2183); the Parquet reader is the primary
-scale path here, and this module adds the common interchange formats a
-crawl pipeline actually receives, normalized to the canonical pages
-schema (url, warc_ts, html, text, lang) so every downstream stage is
-source-agnostic.
-
-JSONL carries binary html as base64 (JSON has no bytes type); the
-codec is the batched zero-copy kernel in :mod:`pmocr_ray.ops.b64`
-(whole-buffer numpy for small elements, per-element C over memoryview
-slices for large), applied per batch inside the read pipeline — never
-a driver loop, never ``to_pylist``.
+(/root/reference/pmocr.sh:2183); crawl snapshots taken over time do not
+all carry the same columns, so they are unioned on the union of their
+schemas.
 """
 
 from __future__ import annotations
 
 import pyarrow as pa
-import pyarrow.compute as pc
-
-import ray.data as rd
-
-from pmocr_ray.ops.b64 import b64decode_array, b64encode_array
-
-PAGES_COLUMNS = ("url", "warc_ts", "html", "text", "lang")
-
-
-def pages_to_jsonl(pages_dir: str, out_dir: str) -> None:
-    """Export canonical pages to JSONL shards (html base64-encoded) —
-    the fixture writer for the JSONL ingest path and a real export."""
-    def encode(batch: pa.Table) -> pa.Table:
-        t = batch.set_column(batch.schema.get_field_index("html"),
-                             "html_b64", b64encode_array(batch["html"]))
-        return t
-
-    (rd.read_parquet(pages_dir)
-     .map_batches(encode, batch_format="pyarrow")
-     .write_json(out_dir))
-
-
-def read_pages_jsonl(path: str) -> rd.Dataset:
-    """Read JSONL page shards into the canonical pages schema: base64
-    html decoded per batch, warc_ts restored to timestamp[us]."""
-    def decode(batch: pa.Table) -> pa.Table:
-        html = b64decode_array(batch["html_b64"])
-        ts = batch["warc_ts"]
-        if not pa.types.is_timestamp(ts.type):
-            ts = pc.cast(ts, pa.timestamp("us"))
-        else:
-            ts = pc.cast(ts, pa.timestamp("us"))
-        return pa.table({
-            "url": pc.cast(batch["url"], pa.string()),
-            "warc_ts": ts,
-            "html": html,
-            "text": pc.cast(batch["text"], pa.string())
-            if "text" in batch.column_names
-            else pa.nulls(len(batch), pa.string()),
-            "lang": pc.cast(batch["lang"], pa.string()),
-        })
-
-    return rd.read_json(path).map_batches(decode, batch_format="pyarrow")
 
 
 def align_schemas(datasets: list, *, fill: dict | None = None):
@@ -74,8 +23,6 @@ def align_schemas(datasets: list, *, fill: dict | None = None):
     pass.  Column order is normalized to the first-seen order so the
     union is stable.
     """
-    import pyarrow as pa
-
     fill = fill or {}
     fields: dict[str, pa.DataType] = {}
     for ds in datasets:
@@ -84,23 +31,18 @@ def align_schemas(datasets: list, *, fill: dict | None = None):
             fields.setdefault(name, typ)
     names = list(fields)
 
-    def pad(missing_names):
-        def fn(t: pa.Table) -> pa.Table:
-            cols = {}
-            for n in names:
-                if n in t.column_names:
-                    cols[n] = t[n]
-                elif n in fill:
-                    cols[n] = pa.array([fill[n]] * len(t), fields[n])
-                else:
-                    cols[n] = pa.nulls(len(t), fields[n])
-            return pa.table(cols)
-        return fn
+    def pad(t: pa.Table) -> pa.Table:
+        cols = {}
+        for n in names:
+            if n in t.column_names:
+                cols[n] = t[n]
+            elif n in fill:
+                cols[n] = pa.array([fill[n]] * len(t), fields[n])
+            else:
+                cols[n] = pa.nulls(len(t), fields[n])
+        return pa.table(cols)
 
-    padded = [ds.map_batches(pad([n for n in names
-                                  if n not in ds.schema().names]),
-                             batch_format="pyarrow")
-              for ds in datasets]
+    padded = [ds.map_batches(pad, batch_format="pyarrow") for ds in datasets]
     out = padded[0]
     for ds in padded[1:]:
         out = out.union(ds)

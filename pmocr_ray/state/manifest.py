@@ -242,23 +242,15 @@ def count_statuses(output_dir: str) -> dict[str, int]:
 
 def _read_terminal_rows(output_path: str):
     """Columnar read of a run output's terminal rows (url, status,
-    processed_at) — handles a single file, a flat/nested directory, and
-    hive ``status=<v>/`` partitioned layouts (the partition column is
-    materialized by ``pyarrow.dataset`` with hive inference)."""
+    attempts, processed_at) — a single file or a flat/nested directory
+    of Parquet files."""
     import pyarrow.dataset as pads
 
-    dset = pads.dataset(output_path, format="parquet",
-                        partitioning="hive")
+    dset = pads.dataset(output_path, format="parquet")
     cols = ["url", "status", "attempts", "processed_at"]
     flt = pads.field("status").isin(
         [S.STATUS_DONE, S.STATUS_FAILED, S.STATUS_SKIPPED_TEXT])
-    t = dset.to_table(columns=cols, filter=flt)
-    # hive partition columns materialize as dictionary — decode for a
-    # stable manifest schema
-    if hasattr(t["status"].type, "value_type"):
-        t = t.set_column(t.column_names.index("status"), "status",
-                         t["status"].cast(pa.string()))
-    return t
+    return dset.to_table(columns=cols, filter=flt)
 
 
 def _manifest_shard_files(done_manifest_path: str) -> list[str]:

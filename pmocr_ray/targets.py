@@ -12,7 +12,7 @@ streamed, much-smaller-than-input source — rather than re-running the
 engine per format (the reference re-runs OCR per target; we do not).
 
 Registry-shaped like the extractor registry (extension surface,
-SURVEY §2.8): ``register_target`` adds user formats.
+SURVEY §2.8): a user format is one more :data:`TARGETS` entry.
 """
 
 from __future__ import annotations
@@ -140,10 +140,6 @@ TARGETS: dict[str, TargetSpec] = {
                        columns=("url", "status", "xlsx"),
                        input_columns=("url", "status", "extracted_text")),
 }
-
-
-def register_target(name: str, spec: TargetSpec) -> None:
-    TARGETS[name] = spec
 
 
 def write_targets(result_ds: rd.Dataset, out_dir: str,

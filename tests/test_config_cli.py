@@ -58,6 +58,31 @@ class TestConfig:
         with pytest.raises(ValueError, match="num_blocks"):
             load_config(str(p))
 
+    @pytest.mark.parametrize("key,val,expected", [
+        # only an ``X | None`` field takes None
+        ("max_payload_bytes", "none", None),
+        ("manifest_dir", "", None),
+        # an empty str field is "", not None
+        ("targets", "", ""),
+        ("out_dir", "", ""),
+        # any other none/empty value, or a negative size, is an error
+        ("check_existing_text", "none", ValueError),
+        ("check_existing_text", "", ValueError),
+        ("targets", "none", ValueError),
+        ("poll_interval_s", "", ValueError),
+        ("max_payload_bytes", "-1k", ValueError),
+    ])
+    def test_none_and_empty_values(self, tmp_path, key, val, expected):
+        p = tmp_path / "vals.conf"
+        p.write_text(f"{key}={val}\n")
+        if expected is ValueError:
+            with pytest.raises(ValueError, match=key):
+                load_config(str(p))
+            return
+        cfg = load_config(str(p))
+        assert getattr(cfg, key) == expected
+        assert cfg.target_list() == []
+
     def test_unknown_key_rejected(self, tmp_path):
         # retired settings included: a config still setting one must
         # fail, not be silently ignored

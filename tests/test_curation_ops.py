@@ -1,13 +1,12 @@
-"""Tests for the curation/export operators: PII redaction, repetition
-stats, stratified sampling, exact quantiles, line dedup,
-decontamination, hash-shard export."""
+"""Tests for the curation/export operators: line dedup,
+decontamination, hash-shard export, url canonicalization, schema
+alignment and rare-term pair linking."""
 
 import hashlib
 import os
 
 import numpy as np
 import pyarrow as pa
-import pytest
 
 import ray.data as rd
 
@@ -18,104 +17,6 @@ from pmocr_ray.ops.dedup import (
     line_dedup,
 )
 from pmocr_ray.ops.export import assign_shard, shard_counts
-from pmocr_ray.ops.text import (
-    length_quantiles,
-    redact_pii,
-    repetition_stats,
-    stratified_sample,
-)
-
-
-# ---------------------------------------------------------------- redact
-
-
-def test_redact_pii_patterns():
-    t = pa.table({"text": [
-        "mail me at jane.doe+x@sub.example.org today",
-        "server at 192.168.001.7 and +1 415-555-0199 thanks",
-        "no pii here",
-    ]})
-    out = redact_pii(t)["text_redacted"].to_pylist()
-    assert out[0] == "mail me at <EMAIL> today"
-    assert out[1] == "server at <IP> and <PHONE> thanks"
-    assert out[2] == "no pii here"
-
-
-def test_redact_pii_is_vectorized_no_partial_leak():
-    # an email inside a longer token is still caught (no \b on email)
-    t = pa.table({"text": ["x a@b.co y", "ip 1.2.3.4."]})
-    out = redact_pii(t)["text_redacted"].to_pylist()
-    assert out == ["x <EMAIL> y", "ip <IP>."]
-
-
-# ------------------------------------------------------------ repetition
-
-
-def test_repetition_stats_values():
-    t = pa.table({
-        "doc_id": [1, 2, 3],
-        "text": [
-            "a b a b a b",        # 6 toks, 2 distinct, "a b" x3 of 5 slots
-            "w x y z",            # all distinct, every bigram once
-            "",                   # empty
-        ],
-    })
-    out = repetition_stats(t)
-    dr = out["distinct_ratio"].to_pylist()
-    tb = out["top_bigram_frac"].to_pylist()
-    assert dr[0] == pytest.approx(2 / 6)
-    assert tb[0] == pytest.approx(3 / 5)
-    assert dr[1] == 1.0 and tb[1] == pytest.approx(1 / 3)
-    assert dr[2] == 0.0 and tb[2] == 0.0
-
-
-def test_repetition_stats_single_token_doc():
-    out = repetition_stats(pa.table({"doc_id": [1], "text": ["solo"]}))
-    assert out["distinct_ratio"].to_pylist() == [1.0]
-    assert out["top_bigram_frac"].to_pylist() == [0.0]
-
-
-# -------------------------------------------------------------- sampling
-
-
-def test_stratified_sample_thresholds_and_determinism(ray_session):
-    rows = [{"k": f"url{i}", "g": "en" if i % 2 else "de"} for i in range(400)]
-    ds = rd.from_items(rows)
-    thresholds = {"en": "4"}  # ~25% of en, all de
-    got1 = sorted(r["k"] for r in
-                  stratified_sample(ds, "g", thresholds, key_column="k")
-                  .take_all())
-    got2 = sorted(r["k"] for r in
-                  stratified_sample(rd.from_items(rows), "g", thresholds,
-                                    key_column="k").take_all())
-    assert got1 == got2  # deterministic
-    exp = sorted(
-        r["k"] for r in rows
-        if r["g"] == "de" or hashlib.md5(r["k"].encode()).hexdigest()[:1] < "4"
-    )
-    assert got1 == exp
-    n_de = sum(1 for k in got1 if int(k[3:]) % 2 == 0)
-    assert n_de == 200  # group without threshold kept wholesale
-
-
-# -------------------------------------------------------------- quantiles
-
-
-def test_length_quantiles_exact(ray_session):
-    vals = [1, 1, 2, 9]
-    ds = rd.from_items([{"n_chars": v} for v in vals])
-    out = length_quantiles(ds, qs=(0.5, 0.75, 0.9))
-    # DuckDB quantile_disc rule: value at 1-based rank ceil(q*n)
-    assert out["value"].to_pylist() == [1, 2, 9]
-    assert out["q"].to_pylist() == [0.5, 0.75, 0.9]
-
-
-def test_length_quantiles_partition_invariant(ray_session):
-    vals = list(range(100, 0, -1)) * 3
-    a = length_quantiles(rd.from_items([{"n_chars": v} for v in vals]))
-    b = length_quantiles(
-        rd.from_items([{"n_chars": v} for v in vals]).repartition(7))
-    assert a.to_pylist() == b.to_pylist()
 
 
 # ------------------------------------------------------------- line dedup
@@ -197,97 +98,6 @@ def test_shard_counts_total(ray_session):
     out = shard_counts(ds, n_shards=5).take_all()
     assert sum(r["n"] for r in out) == 100
     assert all(0 <= r["shard"] < 5 for r in out)
-
-
-def test_clean_text_normalizes(ray_session):
-    import pandas as pd
-    import ray.data as rd
-
-    from pmocr_ray.ops.text import clean_text
-
-    df = pd.DataFrame({"text": ["  Hello\t WORLD\n\nx ", "a\x01b"]})
-    out = (rd.from_pandas(df).map_batches(clean_text, batch_format="pyarrow")
-           .to_pandas())
-    assert list(out["text_clean"]) == ["hello world x", "a b"]
-
-
-def test_incremental_exact_dedup_drops_seen_content(ray_session):
-    import pandas as pd
-    import ray.data as rd
-
-    from pmocr_ray.ops.dedup import incremental_exact_dedup
-
-    history = rd.from_pandas(pd.DataFrame(
-        {"doc_id": [1, 2], "text": ["seen before", "also seen"]}))
-    new = rd.from_pandas(pd.DataFrame(
-        {"doc_id": [10, 11, 12],
-         "text": ["seen before", "brand new", "also seen"]}))
-    out = incremental_exact_dedup(new, history, n_bits=1 << 10).to_pandas()
-    assert list(out["doc_id"]) == [11]
-    assert "fp" not in out.columns
-
-
-def test_jsonl_source_roundtrip_extraction(ray_session, tmp_path):
-    """JSONL ingest path produces byte-identical extraction output to
-    the Parquet path over the same pages."""
-    import collections
-
-    from pmocr_ray.fixtures import ensure_pages_fixture
-    from pmocr_ray.pipeline import run_extraction
-    from pmocr_ray.sources import pages_to_jsonl, read_pages_jsonl
-
-    pages, manifest = ensure_pages_fixture("/root/testdata/sf0.001")
-    jdir = str(tmp_path / "pages_jsonl")
-    pages_to_jsonl(pages, jdir)
-
-    via_jsonl = run_extraction(read_pages_jsonl(jdir), manifest)
-    via_parquet = run_extraction(pages, manifest)
-    a = {r["url"]: (r["status"], r["extracted_text"])
-         for r in via_jsonl.select_columns(
-             ["url", "status", "extracted_text"]).take_all()}
-    b = {r["url"]: (r["status"], r["extracted_text"])
-         for r in via_parquet.select_columns(
-             ["url", "status", "extracted_text"]).take_all()}
-    assert a == b
-    assert collections.Counter(s for s, _ in a.values())["done"] == 3000
-
-
-def test_collocation_pairs_counts(ray_session):
-    """Known corpus: exact pair and unigram counts, vocab restriction,
-    min_count filter."""
-    import pandas as pd
-
-    import ray.data as rd
-    from pmocr_ray.ops.text import collocation_pairs
-
-    df = pd.DataFrame({
-        "doc_id": [0, 1, 2],
-        "text": ["big data big data big",
-                 "data big data",
-                 "rare word big data"],
-    })
-    out = collocation_pairs(rd.from_pandas(df).repartition(3),
-                            vocab_k=2, min_count=2).to_pandas()
-    got = {(r.w1, r.w2): (r.pair_n, r.w1_n, r.w2_n)
-           for r in out.itertuples()}
-    # vocab_k=2 keeps {big:5, data:5}; 'rare'/'word' excluded
-    assert got == {("big", "data"): (4, 5, 5),
-                   ("data", "big"): (3, 5, 5)}
-
-
-def test_collocation_pairs_adjacency_not_cross_doc(ray_session):
-    """The last token of one doc never pairs with the first of the next."""
-    import pandas as pd
-
-    import ray.data as rd
-    from pmocr_ray.ops.text import collocation_pairs
-
-    df = pd.DataFrame({"doc_id": [0, 1, 2, 3],
-                       "text": ["alpha beta"] * 2 + ["beta alpha"] * 2})
-    out = collocation_pairs(rd.from_pandas(df).repartition(1),
-                            vocab_k=5, min_count=1).to_pandas()
-    got = {(r.w1, r.w2): r.pair_n for r in out.itertuples()}
-    assert got == {("alpha", "beta"): 2, ("beta", "alpha"): 2}
 
 
 def test_host_mirror_pairs_counts_and_cap(ray_session):

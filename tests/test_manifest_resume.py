@@ -429,12 +429,12 @@ def test_update_done_manifest_round_trip(tmp_path, pages_fixture):
     """Mark-as-done semantics: after folding a run's output into the
     done manifest, a full rerun skips every terminal row (the
     reference's idempotent-restart property, pmocr.sh:2126-2144)."""
-    from pmocr_ray.pipeline import run_extraction, status_counts, write_output
+    from pmocr_ray.pipeline import run_extraction, status_counts
     from pmocr_ray.state.manifest import load_done_urls, update_done_manifest
 
     pages, seed_manifest = pages_fixture
     out1 = str(tmp_path / "run1")
-    write_output(run_extraction(pages, seed_manifest), out1)
+    run_extraction(pages, seed_manifest).write_parquet(out1)
 
     new_manifest = str(tmp_path / "done.parquet")
     import shutil

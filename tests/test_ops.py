@@ -57,19 +57,6 @@ def test_lang_id_deterministic(ray_session):
     assert a == b and a[0] in set(LangIdStage.PROFILES) | {"und"}
 
 
-def test_top_terms_exact_counts(ray_session):
-    from pmocr_ray.ops.text import top_terms
-
-    ds = rd.from_arrow(pa.table({"text": [
-        "a b b", "b c  c c", "", "  a ", "d d d d"
-    ]}))
-    out = top_terms(ds, k=3).to_pandas()
-    # exact global counts: d=4, b=3, c=3 — tie at the k boundary breaks
-    # term-ascending (b before c), deterministic across partitionings
-    assert out["term"].tolist() == ["d", "b", "c"]
-    assert out["n"].tolist() == [4, 3, 3]
-
-
 def test_host_stats_rollup(ray_session):
     from pmocr_ray.ops.text import host_stats
 
@@ -123,23 +110,6 @@ def test_quota_by_key_cap_and_partition_invariance(ray_session):
                            "host", 4, "url").to_pandas()
         got = {h: sorted(g["url"]) for h, g in out.groupby("host")}
         assert got == expect
-
-
-def test_hash_sample_deterministic_and_partition_invariant(ray_session):
-    import hashlib
-
-    from pmocr_ray.ops.text import hash_sample
-
-    vals = [f"doc {i} text" for i in range(300)]
-    expect = sorted(v for v in vals
-                    if hashlib.md5(v.encode()).hexdigest()[:2] < "1a")
-    t = pa.table({"text": vals})
-    for nblocks in (1, 7):
-        got = sorted(hash_sample(
-            rd.from_arrow(t).repartition(nblocks), column="text",
-            prefix_lt="1a").to_pandas()["text"])
-        assert got == expect
-    assert 0 < len(expect) < 300
 
 
 # -------------------------------------------------------------------- knn
@@ -1040,44 +1010,6 @@ def test_sessionize(events_ds):
     assert len([r for r in rows if r["user_id"] == 2]) == 1
 
 
-def test_hash_anti_join_unmatched_only(ray_session):
-    from pmocr_ray.ops.joins import hash_anti_join
-    left = rd.from_pandas(pd.DataFrame(
-        {"k": [1, 2, 3, 4], "name": ["a", "b", "c", "d"]}))
-    right = rd.from_pandas(pd.DataFrame({"rk": [2, 2, 4]}))
-    out = hash_anti_join(left, right, on="k", right_on="rk",
-                         num_partitions=2).to_pandas()
-    assert sorted(out["k"]) == [1, 3]
-    assert sorted(out.columns) == ["k", "name"]
-
-
-def kmv_estimate(hashes: list[str], k: int) -> float:
-    """Cardinality from a KMV sketch: exact below k hashes, else
-    ``(k-1) / frac(h_k)`` with the k-th smallest hash mapped to (0,1]."""
-    if len(hashes) < k:
-        return float(len(hashes))
-    hk = int(max(hashes)[:16], 16) / float(1 << 64)
-    return (k - 1) / hk if hk > 0 else float(len(hashes))
-
-
-def test_kmv_sketch_exact_when_k_covers(ray_session):
-    from pmocr_ray.ops.text import kmv_sketch
-    df = pd.DataFrame({"text": [f"doc {i % 7}" for i in range(100)]})
-    rows = kmv_sketch(rd.from_pandas(df).repartition(5), k=64).take_all()
-    hashes = [r["h"] for r in rows]
-    assert len(hashes) == 7  # k >= distinct -> exhaustive
-    assert kmv_estimate(hashes, 64) == 7.0
-
-
-def test_kmv_estimate_within_error(ray_session):
-    from pmocr_ray.ops.text import kmv_sketch
-    n = 2000
-    df = pd.DataFrame({"text": [f"unique doc {i}" for i in range(n)]})
-    rows = kmv_sketch(rd.from_pandas(df).repartition(8), k=256).take_all()
-    est = kmv_estimate([r["h"] for r in rows], 256)
-    assert abs(est - n) / n < 0.2  # ~1/sqrt(k) relative error
-
-
 def test_compact_latest_keeps_newest_per_key(ray_session):
     from pmocr_ray.ops.compact import compact_latest
     df = pd.DataFrame({
@@ -1091,25 +1023,6 @@ def test_compact_latest_keeps_newest_per_key(ray_session):
            .to_pandas().sort_values("k"))
     assert list(out["payload"]) == ["newest", "only"]
     assert len(out) == 2
-
-
-def test_range_bucket_quantile_boundaries(ray_session):
-    from pmocr_ray.ops.text import range_bucket
-    df = pd.DataFrame({"doc_id": np.arange(8, dtype=np.int64),
-                       "n_chars": [1, 2, 3, 4, 5, 6, 7, 8]})
-    out = (range_bucket(rd.from_pandas(df).repartition(3))
-           .to_pandas().sort_values("doc_id"))
-    # quantile_disc boundaries: q25=2, q50=4, q75=6
-    assert list(out["bucket"]) == [0, 0, 1, 1, 2, 2, 3, 3]
-
-
-def test_regex_explode_matches(ray_session):
-    from pmocr_ray.ops.text import regex_explode
-    df = pd.DataFrame({"doc_id": [1, 2],
-                       "text": ["scan fast scan slow", "no hits here"]})
-    out = regex_explode(rd.from_pandas(df), r"scan \w+").to_pandas()
-    assert sorted(out["match"]) == ["scan fast", "scan slow"]
-    assert set(out["doc_id"]) == {1}
 
 
 def test_lev1_kernel_cases():
@@ -1282,25 +1195,6 @@ def test_knn_edge_cases(ray_session, vec_ds):
         }), os.path.join(td, "centroids.parquet"))
         with pytest.raises(ValueError, match="no parquet files"):
             knn_cosine_ivf_indexed(td, np.array([[1.0, 0.0]]), k=2)
-
-
-def test_text_ops_empty_corpus_loud(ray_session):
-    """Quantiles / domain rebalancing over an empty corpus fail loudly
-    instead of IndexError / bare min() errors."""
-    import pytest
-    import ray.data as rd
-
-    from pmocr_ray.ops.text import domain_reweight, length_quantiles
-
-    empty = rd.from_arrow(pa.table({
-        "doc_id": pa.array([], pa.int64()),
-        "lang": pa.array([], pa.string()),
-        "n_chars": pa.array([], pa.int64()),
-    }))
-    with pytest.raises(ValueError, match="no rows"):
-        length_quantiles(empty)
-    with pytest.raises(ValueError, match="no rows"):
-        domain_reweight(empty)
 
 
 def test_media_and_c4_edge_cases(ray_session):

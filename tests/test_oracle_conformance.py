@@ -34,9 +34,7 @@ KEYS = [
     "pdf_target_roundtrip",
     "docx_target_roundtrip",
     "xlsx_target_roundtrip",
-    # ops/joins: the Bloom anti join (via incremental exact dedup) and
-    # the edit-distance-1 self-join
-    "dedup_incremental",
+    # ops/joins: the edit-distance-1 self-join
     "mirror_hosts",
 ]
 
@@ -62,11 +60,7 @@ CORRECTNESS_WINDOW = [
 # The queries outside the window, in catalog order.  Growing this list
 # is a deliberate, visible edit.
 OUTSIDE_WINDOW = [
-    "host_stats", "mirror_hosts", "hash_sample", "host_cap", "kmv_sketch",
-    "clean_text", "dedup_incremental", "span_extract", "len_bucket",
-    "redact_pii", "repetition_stats", "stratified_sample", "shard_counts",
-    "split_assign", "dup_spans", "remove_dup_spans", "clip_outliers",
-    "heavy_hitters", "domain_reweight", "posting_lists", "collocations",
+    "host_stats", "mirror_hosts", "host_cap", "shard_counts",
     "host_blocklist", "host_mirror", "host_lang", "table_extract",
     "schema_evolve", "pdf_target_roundtrip", "docx_target_roundtrip",
     "xlsx_target_roundtrip", "outlinks", "page_meta", "media_meta",

@@ -250,28 +250,6 @@ def test_failed_rows_carry_truncated_error(pages_fixture):
     assert failed.extracted_text.isna().all()
 
 
-def test_partitioned_by_status_output(pages_fixture, tmp_path):
-    """Hive-style status partitions: quarantined rows land in
-    status=failed/ (the reference's failure-move directory, reified)."""
-    import glob
-    import os
-
-    import pyarrow.parquet as pq
-
-    from pmocr_ray.pipeline import write_output
-
-    pages, manifest = pages_fixture
-    out = str(tmp_path / "by_status")
-    write_output(run_extraction(pages, manifest), out, partition_by_status=True)
-    subdirs = {os.path.basename(p) for p in glob.glob(os.path.join(out, "*"))}
-    assert subdirs == {"status=done", "status=failed",
-                       "status=skipped_existing_text", "status=skipped_suffix"}
-    failed_rows = sum(
-        pq.read_metadata(f).num_rows
-        for f in glob.glob(os.path.join(out, "status=failed", "*.parquet")))
-    assert failed_rows == 200
-
-
 def test_csv_hack_stage(ray_session):
     """Reference CSV hack: 3+ spaces -> ';' (pmocr.sh:2013-2043)."""
     import pyarrow as pa

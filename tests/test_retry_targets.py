@@ -142,10 +142,7 @@ def test_preprocessor_fixes_bom_payload(tmp_path):
 
 
 def test_preprocessor_oracle_conformance_and_registry(tmp_path):
-    from pmocr_ray.extract.registry import (
-        register_preprocessor,
-        resolve_preprocessors,
-    )
+    from pmocr_ray.extract.registry import resolve_preprocessors
     from pmocr_ray.oracle import run_oracle
 
     src = _bom_pages(tmp_path)
@@ -156,11 +153,14 @@ def test_preprocessor_oracle_conformance_and_registry(tmp_path):
     assert dist["extracted_text"].tolist() == gold["extracted_text"].tolist()
     assert dist["status"].tolist() == gold["status"].tolist()
 
-    # registry: custom preprocessor by name; unknown names fail fast
-    register_preprocessor("drop_marker",
-                          lambda p: bytes(p).replace(b"XXX", b""))
-    fns = resolve_preprocessors(["drop_marker", "strip_bom"])
-    assert fns[0](b"aXXXb") == b"ab"
+    # a callable passes through, a name resolves from the registry in
+    # order; unknown names fail fast
+    def drop_marker(p):
+        return bytes(p).replace(b"XXX", b"")
+
+    fns = resolve_preprocessors([drop_marker, "strip_bom"])
+    assert fns[0] is drop_marker
+    assert fns[1](b"\xef\xbb\xbfab") == b"ab"
     try:
         resolve_preprocessors(["nope"])
         raise AssertionError("expected KeyError")
@@ -208,7 +208,7 @@ def test_write_targets_column_pruned_read(tmp_path, pages_fixture):
     """Derived-target passes must read ONLY the spec's declared input
     columns from the text parquet: a probe transform sees exactly
     input_columns, never the full text-table schema."""
-    from pmocr_ray.targets import TARGETS, TargetSpec, register_target
+    from pmocr_ray.targets import TARGETS, TargetSpec
 
     from pmocr_ray.targets import write_targets
 
@@ -225,10 +225,10 @@ def test_write_targets_column_pruned_read(tmp_path, pages_fixture):
             raise ValueError(f"unpruned read: {got}")
         return t
 
-    register_target("_probe", TargetSpec(
+    TARGETS["_probe"] = TargetSpec(
         transform=probe, writer="parquet",
         columns=("url", "status"),
-        input_columns=("url", "status", "extracted_text")))
+        input_columns=("url", "status", "extracted_text"))
     try:
         paths = write_targets(run_extraction(src, done),
                               str(tmp_path / "pruned"), ["text", "_probe"])
