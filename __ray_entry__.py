@@ -388,6 +388,25 @@ def _q_pack_sequences(sf_dir: str):
         block_tokens=512)
 
 
+def _q_dedup_incremental(sf_dir: str):
+    import ray.data as rd
+
+    from pmocr_ray.ops.dedup import incremental_exact_dedup
+
+    import pyarrow.compute as _pc
+
+    def _parity(t, odd: bool):
+        m = _pc.equal(_pc.bit_wise_and(t["doc_id"], 1), 1 if odd else 0)
+        return t.filter(m)
+
+    docs = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"))
+    new = docs.map_batches(_parity, fn_kwargs={"odd": True},
+                           batch_format="pyarrow")
+    history = docs.map_batches(_parity, fn_kwargs={"odd": False},
+                               batch_format="pyarrow")
+    return incremental_exact_dedup(new, history)
+
+
 def _q_host_stats(sf_dir: str):
     """Per-host page rollup over the extraction output's url column."""
     from pmocr_ray.ops.text import host_stats
@@ -1094,6 +1113,27 @@ def _q_shard_counts(sf_dir: str):
                         key="url", n_shards=16)
 
 
+def _q_dup_spans(sf_dir: str):
+    """Cross-document duplicate 8-gram span detection (word-level
+    exact-substring dedup signal): per-doc distinct-gram totals and
+    how many grams recur elsewhere in the corpus."""
+    from pmocr_ray.ops.dedup import dup_span_stats
+
+    return dup_span_stats(_docs(sf_dir).select_columns(["doc_id", "text"]),
+                          n=8)
+
+
+def _q_remove_dup_spans(sf_dir: str):
+    """Exact duplicated-span removal (train-data substring dedup,
+    word-window form): drop every duplicated 8-gram occurrence except
+    its globally first one and rewrite each document's text without
+    the covered words."""
+    from pmocr_ray.ops.dedup import remove_dup_spans
+
+    return remove_dup_spans(
+        _docs(sf_dir).select_columns(["doc_id", "text"]), n=8)
+
+
 def _mod(arr, d: int):
     """Vectorized non-negative integer modulo (this pyarrow build ships
     no modulo kernel): x - (x // d) * d via integer divide."""
@@ -1610,8 +1650,11 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "host_stats": _q_host_stats,
         "mirror_hosts": _q_mirror_hosts,
         "host_cap": _q_host_cap,
+        "dedup_incremental": _q_dedup_incremental,
         # curation / export ops
         "shard_counts": _q_shard_counts,
+        "dup_spans": _q_dup_spans,
+        "remove_dup_spans": _q_remove_dup_spans,
         "host_blocklist": _q_host_blocklist,
         "host_mirror": _q_host_mirror,
         "host_lang": _q_host_lang,
@@ -2031,6 +2074,56 @@ def oracle_sql() -> dict[str, str]:
             SELECT n_chars // 100 AS bucket,
                    CAST(count(*) AS BIGINT) AS n
             FROM documents GROUP BY bucket""",
+        "dup_spans": r"""
+            WITH tok AS (
+              SELECT doc_id, regexp_extract_all(text, '\S+') AS ts
+              FROM documents),
+            g AS (
+              SELECT DISTINCT doc_id,
+                     array_to_string(ts[k + 1 : k + 8], ' ') AS gram
+              FROM tok, unnest(range(greatest(len(ts) - 7, 0))) AS t(k)),
+            c AS (SELECT gram, count(*) AS nd FROM g GROUP BY gram),
+            per AS (
+              SELECT g.doc_id, count(*) AS n_grams,
+                     sum(CASE WHEN c.nd > 1 THEN 1 ELSE 0 END) AS n_dup
+              FROM g JOIN c USING (gram) GROUP BY g.doc_id)
+            SELECT d.doc_id,
+                   CAST(coalesce(p.n_grams, 0) AS BIGINT) AS n_grams,
+                   CAST(coalesce(p.n_dup, 0) AS BIGINT) AS n_dup_grams
+            FROM documents d LEFT JOIN per p USING (doc_id)""",
+        "remove_dup_spans": r"""
+            WITH tok AS (
+              SELECT doc_id, regexp_extract_all(text, '\S+') AS ts
+              FROM documents),
+            w AS (
+              SELECT doc_id, k AS pos, ts[k + 1] AS word
+              FROM tok, unnest(range(len(ts))) AS t(k)),
+            occ AS (
+              SELECT doc_id, k AS pos,
+                     array_to_string(ts[k + 1 : k + 8], ' ') AS gram
+              FROM tok, unnest(range(greatest(len(ts) - 7, 0))) AS t(k)),
+            c AS (
+              SELECT gram, count(*) AS nd,
+                     min(doc_id * 1048576 + pos) AS first_packed
+              FROM occ GROUP BY gram),
+            rem AS (
+              SELECT o.doc_id, o.pos
+              FROM occ o JOIN c USING (gram)
+              WHERE c.nd > 1
+                AND o.doc_id * 1048576 + o.pos <> c.first_packed),
+            cov AS (
+              SELECT DISTINCT r.doc_id, r.pos + j AS pos
+              FROM rem r, unnest(range(8)) AS t(j)),
+            kept AS (
+              SELECT w.doc_id, w.pos, w.word
+              FROM w LEFT JOIN cov
+                ON w.doc_id = cov.doc_id AND w.pos = cov.pos
+              WHERE cov.doc_id IS NULL),
+            per AS (
+              SELECT doc_id, string_agg(word, ' ' ORDER BY pos) AS text_clean
+              FROM kept GROUP BY doc_id)
+            SELECT d.doc_id, coalesce(p.text_clean, '') AS text_clean
+            FROM documents d LEFT JOIN per p USING (doc_id)""",
         "pagerank": """
             WITH e AS (
               SELECT DISTINCT doc_id % 211 AS src,
@@ -2194,6 +2287,12 @@ def oracle_sql() -> dict[str, str]:
                         THEN (tok_start + n_tokens - 1) // 512
                         ELSE tok_start // 512 END AS block_end
             FROM s""",
+        "dedup_incremental": """
+            SELECT doc_id, text, lang, source, n_chars
+            FROM documents n
+            WHERE doc_id % 2 = 1 AND NOT EXISTS (
+              SELECT 1 FROM documents h
+              WHERE h.doc_id % 2 = 0 AND md5(h.text) = md5(n.text))""",
         "media_meta": """
             SELECT doc_id,
                    CAST(doc_id % 640 + 16 AS INTEGER) AS width,

@@ -1540,6 +1540,296 @@ def decontaminate(ds: rd.Dataset, bench_shingles: set[str], *,
                           batch_format="pyarrow", concurrency=(1, 4))
 
 
+def incremental_exact_dedup(new_docs: rd.Dataset, history: rd.Dataset, *,
+                            column: str = "text", key: str = "doc_id",
+                            n_bits: int = 1 << 20) -> rd.Dataset:
+    """Keep only new docs whose content was never seen in ``history`` —
+    the arriving-batch-vs-corpus dedup every continuously-ingesting
+    pipeline runs (the reference's done-manifest skip generalized from
+    url identity to content identity, pmocr.sh:2126).
+
+    Composition of existing scale pieces: fingerprint both sides
+    (md5, vectorized-ish map), then :func:`bloom_anti_join` new vs
+    history on the fingerprint — history is reduced to a fixed-size
+    bitmap, only bloom-positive candidates take the exact verify join.
+    """
+    from pmocr_ray.ops.joins import bloom_anti_join
+    from pmocr_ray.ops.text import fingerprint
+
+    new_fp = new_docs.map_batches(
+        fingerprint, fn_kwargs={"column": column}, batch_format="pyarrow")
+    hist_fp = history.select_columns([column]).map_batches(
+        fingerprint, fn_kwargs={"column": column}, batch_format="pyarrow")
+    out = bloom_anti_join(new_fp, hist_fp, on="fp", n_bits=n_bits)
+    return out.drop_columns(["fp"])
+
+
+def dup_span_stats(ds, *, key: str = "doc_id", column: str = "text",
+                   n: int = 8):
+    """Cross-document duplicate n-gram span detection — the word-level
+    approximation of exact-substring dedup (the "duplicated 50-gram"
+    signal of train-data dedup literature): for every document, how
+    many of its distinct word ``n``-grams also occur in at least one
+    OTHER document (or more than once elsewhere in the corpus).
+
+    Shuffle discipline: documents never leave their batch.  Stage 1
+    emits one (gram-fingerprint, doc) row per DISTINCT gram per doc —
+    16-byte hashes, never gram text.  Stage 2 is ONE global groupby
+    over the fingerprints; per-doc duplicate counts then come from the
+    identity ``n_dup = n_grams − n_singleton_grams``: a gram with
+    global count 1 has exactly one member, recoverable as ``min(doc)``
+    from the same aggregate — so no join-back to the gram-pair table
+    and no second scan of it.  Per-doc totals are a separate map-only
+    pass over the (pruned) input.  Output: one row per document,
+    (key, n_grams, n_dup_grams), all int64.
+    """
+    def gram_pairs(batch: pa.Table) -> pa.Table:
+        gs: list[str] = []
+        docs: list[int] = []
+        for d, t in zip(batch[key].to_pylist(), batch[column].to_pylist()):
+            w = t.split() if t else []
+            if len(w) < n:
+                continue
+            seen = {hashlib.blake2b(" ".join(w[i:i + n]).encode(),
+                                    digest_size=16).hexdigest()
+                    for i in range(len(w) - n + 1)}
+            gs.extend(seen)
+            docs.extend([d] * len(seen))
+        return pa.table({"g": pa.array(gs, pa.string()),
+                         key: pa.array(docs, pa.int64())})
+
+    def totals(batch: pa.Table) -> pa.Table:
+        # DISTINCT grams per doc, matching stage 1's per-doc dedup
+        dis = []
+        for t in batch[column].to_pylist():
+            w = t.split() if t else []
+            dis.append(len({" ".join(w[i:i + n])
+                            for i in range(len(w) - n + 1)})
+                       if len(w) >= n else 0)
+        return pa.table({key: batch[key],
+                         "n_grams": pa.array(dis, pa.int64()),
+                         "n_uniq": pa.array([0] * len(dis), pa.int64())})
+
+    from pmocr_ray.ops.vecagg import grouped_aggregate
+
+    src = ds.select_columns([key, column])
+    # gram groups are GRAM-scale (>> corpus) — Arrow-bucketed aggregate
+    g_counts = grouped_aggregate(
+        src.map_batches(gram_pairs, batch_format="pyarrow"),
+        ["g"], [(None, "count", "nd"), (key, "min", "only_doc")],
+        seed_schema=pa.schema([("g", pa.string()), ("nd", pa.int64()),
+                               ("only_doc", pa.int64())]))
+
+    def singleton_rows(t: pa.Table) -> pa.Table:
+        s = t.filter(pc.equal(t["nd"], 1))
+        return pa.table({key: s["only_doc"],
+                         "n_grams": pa.array([0] * s.num_rows, pa.int64()),
+                         "n_uniq": pa.array([1] * s.num_rows, pa.int64())})
+
+    uniq = g_counts.map_batches(singleton_rows, batch_format="pyarrow")
+    per_doc = grouped_aggregate(
+        src.map_batches(totals, batch_format="pyarrow").union(uniq),
+        [key],
+        [("n_grams", "sum", "n_grams"), ("n_uniq", "sum", "n_uniq")],
+        seed_schema=pa.schema([(key, pa.int64()), ("n_grams", pa.int64()),
+                               ("n_uniq", pa.int64())]))
+
+    def finish(t: pa.Table) -> pa.Table:
+        return pa.table({
+            key: t[key],
+            "n_grams": t["n_grams"],
+            "n_dup_grams": pc.subtract(t["n_grams"], t["n_uniq"]),
+        })
+
+    return per_doc.map_batches(finish, batch_format="pyarrow")
+
+
+def remove_dup_spans(ds: rd.Dataset, *, key: str = "doc_id",
+                     column: str = "text", n: int = 8,
+                     join_cap: int = 8) -> rd.Dataset:
+    """Exact duplicated-span REMOVAL — the rewrite half of
+    train-data substring dedup (word-window form), completing
+    :func:`dup_span_stats`'s detection half: every word ``n``-gram
+    occurrence whose gram appears more than once in the corpus is
+    dropped EXCEPT the globally first occurrence (min packed
+    ``key * LINE_STRIDE + pos``); words covered by dropped windows are
+    removed and each document's surviving words re-joined with a
+    single space.  Output: (key, text_clean), one row per input
+    document (fully-consumed docs keep an empty string so the pass is
+    auditable / filterable downstream).
+
+    Scale shape: occurrence rows carry (gram, packed int64) only —
+    the corpus text itself never shuffles.  ONE Arrow-bucketed
+    groupby over grams yields duplicated grams + first occurrence;
+    occurrences hash-join that (filtered, duplicate-rate-sized) table
+    to flag removals; covered positions fold into one int64 blob per
+    AFFECTED doc (bucketed, vectorized); the corpus left-joins the
+    blob table and rewrites with a flat-token mask + ListArray
+    ``binary_join`` rebuild — no per-row Python join.  The occurrence
+    map runs twice (groupby input + join probe side) by design:
+    re-deriving token-scale rows lazily is strictly cheaper at scale
+    than pinning them in the object store.
+    """
+    from pmocr_ray.ops.joins import sized_for_join
+    from pmocr_ray.ops.vecagg import _bucket_of, grouped_aggregate
+
+    src = ds.select_columns([key, column])
+
+    def grams(batch: pa.Table) -> pa.Table:
+        toks = pc.split_pattern_regex(pc.fill_null(batch[column], ""), r"\s+")
+        flat = pc.list_flatten(toks)
+        parent = pc.list_parent_indices(toks)
+        mask = pc.not_equal(flat, "")
+        flat = flat.filter(mask).combine_chunks()
+        pn = parent.filter(mask).to_numpy(zero_copy_only=False)
+        empty = pa.table({"g": pa.array([], pa.string()),
+                          "packed": pa.array([], pa.int64())})
+        if len(pn) == 0:
+            return empty
+        counts = np.bincount(pn)
+        if counts.max() > LINE_STRIDE:
+            raise ValueError(
+                f"document has > {LINE_STRIDE} tokens; packed position "
+                "would overflow the stride — raise LINE_STRIDE")
+        ks = batch[key].to_numpy(zero_copy_only=False)
+        if ks.min() < 0 or ks.max() >= (1 << 63) // LINE_STRIDE:
+            raise ValueError(
+                f"{key} outside [0, 2**63 // LINE_STRIDE): packed "
+                "position would overflow int64; remap ids first")
+        starts = np.zeros(len(pn), np.int64)
+        rc = np.nonzero(np.diff(pn))[0] + 1
+        starts[rc] = rc
+        np.maximum.accumulate(starts, out=starts)
+        pos = np.arange(len(pn), dtype=np.int64) - starts
+        valid = pos + n <= counts[pn]          # window fits in its row
+        w_idx = np.flatnonzero(valid)
+        if len(w_idx) == 0:
+            return empty
+        gather = (w_idx[:, None] + np.arange(n, dtype=np.int64)).ravel()
+        win = flat.take(pa.array(gather, pa.int64()))
+        offsets = np.arange(0, len(gather) + 1, n, dtype=np.int64)
+        gl = pa.LargeListArray.from_arrays(
+            pa.array(offsets, pa.int64()),
+            win.combine_chunks() if isinstance(win, pa.ChunkedArray) else win)
+        packed = ks[pn[w_idx]] * LINE_STRIDE + pos[w_idx]
+        return pa.table({"g": pc.cast(pc.binary_join(gl, " "), pa.string()),
+                         "packed": pa.array(packed, pa.int64())})
+
+    occ = src.map_batches(grams, batch_format="pyarrow")
+
+    gstats = grouped_aggregate(
+        occ, ["g"],
+        [(None, "count", "nd"), ("packed", "min", "first_packed")],
+        seed_schema=pa.schema([("g", pa.string()), ("nd", pa.int64()),
+                               ("first_packed", pa.int64())]))
+    dup = gstats.map_batches(
+        lambda t: t.filter(pc.greater(t["nd"], 1))
+                   .select(["g", "first_packed"]),
+        batch_format="pyarrow")
+
+    dup_m, dparts = sized_for_join(dup, cap=join_cap)
+    if dup_m.count() == 0:
+        # nothing duplicated: rewrite is whitespace normalization only,
+        # through the same filtered-flat machinery as the real path
+        def identity(t: pa.Table) -> pa.Table:
+            toks = pc.split_pattern_regex(pc.fill_null(t[column], ""), r"\s+")
+            flat = pc.list_flatten(toks)
+            parent = pc.list_parent_indices(toks)
+            mask = pc.not_equal(flat, "")
+            kept = flat.filter(mask).combine_chunks()
+            pk = parent.filter(mask).to_numpy(zero_copy_only=False)
+            cnt = np.bincount(pk, minlength=t.num_rows)
+            offs = np.concatenate([[0], np.cumsum(cnt)]).astype(np.int64)
+            la = pa.LargeListArray.from_arrays(pa.array(offs, pa.int64()),
+                                               kept)
+            return pa.table({key: t[key],
+                             "text_clean": pc.cast(
+                                 pc.binary_join(la, " "), pa.string())})
+        return src.map_batches(identity, batch_format="pyarrow")
+
+    joined = occ.join(dup_m, join_type="inner", num_partitions=dparts,
+                      on=("g",))
+
+    def removed(t: pa.Table) -> pa.Table:
+        f = t.filter(pc.not_equal(t["packed"], t["first_packed"]))
+        return pa.table({"packed": f["packed"]})
+
+    def cover(t: pa.Table) -> pa.Table:
+        p = t["packed"].combine_chunks().to_numpy(zero_copy_only=False)
+        if len(p) == 0:
+            return pa.table({"k": pa.array([], pa.int64()),
+                             "cp": pa.array([], pa.int64())})
+        cov = np.unique((p[:, None] + np.arange(n, dtype=np.int64)).ravel())
+        return pa.table({"k": pa.array(cov // LINE_STRIDE, pa.int64()),
+                         "cp": pa.array(cov % LINE_STRIDE, pa.int64())})
+
+    def bucket(t: pa.Table) -> pa.Table:
+        return t.append_column("_bkt", _bucket_of(t, ["k"], 32))
+
+    def blob_bucket(t: pa.Table) -> pa.Table:
+        if t.num_rows == 0:
+            return pa.table({key: pa.array([], pa.int64()),
+                             "cov": pa.array([], pa.binary())})
+        order = pc.sort_indices(
+            t, sort_keys=[("k", "ascending"), ("cp", "ascending")])
+        t = t.take(order)
+        kn = t["k"].combine_chunks().to_numpy(zero_copy_only=False)
+        cp = t["cp"].combine_chunks().to_numpy(zero_copy_only=False)
+        # cross-batch duplicates of the same covered position are
+        # adjacent after the sort — drop them here
+        first = np.r_[True, (kn[1:] != kn[:-1]) | (cp[1:] != cp[:-1])]
+        kn, cp = kn[first], cp[first]
+        starts = np.flatnonzero(np.r_[True, kn[1:] != kn[:-1]])
+        ends = np.r_[starts[1:], len(kn)]
+        blobs = [cp[s:e].tobytes() for s, e in zip(starts, ends)]
+        return pa.table({key: pa.array(kn[starts], pa.int64()),
+                         "cov": pa.array(blobs, pa.binary())})
+
+    blobs_ds = (joined.map_batches(removed, batch_format="pyarrow")
+                      .map_batches(cover, batch_format="pyarrow")
+                      .map_batches(bucket, batch_format="pyarrow")
+                      .groupby("_bkt")
+                      .map_groups(blob_bucket, batch_format="pyarrow"))
+    blobs_m, bparts = sized_for_join(blobs_ds, cap=join_cap)
+
+    with_cov = src.join(blobs_m, join_type="left_outer",
+                        num_partitions=bparts, on=(key,))
+
+    def rebuild(t: pa.Table) -> pa.Table:
+        toks = pc.split_pattern_regex(pc.fill_null(t[column], ""), r"\s+")
+        flat = pc.list_flatten(toks)
+        parent = pc.list_parent_indices(toks)
+        mask = pc.not_equal(flat, "")
+        flat = flat.filter(mask).combine_chunks()
+        pn = parent.filter(mask).to_numpy(zero_copy_only=False)
+        nrows = t.num_rows
+        if len(pn) == 0:
+            return pa.table({key: t[key],
+                             "text_clean": pa.array([""] * nrows,
+                                                    pa.string())})
+        covs = t["cov"].to_pylist()
+        drop = np.zeros(len(pn), bool)
+        row_first = np.searchsorted(pn, np.arange(nrows))
+        for i, blob in enumerate(covs):
+            if blob is None or len(blob) == 0:
+                continue
+            drop[row_first[i] + np.frombuffer(blob, np.int64)] = True
+        keep = ~drop
+        kept = flat.filter(pa.array(keep))
+        pk = pn[keep]
+        cnt = np.bincount(pk, minlength=nrows)
+        offsets = np.concatenate([[0], np.cumsum(cnt)]).astype(np.int64)
+        la = pa.LargeListArray.from_arrays(
+            pa.array(offsets, pa.int64()),
+            kept.combine_chunks() if isinstance(kept, pa.ChunkedArray)
+            else kept)
+        return pa.table({key: t[key],
+                         "text_clean": pc.cast(pc.binary_join(la, " "),
+                                               pa.string())})
+
+    return with_cov.map_batches(rebuild, batch_format="pyarrow")
+
+
 def host_mirror_pairs(ds: rd.Dataset, *, url_column: str = "url",
                       column: str = "extracted_text",
                       max_hosts_per_content: int = 64) -> rd.Dataset:

@@ -1,5 +1,4 @@
-"""Join helpers: the broadcast semi join, the hash-join partition
-sizing rule, a Bloom-filter builder and the edit-distance-1 self-join.
+"""Broadcast semi/anti join helpers — the small-side join primitives.
 
 Reference parity: pmOCR's only join-like operation is the anti-join of
 discovered candidates against the done/failed sets, encoded as ``find``
@@ -46,11 +45,71 @@ def parts_for_rows(n_rows: int, cap: int = 8) -> int:
     """Hash-join partition count for an operand of ``n_rows`` rows —
     the one shared sizing rule (see :data:`ROWS_PER_JOIN_PARTITION`).
     Use directly when the row count is already known cheaply (parquet
-    file metadata, a prior count)."""
+    file metadata, a prior count); use :func:`sized_for_join` when the
+    operand is a lazy pipeline."""
     return max(1, min(cap, n_rows // ROWS_PER_JOIN_PARTITION + 1))
 
 
-# ----------------------------------------------------------- bloom filter
+def sized_for_join(ds: rd.Dataset, cap: int = 8) -> tuple["rd.MaterializedDataset", int]:
+    """Materialize a join operand and size its hash partitions from
+    the actual row count: one per ~:data:`ROWS_PER_JOIN_PARTITION`
+    rows, at least 1 (an all-empty partition reaches acero as a
+    zero-column table and fails FieldRef resolution), at most ``cap``
+    (raise it at cluster scale where the per-partition actor cost
+    amortizes).
+
+    Materializing matters as much as the sizing: a bare
+    ``ds.count()`` on a lazy pipeline executes the whole upstream once
+    for the count and AGAIN for the join — on a pre-aggregated rollup
+    (the usual operand here) pinning the small result is strictly
+    cheaper.  Do NOT hand this a raw base-table read (that would pin
+    the corpus): size those from parquet metadata via
+    :func:`parts_for_rows` and keep the read lazy.
+    Returns ``(materialized_ds, num_partitions)``."""
+    m = ds.materialize()
+    return m, parts_for_rows(m.count(), cap)
+
+
+def hash_anti_join(left: rd.Dataset, right: rd.Dataset, on: str,
+                   right_on: str | None = None,
+                   num_partitions: int = 16) -> rd.Dataset:
+    """Distributed anti join for two LARGE sides (neither fits a
+    broadcast): hash-partitioned ``left_outer`` join against the
+    right side's per-key rollup, keep rows with no match.
+
+    The right side is pre-aggregated to one row per key *before* the
+    join, so the exchange moves distinct keys (plus a marker), never
+    the right table's payload — the same shrink-before-shuffle
+    discipline as the aggregate-before-join star queries.  The rollup
+    is pinned and sizes the join's partitions (``num_partitions`` caps
+    them); an EMPTY right side — the normal first-run done manifest —
+    short-circuits to the left unchanged, because Ray's hash join
+    hands acero a zero-column table for any empty partition and fails
+    FieldRef resolution.
+    """
+    from pmocr_ray.ops.vecagg import grouped_aggregate
+
+    r_on = right_on or on
+    # key groups are RIGHT-TABLE-scale — Arrow-bucketed rollup
+    marker, parts = sized_for_join(
+        grouped_aggregate(right.select_columns([r_on]),
+                          [r_on], [(None, "count", "__m")]),
+        cap=num_partitions)
+    if marker.count() == 0:
+        return left
+    joined = left.join(marker, join_type="left_outer",
+                       num_partitions=parts,
+                       on=(on,), right_on=(r_on,))
+    def keep_unmatched(t: pa.Table) -> pa.Table:
+        out = t.filter(pc.is_null(t["__m"]))
+        drop = [c for c in ("__m", r_on if r_on != on else None)
+                if c in out.column_names]
+        return out.drop_columns(drop)
+
+    return joined.map_batches(keep_unmatched, batch_format="pyarrow")
+
+
+# ------------------------------------------------------ bloom anti join
 
 def _bloom_indices(keys: list, n_bits: int, k_hashes: int):
     """k bit positions per key by double hashing over the md5 digest
@@ -106,6 +165,50 @@ def build_bloom(ds: rd.Dataset, key: str, n_bits: int = 1 << 23,
     if not res or res.get("bloom") is None:
         return np.zeros(n_bits // 8, np.uint8)
     return res["bloom"]
+
+
+def bloom_anti_join(left: rd.Dataset, right: rd.Dataset, on: str,
+                    right_on: str | None = None, n_bits: int = 1 << 23,
+                    k_hashes: int = 7,
+                    num_partitions: int = 8) -> rd.Dataset:
+    """EXACT anti join with a Bloom prefilter — the 100 TB shape of the
+    done-manifest exclusion.
+
+    A broadcast key set grows O(right); the Bloom bitmap is fixed-size.
+    Semantics stay exact: rows whose key misses the filter are definite
+    non-members and pass straight through (map-only, the overwhelming
+    majority when the intersection is small); only the possible-members
+    take the hash-partitioned :func:`hash_anti_join` against the right
+    side.  False positives cost a shuffled row, never a wrong answer.
+    """
+    import numpy as np
+
+    r_on = right_on or on
+    bitmap_ref = ray.put(build_bloom(right, r_on, n_bits, k_hashes))
+
+    def split(batch: pa.Table, want_members: bool) -> pa.Table:
+        bitmap = ray.get(bitmap_ref)
+        idx = _bloom_indices(batch[on].to_pylist(), n_bits, k_hashes)
+        bits = (bitmap[(idx >> 3).astype(np.int64)]
+                >> (idx & 7).astype(np.uint8)) & 1
+        member = bits.all(axis=1)
+        mask = member if want_members else ~member
+        return batch.filter(pa.array(mask))
+
+    definite_out = left.map_batches(split, fn_kwargs={"want_members": False},
+                                    batch_format="pyarrow")
+    # pin the (small) candidate side: sizes the verify join's partition
+    # count so no hash partition is empty (acero rejects zero-column
+    # empty partitions), and avoids re-running the bloom probe
+    candidates = left.map_batches(split, fn_kwargs={"want_members": True},
+                                  batch_format="pyarrow").materialize()
+    n_cand = candidates.count()
+    if n_cand == 0:
+        return definite_out
+    parts = max(1, min(num_partitions, n_cand // 2048 + 1))
+    survivors = hash_anti_join(candidates, right, on=on, right_on=r_on,
+                               num_partitions=parts)
+    return definite_out.union(survivors)
 
 
 # ------------------------------------------------- fuzzy-key self-join

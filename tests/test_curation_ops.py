@@ -100,6 +100,22 @@ def test_shard_counts_total(ray_session):
     assert all(0 <= r["shard"] < 5 for r in out)
 
 
+def test_incremental_exact_dedup_drops_seen_content(ray_session):
+    import pandas as pd
+    import ray.data as rd
+
+    from pmocr_ray.ops.dedup import incremental_exact_dedup
+
+    history = rd.from_pandas(pd.DataFrame(
+        {"doc_id": [1, 2], "text": ["seen before", "also seen"]}))
+    new = rd.from_pandas(pd.DataFrame(
+        {"doc_id": [10, 11, 12],
+         "text": ["seen before", "brand new", "also seen"]}))
+    out = incremental_exact_dedup(new, history, n_bits=1 << 10).to_pandas()
+    assert list(out["doc_id"]) == [11]
+    assert "fp" not in out.columns
+
+
 def test_host_mirror_pairs_counts_and_cap(ray_session):
     import pandas as pd
 

@@ -212,6 +212,36 @@ def test_exact_dup_pairs_hot_group_star(ray_session):
     assert all(roots[b] == 0 for _, b in star)
 
 
+def test_dup_span_stats_cross_doc_grams(ray_session):
+    from pmocr_ray.ops.dedup import dup_span_stats
+    shared = "the quick brown fox"          # 4-gram shared by docs 1 and 2
+    t = pa.table({
+        "doc_id": pa.array([1, 2, 3, 4], pa.int64()),
+        "text": [shared + " jumps high", "so " + shared + " runs",
+                 "totally different words here now", "short"],
+    })
+    out = dup_span_stats(rd.from_arrow(t).repartition(3), n=4) \
+        .to_pandas().set_index("doc_id").sort_index()
+    # doc 1: grams {the..fox, quick..jumps, brown..high}; only the shared
+    # one recurs (in doc 2)
+    assert out.loc[1, "n_grams"] == 3 and out.loc[1, "n_dup_grams"] == 1
+    assert out.loc[2, "n_grams"] == 3 and out.loc[2, "n_dup_grams"] == 1
+    assert out.loc[3, "n_grams"] == 2 and out.loc[3, "n_dup_grams"] == 0
+    # <n tokens -> zero grams, still present in the output
+    assert out.loc[4, "n_grams"] == 0 and out.loc[4, "n_dup_grams"] == 0
+
+
+def test_dup_span_stats_within_doc_repeat_not_dup(ray_session):
+    from pmocr_ray.ops.dedup import dup_span_stats
+    # the same 2-gram repeated INSIDE one doc is one distinct gram with
+    # global count 1 -> not a cross-doc duplicate
+    t = pa.table({"doc_id": pa.array([1], pa.int64()),
+                  "text": ["ab cd ab cd"]})
+    out = dup_span_stats(rd.from_arrow(t), n=2).to_pandas()
+    assert out.loc[0, "n_grams"] == 2      # {"ab cd", "cd ab"}
+    assert out.loc[0, "n_dup_grams"] == 0
+
+
 def test_exact_dup_pairs_hot_star_and_null_groups(ray_session):
     """Pair emission must match the per-group reference semantics:
     all-pairs for small clusters, star emit above max_group, and null
@@ -244,6 +274,91 @@ def test_exact_dup_pairs_hot_star_and_null_groups(ray_session):
     n_ids = list(range(300, 303))
     exp |= {(a, b) for i, a in enumerate(n_ids) for b in n_ids[i + 1:]}
     assert got == exp
+
+
+def test_remove_dup_spans_keeps_global_first(ray_session):
+    from pmocr_ray.ops.dedup import remove_dup_spans
+    shared = "a b c d"                      # duplicated 4-gram
+    t = pa.table({
+        "doc_id": pa.array([1, 2, 3], pa.int64()),
+        "text": ["x " + shared + " y",      # first occurrence (pos 1)
+                 shared + " tail words",    # later occurrence -> removed
+                 "untouched sentence here"],
+    })
+    out = remove_dup_spans(rd.from_arrow(t).repartition(3), n=4) \
+        .to_pandas().set_index("doc_id").sort_index()
+    assert out.loc[1, "text_clean"] == "x a b c d y"
+    # doc 2 loses the 4 covered words but keeps the rest
+    assert out.loc[2, "text_clean"] == "tail words"
+    assert out.loc[3, "text_clean"] == "untouched sentence here"
+
+
+def test_remove_dup_spans_within_doc_repeat_removed(ray_session):
+    from pmocr_ray.ops.dedup import remove_dup_spans
+    # the same 2-gram occurring twice INSIDE one doc: second occurrence
+    # is covered, first survives (occurrence-count semantics, unlike
+    # dup_span_stats' distinct-gram-per-doc counting)
+    t = pa.table({"doc_id": pa.array([7], pa.int64()),
+                  "text": ["p q z p q"]})
+    out = remove_dup_spans(rd.from_arrow(t), n=2).to_pandas()
+    assert out.loc[0, "text_clean"] == "p q z"
+
+
+def test_remove_dup_spans_full_consumption_and_short_docs(ray_session):
+    from pmocr_ray.ops.dedup import remove_dup_spans
+    dup = "w1 w2 w3"
+    t = pa.table({
+        "doc_id": pa.array([1, 2, 3, 4], pa.int64()),
+        "text": [dup, dup,                  # doc 2 fully consumed
+                 "tiny",                    # < n tokens: no grams
+                 "  spaced   out  "],       # whitespace normalization only
+    })
+    out = remove_dup_spans(rd.from_arrow(t).repartition(2), n=3) \
+        .to_pandas().set_index("doc_id").sort_index()
+    assert out.loc[1, "text_clean"] == dup
+    assert out.loc[2, "text_clean"] == ""   # row kept, text emptied
+    assert out.loc[3, "text_clean"] == "tiny"
+    assert out.loc[4, "text_clean"] == "spaced out"
+
+
+def test_remove_dup_spans_no_duplicates_identity(ray_session):
+    from pmocr_ray.ops.dedup import remove_dup_spans
+    t = pa.table({"doc_id": pa.array([1, 2], pa.int64()),
+                  "text": ["alpha beta gamma", "delta epsilon zeta"]})
+    out = remove_dup_spans(rd.from_arrow(t), n=2).to_pandas() \
+        .set_index("doc_id").sort_index()
+    assert out.loc[1, "text_clean"] == "alpha beta gamma"
+    assert out.loc[2, "text_clean"] == "delta epsilon zeta"
+
+
+def test_remove_dup_spans_overlapping_windows_union_cover(ray_session):
+    from pmocr_ray.ops.dedup import remove_dup_spans
+    # doc 2 repeats a 5-word span; with n=4 the two duplicated 4-grams
+    # overlap — covered positions are the UNION, so all 5 words go
+    span = "v w x y z"
+    t = pa.table({
+        "doc_id": pa.array([1, 2], pa.int64()),
+        "text": [span + " first", "pre " + span + " post"],
+    })
+    out = remove_dup_spans(rd.from_arrow(t).repartition(2), n=4) \
+        .to_pandas().set_index("doc_id").sort_index()
+    assert out.loc[1, "text_clean"] == "v w x y z first"
+    assert out.loc[2, "text_clean"] == "pre post"
+
+
+def test_remove_dup_spans_partition_invariant(ray_session):
+    from pmocr_ray.ops.dedup import remove_dup_spans
+    rng = np.random.default_rng(11)
+    vocab = [f"t{i}" for i in range(30)]
+    texts = [" ".join(rng.choice(vocab, size=rng.integers(4, 40)))
+             for _ in range(60)]
+    t = pa.table({"doc_id": pa.array(range(60), pa.int64()),
+                  "text": texts})
+    a = remove_dup_spans(rd.from_arrow(t), n=3).to_pandas() \
+        .sort_values("doc_id").reset_index(drop=True)
+    b = remove_dup_spans(rd.from_arrow(t).repartition(13), n=3) \
+        .to_pandas().sort_values("doc_id").reset_index(drop=True)
+    assert a.equals(b)
 
 
 def test_minhash_batch_kernel_matches_scalar_signature_path():

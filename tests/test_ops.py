@@ -1010,6 +1010,17 @@ def test_sessionize(events_ds):
     assert len([r for r in rows if r["user_id"] == 2]) == 1
 
 
+def test_hash_anti_join_unmatched_only(ray_session):
+    from pmocr_ray.ops.joins import hash_anti_join
+    left = rd.from_pandas(pd.DataFrame(
+        {"k": [1, 2, 3, 4], "name": ["a", "b", "c", "d"]}))
+    right = rd.from_pandas(pd.DataFrame({"rk": [2, 2, 4]}))
+    out = hash_anti_join(left, right, on="k", right_on="rk",
+                         num_partitions=2).to_pandas()
+    assert sorted(out["k"]) == [1, 3]
+    assert sorted(out.columns) == ["k", "name"]
+
+
 def test_compact_latest_keeps_newest_per_key(ray_session):
     from pmocr_ray.ops.compact import compact_latest
     df = pd.DataFrame({

@@ -34,7 +34,9 @@ KEYS = [
     "pdf_target_roundtrip",
     "docx_target_roundtrip",
     "xlsx_target_roundtrip",
-    # ops/joins: the edit-distance-1 self-join
+    # ops/joins: the Bloom anti join (via incremental exact dedup) and
+    # the edit-distance-1 self-join
+    "dedup_incremental",
     "mirror_hosts",
 ]
 
@@ -60,7 +62,8 @@ CORRECTNESS_WINDOW = [
 # The queries outside the window, in catalog order.  Growing this list
 # is a deliberate, visible edit.
 OUTSIDE_WINDOW = [
-    "host_stats", "mirror_hosts", "host_cap", "shard_counts",
+    "host_stats", "mirror_hosts", "host_cap", "dedup_incremental",
+    "shard_counts", "dup_spans", "remove_dup_spans",
     "host_blocklist", "host_mirror", "host_lang", "table_extract",
     "schema_evolve", "pdf_target_roundtrip", "docx_target_roundtrip",
     "xlsx_target_roundtrip", "outlinks", "page_meta", "media_meta",
